@@ -228,17 +228,14 @@ std::int64_t run_sweep(const SweepCase& sweep,
 
 // ---- metrics_breakdown ----------------------------------------------
 //
-// The mergeable parallel metric engine vs the serial fused pass, over
-// pre-simulated traces (no simulation cost in either series). Gated on
-// an FNV-1a fingerprint of EVERY PipelineResult field — a stronger
-// check than the additive checksums above, because the engine's merge
-// order must reproduce the serial pass bit for bit, not just in
-// aggregate. Measured per consumer (counts / distances / misses /
-// element_stats / cache) and for the full consumer set; the full set
-// also gets a thread-scaling series (or an explicit skip record on a
-// 1-core runner). The 1-thread ratio is a real speedup even without a
-// pool: the engine's SIMD line derivation, flat-array LRU sets, and
-// fissioned consumer loops beat the serial pass's per-event dispatch.
+// The metric engine vs the standalone passes, over pre-simulated traces
+// (no simulation cost in either series). Gated on an FNV-1a fingerprint
+// of EVERY PipelineResult field — a stronger check than the additive
+// checksums above, because the engine's merge order must reproduce the
+// standalone passes bit for bit, not just in aggregate. Measured per
+// consumer (counts / distances / misses / element_stats / cache) and
+// for the full consumer set; the full set also gets a thread-scaling
+// series (or an explicit skip record on a 1-core runner).
 
 std::uint64_t fnv_fold(std::uint64_t hash, std::int64_t value) {
   hash ^= static_cast<std::uint64_t>(value);
@@ -305,24 +302,58 @@ dmv::sim::PipelineConfig breakdown_config() {
   return config;
 }
 
-// One consumer's drive over the pre-simulated traces. `merged` selects
-// the engine; min_events 0 so the engine always engages when asked.
-std::uint64_t run_metric_engine(const std::vector<AccessTrace>& traces,
-                                dmv::sim::PipelineConfig config,
-                                bool merged) {
-  config.parallel_metrics = merged;
-  config.parallel_metrics_min_events = 0;
+// The standalone passes' result for one trace: the reference the
+// engine must reproduce (only the config's consumers are filled).
+dmv::sim::PipelineResult standalone_result(
+    const AccessTrace& trace, const dmv::sim::PipelineConfig& config) {
+  dmv::sim::PipelineResult result;
+  result.events = static_cast<std::int64_t>(trace.events.size());
+  result.executions = trace.executions;
+  result.containers = trace.containers;
+  if (config.counts) result.counts = dmv::sim::count_accesses(trace);
+  dmv::sim::StackDistanceResult distances;
+  if (config.needs_distances()) {
+    distances = dmv::sim::stack_distances(trace, config.line_size);
+  }
+  if (config.keep_distances) result.distances = distances;
+  if (config.miss_threshold_lines > 0) {
+    result.misses = dmv::sim::classify_misses(trace, distances,
+                                              config.miss_threshold_lines);
+  }
+  if (config.element_stats) {
+    for (std::size_t c = 0; c < trace.layouts.size(); ++c) {
+      result.element_stats.push_back(dmv::sim::element_distance_stats(
+          trace, distances, static_cast<int>(c)));
+    }
+  }
+  if (config.cache) {
+    result.cache = dmv::sim::simulate_cache(trace, *config.cache);
+  }
+  if (config.movement) {
+    result.movement =
+        dmv::sim::physical_movement(trace, result.misses, config.line_size);
+  }
+  return result;
+}
+
+// One consumer set over the pre-simulated traces, through the metric
+// engine (`engine`) or the standalone passes; returns the XOR of the
+// per-trace result fingerprints.
+std::uint64_t run_metrics(const std::vector<AccessTrace>& traces,
+                          const dmv::sim::PipelineConfig& config,
+                          bool engine) {
   dmv::sim::MetricPipeline pipeline(config);
   std::uint64_t hash = 0;
   for (const AccessTrace& trace : traces) {
-    hash ^= result_fingerprint(pipeline.run(trace));
+    hash ^= result_fingerprint(engine ? pipeline.run(trace)
+                                      : standalone_result(trace, config));
   }
   return hash;
 }
 
-// Fingerprint gate shared by the full run and --smoke: the engine at 8
-// (oversubscribed) threads must reproduce the serial fused pass's full
-// result fingerprint for every consumer subset.
+// Fingerprint gate shared by the full run and --smoke: the engine at 1
+// and 8 (oversubscribed) threads must reproduce the standalone passes'
+// full result fingerprint for every consumer subset.
 bool validate_metric_merge(const SweepCase& sweep,
                            const SimulationOptions& options) {
   std::vector<AccessTrace> traces;
@@ -335,20 +366,15 @@ bool validate_metric_merge(const SweepCase& sweep,
   const dmv::sim::PipelineConfig configs[] = {breakdown_config(),
                                               cache_only};
   for (const dmv::sim::PipelineConfig& config : configs) {
-    std::uint64_t serial = 0;
-    std::uint64_t merged = 0;
-    {
-      dmv::par::ThreadScope scope(1);
-      serial = run_metric_engine(traces, config, /*merged=*/false);
-    }
-    {
-      dmv::par::ThreadScope scope(8);
-      merged = run_metric_engine(traces, config, /*merged=*/true);
-    }
-    if (serial != merged) {
-      std::cerr << "FATAL: metric merge fingerprint mismatch on "
-                << sweep.name << "\n";
-      return false;
+    const std::uint64_t reference =
+        run_metrics(traces, config, /*engine=*/false);
+    for (const int threads : {1, 8}) {
+      dmv::par::ThreadScope scope(threads);
+      if (run_metrics(traces, config, /*engine=*/true) != reference) {
+        std::cerr << "FATAL: metric engine fingerprint mismatch on "
+                  << sweep.name << " at " << threads << " threads\n";
+        return false;
+      }
     }
   }
   return true;
@@ -679,7 +705,7 @@ int run_smoke() {
               << "symbolic_ops memoized == legacy, "
               << "delta recompute == cold, "
               << "trace store round-trip == source, "
-              << "merged metrics (8 threads) == serial fused\n";
+              << "metric engine (1, 8 threads) == standalone passes\n";
   }
   std::cout << "smoke OK\n";
   return 0;
@@ -828,18 +854,17 @@ int main(int argc, char** argv) {
     const double metrics_fused_speedup =
         metrics_unfused.best_ms / metrics_fused.best_ms;
 
-    // Mergeable metric engine breakdown: serial fused pass vs the
-    // partitioned engine, per consumer and for the full set, over the
-    // same pre-simulated traces. Full-result fingerprints gate every
-    // pair. Both headline series run at 1 thread, so the ratio isolates
-    // the engine's single-core wins (SIMD line derivation, flat LRU
-    // arrays, fissioned loops) from pool scaling, which gets its own
-    // series below.
+    // Metric engine breakdown: the standalone passes vs the engine, per
+    // consumer and for the full set, over the same pre-simulated traces.
+    // Full-result fingerprints gate every pair. Both headline series run
+    // at 1 thread, so the ratio isolates the engine's single-core wins
+    // (shared line derivation, flat LRU arrays, fissioned loops) from
+    // pool scaling, which gets its own series below.
     struct ConsumerSeries {
       const char* name;
       dmv::sim::PipelineConfig config;
-      Measurement serial;
-      Measurement merged;
+      Measurement standalone;
+      Measurement engine;
     };
     std::vector<ConsumerSeries> breakdown;
     {
@@ -865,19 +890,19 @@ int main(int argc, char** argv) {
     }
     dmv::par::set_num_threads(1);
     for (ConsumerSeries& series : breakdown) {
-      series.serial = measure(
+      series.standalone = measure(
           [&] {
             return static_cast<std::int64_t>(
-                run_metric_engine(traces, series.config, /*merged=*/false));
+                run_metrics(traces, series.config, /*engine=*/false));
           },
           repetitions);
-      series.merged = measure(
+      series.engine = measure(
           [&] {
             return static_cast<std::int64_t>(
-                run_metric_engine(traces, series.config, /*merged=*/true));
+                run_metrics(traces, series.config, /*engine=*/true));
           },
           repetitions);
-      if (series.serial.checksum != series.merged.checksum) {
+      if (series.standalone.checksum != series.engine.checksum) {
         std::cerr << "FATAL: metrics_breakdown fingerprint mismatch on "
                   << sweep.name << " consumer " << series.name << "\n";
         return 1;
@@ -885,7 +910,7 @@ int main(int argc, char** argv) {
     }
     const ConsumerSeries& breakdown_all = breakdown.back();
     const double breakdown_speedup =
-        breakdown_all.serial.best_ms / breakdown_all.merged.best_ms;
+        breakdown_all.standalone.best_ms / breakdown_all.engine.best_ms;
     // Multi-core scaling of the full consumer set (engine partitions
     // track the knob); recorded as skipped on a 1-core runner.
     std::vector<std::pair<int, Measurement>> breakdown_threads;
@@ -894,11 +919,11 @@ int main(int argc, char** argv) {
         dmv::par::set_num_threads(threads);
         const Measurement at_threads = measure(
             [&] {
-              return static_cast<std::int64_t>(run_metric_engine(
-                  traces, breakdown_all.config, /*merged=*/true));
+              return static_cast<std::int64_t>(run_metrics(
+                  traces, breakdown_all.config, /*engine=*/true));
             },
             repetitions);
-        if (at_threads.checksum != breakdown_all.serial.checksum) {
+        if (at_threads.checksum != breakdown_all.standalone.checksum) {
           std::cerr << "FATAL: metrics_breakdown thread mismatch on "
                     << sweep.name << " at " << threads << " threads\n";
           return 1;
@@ -1023,8 +1048,8 @@ int main(int argc, char** argv) {
               << metrics_fused_speedup << "x)\n";
     std::cout << "  metrics breakdown (1 thread, fingerprint-gated):";
     for (const ConsumerSeries& series : breakdown) {
-      std::cout << " " << series.name << " " << series.serial.best_ms
-                << "->" << series.merged.best_ms << " ms";
+      std::cout << " " << series.name << " " << series.standalone.best_ms
+                << "->" << series.engine.best_ms << " ms";
     }
     std::cout << "  (all: " << breakdown_speedup << "x)\n";
     if (breakdown_threads.empty()) {
@@ -1101,16 +1126,16 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < breakdown.size(); ++s) {
       const ConsumerSeries& series = breakdown[s];
       json << "          {\"name\": \"" << series.name
-           << "\", \"serial_ms\": " << series.serial.best_ms
-           << ", \"merged_ms\": " << series.merged.best_ms
+           << "\", \"standalone_ms\": " << series.standalone.best_ms
+           << ", \"engine_ms\": " << series.engine.best_ms
            << ", \"speedup\": "
-           << series.serial.best_ms / series.merged.best_ms << "}"
+           << series.standalone.best_ms / series.engine.best_ms << "}"
            << (s + 1 < breakdown.size() ? "," : "") << "\n";
     }
     json << "        ],\n";
-    json << "        \"serial_ms\": " << breakdown_all.serial.best_ms
+    json << "        \"standalone_ms\": " << breakdown_all.standalone.best_ms
          << ",\n";
-    json << "        \"merged_ms\": " << breakdown_all.merged.best_ms
+    json << "        \"engine_ms\": " << breakdown_all.engine.best_ms
          << ",\n";
     json << "        \"speedup\": " << breakdown_speedup << ",\n";
     json << "        \"fingerprint_identical\": true,\n";
@@ -1120,7 +1145,7 @@ int main(int argc, char** argv) {
       json << "        \"thread_scaling\": [\n";
       for (std::size_t t = 0; t < breakdown_threads.size(); ++t) {
         json << "          {\"threads\": " << breakdown_threads[t].first
-             << ", \"merged_ms\": " << breakdown_threads[t].second.best_ms
+             << ", \"engine_ms\": " << breakdown_threads[t].second.best_ms
              << "}" << (t + 1 < breakdown_threads.size() ? "," : "")
              << "\n";
       }

@@ -150,8 +150,9 @@ struct SessionStats {
   // of an artifact or cache key.
   double simulate_ms = 0.0;  ///< Trace generation / patch phase ms.
   double metrics_ms = 0.0;   ///< Metric consumption + finalize ms.
-  /// Metric worker partitions of the MOST RECENT evaluation (1 = serial
-  /// fused pass; >1 = the mergeable parallel engine ran).
+  /// Metric worker partitions of the MOST RECENT evaluation's last
+  /// engine feed (1 = it ran as one partition: one thread, a feed too
+  /// small to split, or inside a pool task).
   int metric_partitions = 1;
 };
 

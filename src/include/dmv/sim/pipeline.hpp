@@ -1,32 +1,34 @@
 #pragma once
 
-// Fused streaming metric pipeline.
+// Fused metric pipeline.
 //
 // The interactive loop recomputes EVERY derived metric per slider
 // position. Run as separate passes, each metric re-walks the event
 // vector and several re-derive cache-line ids from scratch; the sweep
 // also reallocates every trace buffer, Fenwick tree, and per-element
-// scratch array at every binding. MetricPipeline fuses the per-event
+// scratch array at every binding. MetricPipeline drives all per-event
 // metric consumers (access counts, stack distances, miss
 // classification, exact cache simulation, element distance stats,
-// physical movement) into ONE pass over the trace that derives each
-// event's cache line once, and keeps all working memory in an arena
-// that survives across bindings of a sweep.
+// physical movement) through ONE resumable, partitioned metric engine
+// that derives each event's cache line once, and keeps all working
+// memory in an arena that survives across bindings of a sweep.
 //
-// Two drive modes:
-//   * materialized — run over an AccessTrace (existing or simulated
-//     into the arena's reusable trace buffer);
-//   * streaming — simulate() feeds the consumers directly through an
-//     EventSink, so no event vector is ever allocated: event-storage
-//     memory is O(1) in trace length. Sweep workloads that never
-//     inspect the raw trace use this mode.
+// Every entry point feeds that engine (see docs/simulation.md, "Feed
+// and resume"):
+//   * run(trace) — one feed of an existing AccessTrace;
+//   * run(sdfg) — simulate into the arena's reusable trace buffer, then
+//     one feed;
+//   * run_delta — the same cold path, then checkpointed: later steps
+//     feed a patched trace from event 0, or resume the carried state
+//     and feed only an appended suffix;
+//   * run_streaming — simulate() hands events to an EventSink that
+//     feeds bounded windows, so no event vector is ever allocated.
 //
 // Bit-identical contract: every output equals the corresponding
 // standalone pass (count_accesses, stack_distances, classify_misses,
 // element_distance_stats, simulate_cache, physical_movement) bit for
-// bit, in both modes, at any thread count. The fusion is a pure
-// performance change — enforced by pipeline_test and the CI ablation
-// smoke job.
+// bit, in every mode, at any thread count and partitioning — enforced
+// by pipeline_test, metric_merge_test and the CI ablation smoke job.
 
 #include <cstddef>
 #include <cstdint>
@@ -39,7 +41,7 @@
 
 namespace dmv::sim {
 
-/// Which consumers the fused pass drives. Distances are computed
+/// Which consumers the metric engine drives. Distances are computed
 /// whenever any consumer needs them (misses, element stats, movement,
 /// or keep_distances).
 struct PipelineConfig {
@@ -59,19 +61,6 @@ struct PipelineConfig {
   /// Physical movement estimate; requires miss_threshold_lines > 0
   /// (physical_movement).
   bool movement = false;
-  /// Drive materialized runs through the mergeable parallel metric
-  /// engine (partitioned cache sets, two-phase stack distances,
-  /// per-segment consumer partials). Results are bit-identical to the
-  /// serial fused pass, so — like SimulationOptions::parallel_trace —
-  /// this is a pure execution strategy: NOT part of fingerprint() and
-  /// never in cache keys. The serial pass remains the fallback (and the
-  /// identity reference) whenever the engine cannot run.
-  bool parallel_metrics = true;
-  /// Below this many events the serial fused pass runs even with
-  /// parallel_metrics set (engine setup outweighs the win). Tests and
-  /// benches set 0 to force the engine. Also excluded from
-  /// fingerprint().
-  std::int64_t parallel_metrics_min_events = 8192;
 
   bool needs_distances() const {
     return miss_threshold_lines > 0 || keep_distances || element_stats ||
@@ -79,7 +68,7 @@ struct PipelineConfig {
   }
 };
 
-/// Outputs of one fused pass. Only the consumers enabled in the config
+/// Outputs of one pipeline run. Only the consumers enabled in the config
 /// are populated; the rest stay default-constructed. The result owns
 /// its payload (no aliasing into pipeline arenas) — safe to retain,
 /// share, and cache beyond the pipeline's lifetime.
@@ -123,34 +112,39 @@ struct DeltaOutcome {
 /// call — observability only (surfaced through session::SessionStats
 /// and dmv_serve `stats`), never part of a result or cache key.
 struct PhaseTimings {
-  /// Trace generation / patching ms (0 for run(trace); for the fused
-  /// generation+metrics path this covers the overlapped chunk stage,
-  /// including per-chunk line derivation; run_streaming interleaves
-  /// generation and consumption, so its whole cost lands here).
+  /// Trace generation / patching ms (0 for run(trace); run_streaming
+  /// interleaves generation and consumption, so its whole cost lands
+  /// here).
   double simulate_ms = 0.0;
   /// Metric consumption + finalize ms.
   double metrics_ms = 0.0;
-  /// Largest metric worker-partition count used (1 = serial fused pass).
+  /// Largest metric worker-partition count of the engine's last feed
+  /// (1 = the whole feed ran as one partition).
   int partitions = 1;
 };
 
 /// Stable 64-bit fingerprint of a config, folding in every field that
 /// can change an output. Two configs with equal fingerprints produce
 /// identical results for the same trace; the session layer uses it as
-/// the metric-config component of its cache keys. parallel_metrics and
-/// parallel_metrics_min_events are deliberately excluded — they are
-/// bit-identical execution strategies.
+/// the metric-config component of its cache keys.
 std::uint64_t fingerprint(const PipelineConfig& config);
+
+/// Stable 64-bit fingerprint of the SimulationOptions fields that can
+/// change the simulator's output (placement_alignment, wcr_reads).
+/// compiled, parallel_trace and lane_width are bit-identical execution
+/// strategies and deliberately excluded, so toggling them neither
+/// invalidates a run_delta checkpoint nor splits session cache keys.
+std::uint64_t fingerprint(const SimulationOptions& options);
 
 /// Approximate heap footprint of a result's payload (vectors; the
 /// struct itself excluded). Used for cache byte budgeting — an estimate,
 /// not an allocator-exact measurement.
 std::size_t approx_size_bytes(const PipelineResult& result);
 
-/// Drives every enabled metric in one fused pass over a trace.
+/// Drives every enabled metric through one metric engine over a trace.
 ///
 /// Ownership: the pipeline owns an internal arena (trace buffer, line
-/// tables, Fenwick tree, per-element scratch) that persists across run
+/// columns, Fenwick trees, per-element tallies) that persists across run
 /// calls — that reuse is the point. Returned PipelineResults own their
 /// payload outright and never alias the arena; they stay valid after the
 /// pipeline is destroyed.
@@ -171,13 +165,12 @@ class MetricPipeline {
 
   const PipelineConfig& config() const { return config_; }
 
-  /// Fused single pass over an existing trace. The LineTable and all
-  /// per-line/per-element scratch come from the arena (reused across
-  /// calls).
+  /// One engine feed over an existing trace. All per-line and
+  /// per-element state comes from the arena (reused across calls).
   PipelineResult run(const AccessTrace& trace);
 
-  /// Simulates into the arena's reusable trace buffer, then runs the
-  /// fused pass. One binding of a materialized sweep.
+  /// Simulates into the arena's reusable trace buffer, then feeds it to
+  /// the engine. One binding of a materialized sweep.
   PipelineResult run(const Sdfg& sdfg, const SymbolMap& symbols,
                      const SimulationOptions& options = {});
 
@@ -186,8 +179,8 @@ class MetricPipeline {
   /// changed. The engine plans the trace at fine fixed granularity,
   /// classifies each chunk clean/dirty against the binding delta
   /// (chunk_dependencies), splices clean event slices from the
-  /// checkpointed trace, re-simulates only dirty chunks, and patches the
-  /// fused metric state — resuming it in place for append-only steps.
+  /// checkpointed trace, re-simulates only dirty chunks, and re-feeds the
+  /// metric engine — resuming its carried state for append-only steps.
   /// `program_version` is the caller's fingerprint of the Sdfg structure
   /// (the session layer passes its program hash); a mismatch, an options
   /// change, or an unparallelizable plan falls back to the cold path.
@@ -198,8 +191,8 @@ class MetricPipeline {
                            const SimulationOptions& options = {},
                            DeltaOutcome* outcome = nullptr);
 
-  /// Streaming: the simulator feeds the fused consumers event by event;
-  /// no event vector (and no LineTable column) is allocated —
+  /// Streaming: the simulator hands events to a sink that feeds the
+  /// engine in bounded windows; no event vector is allocated —
   /// event_storage_bytes() stays 0.
   PipelineResult run_streaming(const Sdfg& sdfg, const SymbolMap& symbols,
                                const SimulationOptions& options = {});
@@ -238,11 +231,8 @@ class MetricPipeline {
   std::string spill_dir_;
   PhaseTimings timings_;
 
-  bool try_run_mergeable(const AccessTrace& trace, PipelineResult& result,
-                         int& partitions);
-  bool try_run_fused_generation(const Sdfg& sdfg, const SymbolMap& symbols,
-                                const SimulationOptions& options,
-                                PipelineResult& result);
+  void generate(const Sdfg& sdfg, const SymbolMap& symbols,
+                const SimulationOptions& options);
   void maybe_spill();
 };
 

@@ -65,7 +65,8 @@ struct Value {
   const std::vector<Value>& as_array() const;
 };
 
-/// Parses a complete JSON document (trailing garbage is an error).
+/// Parses a complete JSON document (trailing garbage is an error, and
+/// so are arrays/objects nested more than 256 levels deep).
 Value parse(std::string_view text);
 
 /// Serializes a value on one line with sorted object keys — stable,

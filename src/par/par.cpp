@@ -121,6 +121,10 @@ class Pool {
       work_ready_.wait(lock, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
+      // The job finished before this worker woke: run() cleared task_
+      // under the lock after its last drain, and the next job may already
+      // be resetting count_/next_ — joining now would race with it.
+      if (task_ == nullptr) continue;
       ++draining_;
       lock.unlock();
       drain();

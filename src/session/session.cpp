@@ -145,11 +145,8 @@ struct Session::Impl {
       : config(std::move(session_config)),
         program(std::move(sdfg)),
         pipeline(config.pipeline) {
-    config_hash = sim::fingerprint(config.pipeline);
-    config_hash = fnv1a(config_hash, static_cast<std::uint64_t>(
-                                         config.simulation.placement_alignment));
-    config_hash = fnv1a(config_hash, config.simulation.wcr_reads ? 1 : 0);
-    config_hash = fnv1a(config_hash, config.simulation.compiled ? 1 : 0);
+    config_hash = fnv1a(sim::fingerprint(config.pipeline),
+                        sim::fingerprint(config.simulation));
     rehash_program();
   }
 

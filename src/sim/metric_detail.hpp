@@ -1,7 +1,7 @@
 #pragma once
 
 // Internal machinery shared by the standalone metric passes and the
-// fused pipeline (not installed; include only from src/sim).
+// metric engine (not installed; include only from src/sim).
 
 #include <algorithm>
 #include <cstdint>
@@ -15,37 +15,14 @@
 namespace dmv::sim::detail {
 
 // Fenwick tree over event positions; a mark at position p means "some
-// cache line's most recent access happened at p". Growable so the
-// streaming pipeline (event count unknown up front) can extend it:
-// raw marks are kept alongside the tree and the tree is rebuilt in
-// O(capacity) on each doubling — amortized O(1) per event.
+// cache line's most recent access happened at p" (the standalone
+// stack_distances pass).
 class Fenwick {
  public:
   /// Zeroes all marks and guarantees capacity for positions [0, n).
-  void reset(std::size_t n) {
-    if (n > capacity_) capacity_ = std::max<std::size_t>(n, 1024);
-    marks_.assign(capacity_, 0);
-    tree_.assign(capacity_ + 1, 0);
-  }
-
-  /// Grows capacity to cover `position` (streaming mode).
-  void ensure(std::size_t position) {
-    if (position < capacity_) return;
-    std::size_t grown = std::max<std::size_t>(capacity_ * 2, 1024);
-    while (grown <= position) grown *= 2;
-    marks_.resize(grown, 0);
-    // Linear rebuild from raw marks: leaf values then parent propagation.
-    tree_.assign(grown + 1, 0);
-    for (std::size_t i = 1; i <= grown; ++i) tree_[i] += marks_[i - 1];
-    for (std::size_t i = 1; i <= grown; ++i) {
-      const std::size_t parent = i + (i & (~i + 1));
-      if (parent <= grown) tree_[parent] += tree_[i];
-    }
-    capacity_ = grown;
-  }
+  void reset(std::size_t n) { tree_.assign(n + 1, 0); }
 
   void add(std::size_t position, int delta) {
-    marks_[position] = static_cast<std::int8_t>(marks_[position] + delta);
     for (std::size_t i = position + 1; i < tree_.size(); i += i & (~i + 1)) {
       tree_[i] += delta;
     }
@@ -67,14 +44,12 @@ class Fenwick {
   }
 
  private:
-  std::vector<std::int64_t> tree_;   ///< 1-based; size capacity_ + 1.
-  std::vector<std::int8_t> marks_;   ///< Raw marks, for rebuilds.
-  std::size_t capacity_ = 0;
+  std::vector<std::int64_t> tree_;  ///< 1-based; size n + 1.
 };
 
-// Set-associative geometry shared by the serial fused cache consumer
-// and the set-partitioned mergeable one (same derivation and the same
-// validation errors, so both paths reject a bad config identically).
+// Set-associative geometry of the metric engine's cache consumer (the
+// same derivation and validation errors as simulate_cache, so both
+// reject a bad config identically).
 struct CacheGeometry {
   std::int64_t ways = 0;
   std::int64_t num_sets = 1;

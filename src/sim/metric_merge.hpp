@@ -1,39 +1,42 @@
 #pragma once
 
-// Mergeable parallel metric engine (internal; include only from src/sim).
+// The metric engine (internal; include only from src/sim).
 //
-// The serial FusedPass in pipeline.cpp advances every enabled consumer
-// with one per-event consume() call — exact, but the last serial stage
-// of a cold slider step. This module re-expresses the same pass as
-// independently computable, deterministically mergeable pieces:
+// One resumable engine drives every MetricPipeline consumer: begin() a
+// trace header, feed() events in trace order as often as needed,
+// snapshot() a finalized copy at any point, finish() at the end. Each
+// feed is split into independently computable, deterministically
+// mergeable pieces:
 //
 //   * line-id derivation — a vectorization-friendly affine kernel over
 //     the SoA columns (per-container base/element-size tables, shift
 //     instead of hardware division for power-of-two line sizes);
-//   * stack distances — two phases: a parallel previous-occurrence pass
-//     (per-slice local last-seen tables stitched left to right), then
-//     parallel Fenwick counting over disjoint event segments, each
-//     segment bulk-rebuilding the exact serial Fenwick state at its
-//     start from the next-occurrence array;
+//   * stack distances — either one fused last-seen Olken loop on the
+//     carried Fenwick tree, or two phases: a parallel previous-occurrence
+//     pass (per-slice local last-seen tables stitched left to right into
+//     the carried table), then parallel Fenwick counting over disjoint
+//     event segments, each segment rebuilding the exact serial Fenwick
+//     state at its start from the carried marks plus the prev array;
 //   * exact LRU cache — partitioned by cache set: a line maps to
 //     exactly one set, so each worker scans the whole line column but
 //     touches only its sets and per-set LRU order is preserved exactly;
 //   * order-insensitive consumers (counts, miss classification,
-//     element-stat pairs) — per-segment partial tallies reduced in
-//     ascending segment order by integer addition.
+//     element-stat pairs) — per-segment tallies reduced into the carried
+//     tally by integer addition in ascending segment order.
 //
 // Exactness, not approximation: every piece computes the same integers
-// the serial pass computes, and every reduction is an order-fixed
-// integer merge — so results are bit-identical to FusedPass at any
-// (thread, segment, partition) combination. pipeline.cpp owns engine
-// selection and falls back to FusedPass when the engine cannot run
-// (see MetricPipeline and docs/simulation.md).
+// a serial event-by-event pass computes, and every reduction is an
+// order-fixed integer merge — so results are bit-identical to the
+// standalone passes at any (thread, segment, partition, feed-split)
+// combination. See docs/simulation.md for the feed/resume contract.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <span>
+#include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -43,36 +46,51 @@
 
 namespace dmv::sim::merge {
 
-// Fenwick tree with an int32 node type (marks sum to at most the event
-// count, which the engine caps at INT32_MAX) and an O(capacity) bulk
-// initializer — half the cache footprint of detail::Fenwick and no
-// per-mark tree walks when reconstructing a segment's start state.
+// Fenwick tree over event positions with an int32 node type (a node
+// counts marks, and marks never outnumber distinct lines) and raw marks
+// kept beside it, so capacity can grow and a segment's start state can
+// be rebuilt from another tree in O(capacity) with no per-mark walks.
 class Fenwick32 {
  public:
-  /// Zeroes and guarantees capacity for positions [0, n), then marks
-  /// every position j < marked_prefix with next[j] >= threshold — the
-  /// exact serial invariant "j carries a mark iff j is the most recent
-  /// occurrence of its line among the first `threshold` events". Linear
-  /// build: leaf values then parent propagation. `next` may be null
-  /// when marked_prefix == 0.
-  void reset_marked(std::size_t n, const std::int64_t* next,
-                    std::size_t marked_prefix, std::int64_t threshold) {
+  /// Zeroes every mark and guarantees capacity for positions [0, n).
+  void reset(std::size_t n) {
     if (n > capacity_) capacity_ = std::max<std::size_t>(n, 1024);
     marks_.assign(capacity_, 0);
     tree_.assign(capacity_ + 1, 0);
-    for (std::size_t j = 0; j < marked_prefix; ++j) {
-      if (next[j] >= threshold) marks_[j] = 1;
-    }
-    for (std::size_t i = 1; i <= capacity_; ++i) tree_[i] += marks_[i - 1];
-    for (std::size_t i = 1; i <= capacity_; ++i) {
-      const std::size_t parent = i + (i & (~i + 1));
-      if (parent <= capacity_) tree_[parent] += tree_[i];
-    }
   }
 
-  // marks_ is only a staging buffer for reset_marked's linear build;
-  // queries read tree_ alone, so add() does not maintain it.
+  /// Grows capacity to cover positions [0, n), keeping every mark.
+  void ensure(std::size_t n) {
+    if (n <= capacity_) return;
+    std::size_t grown = std::max<std::size_t>(capacity_ * 2, 1024);
+    while (grown < n) grown *= 2;
+    capacity_ = grown;
+    marks_.resize(capacity_, 0);
+    rebuild();
+  }
+
+  /// Becomes `base` advanced by `count` events at positions [from,
+  /// from + count) whose previous occurrences are prev[0, count): marks
+  /// every new position, unmarks every prev target — the exact serial
+  /// invariant "j carries a mark iff j is the most recent occurrence of
+  /// its line". Capacity covers positions [0, n).
+  void advance_from(const Fenwick32& base, std::size_t from,
+                    const std::int64_t* prev, std::size_t count,
+                    std::size_t n) {
+    reset(n);
+    std::copy(base.marks_.begin(),
+              base.marks_.begin() + static_cast<std::ptrdiff_t>(from),
+              marks_.begin());
+    std::fill(marks_.begin() + static_cast<std::ptrdiff_t>(from),
+              marks_.begin() + static_cast<std::ptrdiff_t>(from + count), 1);
+    for (std::size_t j = 0; j < count; ++j) {
+      if (prev[j] >= 0) marks_[static_cast<std::size_t>(prev[j])] = 0;
+    }
+    rebuild();
+  }
+
   void add(std::size_t position, int delta) {
+    marks_[position] = static_cast<std::int8_t>(marks_[position] + delta);
     for (std::size_t i = position + 1; i < tree_.size(); i += i & (~i + 1)) {
       tree_[i] += delta;
     }
@@ -94,6 +112,16 @@ class Fenwick32 {
   }
 
  private:
+  // Linear build from the marks: leaf values, then parent propagation.
+  void rebuild() {
+    tree_.assign(capacity_ + 1, 0);
+    for (std::size_t i = 1; i <= capacity_; ++i) tree_[i] += marks_[i - 1];
+    for (std::size_t i = 1; i <= capacity_; ++i) {
+      const std::size_t parent = i + (i & (~i + 1));
+      if (parent <= capacity_) tree_[parent] += tree_[i];
+    }
+  }
+
   std::vector<std::int32_t> tree_;  ///< 1-based; size capacity_ + 1.
   std::vector<std::int8_t> marks_;
   std::size_t capacity_ = 0;
@@ -117,32 +145,17 @@ inline std::size_t segment_begin(std::size_t n, std::size_t parts,
   return n / parts * k + std::min(k, n % parts);
 }
 
-// One distinct line's first and last occurrence inside a slice — the
-// only state the left-to-right stitch needs from a slice.
-struct Boundary {
-  std::int64_t line = 0;
-  std::int64_t first = 0;
-  std::int64_t last = 0;
-};
-
-// Slice-local line -> most recent position table. Dense over the line
-// span when the per-slot memory is reasonable, hash otherwise.
-class LocalSeen {
+// Line -> most recent position table (-1 = not seen). Dense over a line
+// range when that range is at most 2^26 slots, hash map otherwise
+// (hand-built traces can place containers at arbitrary addresses).
+class LastSeen {
  public:
-  void reset_dense(std::int64_t lo, std::int64_t span) {
-    dense_ = true;
-    lo_ = lo;
-    values_.assign(static_cast<std::size_t>(span), -1);
-    hash_.clear();
-  }
-  void reset_hash(std::size_t expected) {
-    dense_ = false;
-    values_.clear();
-    hash_.clear();
-    hash_.reserve(expected);
-  }
-  /// Stores `value` for `line`, returning the previous value (-1 when
-  /// the line was not seen in this slice yet).
+  void reset_dense(std::int64_t lo, std::int64_t span);
+  void reset_hash(std::size_t expected);
+  /// Widens the table so every line in [lo, hi] has a slot, keeping
+  /// every entry (re-based dense, or converted to hash when too wide).
+  void cover(std::int64_t lo, std::int64_t hi);
+  /// Stores `value` for `line`, returning the previous value.
   std::int64_t exchange(std::int64_t line, std::int64_t value) {
     std::int64_t& slot =
         dense_ ? values_[static_cast<std::size_t>(line - lo_)]
@@ -156,6 +169,10 @@ class LocalSeen {
     const auto it = hash_.find(line);
     return it == hash_.end() ? -1 : it->second;
   }
+  bool dense() const { return dense_; }
+  std::int64_t lo() const { return lo_; }
+  std::int64_t span() const { return static_cast<std::int64_t>(values_.size()); }
+  std::int64_t* dense_slots() { return values_.data(); }
 
  private:
   bool dense_ = true;
@@ -164,11 +181,19 @@ class LocalSeen {
   std::unordered_map<std::int64_t, std::int64_t> hash_;
 };
 
-// Per-segment partial state of the order-insensitive consumers; merged
-// into the result by integer addition in ascending segment order
-// (finite element-stat pairs concatenate in the same order, which
-// reproduces the serial event order exactly).
-struct ConsumerPartial {
+// One distinct line's first and last occurrence inside a slice — the
+// only state the left-to-right stitch needs from a slice.
+struct Boundary {
+  std::int64_t line = 0;
+  std::int64_t first = 0;  ///< Position relative to the feed's start.
+  std::int64_t last = 0;   ///< Absolute position.
+};
+
+// Order-insensitive consumer state: the engine's carried tally, and the
+// private tally of each extra consumer segment of a feed (merged into
+// the carried one by integer addition; finite element-stat pairs
+// concatenate in ascending segment order, which is serial event order).
+struct Tally {
   std::vector<std::vector<std::int64_t>> reads;           // [container][elem]
   std::vector<std::vector<std::int64_t>> writes;          // [container][elem]
   std::vector<std::vector<std::int64_t>> element_misses;  // [container][elem]
@@ -181,7 +206,7 @@ struct ConsumerPartial {
 // Exact LRU state of the contiguous set range owned by one cache
 // partition. Small associativities use a flat MRU-first array per set
 // (line ids are non-negative, -1 marks an empty way); larger ones fall
-// back to the list + hash structure of the serial consumer.
+// back to a list + hash structure.
 struct WideSet {
   std::list<std::int64_t> lru;
   std::unordered_map<std::int64_t, std::list<std::int64_t>::iterator> where;
@@ -190,27 +215,9 @@ struct CachePartition {
   std::vector<MissStats> per_container;
   std::vector<std::int64_t> small;  ///< [local_set * ways + way].
   std::vector<WideSet> wide;        ///< [local_set].
-};
-
-// All engine scratch, owned by the pipeline arena so slider sweeps pay
-// the allocations once. Contents are meaningless between calls.
-struct Scratch {
-  std::vector<std::int64_t> lines;        ///< Distance-granularity ids.
-  std::vector<std::int64_t> cache_lines;  ///< Only for a second line size.
-  std::vector<std::int64_t> prev;         ///< Previous occurrence or -1.
-  std::vector<std::int64_t> next;         ///< Next occurrence or INT64_MAX.
-  std::vector<std::int64_t> distances;
-  std::vector<std::int64_t> global_last;  ///< Stitch table, dense over span.
-  std::vector<LocalSeen> local_seen;              // Per slot.
-  std::vector<std::vector<Boundary>> boundaries;  // Per slot.
-  std::vector<Fenwick32> fenwicks;                // Per distance segment.
-  std::vector<ConsumerPartial> partials;          // Per consumer segment.
-  std::vector<CachePartition> cache_parts;        // Per cache partition.
-  std::vector<std::uint8_t> seen;                 ///< Cache line ever resident.
-  /// Merged (flat, distance) pairs per container + counting-sort scratch.
-  std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> finite;
-  std::vector<std::int64_t> offsets;
-  std::vector<std::int64_t> sorted;
+  /// Lines ever resident in this partition's sets, when the engine's
+  /// shared dense `seen` bytes would be too sparse.
+  std::unordered_set<std::int64_t> sparse_seen;
 };
 
 // Per-event line-id derivation with a vectorization-friendly fast path:
@@ -223,8 +230,12 @@ class LineDeriver {
  public:
   void reset(const std::vector<layout::ConcreteLayout>& layouts,
              int line_size);
-  void derive(const std::int32_t* containers, const std::int64_t* flats,
-              std::size_t begin, std::size_t end, std::int64_t* out) const;
+  /// out[i] for i in [begin, end); returns the (min, max) line written.
+  std::pair<std::int64_t, std::int64_t> derive(const std::int32_t* containers,
+                                               const std::int64_t* flats,
+                                               std::size_t begin,
+                                               std::size_t end,
+                                               std::int64_t* out) const;
 
  private:
   std::vector<detail::ContainerAddressing> addressing_;
@@ -234,69 +245,94 @@ class LineDeriver {
   int shift_ = -1;  ///< >= 0 selects the affine fast path.
 };
 
-// Phase A of the two-phase stack distances: prev[i] = position of the
-// previous access to event i's line, or -1. Slices are processed in
-// parallel (local_slice, any order, disjoint writes); stitch_slice then
-// runs once per slice in ascending slice order on one thread, resolving
-// each slice's first-occurrence boundaries against the running global
-// last-seen table. The fused-generation driver calls the two halves
-// from ordered_pipeline's produce/consume; compute_prev below is the
-// standalone driver for materialized traces.
-class PrevBuilder {
+// The resumable metric engine. Partition counts are picked per feed
+// from its event count, the events already carried, the element count,
+// the thread count and par::in_parallel_region() (inside a pool task
+// everything runs as one partition, in windows of 2^16 events); cache
+// partitions are fixed at begin() because they carry per-set LRU state.
+// Results never depend on any of those choices.
+class Engine {
  public:
-  /// `slots` = number of concurrently live local tables (window size
-  /// for the fused driver, one per segment for the standalone pass).
-  void begin(Scratch& scratch, std::size_t n, std::int64_t lo,
-             std::int64_t span, std::size_t slots);
-  void local_slice(Scratch& scratch, const std::int64_t* lines,
-                   std::size_t begin, std::size_t end,
-                   std::size_t slot) const;
-  void stitch_slice(Scratch& scratch, std::size_t slot) const;
+  /// Starts a new trace: clears all carried state. `fan_out` = false
+  /// keeps every feed on the calling thread (a caller that must not
+  /// issue pool work, such as a streaming sink on the simulator's
+  /// sequencer).
+  void begin(const PipelineConfig& config, const AccessTrace& header,
+             bool fan_out = true);
+
+  /// Appends `count` events — the columns' [0, count) — at positions
+  /// [events(), events() + count), advancing every enabled consumer.
+  void feed(const std::int32_t* containers, const std::int64_t* flats,
+            const std::uint8_t* writes, std::size_t count);
+
+  /// Finalized copy of the state after every event fed so far; the
+  /// carried state is untouched, so feeding can continue.
+  PipelineResult snapshot(std::int64_t executions);
+  /// Finalized result, moved out of the engine; begin() before reuse.
+  PipelineResult finish(std::int64_t executions);
+
+  std::size_t events() const { return events_; }
+  /// Largest worker-partition count of the most recent feed
+  /// (1 = everything ran as one partition).
+  int partitions() const { return partitions_; }
 
  private:
-  std::int64_t lo_ = 0;
-  std::int64_t span_ = 0;
-  bool dense_local_ = true;
+  std::size_t workers() const;
+  template <typename Task>
+  void run_tasks(std::size_t count, bool inline_only, Task&& task);
+  void derive_lines(const std::int32_t* containers, const std::int64_t* flats,
+                    std::size_t count);
+  void previous_occurrences(std::size_t count, std::size_t worker_count);
+  void local_prev(std::size_t begin, std::size_t end, std::size_t slot,
+                  bool dense);
+  void stitch_slice(std::size_t slot);
+  void cover_seen(std::int64_t lo, std::int64_t hi);
+  void count_distances(std::size_t count, std::size_t parts,
+                       std::size_t part, std::int64_t* distances);
+  void cache_partition_pass(const std::int32_t* containers, std::size_t count,
+                            std::size_t part);
+  std::size_t consume(const std::int32_t* containers,
+                      const std::int64_t* flats, const std::uint8_t* writes,
+                      const std::int64_t* distances, std::size_t count,
+                      std::size_t worker_count, bool inline_only);
+  PipelineResult collect(std::int64_t executions, bool move);
+
+  PipelineConfig config_;
+  std::vector<std::string> containers_;
+  std::vector<layout::ConcreteLayout> layouts_;  ///< Owned: derivers point here.
+  std::vector<std::int64_t> elements_;           ///< Per container.
+  bool fan_out_ = true;
+  bool shared_lines_ = true;  ///< Cache uses the distance line size.
+  std::size_t events_ = 0;
+  int partitions_ = 1;
+
+  // --- Carried state -------------------------------------------------
+  LastSeen last_;          ///< Distance line -> most recent position.
+  std::int64_t distinct_ = 0;
+  Fenwick32 fenwick_;      ///< Marks at each line's most recent position.
+  std::vector<std::int64_t> kept_distances_;  ///< keep_distances only.
+  Tally tally_;
+  detail::CacheGeometry geometry_;
+  std::vector<CachePartition> cache_parts_;
+  std::vector<std::uint8_t> seen_;  ///< Cache line ever resident (dense).
+  std::int64_t seen_lo_ = 0;
+  bool seen_dense_ = true;
+
+  // --- Per-feed scratch ----------------------------------------------
+  LineDeriver deriver_;
+  LineDeriver cache_deriver_;
+  std::vector<std::int64_t> lines_;        ///< Distance line ids (and cache's
+                                           ///< when the line sizes agree).
+  std::vector<std::int64_t> cache_lines_;  ///< Only for a second line size.
+  /// Phase A's absolute previous occurrences, overwritten in place by
+  /// the distances (unless keep_distances).
+  std::vector<std::int64_t> prev_;
+  std::vector<LastSeen> slot_seen_;              // Per slot.
+  std::vector<std::vector<Boundary>> boundaries_;  // Per slot.
+  std::vector<Fenwick32> fenwicks_;  // Per extra distance segment.
+  std::vector<Tally> partials_;      // Per extra consumer segment.
+  std::vector<std::int64_t> offsets_;  ///< Element-stat counting sort.
+  std::vector<std::int64_t> sorted_;
 };
-
-/// Standalone phase-A driver over a materialized line column.
-void compute_prev(Scratch& scratch, std::span<const std::int64_t> lines,
-                  std::int64_t lo, std::int64_t span);
-
-/// True when finish_pass will split phase B into more than one segment
-/// for `n` events at the current thread count — i.e. when phase A's
-/// prev array is actually read. At one distance segment finish_pass
-/// runs a fused last-seen Olken loop directly over the line column and
-/// never touches `prev`, so callers skip compute_prev entirely (one
-/// full event scan saved — the 1-worker bench case).
-bool needs_prev_pass(std::size_t n);
-
-/// Widens layout-derived dense bounds [lo, hi] to the observed line ids
-/// (parallel min/max reduce) — the mergeable counterpart of the serial
-/// path's widening scan for hand-built traces.
-void widen_bounds(std::span<const std::int64_t> lines, std::int64_t& lo,
-                  std::int64_t& hi);
-
-/// Runs everything after phase A — distance counting (phase B), the
-/// set-partitioned cache, the order-insensitive consumer segments, the
-/// ordered merge, and finalization — and fills `result` completely
-/// (identical to FusedPass::finish on the same trace). `scratch.prev`
-/// must already hold phase A's output when the config needs distances
-/// and needs_prev_pass(n) is true; with one distance segment the pass
-/// counts straight off `lines` (over [distance_lo, distance_lo +
-/// distance_span)) and prev is never read. `lines`/`cache_lines` must
-/// hold the derived ids for the consumers that need them. `partitions`
-/// reports the largest worker-partition count used by any phase (1 =
-/// everything ran as a single segment).
-void finish_pass(const PipelineConfig& config, const AccessTrace& header,
-                 std::span<const std::int32_t> containers,
-                 std::span<const std::int64_t> flats,
-                 std::span<const std::uint8_t> writes,
-                 std::span<const std::int64_t> lines,
-                 std::int64_t distance_lo, std::int64_t distance_span,
-                 std::span<const std::int64_t> cache_lines,
-                 std::int64_t cache_lo, std::int64_t cache_span,
-                 std::int64_t executions, Scratch& scratch,
-                 PipelineResult& result, int& partitions);
 
 }  // namespace dmv::sim::merge

@@ -97,6 +97,11 @@ const std::vector<Value>& Value::as_array() const {
 
 namespace {
 
+// Arrays and objects nest at most this deep. The parser recurses once
+// per level, so without a cap one request line of nested '[' would
+// overflow the stack.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -154,8 +159,15 @@ class Parser {
 
   Value parse_value() {
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      }
+      ++depth_;
+      Value value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     if (c == '"') return parse_string();
     if (consume_keyword("true")) return Value::of(true);
     if (consume_keyword("false")) return Value::of(false);
@@ -250,6 +262,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t position_ = 0;
+  int depth_ = 0;
 };
 
 void append_number(std::string& out, double value) {

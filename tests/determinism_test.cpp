@@ -162,7 +162,7 @@ TEST(Determinism, BatchedTraceBitIdenticalAcrossThreadsAndLanes) {
   }
 }
 
-TEST(Determinism, StreamingSinkSequenceIdenticalAcrossThreadCounts) {
+TEST(Determinism, SimulateStreamSinkSequenceIdenticalAcrossThreadCounts) {
   // simulate_stream's ordered sequencer: out-of-order chunk completion
   // must not reorder, duplicate, or drop a single sink call.
   const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);

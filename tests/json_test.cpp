@@ -7,6 +7,7 @@
 #include "dmv/ir/serialize.hpp"
 #include "dmv/ir/validate.hpp"
 #include "dmv/sim/sim.hpp"
+#include "dmv/util/json.hpp"
 #include "dmv/workloads/workloads.hpp"
 
 namespace dmv::ir {
@@ -117,6 +118,15 @@ TEST(JsonReader, RejectsMalformedJson) {
   EXPECT_THROW(from_json("[1, 2"), JsonError);
   EXPECT_THROW(from_json("{\"name\": \"x\"} trailing"), JsonError);
   EXPECT_THROW(from_json("{\"name\": \"unterminated}"), JsonError);
+}
+
+TEST(JsonReader, DeepNestingIsAParseErrorNotAStackOverflow) {
+  const std::string deep(1000000, '[');
+  EXPECT_THROW(dmv::json::parse(deep), dmv::json::ParseError);
+  EXPECT_THROW(from_json("{\"name\": " + deep), JsonError);
+  // The cap leaves ordinary nesting alone.
+  const std::string fine = std::string(200, '[') + std::string(200, ']');
+  EXPECT_NO_THROW(dmv::json::parse(fine));
 }
 
 TEST(JsonReader, RejectsWrongSchema) {

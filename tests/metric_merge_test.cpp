@@ -1,12 +1,12 @@
-// Mergeable parallel metric engine tests.
+// Metric engine tests.
 //
-// The engine (sim/metric_merge) partitions the fused metric pass —
-// consumer segments, set-partitioned exact LRU, two-phase stack
-// distances — and merges per-partition state in fixed order. Its
-// contract is BIT-IDENTITY with the serial fused pass (which is itself
-// bit-identical to the standalone passes, see pipeline_test), for every
-// PipelineResult field, at any (thread, lane, partition) combination,
-// across materialized, fused-generation, streaming, delta, and spilled
+// The engine (sim/metric_merge) partitions every feed — consumer
+// segments, set-partitioned exact LRU, two-phase stack distances — and
+// merges per-partition state in fixed order into state it carries from
+// feed to feed. Its contract is BIT-IDENTITY with the standalone metric
+// passes for every PipelineResult field, at any (thread, lane,
+// partition, feed-split) combination, across the materialized,
+// generating, streaming, delta (replay and resume) and spilled
 // drives. All suites are named MetricMerge so the CI determinism /
 // sanitizer / TSan gates pick them up.
 
@@ -23,6 +23,7 @@
 #include "dmv/sim/sim.hpp"
 #include "dmv/store/trace_store.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "standalone_reference.hpp"
 
 namespace dmv::sim {
 namespace {
@@ -36,8 +37,8 @@ fs::path scratch_dir(const std::string& name) {
   return dir;
 }
 
-/// Every consumer on, min_events 0 so the engine runs on any trace.
-PipelineConfig merge_config() {
+/// Every consumer on.
+PipelineConfig full_config() {
   PipelineConfig config;
   config.line_size = 64;
   config.counts = true;
@@ -46,74 +47,12 @@ PipelineConfig merge_config() {
   config.element_stats = true;
   config.cache = CacheConfig{};
   config.movement = true;
-  config.parallel_metrics = true;
-  config.parallel_metrics_min_events = 0;
   return config;
 }
 
-/// Same consumers, engine off — the serial identity reference.
-PipelineConfig serial_config() {
-  PipelineConfig config = merge_config();
-  config.parallel_metrics = false;
-  return config;
-}
-
-void expect_stats_equal(const MissStats& a, const MissStats& b,
-                        const char* what) {
-  EXPECT_EQ(a.cold, b.cold) << what;
-  EXPECT_EQ(a.capacity, b.capacity) << what;
-  EXPECT_EQ(a.hits, b.hits) << what;
-}
-
-/// EVERY PipelineResult field, exact.
-void expect_results_equal(const PipelineResult& actual,
-                          const PipelineResult& expected,
-                          const std::string& context) {
-  SCOPED_TRACE(context);
-  EXPECT_EQ(actual.events, expected.events);
-  EXPECT_EQ(actual.executions, expected.executions);
-  EXPECT_EQ(actual.containers, expected.containers);
-  EXPECT_EQ(actual.counts.reads, expected.counts.reads);
-  EXPECT_EQ(actual.counts.writes, expected.counts.writes);
-  EXPECT_EQ(actual.distances.line_size, expected.distances.line_size);
-  EXPECT_EQ(actual.distances.distances, expected.distances.distances);
-  EXPECT_EQ(actual.misses.threshold_lines, expected.misses.threshold_lines);
-  EXPECT_EQ(actual.misses.element_misses, expected.misses.element_misses);
-  ASSERT_EQ(actual.misses.per_container.size(),
-            expected.misses.per_container.size());
-  for (std::size_t c = 0; c < expected.misses.per_container.size(); ++c) {
-    expect_stats_equal(actual.misses.per_container[c],
-                       expected.misses.per_container[c], "misses");
-  }
-  expect_stats_equal(actual.misses.total, expected.misses.total, "misses");
-  ASSERT_EQ(actual.element_stats.size(), expected.element_stats.size());
-  for (std::size_t c = 0; c < expected.element_stats.size(); ++c) {
-    EXPECT_EQ(actual.element_stats[c].min, expected.element_stats[c].min);
-    EXPECT_EQ(actual.element_stats[c].median,
-              expected.element_stats[c].median);
-    EXPECT_EQ(actual.element_stats[c].max, expected.element_stats[c].max);
-    EXPECT_EQ(actual.element_stats[c].cold_count,
-              expected.element_stats[c].cold_count);
-  }
-  EXPECT_EQ(actual.cache.config.line_size, expected.cache.config.line_size);
-  EXPECT_EQ(actual.cache.config.total_size, expected.cache.config.total_size);
-  EXPECT_EQ(actual.cache.config.ways, expected.cache.config.ways);
-  ASSERT_EQ(actual.cache.per_container.size(),
-            expected.cache.per_container.size());
-  for (std::size_t c = 0; c < expected.cache.per_container.size(); ++c) {
-    expect_stats_equal(actual.cache.per_container[c],
-                       expected.cache.per_container[c], "cache");
-  }
-  expect_stats_equal(actual.cache.total, expected.cache.total, "cache");
-  EXPECT_EQ(actual.movement.line_size, expected.movement.line_size);
-  EXPECT_EQ(actual.movement.bytes_per_container,
-            expected.movement.bytes_per_container);
-  EXPECT_EQ(actual.movement.total_bytes, expected.movement.total_bytes);
-}
-
-/// Serial reference at 1 thread vs the engine at {2, 4, 8} threads and
-/// lane widths {1, 8}, across the materialized, generating, streaming,
-/// and delta drives.
+/// Standalone passes vs the engine at {1, 2, 4, 8} threads and lane
+/// widths {1, 8}, across the materialized, generating, streaming, and
+/// delta drives.
 void check_bit_identity(const ir::Sdfg& sdfg,
                         const std::vector<symbolic::SymbolMap>& bindings,
                         const std::string& name) {
@@ -122,20 +61,14 @@ void check_bit_identity(const ir::Sdfg& sdfg,
     for (const int lanes : {1, 8}) {
       SimulationOptions options;
       options.lane_width = lanes;
-      PipelineResult expected;
-      AccessTrace trace;
-      {
-        par::ThreadScope serial(1);
-        trace = simulate(sdfg, binding, options);
-        MetricPipeline reference(serial_config());
-        expected = reference.run(trace);
-      }
-      for (const int threads : {2, 4, 8}) {
+      const AccessTrace trace = simulate(sdfg, binding, options);
+      const PipelineResult expected = standalone_result(trace, full_config());
+      for (const int threads : {1, 2, 4, 8}) {
         par::ThreadScope scope(threads);
         const std::string context = name + " binding " + std::to_string(b) +
                                     " lanes " + std::to_string(lanes) +
                                     " threads " + std::to_string(threads);
-        MetricPipeline merged(merge_config());
+        MetricPipeline merged(full_config());
         expect_results_equal(merged.run(trace), expected,
                              context + " run(trace)");
         expect_results_equal(merged.run(sdfg, binding, options), expected,
@@ -180,6 +113,35 @@ TEST(MetricMerge, SerialVsWorkersBitIdentityMatmul) {
   check_bit_identity(sdfg, {fig5, narrow, tall}, "matmul");
 }
 
+// Consumer subsets through every drive: configs without distances skip
+// phase A, configs without a cache skip the set partitions.
+TEST(MetricMerge, ConsumerSubsetsThroughEveryDrive) {
+  const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
+  const symbolic::SymbolMap binding{{"I", 16}, {"J", 16}, {"K", 4}};
+  const AccessTrace trace = simulate(sdfg, binding);
+  PipelineConfig counts_only;
+  PipelineConfig cache_only;
+  cache_only.counts = false;
+  cache_only.cache = CacheConfig{};
+  PipelineConfig misses_only;
+  misses_only.counts = false;
+  misses_only.miss_threshold_lines = 16;
+  for (const PipelineConfig& config : {counts_only, cache_only, misses_only}) {
+    const PipelineResult expected = standalone_result(trace, config);
+    for (const int threads : {1, 8}) {
+      par::ThreadScope scope(threads);
+      const std::string context = "threads " + std::to_string(threads);
+      MetricPipeline pipeline(config);
+      expect_results_equal(pipeline.run(trace), expected, context);
+      expect_results_equal(pipeline.run(sdfg, binding), expected, context);
+      expect_results_equal(pipeline.run_streaming(sdfg, binding), expected,
+                           context);
+      expect_results_equal(pipeline.run_delta(sdfg, 1, binding), expected,
+                           context);
+    }
+  }
+}
+
 // Set-partition boundary shapes: one set (fully associative), direct
 // mapped, more sets than touched lines, and a cache line size different
 // from the distance line size.
@@ -199,20 +161,12 @@ TEST(MetricMerge, SetPartitionBoundaries) {
       {"cache-line-differs", CacheConfig{32, 8192, 4}, 64},
   };
   for (const Shape& shape : shapes) {
-    PipelineConfig config = merge_config();
+    PipelineConfig config = full_config();
     config.line_size = shape.line_size;
     config.cache = shape.cache;
-    PipelineResult expected;
-    AccessTrace trace;
-    {
-      par::ThreadScope serial(1);
-      trace = simulate(sdfg, binding);
-      PipelineConfig reference = config;
-      reference.parallel_metrics = false;
-      MetricPipeline pipeline(reference);
-      expected = pipeline.run(trace);
-    }
-    for (const int threads : {2, 8}) {
+    const AccessTrace trace = simulate(sdfg, binding);
+    const PipelineResult expected = standalone_result(trace, config);
+    for (const int threads : {1, 2, 8}) {
       par::ThreadScope scope(threads);
       MetricPipeline merged(config);
       expect_results_equal(merged.run(trace), expected,
@@ -230,38 +184,27 @@ TEST(MetricMerge, SpilledTraceParallelMetrics) {
   const fs::path dir = scratch_dir("spilled_parallel");
   const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
   symbolic::SymbolMap binding = workloads::hdiff_local();
-
-  PipelineResult expected;
-  {
-    par::ThreadScope serial(1);
-    const AccessTrace trace = simulate(sdfg, binding);
-    MetricPipeline reference(serial_config());
-    expected = reference.run(trace);
-  }
+  const PipelineResult expected =
+      standalone_result(simulate(sdfg, binding), full_config());
 
   par::ThreadScope scope(8);
   // Externally spilled trace straight into the parallel engine.
   AccessTrace spilled = simulate(sdfg, binding);
   store::spill_event_list(spilled.events, (dir / "ext").string());
   ASSERT_TRUE(spilled.events.spilled());
-  MetricPipeline merged(merge_config());
+  MetricPipeline merged(full_config());
   expect_results_equal(merged.run(spilled), expected, "externally spilled");
 
   // Delta engine over a pipeline that spills its checkpoint after every
   // run: each warm step faults the checkpoint in before the parallel
   // patch phase.
-  MetricPipeline plain(serial_config());
-  MetricPipeline spilling(merge_config());
+  MetricPipeline spilling(full_config());
   spilling.set_spill(1, (dir / "ckpt").string());
   for (const std::int64_t k : {5, 6, 7, 6}) {
     binding["K"] = k;
-    PipelineResult reference;
-    {
-      par::ThreadScope serial(1);
-      reference = plain.run_delta(sdfg, 3, binding);
-    }
-    expect_results_equal(spilling.run_delta(sdfg, 3, binding), reference,
-                         "spilled delta K=" + std::to_string(k));
+    expect_matches_standalone(spilling.run_delta(sdfg, 3, binding),
+                              simulate(sdfg, binding), full_config(),
+                              "spilled delta K=" + std::to_string(k));
   }
   fs::remove_all(dir);
 }
@@ -300,19 +243,105 @@ TEST(MetricMerge, HandBuiltTraceFuzz) {
     }
     trace.executions = static_cast<std::int64_t>(n);
 
-    PipelineResult expected;
-    {
-      par::ThreadScope serial(1);
-      MetricPipeline reference(serial_config());
-      expected = reference.run(trace);
-    }
-    for (const int threads : {4, 8}) {
+    const PipelineResult expected = standalone_result(trace, full_config());
+    for (const int threads : {1, 4, 8}) {
       par::ThreadScope scope(threads);
-      MetricPipeline merged(merge_config());
+      MetricPipeline merged(full_config());
       expect_results_equal(merged.run(trace), expected,
                            "n=" + std::to_string(n) + " threads " +
                                std::to_string(threads));
     }
+  }
+}
+
+// Containers 2^40 bytes apart: the line span (2^34 lines) is far past
+// the 2^26-slot dense limit, so the last-seen tables and the cache's
+// seen set run in hash mode — one partition at 1 thread, segmented at 8.
+TEST(MetricMerge, SparseLineSpanUsesHashTables) {
+  AccessTrace trace;
+  for (int c = 0; c < 2; ++c) {
+    layout::ConcreteLayout layout;
+    layout.name = "far" + std::to_string(c);
+    layout.shape = {512};
+    layout.strides = {1};
+    layout.element_size = 8;
+    layout.base_address = static_cast<std::int64_t>(c) << 40;
+    trace.containers.push_back(layout.name);
+    trace.layouts.push_back(layout);
+  }
+  std::mt19937 rng(20261016u);
+  const std::size_t n = 20000;
+  for (std::size_t i = 0; i < n; ++i) {
+    AccessEvent event;
+    event.container = static_cast<int>(rng() % 2);
+    event.flat = static_cast<std::int64_t>(rng() % 512);
+    event.is_write = (rng() % 3) == 0;
+    event.timestep = static_cast<std::int64_t>(i);
+    event.execution = static_cast<std::int64_t>(i);
+    trace.events.push_back(event);
+  }
+  trace.executions = static_cast<std::int64_t>(n);
+  const PipelineResult expected = standalone_result(trace, full_config());
+  for (const int threads : {1, 8}) {
+    par::ThreadScope scope(threads);
+    MetricPipeline pipeline(full_config());
+    expect_results_equal(pipeline.run(trace), expected,
+                         "threads " + std::to_string(threads));
+  }
+}
+
+// Inside a pool task every parallel construct serializes, so the engine
+// runs as one partition there, consuming the trace (86,400 events) in
+// windows — with results equal to a top-level call.
+TEST(MetricMerge, RunInsidePoolTaskEqualsTopLevel) {
+  const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
+  const AccessTrace trace =
+      simulate(sdfg, symbolic::SymbolMap{{"I", 24}, {"J", 24}, {"K", 10}});
+  par::ThreadScope scope(8);
+  MetricPipeline top(full_config());
+  const PipelineResult expected = top.run(trace);
+  EXPECT_GT(top.last_timings().partitions, 1);
+  std::vector<PipelineResult> nested(2);
+  std::vector<int> partitions(2, 0);
+  par::parallel_for(2, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      MetricPipeline pipeline(full_config());
+      nested[i] = pipeline.run(trace);
+      partitions[i] = pipeline.last_timings().partitions;
+    }
+  });
+  for (std::size_t i = 0; i < nested.size(); ++i) {
+    expect_results_equal(nested[i], expected, "task " + std::to_string(i));
+    EXPECT_EQ(partitions[i], 1);
+  }
+}
+
+// The delta engine at 8 threads: a segmented cold feed, then append-only
+// steps that resume the carried state — one long enough to segment on
+// top of that state (K 3 -> 12), one short suffix fed serially (12 ->
+// 13) — each matching the standalone passes field by field.
+TEST(MetricMerge, DeltaResumesOnSegmentedState) {
+  const ir::Sdfg sdfg = workloads::fixed_capacity(
+      workloads::hdiff(workloads::HdiffVariant::Reordered), {{"K", "KMAX"}});
+  auto binding = [](std::int64_t k) {
+    return symbolic::SymbolMap{{"I", 20}, {"J", 20}, {"K", k}, {"KMAX", 16}};
+  };
+  par::ThreadScope scope(8);
+  MetricPipeline pipeline(full_config());
+  DeltaOutcome outcome;
+  const PipelineResult cold =
+      pipeline.run_delta(sdfg, 1, binding(3), {}, &outcome);
+  EXPECT_EQ(outcome.path, DeltaOutcome::Path::kCold);
+  EXPECT_GT(pipeline.last_timings().partitions, 1);
+  expect_matches_standalone(cold, simulate(sdfg, binding(3)), full_config(),
+                            "cold K=3");
+  for (const std::int64_t k : {12, 13}) {
+    const PipelineResult step =
+        pipeline.run_delta(sdfg, 1, binding(k), {}, &outcome);
+    EXPECT_EQ(outcome.path, DeltaOutcome::Path::kChunkDelta) << "K=" << k;
+    EXPECT_TRUE(outcome.resumed) << "K=" << k;
+    expect_matches_standalone(step, simulate(sdfg, binding(k)), full_config(),
+                              "resumed K=" + std::to_string(k));
   }
 }
 
@@ -324,20 +353,23 @@ TEST(MetricMerge, PhaseTimingsReportPartitions) {
 
   {
     par::ThreadScope serial(1);
-    MetricPipeline pipeline(serial_config());
+    MetricPipeline pipeline(full_config());
     pipeline.run(sdfg, binding);
     EXPECT_EQ(pipeline.last_timings().partitions, 1);
     EXPECT_GE(pipeline.last_timings().metrics_ms, 0.0);
   }
   {
     par::ThreadScope scope(8);
-    MetricPipeline pipeline(merge_config());
+    MetricPipeline pipeline(full_config());
     const AccessTrace trace = simulate(sdfg, binding);
     pipeline.run(trace);
     EXPECT_GT(pipeline.last_timings().partitions, 1);
+    // Served cold steps: run_delta's cold path is the engine too.
+    pipeline.run_delta(sdfg, 1, binding);
+    EXPECT_GT(pipeline.last_timings().partitions, 1);
     pipeline.run_streaming(sdfg, binding);
     // Streaming interleaves generation and consumption: the whole cost
-    // collapses into simulate_ms and the pass stays serial.
+    // collapses into simulate_ms, and windows feed on the calling thread.
     EXPECT_EQ(pipeline.last_timings().partitions, 1);
     EXPECT_EQ(pipeline.last_timings().metrics_ms, 0.0);
   }

@@ -8,6 +8,7 @@
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/sim/sim.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "standalone_reference.hpp"
 
 // MetricPipeline contract: the fused pass (materialized and streaming)
 // is bit-identical to the standalone metric passes — fusion and arena
@@ -28,68 +29,6 @@ PipelineConfig full_config() {
   config.cache = CacheConfig{};
   config.movement = true;
   return config;
-}
-
-void expect_stats_equal(const MissStats& a, const MissStats& b) {
-  EXPECT_EQ(a.cold, b.cold);
-  EXPECT_EQ(a.capacity, b.capacity);
-  EXPECT_EQ(a.hits, b.hits);
-}
-
-// Reference values from the standalone passes, field by field.
-void expect_matches_standalone(const PipelineResult& result,
-                               const AccessTrace& trace,
-                               const PipelineConfig& config) {
-  EXPECT_EQ(result.events, static_cast<std::int64_t>(trace.events.size()));
-  EXPECT_EQ(result.executions, trace.executions);
-
-  const AccessCounts counts = count_accesses(trace);
-  EXPECT_EQ(result.counts.reads, counts.reads);
-  EXPECT_EQ(result.counts.writes, counts.writes);
-
-  const StackDistanceResult distances =
-      stack_distances(trace, config.line_size);
-  EXPECT_EQ(result.distances.line_size, distances.line_size);
-  EXPECT_EQ(result.distances.distances, distances.distances);
-
-  const MissReport misses =
-      classify_misses(trace, distances, config.miss_threshold_lines);
-  EXPECT_EQ(result.misses.threshold_lines, misses.threshold_lines);
-  EXPECT_EQ(result.misses.element_misses, misses.element_misses);
-  ASSERT_EQ(result.misses.per_container.size(),
-            misses.per_container.size());
-  for (std::size_t c = 0; c < misses.per_container.size(); ++c) {
-    expect_stats_equal(result.misses.per_container[c],
-                       misses.per_container[c]);
-  }
-  expect_stats_equal(result.misses.total, misses.total);
-
-  ASSERT_EQ(result.element_stats.size(), trace.layouts.size());
-  for (std::size_t c = 0; c < trace.layouts.size(); ++c) {
-    const ElementDistanceStats stats =
-        element_distance_stats(trace, distances, static_cast<int>(c));
-    EXPECT_EQ(result.element_stats[c].min, stats.min) << "container " << c;
-    EXPECT_EQ(result.element_stats[c].median, stats.median)
-        << "container " << c;
-    EXPECT_EQ(result.element_stats[c].max, stats.max) << "container " << c;
-    EXPECT_EQ(result.element_stats[c].cold_count, stats.cold_count)
-        << "container " << c;
-  }
-
-  const CacheSimResult cache = simulate_cache(trace, *config.cache);
-  ASSERT_EQ(result.cache.per_container.size(), cache.per_container.size());
-  for (std::size_t c = 0; c < cache.per_container.size(); ++c) {
-    expect_stats_equal(result.cache.per_container[c],
-                       cache.per_container[c]);
-  }
-  expect_stats_equal(result.cache.total, cache.total);
-
-  const MovementEstimate movement =
-      physical_movement(trace, misses, config.line_size);
-  EXPECT_EQ(result.movement.line_size, movement.line_size);
-  EXPECT_EQ(result.movement.bytes_per_container,
-            movement.bytes_per_container);
-  EXPECT_EQ(result.movement.total_bytes, movement.total_bytes);
 }
 
 void check_workload(const ir::Sdfg& sdfg,

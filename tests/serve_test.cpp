@@ -118,6 +118,18 @@ TEST(ServeProtocolTest, MalformedRequestsGetErrorResponses) {
   EXPECT_EQ(server.stats().errors, 6);
 }
 
+TEST(ServeProtocolTest, DeeplyNestedRequestGetsParseError) {
+  Server server;
+  const std::string line =
+      "{\"id\":1,\"method\":\"step\",\"params\":" + std::string(1000000, '[');
+  const Value response = parse_line(server.handle(line));
+  ASSERT_TRUE(response.has("error"));
+  EXPECT_EQ(response.at("error").at("code").as_string(), "parse_error");
+  // The server is still up.
+  EXPECT_TRUE(parse_line(server.handle(open_request("a", "hdiff")))
+                  .has("result"));
+}
+
 TEST(ServeProtocolTest, StepWithBadParamsReportsBadRequest) {
   Server server;
   server.handle(open_request("a", "hdiff"));

@@ -126,6 +126,39 @@ TEST(SessionTest, ResultsMatchUncachedEvaluation) {
   }
 }
 
+// compiled and lane_width are bit-identical execution strategies, so
+// they stay out of the artifact key: a session that differs only in them
+// is served from the shared tier.
+TEST(SessionTest, ExecutionStrategyOptionsShareArtifacts) {
+  const auto shared = std::make_shared<SharedArtifactCache>();
+  SessionConfig first_config = test_config();
+  first_config.shared_cache = shared;
+  SessionConfig second_config = first_config;
+  second_config.simulation.compiled = false;
+  second_config.simulation.lane_width = 1;
+
+  Session first(small_hdiff(), first_config);
+  first.set_binding(small_binding(3));
+  const auto computed = first.metrics();
+  EXPECT_EQ(first.stats().misses, 1);
+
+  Session second(small_hdiff(), second_config);
+  second.set_binding(small_binding(3));
+  const auto served = second.metrics();
+  EXPECT_EQ(second.stats().shared_hits, 1);
+  EXPECT_EQ(second.stats().misses, 0);
+  EXPECT_EQ(served.get(), computed.get());
+
+  // An output-relevant option still splits the key.
+  SessionConfig third_config = first_config;
+  third_config.simulation.placement_alignment = 128;
+  Session third(small_hdiff(), third_config);
+  third.set_binding(small_binding(3));
+  third.metrics();
+  EXPECT_EQ(third.stats().shared_hits, 0);
+  EXPECT_EQ(third.stats().misses, 1);
+}
+
 TEST(SessionTest, UnusedSymbolDoesNotInvalidate) {
   ir::Sdfg sdfg = small_hdiff();
   sdfg.add_symbol("UNUSED");  // Declared but reaches nothing.
