@@ -6,14 +6,14 @@
 // distance stats -> miss classification pipeline.
 //
 // Measured configurations:
-//   * serial, interpreted engine (options.compiled = false, threads = 1)
-//     — the pre-optimization baseline;
-//   * serial, compiled engine (CompiledExpr evaluation, threads = 1,
-//     lane_width = 1) — isolates the expression-compilation speedup;
-//   * serial, batched compiled engine (lane_width 4 and 8) — the
-//     simulate_batched series; a lane-width ablation whose traces are
-//     checksum-validated against the scalar engine per binding;
-//   * compiled engine at 2 / 8 / hardware threads, sweep parallel
+//   * serial scalar engine (threads = 1, lane_width = 1) — the baseline
+//     the simulate-only ratios are taken against;
+//   * serial batched engine (lane_width 4 and 8) — the simulate_batched
+//     series; a lane-width ablation whose traces are checksum-validated
+//     against the scalar engine per binding;
+//   * trace generation alone, 1 thread vs chunk-parallel at the
+//     hardware thread count;
+//   * the serial pipeline sweep at 2 / 8 / hardware threads, parallel
 //     across bindings — the interactive-rate configuration (skipped and
 //     recorded as such when the machine has a single hardware thread);
 //   * pipeline ablation: the same metric set as separate passes
@@ -23,7 +23,7 @@
 //   * stack-distance algorithm ablation: naive O(n^2) list scan vs the
 //     Fenwick-tree Olken pass on a size-capped trace;
 //   * metrics breakdown: the mergeable parallel metric engine vs the
-//     serial fused pass, per consumer (counts / distances / misses /
+//     standalone passes, per consumer (counts / distances / misses /
 //     element_stats / cache) and for the full set, full-result
 //     fingerprint-gated, with a thread-scaling series (or an explicit
 //     skip record on a 1-core runner);
@@ -33,13 +33,15 @@
 //     checksum-validated against the uncached pipeline.
 //
 // Results go to stdout and to BENCH_sweep.json (machine readable).
-// Speedups are reported against the interpreted serial baseline; the
-// hardware thread count is recorded so a 1-core runner's numbers are
-// not mistaken for a scaling ceiling.
+// Speedups are reported against the serial (1-thread) configuration of
+// the same engine; the hardware thread count is recorded so a 1-core
+// runner's numbers are not mistaken for a scaling ceiling.
 //
-// `--smoke`: tiny workload, one repetition, no thread loop, no JSON —
-// exits nonzero if the fused/streaming/unfused/session checksums
-// diverge. CI runs this as the pipeline-ablation gate.
+// `--smoke`: tiny workload, no timing, no JSON — runs every identity
+// gate and exits nonzero on the first mismatch: unfused == fused ==
+// streaming == session, 1-thread == 8-thread trace, W=4/8 == W=1 trace,
+// delta recompute == cold, trace store and artifact codec round trips,
+// metric engine == standalone passes.
 
 #include <algorithm>
 #include <chrono>
@@ -164,9 +166,9 @@ std::int64_t run_fused(const SweepCase& sweep,
   return total;
 }
 
-// The simulate stage in isolation: the only stage whose inner loop the
-// expression compiler touches, so its ratio is the CompiledExpr speedup
-// undiluted by the engine-independent metric passes.
+// The simulate stage in isolation: the only stage whose inner loop lane
+// batching touches, so its ratio is the batching speedup undiluted by
+// the engine-independent metric passes.
 std::int64_t run_simulate_only(const SweepCase& sweep,
                                const SimulationOptions& options) {
   std::int64_t total = 0;
@@ -198,8 +200,8 @@ std::int64_t trace_checksum(const AccessTrace& trace) {
 }
 
 // Trace generation ONLY (no metric passes), checksummed per binding —
-// the tentpole's serial-vs-parallel series measures exactly the stage
-// the chunk planner parallelizes.
+// the serial-vs-parallel series measures exactly the stage the chunk
+// planner parallelizes.
 std::int64_t run_trace_generation(const SweepCase& sweep,
                                   const SimulationOptions& options) {
   std::int64_t total = 0;
@@ -385,11 +387,7 @@ bool validate_metric_merge(const SweepCase& sweep,
 // The symbolic engine in isolation: the repeated build -> simplify ->
 // analyze -> substitute -> evaluate series the session layer issues on
 // every slider drag, over each workload's real movement-volume
-// expression. Run twice: with the hash-consing memo tables and
-// intern-time metadata on (default engine) and with
-// set_symbolic_memoization(false) (legacy tree walks). Results are
-// checksummed and must match bit for bit — the switch may only change
-// time, never values.
+// expression.
 std::int64_t run_symbolic_ops(const SweepCase& sweep, int rounds) {
   using dmv::symbolic::Expr;
   std::int64_t checksum = 0;
@@ -399,8 +397,7 @@ std::int64_t run_symbolic_ops(const SweepCase& sweep, int rounds) {
     const Expr metric = dmv::analysis::total_movement_bytes(sweep.sdfg);
     // Deep canonicalization pass (simplify-memo hit after round 0).
     const Expr simple = dmv::symbolic::simplified(metric);
-    // Free-symbol and reachability analyses (intern-time metadata vs
-    // legacy recursive walks).
+    // Free-symbol and reachability analyses (intern-time metadata).
     checksum += static_cast<std::int64_t>(simple.free_symbols().size());
     checksum += simple.depends_on(sweep.symbol) ? 1 : 0;
     for (const SymbolMap& binding : sweep.bindings) {
@@ -525,22 +522,6 @@ bool validate_ablation(const SweepCase& sweep,
   return true;
 }
 
-// symbolic_ops checksum gate: the memoized engine and the legacy walks
-// must produce identical values. Restores memoization even on failure.
-bool validate_symbolic_ops(const SweepCase& sweep, int rounds) {
-  dmv::symbolic::set_symbolic_memoization(true);
-  const std::int64_t memoized = run_symbolic_ops(sweep, rounds);
-  dmv::symbolic::set_symbolic_memoization(false);
-  const std::int64_t legacy = run_symbolic_ops(sweep, rounds);
-  dmv::symbolic::set_symbolic_memoization(true);
-  if (memoized != legacy) {
-    std::cerr << "FATAL: symbolic_ops mismatch on " << sweep.name
-              << ": memoized " << memoized << ", legacy " << legacy << "\n";
-    return false;
-  }
-  return true;
-}
-
 // Lane-width identity gate: the batched innermost loop at W=4 and W=8
 // must reproduce the scalar (W=1) order-sensitive trace checksum for
 // every binding. Serial threads so only the lane width varies.
@@ -548,7 +529,6 @@ bool validate_batched_trace(const SweepCase& sweep,
                             const SimulationOptions& options) {
   dmv::par::ThreadScope scope(1);
   SimulationOptions serial = options;
-  serial.parallel_trace = false;
   for (const SymbolMap& binding : sweep.bindings) {
     std::int64_t checksums[3];
     const int widths[3] = {1, 4, 8};
@@ -568,26 +548,21 @@ bool validate_batched_trace(const SweepCase& sweep,
 }
 
 // Serial-vs-parallel trace identity gate: the chunked generator at 8
-// (oversubscribed) threads must reproduce the serial trace checksum for
-// every binding, materialized and streaming alike.
-bool validate_parallel_trace(const SweepCase& sweep,
-                             const SimulationOptions& options) {
-  SimulationOptions serial_options = options;
-  serial_options.parallel_trace = false;
-  SimulationOptions parallel_options = options;
-  parallel_options.parallel_trace = true;
+// (oversubscribed) threads must reproduce the 1-thread trace checksum
+// for every binding.
+bool validate_chunked_trace(const SweepCase& sweep,
+                            const SimulationOptions& options) {
   for (const SymbolMap& binding : sweep.bindings) {
     std::int64_t serial = 0;
     std::int64_t parallel = 0;
     {
       dmv::par::ThreadScope scope(1);
-      serial =
-          trace_checksum(dmv::sim::simulate(sweep.sdfg, binding, serial_options));
+      serial = trace_checksum(dmv::sim::simulate(sweep.sdfg, binding, options));
     }
     {
       dmv::par::ThreadScope scope(8);
-      parallel = trace_checksum(
-          dmv::sim::simulate(sweep.sdfg, binding, parallel_options));
+      parallel =
+          trace_checksum(dmv::sim::simulate(sweep.sdfg, binding, options));
     }
     if (serial != parallel) {
       std::cerr << "FATAL: parallel trace mismatch on " << sweep.name
@@ -688,21 +663,18 @@ bool validate_trace_store(const SweepCase& sweep,
 }
 
 int run_smoke() {
-  SimulationOptions compiled;
-  compiled.compiled = true;
+  const SimulationOptions options;
   for (const SweepCase& sweep : build_cases(/*smoke=*/true)) {
-    if (!validate_ablation(sweep, compiled)) return 1;
-    if (!validate_parallel_trace(sweep, compiled)) return 1;
-    if (!validate_batched_trace(sweep, compiled)) return 1;
-    if (!validate_symbolic_ops(sweep, /*rounds=*/2)) return 1;
-    if (!validate_delta_recompute(sweep, compiled)) return 1;
-    if (!validate_trace_store(sweep, compiled)) return 1;
-    if (!validate_metric_merge(sweep, compiled)) return 1;
+    if (!validate_ablation(sweep, options)) return 1;
+    if (!validate_chunked_trace(sweep, options)) return 1;
+    if (!validate_batched_trace(sweep, options)) return 1;
+    if (!validate_delta_recompute(sweep, options)) return 1;
+    if (!validate_trace_store(sweep, options)) return 1;
+    if (!validate_metric_merge(sweep, options)) return 1;
     std::cout << "smoke " << sweep.name
               << ": unfused == fused == streaming == session, "
               << "serial trace == parallel trace (8 threads), "
               << "batched trace (W=4/8) == scalar, "
-              << "symbolic_ops memoized == legacy, "
               << "delta recompute == cold, "
               << "trace store round-trip == source, "
               << "metric engine (1, 8 threads) == standalone passes\n";
@@ -736,58 +708,43 @@ int main(int argc, char** argv) {
 
   for (std::size_t w = 0; w < cases.size(); ++w) {
     const SweepCase& sweep = cases[w];
-    SimulationOptions interpreted;
-    interpreted.compiled = false;
-    // `compiled` keeps the default lane width (the shipping
-    // configuration, batched); `compiled_scalar` pins lane_width = 1 so
-    // the simulate_compiled series still isolates expression
-    // compilation alone, and the batched ratio is measured against it.
-    SimulationOptions compiled;
-    compiled.compiled = true;
-    SimulationOptions compiled_scalar = compiled;
-    compiled_scalar.lane_width = 1;
-    SimulationOptions compiled_w4 = compiled;
-    compiled_w4.lane_width = 4;
+    // `options` is the shipping configuration (lane-batched); `scalar`
+    // pins lane_width = 1, the baseline the batched ratio is measured
+    // against.
+    const SimulationOptions options;
+    SimulationOptions scalar = options;
+    scalar.lane_width = 1;
+    SimulationOptions w4 = options;
+    w4.lane_width = 4;
 
     dmv::par::set_num_threads(1);
-    const Measurement sim_interp =
-        measure([&] { return run_simulate_only(sweep, interpreted); },
-                repetitions);
-    const Measurement sim_compiled = measure(
-        [&] { return run_simulate_only(sweep, compiled_scalar); },
-        repetitions);
-    // Lane-width ablation (W=1 is sim_compiled above). Identity is
-    // enforced on full order-sensitive trace checksums, untimed.
+    const Measurement sim_scalar = measure(
+        [&] { return run_simulate_only(sweep, scalar); }, repetitions);
+    // Lane-width ablation. Identity is enforced on full order-sensitive
+    // trace checksums, untimed.
     const Measurement sim_batched4 = measure(
-        [&] { return run_simulate_only(sweep, compiled_w4); }, repetitions);
+        [&] { return run_simulate_only(sweep, w4); }, repetitions);
     const Measurement sim_batched = measure(
-        [&] { return run_simulate_only(sweep, compiled); }, repetitions);
-    if (!validate_batched_trace(sweep, compiled)) return 1;
-    const Measurement serial_interp =
-        measure([&] { return run_sweep(sweep, interpreted); }, repetitions);
-    const Measurement serial_compiled =
-        measure([&] { return run_sweep(sweep, compiled); }, repetitions);
-    if (serial_interp.checksum != serial_compiled.checksum ||
-        sim_interp.checksum != sim_compiled.checksum ||
-        sim_compiled.checksum != sim_batched.checksum ||
-        sim_compiled.checksum != sim_batched4.checksum) {
-      std::cerr << "FATAL: engine mismatch on " << sweep.name << "\n";
+        [&] { return run_simulate_only(sweep, options); }, repetitions);
+    if (!validate_batched_trace(sweep, options)) return 1;
+    const Measurement serial_pipeline =
+        measure([&] { return run_sweep(sweep, options); }, repetitions);
+    if (sim_scalar.checksum != sim_batched.checksum ||
+        sim_scalar.checksum != sim_batched4.checksum) {
+      std::cerr << "FATAL: lane-width mismatch on " << sweep.name << "\n";
       return 1;
     }
 
-    // Trace generation, serial vs chunk-parallel (the tentpole series).
-    // Identity is enforced on an order-sensitive full-trace checksum; on
-    // a single-core runner parallel_trace auto-disables and the series
-    // records planner overhead instead of a speedup.
-    SimulationOptions trace_serial_options = compiled;
-    trace_serial_options.parallel_trace = false;
+    // Trace generation, 1 thread vs chunk-parallel. Identity is enforced
+    // on an order-sensitive full-trace checksum; on a single-core runner
+    // chunking never engages and the series records planner overhead
+    // instead of a speedup.
     dmv::par::set_num_threads(1);
     const Measurement trace_serial = measure(
-        [&] { return run_trace_generation(sweep, trace_serial_options); },
-        repetitions);
+        [&] { return run_trace_generation(sweep, options); }, repetitions);
     dmv::par::set_num_threads(hardware);
     const Measurement trace_parallel = measure(
-        [&] { return run_trace_generation(sweep, compiled); }, repetitions);
+        [&] { return run_trace_generation(sweep, options); }, repetitions);
     dmv::par::set_num_threads(1);
     if (trace_serial.checksum != trace_parallel.checksum) {
       std::cerr << "FATAL: trace-generation checksum mismatch on "
@@ -799,23 +756,23 @@ int main(int argc, char** argv) {
               << " ms, parallel(" << hardware << ") "
               << trace_parallel.best_ms << " ms  (" << trace_speedup << "x";
     if (hardware == 1) {
-      std::cout << "; parallel trace auto-disabled, ratio = planner overhead";
+      std::cout << "; chunking never engages, ratio = planner overhead";
     }
     std::cout << ")\n";
 
     // Pipeline ablation: same metrics, same engine, 1 thread — the
     // only variable is fusion/streaming.
     const Measurement fused = measure(
-        [&] { return run_fused(sweep, compiled, false); }, repetitions);
+        [&] { return run_fused(sweep, options, false); }, repetitions);
     const Measurement streaming = measure(
-        [&] { return run_fused(sweep, compiled, true); }, repetitions);
-    if (fused.checksum != serial_compiled.checksum ||
-        streaming.checksum != serial_compiled.checksum) {
+        [&] { return run_fused(sweep, options, true); }, repetitions);
+    if (fused.checksum != serial_pipeline.checksum ||
+        streaming.checksum != serial_pipeline.checksum) {
       std::cerr << "FATAL: pipeline ablation mismatch on " << sweep.name
                 << "\n";
       return 1;
     }
-    const double fused_speedup = serial_compiled.best_ms / fused.best_ms;
+    const double fused_speedup = serial_pipeline.best_ms / fused.best_ms;
     const double streaming_vs_materialized =
         fused.best_ms / streaming.best_ms;
 
@@ -825,7 +782,7 @@ int main(int argc, char** argv) {
     std::vector<AccessTrace> traces;
     traces.reserve(sweep.bindings.size());
     for (const SymbolMap& binding : sweep.bindings) {
-      traces.push_back(dmv::sim::simulate(sweep.sdfg, binding, compiled));
+      traces.push_back(dmv::sim::simulate(sweep.sdfg, binding, options));
     }
     const Measurement metrics_unfused = measure(
         [&] {
@@ -988,19 +945,19 @@ int main(int argc, char** argv) {
     const Measurement session_cold = measure(
         [&] {
           dmv::session::Session session =
-              fresh_session(sweep, compiled, /*prefetch=*/false);
+              fresh_session(sweep, options, /*prefetch=*/false);
           return run_session_pass(session, sweep);
         },
         repetitions);
     dmv::session::Session warm_session =
-        fresh_session(sweep, compiled, /*prefetch=*/false);
+        fresh_session(sweep, options, /*prefetch=*/false);
     run_session_pass(warm_session, sweep);
     const Measurement session_warm = measure(
         [&] { return run_session_pass(warm_session, sweep); }, repetitions);
     const Measurement session_prefetched = measure(
         [&] {
           dmv::session::Session session =
-              fresh_session(sweep, compiled, /*prefetch=*/true);
+              fresh_session(sweep, options, /*prefetch=*/true);
           return run_session_pass(session, sweep);
         },
         repetitions);
@@ -1020,26 +977,19 @@ int main(int argc, char** argv) {
     std::string prefetch_mode;
     {
       dmv::session::Session probe =
-          fresh_session(sweep, compiled, /*prefetch=*/true);
+          fresh_session(sweep, options, /*prefetch=*/true);
       run_session_pass(probe, sweep);
       prefetch_mode = probe.stats().prefetch;
     }
 
-    const double simulate_speedup = sim_interp.best_ms / sim_compiled.best_ms;
-    const double compiled_speedup =
-        serial_interp.best_ms / serial_compiled.best_ms;
-    const double batched_speedup = sim_compiled.best_ms / sim_batched.best_ms;
-    std::cout << sweep.name << ": simulate-only interpreted "
-              << sim_interp.best_ms << " ms, compiled " << sim_compiled.best_ms
-              << " ms  (CompiledExpr alone: " << simulate_speedup << "x)\n";
-    std::cout << "  simulate batched: W=1 " << sim_compiled.best_ms
+    const double batched_speedup = sim_scalar.best_ms / sim_batched.best_ms;
+    std::cout << sweep.name << ": simulate-only W=1 " << sim_scalar.best_ms
               << " ms, W=4 " << sim_batched4.best_ms << " ms, W=8 "
               << sim_batched.best_ms << " ms  (" << batched_speedup
-              << "x vs compiled scalar)\n";
-    std::cout << "  pipeline: interpreted " << serial_interp.best_ms
-              << " ms, compiled " << serial_compiled.best_ms << " ms  ("
-              << compiled_speedup << "x end to end)\n";
-    std::cout << "  ablation: unfused " << serial_compiled.best_ms
+              << "x vs scalar)\n";
+    std::cout << "  pipeline (serial): " << serial_pipeline.best_ms
+              << " ms\n";
+    std::cout << "  ablation: unfused " << serial_pipeline.best_ms
               << " ms, fused " << fused.best_ms << " ms ("
               << fused_speedup << "x), streaming " << streaming.best_ms
               << " ms (" << streaming_vs_materialized << "x vs fused)\n";
@@ -1077,24 +1027,16 @@ int main(int argc, char** argv) {
 
     json << "    {\n      \"name\": \"" << sweep.name << "\",\n";
     json << "      \"bindings\": " << sweep.bindings.size() << ",\n";
-    json << "      \"simulate_interpreted_ms\": " << sim_interp.best_ms
-         << ",\n";
-    json << "      \"simulate_compiled_ms\": " << sim_compiled.best_ms
-         << ",\n";
-    json << "      \"compiled_speedup\": " << simulate_speedup << ",\n";
+    json << "      \"simulate_scalar_ms\": " << sim_scalar.best_ms << ",\n";
     json << "      \"simulate_batched_ms\": " << sim_batched.best_ms << ",\n";
     json << "      \"batched_speedup\": " << batched_speedup << ",\n";
     json << "      \"lane_ablation\": {\n";
-    json << "        \"w1_ms\": " << sim_compiled.best_ms << ",\n";
+    json << "        \"w1_ms\": " << sim_scalar.best_ms << ",\n";
     json << "        \"w4_ms\": " << sim_batched4.best_ms << ",\n";
     json << "        \"w8_ms\": " << sim_batched.best_ms << ",\n";
     json << "        \"checksum_identical\": true\n";
     json << "      },\n";
-    json << "      \"serial_interpreted_ms\": " << serial_interp.best_ms
-         << ",\n";
-    json << "      \"serial_compiled_ms\": " << serial_compiled.best_ms
-         << ",\n";
-    json << "      \"pipeline_compiled_speedup\": " << compiled_speedup
+    json << "      \"serial_pipeline_ms\": " << serial_pipeline.best_ms
          << ",\n";
     json << "      \"trace_generation\": {\n";
     json << "        \"serial_ms\": " << trace_serial.best_ms << ",\n";
@@ -1103,12 +1045,12 @@ int main(int argc, char** argv) {
     json << "        \"speedup\": " << trace_speedup << ",\n";
     json << "        \"checksum_identical\": true";
     if (hardware == 1) {
-      json << ",\n        \"note\": \"parallel trace auto-disabled "
+      json << ",\n        \"note\": \"chunking never engages "
               "(1 hardware thread); ratio measures planner overhead\"";
     }
     json << "\n      },\n";
     json << "      \"pipeline_ablation\": {\n";
-    json << "        \"unfused_ms\": " << serial_compiled.best_ms << ",\n";
+    json << "        \"unfused_ms\": " << serial_pipeline.best_ms << ",\n";
     json << "        \"fused_ms\": " << fused.best_ms << ",\n";
     json << "        \"streaming_ms\": " << streaming.best_ms << ",\n";
     json << "        \"fused_speedup\": " << fused_speedup << ",\n";
@@ -1182,18 +1124,18 @@ int main(int argc, char** argv) {
         const int threads = thread_counts[t];
         dmv::par::set_num_threads(threads);
         const Measurement parallel =
-            measure([&] { return run_sweep(sweep, compiled); }, repetitions);
-        if (parallel.checksum != serial_interp.checksum) {
+            measure([&] { return run_sweep(sweep, options); }, repetitions);
+        if (parallel.checksum != serial_pipeline.checksum) {
           std::cerr << "FATAL: parallel mismatch on " << sweep.name << " at "
                     << threads << " threads\n";
           return 1;
         }
-        const double speedup = serial_interp.best_ms / parallel.best_ms;
+        const double speedup = serial_pipeline.best_ms / parallel.best_ms;
         std::cout << "  threads=" << threads << ": " << parallel.best_ms
-                  << " ms  (" << speedup << "x vs interpreted serial)\n";
+                  << " ms  (" << speedup << "x vs serial)\n";
         json << "        {\"threads\": " << threads
              << ", \"ms\": " << parallel.best_ms
-             << ", \"speedup_vs_serial_interpreted\": " << speedup << "}"
+             << ", \"speedup_vs_serial\": " << speedup << "}"
              << (t + 1 < thread_counts.size() ? "," : "") << "\n";
       }
       json << "      ]\n";
@@ -1233,11 +1175,8 @@ int main(int argc, char** argv) {
     dmv::sim::PipelineConfig step_config;
     step_config.counts = true;
     step_config.miss_threshold_lines = 512;
-    SimulationOptions compiled;
-    compiled.compiled = true;
     dmv::session::SessionConfig cfg;
     cfg.pipeline = step_config;
-    cfg.simulation = compiled;
     cfg.prefetch = false;
     const std::int64_t k_cold = 36;
 
@@ -1347,11 +1286,8 @@ int main(int argc, char** argv) {
     const dmv::ir::Sdfg sdfg =
         dmv::workloads::hdiff(dmv::workloads::HdiffVariant::Baseline);
     const SymbolMap binding{{"I", 64}, {"J", 64}, {"K", 16}};
-    SimulationOptions compiled;
-    compiled.compiled = true;
     dmv::session::SessionConfig cfg;
     cfg.pipeline = bench_config();
-    cfg.simulation = compiled;
     cfg.prefetch = false;
     const auto make_shared_cache = [&] {
       dmv::session::SharedArtifactCache::Config shared;
@@ -1429,40 +1365,23 @@ int main(int argc, char** argv) {
     json << "  },\n";
   }
 
-  // Symbolic-engine ablation: the repeated analysis series per workload,
-  // hash-consed engine vs legacy tree walks (identical checksums
-  // enforced; only the time may differ).
+  // The symbolic engine's repeated analysis series per workload.
   {
     dmv::par::set_num_threads(1);
     constexpr int kSymbolicRounds = 40;
     json << "  \"symbolic_ops\": [\n";
     for (std::size_t w = 0; w < cases.size(); ++w) {
       const SweepCase& sweep = cases[w];
-      dmv::symbolic::set_symbolic_memoization(true);
-      const Measurement memoized = measure(
+      const Measurement ops = measure(
           [&] { return run_symbolic_ops(sweep, kSymbolicRounds); },
           repetitions);
-      dmv::symbolic::set_symbolic_memoization(false);
-      const Measurement legacy = measure(
-          [&] { return run_symbolic_ops(sweep, kSymbolicRounds); },
-          repetitions);
-      dmv::symbolic::set_symbolic_memoization(true);
-      if (memoized.checksum != legacy.checksum) {
-        std::cerr << "FATAL: symbolic_ops mismatch on " << sweep.name << "\n";
-        return 1;
-      }
-      const double speedup = legacy.best_ms / memoized.best_ms;
       std::cout << "symbolic ops (" << sweep.name << ", " << kSymbolicRounds
                 << " rounds x " << sweep.bindings.size()
-                << " bindings): legacy " << legacy.best_ms
-                << " ms, memoized " << memoized.best_ms << " ms  ("
-                << speedup << "x)\n";
+                << " bindings): " << ops.best_ms << " ms\n";
       json << "    {\"name\": \"" << sweep.name
            << "\", \"rounds\": " << kSymbolicRounds
            << ", \"bindings\": " << sweep.bindings.size()
-           << ", \"legacy_ms\": " << legacy.best_ms
-           << ", \"memoized_ms\": " << memoized.best_ms
-           << ", \"speedup\": " << speedup << "}"
+           << ", \"ms\": " << ops.best_ms << "}"
            << (w + 1 < cases.size() ? "," : "") << "\n";
     }
     json << "  ],\n";

@@ -131,9 +131,9 @@ std::uint64_t fingerprint(const PipelineConfig& config);
 
 /// Stable 64-bit fingerprint of the SimulationOptions fields that can
 /// change the simulator's output (placement_alignment, wcr_reads).
-/// compiled, parallel_trace and lane_width are bit-identical execution
-/// strategies and deliberately excluded, so toggling them neither
-/// invalidates a run_delta checkpoint nor splits session cache keys.
+/// lane_width is a bit-identical execution strategy and deliberately
+/// excluded, so changing it neither invalidates a run_delta checkpoint
+/// nor splits session cache keys.
 std::uint64_t fingerprint(const SimulationOptions& options);
 
 /// Approximate heap footprint of a result's payload (vectors; the

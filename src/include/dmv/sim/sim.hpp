@@ -122,35 +122,6 @@ struct IterationSpace {
     iterate(0, values, bounds, fn);
   }
 
-  /// Iterates the contiguous slice of `outer_count` outermost-parameter
-  /// ORDINALS starting at ordinal `outer_begin` (value = begin +
-  /// ordinal*step), visiting the inner dimensions in full. This is how a
-  /// chunked trace writer starts mid-iteration-space; for_each over the
-  /// full outer ordinal range visits the identical point sequence. A
-  /// zero-dimensional space counts as one outer ordinal.
-  template <typename Fn>
-  void for_each_slice(std::int64_t outer_begin, std::int64_t outer_count,
-                      Fn&& fn) const {
-    detail::CompiledSpaceBounds bounds(*this);
-    std::vector<std::int64_t> values(params.size());
-    if (params.empty()) {
-      if (outer_begin == 0 && outer_count > 0) {
-        fn(std::span<const std::int64_t>(values));
-      }
-      return;
-    }
-    const auto [begin, end, step] = bounds.eval(0);
-    if (step <= 0) {
-      throw std::invalid_argument("IterationSpace: non-positive step");
-    }
-    for (std::int64_t o = outer_begin; o < outer_begin + outer_count; ++o) {
-      const std::int64_t v = begin + o * step;
-      values[0] = v;
-      bounds.set_param(0, v);
-      iterate(1, values, bounds, fn);
-    }
-  }
-
   static IterationSpace from(const ir::MapInfo& info,
                              const SymbolMap& symbols);
 
@@ -450,29 +421,15 @@ struct SimulationOptions {
   /// Include read events for WCR (accumulating) outputs. The paper counts
   /// a WCR update as one access; keep false to match.
   bool wcr_reads = false;
-  /// Use the compiled execution engine: map bounds and memlet subsets
-  /// flattened to CompiledExpr over a per-state slot environment, no
-  /// per-point SymbolMap copies. Produces a bit-identical trace to the
-  /// interpreted engine (kept as `compiled = false` for A/B validation
-  /// and the ablation benchmark).
-  bool compiled = true;
-  /// Generate the trace in parallel on the dmv::par pool: a planning
-  /// pass (sim/trace_plan.hpp) splits top-level maps into chunks with
-  /// exact precomputed event/execution offsets, and each chunk writes
-  /// its disjoint EventList slice (or streams through an ordered
-  /// sequencer). Output is bit-identical to serial at any thread count;
-  /// automatically off at num_threads()==1, inside a pool task, or when
-  /// the plan finds nothing worth splitting (see docs/simulation.md).
-  bool parallel_trace = true;
-  /// Lane width W of the batched compiled engine: innermost map loops
-  /// whose scope is pure tasklets advance W iteration points per step
-  /// and evaluate each memlet subset expression for all W lanes in one
-  /// SoA pass (symbolic/batched.hpp); loop-invariant expressions are
-  /// hoisted out of the innermost loop entirely. Output is bit-identical
-  /// to the scalar loop at any width — including which exception fires
-  /// at which iteration point, via scalar replay of faulting batches —
-  /// and composes with parallel_trace (threads x lanes). 1 disables
-  /// batching; values are clamped to [1, symbolic::kMaxLaneWidth].
+  /// Lane width W of the batched engine: innermost map loops whose
+  /// scope is pure tasklets advance W iteration points per step and
+  /// evaluate each memlet subset expression for all W lanes in one SoA
+  /// pass (symbolic/batched.hpp); loop-invariant expressions are hoisted
+  /// out of the innermost loop entirely. Output is bit-identical to the
+  /// scalar loop at any width — including which exception fires at
+  /// which iteration point, via scalar replay of faulting batches — and
+  /// composes with chunk-parallel generation (threads x lanes). 1
+  /// disables batching; values are clamped to [1, symbolic::kMaxLaneWidth].
   int lane_width = 8;
 };
 
@@ -484,6 +441,11 @@ struct TraceArena;
 
 /// Simulates every state of the SDFG under the given parameter binding
 /// and returns the exact access trace (§V-C "iteration space simulation").
+/// Generation is chunk-parallel on the dmv::par pool when more than one
+/// thread is available, the call is not already inside a pool task, and
+/// the plan (sim/trace_plan.hpp) finds enough work to split; otherwise
+/// it runs serially. The trace is bit-identical either way (see
+/// docs/simulation.md).
 AccessTrace simulate(const Sdfg& sdfg, const SymbolMap& symbols,
                      const SimulationOptions& options = {});
 
@@ -522,10 +484,10 @@ class EventSink {
 /// Streaming simulation (§V-C at bounded event memory): identical
 /// traversal to simulate(), but every event goes to `sink` instead of a
 /// vector. The stream of on_event calls equals simulate()'s event
-/// sequence bit for bit — including under parallel_trace, where chunks
-/// are generated out of order into reusable buffers and a sequencer
-/// drains them to the sink in serial chunk order. `arena` (optional)
-/// reuses those chunk buffers across calls.
+/// sequence bit for bit — including under chunked generation, where
+/// chunks are generated out of order into reusable buffers and a
+/// sequencer drains them to the sink in serial chunk order. `arena`
+/// (optional) reuses those chunk buffers across calls.
 AccessTrace simulate_stream(const Sdfg& sdfg, const SymbolMap& symbols,
                             EventSink& sink,
                             const SimulationOptions& options = {},

@@ -97,23 +97,16 @@ struct TraceArena {
 };
 
 /// Generates exactly `chunk` of a plan for this (sdfg, symbols, options)
-/// triple, appending its events — with absolute timestep/execution
-/// stamps — to `out`. `header` supplies the placed container layouts
-/// (any trace returned by simulate/simulate_stream for the same binding
-/// and options). This is the streaming producers' worker and the test
-/// hook that validates a plan chunk-by-chunk against serial emission.
-/// Throws std::logic_error if the chunk's generated event or execution
-/// count disagrees with the plan.
-void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
-                    const SimulationOptions& options,
-                    const AccessTrace& header, const TraceChunk& chunk,
-                    EventList& out);
-
-/// Placement-mode variant: when `absolute`, `out` must be pre-sized to
-/// the plan's total and the chunk's events are written AT their absolute
-/// [event_offset, event_offset + event_count) slice indices (the
-/// delta-recomputation engine's dirty-chunk writer); otherwise appends,
-/// exactly like the overload above.
+/// triple, with absolute timestep/execution stamps. `header` supplies
+/// the placed container layouts (any trace returned by
+/// simulate/simulate_stream for the same binding and options). When
+/// `absolute`, `out` must be pre-sized to the plan's total and the
+/// chunk's events are written AT their [event_offset, event_offset +
+/// event_count) slice indices (the delta-recomputation engine's
+/// dirty-chunk writer); otherwise they are appended (the test hook that
+/// validates a plan chunk-by-chunk against serial emission). Throws
+/// std::logic_error if the chunk's generated event or execution count
+/// disagrees with the plan.
 void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
                     const SimulationOptions& options,
                     const AccessTrace& header, const TraceChunk& chunk,

@@ -332,15 +332,6 @@ std::int64_t pow_i64(std::int64_t base, std::int64_t exponent);
 std::optional<std::int64_t> checked_pow_i64(std::int64_t base,
                                             std::int64_t exponent);
 
-/// Globally enables/disables the cross-call memo tables (simplify,
-/// substitute) and the intern-time metadata fast paths for
-/// depends_on/collect_free_symbols. On by default; results are
-/// bit-identical either way — the switch exists so the `symbolic_ops`
-/// benchmark can record legacy-walk numbers. Returns the previous value.
-/// Not thread-safe: flip only from single-threaded sections.
-bool set_symbolic_memoization(bool enabled);
-bool symbolic_memoization_enabled();
-
 /// Interner observability (tests, benchmarks, capacity planning).
 struct InternerStats {
   std::size_t nodes = 0;         ///< Live interned expression nodes.

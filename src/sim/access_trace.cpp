@@ -21,34 +21,6 @@ using symbolic::CompiledExpr;
 using symbolic::LaneEnv;
 using symbolic::SymbolTable;
 
-// Enumerates the concrete element index tuples of an evaluated subset in
-// row-major order.
-std::vector<layout::Index> subset_elements(const Subset& subset,
-                                           const SymbolMap& env) {
-  std::vector<std::array<std::int64_t, 3>> bounds;
-  bounds.reserve(subset.ranges.size());
-  for (const ir::Range& range : subset.ranges) {
-    bounds.push_back({range.begin.evaluate(env), range.end.evaluate(env),
-                      range.step.evaluate(env)});
-  }
-  std::vector<layout::Index> elements;
-  // Iterative odometer over the (tiny) subset.
-  std::vector<std::int64_t> cursor(bounds.size());
-  for (std::size_t d = 0; d < bounds.size(); ++d) cursor[d] = bounds[d][0];
-  if (bounds.empty()) return {layout::Index{}};
-  for (;;) {
-    elements.emplace_back(cursor);
-    int d = static_cast<int>(bounds.size()) - 1;
-    for (; d >= 0; --d) {
-      cursor[d] += bounds[d][2];
-      if (cursor[d] <= bounds[d][1]) break;
-      cursor[d] = bounds[d][0];
-    }
-    if (d < 0) break;
-  }
-  return elements;
-}
-
 // Container placement shared by the serial simulator and the parallel
 // drivers (which place once up front and hand the layouts to every
 // chunk). Iterates sdfg.arrays() — an ordered map — so the container
@@ -73,12 +45,6 @@ class Simulator {
             const SimulationOptions& options, EventSink* sink = nullptr)
       : sdfg_(sdfg), symbols_(symbols), options_(options), sink_(sink) {}
 
-  AccessTrace run() {
-    AccessTrace trace;
-    run_into(trace);
-    return trace;
-  }
-
   void run_into(AccessTrace& trace) {
     // Reuse the caller's buffers: clear() keeps the event columns'
     // capacity, so a sweep pays the event allocation once.
@@ -94,12 +60,8 @@ class Simulator {
       // Topo order + adjacency built once per state (in_edges/out_edges
       // scan all edges, which would be paid per tasklet per iteration).
       schedule_ = ir::StateSchedule(state);
-      if (options_.compiled) {
-        compile_state(state);
-        execute_scope_compiled(state, ir::kNoNode);
-      } else {
-        execute_scope(state, ir::kNoNode, symbols_);
-      }
+      compile_state(state);
+      execute_scope(state, ir::kNoNode);
     }
     trace.executions = execution_;
     if (sink_) sink_->on_trace_end(execution_);
@@ -126,37 +88,19 @@ class Simulator {
     out_absolute_ = absolute;
     chunk_limit_ = chunk.event_offset + chunk.event_count;
     const Node& node = state.node(chunk.node);
-    if (options_.compiled) {
-      compile_state(state);
-      switch (node.kind) {
-        case NodeKind::MapEntry:
-          execute_map_compiled(state, node, chunk.outer_begin,
-                               chunk.outer_count);
-          break;
-        case NodeKind::Tasklet:
-          execute_tasklet_compiled(state, node);
-          break;
-        case NodeKind::Access:
-          execute_copies_compiled(state, node);
-          break;
-        case NodeKind::MapExit:
-          break;
-      }
-    } else {
-      switch (node.kind) {
-        case NodeKind::MapEntry:
-          execute_map(state, node, symbols_, chunk.outer_begin,
-                      chunk.outer_count);
-          break;
-        case NodeKind::Tasklet:
-          execute_tasklet(state, node, symbols_);
-          break;
-        case NodeKind::Access:
-          execute_copies(state, node, symbols_);
-          break;
-        case NodeKind::MapExit:
-          break;
-      }
+    compile_state(state);
+    switch (node.kind) {
+      case NodeKind::MapEntry:
+        execute_map(state, node, chunk.outer_begin, chunk.outer_count);
+        break;
+      case NodeKind::Tasklet:
+        execute_tasklet(state, node);
+        break;
+      case NodeKind::Access:
+        execute_copies(state, node);
+        break;
+      case NodeKind::MapExit:
+        break;
     }
     if (timestep_ != chunk.event_offset + chunk.event_count ||
         execution_ != chunk.execution_offset + chunk.execution_count) {
@@ -166,13 +110,14 @@ class Simulator {
   }
 
  private:
-  // -- Compiled execution engine -------------------------------------
+  // -- Execution engine ----------------------------------------------
   //
   // All map bounds and memlet subsets of a state are flattened ONCE to
   // CompiledExpr over a single slot table; iteration then runs against a
   // flat int64 environment with no SymbolMap copies and no per-element
-  // allocation. Traversal order is identical to the interpreted engine,
-  // so the emitted trace is bit-identical.
+  // allocation. The traversal is the SDFG's scope walk: tasklets in
+  // schedule order, memlets in-edges first, elements row-major
+  // (tests/reference_trace.hpp spells it out over SymbolMaps).
 
   struct CompiledRange {
     CompiledExpr begin, end, step;
@@ -285,7 +230,7 @@ class Simulator {
       }
       tasklet.runs.push_back(std::move(run));
     };
-    // Tasklets in schedule order, each memlet in execute_tasklet_compiled
+    // Tasklets in schedule order, each memlet in execute_tasklet
     // order (in-edges then out-edges, empty memlets skipped) — the drain
     // replays this list verbatim.
     for (NodeId id : schedule_.order) {
@@ -378,19 +323,19 @@ class Simulator {
                          &table_.names());
   }
 
-  void execute_scope_compiled(const State& state, NodeId scope) {
+  void execute_scope(const State& state, NodeId scope) {
     for (NodeId id : schedule_.order) {
       const Node& node = state.node(id);
       if (node.scope_parent != scope) continue;
       switch (node.kind) {
         case NodeKind::MapEntry:
-          execute_map_compiled(state, node);
+          execute_map(state, node);
           break;
         case NodeKind::Tasklet:
-          execute_tasklet_compiled(state, node);
+          execute_tasklet(state, node);
           break;
         case NodeKind::Access:
-          execute_copies_compiled(state, node);
+          execute_copies(state, node);
           break;
         case NodeKind::MapExit:
           break;  // Writes are emitted at the producing tasklet.
@@ -403,24 +348,24 @@ class Simulator {
   /// the chunked writers' mid-iteration-space entry. The full run over
   /// ordinal slices partitioning [0, trips) visits the identical point
   /// sequence, which is what makes chunked output bit-identical.
-  void execute_map_compiled(const State& state, const Node& node,
+  void execute_map(const State& state, const Node& node,
                             std::int64_t outer_begin = 0,
                             std::int64_t outer_count = -1) {
     const CompiledMap& map = compiled_maps_[node.id];
     // Save the parameter slots' outer bindings: a nested map may reuse a
     // parameter name, and the outer value must survive the inner scope
-    // (the interpreted engine gets this from its per-scope env copies).
+    // (one flat environment stands in for a binding per scope).
     std::vector<std::pair<std::int64_t, char>> saved;
     saved.reserve(map.param_slots.size());
     for (int slot : map.param_slots) {
       saved.emplace_back(env_values_[slot], env_bound_[slot]);
     }
     if (outer_count < 0) {
-      iterate_map_compiled(state, node, map, 0);
+      iterate_map(state, node, map, 0);
     } else if (map.bounds.empty()) {
       // Zero-dimensional map: the planner models it as one outer ordinal.
       if (outer_begin == 0 && outer_count > 0) {
-        execute_scope_compiled(state, node.id);
+        execute_scope(state, node.id);
       }
     } else {
       for (std::size_t q = 0; q < map.param_slots.size(); ++q) {
@@ -443,7 +388,7 @@ class Simulator {
              ++o) {
           env_values_[slot] = begin + o * step;
           env_bound_[slot] = 1;
-          iterate_map_compiled(state, node, map, 1);
+          iterate_map(state, node, map, 1);
         }
       }
     }
@@ -453,15 +398,14 @@ class Simulator {
     }
   }
 
-  void iterate_map_compiled(const State& state, const Node& node,
+  void iterate_map(const State& state, const Node& node,
                             const CompiledMap& map, std::size_t dim) {
     if (dim == map.bounds.size()) {
-      execute_scope_compiled(state, node.id);
+      execute_scope(state, node.id);
       return;
     }
     // This and inner parameters are out of scope while evaluating this
-    // dimension's bounds (matches the interpreted env, which only holds
-    // outer parameters here).
+    // dimension's bounds: only outer parameters are bound here.
     for (std::size_t q = dim; q < map.param_slots.size(); ++q) {
       env_bound_[map.param_slots[q]] = 0;
     }
@@ -482,7 +426,7 @@ class Simulator {
     for (std::int64_t v = begin; v <= end; v += step) {
       env_values_[slot] = v;
       env_bound_[slot] = 1;
-      iterate_map_compiled(state, node, map, dim + 1);
+      iterate_map(state, node, map, dim + 1);
     }
   }
 
@@ -495,7 +439,7 @@ class Simulator {
     for (std::int64_t i = 0; i < count; ++i) {
       env_values_[slot] = first + i * step;
       env_bound_[slot] = 1;
-      execute_scope_compiled(state, node.id);
+      execute_scope(state, node.id);
     }
   }
 
@@ -616,7 +560,7 @@ class Simulator {
   }
 
   // Evaluates a compiled subset's bounds into scratch and emits every
-  // element directly — the allocation-free analogue of subset_elements.
+  // element in row-major order, without allocating.
   template <typename PerElement>
   void enumerate_subset(const CompiledSubset& subset, PerElement&& emit_at) {
     auto& bounds = bounds_scratch_;
@@ -644,7 +588,7 @@ class Simulator {
     }
   }
 
-  void emit_subset_compiled(const State& state, const Edge* edge,
+  void emit_subset(const State& state, const Edge* edge,
                             bool is_write, NodeId tasklet) {
     const CompiledEdge& compiled =
         compiled_edges_[edge_index(state, edge)];
@@ -657,19 +601,19 @@ class Simulator {
     });
   }
 
-  void execute_tasklet_compiled(const State& state, const Node& node) {
+  void execute_tasklet(const State& state, const Node& node) {
     for (const Edge* edge : schedule_.in_adjacency[node.id]) {
       if (edge->memlet.is_empty()) continue;
-      emit_subset_compiled(state, edge, /*is_write=*/false, node.id);
+      emit_subset(state, edge, /*is_write=*/false, node.id);
     }
     for (const Edge* edge : schedule_.out_adjacency[node.id]) {
       if (edge->memlet.is_empty()) continue;
-      emit_subset_compiled(state, edge, /*is_write=*/true, node.id);
+      emit_subset(state, edge, /*is_write=*/true, node.id);
     }
     ++execution_;
   }
 
-  void execute_copies_compiled(const State& state, const Node& node) {
+  void execute_copies(const State& state, const Node& node) {
     for (const Edge* edge : schedule_.out_adjacency[node.id]) {
       if (edge->memlet.is_empty()) continue;
       const Node& dst = state.node(edge->dst);
@@ -743,103 +687,6 @@ class Simulator {
     }
   }
 
-  // -- Interpreted execution engine (reference; options.compiled=false) --
-
-  void emit_subset(const ir::Memlet& memlet, const SymbolMap& env,
-                   bool is_write, NodeId tasklet) {
-    const int container = container_ids_.at(memlet.data);
-    for (const layout::Index& element : subset_elements(memlet.subset, env)) {
-      if (is_write && memlet.wcr != ir::Wcr::None && options_.wcr_reads) {
-        emit(container, element, /*is_write=*/false, tasklet);
-      }
-      emit(container, element, is_write, tasklet);
-    }
-  }
-
-  void execute_scope(const State& state, NodeId scope, const SymbolMap& env) {
-    for (NodeId id : schedule_.order) {
-      const Node& node = state.node(id);
-      if (node.scope_parent != scope) continue;
-      switch (node.kind) {
-        case NodeKind::MapEntry:
-          execute_map(state, node, env);
-          break;
-        case NodeKind::Tasklet:
-          execute_tasklet(state, node, env);
-          break;
-        case NodeKind::Access:
-          execute_copies(state, node, env);
-          break;
-        case NodeKind::MapExit:
-          break;  // Writes are emitted at the producing tasklet.
-      }
-    }
-  }
-
-  /// Interpreted analogue of execute_map_compiled: `outer_count` < 0
-  /// runs the full map, otherwise the outermost-ordinal slice
-  /// [outer_begin, outer_begin + outer_count).
-  void execute_map(const State& state, const Node& node, const SymbolMap& env,
-                   std::int64_t outer_begin = 0,
-                   std::int64_t outer_count = -1) {
-    IterationSpace space = IterationSpace::from(node.map, env);
-    auto body = [&](std::span<const std::int64_t> values) {
-      SymbolMap inner = env;
-      for (std::size_t p = 0; p < space.params.size(); ++p) {
-        inner[space.params[p]] = values[p];
-      }
-      execute_scope(state, node.id, inner);
-    };
-    if (outer_count < 0) {
-      space.for_each(body);
-    } else {
-      space.for_each_slice(outer_begin, outer_count, body);
-    }
-  }
-
-  void execute_tasklet(const State& state, const Node& node,
-                       const SymbolMap& env) {
-    (void)state;
-    for (const Edge* edge : schedule_.in_adjacency[node.id]) {
-      if (edge->memlet.is_empty()) continue;
-      emit_subset(edge->memlet, env, /*is_write=*/false, node.id);
-    }
-    for (const Edge* edge : schedule_.out_adjacency[node.id]) {
-      if (edge->memlet.is_empty()) continue;
-      emit_subset(edge->memlet, env, /*is_write=*/true, node.id);
-    }
-    ++execution_;
-  }
-
-  // Access -> access copy edges: element-wise read of the source subset
-  // paired with a write of the destination subset.
-  void execute_copies(const State& state, const Node& node,
-                      const SymbolMap& env) {
-    for (const Edge* edge : schedule_.out_adjacency[node.id]) {
-      if (edge->memlet.is_empty()) continue;
-      const Node& dst = state.node(edge->dst);
-      if (dst.kind != NodeKind::Access) continue;
-      const int src_container = container_ids_.at(edge->memlet.data);
-      const int dst_container = container_ids_.at(dst.data);
-      const Subset& dst_subset = edge->memlet.other_subset.ranges.empty()
-                                     ? edge->memlet.subset
-                                     : edge->memlet.other_subset;
-      std::vector<layout::Index> sources =
-          subset_elements(edge->memlet.subset, env);
-      std::vector<layout::Index> destinations =
-          subset_elements(dst_subset, env);
-      if (sources.size() != destinations.size()) {
-        throw std::logic_error("simulate: copy subset size mismatch on '" +
-                               edge->memlet.data + "'");
-      }
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        emit(src_container, sources[i], /*is_write=*/false, ir::kNoNode);
-        emit(dst_container, destinations[i], /*is_write=*/true, ir::kNoNode);
-        ++execution_;
-      }
-    }
-  }
-
   const Sdfg& sdfg_;
   const SymbolMap& symbols_;
   const SimulationOptions& options_;
@@ -893,13 +740,11 @@ namespace {
 // compilation per chunk) outweighs the parallel win.
 constexpr std::int64_t kMinParallelEvents = 8192;
 
-// Parallel generation is worth attempting at all: it is requested, more
-// than one thread would run it, and we are not already inside a pool
-// task (where parallel constructs serialize and the plan is pure
-// overhead).
-bool parallel_trace_enabled(const SimulationOptions& options) {
-  return options.parallel_trace && par::num_threads() > 1 &&
-         !par::in_parallel_region();
+// Chunked generation is worth attempting at all: more than one thread
+// would run it, and we are not already inside a pool task (where
+// parallel constructs serialize and the plan is pure overhead).
+bool chunking_possible() {
+  return par::num_threads() > 1 && !par::in_parallel_region();
 }
 
 bool plan_is_worthwhile(const TracePlan& plan) {
@@ -919,7 +764,7 @@ AccessTrace simulate(const Sdfg& sdfg, const SymbolMap& symbols,
 void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
                    const SimulationOptions& options, AccessTrace& trace,
                    TraceArena* arena) {
-  if (parallel_trace_enabled(options)) {
+  if (chunking_possible()) {
     TracePlan local_plan;
     TracePlan& plan = arena ? arena->plan : local_plan;
     plan_trace_into(sdfg, symbols, options, 0, plan);
@@ -951,7 +796,7 @@ void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
 AccessTrace simulate_stream(const Sdfg& sdfg, const SymbolMap& symbols,
                             EventSink& sink, const SimulationOptions& options,
                             TraceArena* arena) {
-  if (parallel_trace_enabled(options)) {
+  if (chunking_possible()) {
     TracePlan local_plan;
     TracePlan& plan = arena ? arena->plan : local_plan;
     plan_trace_into(sdfg, symbols, options, 0, plan);
@@ -993,14 +838,6 @@ AccessTrace simulate_stream(const Sdfg& sdfg, const SymbolMap& symbols,
   AccessTrace header;
   Simulator(sdfg, symbols, options, &sink).run_into(header);
   return header;
-}
-
-void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
-                    const SimulationOptions& options,
-                    const AccessTrace& header, const TraceChunk& chunk,
-                    EventList& out) {
-  Simulator chunk_sim(sdfg, symbols, options);
-  chunk_sim.run_chunk(header, chunk, out, /*absolute=*/false);
 }
 
 void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,

@@ -25,8 +25,8 @@ CompiledSpaceBounds::CompiledSpaceBounds(const IterationSpace& space) {
   }
   table_.bind(space.base, values_, bound_);
   // The space's own parameters start unbound even if the base binding
-  // mentions them: iteration owns these names (mirrors the interpreted
-  // evaluator, which erased them from its environment).
+  // mentions them: iteration owns these names, so a bound never reads
+  // an outer value of a reused parameter name.
   for (int slot : param_slots_) bound_[slot] = 0;
 }
 
@@ -34,8 +34,8 @@ CompiledSpaceBounds::Triple CompiledSpaceBounds::eval(std::size_t dim) {
   Dim& d = dims_[dim];
   if (d.invariant && d.cached) return d.cache;
   // Parameters of this and inner dimensions are out of scope for this
-  // bound; clear any value a previous sibling subtree left behind so
-  // forward references fail exactly like the interpreted evaluator.
+  // bound; clear any value a previous sibling subtree left behind so a
+  // forward reference fails as an unbound symbol.
   for (std::size_t q = dim; q < param_slots_.size(); ++q) {
     bound_[param_slots_[q]] = 0;
   }

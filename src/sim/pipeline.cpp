@@ -145,8 +145,8 @@ std::uint64_t fingerprint(const PipelineConfig& config) {
 
 std::uint64_t fingerprint(const SimulationOptions& options) {
   // FNV-1a over the fields that can change the simulator's output.
-  // compiled / parallel_trace / lane_width are bit-identical execution
-  // strategies and excluded on purpose.
+  // lane_width is a bit-identical execution strategy and excluded on
+  // purpose.
   std::uint64_t hash = 1469598103934665603ull;
   auto mix = [&hash](std::uint64_t value) {
     hash ^= value;

@@ -62,9 +62,8 @@ CompiledExpr CompiledExpr::compile(const Expr& expr, SymbolTable& table) {
   // expression this table has compiled before — slot assignment is
   // append-only, making the cached code permanently valid.
   const ExprNode* memo_key = &expr.node();
-  if (symbolic_memoization_enabled()) {
-    auto it = table.memo_.find(memo_key);
-    if (it != table.memo_.end()) return *it->second;
+  if (auto it = table.memo_.find(memo_key); it != table.memo_.end()) {
+    return *it->second;
   }
 
   CompiledExpr compiled;
@@ -151,13 +150,10 @@ CompiledExpr CompiledExpr::compile(const Expr& expr, SymbolTable& table) {
   compiled.slots_.erase(
       std::unique(compiled.slots_.begin(), compiled.slots_.end()),
       compiled.slots_.end());
-  if (symbolic_memoization_enabled()) {
-    if (table.memo_.size() >= SymbolTable::kCompileMemoCap) {
-      table.memo_.clear();
-    }
-    table.memo_.emplace(memo_key,
-                        std::make_shared<const CompiledExpr>(compiled));
+  if (table.memo_.size() >= SymbolTable::kCompileMemoCap) {
+    table.memo_.clear();
   }
+  table.memo_.emplace(memo_key, std::make_shared<const CompiledExpr>(compiled));
   return compiled;
 }
 

@@ -14,7 +14,6 @@ namespace {
 
 using detail::InternAccess;
 using detail_intern::intern_node;
-using detail_intern::memoization_enabled;
 
 // Small interned constants resolved once: shapes and strides are full of
 // 0/1/2, and Expr's default constructor builds 0.
@@ -309,13 +308,12 @@ const Expr* find_replacement(const std::vector<SubstEntry>& entries,
 
 // DAG-memoized rewrite: every distinct node is rewritten at most once per
 // call, so heavily shared subtrees cost their DAG size, not their tree
-// size. With memoization disabled (benchmark legacy mode) the prune and
-// per-call memo are skipped and this is the historical tree walk.
+// size; subtrees that reach no substituted symbol are returned as is.
 Expr substitute_rec(const Expr& e, const std::vector<SubstEntry>& entries,
                     std::uint64_t entry_mask,
-                    std::unordered_map<const ExprNode*, Expr>* memo) {
+                    std::unordered_map<const ExprNode*, Expr>& memo) {
   const ExprNode* node = InternAccess::unwrap(e);
-  if (memo != nullptr && !reaches_any(node, entries, entry_mask)) return e;
+  if (!reaches_any(node, entries, entry_mask)) return e;
   switch (node->kind) {
     case ExprKind::Constant:
       return e;
@@ -324,10 +322,7 @@ Expr substitute_rec(const Expr& e, const std::vector<SubstEntry>& entries,
       return replacement != nullptr ? *replacement : e;
     }
     default: {
-      if (memo != nullptr) {
-        auto it = memo->find(node);
-        if (it != memo->end()) return it->second;
-      }
+      if (auto it = memo.find(node); it != memo.end()) return it->second;
       std::vector<Expr> new_operands;
       new_operands.reserve(node->operands.size());
       bool changed = false;
@@ -338,7 +333,7 @@ Expr substitute_rec(const Expr& e, const std::vector<SubstEntry>& entries,
       Expr result = changed
                         ? Expr::make(node->kind, std::move(new_operands))
                         : e;
-      if (memo != nullptr) memo->emplace(node, result);
+      memo.emplace(node, result);
       return result;
     }
   }
@@ -349,9 +344,6 @@ Expr substitute_rec(const Expr& e, const std::vector<SubstEntry>& entries,
 Expr substitute_entries(const Expr& e, const std::vector<SubstEntry>& entries) {
   if (entries.empty()) return e;
   const ExprNode* node = InternAccess::unwrap(e);
-  if (!memoization_enabled()) {
-    return substitute_rec(e, entries, 0, nullptr);
-  }
   std::uint64_t entry_mask = 0;
   for (const SubstEntry& entry : entries) {
     entry_mask |= std::uint64_t{1} << (entry.id % 64);
@@ -369,7 +361,7 @@ Expr substitute_entries(const Expr& e, const std::vector<SubstEntry>& entries) {
     return InternAccess::wrap(hit);
   }
   std::unordered_map<const ExprNode*, Expr> memo;
-  Expr result = substitute_rec(e, entries, entry_mask, &memo);
+  Expr result = substitute_rec(e, entries, entry_mask, memo);
   detail_intern::store_subst_memo(node, record,
                                   InternAccess::unwrap(result));
   return result;
@@ -414,18 +406,9 @@ const std::vector<SymbolId>& Expr::free_symbol_ids() const {
 }
 
 void Expr::collect_free_symbols(std::set<std::string>& out) const {
-  if (memoization_enabled()) {
-    for (const SymbolId id : *node_->free_syms) {
-      out.insert(symbol_name_of(id));
-    }
-    return;
+  for (const SymbolId id : *node_->free_syms) {
+    out.insert(symbol_name_of(id));
   }
-  // Legacy tree walk (benchmark ablation only).
-  if (is_symbol()) {
-    out.insert(*node_->name);
-    return;
-  }
-  for (const Expr& op : node_->operands) op.collect_free_symbols(out);
 }
 
 std::set<std::string> Expr::free_symbols() const {
@@ -446,14 +429,6 @@ bool node_depends_on(const ExprNode* node, SymbolId id) {
   return std::binary_search(free.begin(), free.end(), id);
 }
 
-bool depends_on_walk(const ExprNode* node, std::string_view symbol) {
-  if (node->kind == ExprKind::Symbol) return *node->name == symbol;
-  for (const Expr& op : node->operands) {
-    if (depends_on_walk(InternAccess::unwrap(op), symbol)) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 bool Expr::depends_on(SymbolId symbol) const {
@@ -461,7 +436,6 @@ bool Expr::depends_on(SymbolId symbol) const {
 }
 
 bool Expr::depends_on(std::string_view symbol) const {
-  if (!memoization_enabled()) return depends_on_walk(node_, symbol);
   const std::optional<SymbolId> id = find_symbol(symbol);
   // Never interned => cannot occur in any expression.
   return id.has_value() && node_depends_on(node_, *id);
@@ -469,14 +443,6 @@ bool Expr::depends_on(std::string_view symbol) const {
 
 bool depends_on_any(const Expr& e, const std::set<std::string>& symbols) {
   if (symbols.empty()) return false;
-  if (!symbolic_memoization_enabled()) {
-    // Legacy tree walk (benchmark ablation only).
-    if (e.is_symbol()) return symbols.contains(e.symbol_name());
-    for (const Expr& op : e.operands()) {
-      if (depends_on_any(op, symbols)) return true;
-    }
-    return false;
-  }
   for (const std::string& symbol : symbols) {
     if (e.depends_on(std::string_view(symbol))) return true;
   }

@@ -187,10 +187,6 @@ bool node_matches(const ExprNode& node, ExprKind kind, std::int64_t value,
   }
 }
 
-// Memoization switch. Plain bool: flipped only from single-threaded
-// sections (benchmark ablation), read on hot paths.
-bool g_memoize = true;
-
 }  // namespace
 
 // --- symbol interning (public) ----------------------------------------
@@ -335,7 +331,6 @@ const ExprNode* intern_node(ExprKind kind, std::int64_t value, SymbolId sym,
 }
 
 const ExprNode* lookup_simplify_memo(const ExprNode* raw) {
-  if (!g_memoize) return nullptr;
   Shard& shard = interner().shard_for(raw->hash);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.simplify_memo.find(raw);
@@ -343,7 +338,6 @@ const ExprNode* lookup_simplify_memo(const ExprNode* raw) {
 }
 
 void store_simplify_memo(const ExprNode* raw, const ExprNode* canonical) {
-  if (!g_memoize) return;
   Shard& shard = interner().shard_for(raw->hash);
   std::lock_guard<std::mutex> lock(shard.mu);
   shard.simplify_memo.emplace(raw, canonical);
@@ -386,17 +380,7 @@ void store_subst_memo(const ExprNode* node, const BindingRecord* binding,
   shard.subst_memo.emplace(SubstKey{node, binding}, result);
 }
 
-bool memoization_enabled() { return g_memoize; }
-
 }  // namespace detail_intern
-
-bool set_symbolic_memoization(bool enabled) {
-  const bool previous = g_memoize;
-  g_memoize = enabled;
-  return previous;
-}
-
-bool symbolic_memoization_enabled() { return g_memoize; }
 
 InternerStats interner_stats() {
   InternerStats stats;

@@ -39,7 +39,7 @@ const ExprNode* intern_node(ExprKind kind, std::int64_t value, SymbolId sym,
                             std::vector<Expr> operands);
 
 /// Simplify memo: raw node -> canonical node. Lookup returns nullptr on
-/// miss or when memoization is disabled.
+/// miss.
 const ExprNode* lookup_simplify_memo(const ExprNode* raw);
 void store_simplify_memo(const ExprNode* raw, const ExprNode* canonical);
 
@@ -51,8 +51,6 @@ const ExprNode* lookup_subst_memo(const ExprNode* node,
                                   const BindingRecord* binding);
 void store_subst_memo(const ExprNode* node, const BindingRecord* binding,
                       const ExprNode* result);
-
-bool memoization_enabled();
 
 }  // namespace detail_intern
 

@@ -236,11 +236,10 @@ TEST(BatchedTrace, TailMaskCoversEveryTripCount) {
       const symbolic::SymbolMap binding{{"N", n}};
       SimulationOptions scalar;
       scalar.lane_width = 1;
-      scalar.parallel_trace = false;
       SimulationOptions batched;
       batched.lane_width = 8;
-      batched.parallel_trace = false;
       SCOPED_TRACE("N=" + std::to_string(n));
+      par::ThreadScope serial(1);
       expect_traces_identical(simulate(sdfg, binding, scalar),
                               simulate(sdfg, binding, batched));
     }
@@ -271,7 +270,7 @@ TEST(BatchedTrace, FaultingLaneReplaysAtExactScalarPosition) {
   auto run = [&](int lanes) {
     SimulationOptions options;
     options.lane_width = lanes;
-    options.parallel_trace = false;
+    par::ThreadScope serial(1);
     RecordingSink sink;
     bool threw = false;
     try {
@@ -303,7 +302,7 @@ TEST(BatchedTrace, UnboundSymbolThrowsIdentically) {
   for (const int lanes : {1, 8}) {
     SimulationOptions options;
     options.lane_width = lanes;
-    options.parallel_trace = false;
+    par::ThreadScope serial(1);
     EXPECT_THROW(simulate(sdfg, {}, options), symbolic::UnboundSymbolError)
         << "lanes=" << lanes;
   }

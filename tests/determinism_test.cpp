@@ -1,20 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "dmv/analysis/analysis.hpp"
+#include "dmv/builder/program_builder.hpp"
 #include "dmv/par/par.hpp"
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/sim/sim.hpp"
+#include "dmv/transforms/transforms.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "reference_trace.hpp"
 
-// Determinism contract of the parallel engine: every metric pass and the
-// compiled simulator must be BIT-IDENTICAL to the serial interpreted
-// baseline — the parallelism and expression compilation are pure
-// performance changes, never numeric ones. These tests run the same
-// inputs through (a) the interpreted vs compiled simulator and (b) the
-// metric passes at 1 vs 8 threads, and require exact equality.
+// Determinism contract of the parallel engine: the simulator must be
+// BIT-IDENTICAL to the reference walk of the SDFG (reference_trace.hpp)
+// and every metric pass bit-identical across thread counts — chunking,
+// lane batching and expression compilation are pure performance
+// changes, never numeric ones. These tests run the same inputs through
+// (a) the simulator vs the reference walk at 1 and 8 threads x 1 and 8
+// lanes and (b) the metric passes at 1 vs 8 threads, and require exact
+// equality.
 
 namespace dmv::sim {
 namespace {
@@ -41,27 +47,99 @@ void expect_stats_equal(const MissStats& a, const MissStats& b) {
   EXPECT_EQ(a.hits, b.hits);
 }
 
-TEST(Determinism, CompiledSimulatorMatchesInterpreterOnHdiff) {
-  const ir::Sdfg sdfg =
-      workloads::hdiff(workloads::HdiffVariant::Baseline);
-  const symbolic::SymbolMap binding = workloads::hdiff_local();
-  SimulationOptions interpreted;
-  interpreted.compiled = false;
-  SimulationOptions compiled;
-  compiled.compiled = true;
-  expect_traces_identical(simulate(sdfg, binding, interpreted),
-                          simulate(sdfg, binding, compiled));
+// simulate() against the reference walk at threads {1, 8} x lanes
+// {1, 8}. `chunked` inputs are sized past the planner's chunking floor
+// (8192 events), so their 8-thread runs generate chunk-parallel.
+void expect_matches_reference(const ir::Sdfg& sdfg,
+                              const symbolic::SymbolMap& binding,
+                              SimulationOptions options = {},
+                              bool chunked = true) {
+  const AccessTrace reference =
+      reference::reference_trace(sdfg, binding, options);
+  if (chunked) {
+    ASSERT_GE(reference.events.size(), 8192u);
+  }
+  for (const int threads : {1, 8}) {
+    for (const int lanes : {1, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " lanes=" + std::to_string(lanes));
+      options.lane_width = lanes;
+      par::ThreadScope scope(threads);
+      expect_traces_identical(reference, simulate(sdfg, binding, options));
+    }
+  }
 }
 
-TEST(Determinism, CompiledSimulatorMatchesInterpreterOnBert) {
-  const ir::Sdfg sdfg = workloads::bert_encoder(workloads::BertStage::Fused1);
-  const symbolic::SymbolMap binding = workloads::bert_small();
-  SimulationOptions interpreted;
-  interpreted.compiled = false;
-  SimulationOptions compiled;
-  compiled.compiled = true;
-  expect_traces_identical(simulate(sdfg, binding, interpreted),
-                          simulate(sdfg, binding, compiled));
+TEST(Determinism, SimulateMatchesReferenceOnHdiff) {
+  const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
+  expect_matches_reference(sdfg, workloads::hdiff_local(), {},
+                           /*chunked=*/false);
+  expect_matches_reference(sdfg, {{"I", 16}, {"J", 16}, {"K", 8}});
+}
+
+TEST(Determinism, SimulateMatchesReferenceOnBert) {
+  expect_matches_reference(
+      workloads::bert_encoder(workloads::BertStage::Fused1),
+      workloads::bert_small());
+}
+
+TEST(Determinism, SimulateMatchesReferenceOnMatmulWithWcrReads) {
+  SimulationOptions options;
+  options.wcr_reads = true;
+  expect_matches_reference(workloads::matmul(),
+                           {{"M", 24}, {"N", 16}, {"K", 8}}, options);
+}
+
+TEST(Determinism, SimulateMatchesReferenceOnNestedMapReusingParameter) {
+  // The inner "shadow" map rebinds the outer parameter i; the sibling
+  // map after it must see the outer i again.
+  builder::ProgramBuilder p("shadowed_param");
+  p.symbols({"N", "M"});
+  p.array("A", {"N"});
+  p.array("B", {"M"});
+  p.array("C", {"N", "2"});
+  p.state("s");
+  p.begin_map("outer", {{"i", "0:N-1"}});
+  p.mapped_tasklet("shadow", {{"i", "0:M-1"}}, {{"b", "B", "i"}}, "o = b",
+                   {{"o", "B", "i"}});
+  p.mapped_tasklet("after", {{"k", "0:1"}}, {{"a", "A", "i"}}, "o = a",
+                   {{"o", "C", "i, k"}});
+  p.end_map();
+  expect_matches_reference(p.take(), {{"N", 64}, {"M", 80}});
+}
+
+TEST(Determinism, SimulateMatchesReferenceOnTiledMap) {
+  // tile_map rewrites i and k to windows whose ranges read the tile
+  // counters i_tile and k_tile, outer dimensions of the same map.
+  ir::Sdfg sdfg = workloads::matmul();
+  ir::State& state = sdfg.states()[0];
+  ir::NodeId entry = ir::kNoNode;
+  for (const ir::Node& node : state.nodes()) {
+    if (node.kind == ir::NodeKind::MapEntry) entry = node.id;
+  }
+  transforms::tile_map(state, entry, "i", 3);
+  transforms::tile_map(state, entry, "k", 4);
+  expect_matches_reference(sdfg, {{"M", 24}, {"N", 16}, {"K", 24}});
+}
+
+TEST(Determinism, SimulateMatchesReferenceOnAccessCopies) {
+  builder::ProgramBuilder p("copies");
+  p.symbols({"N"});
+  p.array("A", {"N", "N"});
+  p.array("B", {"N", "N"});
+  p.array("C", {"N", "N"});
+  p.state("s");
+  // With other_subset: rows 1..N-1 of A land one row up in B.
+  p.copy("A", "1:N-1, 0:N-1", "B", "0:N-2, 0:N-1");
+  ir::Sdfg sdfg = p.take();
+  // Without other_subset: every other row of B, same subset in C.
+  ir::State& state = sdfg.states()[0];
+  ir::Memlet memlet;
+  memlet.data = "B";
+  memlet.subset = ir::Subset::parse("0:N-1:2, 0:N-1");
+  state.add_edge(state.add_access("B"), state.add_access("C"),
+                 std::move(memlet));
+  expect_matches_reference(sdfg, {{"N", 96}});
 }
 
 // Records the exact sink call sequence so streaming runs can be
@@ -96,38 +174,30 @@ void expect_events_identical(const std::vector<AccessEvent>& a,
 
 TEST(Determinism, ParallelTraceBitIdenticalAcrossThreadCounts) {
   // The tentpole contract: chunked parallel generation is a pure
-  // performance change. 1 thread (serial fallback), 8 threads (chunked),
-  // and parallel_trace = false must produce byte-identical traces.
-  for (const bool compiled : {true, false}) {
-    SimulationOptions options;
-    options.compiled = compiled;
-    const std::vector<std::pair<ir::Sdfg, symbolic::SymbolMap>> cases = [] {
-      std::vector<std::pair<ir::Sdfg, symbolic::SymbolMap>> list;
-      list.emplace_back(workloads::hdiff(workloads::HdiffVariant::Baseline),
-                        workloads::hdiff_local());
-      list.emplace_back(workloads::matmul(),
-                        symbolic::SymbolMap{{"M", 12}, {"N", 10}, {"K", 8}});
-      list.emplace_back(workloads::bert_encoder(workloads::BertStage::Fused1),
-                        workloads::bert_small());
-      return list;
-    }();
-    for (const auto& [sdfg, binding] : cases) {
-      SimulationOptions serial_options = options;
-      serial_options.parallel_trace = false;
-      const AccessTrace reference = simulate(sdfg, binding, serial_options);
-      AccessTrace one;
-      AccessTrace eight;
-      {
-        par::ThreadScope scope(1);
-        one = simulate(sdfg, binding, options);
-      }
-      {
-        par::ThreadScope scope(8);
-        eight = simulate(sdfg, binding, options);
-      }
-      expect_traces_identical(reference, one);
-      expect_traces_identical(reference, eight);
+  // performance change. 1 thread (serial) and 8 threads (chunked) must
+  // produce byte-identical traces.
+  const std::vector<std::pair<ir::Sdfg, symbolic::SymbolMap>> cases = [] {
+    std::vector<std::pair<ir::Sdfg, symbolic::SymbolMap>> list;
+    list.emplace_back(workloads::hdiff(workloads::HdiffVariant::Baseline),
+                      workloads::hdiff_local());
+    list.emplace_back(workloads::matmul(),
+                      symbolic::SymbolMap{{"M", 12}, {"N", 10}, {"K", 8}});
+    list.emplace_back(workloads::bert_encoder(workloads::BertStage::Fused1),
+                      workloads::bert_small());
+    return list;
+  }();
+  for (const auto& [sdfg, binding] : cases) {
+    AccessTrace one;
+    AccessTrace eight;
+    {
+      par::ThreadScope scope(1);
+      one = simulate(sdfg, binding);
     }
+    {
+      par::ThreadScope scope(8);
+      eight = simulate(sdfg, binding);
+    }
+    expect_traces_identical(one, eight);
   }
 }
 
@@ -147,9 +217,12 @@ TEST(Determinism, BatchedTraceBitIdenticalAcrossThreadsAndLanes) {
   }();
   for (const auto& [sdfg, binding] : cases) {
     SimulationOptions reference_options;
-    reference_options.parallel_trace = false;
     reference_options.lane_width = 1;
-    const AccessTrace reference = simulate(sdfg, binding, reference_options);
+    AccessTrace reference;
+    {
+      par::ThreadScope scope(1);
+      reference = simulate(sdfg, binding, reference_options);
+    }
     for (const int threads : {1, 8}) {
       for (const int lanes : {1, 8}) {
         SimulationOptions options;

@@ -126,15 +126,14 @@ TEST(SessionTest, ResultsMatchUncachedEvaluation) {
   }
 }
 
-// compiled and lane_width are bit-identical execution strategies, so
-// they stay out of the artifact key: a session that differs only in them
-// is served from the shared tier.
+// lane_width is a bit-identical execution strategy, so it stays out of
+// the artifact key: a session that differs only in it is served from the
+// shared tier.
 TEST(SessionTest, ExecutionStrategyOptionsShareArtifacts) {
   const auto shared = std::make_shared<SharedArtifactCache>();
   SessionConfig first_config = test_config();
   first_config.shared_cache = shared;
   SessionConfig second_config = first_config;
-  second_config.simulation.compiled = false;
   second_config.simulation.lane_width = 1;
 
   Session first(small_hdiff(), first_config);

@@ -1,7 +1,7 @@
 // Hash-consing engine tests: intern identity, memoized DAG analyses on
 // heavily shared subtrees, Pow folding overflow guards, and property /
 // fuzz coverage that the interned engine is observationally identical to
-// the legacy tree walks (memoization off).
+// plain recursive tree walks (test-local oracles below).
 
 #include <gtest/gtest.h>
 
@@ -16,18 +16,6 @@
 
 namespace dmv::symbolic {
 namespace {
-
-// RAII toggle for the legacy (memo-off) ablation paths, so a failing
-// assertion cannot leak the disabled state into other tests.
-class ScopedMemoization {
- public:
-  explicit ScopedMemoization(bool enabled)
-      : previous_(set_symbolic_memoization(enabled)) {}
-  ~ScopedMemoization() { set_symbolic_memoization(previous_); }
-
- private:
-  bool previous_;
-};
 
 TEST(SymbolicIntern, StructurallyEqualExpressionsShareOneNode) {
   const Expr a = Expr::symbol("N") * 4 + Expr::symbol("M");
@@ -289,29 +277,54 @@ TEST(SymbolicIntern, FuzzEvaluationMatchesReferenceAndBinding) {
   }
 }
 
+// Tree-walk oracles for the interned engine's metadata and memo paths:
+// plain recursion over the public node structure, no memo, no pruning.
+void walk_free_symbols(const Expr& e, std::set<std::string>& out) {
+  if (e.is_symbol()) out.insert(e.symbol_name());
+  for (const Expr& op : e.operands()) walk_free_symbols(op, out);
+}
+
+bool walk_depends_on_any(const Expr& e, const std::set<std::string>& names) {
+  if (e.is_symbol()) return names.contains(e.symbol_name());
+  for (const Expr& op : e.operands()) {
+    if (walk_depends_on_any(op, names)) return true;
+  }
+  return false;
+}
+
+// Rebuilds every changed node through Expr::make, bottom up.
+Expr walk_substitute(const Expr& e, const SymbolMap& symbols) {
+  if (e.is_symbol()) {
+    const auto it = symbols.find(e.symbol_name());
+    return it == symbols.end() ? e : Expr(it->second);
+  }
+  std::vector<Expr> operands;
+  bool changed = false;
+  for (const Expr& op : e.operands()) {
+    operands.push_back(walk_substitute(op, symbols));
+    changed = changed || !operands.back().same_node(op);
+  }
+  return changed ? Expr::make(e.kind(), std::move(operands)) : e;
+}
+
 TEST(SymbolicIntern, FuzzMemoizedAndLegacyPathsAgree) {
   std::mt19937 rng(4242);
-  const SymbolMap env{{"pfA", 3}, {"pfB", 2}, {"pfC", -3}};
   const SymbolMap partial{{"pfA", 3}};
   const std::set<std::string> probe{"pfB", "pfQ"};
   for (int round = 0; round < 150; ++round) {
     const Expr e = random_expr(rng, 4);
-    // Memoized / metadata answers...
-    const std::optional<std::int64_t> eval_fast = e.try_evaluate(env);
-    const std::set<std::string> free_fast = e.free_symbols();
-    const bool dep_fast = e.depends_on("pfB");
-    const bool any_fast = depends_on_any(e, probe);
-    const Expr subst_fast = e.substitute(partial);
-    {
-      // ...must equal the legacy tree walks bit for bit.
-      ScopedMemoization legacy(false);
-      EXPECT_EQ(e.try_evaluate(env), eval_fast) << e.to_string();
-      EXPECT_EQ(e.free_symbols(), free_fast) << e.to_string();
-      EXPECT_EQ(e.depends_on("pfB"), dep_fast) << e.to_string();
-      EXPECT_EQ(depends_on_any(e, probe), any_fast) << e.to_string();
-      EXPECT_TRUE(e.substitute(partial).same_node(subst_fast))
-          << e.to_string();
+    // Memoized / metadata answers must equal the tree walks bit for bit.
+    std::set<std::string> walked;
+    walk_free_symbols(e, walked);
+    EXPECT_EQ(e.free_symbols(), walked) << e.to_string();
+    for (const char* name : {"pfA", "pfB", "pfC", "pfQ"}) {
+      EXPECT_EQ(e.depends_on(name), walk_depends_on_any(e, {name}))
+          << name << " in " << e.to_string();
     }
+    EXPECT_EQ(depends_on_any(e, probe), walk_depends_on_any(e, probe))
+        << e.to_string();
+    EXPECT_TRUE(e.substitute(partial).same_node(walk_substitute(e, partial)))
+        << e.to_string();
     // Simplification is idempotent and stable under interning.
     const Expr s = simplified(e);
     EXPECT_TRUE(simplified(s).same_node(s)) << e.to_string();

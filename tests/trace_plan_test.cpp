@@ -25,8 +25,8 @@ using builder::ProgramBuilder;
 // Serial ground truth: the parallel path must never be what we compare
 // against here.
 AccessTrace serial_trace(const ir::Sdfg& sdfg, const symbolic::SymbolMap& b,
-                         SimulationOptions options = {}) {
-  options.parallel_trace = false;
+                         const SimulationOptions& options = {}) {
+  par::ThreadScope scope(1);
   return simulate(sdfg, b, options);
 }
 
@@ -63,7 +63,8 @@ void expect_plan_matches_serial(const ir::Sdfg& sdfg,
   // Each chunk regenerated in isolation reproduces its serial slice.
   for (const TraceChunk& chunk : plan.chunks) {
     EventList events;
-    simulate_chunk(sdfg, binding, options, reference, chunk, events);
+    simulate_chunk(sdfg, binding, options, reference, chunk, events,
+                   /*absolute=*/false);
     ASSERT_EQ(static_cast<std::int64_t>(events.size()), chunk.event_count);
     for (std::int64_t i = 0; i < chunk.event_count; ++i) {
       const AccessEvent got = events[static_cast<std::size_t>(i)];
@@ -131,14 +132,6 @@ TEST(TracePlan, WcrReadsDoubleTheOutEdgeEvents) {
   expect_plan_matches_serial(sdfg, {{"M", 4}, {"N", 4}, {"K", 4}}, options);
 }
 
-TEST(TracePlan, InterpretedEngineChunks) {
-  // simulate_chunk honors options.compiled = false; offsets don't change.
-  const ir::Sdfg sdfg = workloads::outer_product();
-  SimulationOptions options;
-  options.compiled = false;
-  expect_plan_matches_serial(sdfg, workloads::outer_product_fig3(), options);
-}
-
 TEST(TracePlan, ManyChunksPerMap) {
   // Oversplitting (more chunks than outer iterations available) must
   // still tile the stream exactly.
@@ -191,7 +184,7 @@ TEST(TracePlan, DegenerateExtentOneMap) {
 
 TEST(TracePlan, ZeroTripNestedMap) {
   // The outer map runs but the nested tasklet map is empty at this
-  // binding: executions exist in neither engine, and the planner agrees.
+  // binding: no executions are generated, and the planner agrees.
   ProgramBuilder p("zero_inner");
   p.symbols({"N", "K"});
   p.array("A", {"N", "8"});
