@@ -27,6 +27,9 @@
 //     element_stats / cache) and for the full set, full-result
 //     fingerprint-gated, with a thread-scaling series (or an explicit
 //     skip record on a 1-core runner);
+//   * closed-form counts: a counts-only MetricPipeline::run(sdfg),
+//     answered from translated boxes without a trace, vs simulate +
+//     run(trace) over the same bindings, fingerprint-gated;
 //   * session sweep: the same slider drag through dmv::session::Session
 //     — cold (fresh cache), warm (every binding already cached), and
 //     prefetched (fresh cache, speculative neighbor evaluation on) —
@@ -41,7 +44,8 @@
 // gate and exits nonzero on the first mismatch: unfused == fused ==
 // streaming == session, 1-thread == 8-thread trace, W=4/8 == W=1 trace,
 // delta recompute == cold, trace store and artifact codec round trips,
-// metric engine == standalone passes.
+// metric engine == standalone passes, closed-form counts == simulated
+// counts.
 
 #include <algorithm>
 #include <chrono>
@@ -382,6 +386,59 @@ bool validate_metric_merge(const SweepCase& sweep,
   return true;
 }
 
+// ---- closed_form_counts ----------------------------------------------
+//
+// Counts-only steps without a trace: MetricPipeline::run(sdfg) answers a
+// config with no per-event consumer from translated boxes
+// (docs/simulation.md, "Closed-form counts") instead of simulating and
+// tallying the trace. Both sides run the same counts-only config.
+
+// The path the counter replaces: simulate, then the engine's count tally.
+std::uint64_t run_counts_simulated(const SweepCase& sweep,
+                                   const SimulationOptions& options) {
+  dmv::sim::MetricPipeline pipeline{dmv::sim::PipelineConfig{}};
+  std::uint64_t hash = 0;
+  for (const SymbolMap& binding : sweep.bindings) {
+    hash ^= result_fingerprint(
+        pipeline.run(dmv::sim::simulate(sweep.sdfg, binding, options)));
+  }
+  return hash;
+}
+
+std::uint64_t run_counts_closed_form(const SweepCase& sweep,
+                                     const SimulationOptions& options) {
+  dmv::sim::MetricPipeline pipeline{dmv::sim::PipelineConfig{}};
+  std::uint64_t hash = 0;
+  for (const SymbolMap& binding : sweep.bindings) {
+    hash ^= result_fingerprint(pipeline.run(sweep.sdfg, binding, options));
+  }
+  return hash;
+}
+
+// Gate shared by the full run and --smoke: the counter must take every
+// binding (run_delta reports kClosedForm), and its results must carry
+// the full fingerprint of simulate + run(trace).
+bool validate_closed_form_counts(const SweepCase& sweep,
+                                 const SimulationOptions& options) {
+  for (const SymbolMap& binding : sweep.bindings) {
+    dmv::sim::MetricPipeline probe{dmv::sim::PipelineConfig{}};
+    dmv::sim::DeltaOutcome outcome;
+    probe.run_delta(sweep.sdfg, 1, binding, options, &outcome);
+    if (outcome.path != dmv::sim::DeltaOutcome::Path::kClosedForm) {
+      std::cerr << "FATAL: closed-form counter declined " << sweep.name
+                << " (" << outcome.reason << ")\n";
+      return false;
+    }
+  }
+  if (run_counts_closed_form(sweep, options) !=
+      run_counts_simulated(sweep, options)) {
+    std::cerr << "FATAL: closed-form counts fingerprint mismatch on "
+              << sweep.name << "\n";
+    return false;
+  }
+  return true;
+}
+
 // ---- symbolic_ops ----------------------------------------------------
 //
 // The symbolic engine in isolation: the repeated build -> simplify ->
@@ -671,13 +728,15 @@ int run_smoke() {
     if (!validate_delta_recompute(sweep, options)) return 1;
     if (!validate_trace_store(sweep, options)) return 1;
     if (!validate_metric_merge(sweep, options)) return 1;
+    if (!validate_closed_form_counts(sweep, options)) return 1;
     std::cout << "smoke " << sweep.name
               << ": unfused == fused == streaming == session, "
               << "serial trace == parallel trace (8 threads), "
               << "batched trace (W=4/8) == scalar, "
               << "delta recompute == cold, "
               << "trace store round-trip == source, "
-              << "metric engine (1, 8 threads) == standalone passes\n";
+              << "metric engine (1, 8 threads) == standalone passes, "
+              << "closed-form counts == simulated counts\n";
   }
   std::cout << "smoke OK\n";
   return 0;
@@ -890,6 +949,30 @@ int main(int argc, char** argv) {
       dmv::par::set_num_threads(1);
     }
 
+    // Closed-form counts: counts-only run(sdfg) answered from boxes vs
+    // simulate + run(trace), 1 thread, fingerprint-gated.
+    if (!validate_closed_form_counts(sweep, options)) return 1;
+    dmv::par::set_num_threads(1);
+    const Measurement counts_simulated = measure(
+        [&] {
+          return static_cast<std::int64_t>(
+              run_counts_simulated(sweep, options));
+        },
+        repetitions);
+    const Measurement counts_closed_form = measure(
+        [&] {
+          return static_cast<std::int64_t>(
+              run_counts_closed_form(sweep, options));
+        },
+        repetitions);
+    if (counts_simulated.checksum != counts_closed_form.checksum) {
+      std::cerr << "FATAL: closed_form_counts fingerprint mismatch on "
+                << sweep.name << "\n";
+      return 1;
+    }
+    const double closed_form_speedup =
+        counts_simulated.best_ms / counts_closed_form.best_ms;
+
     // Trace store: compression ratio and pack/unpack throughput over
     // the same materialized traces (the out-of-core backing format).
     // Identity gate on the order-sensitive trace checksum per binding.
@@ -1012,6 +1095,10 @@ int main(int argc, char** argv) {
       }
       std::cout << "\n";
     }
+    std::cout << "  closed-form counts: simulated "
+              << counts_simulated.best_ms << " ms, closed form "
+              << counts_closed_form.best_ms << " ms ("
+              << closed_form_speedup << "x, fingerprint identical)\n";
     std::cout << "  trace store: " << store_events << " events, raw "
               << store_raw_bytes << " B, packed " << store_packed_bytes
               << " B (" << store_ratio << "x), pack "
@@ -1093,6 +1180,13 @@ int main(int argc, char** argv) {
       }
       json << "        ]\n";
     }
+    json << "      },\n";
+    json << "      \"closed_form_counts\": {\n";
+    json << "        \"simulated_ms\": " << counts_simulated.best_ms << ",\n";
+    json << "        \"closed_form_ms\": " << counts_closed_form.best_ms
+         << ",\n";
+    json << "        \"speedup\": " << closed_form_speedup << ",\n";
+    json << "        \"checksum_identical\": true\n";
     json << "      },\n";
     json << "      \"trace_store\": {\n";
     json << "        \"events\": " << store_events << ",\n";

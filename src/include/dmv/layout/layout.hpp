@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,13 @@
 namespace dmv::layout {
 
 using Index = std::vector<std::int64_t>;
+
+/// Thrown by ConcreteLayout::from when an extent evaluates to zero or
+/// less: the binding, not the program, is at fault.
+class NonPositiveExtentError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 struct ConcreteLayout {
   std::string name;

@@ -131,13 +131,17 @@ struct SessionStats {
   // classified by the most expensive mechanism it needed:
   //   full-hit       every request served from cache;
   //   symbolic-delta a closed-form/symbolic artifact was (re)evaluated,
-  //                  but nothing was simulated;
+  //                  but nothing was simulated — including a
+  //                  counts-only metric bundle the closed-form counter
+  //                  answered (DeltaOutcome::Path::kClosedForm);
   //   chunk-delta    the pipeline patched its checkpoint (clean chunks
   //                  spliced, dirty ones re-simulated);
   //   cold           at least one full simulation ran.
   // The in-progress step is classified lazily: at the next binding
   // change or at the next stats() call, whichever comes first.
-  // Speculative prefetch evaluations never count toward any step.
+  // Speculative prefetch evaluations never count toward any step. The
+  // metric bundle's class comes from run_delta's outcome, so with
+  // `delta` off every computed bundle counts as cold.
   std::int64_t steps_full_hit = 0;
   std::int64_t steps_symbolic = 0;
   std::int64_t steps_chunk_delta = 0;
@@ -148,8 +152,10 @@ struct SessionStats {
   // non-speculative metric evaluation this session ran (cache hits and
   // prefetch evaluations add nothing). Observability only — never part
   // of an artifact or cache key.
-  double simulate_ms = 0.0;  ///< Trace generation / patch phase ms.
-  double metrics_ms = 0.0;   ///< Metric consumption + finalize ms.
+  /// Trace generation / patch phase ms (0 for closed-form steps).
+  double simulate_ms = 0.0;
+  /// Metric consumption + finalize ms (a closed-form step's whole cost).
+  double metrics_ms = 0.0;
   /// Metric worker partitions of the MOST RECENT evaluation's last
   /// engine feed (1 = it ran as one partition: one thread, a feed too
   /// small to split, or inside a pool task).

@@ -24,11 +24,20 @@
 //   * run_streaming — simulate() hands events to an EventSink that
 //     feeds bounded windows, so no event vector is ever allocated.
 //
+// Except when no trace is needed: a config with no per-event consumer
+// (!needs_distances() && !cache) makes run(sdfg), run_streaming and
+// run_delta ask the closed-form counter first, which sums weighted
+// translated boxes for rectangular maps with `param + constant`
+// subsets and simulates nothing; programs outside that rule fall
+// through to the engine unchanged (docs/simulation.md, "Closed-form
+// counts").
+//
 // Bit-identical contract: every output equals the corresponding
 // standalone pass (count_accesses, stack_distances, classify_misses,
 // element_distance_stats, simulate_cache, physical_movement) bit for
 // bit, in every mode, at any thread count and partitioning — enforced
-// by pipeline_test, metric_merge_test and the CI ablation smoke job.
+// by pipeline_test, metric_merge_test, closed_form_counts_test and the
+// CI ablation smoke job.
 
 #include <cstddef>
 #include <cstdint>
@@ -96,6 +105,7 @@ struct DeltaOutcome {
     kCold,        ///< Full simulate + full metric replay.
     kNoChange,    ///< Binding identical to the checkpoint; result reused.
     kChunkDelta,  ///< Clean chunks spliced, dirty chunks re-simulated.
+    kClosedForm,  ///< Counts-only step answered without a trace.
   };
   Path path = Path::kCold;
   /// Chunk-delta only: true when the metric state was RESUMED from the
@@ -104,7 +114,10 @@ struct DeltaOutcome {
   std::int64_t chunks_total = 0;
   std::int64_t chunks_clean = 0;
   std::int64_t chunks_dirty = 0;
-  /// Why the engine fell back to kCold (static string, never null).
+  /// Why the step was simulated (static string, never null): for a
+  /// counts-only config, why the closed-form counter declined (on cold
+  /// and chunk-delta steps alike); otherwise why the delta engine fell
+  /// back to kCold. Empty on kNoChange and kClosedForm.
   const char* reason = "";
 };
 
@@ -112,11 +125,12 @@ struct DeltaOutcome {
 /// call — observability only (surfaced through session::SessionStats
 /// and dmv_serve `stats`), never part of a result or cache key.
 struct PhaseTimings {
-  /// Trace generation / patching ms (0 for run(trace); run_streaming
-  /// interleaves generation and consumption, so its whole cost lands
-  /// here).
+  /// Trace generation / patching ms (0 for run(trace) and closed-form
+  /// answers; run_streaming interleaves generation and consumption, so
+  /// its whole cost lands here).
   double simulate_ms = 0.0;
-  /// Metric consumption + finalize ms.
+  /// Metric consumption + finalize ms (a closed-form answer's whole
+  /// cost).
   double metrics_ms = 0.0;
   /// Largest metric worker-partition count of the engine's last feed
   /// (1 = the whole feed ran as one partition).
@@ -185,7 +199,9 @@ class MetricPipeline {
   /// (the session layer passes its program hash); a mismatch, an options
   /// change, or an unparallelizable plan falls back to the cold path.
   /// Interleaving run()/run_streaming() calls invalidates the
-  /// checkpoint. Outcome reporting via `outcome` is optional.
+  /// checkpoint, and so does a counts-only step the closed-form counter
+  /// answers (kClosedForm: no trace exists to splice). Outcome
+  /// reporting via `outcome` is optional.
   PipelineResult run_delta(const Sdfg& sdfg, std::uint64_t program_version,
                            const SymbolMap& symbols,
                            const SimulationOptions& options = {},

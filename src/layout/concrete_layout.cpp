@@ -82,8 +82,8 @@ ConcreteLayout ConcreteLayout::from(const ir::DataDescriptor& descriptor,
   for (const symbolic::Expr& extent : descriptor.shape) {
     const std::int64_t value = extent.evaluate(symbols);
     if (value <= 0) {
-      throw std::invalid_argument("ConcreteLayout: non-positive extent in '" +
-                                  descriptor.name + "'");
+      throw NonPositiveExtentError("ConcreteLayout: non-positive extent in '" +
+                                   descriptor.name + "'");
     }
     layout.shape.push_back(value);
   }

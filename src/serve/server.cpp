@@ -9,8 +9,10 @@
 #include <utility>
 
 #include "dmv/ir/json_reader.hpp"
+#include "dmv/layout/layout.hpp"
 #include "dmv/par/par.hpp"
 #include "dmv/store/artifact_store.hpp"
+#include "dmv/symbolic/expr.hpp"
 #include "dmv/util/json.hpp"
 #include "dmv/workloads/workloads.hpp"
 
@@ -514,6 +516,11 @@ std::string Server::handle(const std::string& line) {
       // A type/key mismatch inside params is the client's fault, not a
       // malformed line.
       throw RequestError("bad_request", error.what());
+    } catch (const symbolic::UnboundSymbolError& error) {
+      // So is a binding the program cannot be evaluated at.
+      throw RequestError("bad_binding", error.what());
+    } catch (const layout::NonPositiveExtentError& error) {
+      throw RequestError("bad_binding", error.what());
     }
   } catch (const RequestError& error) {
     code = error.code();

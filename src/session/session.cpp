@@ -276,9 +276,17 @@ struct Session::Impl {
       sim::DeltaOutcome outcome;  // Defaults to kCold for the non-delta path.
       result = std::make_shared<const PipelineResult>(
           evaluate(pipeline, binding, &outcome));
-      note_step(outcome.path == sim::DeltaOutcome::Path::kCold
-                    ? kStepCold
-                    : kStepChunkDelta);
+      switch (outcome.path) {
+        case sim::DeltaOutcome::Path::kCold:
+          note_step(kStepCold);
+          break;
+        case sim::DeltaOutcome::Path::kClosedForm:
+          note_step(kStepSymbolic);  // Counted without simulating.
+          break;
+        default:
+          note_step(kStepChunkDelta);
+          break;
+      }
       const sim::PhaseTimings& timings = pipeline.last_timings();
       stats.simulate_ms += timings.simulate_ms;
       stats.metrics_ms += timings.metrics_ms;

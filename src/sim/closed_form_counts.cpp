@@ -1,0 +1,423 @@
+#include "closed_form_counts.hpp"
+
+#include <cstddef>
+#include <cstdint>
+#include <exception>
+#include <vector>
+
+#include "dmv/symbolic/expr.hpp"
+
+namespace dmv::sim::detail {
+
+namespace {
+
+using ir::Edge;
+using ir::Node;
+using ir::NodeId;
+using ir::NodeKind;
+using symbolic::Expr;
+using symbolic::ExprKind;
+using symbolic::SymbolBinding;
+using symbolic::SymbolId;
+
+// One evaluated map dimension.
+struct Loop {
+  SymbolId param = 0;
+  std::int64_t begin = 0;
+  std::int64_t trips = 0;
+};
+
+// Per-container difference arrays (the result's own count vectors) with
+// the row-major strides boxes are scattered at.
+struct Target {
+  std::vector<std::int64_t> shape;
+  std::vector<std::int64_t> strides;
+  bool read_boxes = false;
+  bool write_boxes = false;
+};
+
+bool mul_into(std::int64_t& into, std::int64_t factor) {
+  return !__builtin_mul_overflow(into, factor, &into);
+}
+
+bool add_into(std::int64_t& into, std::int64_t term) {
+  return !__builtin_add_overflow(into, term, &into);
+}
+
+bool sub_into(std::int64_t& into, std::int64_t term) {
+  return !__builtin_sub_overflow(into, term, &into);
+}
+
+constexpr const char* kOverflow = "closed form: counts overflow int64";
+constexpr const char* kOutside = "closed form: subset leaves its container";
+
+// The loops in scope at a node: every dimension of every enclosing map,
+// outermost first. Parameter names resolve innermost first, as the
+// simulator's one flat environment does when a nested map reuses a name
+// or a map parameter is named like a program symbol.
+struct Scope {
+  std::vector<Loop> loops;
+
+  bool reads_loop(const Expr& e) const {
+    for (const Loop& loop : loops) {
+      if (e.depends_on(loop.param)) return true;
+    }
+    return false;
+  }
+
+  int resolve(SymbolId param) const {
+    for (std::size_t k = loops.size(); k-- > 0;) {
+      if (loops[k].param == param) return static_cast<int>(k);
+    }
+    return -1;
+  }
+};
+
+class Counter {
+ public:
+  Counter(const SymbolMap& symbols, const SimulationOptions& options,
+          bool counts, PipelineResult& result)
+      : binding_(symbols), options_(options), counts_(counts),
+        result_(result) {}
+
+  const char* run(const Sdfg& sdfg, const SymbolMap& symbols) {
+    AccessTrace header;
+    try {
+      place_containers(sdfg, symbols, options_, header);
+    } catch (const std::exception&) {
+      return "closed form: a container layout fails under the binding";
+    }
+    result_ = PipelineResult{};
+    result_.containers = header.containers;
+    targets_.resize(header.layouts.size());
+    for (std::size_t c = 0; c < header.layouts.size(); ++c) {
+      Target& target = targets_[c];
+      target.shape = header.layouts[c].shape;
+      target.strides.assign(target.shape.size(), 1);
+      for (std::size_t d = target.shape.size(); d-- > 1;) {
+        target.strides[d - 1] = target.strides[d];
+        if (!mul_into(target.strides[d - 1], target.shape[d])) {
+          return kOverflow;
+        }
+      }
+    }
+    try {
+      if (counts_) {
+        result_.counts.reads.resize(header.layouts.size());
+        result_.counts.writes.resize(header.layouts.size());
+        for (std::size_t c = 0; c < header.layouts.size(); ++c) {
+          const auto elements =
+              static_cast<std::size_t>(header.layouts[c].total_elements());
+          result_.counts.reads[c].assign(elements, 0);
+          result_.counts.writes[c].assign(elements, 0);
+        }
+      }
+      for (const ir::State& state : sdfg.states()) {
+        if (const char* reason = count_state(state)) return reason;
+      }
+    } catch (const std::exception&) {
+      return "closed form: an expression does not evaluate under the binding";
+    }
+    if (counts_) {
+      for (std::size_t c = 0; c < targets_.size(); ++c) {
+        if (targets_[c].read_boxes) {
+          prefix_sum(targets_[c], result_.counts.reads[c]);
+        }
+        if (targets_[c].write_boxes) {
+          prefix_sum(targets_[c], result_.counts.writes[c]);
+        }
+      }
+    }
+    return nullptr;
+  }
+
+ private:
+  std::int64_t eval(const Expr& e) const { return e.evaluate(binding_); }
+
+  const char* count_state(const ir::State& state) {
+    // Throws where the simulator's schedule does (a dataflow cycle).
+    schedule_ = ir::StateSchedule(state);
+    // The simulator resolves every memlet's container up front.
+    for (const Edge& edge : state.edges()) {
+      if (edge.memlet.is_empty()) continue;
+      if (result_.container_index(edge.memlet.data) < 0) {
+        return "closed form: memlet names an unknown container";
+      }
+      if (state.node(edge.src).kind == NodeKind::Access &&
+          state.node(edge.dst).kind == NodeKind::Access) {
+        return "closed form: access-node copy";
+      }
+    }
+    // Every map is entered, tasklets or not, so a bound the simulator
+    // would fail on declines here too.
+    for (const Node& node : state.nodes()) {
+      if (node.kind != NodeKind::MapEntry && node.kind != NodeKind::Tasklet) {
+        continue;
+      }
+      Scope scope;
+      bool runs = true;
+      if (const char* reason = enter_scope(state, node, scope, runs)) {
+        return reason;
+      }
+      if (!runs || node.kind != NodeKind::Tasklet) continue;
+      std::int64_t executions = 1;
+      for (const Loop& loop : scope.loops) {
+        if (!mul_into(executions, loop.trips)) {
+          return kOverflow;
+        }
+      }
+      if (!add_into(result_.executions, executions)) {
+        return kOverflow;
+      }
+      for (const Edge* edge : schedule_.in_adjacency[node.id]) {
+        if (edge->memlet.is_empty()) continue;
+        if (const char* reason = add_memlet(scope, edge->memlet, false)) {
+          return reason;
+        }
+      }
+      for (const Edge* edge : schedule_.out_adjacency[node.id]) {
+        if (edge->memlet.is_empty()) continue;
+        if (const char* reason = add_memlet(scope, edge->memlet, true)) {
+          return reason;
+        }
+      }
+    }
+    return nullptr;
+  }
+
+  // Collects the loops enclosing `node` (and, for a MapEntry, its own).
+  // `runs` turns false when some map on the way has no trips or the
+  // node sits outside any executed scope.
+  const char* enter_scope(const ir::State& state, const Node& node,
+                          Scope& scope, bool& runs) {
+    std::vector<NodeId> chain;
+    if (node.kind == NodeKind::MapEntry) chain.push_back(node.id);
+    for (NodeId parent = node.scope_parent; parent != ir::kNoNode;
+         parent = state.node(parent).scope_parent) {
+      if (chain.size() > state.num_nodes()) {
+        return "closed form: scope nesting is cyclic";
+      }
+      if (state.node(parent).kind != NodeKind::MapEntry) {
+        runs = false;  // The simulator's scope walk never reaches it.
+        return nullptr;
+      }
+      chain.push_back(parent);
+    }
+    for (std::size_t i = chain.size(); i-- > 0 && runs;) {
+      if (const char* reason = enter_map(state.node(chain[i]).map, scope,
+                                         runs)) {
+        return reason;
+      }
+    }
+    return nullptr;
+  }
+
+  // Appends the map's dimensions to `scope`. Bounds see only outer
+  // parameters in the simulator, and the map's own parameters are
+  // unbound while its bounds evaluate; a bound that reads any of them is
+  // outside the rule (tiled or triangular maps, or an unbound read the
+  // simulator reports itself). A dimension with no trips turns `runs`
+  // false: the simulator evaluates nothing after it (later dimensions,
+  // inner maps, memlets), and neither does the counter.
+  const char* enter_map(const ir::MapInfo& info, Scope& scope, bool& runs) {
+    if (info.params.size() != info.ranges.size()) {
+      return "closed form: map parameters and ranges differ in number";
+    }
+    const std::size_t first = scope.loops.size();
+    for (const std::string& param : info.params) {
+      scope.loops.push_back({symbolic::intern_symbol(param), 0, 0});
+    }
+    for (std::size_t d = 0; d < info.ranges.size(); ++d) {
+      const ir::Range& range = info.ranges[d];
+      if (scope.reads_loop(range.begin) || scope.reads_loop(range.end) ||
+          scope.reads_loop(range.step)) {
+        return "closed form: map range reads a map parameter";
+      }
+      Loop& loop = scope.loops[first + d];
+      loop.begin = eval(range.begin);
+      loop.trips = eval(range.end);
+      if (eval(range.step) != 1) return "closed form: map step is not 1";
+      if (loop.trips < loop.begin) {
+        runs = false;
+        return nullptr;
+      }
+      if (!sub_into(loop.trips, loop.begin) || !add_into(loop.trips, 1)) {
+        return kOverflow;
+      }
+    }
+    return nullptr;
+  }
+
+  // `e` == p + c for one loop parameter p (coefficient 1) and a rest c
+  // that reads no loop parameter: returns p's loop index and c's value,
+  // or -1 (also when c overflows).
+  int split_offset(const Scope& scope, const Expr& e,
+                   std::int64_t& offset) const {
+    if (e.is_symbol()) {
+      offset = 0;
+      return scope.resolve(e.symbol_id());
+    }
+    if (e.kind() != ExprKind::Add) return -1;
+    int loop = -1;
+    offset = 0;
+    for (const Expr& term : e.operands()) {
+      const int k = term.is_symbol() ? scope.resolve(term.symbol_id()) : -1;
+      if (k >= 0 && loop < 0) {
+        loop = k;
+      } else if (scope.reads_loop(term) || !add_into(offset, eval(term))) {
+        return -1;
+      }
+    }
+    return loop;
+  }
+
+  const char* add_memlet(const Scope& scope, const ir::Memlet& memlet,
+                         bool is_write) {
+    const int container = result_.container_index(memlet.data);
+    Target& target = targets_[static_cast<std::size_t>(container)];
+    const std::size_t rank = target.shape.size();
+    if (memlet.subset.ranges.size() != rank) {
+      return "closed form: subset rank differs from the container's";
+    }
+    std::vector<char> used(scope.loops.size(), 0);
+    lo_.assign(rank, 0);
+    hi_.assign(rank, 0);
+    std::int64_t volume = 1;
+    for (std::size_t d = 0; d < rank; ++d) {
+      const ir::Range& range = memlet.subset.ranges[d];
+      if (scope.reads_loop(range.step)) {
+        return "closed form: subset step reads a map parameter";
+      }
+      if (!scope.reads_loop(range.begin) && !scope.reads_loop(range.end)) {
+        const std::int64_t begin = eval(range.begin);
+        const std::int64_t end = eval(range.end);
+        const std::int64_t step = eval(range.step);
+        if (step < 1) return "closed form: subset step is not positive";
+        // The simulator's odometer emits `begin` alone unless a step
+        // fits between begin and end (end < begin included).
+        std::int64_t span = end;
+        const bool several =
+            end > begin && (!sub_into(span, begin) || span >= step);
+        if (several && step != 1) {
+          return "closed form: strided subset dimension";
+        }
+        lo_[d] = begin;
+        hi_[d] = several ? end : begin;
+      } else {
+        std::int64_t begin = 0;
+        std::int64_t end = 0;
+        const int loop = split_offset(scope, range.begin, begin);
+        if (loop < 0 || split_offset(scope, range.end, end) != loop) {
+          return "closed form: subset dimension is not param + constant";
+        }
+        const std::int64_t step = eval(range.step);
+        if (step < 1) return "closed form: subset step is not positive";
+        std::int64_t span = end;
+        if (end > begin && (!sub_into(span, begin) || span >= step)) {
+          return "closed form: subset spans several elements along a map "
+                 "parameter";
+        }
+        if (used[static_cast<std::size_t>(loop)]) {
+          return "closed form: a map parameter indexes two subset dimensions";
+        }
+        used[static_cast<std::size_t>(loop)] = 1;
+        const Loop& l = scope.loops[static_cast<std::size_t>(loop)];
+        lo_[d] = begin;
+        if (!add_into(lo_[d], l.begin)) return kOutside;
+        hi_[d] = lo_[d];
+        if (!add_into(hi_[d], l.trips - 1)) return kOutside;
+      }
+      if (lo_[d] < 0 || hi_[d] >= target.shape[d]) return kOutside;
+      if (!mul_into(volume, hi_[d] - lo_[d] + 1)) {
+        return kOverflow;
+      }
+    }
+    std::int64_t weight = 1;
+    for (std::size_t k = 0; k < scope.loops.size(); ++k) {
+      if (!used[k] && !mul_into(weight, scope.loops[k].trips)) {
+        return kOverflow;
+      }
+    }
+    const bool wcr_read =
+        is_write && memlet.wcr != ir::Wcr::None && options_.wcr_reads;
+    std::int64_t events = weight;
+    if (!mul_into(events, volume) || !mul_into(events, wcr_read ? 2 : 1) ||
+        !add_into(result_.events, events)) {
+      return kOverflow;
+    }
+    if (counts_) {
+      const auto c = static_cast<std::size_t>(container);
+      if (!is_write || wcr_read) {
+        scatter_box(target, result_.counts.reads[c], weight);
+        target.read_boxes = true;
+      }
+      if (is_write) {
+        scatter_box(target, result_.counts.writes[c], weight);
+        target.write_boxes = true;
+      }
+    }
+    return nullptr;
+  }
+
+  // Adds `weight` over the box [lo_, hi_] to a difference array: +/-
+  // weight at each of the 2^rank corners (lo or hi + 1 per dimension,
+  // sign flipping per hi + 1). Corners past the end of a dimension are
+  // dropped; the prefix sums never carry them into the array.
+  void scatter_box(const Target& target, std::vector<std::int64_t>& delta,
+                   std::int64_t weight) const {
+    const std::size_t rank = target.shape.size();
+    for (std::size_t mask = 0; mask < (std::size_t{1} << rank); ++mask) {
+      std::int64_t flat = 0;
+      std::int64_t signed_weight = weight;
+      bool inside = true;
+      for (std::size_t d = 0; d < rank && inside; ++d) {
+        std::int64_t index = lo_[d];
+        if (mask & (std::size_t{1} << d)) {
+          index = hi_[d] + 1;
+          signed_weight = -signed_weight;
+          inside = index < target.shape[d];
+        }
+        flat += index * target.strides[d];
+      }
+      if (inside) delta[static_cast<std::size_t>(flat)] += signed_weight;
+    }
+  }
+
+  // One inclusive prefix-sum pass per dimension turns the difference
+  // array into per-element counts.
+  static void prefix_sum(const Target& target,
+                         std::vector<std::int64_t>& counts) {
+    const std::size_t total = counts.size();
+    for (std::size_t d = 0; d < target.shape.size(); ++d) {
+      const auto inner = static_cast<std::size_t>(target.strides[d]);
+      const std::size_t extent = static_cast<std::size_t>(target.shape[d]);
+      const std::size_t block = inner * extent;
+      for (std::size_t base = 0; base < total; base += block) {
+        for (std::size_t k = 1; k < extent; ++k) {
+          std::int64_t* row = counts.data() + base + k * inner;
+          const std::int64_t* previous = row - inner;
+          for (std::size_t t = 0; t < inner; ++t) row[t] += previous[t];
+        }
+      }
+    }
+  }
+
+  SymbolBinding binding_;
+  const SimulationOptions& options_;
+  bool counts_;
+  PipelineResult& result_;
+  std::vector<Target> targets_;
+  ir::StateSchedule schedule_;
+  std::vector<std::int64_t> lo_;
+  std::vector<std::int64_t> hi_;
+};
+
+}  // namespace
+
+const char* closed_form_counts(const Sdfg& sdfg, const SymbolMap& symbols,
+                               const SimulationOptions& options, bool counts,
+                               PipelineResult& result) {
+  return Counter(symbols, options, counts, result).run(sdfg, symbols);
+}
+
+}  // namespace dmv::sim::detail

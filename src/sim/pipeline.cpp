@@ -13,6 +13,7 @@
 #include "dmv/par/par.hpp"
 #include "dmv/sim/trace_plan.hpp"
 #include "dmv/store/trace_store.hpp"
+#include "closed_form_counts.hpp"
 #include "metric_detail.hpp"
 #include "metric_merge.hpp"
 
@@ -109,6 +110,27 @@ class WindowSink final : public EventSink {
   std::vector<std::uint8_t> writes_;
   std::int64_t executions_ = 0;
 };
+
+// A config with no per-event consumer (no distances, no exact cache)
+// asks the closed-form counter first. Returns nullptr when the counter
+// answered into `result` — no simulation, the counter's time as metric
+// time, one partition — and otherwise why it did not: the counter's
+// decline, or "" for configs it never serves.
+const char* try_closed_form(const PipelineConfig& config, const Sdfg& sdfg,
+                            const SymbolMap& symbols,
+                            const SimulationOptions& options,
+                            PipelineResult& result, PhaseTimings& timings) {
+  if (config.needs_distances() || config.cache) return "";
+  const auto start = Clock::now();
+  const char* reason =
+      detail::closed_form_counts(sdfg, symbols, options, config.counts, result);
+  if (reason) {
+    result = PipelineResult{};  // Frees partial counts before simulating.
+  } else {
+    timings = {0.0, ms_since(start), 1};
+  }
+  return reason;
+}
 
 }  // namespace
 
@@ -236,9 +258,13 @@ void MetricPipeline::generate(const Sdfg& sdfg, const SymbolMap& symbols,
 PipelineResult MetricPipeline::run(const Sdfg& sdfg, const SymbolMap& symbols,
                                    const SimulationOptions& options) {
   arena_->ckpt_valid = false;
+  PipelineResult result;
+  if (!try_closed_form(config_, sdfg, symbols, options, result, timings_)) {
+    return result;
+  }
   generate(sdfg, symbols, options);
   const auto finish_start = Clock::now();
-  PipelineResult result = arena_->engine.finish(arena_->trace.executions);
+  result = arena_->engine.finish(arena_->trace.executions);
   timings_.metrics_ms += ms_since(finish_start);
   maybe_spill();
   return result;
@@ -248,10 +274,14 @@ PipelineResult MetricPipeline::run_streaming(const Sdfg& sdfg,
                                              const SymbolMap& symbols,
                                              const SimulationOptions& options) {
   arena_->ckpt_valid = false;
+  PipelineResult result;
+  if (!try_closed_form(config_, sdfg, symbols, options, result, timings_)) {
+    return result;
+  }
   const auto start = Clock::now();
   WindowSink sink(config_, arena_->engine);
   simulate_stream(sdfg, symbols, sink, options, &arena_->trace_arena);
-  PipelineResult result = arena_->engine.finish(sink.executions());
+  result = arena_->engine.finish(sink.executions());
   // Streaming interleaves generation and consumption; the breakdown
   // collapses into simulate_ms (see PhaseTimings).
   timings_ = {ms_since(start), 0.0, arena_->engine.partitions()};
@@ -529,6 +559,18 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
                                          DeltaOutcome* outcome_out) {
   ArenaState& arena = *arena_;
   DeltaOutcome outcome;
+  PipelineResult counted;
+  // A counts-only step that still simulates reports why the counter
+  // declined instead of the delta engine's own reason.
+  const char* declined =
+      try_closed_form(config_, sdfg, symbols, options, counted, timings_);
+  if (!declined) {
+    // Nothing was simulated, so there is no trace to checkpoint.
+    arena.ckpt_valid = false;
+    outcome.path = DeltaOutcome::Path::kClosedForm;
+    if (outcome_out) *outcome_out = outcome;
+    return counted;
+  }
   outcome.reason = "no checkpoint";
   const std::uint64_t options_fp = fingerprint(options);
 
@@ -554,6 +596,9 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
         outcome.reason = "delta step failed";
       }
       if (warm) {
+        if (*declined && outcome.path == DeltaOutcome::Path::kChunkDelta) {
+          outcome.reason = declined;
+        }
         maybe_spill();
         if (outcome_out) *outcome_out = outcome;
         return result;
@@ -564,6 +609,7 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
   // Cold path: simulate and feed the whole trace, then arm the
   // checkpoint on the engine state that leaves behind.
   outcome.path = DeltaOutcome::Path::kCold;
+  if (*declined) outcome.reason = declined;
   arena.ckpt_valid = false;
   generate(sdfg, symbols, options);
   const auto snapshot_start = Clock::now();

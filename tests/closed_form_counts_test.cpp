@@ -1,0 +1,305 @@
+// Closed-form counts tests.
+//
+// A counts-only MetricPipeline (no distances, no exact cache) answers
+// from translated boxes instead of a trace whenever the program fits the
+// box rule (docs/simulation.md, "Closed-form counts"). Its contract is
+// the pipeline's: every result equals the standalone passes over
+// simulate()'s trace, field by field, through run(sdfg), run_streaming
+// and run_delta at any thread count. Programs outside the rule must
+// still match through the simulator and name why the counter declined,
+// and bindings the simulator rejects must throw exactly what it throws.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <exception>
+#include <string>
+#include <typeinfo>
+#include <vector>
+
+#include "dmv/builder/program_builder.hpp"
+#include "dmv/par/par.hpp"
+#include "dmv/sim/pipeline.hpp"
+#include "dmv/sim/sim.hpp"
+#include "dmv/transforms/transforms.hpp"
+#include "dmv/workloads/workloads.hpp"
+#include "standalone_reference.hpp"
+
+namespace dmv::sim {
+namespace {
+
+using symbolic::SymbolMap;
+
+PipelineConfig counts_only() { return PipelineConfig{}; }
+
+// Every drive at threads {1, 8} against the standalone passes over the
+// simulated trace. `declined` == nullptr: the counter must answer every
+// drive (no trace, no simulation time); otherwise run_delta must report
+// a cold step with exactly that decline reason.
+void check(const ir::Sdfg& sdfg, const SymbolMap& binding,
+           const char* declined, const std::string& name,
+           const SimulationOptions& options = {},
+           const PipelineConfig& config = counts_only()) {
+  const PipelineResult expected =
+      standalone_result(simulate(sdfg, binding, options), config);
+  for (const int threads : {1, 8}) {
+    par::ThreadScope scope(threads);
+    const std::string context = name + " threads " + std::to_string(threads);
+    MetricPipeline materialized(config);
+    expect_results_equal(materialized.run(sdfg, binding, options), expected,
+                         context + " run(sdfg)");
+    MetricPipeline streaming(config);
+    expect_results_equal(streaming.run_streaming(sdfg, binding, options),
+                         expected, context + " run_streaming");
+    MetricPipeline delta(config);
+    DeltaOutcome outcome;
+    expect_results_equal(delta.run_delta(sdfg, 1, binding, options, &outcome),
+                         expected, context + " run_delta");
+    if (declined == nullptr) {
+      EXPECT_EQ(outcome.path, DeltaOutcome::Path::kClosedForm) << context;
+      EXPECT_STREQ(outcome.reason, "") << context;
+      EXPECT_EQ(delta.last_timings().simulate_ms, 0.0) << context;
+      EXPECT_EQ(delta.last_timings().partitions, 1) << context;
+      // No trace was ever generated.
+      EXPECT_EQ(materialized.event_storage_bytes(), 0u) << context;
+      EXPECT_EQ(delta.event_storage_bytes(), 0u) << context;
+    } else {
+      EXPECT_EQ(outcome.path, DeltaOutcome::Path::kCold) << context;
+      EXPECT_STREQ(outcome.reason, declined) << context;
+    }
+  }
+}
+
+// Single-map program: B[i] = A[<read subset>] over i in `range`.
+ir::Sdfg one_map(const std::string& range, const std::string& read_subset,
+                 const std::vector<std::string>& a_shape = {"N"}) {
+  builder::ProgramBuilder p("one_map");
+  p.symbols({"N", "M"});
+  p.array("A", a_shape);
+  p.array("B", {"N"});
+  p.state("s");
+  p.mapped_tasklet("t", {{"i", range}}, {{"a", "A", read_subset}}, "b = a",
+                   {{"b", "B", "i"}});
+  return p.take();
+}
+
+// --- Programs the counter accepts -------------------------------------
+
+TEST(ClosedFormCounts, HdiffVariants) {
+  for (const auto variant :
+       {workloads::HdiffVariant::Baseline, workloads::HdiffVariant::Reshaped,
+        workloads::HdiffVariant::Reordered, workloads::HdiffVariant::Padded}) {
+    const ir::Sdfg sdfg = workloads::hdiff(variant);
+    const std::string name =
+        "hdiff variant " + std::to_string(static_cast<int>(variant));
+    check(sdfg, {{"I", 8}, {"J", 8}, {"K", 4}}, nullptr, name);
+    check(sdfg, {{"I", 12}, {"J", 10}, {"K", 3}}, nullptr, name + " wide");
+  }
+}
+
+TEST(ClosedFormCounts, BertStages) {
+  for (const auto stage : {workloads::BertStage::Baseline,
+                           workloads::BertStage::Fused1,
+                           workloads::BertStage::Fused2}) {
+    check(workloads::bert_encoder(stage), workloads::bert_small(), nullptr,
+          "bert stage " + std::to_string(static_cast<int>(stage)));
+  }
+}
+
+TEST(ClosedFormCounts, MatmulWithAndWithoutWcrReads) {
+  for (const bool wcr_reads : {false, true}) {
+    SimulationOptions options;
+    options.wcr_reads = wcr_reads;
+    check(workloads::matmul(), workloads::matmul_fig5(), nullptr,
+          wcr_reads ? "matmul wcr_reads" : "matmul", options);
+  }
+}
+
+TEST(ClosedFormCounts, OuterProduct) {
+  check(workloads::outer_product(), workloads::outer_product_fig3(), nullptr,
+        "outer_product");
+}
+
+TEST(ClosedFormCounts, WcrIntoOneElementArray) {
+  builder::ProgramBuilder p("wcr_scalar");
+  p.symbols({"N"});
+  p.array("A", {"N"});
+  p.array("S", {"1"});
+  p.state("s");
+  p.mapped_tasklet("sum", {{"i", "0:N-1"}}, {{"a", "A", "i"}}, "s = a",
+                   {{"s", "S", "0", ir::Wcr::Sum}});
+  const ir::Sdfg sdfg = p.take();
+  for (const bool wcr_reads : {false, true}) {
+    SimulationOptions options;
+    options.wcr_reads = wcr_reads;
+    check(sdfg, {{"N", 37}}, nullptr,
+          wcr_reads ? "wcr scalar wcr_reads" : "wcr scalar", options);
+  }
+}
+
+TEST(ClosedFormCounts, NestedRectangularMaps) {
+  builder::ProgramBuilder p("nested");
+  p.symbols({"N", "M"});
+  p.array("A", {"M"});
+  p.array("B", {"N", "M"});
+  p.array("C", {"N"});
+  p.state("s");
+  p.begin_map("outer", {{"i", "1:N-1"}});
+  p.mapped_tasklet("inner", {{"j", "0:M-1"}}, {{"a", "A", "j"}}, "b = a",
+                   {{"b", "B", "i, j"}});
+  // A whole row of A per point: a box that reads no map parameter.
+  p.mapped_tasklet("row", {{"k", "0:2"}}, {{"a", "A", "1:M-1"}}, "c = a",
+                   {{"c", "C", "i"}});
+  p.end_map();
+  check(p.take(), {{"N", 9}, {"M", 7}}, nullptr, "nested maps");
+}
+
+TEST(ClosedFormCounts, ZeroTripMap) {
+  // M = 0: the map runs no iteration, so its memlets are never
+  // evaluated — not even the one that would leave A.
+  check(one_map("0:M-1", "i + 100"), {{"N", 8}, {"M", 0}}, nullptr,
+        "zero-trip map");
+}
+
+TEST(ClosedFormCounts, SubsetEndBeforeBegin) {
+  // "i, 3:1": the simulator's odometer emits (i, 3) once per point.
+  check(one_map("0:N-1", "i, 3:1", {"N", "4"}), {{"N", 6}}, nullptr,
+        "end < begin");
+  // "i, 1:2:4": the step overshoots the end, so only (i, 1) is emitted.
+  check(one_map("0:N-1", "i, 1:2:4", {"N", "4"}), {{"N", 6}}, nullptr,
+        "step past end");
+}
+
+TEST(ClosedFormCounts, EventsAndExecutionsWithoutCounts) {
+  PipelineConfig config;
+  config.counts = false;
+  check(workloads::hdiff(workloads::HdiffVariant::Baseline),
+        {{"I", 8}, {"J", 8}, {"K", 4}}, nullptr, "no counts", {}, config);
+}
+
+// --- Programs outside the rule ----------------------------------------
+
+TEST(ClosedFormCounts, Conv2dDeclines) {
+  check(workloads::conv2d(), workloads::conv2d_fig4(),
+        "closed form: subset dimension is not param + constant", "conv2d");
+}
+
+TEST(ClosedFormCounts, TiledMatmulDeclines) {
+  ir::Sdfg sdfg = workloads::matmul();
+  ir::State& state = sdfg.states()[0];
+  ir::NodeId entry = ir::kNoNode;
+  for (const ir::Node& node : state.nodes()) {
+    if (node.kind == ir::NodeKind::MapEntry) entry = node.id;
+  }
+  transforms::tile_map(state, entry, "i", 3);
+  check(sdfg, {{"M", 12}, {"N", 8}, {"K", 6}},
+        "closed form: map range reads a map parameter", "tiled matmul");
+}
+
+TEST(ClosedFormCounts, AccessCopiesDecline) {
+  builder::ProgramBuilder p("copies");
+  p.symbols({"N"});
+  p.array("A", {"N", "N"});
+  p.array("B", {"N", "N"});
+  p.state("s");
+  p.copy("A", "1:N-1, 0:N-1", "B", "0:N-2, 0:N-1");
+  check(p.take(), {{"N", 12}}, "closed form: access-node copy", "copies");
+}
+
+TEST(ClosedFormCounts, StridedSubsetDeclines) {
+  check(one_map("0:N-1", "i, 0:3:2", {"N", "4"}), {{"N", 6}},
+        "closed form: strided subset dimension", "0:3:2");
+}
+
+TEST(ClosedFormCounts, WindowAlongParameterDeclines) {
+  const char* reason =
+      "closed form: subset spans several elements along a map parameter";
+  check(one_map("0:N-3", "i:i+2"), {{"N", 10}}, reason, "i:i+2 window");
+
+  // A warm step that splices the checkpoint names the decline too.
+  const ir::Sdfg window = one_map("0:M-1", "i:i+2");
+  MetricPipeline pipeline(counts_only());
+  pipeline.run_delta(window, 1, {{"N", 9000}, {"M", 4000}});
+  const SymbolMap longer{{"N", 9000}, {"M", 8000}};
+  DeltaOutcome outcome;
+  expect_results_equal(
+      pipeline.run_delta(window, 1, longer, {}, &outcome),
+      standalone_result(simulate(window, longer), counts_only()),
+      "window chunk delta");
+  EXPECT_EQ(outcome.path, DeltaOutcome::Path::kChunkDelta);
+  EXPECT_STREQ(outcome.reason, reason);
+}
+
+// --- Parameter shadowing ----------------------------------------------
+
+TEST(ClosedFormCounts, NestedMapReusingOuterParameter) {
+  // The inner map rebinds i; the sibling map after it sees the outer i.
+  builder::ProgramBuilder p("shadowed_param");
+  p.symbols({"N", "M"});
+  p.array("A", {"N"});
+  p.array("B", {"M"});
+  p.array("C", {"N", "2"});
+  p.state("s");
+  p.begin_map("outer", {{"i", "0:N-1"}});
+  p.mapped_tasklet("shadow", {{"i", "0:M-1"}}, {{"b", "B", "i"}}, "o = b",
+                   {{"o", "B", "i"}});
+  p.mapped_tasklet("after", {{"k", "0:1"}}, {{"a", "A", "i"}}, "o = a",
+                   {{"o", "C", "i, k"}});
+  p.end_map();
+  check(p.take(), {{"N", 6}, {"M", 9}}, nullptr, "nested shadow");
+}
+
+TEST(ClosedFormCounts, MapParameterNamedLikeProgramSymbol) {
+  // The map parameter N shadows the program symbol N inside the map:
+  // A[N] walks 0..M-1, while A's extent still reads the bound N.
+  builder::ProgramBuilder p("param_named_like_symbol");
+  p.symbols({"N", "M"});
+  p.array("A", {"N"});
+  p.array("B", {"N"});
+  p.state("s");
+  p.mapped_tasklet("t", {{"N", "0:M-1"}}, {{"a", "A", "N"}}, "b = a",
+                   {{"b", "B", "N"}});
+  check(p.take(), {{"N", 8}, {"M", 5}}, nullptr, "parameter N over 0:M-1");
+}
+
+// --- Error parity -----------------------------------------------------
+
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& error) {
+    return std::string(typeid(error).name()) + ": " + error.what();
+  }
+  return "no exception";
+}
+
+void expect_same_error(const ir::Sdfg& sdfg, const SymbolMap& binding,
+                       const std::string& name) {
+  const std::string expected = error_of([&] { simulate(sdfg, binding); });
+  ASSERT_NE(expected, "no exception") << name;
+  for (const int threads : {1, 8}) {
+    par::ThreadScope scope(threads);
+    MetricPipeline pipeline(counts_only());
+    EXPECT_EQ(error_of([&] { pipeline.run(sdfg, binding); }), expected)
+        << name << " run(sdfg)";
+    EXPECT_EQ(error_of([&] { pipeline.run_streaming(sdfg, binding); }),
+              expected)
+        << name << " run_streaming";
+    EXPECT_EQ(error_of([&] { pipeline.run_delta(sdfg, 1, binding); }),
+              expected)
+        << name << " run_delta";
+  }
+}
+
+TEST(ClosedFormCounts, ErrorsMatchTheSimulator) {
+  const ir::Sdfg hdiff = workloads::hdiff(workloads::HdiffVariant::Baseline);
+  expect_same_error(hdiff, {{"I", 8}, {"J", 8}}, "unbound symbol");
+  expect_same_error(hdiff, {{"I", -10}, {"J", 8}, {"K", 4}},
+                    "non-positive extent");
+  expect_same_error(one_map("0:N-1", "i + 1"), {{"N", 8}},
+                    "out-of-bounds subset");
+}
+
+}  // namespace
+}  // namespace dmv::sim

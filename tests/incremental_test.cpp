@@ -487,6 +487,40 @@ TEST(IncrementalSessionTest, StepClassificationCounters) {
   EXPECT_EQ(stats.steps_chunk_delta, 2);
   EXPECT_EQ(stats.steps_full_hit, 1);
   EXPECT_EQ(stats.steps_symbolic, 1);
+
+  // Counts only: the closed-form counter answers every step of an hdiff
+  // drag, so nothing is simulated and each step is symbolic.
+  session::SessionConfig counts_only = delta_session_config();
+  counts_only.pipeline = PipelineConfig{};
+  session::Session drag(fixed_cap_hdiff(), counts_only);
+  drag.set_binding(cap_binding(6));
+  drag.metrics();
+  for (const std::int64_t k : {7, 8, 5}) {
+    drag.set_symbol("K", k);
+    drag.metrics();
+  }
+  const session::SessionStats drag_stats = drag.stats();
+  EXPECT_EQ(drag_stats.steps_symbolic, 4);
+  EXPECT_EQ(drag_stats.steps_cold, 0);
+  EXPECT_EQ(drag_stats.steps_chunk_delta, 0);
+  EXPECT_EQ(drag_stats.simulate_ms, 0.0);
+  EXPECT_GT(drag_stats.metrics_ms, 0.0);
+
+  // conv2d's input dimensions are sums of two parameters (y + ky), so its
+  // counts-only step still simulates cold and says why.
+  session::Session conv(workloads::conv2d(), counts_only);
+  conv.set_binding(workloads::conv2d_fig4());
+  conv.metrics();
+  const session::SessionStats conv_stats = conv.stats();
+  EXPECT_EQ(conv_stats.steps_cold, 1);
+  EXPECT_EQ(conv_stats.steps_symbolic, 0);
+  MetricPipeline pipeline{PipelineConfig{}};
+  DeltaOutcome outcome;
+  pipeline.run_delta(workloads::conv2d(), 1, workloads::conv2d_fig4(), {},
+                     &outcome);
+  EXPECT_EQ(outcome.path, DeltaOutcome::Path::kCold);
+  EXPECT_STREQ(outcome.reason,
+               "closed form: subset dimension is not param + constant");
 }
 
 TEST(IncrementalSessionTest, ClosedFormMatchesMetricsAndIsCached) {

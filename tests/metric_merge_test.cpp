@@ -114,11 +114,20 @@ TEST(MetricMerge, SerialVsWorkersBitIdentityMatmul) {
 }
 
 // Consumer subsets through every drive: configs without distances skip
-// phase A, configs without a cache skip the set partitions.
+// phase A, configs without a cache skip the set partitions. hdiff's
+// counts-only drives are answered in closed form; conv2d's (y + ky
+// input dimensions) still feed the engine's count tally.
 TEST(MetricMerge, ConsumerSubsetsThroughEveryDrive) {
-  const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
-  const symbolic::SymbolMap binding{{"I", 16}, {"J", 16}, {"K", 4}};
-  const AccessTrace trace = simulate(sdfg, binding);
+  struct Input {
+    const char* name;
+    ir::Sdfg sdfg;
+    symbolic::SymbolMap binding;
+  };
+  const Input inputs[] = {
+      {"hdiff", workloads::hdiff(workloads::HdiffVariant::Baseline),
+       {{"I", 16}, {"J", 16}, {"K", 4}}},
+      {"conv2d", workloads::conv2d(), workloads::conv2d_fig4()},
+  };
   PipelineConfig counts_only;
   PipelineConfig cache_only;
   cache_only.counts = false;
@@ -126,18 +135,25 @@ TEST(MetricMerge, ConsumerSubsetsThroughEveryDrive) {
   PipelineConfig misses_only;
   misses_only.counts = false;
   misses_only.miss_threshold_lines = 16;
-  for (const PipelineConfig& config : {counts_only, cache_only, misses_only}) {
-    const PipelineResult expected = standalone_result(trace, config);
-    for (const int threads : {1, 8}) {
-      par::ThreadScope scope(threads);
-      const std::string context = "threads " + std::to_string(threads);
-      MetricPipeline pipeline(config);
-      expect_results_equal(pipeline.run(trace), expected, context);
-      expect_results_equal(pipeline.run(sdfg, binding), expected, context);
-      expect_results_equal(pipeline.run_streaming(sdfg, binding), expected,
-                           context);
-      expect_results_equal(pipeline.run_delta(sdfg, 1, binding), expected,
-                           context);
+  for (const Input& input : inputs) {
+    const AccessTrace trace = simulate(input.sdfg, input.binding);
+    for (const PipelineConfig& config :
+         {counts_only, cache_only, misses_only}) {
+      const PipelineResult expected = standalone_result(trace, config);
+      for (const int threads : {1, 8}) {
+        par::ThreadScope scope(threads);
+        const std::string context =
+            std::string(input.name) + " threads " + std::to_string(threads);
+        MetricPipeline pipeline(config);
+        expect_results_equal(pipeline.run(trace), expected, context);
+        expect_results_equal(pipeline.run(input.sdfg, input.binding),
+                             expected, context);
+        expect_results_equal(
+            pipeline.run_streaming(input.sdfg, input.binding), expected,
+            context);
+        expect_results_equal(pipeline.run_delta(input.sdfg, 1, input.binding),
+                             expected, context);
+      }
     }
   }
 }

@@ -143,6 +143,28 @@ TEST(ServeProtocolTest, StepWithBadParamsReportsBadRequest) {
   EXPECT_EQ(bad_type.at("error").at("code").as_string(), "bad_request");
 }
 
+TEST(ServeProtocolTest, StepWithInvalidBindingReportsBadBinding) {
+  Server server;
+  server.handle(open_request("a", "hdiff"));
+  // K left unbound: hdiff's extents and map ranges read it.
+  const Value unbound = parse_line(
+      server.handle("{\"id\":1,\"method\":\"step\",\"params\":"
+                    "{\"session\":\"a\",\"binding\":{\"I\":8,\"J\":8}}}"));
+  EXPECT_EQ(unbound.at("error").at("code").as_string(), "bad_binding")
+      << dmv::json::dump(unbound);
+  // I = -10 makes in_field's first extent (I + 4) non-positive.
+  const Value negative = parse_line(server.handle(
+      "{\"id\":2,\"method\":\"step\",\"params\":{\"session\":\"a\","
+      "\"binding\":{\"I\":-10,\"J\":8,\"K\":4}}}"));
+  EXPECT_EQ(negative.at("error").at("code").as_string(), "bad_binding")
+      << dmv::json::dump(negative);
+  // The session stays usable.
+  const Value good = parse_line(server.handle(
+      "{\"id\":3,\"method\":\"step\",\"params\":{\"session\":\"a\","
+      "\"binding\":{\"I\":8,\"J\":8,\"K\":4}}}"));
+  EXPECT_TRUE(good.has("result")) << dmv::json::dump(good);
+}
+
 TEST(ServeProtocolTest, SubscribeRebuildsSessionPreservingBinding) {
   Server server;
   server.handle(open_request("a", "hdiff"));
