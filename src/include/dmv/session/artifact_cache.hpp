@@ -60,15 +60,19 @@ struct ArtifactKeyHash {
   std::size_t operator()(const ArtifactKey& key) const;
 };
 
-/// Serializer pair for one artifact kind, consumed by the optional disk
+/// Serializer for one artifact kind, consumed by the optional disk
 /// tier. encode() must be exact — decode(encode(x)) reproduces a
 /// bit-identical artifact, extending the determinism contract to disk.
 /// decode() returns null on malformed bytes; the tier treats that as a
-/// miss. Plain function pointers: a codec is registered once in Config
-/// and must not capture state.
+/// miss. bytes() is the decoded artifact's in-memory size: a promoted
+/// disk hit is charged that, the same figure producers pass to
+/// insert(), never its (compressed) payload size. The disk read path
+/// needs both decode and bytes. Plain function pointers: a codec is
+/// registered once in Config and must not capture state.
 struct ArtifactCodec {
   std::string (*encode)(const void* artifact) = nullptr;
   std::shared_ptr<const void> (*decode)(const std::string& bytes) = nullptr;
+  std::size_t (*bytes)(const void* artifact) = nullptr;
 };
 
 /// Counters over all shards, cumulative since construction. A snapshot
@@ -121,8 +125,9 @@ class SharedArtifactCache {
 
   /// Returns the cached value and refreshes its LRU position, or
   /// nullptr on miss. On a hit, `*bytes_out` (when non-null) receives
-  /// the payload size recorded at insert — sessions use it to account
-  /// the entry when promoting it into their local LRU.
+  /// the entry's charge — the size passed to insert(), or for a
+  /// promoted disk hit the codec's in-memory bytes() — which sessions
+  /// use to account the entry when promoting it into their local LRU.
   std::shared_ptr<const void> lookup(const ArtifactKey& key,
                                      std::size_t* bytes_out = nullptr);
 

@@ -7,7 +7,7 @@
 // One file per artifact under the cache directory, named by the 64-bit
 // FNV-1a hash of the canonical key encoding (16 hex digits + ".dmva").
 // Each file embeds the FULL canonical key and an FNV-1a checksum over
-// key + payload ("DMVA" v1):
+// key + payload ("DMVA" v2):
 //
 //   magic "DMVA" | u32 version | u64 key_size | key bytes |
 //   u64 payload_size | payload bytes | u64 checksum
@@ -20,6 +20,14 @@
 // partial files. Artifact keys hash process-independently (program
 // content hash, config fingerprint, restricted binding values), which
 // is what makes warm starts across restarts work at all.
+//
+// The metrics payload ("DMVR", same version) writes every per-element
+// vector frame-of-reference bit packed — u64 count | u8 width | i64 base
+// | packed bytes, with base = min and width the smallest power of two
+// in 1..64 bits holding max - min — so a count vector costs 1 to 4 bits
+// per element instead of 64. A file of another version (v1 wrote raw
+// int64 vectors) fails the version check and takes the corrupt-file
+// path: deleted, counted in dropped_corrupt, recomputed.
 //
 // docs/storage.md covers the lifecycle (population, eviction by oldest
 // mtime past the byte budget, corruption recovery); docs/serving.md
@@ -37,7 +45,7 @@
 
 namespace dmv::store {
 
-inline constexpr std::uint32_t kArtifactFormatVersion = 1;
+inline constexpr std::uint32_t kArtifactFormatVersion = 2;
 
 /// Canonical byte encoding of an ArtifactKey (kind, aux, program hash,
 /// config hash, sorted binding). Stable across processes and hosts —
@@ -96,17 +104,20 @@ class DiskArtifactCache {
 };
 
 /// Exact binary round trip for the metrics bundle: every field of
-/// PipelineResult is integral, so decode(encode(r)) == r bit for bit
-/// and serve-layer checksums are stable across a disk round trip.
+/// PipelineResult is integral and every vector is packed losslessly, so
+/// decode(encode(r)) == r bit for bit and serve-layer checksums are
+/// stable across a disk round trip.
 std::string encode_pipeline_result(const sim::PipelineResult& result);
 
 /// Null when `bytes` is not a valid encoding (wrong magic/version,
-/// truncation, checksum mismatch).
+/// truncation, a packed width that is not a power of two in 1..64, a
+/// count the remaining bytes cannot hold, checksum mismatch).
 std::shared_ptr<const sim::PipelineResult> decode_pipeline_result(
     const std::string& bytes);
 
 /// The (kind = session::metrics_artifact_kind()) codec registration for
-/// SharedArtifactCache::Config::codecs.
+/// SharedArtifactCache::Config::codecs; its `bytes` is
+/// sim::approx_size_bytes, the charge computed artifacts take too.
 session::ArtifactCodec pipeline_result_codec();
 
 }  // namespace dmv::store

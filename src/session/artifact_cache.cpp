@@ -106,16 +106,22 @@ std::shared_ptr<const void> SharedArtifactCache::lookup(
   }
   // RAM miss: probe the persistent tier (outside the shard lock — disk
   // I/O must not serialize unrelated keys). A decode failure is a miss;
-  // a hit is promoted into the RAM shard WITHOUT writing back to disk.
+  // a hit is promoted into the RAM shard WITHOUT writing back to disk,
+  // charged its in-memory size like a computed artifact (the packed
+  // payload is many times smaller than what the RAM tiers hold).
   if (!disk_) return nullptr;
   const ArtifactCodec* codec = codec_for(key.kind);
-  if (codec == nullptr || codec->decode == nullptr) return nullptr;
+  if (codec == nullptr || codec->decode == nullptr ||
+      codec->bytes == nullptr) {
+    return nullptr;
+  }
   std::string payload;
   if (!disk_->load(key, payload)) return nullptr;
   std::shared_ptr<const void> value = codec->decode(payload);
   if (value == nullptr) return nullptr;
-  insert_ram(key, value, payload.size());
-  if (bytes_out) *bytes_out = payload.size();
+  const std::size_t bytes = codec->bytes(value.get());
+  insert_ram(key, value, bytes);
+  if (bytes_out) *bytes_out = bytes;
   return value;
 }
 

@@ -245,15 +245,12 @@ DiskArtifactCache::Stats DiskArtifactCache::stats() const {
 
 namespace {
 
-void put_i64_vector(std::string& out, const std::vector<std::int64_t>& values) {
-  detail::put_u64(out, values.size());
-  detail::put_i64_array(out, values.data(), values.size());
-}
-
 void put_nested_i64(std::string& out,
                     const std::vector<std::vector<std::int64_t>>& rows) {
   detail::put_u64(out, rows.size());
-  for (const std::vector<std::int64_t>& row : rows) put_i64_vector(out, row);
+  for (const std::vector<std::int64_t>& row : rows) {
+    detail::put_packed_i64s(out, row);
+  }
 }
 
 void put_miss_stats(std::string& out, const sim::MissStats& stats) {
@@ -262,23 +259,15 @@ void put_miss_stats(std::string& out, const sim::MissStats& stats) {
   detail::put_i64(out, stats.hits);
 }
 
-// Nested sizes are sanity-bounded against the remaining input so a
-// corrupt length cannot trigger a pathological allocation before the
-// truncation check fires.
-std::vector<std::int64_t> get_i64_vector(ByteReader& reader) {
-  const std::uint64_t count = reader.u64();
-  if (count > reader.remaining() / 8) reader.fail("vector overruns input");
-  std::vector<std::int64_t> values(static_cast<std::size_t>(count));
-  reader.i64_array(values.data(), values.size());
-  return values;
-}
-
+// Nested sizes are sanity-bounded against the remaining input (and
+// packed vectors by ByteReader::packed_i64s) so a corrupt length cannot
+// trigger a pathological allocation before the truncation check fires.
 std::vector<std::vector<std::int64_t>> get_nested_i64(ByteReader& reader) {
   const std::uint64_t count = reader.u64();
   if (count > reader.remaining()) reader.fail("nested vector overruns input");
   std::vector<std::vector<std::int64_t>> rows(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    rows[static_cast<std::size_t>(i)] = get_i64_vector(reader);
+    rows[static_cast<std::size_t>(i)] = reader.packed_i64s();
   }
   return rows;
 }
@@ -307,7 +296,7 @@ std::string encode_pipeline_result(const sim::PipelineResult& result) {
   put_nested_i64(out, result.counts.reads);
   put_nested_i64(out, result.counts.writes);
   detail::put_i64(out, result.distances.line_size);
-  put_i64_vector(out, result.distances.distances);
+  detail::put_packed_i64s(out, result.distances.distances);
   detail::put_i64(out, result.misses.threshold_lines);
   detail::put_u64(out, result.misses.per_container.size());
   for (const sim::MissStats& stats : result.misses.per_container) {
@@ -317,10 +306,10 @@ std::string encode_pipeline_result(const sim::PipelineResult& result) {
   put_miss_stats(out, result.misses.total);
   detail::put_u64(out, result.element_stats.size());
   for (const sim::ElementDistanceStats& stats : result.element_stats) {
-    put_i64_vector(out, stats.min);
-    put_i64_vector(out, stats.median);
-    put_i64_vector(out, stats.max);
-    put_i64_vector(out, stats.cold_count);
+    detail::put_packed_i64s(out, stats.min);
+    detail::put_packed_i64s(out, stats.median);
+    detail::put_packed_i64s(out, stats.max);
+    detail::put_packed_i64s(out, stats.cold_count);
   }
   detail::put_i64(out, result.cache.config.line_size);
   detail::put_i64(out, result.cache.config.total_size);
@@ -331,7 +320,7 @@ std::string encode_pipeline_result(const sim::PipelineResult& result) {
   }
   put_miss_stats(out, result.cache.total);
   detail::put_i64(out, result.movement.line_size);
-  put_i64_vector(out, result.movement.bytes_per_container);
+  detail::put_packed_i64s(out, result.movement.bytes_per_container);
   detail::put_i64(out, result.movement.total_bytes);
   // Trailing checksum over everything before it — lets the codec stand
   // alone (the disk cache file adds its own whole-file checksum on top).
@@ -362,7 +351,7 @@ std::shared_ptr<const sim::PipelineResult> decode_pipeline_result(
     result->counts.reads = get_nested_i64(reader);
     result->counts.writes = get_nested_i64(reader);
     result->distances.line_size = static_cast<int>(reader.i64());
-    result->distances.distances = get_i64_vector(reader);
+    result->distances.distances = reader.packed_i64s();
     result->misses.threshold_lines = reader.i64();
     const std::uint64_t miss_containers = reader.u64();
     if (miss_containers > reader.remaining()) return nullptr;
@@ -378,10 +367,10 @@ std::shared_ptr<const sim::PipelineResult> decode_pipeline_result(
     result->element_stats.resize(
         static_cast<std::size_t>(element_stat_count));
     for (auto& stats : result->element_stats) {
-      stats.min = get_i64_vector(reader);
-      stats.median = get_i64_vector(reader);
-      stats.max = get_i64_vector(reader);
-      stats.cold_count = get_i64_vector(reader);
+      stats.min = reader.packed_i64s();
+      stats.median = reader.packed_i64s();
+      stats.max = reader.packed_i64s();
+      stats.cold_count = reader.packed_i64s();
     }
     result->cache.config.line_size = static_cast<int>(reader.i64());
     result->cache.config.total_size = reader.i64();
@@ -395,7 +384,7 @@ std::shared_ptr<const sim::PipelineResult> decode_pipeline_result(
     }
     result->cache.total = get_miss_stats(reader);
     result->movement.line_size = static_cast<int>(reader.i64());
-    result->movement.bytes_per_container = get_i64_vector(reader);
+    result->movement.bytes_per_container = reader.packed_i64s();
     result->movement.total_bytes = reader.i64();
     if (reader.position() != body_size) return nullptr;
     const std::uint64_t stored_checksum = reader.u64();
@@ -421,10 +410,15 @@ std::shared_ptr<const void> codec_decode(const std::string& bytes) {
   return decode_pipeline_result(bytes);
 }
 
+std::size_t codec_bytes(const void* artifact) {
+  return sim::approx_size_bytes(
+      *static_cast<const sim::PipelineResult*>(artifact));
+}
+
 }  // namespace
 
 session::ArtifactCodec pipeline_result_codec() {
-  return {&codec_encode, &codec_decode};
+  return {&codec_encode, &codec_decode, &codec_bytes};
 }
 
 }  // namespace dmv::store
