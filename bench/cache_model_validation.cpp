@@ -9,7 +9,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/viz/render.hpp"
 #include "dmv/workloads/workloads.hpp"
 
@@ -45,23 +45,30 @@ int main() {
       "Cache-model validation (paper §V-F): fully-associative stack-"
       "distance prediction vs exact set-associative LRU simulation.\n"
       "Cache sizes span a scaled L1 (64-256 lines = 4-16 KiB).\n\n");
+  // One engine run per consumer setting: a threshold prediction or one
+  // exact cache geometry.
+  auto run = [&](const sim::AccessTrace& trace,
+                 sim::PipelineConfig config) {
+    config.line_size = line_size;
+    config.counts = false;
+    return sim::MetricPipeline(config).run(trace);
+  };
   dmv::viz::TextTable table({"workload", "cache lines", "predicted",
                              "1-way", "2-way", "4-way", "8-way",
                              "max error"});
   for (Workload& workload : workloads) {
     sim::AccessTrace trace = sim::simulate(workload.sdfg, workload.params);
-    sim::StackDistanceResult distances =
-        sim::stack_distances(trace, line_size);
     for (std::int64_t lines : {64, 128, 256}) {
       const std::int64_t predicted =
-          sim::classify_misses(trace, distances, lines).total.misses();
+          run(trace, {.miss_threshold_lines = lines}).misses.total.misses();
       std::vector<std::string> row{workload.name, std::to_string(lines),
                                    std::to_string(predicted)};
       double max_error = 0;
       for (int ways : {1, 2, 4, 8}) {
-        sim::CacheConfig config{line_size, lines * line_size, ways};
         const std::int64_t truth =
-            sim::simulate_cache(trace, config).total.misses();
+            run(trace, {.cache = sim::CacheConfig{line_size,
+                                                  lines * line_size, ways}})
+                .cache.total.misses();
         row.push_back(std::to_string(truth));
         max_error = std::max(
             max_error, std::abs(double(predicted) - double(truth)) /
@@ -84,13 +91,11 @@ int main() {
   sim::AccessTrace trace = sim::simulate(
       dmv::workloads::hdiff(dmv::workloads::HdiffVariant::Baseline),
       dmv::workloads::hdiff_local());
-  sim::StackDistanceResult distances =
-      sim::stack_distances(trace, line_size);
   dmv::viz::TextTable sweep({"threshold [lines]", "cold", "capacity",
                              "hits"});
   for (std::int64_t threshold : {2, 4, 8, 16, 32, 64, 128}) {
-    sim::MissReport report =
-        sim::classify_misses(trace, distances, threshold);
+    const sim::MissReport report =
+        run(trace, {.miss_threshold_lines = threshold}).misses;
     sweep.add_row({std::to_string(threshold),
                    std::to_string(report.total.cold),
                    std::to_string(report.total.capacity),

@@ -9,7 +9,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/viz/render.hpp"
 #include "dmv/workloads/workloads.hpp"
 
@@ -52,7 +52,7 @@ int main() {
   std::printf(
       "Fig 4b: access-count distribution, 3-channel 9x9 -> 2-channel "
       "6x6.\n");
-  sim::AccessCounts counts = sim::count_accesses(trace);
+  const sim::AccessCounts counts = sim::MetricPipeline().run(trace).counts;
   const int input = trace.container_id("input");
   const int output = trace.container_id("output");
   std::vector<std::int64_t> input_counts = counts.total(input);

@@ -11,7 +11,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/viz/render.hpp"
 #include "dmv/workloads/workloads.hpp"
 
@@ -72,11 +72,16 @@ int main() {
 
   // ---- Fig 5b.
   std::printf("\nFig 5b: median reuse distances (32 B lines).\n");
-  sim::StackDistanceResult distances = sim::stack_distances(trace, 32);
+  const sim::PipelineResult locality =
+      sim::MetricPipeline(sim::PipelineConfig{.line_size = 32,
+                                              .counts = false,
+                                              .keep_distances = true,
+                                              .element_stats = true})
+          .run(trace);
   for (const char* name : {"A", "B"}) {
     const int container = trace.container_id(name);
-    sim::ElementDistanceStats stats =
-        sim::element_distance_stats(trace, distances, container);
+    const sim::ElementDistanceStats& stats =
+        locality.element_stats[container];
     std::vector<double> heat(stats.median.size());
     std::vector<double> finite;
     for (std::int64_t d : stats.median) {
@@ -99,7 +104,7 @@ int main() {
   const std::int64_t probe_flat =
       trace.layouts[a].flat_index(std::vector<std::int64_t>{3, 6});
   sim::DistanceHistogram histogram =
-      sim::distance_histogram(trace, distances, a, probe_flat);
+      sim::distance_histogram(trace, locality.distances, a, probe_flat);
   std::printf(
       "  A[3,6]: %zu finite-distance accesses, %lld cold miss(es); "
       "min=%lld max=%lld\n",
@@ -125,12 +130,14 @@ int main() {
   dmv::ir::Sdfg conv = dmv::workloads::conv2d();
   sim::AccessTrace conv_trace =
       sim::simulate(conv, dmv::workloads::conv2d_fig4());
-  sim::StackDistanceResult conv_distances =
-      sim::stack_distances(conv_trace, 64);
-  sim::MissReport report =
-      sim::classify_misses(conv_trace, conv_distances, 32);
-  sim::MovementEstimate movement =
-      sim::physical_movement(conv_trace, report, 64);
+  const sim::PipelineResult conv_local =
+      sim::MetricPipeline(sim::PipelineConfig{.line_size = 64,
+                                              .counts = false,
+                                              .miss_threshold_lines = 32,
+                                              .movement = true})
+          .run(conv_trace);
+  const sim::MissReport& report = conv_local.misses;
+  const sim::MovementEstimate& movement = conv_local.movement;
   viz::TextTable table(
       {"container", "accesses", "cold", "capacity", "est. bytes moved"});
   for (std::size_t c = 0; c < conv_trace.containers.size(); ++c) {

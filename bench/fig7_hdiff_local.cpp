@@ -8,7 +8,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/viz/render.hpp"
 #include "dmv/workloads/workloads.hpp"
 
@@ -52,12 +52,15 @@ int main() {
         HdiffVariant::Reordered, HdiffVariant::Padded}) {
     dmv::ir::Sdfg sdfg = dmv::workloads::hdiff(variant);
     sim::AccessTrace trace = sim::simulate(sdfg, params);
-    sim::StackDistanceResult distances =
-        sim::stack_distances(trace, line_size);
-    sim::MissReport report =
-        sim::classify_misses(trace, distances, threshold_lines);
-    sim::MovementEstimate movement =
-        sim::physical_movement(trace, report, line_size);
+    const sim::PipelineResult local =
+        sim::MetricPipeline(
+            sim::PipelineConfig{.line_size = line_size,
+                                .counts = false,
+                                .miss_threshold_lines = threshold_lines,
+                                .movement = true})
+            .run(trace);
+    const sim::MissReport& report = local.misses;
+    const sim::MovementEstimate& movement = local.movement;
     const int in_field = trace.container_id("in_field");
     table.add_row({variant_name(variant),
                    std::to_string(report.total.accesses()),

@@ -3,7 +3,8 @@
 // recompute the derived metrics, redraw). For each workload we run a
 // slider sweep of several bindings; each binding executes the full
 // bind -> simulate -> stack distance -> access counts -> element
-// distance stats -> miss classification pipeline.
+// distance stats -> miss classification pipeline, through the metric
+// engine (MetricPipeline).
 //
 // Measured configurations:
 //   * serial scalar engine (threads = 1, lane_width = 1) — the baseline
@@ -13,20 +14,18 @@
 //     against the scalar engine per binding;
 //   * trace generation alone, 1 thread vs chunk-parallel at the
 //     hardware thread count;
-//   * the serial pipeline sweep at 2 / 8 / hardware threads, parallel
-//     across bindings — the interactive-rate configuration (skipped and
-//     recorded as such when the machine has a single hardware thread);
-//   * pipeline ablation: the same metric set as separate passes
-//     (unfused), through MetricPipeline over a materialized trace
-//     (fused), and through MetricPipeline in streaming mode (no event
-//     vector) — all serial, all checksum-validated against each other;
-//   * stack-distance algorithm ablation: naive O(n^2) list scan vs the
-//     Fenwick-tree Olken pass on a size-capped trace;
-//   * metrics breakdown: the mergeable parallel metric engine vs the
-//     standalone passes, per consumer (counts / distances / misses /
-//     element_stats / cache) and for the full set, full-result
-//     fingerprint-gated, with a thread-scaling series (or an explicit
-//     skip record on a 1-core runner);
+//   * pipeline modes: MetricPipeline over a materialized trace and in
+//     streaming mode (no event vector), 1 thread, checksum-validated
+//     against each other, plus the metric engine alone over
+//     pre-simulated traces;
+//   * the same materialized sweep at 1 / 2 / 8 / hardware threads — the
+//     interactive-rate configuration, speedups against the 1-thread run
+//     (skipped and recorded as such when the machine has a single
+//     hardware thread);
+//   * metrics breakdown: the metric engine per consumer (counts /
+//     distances / misses / element_stats / cache) and for the full set,
+//     with a thread-scaling series gated on full-result fingerprints
+//     (or an explicit skip record on a 1-core runner);
 //   * closed-form counts: a counts-only MetricPipeline::run(sdfg),
 //     answered from translated boxes without a trace, vs simulate +
 //     run(trace) over the same bindings, fingerprint-gated;
@@ -38,14 +37,16 @@
 // Results go to stdout and to BENCH_sweep.json (machine readable).
 // Speedups are reported against the serial (1-thread) configuration of
 // the same engine; the hardware thread count is recorded so a 1-core
-// runner's numbers are not mistaken for a scaling ceiling.
+// runner's numbers are not mistaken for a scaling ceiling. The metric
+// engine's agreement with an independent serial oracle is a ctest
+// (MetricMerge, Pipeline), not a series here.
 //
 // `--smoke`: tiny workload, no timing, no JSON — runs every identity
-// gate and exits nonzero on the first mismatch: unfused == fused ==
+// gate and exits nonzero on the first mismatch: materialized ==
 // streaming == session, 1-thread == 8-thread trace, W=4/8 == W=1 trace,
 // delta recompute == cold, trace store and artifact codec round trips,
-// metric engine == standalone passes, closed-form counts == simulated
-// counts.
+// metric engine at 8 threads == 1 thread, closed-form counts ==
+// simulated counts.
 
 #include <algorithm>
 #include <chrono>
@@ -74,9 +75,9 @@ using dmv::sim::SimulationOptions;
 using dmv::symbolic::SymbolMap;
 
 // One workload's slider sweep. The binding list is derived ONCE from
-// (base, symbol, values) in make_case, so every configuration — unfused,
-// fused, streaming, thread-scaled, and the session sweep — measures the
-// exact same slider positions.
+// (base, symbol, values) in make_case, so every configuration —
+// materialized, streaming, thread-scaled, and the session sweep —
+// measures the exact same slider positions.
 struct SweepCase {
   std::string name;
   dmv::ir::Sdfg sdfg;
@@ -102,7 +103,7 @@ SweepCase make_case(std::string name, dmv::ir::Sdfg sdfg, SymbolMap base,
 
 // The metric set every configuration computes; checksums keep the
 // pipeline honest (nothing optimized away) and let configurations
-// cross-validate: every engine/thread count/fusion mode must agree.
+// cross-validate: every engine/thread count/pipeline mode must agree.
 dmv::sim::PipelineConfig bench_config() {
   dmv::sim::PipelineConfig config;
   config.line_size = 64;
@@ -110,37 +111,6 @@ dmv::sim::PipelineConfig bench_config() {
   config.miss_threshold_lines = 512;
   config.element_stats = true;
   return config;
-}
-
-// The unfused metric set over an existing trace (no simulation).
-std::int64_t run_metrics_unfused(const AccessTrace& trace) {
-  const auto distances = dmv::sim::stack_distances(trace, 64);
-  const auto counts = dmv::sim::count_accesses(trace);
-  const auto report = dmv::sim::classify_misses(trace, distances, 512);
-  std::int64_t checksum = report.total.misses() + trace.executions;
-  for (std::size_t c = 0; c < trace.layouts.size(); ++c) {
-    const auto stats = dmv::sim::element_distance_stats(
-        trace, distances, static_cast<int>(c));
-    for (std::int64_t cold : stats.cold_count) checksum += cold;
-    for (std::int64_t count : counts.reads[c]) checksum += count;
-  }
-  return checksum;
-}
-
-std::int64_t run_pipeline(const dmv::ir::Sdfg& sdfg, const SymbolMap& binding,
-                          const SimulationOptions& options) {
-  const AccessTrace trace = dmv::sim::simulate(sdfg, binding, options);
-  const auto distances = dmv::sim::stack_distances(trace, 64);
-  const auto counts = dmv::sim::count_accesses(trace);
-  const auto report = dmv::sim::classify_misses(trace, distances, 512);
-  std::int64_t checksum = report.total.misses() + trace.executions;
-  for (std::size_t c = 0; c < trace.layouts.size(); ++c) {
-    const auto stats = dmv::sim::element_distance_stats(
-        trace, distances, static_cast<int>(c));
-    for (std::int64_t cold : stats.cold_count) checksum += cold;
-    for (std::int64_t count : counts.reads[c]) checksum += count;
-  }
-  return checksum;
 }
 
 std::int64_t pipeline_checksum(const dmv::sim::PipelineResult& result) {
@@ -154,9 +124,9 @@ std::int64_t pipeline_checksum(const dmv::sim::PipelineResult& result) {
   return checksum;
 }
 
-// Fused sweep: ONE MetricPipeline across all bindings, so the arena
-// (trace columns, line table, Fenwick, per-element scratch) is
-// allocated once and reused at every slider position.
+// The sweep through ONE MetricPipeline across all bindings, so the
+// arena (trace columns, line columns, Fenwick trees, per-element
+// scratch) is allocated once and reused at every slider position.
 std::int64_t run_fused(const SweepCase& sweep,
                        const SimulationOptions& options, bool streaming) {
   dmv::sim::MetricPipeline pipeline(bench_config());
@@ -215,33 +185,16 @@ std::int64_t run_trace_generation(const SweepCase& sweep,
   return total;
 }
 
-std::int64_t run_sweep(const SweepCase& sweep,
-                       const SimulationOptions& options) {
-  std::vector<std::int64_t> checksums(sweep.bindings.size());
-  // Parallel across bindings; the nested metric passes fall back to
-  // serial inside pool tasks, so each binding's pipeline stays on one
-  // thread while bindings spread over the pool.
-  dmv::par::parallel_for(
-      sweep.bindings.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t b = begin; b < end; ++b) {
-          checksums[b] = run_pipeline(sweep.sdfg, sweep.bindings[b], options);
-        }
-      });
-  std::int64_t total = 0;
-  for (std::int64_t checksum : checksums) total += checksum;
-  return total;
-}
-
 // ---- metrics_breakdown ----------------------------------------------
 //
-// The metric engine vs the standalone passes, over pre-simulated traces
-// (no simulation cost in either series). Gated on an FNV-1a fingerprint
-// of EVERY PipelineResult field — a stronger check than the additive
-// checksums above, because the engine's merge order must reproduce the
-// standalone passes bit for bit, not just in aggregate. Measured per
-// consumer (counts / distances / misses / element_stats / cache) and
-// for the full consumer set; the full set also gets a thread-scaling
-// series (or an explicit skip record on a 1-core runner).
+// The metric engine over pre-simulated traces (no simulation cost),
+// per consumer (counts / distances / misses / element_stats / cache)
+// and for the full consumer set; the full set also gets a
+// thread-scaling series (or an explicit skip record on a 1-core
+// runner). Gated on an FNV-1a fingerprint of EVERY PipelineResult
+// field — a stronger check than the additive checksums above, because
+// the engine's merge order must reproduce the 1-thread result bit for
+// bit at any thread count, not just in aggregate.
 
 std::uint64_t fnv_fold(std::uint64_t hash, std::int64_t value) {
   hash ^= static_cast<std::uint64_t>(value);
@@ -308,58 +261,21 @@ dmv::sim::PipelineConfig breakdown_config() {
   return config;
 }
 
-// The standalone passes' result for one trace: the reference the
-// engine must reproduce (only the config's consumers are filled).
-dmv::sim::PipelineResult standalone_result(
-    const AccessTrace& trace, const dmv::sim::PipelineConfig& config) {
-  dmv::sim::PipelineResult result;
-  result.events = static_cast<std::int64_t>(trace.events.size());
-  result.executions = trace.executions;
-  result.containers = trace.containers;
-  if (config.counts) result.counts = dmv::sim::count_accesses(trace);
-  dmv::sim::StackDistanceResult distances;
-  if (config.needs_distances()) {
-    distances = dmv::sim::stack_distances(trace, config.line_size);
-  }
-  if (config.keep_distances) result.distances = distances;
-  if (config.miss_threshold_lines > 0) {
-    result.misses = dmv::sim::classify_misses(trace, distances,
-                                              config.miss_threshold_lines);
-  }
-  if (config.element_stats) {
-    for (std::size_t c = 0; c < trace.layouts.size(); ++c) {
-      result.element_stats.push_back(dmv::sim::element_distance_stats(
-          trace, distances, static_cast<int>(c)));
-    }
-  }
-  if (config.cache) {
-    result.cache = dmv::sim::simulate_cache(trace, *config.cache);
-  }
-  if (config.movement) {
-    result.movement =
-        dmv::sim::physical_movement(trace, result.misses, config.line_size);
-  }
-  return result;
-}
-
-// One consumer set over the pre-simulated traces, through the metric
-// engine (`engine`) or the standalone passes; returns the XOR of the
-// per-trace result fingerprints.
+// One consumer set over the pre-simulated traces through the metric
+// engine; returns the XOR of the per-trace result fingerprints.
 std::uint64_t run_metrics(const std::vector<AccessTrace>& traces,
-                          const dmv::sim::PipelineConfig& config,
-                          bool engine) {
+                          const dmv::sim::PipelineConfig& config) {
   dmv::sim::MetricPipeline pipeline(config);
   std::uint64_t hash = 0;
   for (const AccessTrace& trace : traces) {
-    hash ^= result_fingerprint(engine ? pipeline.run(trace)
-                                      : standalone_result(trace, config));
+    hash ^= result_fingerprint(pipeline.run(trace));
   }
   return hash;
 }
 
-// Fingerprint gate shared by the full run and --smoke: the engine at 1
-// and 8 (oversubscribed) threads must reproduce the standalone passes'
-// full result fingerprint for every consumer subset.
+// Fingerprint gate shared by the full run and --smoke: the engine at 8
+// (oversubscribed) threads must reproduce its 1-thread full result
+// fingerprint, for the headline consumer set and for the cache alone.
 bool validate_metric_merge(const SweepCase& sweep,
                            const SimulationOptions& options) {
   std::vector<AccessTrace> traces;
@@ -372,15 +288,16 @@ bool validate_metric_merge(const SweepCase& sweep,
   const dmv::sim::PipelineConfig configs[] = {breakdown_config(),
                                               cache_only};
   for (const dmv::sim::PipelineConfig& config : configs) {
-    const std::uint64_t reference =
-        run_metrics(traces, config, /*engine=*/false);
-    for (const int threads : {1, 8}) {
-      dmv::par::ThreadScope scope(threads);
-      if (run_metrics(traces, config, /*engine=*/true) != reference) {
-        std::cerr << "FATAL: metric engine fingerprint mismatch on "
-                  << sweep.name << " at " << threads << " threads\n";
-        return false;
-      }
+    std::uint64_t serial = 0;
+    {
+      dmv::par::ThreadScope scope(1);
+      serial = run_metrics(traces, config);
+    }
+    dmv::par::ThreadScope scope(8);
+    if (run_metrics(traces, config) != serial) {
+      std::cerr << "FATAL: metric engine fingerprint mismatch on "
+                << sweep.name << " at 8 threads vs 1\n";
+      return false;
     }
   }
   return true;
@@ -548,19 +465,19 @@ dmv::session::Session fresh_session(const SweepCase& sweep,
   return session;
 }
 
-// Fused-vs-unfused-vs-streaming checksum gate shared by the full run
-// and --smoke. Returns false (and prints) on divergence.
+// Materialized-vs-streaming-vs-session checksum gate shared by the
+// full run and --smoke. Returns false (and prints) on divergence.
 bool validate_ablation(const SweepCase& sweep,
                        const SimulationOptions& options) {
   dmv::par::set_num_threads(1);
-  const std::int64_t unfused = run_sweep(sweep, options);
-  const std::int64_t fused = run_fused(sweep, options, /*streaming=*/false);
+  const std::int64_t materialized =
+      run_fused(sweep, options, /*streaming=*/false);
   const std::int64_t streaming =
       run_fused(sweep, options, /*streaming=*/true);
-  if (unfused != fused || unfused != streaming) {
-    std::cerr << "FATAL: pipeline ablation mismatch on " << sweep.name
-              << ": unfused " << unfused << ", fused " << fused
-              << ", streaming " << streaming << "\n";
+  if (streaming != materialized) {
+    std::cerr << "FATAL: pipeline mode mismatch on " << sweep.name
+              << ": materialized " << materialized << ", streaming "
+              << streaming << "\n";
     return false;
   }
   // Session identity: cold (prefetching) and warm passes must both
@@ -570,9 +487,9 @@ bool validate_ablation(const SweepCase& sweep,
       fresh_session(sweep, options, /*prefetch=*/true);
   const std::int64_t session_cold = run_session_pass(session, sweep);
   const std::int64_t session_warm = run_session_pass(session, sweep);
-  if (session_cold != unfused || session_warm != unfused) {
+  if (session_cold != materialized || session_warm != materialized) {
     std::cerr << "FATAL: session sweep mismatch on " << sweep.name
-              << ": uncached " << unfused << ", session cold "
+              << ": uncached " << materialized << ", session cold "
               << session_cold << ", session warm " << session_warm << "\n";
     return false;
   }
@@ -730,12 +647,12 @@ int run_smoke() {
     if (!validate_metric_merge(sweep, options)) return 1;
     if (!validate_closed_form_counts(sweep, options)) return 1;
     std::cout << "smoke " << sweep.name
-              << ": unfused == fused == streaming == session, "
+              << ": materialized == streaming == session, "
               << "serial trace == parallel trace (8 threads), "
               << "batched trace (W=4/8) == scalar, "
               << "delta recompute == cold, "
               << "trace store round-trip == source, "
-              << "metric engine (1, 8 threads) == standalone passes, "
+              << "metric engine (8 threads) == 1 thread, "
               << "closed-form counts == simulated counts\n";
   }
   std::cout << "smoke OK\n";
@@ -786,8 +703,6 @@ int main(int argc, char** argv) {
     const Measurement sim_batched = measure(
         [&] { return run_simulate_only(sweep, options); }, repetitions);
     if (!validate_batched_trace(sweep, options)) return 1;
-    const Measurement serial_pipeline =
-        measure([&] { return run_sweep(sweep, options); }, repetitions);
     if (sim_scalar.checksum != sim_batched.checksum ||
         sim_scalar.checksum != sim_batched4.checksum) {
       std::cerr << "FATAL: lane-width mismatch on " << sweep.name << "\n";
@@ -819,39 +734,27 @@ int main(int argc, char** argv) {
     }
     std::cout << ")\n";
 
-    // Pipeline ablation: same metrics, same engine, 1 thread — the
-    // only variable is fusion/streaming.
+    // Pipeline modes: same metrics, same engine, 1 thread — the only
+    // variable is materialized vs streaming.
     const Measurement fused = measure(
         [&] { return run_fused(sweep, options, false); }, repetitions);
     const Measurement streaming = measure(
         [&] { return run_fused(sweep, options, true); }, repetitions);
-    if (fused.checksum != serial_pipeline.checksum ||
-        streaming.checksum != serial_pipeline.checksum) {
-      std::cerr << "FATAL: pipeline ablation mismatch on " << sweep.name
-                << "\n";
+    if (streaming.checksum != fused.checksum) {
+      std::cerr << "FATAL: pipeline mode mismatch on " << sweep.name << "\n";
       return 1;
     }
-    const double fused_speedup = serial_pipeline.best_ms / fused.best_ms;
     const double streaming_vs_materialized =
         fused.best_ms / streaming.best_ms;
 
-    // Metrics-only ablation: pre-simulated traces, so the ratio
-    // isolates pass fusion + arena reuse from the (identical)
-    // simulation cost that dominates the end-to-end numbers.
+    // Metrics only: pre-simulated traces, so the series isolates the
+    // engine from the simulation cost that dominates the end-to-end
+    // numbers.
     std::vector<AccessTrace> traces;
     traces.reserve(sweep.bindings.size());
     for (const SymbolMap& binding : sweep.bindings) {
       traces.push_back(dmv::sim::simulate(sweep.sdfg, binding, options));
     }
-    const Measurement metrics_unfused = measure(
-        [&] {
-          std::int64_t total = 0;
-          for (const AccessTrace& trace : traces) {
-            total += run_metrics_unfused(trace);
-          }
-          return total;
-        },
-        repetitions);
     const Measurement metrics_fused = measure(
         [&] {
           dmv::sim::MetricPipeline pipeline(bench_config());
@@ -862,84 +765,65 @@ int main(int argc, char** argv) {
           return total;
         },
         repetitions);
-    if (metrics_unfused.checksum != metrics_fused.checksum) {
-      std::cerr << "FATAL: metrics-only ablation mismatch on " << sweep.name
+    if (metrics_fused.checksum != fused.checksum) {
+      std::cerr << "FATAL: metrics-only checksum mismatch on " << sweep.name
                 << "\n";
       return 1;
     }
-    const double metrics_fused_speedup =
-        metrics_unfused.best_ms / metrics_fused.best_ms;
 
-    // Metric engine breakdown: the standalone passes vs the engine, per
-    // consumer and for the full set, over the same pre-simulated traces.
-    // Full-result fingerprints gate every pair. Both headline series run
-    // at 1 thread, so the ratio isolates the engine's single-core wins
-    // (shared line derivation, flat LRU arrays, fissioned loops) from
-    // pool scaling, which gets its own series below.
+    // Metric engine breakdown: the engine per consumer and for the full
+    // set, over the same pre-simulated traces, at 1 thread.
     struct ConsumerSeries {
       const char* name;
       dmv::sim::PipelineConfig config;
-      Measurement standalone;
       Measurement engine;
     };
     std::vector<ConsumerSeries> breakdown;
     {
       dmv::sim::PipelineConfig counts_only;
-      breakdown.push_back({"counts", counts_only, {}, {}});
+      breakdown.push_back({"counts", counts_only, {}});
       dmv::sim::PipelineConfig distances_only;
       distances_only.counts = false;
       distances_only.keep_distances = true;
-      breakdown.push_back({"distances", distances_only, {}, {}});
+      breakdown.push_back({"distances", distances_only, {}});
       dmv::sim::PipelineConfig misses_only;
       misses_only.counts = false;
       misses_only.miss_threshold_lines = 512;
-      breakdown.push_back({"misses", misses_only, {}, {}});
+      breakdown.push_back({"misses", misses_only, {}});
       dmv::sim::PipelineConfig stats_only;
       stats_only.counts = false;
       stats_only.element_stats = true;
-      breakdown.push_back({"element_stats", stats_only, {}, {}});
+      breakdown.push_back({"element_stats", stats_only, {}});
       dmv::sim::PipelineConfig cache_only;
       cache_only.counts = false;
       cache_only.cache = dmv::sim::CacheConfig{};
-      breakdown.push_back({"cache", cache_only, {}, {}});
-      breakdown.push_back({"all", breakdown_config(), {}, {}});
+      breakdown.push_back({"cache", cache_only, {}});
+      breakdown.push_back({"all", breakdown_config(), {}});
     }
     dmv::par::set_num_threads(1);
     for (ConsumerSeries& series : breakdown) {
-      series.standalone = measure(
-          [&] {
-            return static_cast<std::int64_t>(
-                run_metrics(traces, series.config, /*engine=*/false));
-          },
-          repetitions);
       series.engine = measure(
           [&] {
             return static_cast<std::int64_t>(
-                run_metrics(traces, series.config, /*engine=*/true));
+                run_metrics(traces, series.config));
           },
           repetitions);
-      if (series.standalone.checksum != series.engine.checksum) {
-        std::cerr << "FATAL: metrics_breakdown fingerprint mismatch on "
-                  << sweep.name << " consumer " << series.name << "\n";
-        return 1;
-      }
     }
     const ConsumerSeries& breakdown_all = breakdown.back();
-    const double breakdown_speedup =
-        breakdown_all.standalone.best_ms / breakdown_all.engine.best_ms;
     // Multi-core scaling of the full consumer set (engine partitions
-    // track the knob); recorded as skipped on a 1-core runner.
+    // track the knob), fingerprint-gated against the 1-thread run;
+    // recorded as skipped on a 1-core runner.
     std::vector<std::pair<int, Measurement>> breakdown_threads;
     if (hardware > 1) {
       for (const int threads : {2, 8}) {
         dmv::par::set_num_threads(threads);
         const Measurement at_threads = measure(
             [&] {
-              return static_cast<std::int64_t>(run_metrics(
-                  traces, breakdown_all.config, /*engine=*/true));
+              return static_cast<std::int64_t>(
+                  run_metrics(traces, breakdown_all.config));
             },
             repetitions);
-        if (at_threads.checksum != breakdown_all.standalone.checksum) {
+        if (at_threads.checksum != breakdown_all.engine.checksum) {
           std::cerr << "FATAL: metrics_breakdown thread mismatch on "
                     << sweep.name << " at " << threads << " threads\n";
           return 1;
@@ -1070,21 +954,16 @@ int main(int argc, char** argv) {
               << " ms, W=4 " << sim_batched4.best_ms << " ms, W=8 "
               << sim_batched.best_ms << " ms  (" << batched_speedup
               << "x vs scalar)\n";
-    std::cout << "  pipeline (serial): " << serial_pipeline.best_ms
-              << " ms\n";
-    std::cout << "  ablation: unfused " << serial_pipeline.best_ms
-              << " ms, fused " << fused.best_ms << " ms ("
-              << fused_speedup << "x), streaming " << streaming.best_ms
-              << " ms (" << streaming_vs_materialized << "x vs fused)\n";
-    std::cout << "  metrics only: unfused " << metrics_unfused.best_ms
-              << " ms, fused " << metrics_fused.best_ms << " ms ("
-              << metrics_fused_speedup << "x)\n";
-    std::cout << "  metrics breakdown (1 thread, fingerprint-gated):";
+    std::cout << "  pipeline (1 thread): materialized " << fused.best_ms
+              << " ms, streaming " << streaming.best_ms << " ms ("
+              << streaming_vs_materialized << "x vs materialized)\n";
+    std::cout << "  metrics only: " << metrics_fused.best_ms << " ms\n";
+    std::cout << "  metrics breakdown (1 thread):";
     for (const ConsumerSeries& series : breakdown) {
-      std::cout << " " << series.name << " " << series.standalone.best_ms
-                << "->" << series.engine.best_ms << " ms";
+      std::cout << " " << series.name << " " << series.engine.best_ms
+                << " ms";
     }
-    std::cout << "  (all: " << breakdown_speedup << "x)\n";
+    std::cout << "\n";
     if (breakdown_threads.empty()) {
       std::cout << "  metrics breakdown scaling: skipped (1 hardware "
                    "thread)\n";
@@ -1123,8 +1002,6 @@ int main(int argc, char** argv) {
     json << "        \"w8_ms\": " << sim_batched.best_ms << ",\n";
     json << "        \"checksum_identical\": true\n";
     json << "      },\n";
-    json << "      \"serial_pipeline_ms\": " << serial_pipeline.best_ms
-         << ",\n";
     json << "      \"trace_generation\": {\n";
     json << "        \"serial_ms\": " << trace_serial.best_ms << ",\n";
     json << "        \"parallel_ms\": " << trace_parallel.best_ms << ",\n";
@@ -1137,17 +1014,11 @@ int main(int argc, char** argv) {
     }
     json << "\n      },\n";
     json << "      \"pipeline_ablation\": {\n";
-    json << "        \"unfused_ms\": " << serial_pipeline.best_ms << ",\n";
     json << "        \"fused_ms\": " << fused.best_ms << ",\n";
     json << "        \"streaming_ms\": " << streaming.best_ms << ",\n";
-    json << "        \"fused_speedup\": " << fused_speedup << ",\n";
     json << "        \"streaming_vs_materialized\": "
          << streaming_vs_materialized << ",\n";
-    json << "        \"metrics_unfused_ms\": " << metrics_unfused.best_ms
-         << ",\n";
     json << "        \"metrics_fused_ms\": " << metrics_fused.best_ms
-         << ",\n";
-    json << "        \"metrics_fused_speedup\": " << metrics_fused_speedup
          << "\n";
     json << "      },\n";
     json << "      \"metrics_breakdown\": {\n";
@@ -1155,19 +1026,12 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < breakdown.size(); ++s) {
       const ConsumerSeries& series = breakdown[s];
       json << "          {\"name\": \"" << series.name
-           << "\", \"standalone_ms\": " << series.standalone.best_ms
-           << ", \"engine_ms\": " << series.engine.best_ms
-           << ", \"speedup\": "
-           << series.standalone.best_ms / series.engine.best_ms << "}"
+           << "\", \"engine_ms\": " << series.engine.best_ms << "}"
            << (s + 1 < breakdown.size() ? "," : "") << "\n";
     }
     json << "        ],\n";
-    json << "        \"standalone_ms\": " << breakdown_all.standalone.best_ms
-         << ",\n";
     json << "        \"engine_ms\": " << breakdown_all.engine.best_ms
          << ",\n";
-    json << "        \"speedup\": " << breakdown_speedup << ",\n";
-    json << "        \"fingerprint_identical\": true,\n";
     if (breakdown_threads.empty()) {
       json << "        \"thread_scaling\": \"skipped (1 hardware thread)\"\n";
     } else {
@@ -1217,14 +1081,14 @@ int main(int argc, char** argv) {
       for (std::size_t t = 0; t < thread_counts.size(); ++t) {
         const int threads = thread_counts[t];
         dmv::par::set_num_threads(threads);
-        const Measurement parallel =
-            measure([&] { return run_sweep(sweep, options); }, repetitions);
-        if (parallel.checksum != serial_pipeline.checksum) {
+        const Measurement parallel = measure(
+            [&] { return run_fused(sweep, options, false); }, repetitions);
+        if (parallel.checksum != fused.checksum) {
           std::cerr << "FATAL: parallel mismatch on " << sweep.name << " at "
                     << threads << " threads\n";
           return 1;
         }
-        const double speedup = serial_pipeline.best_ms / parallel.best_ms;
+        const double speedup = fused.best_ms / parallel.best_ms;
         std::cout << "  threads=" << threads << ": " << parallel.best_ms
                   << " ms  (" << speedup << "x vs serial)\n";
         json << "        {\"threads\": " << threads
@@ -1478,57 +1342,9 @@ int main(int argc, char** argv) {
            << ", \"ms\": " << ops.best_ms << "}"
            << (w + 1 < cases.size() ? "," : "") << "\n";
     }
-    json << "  ],\n";
+    json << "  ]\n}\n";
   }
 
-  // Stack-distance algorithm ablation on a size-capped trace (the naive
-  // pass is O(n^2); the cap keeps it to a fraction of a second while
-  // still dominating per-event overheads).
-  {
-    dmv::par::set_num_threads(1);
-    const dmv::ir::Sdfg sdfg =
-        dmv::workloads::hdiff(dmv::workloads::HdiffVariant::Baseline);
-    const AccessTrace full =
-        dmv::sim::simulate(sdfg, SymbolMap{{"I", 32}, {"J", 32}, {"K", 8}});
-    constexpr std::size_t kCap = 32768;
-    AccessTrace capped;
-    capped.containers = full.containers;
-    capped.layouts = full.layouts;
-    capped.executions = full.executions;
-    const std::size_t n = std::min(kCap, full.events.size());
-    capped.events.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      capped.events.push_back(full.events[i]);
-    }
-
-    const Measurement naive = measure(
-        [&] {
-          const auto result = dmv::sim::stack_distances_naive(capped, 64);
-          return static_cast<std::int64_t>(result.distances.size());
-        },
-        3);
-    const Measurement fenwick = measure(
-        [&] {
-          const auto result = dmv::sim::stack_distances(capped, 64);
-          return static_cast<std::int64_t>(result.distances.size());
-        },
-        3);
-    if (dmv::sim::stack_distances_naive(capped, 64).distances !=
-        dmv::sim::stack_distances(capped, 64).distances) {
-      std::cerr << "FATAL: stack-distance ablation mismatch\n";
-      return 1;
-    }
-    const double algorithmic_speedup = naive.best_ms / fenwick.best_ms;
-    std::cout << "stack distance (" << n << " events): naive "
-              << naive.best_ms << " ms, fenwick " << fenwick.best_ms
-              << " ms  (" << algorithmic_speedup << "x)\n";
-    json << "  \"stack_distance\": {\n";
-    json << "    \"events\": " << n << ",\n";
-    json << "    \"naive_ms\": " << naive.best_ms << ",\n";
-    json << "    \"fenwick_ms\": " << fenwick.best_ms << ",\n";
-    json << "    \"algorithmic_speedup\": " << algorithmic_speedup << "\n";
-    json << "  }\n}\n";
-  }
   std::cout << "wrote BENCH_sweep.json\n";
   return 0;
 }

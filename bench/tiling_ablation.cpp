@@ -6,7 +6,7 @@
 
 #include <cstdio>
 
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/transforms/transforms.hpp"
 #include "dmv/viz/render.hpp"
 #include "dmv/workloads/workloads.hpp"
@@ -44,12 +44,15 @@ int main() {
       dmv::transforms::tile_map(state, find_map(state), "k", tile);
     }
     sim::AccessTrace trace = sim::simulate(sdfg, params);
-    sim::StackDistanceResult distances =
-        sim::stack_distances(trace, line_size);
-    sim::MissReport report =
-        sim::classify_misses(trace, distances, threshold);
-    sim::MovementEstimate movement =
-        sim::physical_movement(trace, report, line_size);
+    const sim::PipelineResult local =
+        sim::MetricPipeline(
+            sim::PipelineConfig{.line_size = line_size,
+                                .counts = false,
+                                .miss_threshold_lines = threshold,
+                                .movement = true})
+            .run(trace);
+    const sim::MissReport& report = local.misses;
+    const sim::MovementEstimate& movement = local.movement;
     const int b = trace.container_id("B");
     table.add_row({name, std::to_string(report.total.misses()),
                    std::to_string(movement.total_bytes),

@@ -30,7 +30,7 @@
 #include "dmv/analysis/analysis.hpp"
 #include "dmv/analysis/profile.hpp"
 #include "dmv/ir/json_reader.hpp"
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/viz/render.hpp"
 
 namespace {
@@ -81,17 +81,18 @@ void command_scaling(const ir::Sdfg& sdfg,
 
 void command_simulate(const ir::Sdfg& sdfg,
                       const symbolic::SymbolMap& params) {
-  sim::AccessTrace trace = sim::simulate(sdfg, params);
-  sim::StackDistanceResult distances = sim::stack_distances(trace, 64);
-  sim::MissReport report = sim::classify_misses(trace, distances, 8);
-  sim::MovementEstimate movement =
-      sim::physical_movement(trace, report, 64);
+  const sim::PipelineResult local =
+      sim::MetricPipeline(sim::PipelineConfig{.line_size = 64,
+                                              .counts = false,
+                                              .miss_threshold_lines = 8,
+                                              .movement = true})
+          .run(sdfg, params);
   viz::TextTable table({"container", "accesses", "misses", "est. bytes"});
-  for (std::size_t c = 0; c < trace.containers.size(); ++c) {
-    table.add_row({trace.containers[c],
-                   std::to_string(report.per_container[c].accesses()),
-                   std::to_string(report.per_container[c].misses()),
-                   std::to_string(movement.bytes_per_container[c])});
+  for (std::size_t c = 0; c < local.containers.size(); ++c) {
+    const sim::MissStats& stats = local.misses.per_container[c];
+    table.add_row({local.containers[c], std::to_string(stats.accesses()),
+                   std::to_string(stats.misses()),
+                   std::to_string(local.movement.bytes_per_container[c])});
   }
   std::printf("%s", table.str().c_str());
 }

@@ -15,7 +15,7 @@
 #include "dmv/builder/program_builder.hpp"
 #include "dmv/exec/interpreter.hpp"
 #include "dmv/ir/serialize.hpp"
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/viz/render.hpp"
 
 namespace {
@@ -46,9 +46,11 @@ sim::MissStats misses_for_layout(bool column_major,
     ir::DataDescriptor& grid = sdfg.array("grid");
     grid.strides = ir::DataDescriptor::column_major_strides(grid.shape);
   }
-  sim::AccessTrace trace = sim::simulate(sdfg, params);
-  sim::StackDistanceResult distances = sim::stack_distances(trace, 64);
-  return sim::classify_misses(trace, distances, 8).total;
+  return sim::MetricPipeline(sim::PipelineConfig{.line_size = 64,
+                                                 .counts = false,
+                                                 .miss_threshold_lines = 8})
+      .run(sim::simulate(sdfg, params))
+      .misses.total;
 }
 
 }  // namespace
@@ -73,7 +75,7 @@ int main() {
 
   // Local view: access counts on the input grid.
   sim::AccessTrace trace = sim::simulate(sdfg, params);
-  sim::AccessCounts counts = sim::count_accesses(trace);
+  const sim::AccessCounts counts = sim::MetricPipeline().run(trace).counts;
   const int grid = trace.container_id("grid");
   std::vector<std::int64_t> totals = counts.total(grid);
   std::vector<double> heat(totals.size());

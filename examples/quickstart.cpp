@@ -16,7 +16,7 @@
 #include "dmv/analysis/analysis.hpp"
 #include "dmv/builder/program_builder.hpp"
 #include "dmv/exec/interpreter.hpp"
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/viz/render.hpp"
 
 int main() {
@@ -69,24 +69,24 @@ int main() {
       << render_state_svg(sdfg.states()[0], options);
   std::printf("wrote quickstart_graph.svg\n");
 
-  // ---- 3. Local view: simulate the exact access pattern.
+  // ---- 3. Local view: simulate the exact access pattern and derive
+  // counts, reuse distances, misses and movement in one engine run.
   sim::AccessTrace trace = sim::simulate(sdfg, params);
-  sim::AccessCounts counts = sim::count_accesses(trace);
+  const sim::PipelineResult local =
+      sim::MetricPipeline(sim::PipelineConfig{.line_size = 64,
+                                              .counts = true,
+                                              .miss_threshold_lines = 8,
+                                              .movement = true})
+          .run(trace);
   const int x_id = trace.container_id("x");
   std::printf("x[0] is read %lld times (once per row)\n",
-              static_cast<long long>(counts.reads[x_id][0]));
-
-  sim::StackDistanceResult distances = sim::stack_distances(trace, 64);
-  sim::MissReport report = sim::classify_misses(trace, distances,
-                                                /*threshold_lines=*/8);
-  sim::MovementEstimate movement =
-      sim::physical_movement(trace, report, 64);
+              static_cast<long long>(local.counts.reads[x_id][0]));
   std::printf(
       "predicted: %lld cold + %lld capacity misses -> ~%lld bytes from "
       "main memory (vs %lld logical)\n",
-      static_cast<long long>(report.total.cold),
-      static_cast<long long>(report.total.capacity),
-      static_cast<long long>(movement.total_bytes),
+      static_cast<long long>(local.misses.total.cold),
+      static_cast<long long>(local.misses.total.capacity),
+      static_cast<long long>(local.movement.total_bytes),
       static_cast<long long>(volume.evaluate(params)));
 
   // ---- 4. Execute the program for real (reference interpreter).

@@ -8,8 +8,9 @@
 // analysis methods". This module provides such a backend: an inclusive
 // multi-level LRU hierarchy (e.g. L1 + L2 + L3) simulated exactly over an
 // AccessTrace. Per-level hit/miss statistics convert into per-level
-// physical traffic, refining the single-level movement estimate of
-// sim::physical_movement into a bandwidth breakdown per memory level.
+// physical traffic, refining the single-level movement estimate
+// (PipelineResult::movement) into a bandwidth breakdown per memory
+// level.
 
 #include <string>
 #include <vector>

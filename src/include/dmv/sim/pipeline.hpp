@@ -1,17 +1,16 @@
 #pragma once
 
-// Fused metric pipeline.
+// The metric pipeline: the one implementation of every local-view
+// metric.
 //
 // The interactive loop recomputes EVERY derived metric per slider
-// position. Run as separate passes, each metric re-walks the event
-// vector and several re-derive cache-line ids from scratch; the sweep
-// also reallocates every trace buffer, Fenwick tree, and per-element
-// scratch array at every binding. MetricPipeline drives all per-event
-// metric consumers (access counts, stack distances, miss
-// classification, exact cache simulation, element distance stats,
-// physical movement) through ONE resumable, partitioned metric engine
-// that derives each event's cache line once, and keeps all working
-// memory in an arena that survives across bindings of a sweep.
+// position. MetricPipeline drives all per-event metric consumers
+// (access counts, stack distances, miss classification, exact cache
+// simulation, element distance stats, physical movement) through ONE
+// resumable, partitioned metric engine that derives each event's cache
+// line once, and keeps all working memory in an arena that survives
+// across bindings of a sweep. A single metric — say, the distances of
+// one trace — is one run with only that consumer enabled.
 //
 // Every entry point feeds that engine (see docs/simulation.md, "Feed
 // and resume"):
@@ -32,12 +31,11 @@
 // through to the engine unchanged (docs/simulation.md, "Closed-form
 // counts").
 //
-// Bit-identical contract: every output equals the corresponding
-// standalone pass (count_accesses, stack_distances, classify_misses,
-// element_distance_stats, simulate_cache, physical_movement) bit for
-// bit, in every mode, at any thread count and partitioning — enforced
-// by pipeline_test, metric_merge_test, closed_form_counts_test and the
-// CI ablation smoke job.
+// Bit-identical contract: every output is the same in every mode, at
+// any thread count and partitioning, and equals a small serial oracle
+// (tests/standalone_reference.hpp) bit for bit — enforced by
+// pipeline_test, metric_merge_test, closed_form_counts_test and the CI
+// determinism gates.
 
 #include <cstddef>
 #include <cstdint>
@@ -55,20 +53,20 @@ namespace dmv::sim {
 /// or keep_distances).
 struct PipelineConfig {
   int line_size = 64;
-  /// Per-element read/write counts (count_accesses).
+  /// Per-element read/write counts.
   bool counts = true;
   /// Cold/capacity classification at this LRU threshold (in lines);
-  /// 0 disables (classify_misses).
+  /// 0 disables, a negative value is rejected.
   std::int64_t miss_threshold_lines = 0;
   /// Store the per-event distance vector (O(events) memory — leave off
   /// in streaming mode unless the raw distances are needed).
   bool keep_distances = false;
-  /// Per-container ElementDistanceStats (element_distance_stats).
+  /// Per-container ElementDistanceStats.
   bool element_stats = false;
-  /// Exact set-associative LRU simulation (simulate_cache).
-  std::optional<CacheConfig> cache;
-  /// Physical movement estimate; requires miss_threshold_lines > 0
-  /// (physical_movement).
+  /// Exact set-associative LRU simulation.
+  std::optional<CacheConfig> cache = std::nullopt;
+  /// Physical movement estimate (misses x line size); requires
+  /// miss_threshold_lines > 0.
   bool movement = false;
 
   bool needs_distances() const {

@@ -7,30 +7,35 @@
 // enumerable, every memlet subset becomes evaluable, and the exact data
 // access pattern of the region follows — no execution or profiling of the
 // real program required. This module produces that access trace and the
-// derived metrics the paper visualizes:
+// result types of the metrics the paper visualizes:
 //
 //   * per-element access counts (the flattened-time heatmap of Fig 4b),
-//   * related-access queries (Fig 4c),
-//   * stack/reuse distance at cache-line granularity (Fig 5b), computed
-//     in O(log n) per access with a Fenwick-tree formulation of Olken's
-//     algorithm,
+//   * stack/reuse distance at cache-line granularity (Fig 5b),
 //   * cold/capacity cache-miss classification with a user-adjustable
 //     capacity threshold assuming a fully-associative LRU cache (§V-F),
-//   * an exact set-associative LRU simulator used as ground truth to
+//   * an exact set-associative LRU simulation used as ground truth to
 //     validate that assumption,
 //   * estimated physical data movement (misses x line size) that refines
 //     the logical volumes of the global view (Fig 5c, Fig 7).
+//
+// One metric engine computes all of them: MetricPipeline
+// (dmv/sim/pipeline.hpp) fills a PipelineResult with any subset, from a
+// trace or straight from the program. The free functions below are the
+// queries that have no engine twin: related accesses (Fig 4c), the
+// details-panel distance histogram, per-execution line statistics and
+// the per-edge refinement of the global view.
 //
 // Ownership: every result type here (AccessTrace, StackDistanceResult,
 // MissReport, ...) is a self-contained value — it owns its vectors and
 // never aliases the inputs it was computed from.
 //
-// Thread safety & determinism: the pass functions are pure — concurrent
+// Thread safety & determinism: the functions are pure — concurrent
 // calls on distinct traces are safe; concurrent calls on the SAME trace
-// are safe because traces are only read. Passes that parallelize
-// internally do so through dmv::par's block-ordered reduce, so every
-// output is bit-identical at any dmv::par::num_threads() setting; see
-// dmv/par/par.hpp for the contract and determinism_test for the gate.
+// are safe because traces are only read. related_accesses and
+// build_line_table parallelize internally through dmv::par's
+// block-ordered reduce, so their output is bit-identical at any
+// dmv::par::num_threads() setting; see dmv/par/par.hpp for the contract
+// and determinism_test for the gate.
 
 #include <algorithm>
 #include <array>
@@ -493,30 +498,14 @@ AccessTrace simulate_stream(const Sdfg& sdfg, const SymbolMap& symbols,
                             const SimulationOptions& options = {},
                             TraceArena* arena = nullptr);
 
-/// One-shot materialization of per-event cache-line ids plus the dense
-/// line-id range each container spans, computed once per
-/// (trace, line_size) and shared by every consumer that needs line ids
-/// (stack distance, cache simulation, line-utilization stats) instead of
-/// each pass re-deriving layout.unflatten + byte_address per event.
-/// Containers are placed at non-overlapping addresses, so
-/// [first_line, first_line + line_span) is a dense id range: consumers
-/// can index per-line state with a flat array instead of a hash map.
+/// One-shot materialization of per-event cache-line ids at one line
+/// size: the layout.unflatten + byte_address derivation, once per event.
 struct LineTable {
   int line_size = 64;
-  std::int64_t first_line = 0;  ///< Lowest line id any container spans.
-  std::int64_t line_span = 0;   ///< Dense ids cover [first, first+span).
-  struct ContainerRange {
-    std::int64_t first = 0;  ///< First line id of the container.
-    std::int64_t count = 0;  ///< Lines the container's buffer spans.
-  };
-  std::vector<ContainerRange> per_container;
   std::vector<std::int64_t> lines;  ///< Per-event global cache-line id.
 };
 
 LineTable build_line_table(const AccessTrace& trace, int line_size);
-/// Arena variant: reuses `out.lines` capacity across sweep steps.
-void build_line_table(const AccessTrace& trace, int line_size,
-                      LineTable& out);
 
 /// Per-element access counts per container; the flattened-time heatmap.
 struct AccessCounts {
@@ -525,7 +514,6 @@ struct AccessCounts {
   std::vector<std::vector<std::int64_t>> writes;
   std::vector<std::int64_t> total(int container) const;
 };
-AccessCounts count_accesses(const AccessTrace& trace);
 
 /// Related-access query (Fig 4c): accumulate, over every tasklet
 /// execution that touches one of the selected elements, all accesses that
@@ -552,17 +540,6 @@ struct StackDistanceResult {
   std::vector<std::int64_t> distances;
 };
 
-StackDistanceResult stack_distances(const AccessTrace& trace, int line_size);
-/// Same, consuming a prebuilt LineTable (no per-event address
-/// re-derivation; per-line state lives in a dense array over the
-/// table's line span).
-StackDistanceResult stack_distances(const AccessTrace& trace,
-                                    const LineTable& table);
-/// Reference O(n^2) implementation (list scan), kept for validation and
-/// for the algorithmic ablation benchmark.
-StackDistanceResult stack_distances_naive(const AccessTrace& trace,
-                                          int line_size);
-
 /// Distance statistics per element for the Fig 5b heatmap. A value of
 /// kInfiniteDistance appears for never-reused elements.
 struct ElementDistanceStats {
@@ -571,9 +548,6 @@ struct ElementDistanceStats {
   std::vector<std::int64_t> max;
   std::vector<std::int64_t> cold_count;  ///< Infinite-distance accesses.
 };
-ElementDistanceStats element_distance_stats(const AccessTrace& trace,
-                                            const StackDistanceResult& result,
-                                            int container);
 
 /// All finite distances + cold count for one element or a whole
 /// container, for the details-panel histogram of Fig 5b.
@@ -605,9 +579,6 @@ struct MissReport {
   std::vector<std::vector<std::int64_t>> element_misses;
   MissStats total;
 };
-MissReport classify_misses(const AccessTrace& trace,
-                           const StackDistanceResult& distances,
-                           std::int64_t threshold_lines);
 
 /// Exact cache simulation used as ground truth for the §V-F assumption.
 struct CacheConfig {
@@ -621,13 +592,6 @@ struct CacheSimResult {
   std::vector<MissStats> per_container;  ///< cold vs non-cold split.
   MissStats total;
 };
-CacheSimResult simulate_cache(const AccessTrace& trace,
-                              const CacheConfig& config);
-/// Same, consuming a prebuilt LineTable. Throws std::invalid_argument if
-/// table.line_size != config.line_size.
-CacheSimResult simulate_cache(const AccessTrace& trace,
-                              const CacheConfig& config,
-                              const LineTable& table);
 
 /// Spatial-locality statistics at tasklet-execution granularity, the
 /// metric behind the Fig 8c padding step: for each execution (one stencil
@@ -645,10 +609,6 @@ struct IterationLineStats {
 };
 IterationLineStats iteration_line_stats(const AccessTrace& trace,
                                         int container, int line_size);
-/// Same, consuming a prebuilt LineTable (must match line_size).
-IterationLineStats iteration_line_stats(const AccessTrace& trace,
-                                        int container,
-                                        const LineTable& table);
 
 /// Physical data-movement estimate (§V-F): predicted misses times line
 /// size, per container and total — the refinement shown on the Fig 5c and
@@ -658,8 +618,6 @@ struct MovementEstimate {
   std::vector<std::int64_t> bytes_per_container;
   std::int64_t total_bytes = 0;
 };
-MovementEstimate physical_movement(const AccessTrace& trace,
-                                   const MissReport& report, int line_size);
 
 /// Per-edge refinement of the GLOBAL view's movement overlay (§V-F:
 /// "The resulting value can be used to refine the heatmap on the data

@@ -2,6 +2,7 @@
 
 #include <condition_variable>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -48,6 +49,18 @@ const Value& param(const Value& params, const char* name) {
                        std::string("missing param '") + name + "'");
   }
   return params.at(name);
+}
+
+/// Integer param `name`, which must lie in [lo, hi].
+std::int64_t ranged_int(const Value& params, const char* name,
+                        std::int64_t lo, std::int64_t hi) {
+  const std::int64_t value = params.at(name).as_int();
+  if (value < lo || value > hi) {
+    throw RequestError("bad_request", std::string(name) + " must be in [" +
+                                          std::to_string(lo) + ", " +
+                                          std::to_string(hi) + "]");
+  }
+  return value;
 }
 
 symbolic::SymbolMap parse_binding(const Value& value) {
@@ -216,6 +229,7 @@ struct Server::Impl {
   }
 
   Value do_subscribe(const Value& params) {
+    constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
     auto client = client_for(param(params, "session").as_string());
     std::lock_guard<std::mutex> lock(client->mutex);
     session::SessionConfig cfg = client->session->config();
@@ -224,19 +238,21 @@ struct Server::Impl {
     if (params.has("delta")) cfg.delta = params.at("delta").as_bool();
     if (params.has("prefetch")) cfg.prefetch = params.at("prefetch").as_bool();
     if (params.has("prefetch_depth")) {
-      cfg.prefetch_depth = static_cast<int>(params.at("prefetch_depth").as_int());
+      cfg.prefetch_depth = static_cast<int>(
+          ranged_int(params, "prefetch_depth", 0, kMaxPrefetchDepth));
     }
     if (params.has("cache_budget_bytes")) {
-      cfg.cache_budget_bytes =
-          static_cast<std::size_t>(params.at("cache_budget_bytes").as_int());
+      cfg.cache_budget_bytes = static_cast<std::size_t>(
+          ranged_int(params, "cache_budget_bytes", 0, kInt64Max));
     }
     if (params.has("line_size")) {
-      cfg.pipeline.line_size = static_cast<int>(params.at("line_size").as_int());
+      cfg.pipeline.line_size = static_cast<int>(ranged_int(
+          params, "line_size", 1, std::numeric_limits<int>::max()));
     }
     if (params.has("counts")) cfg.pipeline.counts = params.at("counts").as_bool();
     if (params.has("miss_threshold_lines")) {
       cfg.pipeline.miss_threshold_lines =
-          params.at("miss_threshold_lines").as_int();
+          ranged_int(params, "miss_threshold_lines", 0, kInt64Max);
     }
     if (params.has("keep_distances")) {
       cfg.pipeline.keep_distances = params.at("keep_distances").as_bool();
@@ -247,9 +263,15 @@ struct Server::Impl {
     if (params.has("movement")) {
       cfg.pipeline.movement = params.at("movement").as_bool();
     }
-    // The subscription set is part of every cache key (the config
-    // hash), so a Session's config is immutable: rebuild it around the
-    // same program and binding. Artifacts survive in the shared tier.
+    if (cfg.pipeline.movement && cfg.pipeline.miss_threshold_lines <= 0) {
+      throw RequestError("bad_request",
+                         "movement needs miss_threshold_lines > 0");
+    }
+    // Every check above runs before this point, so a refused request
+    // leaves the old session in place. The subscription set is part of
+    // every cache key (the config hash), so a Session's config is
+    // immutable: rebuild it around the same program and binding.
+    // Artifacts survive in the shared tier.
     ir::Sdfg program = client->session->program();
     symbolic::SymbolMap binding = client->session->binding();
     client->session =

@@ -6,33 +6,25 @@
 
 namespace dmv::sim {
 
-void build_line_table(const AccessTrace& trace, int line_size,
-                      LineTable& out) {
+LineTable build_line_table(const AccessTrace& trace, int line_size) {
   if (line_size <= 0) {
     throw std::invalid_argument("build_line_table: bad line size");
   }
-  out.line_size = line_size;
-  detail::line_range_of(trace.layouts, line_size, out.first_line,
-                        out.line_span, &out.per_container);
-
+  LineTable table;
+  table.line_size = line_size;
   const std::vector<detail::ContainerAddressing> addressing =
       detail::addressing_for(trace.layouts);
   const std::size_t n = trace.events.size();
-  out.lines.resize(n);
+  table.lines.resize(n);
   const std::span<const std::int32_t> containers =
       trace.events.container_column();
   const std::span<const std::int64_t> flats = trace.events.flat_column();
   par::parallel_for(n, 1 << 14, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      out.lines[i] = addressing[static_cast<std::size_t>(containers[i])]
-                         .line_of(flats[i], line_size);
+      table.lines[i] = addressing[static_cast<std::size_t>(containers[i])]
+                           .line_of(flats[i], line_size);
     }
   });
-}
-
-LineTable build_line_table(const AccessTrace& trace, int line_size) {
-  LineTable table;
-  build_line_table(trace, line_size, table);
   return table;
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 
-// Internal machinery shared by the standalone metric passes and the
-// metric engine (not installed; include only from src/sim).
+// Internal machinery of the metric engine and the line-id table (not
+// installed; include only from src/sim).
 
 #include <algorithm>
 #include <cstdint>
@@ -14,42 +14,8 @@
 
 namespace dmv::sim::detail {
 
-// Fenwick tree over event positions; a mark at position p means "some
-// cache line's most recent access happened at p" (the standalone
-// stack_distances pass).
-class Fenwick {
- public:
-  /// Zeroes all marks and guarantees capacity for positions [0, n).
-  void reset(std::size_t n) { tree_.assign(n + 1, 0); }
-
-  void add(std::size_t position, int delta) {
-    for (std::size_t i = position + 1; i < tree_.size(); i += i & (~i + 1)) {
-      tree_[i] += delta;
-    }
-  }
-
-  /// Sum of marks in [0, position].
-  std::int64_t prefix(std::size_t position) const {
-    std::int64_t sum = 0;
-    for (std::size_t i = position + 1; i > 0; i -= i & (~i + 1)) {
-      sum += tree_[i];
-    }
-    return sum;
-  }
-
-  /// Sum of marks in [from, to] (inclusive).
-  std::int64_t range(std::size_t from, std::size_t to) const {
-    if (from > to) return 0;
-    return prefix(to) - (from == 0 ? 0 : prefix(from - 1));
-  }
-
- private:
-  std::vector<std::int64_t> tree_;  ///< 1-based; size n + 1.
-};
-
-// Set-associative geometry of the metric engine's cache consumer (the
-// same derivation and validation errors as simulate_cache, so both
-// reject a bad config identically).
+// Set-associative geometry of the metric engine's cache consumer;
+// throws std::invalid_argument for a config no cache can have.
 struct CacheGeometry {
   std::int64_t ways = 0;
   std::int64_t num_sets = 1;
@@ -57,11 +23,11 @@ struct CacheGeometry {
 
 inline CacheGeometry cache_geometry(const CacheConfig& config) {
   if (config.line_size <= 0 || config.total_size <= 0) {
-    throw std::invalid_argument("simulate_cache: bad cache geometry");
+    throw std::invalid_argument("CacheConfig: non-positive line or cache size");
   }
   const std::int64_t total_lines = config.total_size / config.line_size;
   if (total_lines <= 0) {
-    throw std::invalid_argument("simulate_cache: cache smaller than a line");
+    throw std::invalid_argument("CacheConfig: cache smaller than a line");
   }
   CacheGeometry geometry;
   geometry.ways = config.ways;
@@ -71,7 +37,7 @@ inline CacheGeometry cache_geometry(const CacheConfig& config) {
     geometry.num_sets = total_lines / geometry.ways;
     if (geometry.num_sets <= 0) {
       throw std::invalid_argument(
-          "simulate_cache: associativity exceeds cache size");
+          "CacheConfig: associativity exceeds cache size");
     }
   }
   return geometry;
@@ -126,20 +92,16 @@ inline std::vector<ContainerAddressing> addressing_for(
 /// [first, first + span). Empty layouts contribute nothing.
 inline void line_range_of(const std::vector<layout::ConcreteLayout>& layouts,
                           int line_size, std::int64_t& first,
-                          std::int64_t& span,
-                          std::vector<LineTable::ContainerRange>* ranges) {
+                          std::int64_t& span) {
   first = 0;
   std::int64_t last = -1;  // Exclusive end line.
   bool any = false;
-  if (ranges) ranges->assign(layouts.size(), {});
-  for (std::size_t c = 0; c < layouts.size(); ++c) {
-    const layout::ConcreteLayout& layout = layouts[c];
+  for (const layout::ConcreteLayout& layout : layouts) {
     const std::int64_t bytes = layout.allocated_bytes();
     if (bytes <= 0) continue;
     const std::int64_t begin = layout.base_address / line_size;
     const std::int64_t end =
         (layout.base_address + bytes - 1) / line_size + 1;
-    if (ranges) (*ranges)[c] = {begin, end - begin};
     if (!any) {
       first = begin;
       last = end;

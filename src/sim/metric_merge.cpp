@@ -252,7 +252,7 @@ void Engine::begin(const PipelineConfig& config, const AccessTrace& header,
   }
   if (config_.needs_distances()) {
     std::int64_t lo = 0, span = 0;
-    detail::line_range_of(layouts_, config_.line_size, lo, span, nullptr);
+    detail::line_range_of(layouts_, config_.line_size, lo, span);
     if (span <= kMaxDenseSpan) {
       last_.reset_dense(lo, span);
     } else {
@@ -268,8 +268,7 @@ void Engine::begin(const PipelineConfig& config, const AccessTrace& header,
     geometry_ = detail::cache_geometry(*config_.cache);
     if (!shared_lines_) cache_deriver_.reset(layouts_, config_.cache->line_size);
     std::int64_t lo = 0, span = 0;
-    detail::line_range_of(layouts_, config_.cache->line_size, lo, span,
-                          nullptr);
+    detail::line_range_of(layouts_, config_.cache->line_size, lo, span);
     seen_dense_ = span <= kMaxDenseSpan;
     seen_lo_ = lo;
     seen_.assign(seen_dense_ ? static_cast<std::size_t>(span) : 0, 0);

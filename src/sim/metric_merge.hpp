@@ -26,8 +26,8 @@
 //
 // Exactness, not approximation: every piece computes the same integers
 // a serial event-by-event pass computes, and every reduction is an
-// order-fixed integer merge — so results are bit-identical to the
-// standalone passes at any (thread, segment, partition, feed-split)
+// order-fixed integer merge — so results are bit-identical to that
+// serial pass at any (thread, segment, partition, feed-split)
 // combination. See docs/simulation.md for the feed/resume contract.
 
 #include <algorithm>

@@ -34,15 +34,13 @@ std::map<std::size_t, std::int64_t> physical_edge_bytes(
 }
 
 IterationLineStats iteration_line_stats(const AccessTrace& trace,
-                                        int container,
-                                        const LineTable& table) {
-  const int line_size = table.line_size;
+                                        int container, int line_size) {
+  const LineTable table = build_line_table(trace, line_size);
   const ConcreteLayout& layout = trace.layouts[container];
   const std::int64_t elements_per_line =
       std::max<std::int64_t>(1, line_size / layout.element_size);
 
-  // Group this container's events by tasklet execution, reusing the
-  // table's per-event line ids.
+  // Group this container's events by tasklet execution and line.
   std::map<std::int64_t, std::map<std::int64_t, std::set<std::int64_t>>>
       per_execution;  // execution -> line -> distinct elements used
   const std::size_t n = trace.events.size();
@@ -78,29 +76,6 @@ IterationLineStats iteration_line_stats(const AccessTrace& trace,
         utilization_sum / static_cast<double>(stats.executions);
   }
   return stats;
-}
-
-IterationLineStats iteration_line_stats(const AccessTrace& trace,
-                                        int container, int line_size) {
-  return iteration_line_stats(trace, container,
-                              build_line_table(trace, line_size));
-}
-
-MovementEstimate physical_movement(const AccessTrace& trace,
-                                   const MissReport& report, int line_size) {
-  MovementEstimate estimate;
-  estimate.line_size = line_size;
-  estimate.bytes_per_container.reserve(trace.layouts.size());
-  for (std::size_t c = 0; c < trace.layouts.size(); ++c) {
-    // Every predicted miss pulls one full line from main memory (§V-F:
-    // "multiplying the number of misses ... with the number of bytes per
-    // cache line").
-    const std::int64_t bytes =
-        report.per_container[c].misses() * line_size;
-    estimate.bytes_per_container.push_back(bytes);
-    estimate.total_bytes += bytes;
-  }
-  return estimate;
 }
 
 }  // namespace dmv::sim

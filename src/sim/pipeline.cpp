@@ -206,6 +206,10 @@ std::size_t approx_size_bytes(const PipelineResult& result) {
 
 MetricPipeline::MetricPipeline(PipelineConfig config)
     : config_(config), arena_(std::make_unique<Arena>()) {
+  if (config_.miss_threshold_lines < 0) {
+    throw std::invalid_argument(
+        "MetricPipeline: negative miss_threshold_lines");
+  }
   if (config_.movement && config_.miss_threshold_lines <= 0) {
     throw std::invalid_argument(
         "MetricPipeline: movement needs miss_threshold_lines > 0");

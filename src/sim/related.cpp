@@ -65,17 +65,6 @@ AccessCounts sharded_counts(const AccessTrace& trace, PerEvent&& per_event) {
 
 }  // namespace
 
-AccessCounts count_accesses(const AccessTrace& trace) {
-  return sharded_counts(trace,
-                        [](const AccessEvent& event, AccessCounts& counts) {
-                          if (event.is_write) {
-                            ++counts.writes[event.container][event.flat];
-                          } else {
-                            ++counts.reads[event.container][event.flat];
-                          }
-                        });
-}
-
 AccessCounts related_accesses(const AccessTrace& trace,
                               const std::vector<Selection>& selected) {
   // Pass 1: find every tasklet-execution instance that touches a selected

@@ -1,179 +1,8 @@
 #include <algorithm>
-#include <unordered_map>
-#include <utility>
 
-#include "dmv/par/par.hpp"
 #include "dmv/sim/sim.hpp"
-#include "metric_detail.hpp"
 
 namespace dmv::sim {
-
-namespace {
-
-// Cache line id of an event in the global simulated address space.
-std::int64_t line_of(const AccessTrace& trace, const AccessEvent& event,
-                     int line_size) {
-  const ConcreteLayout& layout = trace.layouts[event.container];
-  const layout::Index indices = layout.unflatten(event.flat);
-  return layout.byte_address(indices) / line_size;
-}
-
-// Dense per-line state is worth it only while the line-id range stays
-// proportional to the data actually traced; beyond this, fall back to a
-// hash map (hand-built traces can place containers at arbitrary bases).
-constexpr std::int64_t kMaxDenseSpan = std::int64_t{1} << 26;
-
-// Olken's algorithm, Fenwick formulation: the reuse distance of an
-// access is the number of distinct lines whose latest access falls
-// strictly between this line's previous access and now. LastPosition
-// abstracts the line -> previous-position lookup (dense array over the
-// LineTable's span, or hash map fallback).
-template <typename LastPosition>
-void olken_pass(std::span<const std::int64_t> lines,
-                detail::Fenwick& marks, LastPosition&& last_position,
-                std::vector<std::int64_t>& distances) {
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    std::int64_t& previous = last_position(lines[i]);
-    if (previous < 0) {
-      distances[i] = kInfiniteDistance;
-    } else {
-      const std::size_t p = static_cast<std::size_t>(previous);
-      distances[i] = marks.range(p + 1, i);
-      marks.add(p, -1);
-    }
-    marks.add(i, +1);
-    previous = static_cast<std::int64_t>(i);
-  }
-}
-
-}  // namespace
-
-StackDistanceResult stack_distances(const AccessTrace& trace,
-                                    const LineTable& table) {
-  StackDistanceResult result;
-  result.line_size = table.line_size;
-  const std::size_t n = trace.events.size();
-  result.distances.resize(n);
-
-  detail::Fenwick marks;
-  marks.reset(n);
-
-  // Dense bounds: the table's container span, widened to the actual
-  // line ids in case the trace was hand-built with out-of-buffer
-  // addresses.
-  std::int64_t lo = table.first_line;
-  std::int64_t hi = table.first_line + table.line_span - 1;
-  for (const std::int64_t line : table.lines) {
-    lo = std::min(lo, line);
-    hi = std::max(hi, line);
-  }
-  const std::int64_t span = n == 0 ? 0 : hi - lo + 1;
-  if (span >= 0 && span <= kMaxDenseSpan) {
-    std::vector<std::int64_t> last(static_cast<std::size_t>(span), -1);
-    olken_pass(
-        table.lines, marks,
-        [&](std::int64_t line) -> std::int64_t& {
-          return last[static_cast<std::size_t>(line - lo)];
-        },
-        result.distances);
-  } else {
-    std::unordered_map<std::int64_t, std::int64_t> last;
-    last.reserve(n);
-    olken_pass(
-        table.lines, marks,
-        [&](std::int64_t line) -> std::int64_t& {
-          return last.try_emplace(line, -1).first->second;
-        },
-        result.distances);
-  }
-  return result;
-}
-
-StackDistanceResult stack_distances(const AccessTrace& trace, int line_size) {
-  return stack_distances(trace, build_line_table(trace, line_size));
-}
-
-StackDistanceResult stack_distances_naive(const AccessTrace& trace,
-                                          int line_size) {
-  StackDistanceResult result;
-  result.line_size = line_size;
-  result.distances.resize(trace.events.size());
-
-  // LRU stack as a vector, most recent first; distance = depth found.
-  std::vector<std::int64_t> stack;
-  for (std::size_t i = 0; i < trace.events.size(); ++i) {
-    const std::int64_t line = line_of(trace, trace.events[i], line_size);
-    auto it = std::find(stack.begin(), stack.end(), line);
-    if (it == stack.end()) {
-      result.distances[i] = kInfiniteDistance;
-    } else {
-      result.distances[i] = it - stack.begin();
-      stack.erase(it);
-    }
-    stack.insert(stack.begin(), line);
-  }
-  return result;
-}
-
-ElementDistanceStats element_distance_stats(const AccessTrace& trace,
-                                            const StackDistanceResult& result,
-                                            int container) {
-  const std::int64_t elements =
-      trace.layouts[container].total_elements();
-  ElementDistanceStats stats;
-  stats.cold_count.assign(static_cast<std::size_t>(elements), 0);
-
-  // Pass 1 (parallel): pre-filter this container's events into
-  // (flat, distance) pairs — finite and cold kept separately — in event
-  // order (per-block lists concatenate in ascending block order, which
-  // reproduces the serial order exactly). Peak memory is
-  // O(container events + events/threads), NOT O(threads x elements):
-  // blocks no longer allocate elements-sized arrays that stay mostly
-  // empty when the container filters most events out.
-  struct Partial {
-    std::vector<std::pair<std::int64_t, std::int64_t>> finite;
-    std::vector<std::int64_t> cold;  ///< Flat indices of cold accesses.
-  };
-  const std::size_t n = trace.events.size();
-  const std::span<const std::int32_t> containers =
-      trace.events.container_column();
-  const std::span<const std::int64_t> flats = trace.events.flat_column();
-  const std::size_t grain =
-      par::grain_for(n, static_cast<std::size_t>(par::num_threads()),
-                     std::size_t{1} << 15);
-  Partial merged = par::parallel_reduce(
-      n, grain, Partial{},
-      [&](std::size_t begin, std::size_t end) {
-        Partial local;
-        for (std::size_t i = begin; i < end; ++i) {
-          if (containers[i] != container) continue;
-          const std::int64_t distance = result.distances[i];
-          if (distance == kInfiniteDistance) {
-            local.cold.push_back(flats[i]);
-          } else {
-            local.finite.emplace_back(flats[i], distance);
-          }
-        }
-        return local;
-      },
-      [](Partial& acc, Partial&& block) {
-        acc.finite.insert(acc.finite.end(), block.finite.begin(),
-                          block.finite.end());
-        acc.cold.insert(acc.cold.end(), block.cold.begin(),
-                        block.cold.end());
-      });
-  for (const std::int64_t flat : merged.cold) {
-    ++stats.cold_count[static_cast<std::size_t>(flat)];
-  }
-
-  // Pass 2: counting sort by element + per-element order statistics
-  // (parallel over elements inside the helper).
-  std::vector<std::int64_t> offsets;
-  std::vector<std::int64_t> sorted;
-  detail::finalize_element_stats(elements, merged.finite, offsets, sorted,
-                                 stats);
-  return stats;
-}
 
 DistanceHistogram distance_histogram(const AccessTrace& trace,
                                      const StackDistanceResult& result,

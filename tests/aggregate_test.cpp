@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/viz/render.hpp"
 #include "dmv/workloads/workloads.hpp"
 
@@ -72,7 +72,7 @@ TEST(AggregatedTiles, FullSizeHdiffView) {
   // Simulate a modest slice but render against the full logical shape.
   symbolic::SymbolMap params{{"I", 32}, {"J", 32}, {"K", 2}};
   sim::AccessTrace trace = sim::simulate(sdfg, params);
-  sim::AccessCounts counts = sim::count_accesses(trace);
+  sim::AccessCounts counts = sim::MetricPipeline().run(trace).counts;
   const int in_field = trace.container_id("in_field");
   std::vector<std::int64_t> totals = counts.total(in_field);
   std::vector<double> values(totals.begin(), totals.end());

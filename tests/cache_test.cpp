@@ -1,12 +1,41 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/workloads/workloads.hpp"
 
 namespace dmv::sim {
 namespace {
+
+// The engine's miss classification at one threshold.
+MissReport misses(const AccessTrace& trace, int line_size,
+                  std::int64_t threshold_lines) {
+  return MetricPipeline(PipelineConfig{.line_size = line_size,
+                                       .counts = false,
+                                       .miss_threshold_lines = threshold_lines})
+      .run(trace)
+      .misses;
+}
+
+// The engine's exact LRU simulation.
+CacheSimResult cache(const AccessTrace& trace, const CacheConfig& config) {
+  return MetricPipeline(PipelineConfig{.counts = false, .cache = config})
+      .run(trace)
+      .cache;
+}
+
+// The engine's movement estimate at one threshold.
+MovementEstimate movement(const AccessTrace& trace, int line_size,
+                          std::int64_t threshold_lines) {
+  return MetricPipeline(PipelineConfig{.line_size = line_size,
+                                       .counts = false,
+                                       .miss_threshold_lines = threshold_lines,
+                                       .movement = true})
+      .run(trace)
+      .movement;
+}
 
 AccessTrace synthetic_trace(std::int64_t elements,
                             const std::vector<std::int64_t>& sequence) {
@@ -32,14 +61,13 @@ TEST(ClassifyMisses, ColdVsCapacity) {
   // Line per element; capacity 2 lines; stream 0 1 2 0: the re-access to
   // 0 saw 2 distinct lines, so LRU with 2 lines evicted it.
   AccessTrace trace = synthetic_trace(8, {0, 1, 2, 0});
-  StackDistanceResult distances = stack_distances(trace, 8);
-  MissReport report = classify_misses(trace, distances, 2);
+  MissReport report = misses(trace, 8, 2);
   EXPECT_EQ(report.total.cold, 3);
   EXPECT_EQ(report.total.capacity, 1);
   EXPECT_EQ(report.total.hits, 0);
 
   // With 3 resident lines the re-access hits.
-  MissReport larger = classify_misses(trace, distances, 3);
+  MissReport larger = misses(trace, 8, 3);
   EXPECT_EQ(larger.total.cold, 3);
   EXPECT_EQ(larger.total.capacity, 0);
   EXPECT_EQ(larger.total.hits, 1);
@@ -47,8 +75,7 @@ TEST(ClassifyMisses, ColdVsCapacity) {
 
 TEST(ClassifyMisses, ElementAttribution) {
   AccessTrace trace = synthetic_trace(8, {0, 1, 2, 0});
-  StackDistanceResult distances = stack_distances(trace, 8);
-  MissReport report = classify_misses(trace, distances, 2);
+  MissReport report = misses(trace, 8, 2);
   EXPECT_EQ(report.element_misses[0][0], 2);  // Cold + capacity.
   EXPECT_EQ(report.element_misses[0][1], 1);
   EXPECT_EQ(report.element_misses[0][3], 0);
@@ -56,8 +83,9 @@ TEST(ClassifyMisses, ElementAttribution) {
 
 TEST(ClassifyMisses, RejectsBadThreshold) {
   AccessTrace trace = synthetic_trace(4, {0});
-  StackDistanceResult distances = stack_distances(trace, 8);
-  EXPECT_THROW(classify_misses(trace, distances, 0), std::invalid_argument);
+  EXPECT_THROW(misses(trace, 8, -1), std::invalid_argument);
+  // A zero threshold turns classification off, which movement needs.
+  EXPECT_THROW(movement(trace, 8, 0), std::invalid_argument);
 }
 
 TEST(ClassifyMisses, MissStatsArithmetic) {
@@ -77,15 +105,13 @@ TEST(CacheSim, FullyAssociativeMatchesStackDistancePrediction) {
   AccessTrace trace = synthetic_trace(64, sequence);
 
   for (int line : {8, 64}) {
-    StackDistanceResult distances = stack_distances(trace, line);
     for (std::int64_t lines_in_cache : {2, 4, 8, 16}) {
-      MissReport predicted =
-          classify_misses(trace, distances, lines_in_cache);
+      MissReport predicted = misses(trace, line, lines_in_cache);
       CacheConfig config;
       config.line_size = line;
       config.total_size = lines_in_cache * line;
       config.ways = 0;  // Fully associative.
-      CacheSimResult simulated = simulate_cache(trace, config);
+      CacheSimResult simulated = cache(trace, config);
       EXPECT_EQ(predicted.total.misses(), simulated.total.misses())
           << "line " << line << " cache lines " << lines_in_cache;
       EXPECT_EQ(predicted.total.cold, simulated.total.cold);
@@ -99,11 +125,10 @@ TEST(CacheSim, FullyAssociativeMatchesOnRealWorkloads) {
         workloads::HdiffVariant::Reordered}) {
     ir::Sdfg sdfg = workloads::hdiff(variant);
     AccessTrace trace = simulate(sdfg, workloads::hdiff_local());
-    StackDistanceResult distances = stack_distances(trace, 64);
     for (std::int64_t lines : {8, 32}) {
-      MissReport predicted = classify_misses(trace, distances, lines);
+      MissReport predicted = misses(trace, 64, lines);
       CacheConfig config{64, lines * 64, 0};
-      CacheSimResult simulated = simulate_cache(trace, config);
+      CacheSimResult simulated = cache(trace, config);
       EXPECT_EQ(predicted.total.misses(), simulated.total.misses());
     }
   }
@@ -120,8 +145,8 @@ TEST(CacheSim, SetAssociativityAddsConflicts) {
   AccessTrace trace = synthetic_trace(64, sequence);
   CacheConfig direct{8, 4 * 8, 1};  // 4 lines, direct mapped.
   CacheConfig full{8, 4 * 8, 0};
-  const auto direct_misses = simulate_cache(trace, direct).total.misses();
-  const auto full_misses = simulate_cache(trace, full).total.misses();
+  const auto direct_misses = cache(trace, direct).total.misses();
+  const auto full_misses = cache(trace, full).total.misses();
   EXPECT_GT(direct_misses, full_misses);
   EXPECT_EQ(full_misses, 2);  // Both lines fit: only the cold misses.
 }
@@ -131,29 +156,27 @@ TEST(CacheSim, LruEvictionOrder) {
   // evicts line 1 (LRU), so the final access to 1 misses.
   AccessTrace trace = synthetic_trace(8, {0, 1, 0, 2, 1});
   CacheConfig config{8, 16, 0};
-  CacheSimResult result = simulate_cache(trace, config);
+  CacheSimResult result = cache(trace, config);
   EXPECT_EQ(result.total.cold, 3);
   EXPECT_EQ(result.total.capacity, 1);
   EXPECT_EQ(result.total.hits, 1);
 }
 
 TEST(CacheSim, RejectsBadGeometry) {
-  AccessTrace trace = synthetic_trace(4, {0});
-  EXPECT_THROW(simulate_cache(trace, CacheConfig{0, 64, 1}),
-               std::invalid_argument);
-  EXPECT_THROW(simulate_cache(trace, CacheConfig{64, 0, 1}),
-               std::invalid_argument);
-  EXPECT_THROW(simulate_cache(trace, CacheConfig{64, 64, 8}),
-               std::invalid_argument);
-  EXPECT_THROW(simulate_cache(trace, CacheConfig{64, 32, 0}),
-               std::invalid_argument);
+  // Rejected when the pipeline is built, before any trace is fed.
+  for (const CacheConfig bad : {CacheConfig{0, 64, 1}, CacheConfig{64, 0, 1},
+                                CacheConfig{64, 64, 8},
+                                CacheConfig{64, 32, 0}}) {
+    EXPECT_THROW(MetricPipeline(PipelineConfig{.cache = bad}),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Movement, MissesTimesLineSize) {
-  AccessTrace trace = synthetic_trace(8, {0, 1, 2, 0});
-  StackDistanceResult distances = stack_distances(trace, 8);
-  MissReport report = classify_misses(trace, distances, 2);
-  MovementEstimate estimate = physical_movement(trace, report, 64);
+  // Elements 0, 8 and 16 sit on three distinct 64-byte lines: the
+  // stream a b c a misses four times with 2 resident lines.
+  AccessTrace trace = synthetic_trace(24, {0, 8, 16, 0});
+  MovementEstimate estimate = movement(trace, 64, 2);
   EXPECT_EQ(estimate.bytes_per_container[0], 4 * 64);
   EXPECT_EQ(estimate.total_bytes, 4 * 64);
 }
@@ -161,9 +184,7 @@ TEST(Movement, MissesTimesLineSize) {
 TEST(Movement, PerContainerAttribution) {
   ir::Sdfg sdfg = workloads::conv2d();
   AccessTrace trace = simulate(sdfg, workloads::conv2d_fig4());
-  StackDistanceResult distances = stack_distances(trace, 64);
-  MissReport report = classify_misses(trace, distances, 8);
-  MovementEstimate estimate = physical_movement(trace, report, 64);
+  MovementEstimate estimate = movement(trace, 64, 8);
   std::int64_t sum = 0;
   for (std::int64_t bytes : estimate.bytes_per_container) sum += bytes;
   EXPECT_EQ(sum, estimate.total_bytes);
@@ -177,8 +198,7 @@ TEST(Movement, PerEdgeRefinementApportionsByTraffic) {
   ir::Sdfg sdfg = workloads::matmul();
   const symbolic::SymbolMap params = workloads::matmul_fig5();
   AccessTrace trace = simulate(sdfg, params);
-  StackDistanceResult distances = stack_distances(trace, 64);
-  MissReport report = classify_misses(trace, distances, 8);
+  MissReport report = misses(trace, 64, 8);
   const ir::State& state = sdfg.states()[0];
   std::map<std::size_t, std::int64_t> per_edge =
       physical_edge_bytes(state, trace, report, params, 64);
@@ -204,13 +224,11 @@ TEST(CacheSim, ThresholdSensitivityMonotone) {
   // knob the paper's UI exposes (§V-F b).
   ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
   AccessTrace trace = simulate(sdfg, workloads::hdiff_local());
-  StackDistanceResult distances = stack_distances(trace, 64);
   std::int64_t previous = std::numeric_limits<std::int64_t>::max();
   for (std::int64_t threshold : {2, 4, 8, 16, 32, 64, 128}) {
-    const std::int64_t misses =
-        classify_misses(trace, distances, threshold).total.misses();
-    EXPECT_LE(misses, previous);
-    previous = misses;
+    const std::int64_t total = misses(trace, 64, threshold).total.misses();
+    EXPECT_LE(total, previous);
+    previous = total;
   }
 }
 

@@ -3,7 +3,7 @@
 // A counts-only MetricPipeline (no distances, no exact cache) answers
 // from translated boxes instead of a trace whenever the program fits the
 // box rule (docs/simulation.md, "Closed-form counts"). Its contract is
-// the pipeline's: every result equals the standalone passes over
+// the pipeline's: every result equals the serial oracle over
 // simulate()'s trace, field by field, through run(sdfg), run_streaming
 // and run_delta at any thread count. Programs outside the rule must
 // still match through the simulator and name why the counter declined,
@@ -28,12 +28,16 @@
 namespace dmv::sim {
 namespace {
 
+using reference::expect_matches_standalone;
+using reference::expect_results_equal;
+using reference::standalone_result;
+
 using symbolic::SymbolMap;
 
 PipelineConfig counts_only() { return PipelineConfig{}; }
 
-// Every drive at threads {1, 8} against the standalone passes over the
-// simulated trace. `declined` == nullptr: the counter must answer every
+// Every drive at threads {1, 8} against the oracle over the simulated
+// trace. `declined` == nullptr: the counter must answer every
 // drive (no trace, no simulation time); otherwise run_delta must report
 // a cold step with exactly that decline reason.
 void check(const ir::Sdfg& sdfg, const SymbolMap& binding,

@@ -259,66 +259,9 @@ TEST(Determinism, SimulateStreamSinkSequenceIdenticalAcrossThreadCounts) {
   EXPECT_EQ(parallel.executions, reference.executions);
 }
 
-TEST(Determinism, MetricPassesBitIdenticalAcrossThreadCounts) {
-  const ir::Sdfg sdfg =
-      workloads::hdiff(workloads::HdiffVariant::Baseline);
-  const AccessTrace trace =
-      simulate(sdfg, symbolic::SymbolMap{{"I", 12}, {"J", 12}, {"K", 6}});
-  const StackDistanceResult distances = stack_distances(trace, 64);
-
-  AccessCounts counts_serial;
-  MissReport report_serial;
-  ElementDistanceStats stats_serial;
-  CacheSimResult cache_serial;
-  {
-    par::ThreadScope scope(1);
-    counts_serial = count_accesses(trace);
-    report_serial = classify_misses(trace, distances, 64);
-    stats_serial = element_distance_stats(trace, distances, 0);
-    cache_serial = simulate_cache(trace, CacheConfig{});
-  }
-  AccessCounts counts_parallel;
-  MissReport report_parallel;
-  ElementDistanceStats stats_parallel;
-  CacheSimResult cache_parallel;
-  {
-    par::ThreadScope scope(8);
-    counts_parallel = count_accesses(trace);
-    report_parallel = classify_misses(trace, distances, 64);
-    stats_parallel = element_distance_stats(trace, distances, 0);
-    cache_parallel = simulate_cache(trace, CacheConfig{});
-  }
-
-  EXPECT_EQ(counts_serial.reads, counts_parallel.reads);
-  EXPECT_EQ(counts_serial.writes, counts_parallel.writes);
-
-  EXPECT_EQ(report_serial.element_misses, report_parallel.element_misses);
-  ASSERT_EQ(report_serial.per_container.size(),
-            report_parallel.per_container.size());
-  for (std::size_t c = 0; c < report_serial.per_container.size(); ++c) {
-    expect_stats_equal(report_serial.per_container[c],
-                       report_parallel.per_container[c]);
-  }
-  expect_stats_equal(report_serial.total, report_parallel.total);
-
-  EXPECT_EQ(stats_serial.min, stats_parallel.min);
-  EXPECT_EQ(stats_serial.median, stats_parallel.median);
-  EXPECT_EQ(stats_serial.max, stats_parallel.max);
-  EXPECT_EQ(stats_serial.cold_count, stats_parallel.cold_count);
-
-  ASSERT_EQ(cache_serial.per_container.size(),
-            cache_parallel.per_container.size());
-  for (std::size_t c = 0; c < cache_serial.per_container.size(); ++c) {
-    expect_stats_equal(cache_serial.per_container[c],
-                       cache_parallel.per_container[c]);
-  }
-  expect_stats_equal(cache_serial.total, cache_parallel.total);
-}
-
 TEST(Determinism, FusedPipelineBitIdenticalAcrossThreadCounts) {
-  // The fused pass itself is serial, but its inputs (simulation,
-  // LineTable) and the standalone passes it must match are parallel —
-  // the whole pipeline must not depend on the thread knob.
+  // Trace generation and every metric engine phase partition by the
+  // thread knob — the whole pipeline must not depend on it.
   const ir::Sdfg sdfg =
       workloads::hdiff(workloads::HdiffVariant::Baseline);
   const symbolic::SymbolMap binding{{"I", 12}, {"J", 12}, {"K", 6}};

@@ -17,8 +17,9 @@
 #include "dmv/ir/json_reader.hpp"
 #include "dmv/ir/serialize.hpp"
 #include "dmv/ir/validate.hpp"
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/transforms/transforms.hpp"
+#include "standalone_reference.hpp"
 
 namespace dmv {
 namespace {
@@ -156,13 +157,15 @@ TEST_P(Fuzz, FusionPreservesSemantics) {
 TEST_P(Fuzz, CachePredictionMatchesExactSimulator) {
   RandomProgram program = random_program(GetParam());
   sim::AccessTrace trace = sim::simulate(program.sdfg, {{"N", 6}});
-  sim::StackDistanceResult distances = sim::stack_distances(trace, 64);
   for (std::int64_t lines : {4, 16}) {
-    sim::MissReport predicted =
-        sim::classify_misses(trace, distances, lines);
-    sim::CacheSimResult truth = sim::simulate_cache(
-        trace, sim::CacheConfig{64, lines * 64, 0});
-    EXPECT_EQ(predicted.total.misses(), truth.total.misses());
+    const sim::PipelineResult result =
+        sim::MetricPipeline(
+            sim::PipelineConfig{.line_size = 64,
+                                .counts = false,
+                                .miss_threshold_lines = lines,
+                                .cache = sim::CacheConfig{64, lines * 64, 0}})
+            .run(trace);
+    EXPECT_EQ(result.misses.total.misses(), result.cache.total.misses());
   }
 }
 
@@ -170,8 +173,16 @@ TEST_P(Fuzz, NaiveAndFastDistancesAgree) {
   RandomProgram program = random_program(GetParam());
   sim::AccessTrace trace = sim::simulate(program.sdfg, {{"N", 4}});
   for (int line : {16, 64}) {
-    EXPECT_EQ(sim::stack_distances(trace, line).distances,
-              sim::stack_distances_naive(trace, line).distances);
+    // The engine and the oracle's Olken pass against the naive scan.
+    const std::vector<std::int64_t> naive =
+        sim::reference::stack_distances_naive(trace, line).distances;
+    EXPECT_EQ(sim::MetricPipeline(sim::PipelineConfig{.line_size = line,
+                                                      .counts = false,
+                                                      .keep_distances = true})
+                  .run(trace)
+                  .distances.distances,
+              naive);
+    EXPECT_EQ(sim::reference::stack_distances(trace, line).distances, naive);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/workloads/workloads.hpp"
 
 namespace dmv::sim {
@@ -70,7 +71,10 @@ TEST(Hierarchy, SingleLevelMatchesFlatSimulator) {
   config.levels = {CacheLevel{"L1", 16 * 64, 0}};
   HierarchyResult hierarchy = simulate_hierarchy(trace, config);
   CacheSimResult flat =
-      simulate_cache(trace, CacheConfig{64, 16 * 64, 0});
+      MetricPipeline(PipelineConfig{.counts = false,
+                                    .cache = CacheConfig{64, 16 * 64, 0}})
+          .run(trace)
+          .cache;
   EXPECT_EQ(hierarchy.total_hits(0), flat.total.hits);
   EXPECT_EQ(hierarchy.total_memory_accesses(), flat.total.misses());
 }

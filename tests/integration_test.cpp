@@ -13,13 +13,21 @@
 #include "dmv/analysis/analysis.hpp"
 #include "dmv/ir/serialize.hpp"
 #include "dmv/ir/validate.hpp"
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/transforms/transforms.hpp"
 #include "dmv/viz/render.hpp"
 #include "dmv/workloads/workloads.hpp"
 
 namespace dmv {
 namespace {
+
+// The local view at 64-byte lines: one engine run with `config`'s
+// consumers.
+sim::PipelineResult local_view(const sim::AccessTrace& trace,
+                               sim::PipelineConfig config) {
+  config.line_size = 64;
+  return sim::MetricPipeline(config).run(trace);
+}
 
 TEST(BertGlobalWorkflow, FusionReducesMovementAndLowIntensityMaps) {
   const symbolic::SymbolMap params = workloads::bert_large();
@@ -111,10 +119,10 @@ TEST(HdiffLocalWorkflow, EachTuningStepReducesMisses) {
         workloads::HdiffVariant::Reordered}) {
     ir::Sdfg sdfg = workloads::hdiff(variant);
     sim::AccessTrace trace = sim::simulate(sdfg, params);
-    sim::StackDistanceResult distances = sim::stack_distances(trace, 64);
-    sim::MissReport report = sim::classify_misses(trace, distances, 8);
-    sim::MovementEstimate movement =
-        sim::physical_movement(trace, report, 64);
+    const sim::PipelineResult local = local_view(
+        trace, {.counts = false, .miss_threshold_lines = 8, .movement = true});
+    const sim::MissReport& report = local.misses;
+    const sim::MovementEstimate& movement = local.movement;
     EXPECT_LT(report.total.misses(), previous_misses);
     EXPECT_LT(movement.total_bytes, previous_bytes);
     previous_misses = report.total.misses();
@@ -129,8 +137,8 @@ TEST(HdiffLocalWorkflow, ReshapeNearlyHalvesInFieldTraffic) {
   auto in_field_misses = [&](workloads::HdiffVariant variant) {
     ir::Sdfg sdfg = workloads::hdiff(variant);
     sim::AccessTrace trace = sim::simulate(sdfg, params);
-    sim::StackDistanceResult distances = sim::stack_distances(trace, 64);
-    sim::MissReport report = sim::classify_misses(trace, distances, 8);
+    const sim::MissReport report =
+        local_view(trace, {.counts = false, .miss_threshold_lines = 8}).misses;
     return report.per_container[trace.container_id("in_field")].misses();
   };
   const std::int64_t before =
@@ -187,18 +195,18 @@ TEST(CacheModelValidation, FullyAssociativePredictionTracksSetAssociative) {
                        workloads::HdiffVariant::Reordered}) {
     ir::Sdfg sdfg = workloads::hdiff(variant);
     sim::AccessTrace trace = sim::simulate(sdfg, workloads::hdiff_local());
-    sim::StackDistanceResult distances = sim::stack_distances(trace, 64);
 
     const std::int64_t lines = 16;
-    sim::MissReport predicted =
-        sim::classify_misses(trace, distances, lines);
     for (int ways : {4, 8}) {
-      sim::CacheConfig config{64, lines * 64, ways};
-      sim::CacheSimResult truth = sim::simulate_cache(trace, config);
-      const double error =
-          std::abs(static_cast<double>(predicted.total.misses()) -
-                   static_cast<double>(truth.total.misses())) /
-          static_cast<double>(truth.total.misses());
+      const sim::PipelineResult result = local_view(
+          trace, {.counts = false,
+                  .miss_threshold_lines = lines,
+                  .cache = sim::CacheConfig{64, lines * 64, ways}});
+      const sim::MissStats& predicted = result.misses.total;
+      const sim::MissStats& truth = result.cache.total;
+      const double error = std::abs(static_cast<double>(predicted.misses()) -
+                                    static_cast<double>(truth.misses())) /
+                           static_cast<double>(truth.misses());
       EXPECT_LT(error, 0.35) << "variant/ways " << ways;
     }
   }
@@ -212,7 +220,9 @@ TEST(FullPipeline, SerializeAnalyzeRenderHdiff) {
   EXPECT_GT(viz::outline(sdfg).size(), 10u);
 
   sim::AccessTrace trace = sim::simulate(sdfg, workloads::hdiff_local());
-  sim::AccessCounts counts = sim::count_accesses(trace);
+  const sim::PipelineResult local =
+      local_view(trace, {.counts = true, .keep_distances = true});
+  const sim::AccessCounts& counts = local.counts;
   const int in = trace.container_id("in_field");
 
   // Flattened-time heatmap (Fig 4b style) on in_field.
@@ -231,9 +241,8 @@ TEST(FullPipeline, SerializeAnalyzeRenderHdiff) {
   EXPECT_NE(svg.find("</svg>"), std::string::npos);
 
   // Reuse-distance histogram (Fig 5b style).
-  sim::StackDistanceResult distances = sim::stack_distances(trace, 64);
   sim::DistanceHistogram histogram =
-      sim::distance_histogram(trace, distances, in);
+      sim::distance_histogram(trace, local.distances, in);
   viz::HistogramRenderOptions histogram_options;
   histogram_options.cold_misses = histogram.cold_misses;
   std::string histogram_svg =

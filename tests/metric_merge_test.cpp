@@ -3,11 +3,11 @@
 // The engine (sim/metric_merge) partitions every feed — consumer
 // segments, set-partitioned exact LRU, two-phase stack distances — and
 // merges per-partition state in fixed order into state it carries from
-// feed to feed. Its contract is BIT-IDENTITY with the standalone metric
-// passes for every PipelineResult field, at any (thread, lane,
-// partition, feed-split) combination, across the materialized,
-// generating, streaming, delta (replay and resume) and spilled
-// drives. All suites are named MetricMerge so the CI determinism /
+// feed to feed. Its contract is BIT-IDENTITY with the serial oracle of
+// standalone_reference.hpp for every PipelineResult field, at any
+// (thread, lane, partition, feed-split) combination, across the
+// materialized, generating, streaming, delta (replay and resume) and
+// spilled drives. All suites are named MetricMerge so the CI determinism /
 // sanitizer / TSan gates pick them up.
 
 #include <gtest/gtest.h>
@@ -27,6 +27,10 @@
 
 namespace dmv::sim {
 namespace {
+
+using reference::expect_matches_standalone;
+using reference::expect_results_equal;
+using reference::standalone_result;
 
 namespace fs = std::filesystem;
 
@@ -50,7 +54,7 @@ PipelineConfig full_config() {
   return config;
 }
 
-/// Standalone passes vs the engine at {1, 2, 4, 8} threads and lane
+/// The oracle vs the engine at {1, 2, 4, 8} threads and lane
 /// widths {1, 8}, across the materialized, generating, streaming, and
 /// delta drives.
 void check_bit_identity(const ir::Sdfg& sdfg,
@@ -335,7 +339,7 @@ TEST(MetricMerge, RunInsidePoolTaskEqualsTopLevel) {
 // The delta engine at 8 threads: a segmented cold feed, then append-only
 // steps that resume the carried state — one long enough to segment on
 // top of that state (K 3 -> 12), one short suffix fed serially (12 ->
-// 13) — each matching the standalone passes field by field.
+// 13) — each matching the oracle field by field.
 TEST(MetricMerge, DeltaResumesOnSegmentedState) {
   const ir::Sdfg sdfg = workloads::fixed_capacity(
       workloads::hdiff(workloads::HdiffVariant::Reordered), {{"K", "KMAX"}});

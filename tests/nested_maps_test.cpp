@@ -12,7 +12,7 @@
 #include "dmv/ir/json_reader.hpp"
 #include "dmv/ir/serialize.hpp"
 #include "dmv/ir/validate.hpp"
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/viz/render.hpp"
 #include "dmv/workloads/workloads.hpp"
 
@@ -116,8 +116,9 @@ TEST(NestedMaps, SimulationEventMultisetMatchesFlat) {
   sim::AccessTrace nested_trace = sim::simulate(nested, env);
   sim::AccessTrace flat_trace = sim::simulate(flat, env);
   EXPECT_EQ(nested_trace.events.size(), flat_trace.events.size());
-  sim::AccessCounts nested_counts = sim::count_accesses(nested_trace);
-  sim::AccessCounts flat_counts = sim::count_accesses(flat_trace);
+  sim::MetricPipeline counts_only;
+  sim::AccessCounts nested_counts = counts_only.run(nested_trace).counts;
+  sim::AccessCounts flat_counts = counts_only.run(flat_trace).counts;
   for (const char* name : {"A", "B", "C"}) {
     const int nc = nested_trace.container_id(name);
     const int fc = flat_trace.container_id(name);

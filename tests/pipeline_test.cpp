@@ -10,14 +10,18 @@
 #include "dmv/workloads/workloads.hpp"
 #include "standalone_reference.hpp"
 
-// MetricPipeline contract: the fused pass (materialized and streaming)
-// is bit-identical to the standalone metric passes — fusion and arena
-// reuse are pure performance changes. These tests drive hdiff and bert
-// across several symbol bindings and require exact equality on every
-// enabled consumer, plus the O(1)-event-storage property of streaming.
+// MetricPipeline contract: every drive (materialized and streaming)
+// is bit-identical to the serial oracle of standalone_reference.hpp —
+// fusion and arena reuse are pure performance changes. These tests
+// drive hdiff and bert across several symbol bindings and require
+// exact equality on every enabled consumer, plus the
+// O(1)-event-storage property of streaming.
 
 namespace dmv::sim {
 namespace {
+
+using reference::expect_matches_standalone;
+using reference::expect_stats_equal;
 
 PipelineConfig full_config() {
   PipelineConfig config;
@@ -109,7 +113,7 @@ TEST(Pipeline, CountsOnlyConfigSkipsDistanceMachinery) {
 
   MetricPipeline pipeline(config);
   const PipelineResult result = pipeline.run(trace);
-  const AccessCounts counts = count_accesses(trace);
+  const AccessCounts counts = reference::count_accesses(trace);
   EXPECT_EQ(result.counts.reads, counts.reads);
   EXPECT_EQ(result.counts.writes, counts.writes);
   EXPECT_TRUE(result.distances.distances.empty());
@@ -129,15 +133,16 @@ TEST(Pipeline, CacheWithDifferentLineSizeThanDistances) {
   const PipelineResult fused = pipeline.run(trace);
   const PipelineResult streamed = pipeline.run_streaming(sdfg, binding);
 
-  const CacheSimResult reference = simulate_cache(trace, *config.cache);
+  const CacheSimResult expected =
+      reference::simulate_cache(trace, *config.cache);
   for (const PipelineResult* result : {&fused, &streamed}) {
     ASSERT_EQ(result->cache.per_container.size(),
-              reference.per_container.size());
-    for (std::size_t c = 0; c < reference.per_container.size(); ++c) {
+              expected.per_container.size());
+    for (std::size_t c = 0; c < expected.per_container.size(); ++c) {
       expect_stats_equal(result->cache.per_container[c],
-                         reference.per_container[c]);
+                         expected.per_container[c]);
     }
-    expect_stats_equal(result->cache.total, reference.total);
+    expect_stats_equal(result->cache.total, expected.total);
   }
 }
 
@@ -156,6 +161,10 @@ TEST(Pipeline, RejectsInvalidConfigs) {
   bad_cache.cache = CacheConfig{};
   bad_cache.cache->total_size = 16;  // Smaller than one line.
   EXPECT_THROW(MetricPipeline{bad_cache}, std::invalid_argument);
+
+  PipelineConfig negative_threshold;
+  negative_threshold.miss_threshold_lines = -1;
+  EXPECT_THROW(MetricPipeline{negative_threshold}, std::invalid_argument);
 }
 
 TEST(LineTable, MatchesPerEventAddressDerivation) {
@@ -166,61 +175,18 @@ TEST(LineTable, MatchesPerEventAddressDerivation) {
   const LineTable table = build_line_table(trace, line_size);
 
   ASSERT_EQ(table.lines.size(), trace.events.size());
-  ASSERT_EQ(table.per_container.size(), trace.layouts.size());
   for (std::size_t i = 0; i < trace.events.size(); ++i) {
     const AccessEvent event = trace.events[i];
     const ConcreteLayout& layout = trace.layouts[event.container];
     const std::int64_t expected =
         layout.byte_address(layout.unflatten(event.flat)) / line_size;
     ASSERT_EQ(table.lines[i], expected) << "event " << i;
-    // Every observed line id sits inside its container's declared range.
-    const LineTable::ContainerRange& range =
-        table.per_container[event.container];
-    EXPECT_GE(table.lines[i], range.first);
-    EXPECT_LT(table.lines[i], range.first + range.count);
   }
-}
-
-TEST(LineTable, OverloadsMatchFreshDerivation) {
-  const ir::Sdfg sdfg = workloads::matmul();
-  const AccessTrace trace =
-      simulate(sdfg, symbolic::SymbolMap{{"M", 8}, {"N", 8}, {"K", 8}});
-  const LineTable table = build_line_table(trace, 64);
-
-  const StackDistanceResult fresh = stack_distances(trace, 64);
-  const StackDistanceResult shared = stack_distances(trace, table);
-  EXPECT_EQ(fresh.distances, shared.distances);
-
-  const CacheConfig config{};
-  const CacheSimResult cache_fresh = simulate_cache(trace, config);
-  const CacheSimResult cache_shared = simulate_cache(trace, config, table);
-  ASSERT_EQ(cache_fresh.per_container.size(),
-            cache_shared.per_container.size());
-  for (std::size_t c = 0; c < cache_fresh.per_container.size(); ++c) {
-    expect_stats_equal(cache_fresh.per_container[c],
-                       cache_shared.per_container[c]);
-  }
-
-  for (int container = 0;
-       container < static_cast<int>(trace.layouts.size()); ++container) {
-    const IterationLineStats fresh_stats =
-        iteration_line_stats(trace, container, 64);
-    const IterationLineStats shared_stats =
-        iteration_line_stats(trace, container, table);
-    EXPECT_EQ(fresh_stats.executions, shared_stats.executions);
-    EXPECT_DOUBLE_EQ(fresh_stats.mean_lines_per_execution,
-                     shared_stats.mean_lines_per_execution);
-    EXPECT_DOUBLE_EQ(fresh_stats.mean_line_utilization,
-                     shared_stats.mean_line_utilization);
-  }
-
-  EXPECT_THROW(simulate_cache(trace, CacheConfig{128, 32 * 1024, 8}, table),
-               std::invalid_argument);
 }
 
 TEST(Pipeline, MissReportFeedsEdgeRefinementLikeStandalonePasses) {
   // The Fig 5c per-edge overlay consumes a MissReport; the pipeline's
-  // report must be a drop-in replacement for classify_misses output.
+  // report must refine the overlay exactly as the oracle's does.
   const ir::Sdfg sdfg = workloads::matmul();
   const symbolic::SymbolMap binding = workloads::matmul_fig5();
   const AccessTrace trace = simulate(sdfg, binding);
@@ -230,14 +196,14 @@ TEST(Pipeline, MissReportFeedsEdgeRefinementLikeStandalonePasses) {
   MetricPipeline pipeline(config);
   const PipelineResult result = pipeline.run(trace);
 
-  const StackDistanceResult distances = stack_distances(trace, 64);
-  const MissReport reference = classify_misses(trace, distances, 8);
+  const MissReport expected = reference::classify_misses(
+      trace, reference::stack_distances(trace, 64), 8);
 
   const ir::State& state = sdfg.states()[0];
   const std::map<std::size_t, std::int64_t> from_pipeline =
       physical_edge_bytes(state, trace, result.misses, binding, 64);
   const std::map<std::size_t, std::int64_t> from_passes =
-      physical_edge_bytes(state, trace, reference, binding, 64);
+      physical_edge_bytes(state, trace, expected, binding, 64);
   ASSERT_FALSE(from_pipeline.empty());
   EXPECT_EQ(from_pipeline, from_passes);
 }

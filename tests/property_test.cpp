@@ -7,9 +7,10 @@
 
 #include "dmv/analysis/analysis.hpp"
 #include "dmv/exec/interpreter.hpp"
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/viz/heatmap.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "standalone_reference.hpp"
 
 namespace dmv {
 namespace {
@@ -28,7 +29,7 @@ TEST_P(MatmulSweep, SimulatedAccessCountsMatchClosedForm) {
   ir::Sdfg sdfg = workloads::matmul();
   symbolic::SymbolMap env{{"M", m}, {"K", k}, {"N", n}};
   sim::AccessTrace trace = sim::simulate(sdfg, env);
-  sim::AccessCounts counts = sim::count_accesses(trace);
+  const sim::AccessCounts counts = sim::MetricPipeline().run(trace).counts;
   const int a = trace.container_id("A");
   const int b = trace.container_id("B");
   const int c = trace.container_id("C");
@@ -125,17 +126,32 @@ sim::AccessTrace random_trace(int seed, std::int64_t elements,
   return trace;
 }
 
+// One engine run with `config`'s consumers.
+sim::PipelineResult engine(const sim::AccessTrace& trace,
+                           sim::PipelineConfig config) {
+  return sim::MetricPipeline(config).run(trace);
+}
+
 TEST_P(DistanceSweep, FastEqualsNaive) {
+  // The engine and the oracle's Olken pass against the naive scan.
   sim::AccessTrace trace = random_trace(GetParam(), 64, 500);
   for (int line : {8, 32, 64, 128}) {
-    EXPECT_EQ(sim::stack_distances(trace, line).distances,
-              sim::stack_distances_naive(trace, line).distances);
+    const std::vector<std::int64_t> naive =
+        sim::reference::stack_distances_naive(trace, line).distances;
+    EXPECT_EQ(engine(trace, {.line_size = line,
+                             .counts = false,
+                             .keep_distances = true})
+                  .distances.distances,
+              naive);
+    EXPECT_EQ(sim::reference::stack_distances(trace, line).distances, naive);
   }
 }
 
 TEST_P(DistanceSweep, DistanceBoundedByDistinctLines) {
   sim::AccessTrace trace = random_trace(GetParam() + 50, 64, 500);
-  sim::StackDistanceResult result = sim::stack_distances(trace, 8);
+  const sim::StackDistanceResult result =
+      engine(trace, {.line_size = 8, .counts = false, .keep_distances = true})
+          .distances;
   std::int64_t colds = 0;
   for (std::int64_t d : result.distances) {
     if (d == sim::kInfiniteDistance) {
@@ -151,11 +167,13 @@ TEST_P(DistanceSweep, DistanceBoundedByDistinctLines) {
 
 TEST_P(DistanceSweep, MissesMonotoneInThreshold) {
   sim::AccessTrace trace = random_trace(GetParam() + 100, 48, 400);
-  sim::StackDistanceResult distances = sim::stack_distances(trace, 8);
   std::int64_t previous = std::numeric_limits<std::int64_t>::max();
   for (std::int64_t threshold = 1; threshold <= 64; threshold *= 2) {
     const std::int64_t misses =
-        sim::classify_misses(trace, distances, threshold).total.misses();
+        engine(trace, {.line_size = 8,
+                       .counts = false,
+                       .miss_threshold_lines = threshold})
+            .misses.total.misses();
     EXPECT_LE(misses, previous);
     previous = misses;
   }
@@ -163,15 +181,17 @@ TEST_P(DistanceSweep, MissesMonotoneInThreshold) {
 
 TEST_P(DistanceSweep, FullyAssociativeSimulatorAgreesExactly) {
   sim::AccessTrace trace = random_trace(GetParam() + 200, 32, 600);
-  sim::StackDistanceResult distances = sim::stack_distances(trace, 8);
   for (std::int64_t lines : {1, 2, 4, 8, 16}) {
-    sim::MissReport predicted =
-        sim::classify_misses(trace, distances, lines);
-    sim::CacheConfig config{8, lines * 8, 0};
-    sim::CacheSimResult truth = sim::simulate_cache(trace, config);
-    EXPECT_EQ(predicted.total.misses(), truth.total.misses());
-    EXPECT_EQ(predicted.total.hits, truth.total.hits);
-    EXPECT_EQ(predicted.total.cold, truth.total.cold);
+    const sim::PipelineResult result =
+        engine(trace, {.line_size = 8,
+                       .counts = false,
+                       .miss_threshold_lines = lines,
+                       .cache = sim::CacheConfig{8, lines * 8, 0}});
+    const sim::MissStats& predicted = result.misses.total;
+    const sim::MissStats& truth = result.cache.total;
+    EXPECT_EQ(predicted.misses(), truth.misses());
+    EXPECT_EQ(predicted.hits, truth.hits);
+    EXPECT_EQ(predicted.cold, truth.cold);
   }
 }
 
@@ -185,8 +205,10 @@ TEST_P(DistanceSweep, CacheSimulatorInvariants) {
     distinct.insert(event.flat);  // Line == element for this geometry.
   }
   for (int ways : {0, 1, 2, 4}) {
-    sim::CacheConfig config{8, 16 * 8, ways};
-    sim::CacheSimResult result = sim::simulate_cache(trace, config);
+    const sim::CacheSimResult result =
+        engine(trace, {.counts = false,
+                       .cache = sim::CacheConfig{8, 16 * 8, ways}})
+            .cache;
     EXPECT_EQ(result.total.accesses(),
               static_cast<std::int64_t>(trace.events.size()));
     EXPECT_EQ(result.total.cold,

@@ -195,6 +195,70 @@ TEST(ServeProtocolTest, SubscribeRebuildsSessionPreservingBinding) {
                 dmv::serve::result_checksum(*reference.metrics())));
 }
 
+std::string subscribe_request(const std::string& fields) {
+  return std::string("{\"id\":1,\"method\":\"subscribe\",\"params\":") +
+         "{\"session\":\"a\"," + fields + "}}";
+}
+
+/// `fields` is a subscription the server must refuse with bad_request
+/// before touching the session: the next step still answers with the
+/// previous subscription (misses at 8 lines, no prefetch).
+void expect_subscribe_refused(const std::string& fields) {
+  Server server;
+  server.handle(open_request("a", "hdiff"));
+  const Value kept = parse_line(server.handle(
+      subscribe_request("\"miss_threshold_lines\":8,\"prefetch\":false")));
+  ASSERT_TRUE(kept.has("result")) << dmv::json::dump(kept);
+
+  const Value refused = parse_line(server.handle(subscribe_request(fields)));
+  ASSERT_TRUE(refused.has("error")) << fields << ": "
+                                    << dmv::json::dump(refused);
+  EXPECT_EQ(refused.at("error").at("code").as_string(), "bad_request")
+      << fields;
+
+  const Value stepped = parse_line(server.handle(step_request("a", "K", 6)));
+  ASSERT_TRUE(stepped.has("result")) << dmv::json::dump(stepped);
+  dmv::session::SessionConfig config;
+  config.prefetch = false;
+  config.pipeline.miss_threshold_lines = 8;
+  dmv::session::Session reference(
+      dmv::workloads::hdiff(dmv::workloads::HdiffVariant::Baseline),
+      std::move(config));
+  reference.set_binding({{"I", 8}, {"J", 8}, {"K", 6}});
+  EXPECT_EQ(stepped.at("result").at("checksum").as_string(),
+            std::to_string(dmv::serve::result_checksum(*reference.metrics())))
+      << fields;
+}
+
+TEST(ServeProtocolTest, SubscribeRefusesLineSizeBeyondInt) {
+  // 2^32 + 64 used to wrap to 64 and be echoed back as accepted.
+  expect_subscribe_refused("\"line_size\":4294967360");
+}
+
+TEST(ServeProtocolTest, SubscribeRefusesZeroLineSize) {
+  expect_subscribe_refused("\"line_size\":0");
+}
+
+TEST(ServeProtocolTest, SubscribeRefusesNegativeMissThreshold) {
+  expect_subscribe_refused("\"miss_threshold_lines\":-1");
+}
+
+TEST(ServeProtocolTest, SubscribeRefusesPrefetchDepthOutOfRange) {
+  expect_subscribe_refused("\"prefetch_depth\":100000");
+  expect_subscribe_refused(
+      "\"prefetch_depth\":" +
+      std::to_string(dmv::serve::kMaxPrefetchDepth + 1));
+  expect_subscribe_refused("\"prefetch_depth\":-1");
+}
+
+TEST(ServeProtocolTest, SubscribeRefusesNegativeCacheBudget) {
+  expect_subscribe_refused("\"cache_budget_bytes\":-1");
+}
+
+TEST(ServeProtocolTest, SubscribeRefusesMovementWithoutThreshold) {
+  expect_subscribe_refused("\"movement\":true,\"miss_threshold_lines\":0");
+}
+
 TEST(ServeProtocolTest, EditProgramSwitchesVariants) {
   Server server;
   server.handle(open_request("a", "hdiff"));

@@ -1,4 +1,4 @@
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
@@ -68,7 +68,7 @@ TEST(Simulate, OuterProductCounts) {
   // written exactly once.
   ir::Sdfg sdfg = workloads::outer_product();
   AccessTrace trace = simulate(sdfg, workloads::outer_product_fig3());
-  AccessCounts counts = count_accesses(trace);
+  AccessCounts counts = MetricPipeline().run(trace).counts;
   const int a = trace.container_id("A");
   const int b = trace.container_id("B");
   const int c = trace.container_id("C");
@@ -87,7 +87,7 @@ TEST(Simulate, ConvAccessDistribution) {
   // elements are read most.
   ir::Sdfg sdfg = workloads::conv2d();
   AccessTrace trace = simulate(sdfg, workloads::conv2d_fig4());
-  AccessCounts counts = count_accesses(trace);
+  AccessCounts counts = MetricPipeline().run(trace).counts;
   const int out = trace.container_id("output");
   for (std::int64_t e = 0; e < 2 * 6 * 6; ++e) {
     EXPECT_EQ(counts.writes[out][e], 3 * 4 * 4);
@@ -154,7 +154,7 @@ TEST(Simulate, CopyEdgesEmitPairedEvents) {
   ir::Sdfg sdfg = p.take();
   AccessTrace trace = simulate(sdfg, {{"N", 4}});
   ASSERT_EQ(trace.events.size(), 8u);
-  AccessCounts counts = count_accesses(trace);
+  AccessCounts counts = MetricPipeline().run(trace).counts;
   for (std::int64_t e = 0; e < 4; ++e) {
     EXPECT_EQ(counts.reads[trace.container_id("A")][e], 1);
     EXPECT_EQ(counts.writes[trace.container_id("B")][e], 1);
@@ -228,7 +228,7 @@ TEST(Related, SelectionsStackAdditively) {
 TEST(Related, TotalCombinesReadsAndWrites) {
   ir::Sdfg sdfg = workloads::outer_product();
   AccessTrace trace = simulate(sdfg, workloads::outer_product_fig3());
-  AccessCounts counts = count_accesses(trace);
+  AccessCounts counts = MetricPipeline().run(trace).counts;
   const int c = trace.container_id("C");
   std::vector<std::int64_t> total = counts.total(c);
   for (std::int64_t e = 0; e < 12; ++e) EXPECT_EQ(total[e], 1);
@@ -275,7 +275,7 @@ TEST(Simulate, StridedSubsetsEnumerateCorrectly) {
   }();
   ir::validate_or_throw(sdfg);
   AccessTrace trace = simulate(sdfg, {{"R", 3}, {"N", 7}});
-  AccessCounts counts = count_accesses(trace);
+  AccessCounts counts = MetricPipeline().run(trace).counts;
   const int a = trace.container_id("A");
   const ConcreteLayout& layout = trace.layouts[a];
   for (std::int64_t r = 0; r < 3; ++r) {

@@ -5,13 +5,40 @@
 #include <set>
 
 #include "dmv/builder/program_builder.hpp"
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "standalone_reference.hpp"
 
 namespace dmv::sim {
 namespace {
 
 using builder::ProgramBuilder;
+
+// The engine's kept per-event distances, plus element stats when asked.
+PipelineResult engine(const AccessTrace& trace, int line_size,
+                      bool element_stats = false) {
+  return MetricPipeline(PipelineConfig{.line_size = line_size,
+                                       .counts = false,
+                                       .keep_distances = true,
+                                       .element_stats = element_stats})
+      .run(trace);
+}
+
+StackDistanceResult engine_distances(const AccessTrace& trace,
+                                     int line_size) {
+  return engine(trace, line_size).distances;
+}
+
+// The engine and the oracle's Olken pass both equal the naive LRU-stack
+// scan.
+void expect_distances_match_naive(const AccessTrace& trace, int line_size,
+                                  const std::string& context) {
+  const std::vector<std::int64_t> naive =
+      reference::stack_distances_naive(trace, line_size).distances;
+  EXPECT_EQ(engine_distances(trace, line_size).distances, naive) << context;
+  EXPECT_EQ(reference::stack_distances(trace, line_size).distances, naive)
+      << context;
+}
 
 // Builds a synthetic trace over one 1-D container from a flat index
 // sequence, so distance algorithms can be tested on known streams.
@@ -41,7 +68,7 @@ AccessTrace synthetic_trace(std::int64_t elements,
 TEST(StackDistance, FirstAccessIsCold) {
   AccessTrace trace = synthetic_trace(8, {0, 1, 2});
   // Element size 8, line 8: each element its own line.
-  StackDistanceResult result = stack_distances(trace, 8);
+  StackDistanceResult result = engine_distances(trace, 8);
   for (std::int64_t d : result.distances) {
     EXPECT_EQ(d, kInfiniteDistance);
   }
@@ -49,7 +76,7 @@ TEST(StackDistance, FirstAccessIsCold) {
 
 TEST(StackDistance, ImmediateReuseIsZero) {
   AccessTrace trace = synthetic_trace(8, {3, 3, 3});
-  StackDistanceResult result = stack_distances(trace, 8);
+  StackDistanceResult result = engine_distances(trace, 8);
   EXPECT_EQ(result.distances[1], 0);
   EXPECT_EQ(result.distances[2], 0);
 }
@@ -57,14 +84,14 @@ TEST(StackDistance, ImmediateReuseIsZero) {
 TEST(StackDistance, ClassicSequence) {
   // Stream a b c a: the re-access to a has seen 2 distinct lines since.
   AccessTrace trace = synthetic_trace(8, {0, 1, 2, 0});
-  StackDistanceResult result = stack_distances(trace, 8);
+  StackDistanceResult result = engine_distances(trace, 8);
   EXPECT_EQ(result.distances[3], 2);
 }
 
 TEST(StackDistance, RepeatsDoNotInflateDistance) {
   // a b b b a: only ONE distinct line between the two a's.
   AccessTrace trace = synthetic_trace(8, {0, 1, 1, 1, 0});
-  StackDistanceResult result = stack_distances(trace, 8);
+  StackDistanceResult result = engine_distances(trace, 8);
   EXPECT_EQ(result.distances[4], 1);
 }
 
@@ -73,7 +100,7 @@ TEST(StackDistance, LineGranularitySharing) {
   // access to element 1 right after element 0 is a line re-reference
   // with distance 0 (the §V-E cache-line granularity rule).
   AccessTrace trace = synthetic_trace(16, {0, 1, 8, 0});
-  StackDistanceResult result = stack_distances(trace, 64);
+  StackDistanceResult result = engine_distances(trace, 64);
   EXPECT_EQ(result.distances[0], kInfiniteDistance);
   EXPECT_EQ(result.distances[1], 0);
   EXPECT_EQ(result.distances[2], kInfiniteDistance);
@@ -88,10 +115,9 @@ TEST(StackDistance, NaiveMatchesFenwickOnRandomStreams) {
     for (auto& s : sequence) s = element(rng);
     AccessTrace trace = synthetic_trace(48, sequence);
     for (int line : {8, 16, 64}) {
-      StackDistanceResult fast = stack_distances(trace, line);
-      StackDistanceResult naive = stack_distances_naive(trace, line);
-      EXPECT_EQ(fast.distances, naive.distances)
-          << "round " << round << " line " << line;
+      expect_distances_match_naive(trace, line,
+                                   "round " + std::to_string(round) +
+                                       " line " + std::to_string(line));
     }
   }
 }
@@ -100,16 +126,15 @@ TEST(StackDistance, NaiveMatchesFenwickOnRealWorkload) {
   ir::Sdfg sdfg = workloads::matmul();
   AccessTrace trace = simulate(sdfg, workloads::matmul_fig5());
   for (int line : {32, 64}) {
-    EXPECT_EQ(stack_distances(trace, line).distances,
-              stack_distances_naive(trace, line).distances);
+    expect_distances_match_naive(trace, line, "line " + std::to_string(line));
   }
 }
 
 TEST(ElementStats, MinMedianMaxAndCold) {
   // Element 0: accesses at distances inf, 0, 2.
   AccessTrace trace = synthetic_trace(8, {0, 0, 1, 2, 0});
-  StackDistanceResult result = stack_distances(trace, 8);
-  ElementDistanceStats stats = element_distance_stats(trace, result, 0);
+  const ElementDistanceStats stats =
+      engine(trace, 8, /*element_stats=*/true).element_stats[0];
   EXPECT_EQ(stats.cold_count[0], 1);
   EXPECT_EQ(stats.min[0], 0);
   EXPECT_EQ(stats.max[0], 2);
@@ -127,9 +152,9 @@ TEST(ElementStats, MatmulFig5bColdMissAccounting) {
   // 32-byte lines with 4-byte values) lists exactly one.
   ir::Sdfg sdfg = workloads::matmul();
   AccessTrace trace = simulate(sdfg, workloads::matmul_fig5());
-  StackDistanceResult result = stack_distances(trace, 32);
+  const PipelineResult result = engine(trace, 32, /*element_stats=*/true);
   const int a = trace.container_id("A");
-  ElementDistanceStats stats = element_distance_stats(trace, result, a);
+  const ElementDistanceStats& stats = result.element_stats[a];
 
   std::int64_t cold_elements = 0;
   for (std::int64_t cold : stats.cold_count) {
@@ -141,14 +166,14 @@ TEST(ElementStats, MatmulFig5bColdMissAccounting) {
   const std::int64_t line_leader =
       trace.layouts[a].flat_index(std::vector<std::int64_t>{3, 2});
   DistanceHistogram histogram =
-      distance_histogram(trace, result, a, line_leader);
+      distance_histogram(trace, result.distances, a, line_leader);
   EXPECT_EQ(histogram.cold_misses, 1);
   EXPECT_FALSE(histogram.distances.empty());
 }
 
 TEST(Histogram, ContainerWideAggregation) {
   AccessTrace trace = synthetic_trace(8, {0, 1, 0, 1, 2});
-  StackDistanceResult result = stack_distances(trace, 8);
+  StackDistanceResult result = engine_distances(trace, 8);
   DistanceHistogram histogram = distance_histogram(trace, result, 0);
   EXPECT_EQ(histogram.cold_misses, 3);
   EXPECT_EQ(histogram.distances.size(), 2u);
@@ -194,12 +219,14 @@ TEST(Histogram, PerElementHistogramsPartitionContainerHistogram) {
   // finite distances, pooled, are the container's distance multiset.
   ir::Sdfg sdfg = workloads::matmul();
   AccessTrace trace = simulate(sdfg, workloads::matmul_fig5());
-  StackDistanceResult result = stack_distances(trace, 32);
+  const PipelineResult engine_result =
+      engine(trace, 32, /*element_stats=*/true);
+  const StackDistanceResult& result = engine_result.distances;
   const int a = trace.container_id("A");
 
   const DistanceHistogram container_wide =
       distance_histogram(trace, result, a);
-  const ElementDistanceStats stats = element_distance_stats(trace, result, a);
+  const ElementDistanceStats& stats = engine_result.element_stats[a];
 
   std::int64_t cold_sum = 0;
   std::vector<std::int64_t> pooled;

@@ -1,23 +1,200 @@
 #pragma once
 
-// The test oracle for MetricPipeline: the standalone metric passes
-// (count_accesses, stack_distances, classify_misses,
-// element_distance_stats, simulate_cache, physical_movement) assembled
-// into a PipelineResult, and an exact field-by-field comparison. Shared
-// by the pipeline and metric-engine suites.
+// The test oracle for the metric engine: every MetricPipeline consumer
+// (per-element counts, stack distances, miss classification, element
+// distance stats, set-associative LRU, physical movement) as a small
+// serial pass, assembled into a PipelineResult, plus an exact
+// field-by-field comparison. Deliberately independent of src/sim's
+// internals: line ids come straight from ConcreteLayout, distances from
+// a plain Olken pass over a hash-map last-seen table, the cache from a
+// per-set std::list LRU. stack_distances_naive (an LRU-stack scan)
+// cross-checks the Olken pass itself.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <list>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/sim/sim.hpp"
 
-namespace dmv::sim {
+namespace dmv::sim::reference {
 
-/// The PipelineResult the standalone passes produce for `trace` under
-/// `config` (only the enabled consumers are filled, like the pipeline).
+inline std::int64_t line_of(const AccessTrace& trace, std::size_t event,
+                            int line_size) {
+  const ConcreteLayout& layout = trace.layouts[trace.events[event].container];
+  return layout.byte_address(layout.unflatten(trace.events[event].flat)) /
+         line_size;
+}
+
+inline AccessCounts count_accesses(const AccessTrace& trace) {
+  AccessCounts counts;
+  for (const ConcreteLayout& layout : trace.layouts) {
+    counts.reads.emplace_back(layout.total_elements(), 0);
+    counts.writes.emplace_back(layout.total_elements(), 0);
+  }
+  for (const AccessEvent& event : trace.events) {
+    (event.is_write ? counts.writes : counts.reads)[event.container]
+                                                   [event.flat]++;
+  }
+  return counts;
+}
+
+/// Olken's algorithm: a mark at position p means "some line was last
+/// referenced at p"; a reuse distance counts the marks after the line's
+/// previous reference.
+inline StackDistanceResult stack_distances(const AccessTrace& trace,
+                                           int line_size) {
+  const std::size_t n = trace.events.size();
+  std::vector<std::int64_t> tree(n + 1, 0);  // 1-based Fenwick tree.
+  auto add = [&](std::size_t p, int delta) {
+    for (++p; p <= n; p += p & (~p + 1)) tree[p] += delta;
+  };
+  auto prefix = [&](std::size_t p) {  // Marks in [0, p).
+    std::int64_t sum = 0;
+    for (; p > 0; p -= p & (~p + 1)) sum += tree[p];
+    return sum;
+  };
+  StackDistanceResult result{line_size, std::vector<std::int64_t>(n)};
+  std::unordered_map<std::int64_t, std::size_t> last;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [it, first] = last.try_emplace(line_of(trace, i, line_size), i);
+    if (first) {
+      result.distances[i] = kInfiniteDistance;
+    } else {
+      result.distances[i] = prefix(i) - prefix(it->second + 1);
+      add(it->second, -1);
+      it->second = i;
+    }
+    add(i, +1);
+  }
+  return result;
+}
+
+/// O(n^2) LRU-stack scan: the distance is the line's depth in the stack.
+inline StackDistanceResult stack_distances_naive(const AccessTrace& trace,
+                                                 int line_size) {
+  StackDistanceResult result{line_size, {}};
+  std::vector<std::int64_t> stack;  // Most recent first.
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const std::int64_t line = line_of(trace, i, line_size);
+    const auto it = std::find(stack.begin(), stack.end(), line);
+    result.distances.push_back(it == stack.end() ? kInfiniteDistance
+                                                 : it - stack.begin());
+    if (it != stack.end()) stack.erase(it);
+    stack.insert(stack.begin(), line);
+  }
+  return result;
+}
+
+inline ElementDistanceStats element_distance_stats(
+    const AccessTrace& trace, const StackDistanceResult& result,
+    int container) {
+  const std::size_t elements =
+      static_cast<std::size_t>(trace.layouts[container].total_elements());
+  std::vector<std::vector<std::int64_t>> finite(elements);
+  ElementDistanceStats stats;
+  stats.cold_count.assign(elements, 0);
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const AccessEvent event = trace.events[i];
+    if (event.container != container) continue;
+    if (result.distances[i] == kInfiniteDistance) {
+      ++stats.cold_count[event.flat];
+    } else {
+      finite[event.flat].push_back(result.distances[i]);
+    }
+  }
+  for (std::vector<std::int64_t>& distances : finite) {
+    std::sort(distances.begin(), distances.end());
+    const bool none = distances.empty();
+    stats.min.push_back(none ? kInfiniteDistance : distances.front());
+    stats.median.push_back(none ? kInfiniteDistance
+                                : distances[distances.size() / 2]);
+    stats.max.push_back(none ? kInfiniteDistance : distances.back());
+  }
+  return stats;
+}
+
+inline void add_access(MissStats& stats, bool cold, bool hit) {
+  ++(cold ? stats.cold : hit ? stats.hits : stats.capacity);
+}
+
+inline void sum_total(const std::vector<MissStats>& per_container,
+                      MissStats& total) {
+  for (const MissStats& stats : per_container) {
+    total.cold += stats.cold;
+    total.capacity += stats.capacity;
+    total.hits += stats.hits;
+  }
+}
+
+inline MissReport classify_misses(const AccessTrace& trace,
+                                  const StackDistanceResult& distances,
+                                  std::int64_t threshold_lines) {
+  MissReport report;
+  report.threshold_lines = threshold_lines;
+  report.per_container.resize(trace.layouts.size());
+  for (const ConcreteLayout& layout : trace.layouts) {
+    report.element_misses.emplace_back(layout.total_elements(), 0);
+  }
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const AccessEvent event = trace.events[i];
+    const std::int64_t distance = distances.distances[i];
+    const bool hit = distance < threshold_lines;
+    add_access(report.per_container[event.container],
+               distance == kInfiniteDistance, hit);
+    if (!hit) ++report.element_misses[event.container][event.flat];
+  }
+  sum_total(report.per_container, report.total);
+  return report;
+}
+
+/// Exact LRU per set; a miss is cold iff the line was never resident.
+inline CacheSimResult simulate_cache(const AccessTrace& trace,
+                                     const CacheConfig& config) {
+  const std::int64_t lines = config.total_size / config.line_size;
+  const std::int64_t ways = config.ways == 0 ? lines : config.ways;
+  const std::int64_t sets = lines / ways;
+  std::vector<std::list<std::int64_t>> lru(sets);  // Front = MRU.
+  std::unordered_set<std::int64_t> seen;
+  CacheSimResult result;
+  result.config = config;
+  result.per_container.resize(trace.layouts.size());
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const std::int64_t line = line_of(trace, i, config.line_size);
+    std::list<std::int64_t>& set = lru[line % sets];
+    const auto it = std::find(set.begin(), set.end(), line);
+    const bool hit = it != set.end();
+    if (hit) set.erase(it);
+    set.push_front(line);
+    if (static_cast<std::int64_t>(set.size()) > ways) set.pop_back();
+    add_access(result.per_container[trace.events[i].container],
+               seen.insert(line).second, hit);
+  }
+  sum_total(result.per_container, result.total);
+  return result;
+}
+
+inline MovementEstimate physical_movement(const AccessTrace& trace,
+                                          const MissReport& report,
+                                          int line_size) {
+  MovementEstimate estimate;
+  estimate.line_size = line_size;
+  for (std::size_t c = 0; c < trace.layouts.size(); ++c) {
+    estimate.bytes_per_container.push_back(
+        report.per_container[c].misses() * line_size);
+    estimate.total_bytes += estimate.bytes_per_container.back();
+  }
+  return estimate;
+}
+
+/// The PipelineResult the oracle produces for `trace` under `config`
+/// (only the enabled consumers are filled, like the pipeline).
 inline PipelineResult standalone_result(const AccessTrace& trace,
                                         const PipelineConfig& config) {
   PipelineResult result;
@@ -101,7 +278,7 @@ inline void expect_results_equal(const PipelineResult& actual,
   EXPECT_EQ(actual.movement.total_bytes, expected.movement.total_bytes);
 }
 
-/// `result` equals the standalone passes on `trace`, field by field.
+/// `result` equals the oracle on `trace`, field by field.
 inline void expect_matches_standalone(const PipelineResult& result,
                                       const AccessTrace& trace,
                                       const PipelineConfig& config,
@@ -109,4 +286,4 @@ inline void expect_matches_standalone(const PipelineResult& result,
   expect_results_equal(result, standalone_result(trace, config), context);
 }
 
-}  // namespace dmv::sim
+}  // namespace dmv::sim::reference

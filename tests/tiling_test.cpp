@@ -4,7 +4,7 @@
 
 #include "dmv/analysis/analysis.hpp"
 #include "dmv/exec/interpreter.hpp"
-#include "dmv/sim/sim.hpp"
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/transforms/transforms.hpp"
 #include "dmv/workloads/workloads.hpp"
 
@@ -76,8 +76,9 @@ TEST(Tiling, SimulationAccessCountsUnchanged) {
   tile_map(tiled.states()[0], find_map(tiled.states()[0]), "j", 4);
   sim::AccessTrace plain_trace = sim::simulate(plain, env);
   sim::AccessTrace tiled_trace = sim::simulate(tiled, env);
-  sim::AccessCounts plain_counts = sim::count_accesses(plain_trace);
-  sim::AccessCounts tiled_counts = sim::count_accesses(tiled_trace);
+  sim::MetricPipeline counts_only;
+  sim::AccessCounts plain_counts = counts_only.run(plain_trace).counts;
+  sim::AccessCounts tiled_counts = counts_only.run(tiled_trace).counts;
   for (int c = 0; c < 3; ++c) {
     EXPECT_EQ(plain_counts.reads[c], tiled_counts.reads[c]);
     EXPECT_EQ(plain_counts.writes[c], tiled_counts.writes[c]);
@@ -96,9 +97,11 @@ TEST(Tiling, ImprovesReuseOnMatmul) {
       tile_map(state, find_map(state), "j", 6);
       tile_map(state, find_map(state), "k", 6);
     }
-    sim::AccessTrace trace = sim::simulate(sdfg, env);
-    sim::StackDistanceResult distances = sim::stack_distances(trace, 64);
-    return sim::classify_misses(trace, distances, 16).total.misses();
+    return sim::MetricPipeline(sim::PipelineConfig{.line_size = 64,
+                                                   .counts = false,
+                                                   .miss_threshold_lines = 16})
+        .run(sim::simulate(sdfg, env))
+        .misses.total.misses();
   };
   EXPECT_LT(misses(true), misses(false));
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "dmv/sim/pipeline.hpp"
 #include "dmv/workloads/workloads.hpp"
 
 namespace dmv::sim {
@@ -40,12 +41,14 @@ TEST(TraceIo, AnalysesAgreeOnRestoredTrace) {
   AccessTrace original = simulate(sdfg, workloads::hdiff_local());
   AccessTrace restored = trace_from_string(trace_to_string(original));
 
-  EXPECT_EQ(stack_distances(original, 64).distances,
-            stack_distances(restored, 64).distances);
-  StackDistanceResult distances = stack_distances(restored, 64);
-  EXPECT_EQ(classify_misses(original, stack_distances(original, 64), 8)
-                .total.misses(),
-            classify_misses(restored, distances, 8).total.misses());
+  MetricPipeline pipeline(PipelineConfig{
+      .counts = false, .miss_threshold_lines = 8, .keep_distances = true});
+  const PipelineResult from_original = pipeline.run(original);
+  const PipelineResult from_restored = pipeline.run(restored);
+  EXPECT_EQ(from_original.distances.distances,
+            from_restored.distances.distances);
+  EXPECT_EQ(from_original.misses.total.misses(),
+            from_restored.misses.total.misses());
 }
 
 TEST(TraceIo, HandWrittenExternalTrace) {
@@ -63,7 +66,7 @@ TEST(TraceIo, HandWrittenExternalTrace) {
   ASSERT_EQ(trace.events.size(), 3u);
   EXPECT_TRUE(trace.events[1].is_write);
   EXPECT_EQ(trace.executions, 2);
-  AccessCounts counts = count_accesses(trace);
+  AccessCounts counts = MetricPipeline().run(trace).counts;
   EXPECT_EQ(counts.reads[0][0], 2);
   EXPECT_EQ(counts.writes[0][5], 1);
 }
