@@ -93,10 +93,4 @@ std::vector<SweepPoint> sweep_metric(const Expr& metric, const SymbolMap& base,
   return series;
 }
 
-std::vector<SweepPoint> movement_sweep(const Sdfg& sdfg, const SymbolMap& base,
-                                       const std::string& symbol,
-                                       const std::vector<std::int64_t>& values) {
-  return sweep_metric(total_movement_bytes(sdfg), base, symbol, values);
-}
-
 }  // namespace dmv::analysis

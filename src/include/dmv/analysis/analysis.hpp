@@ -201,11 +201,6 @@ std::vector<SweepPoint> sweep_metric(const Expr& metric, const SymbolMap& base,
                                      const std::string& symbol,
                                      const std::vector<std::int64_t>& values);
 
-/// Convenience: the total-movement slider series of the global view.
-std::vector<SweepPoint> movement_sweep(const Sdfg& sdfg, const SymbolMap& base,
-                                       const std::string& symbol,
-                                       const std::vector<std::int64_t>& values);
-
 /// Before/after comparison of two program versions (the Fig 6 panels
 /// side by side): per-container logical movement in each version and the
 /// delta. Containers present in only one version (e.g. transients that

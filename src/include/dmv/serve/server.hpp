@@ -58,10 +58,6 @@
 
 namespace dmv::serve {
 
-/// Largest prefetch_depth `subscribe` accepts: each unit is one more
-/// speculative neighbor, on its own pipeline, after every moved step.
-inline constexpr int kMaxPrefetchDepth = 16;
-
 struct ServerConfig {
   /// Process-global artifact tier shared by every session.
   session::SharedArtifactCache::Config shared_cache;

@@ -8,19 +8,17 @@
 // dragging the hdiff `size` slider recomputes the same keyed results.
 // This module lifts the cache key — (artifact kind, program content
 // hash, pipeline-config hash, binding restricted to the artifact's
-// reachable symbols) — into a sharded process-wide tier that sessions
-// consult between their local LRU and a real computation:
+// reachable symbols) — into a process-wide tier that sessions consult
+// between their local LRU and a real computation:
 //
 //   local LRU hit   -> return (counts as hit)
 //   shared tier hit -> copy the shared_ptr into the local LRU, return
 //                      (counts as hit + shared_hit)
 //   miss            -> compute, insert into BOTH tiers
 //
-// Sharding follows the symbolic interner: the key hash picks one of
-// `shards` independently locked segments, so concurrent sessions on
-// different keys never contend on one mutex. Each shard owns a slice
-// of the byte budget (budget_bytes / shards) with LRU eviction inside
-// the shard.
+// One mutex guards one LRU under one byte budget. Under the lock a
+// request does one hash lookup and one list splice; disk I/O runs
+// outside it.
 //
 // Determinism: artifacts are immutable and every producer computes the
 // same bytes for the same key (the session determinism contract), so
@@ -31,8 +29,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <list>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -75,16 +76,16 @@ struct ArtifactCodec {
   std::size_t (*bytes)(const void* artifact) = nullptr;
 };
 
-/// Counters over all shards, cumulative since construction. A snapshot
-/// is internally consistent per shard but not across shards (each shard
-/// is locked in turn) — fine for monitoring, not for invariants.
+/// Counters, cumulative since construction. The RAM fields are one
+/// consistent snapshot; the disk fields are read under the disk tier's
+/// own lock.
 struct SharedCacheStats {
   std::int64_t hits = 0;        ///< lookup() found the key.
   std::int64_t misses = 0;      ///< lookup() did not.
   std::int64_t insertions = 0;  ///< Entries actually added (not races).
-  std::int64_t evictions = 0;   ///< Entries dropped by a shard budget.
-  std::size_t bytes = 0;        ///< Current payload bytes, all shards.
-  std::size_t entries = 0;      ///< Current entry count, all shards.
+  std::int64_t evictions = 0;   ///< Entries dropped by the byte budget.
+  std::size_t bytes = 0;        ///< Current payload bytes.
+  std::size_t entries = 0;      ///< Current entry count.
   // Disk tier (all zero when Config::disk_dir is empty).
   std::int64_t disk_hits = 0;    ///< RAM misses satisfied from disk.
   std::int64_t disk_misses = 0;  ///< Disk probes that found nothing.
@@ -93,17 +94,15 @@ struct SharedCacheStats {
   std::size_t disk_entries = 0;  ///< Current files in the cache dir.
 };
 
-/// Sharded byte-budgeted LRU of immutable artifacts, keyed by
-/// ArtifactKey, holding type-erased shared ownership (the key's `kind`
-/// field discriminates the payload type, exactly as in the session
-/// LRU).
+/// Byte-budgeted LRU of immutable artifacts, keyed by ArtifactKey,
+/// holding type-erased shared ownership (the key's `kind` field
+/// discriminates the payload type, exactly as in the session LRU).
 class SharedArtifactCache {
  public:
   struct Config {
-    /// Byte budget over all shards; each shard enforces budget/shards.
+    /// Byte budget of the RAM tier. The most recently inserted entry is
+    /// always kept, even when it alone exceeds the budget.
     std::size_t budget_bytes = std::size_t{256} << 20;
-    /// Independently locked segments; rounded up to at least 1.
-    std::size_t shards = 16;
     /// Persistent warm-start tier (store::DiskArtifactCache): empty
     /// disables it. When set, a RAM miss whose kind has a codec probes
     /// this directory (and promotes a hit into the RAM tier), and every
@@ -147,12 +146,25 @@ class SharedArtifactCache {
   void clear();
 
  private:
-  struct Shard;
+  struct Entry {
+    ArtifactKey key;
+    std::shared_ptr<const void> value;
+    std::size_t bytes = 0;
+  };
+
   Config config_;
-  std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<store::DiskArtifactCache> disk_;
 
-  Shard& shard_for(const ArtifactKey& key) const;
+  mutable std::mutex mutex_;  ///< Guards the RAM tier: every member below.
+  std::list<Entry> lru_;      ///< Front = most recently used.
+  std::unordered_map<ArtifactKey, std::list<Entry>::iterator, ArtifactKeyHash>
+      index_;
+  std::size_t bytes_ = 0;
+  std::int64_t hits_ = 0;
+  std::int64_t misses_ = 0;
+  std::int64_t insertions_ = 0;
+  std::int64_t evictions_ = 0;
+
   const ArtifactCodec* codec_for(std::uint8_t kind) const;
   bool insert_ram(const ArtifactKey& key, std::shared_ptr<const void> value,
                   std::size_t bytes);

@@ -2,15 +2,15 @@
 
 // Interactive session engine: memoized incremental recomputation.
 //
-// PR 1–2 made a SINGLE evaluation fast (compiled simulation engine,
-// fused streaming metric pipeline). This layer makes the interactive
-// loop fast: a `Session` wraps a program, its current parameter
-// binding, and a metric subscription set behind a byte-budgeted
-// memoization cache, so dragging a slider back over visited values —
-// or into values the prefetcher anticipated — returns in cache-lookup
-// time instead of re-simulating.
+// The compiled simulator and the metric engine make a SINGLE
+// evaluation fast. This layer makes the interactive loop fast: a
+// `Session` wraps a program, its current parameter binding, and a
+// metric subscription set behind a byte-budgeted memoization cache, so
+// dragging a slider back over visited values — or into values the
+// prefetcher anticipated — returns in cache-lookup time instead of
+// re-simulating.
 //
-// Three mechanisms, mirroring what separates an interactive dataflow
+// Four mechanisms, mirroring what separates an interactive dataflow
 // viewer from a fast batch engine:
 //
 //   * Memoization — every artifact (metric bundle, symbolic volume,
@@ -26,6 +26,10 @@
 //     survive any amount of re-simulation. Program edits change the
 //     content hash; stale entries simply become unreachable and age
 //     out of the LRU.
+//   * Delta recomputation — a metrics() miss runs
+//     sim::MetricPipeline::run_delta against the session pipeline's
+//     checkpoint: clean trace chunks are spliced and only dirty ones
+//     re-simulated (docs/incremental.md).
 //   * Speculative prefetch — a slider drag moves one symbol with a
 //     regular stride. After each metrics() call the session evaluates
 //     the neighboring values of the last-moved symbol on the dmv::par
@@ -34,10 +38,10 @@
 //
 // Determinism contract: every artifact returned by a Session is
 // bit-identical to the corresponding uncached evaluation, at any
-// thread count, any prefetch depth, and any eviction schedule. Cached
-// values are immutable; eviction only ever causes a (deterministic)
-// recomputation; prefetch results are inserted in candidate order on
-// the calling thread.
+// thread count, with or without prefetch, and at any eviction
+// schedule. Cached values are immutable; eviction only ever causes a
+// (deterministic) recomputation; prefetch results are inserted in
+// candidate order on the calling thread.
 //
 // Thread safety: a Session is NOT thread-safe — it is the state of one
 // interactive client. It uses the dmv::par pool internally for
@@ -66,17 +70,6 @@ struct SessionConfig {
   sim::PipelineConfig pipeline;
   /// Simulation engine knobs shared by all evaluations.
   sim::SimulationOptions simulation;
-  /// Drive the pipeline in streaming mode (no event vector); turn off
-  /// if raw traces are needed elsewhere. Either mode yields
-  /// bit-identical artifacts.
-  bool streaming = true;
-  /// Route metric evaluations through the delta recomputation engine
-  /// (sim::MetricPipeline::run_delta): cache misses against a warm
-  /// checkpoint splice clean trace chunks and re-simulate only dirty
-  /// ones instead of recomputing from scratch (docs/incremental.md).
-  /// Takes precedence over `streaming` (the checkpoint is materialized).
-  /// Artifacts stay bit-identical either way.
-  bool delta = true;
 
   /// LRU byte budget over all cached artifacts. The most recently
   /// inserted entry is always kept, even when it alone exceeds the
@@ -92,11 +85,9 @@ struct SessionConfig {
   std::shared_ptr<SharedArtifactCache> shared_cache;
 
   /// Speculatively evaluate neighboring values of the last-moved
-  /// symbol after each metrics() call.
+  /// symbol after each metrics() call: two ahead in the drag direction
+  /// and one behind, for direction reversals.
   bool prefetch = true;
-  /// Neighbors prefetched ahead in the drag direction (plus one behind,
-  /// for direction reversals).
-  int prefetch_depth = 2;
 
   /// Rendering knobs for graph_svg()/layout().
   viz::ColorScheme scheme = viz::ColorScheme::GreenYellowRed;
@@ -140,8 +131,7 @@ struct SessionStats {
   // The in-progress step is classified lazily: at the next binding
   // change or at the next stats() call, whichever comes first.
   // Speculative prefetch evaluations never count toward any step. The
-  // metric bundle's class comes from run_delta's outcome, so with
-  // `delta` off every computed bundle counts as cold.
+  // metric bundle's class comes from run_delta's outcome.
   std::int64_t steps_full_hit = 0;
   std::int64_t steps_symbolic = 0;
   std::int64_t steps_chunk_delta = 0;
@@ -233,7 +223,6 @@ class Session {
 
   SessionStats stats() const;
   void reset_stats();
-  void clear_cache();
 
  private:
   struct Impl;

@@ -19,7 +19,8 @@
 //     one feed;
 //   * run_delta — the same cold path, then checkpointed: later steps
 //     feed a patched trace from event 0, or resume the carried state
-//     and feed only an appended suffix;
+//     and feed only an appended suffix. Every session::Session
+//     evaluation, and so every served step, takes this entry point;
 //   * run_streaming — simulate() hands events to an EventSink that
 //     feeds bounded windows, so no event vector is ever allocated.
 //
@@ -161,10 +162,10 @@ std::size_t approx_size_bytes(const PipelineResult& result);
 /// payload outright and never alias the arena; they stay valid after the
 /// pipeline is destroyed.
 ///
-/// Thread safety: a MetricPipeline is NOT thread-safe — run/run_streaming/
-/// run_sweep mutate the shared arena, so give each concurrent caller its
-/// own instance (the session prefetcher keeps one per pool slot). Calls
-/// are internally serial; results are bit-identical at any
+/// Thread safety: a MetricPipeline is NOT thread-safe — every run call
+/// mutates the shared arena, so give each concurrent caller its own
+/// instance (the session prefetcher keeps one per pool slot). Calls are
+/// internally serial; results are bit-identical at any
 /// dmv::par::num_threads() setting.
 class MetricPipeline {
  public:
@@ -210,13 +211,6 @@ class MetricPipeline {
   /// event_storage_bytes() stays 0.
   PipelineResult run_streaming(const Sdfg& sdfg, const SymbolMap& symbols,
                                const SimulationOptions& options = {});
-
-  /// Slider sweep: one result per value, binding `symbol` on top of
-  /// `base`. Every arena buffer is reused across steps.
-  std::vector<PipelineResult> run_sweep(
-      const Sdfg& sdfg, const SymbolMap& base, const std::string& symbol,
-      const std::vector<std::int64_t>& values, bool streaming = true,
-      const SimulationOptions& options = {});
 
   /// Bytes reserved by the arena's event columns: >0 after a
   /// materialized run, exactly 0 after streaming-only use — the

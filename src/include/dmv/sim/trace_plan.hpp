@@ -86,14 +86,6 @@ struct TraceArena {
   TracePlan plan;
   /// Streaming sequencer ring: chunk c fills buffers[c % window].
   std::vector<EventList> chunk_buffers;
-
-  std::size_t buffer_bytes() const {
-    std::size_t total = 0;
-    for (const EventList& buffer : chunk_buffers) {
-      total += buffer.capacity_bytes();
-    }
-    return total;
-  }
 };
 
 /// Generates exactly `chunk` of a plan for this (sdfg, symbols, options)

@@ -57,7 +57,6 @@ class LaneEnv {
   void broadcast(int slot, std::int64_t value);
 
   int width() const { return width_; }
-  std::size_t slot_count() const { return bound_.size(); }
   const std::int64_t* lanes(int slot) const {
     return values_.data() + static_cast<std::size_t>(slot) * width_;
   }

@@ -48,7 +48,6 @@ struct Value {
   static Value make_object();
 
   // -- accessors (throw ParseError on type mismatch) ------------------
-  bool is_null() const { return type == Type::Null; }
   bool has(const std::string& key) const {
     return type == Type::Object && object.contains(key);
   }

@@ -2,39 +2,11 @@
 
 #include <sstream>
 
+#include "dmv/util/json.hpp"
+
 namespace dmv::ir {
 
 namespace {
-
-// Minimal JSON string escaping (the IR only emits printable identifiers
-// and expression strings, but be safe about quotes and backslashes).
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string quoted(const std::string& text) {
-  return '"' + json_escape(text) + '"';
-}
 
 const char* node_kind_name(NodeKind kind) {
   switch (kind) {
@@ -53,24 +25,24 @@ const char* node_kind_name(NodeKind kind) {
 void write_node(std::ostringstream& os, const Node& node,
                 const std::string& indent) {
   os << indent << "{\"id\": " << node.id << ", \"kind\": "
-     << quoted(node_kind_name(node.kind)) << ", \"label\": "
-     << quoted(node.label);
+     << json::escape(node_kind_name(node.kind)) << ", \"label\": "
+     << json::escape(node.label);
   if (node.kind == NodeKind::Access) {
-    os << ", \"data\": " << quoted(node.data);
+    os << ", \"data\": " << json::escape(node.data);
   }
   if (node.kind == NodeKind::Tasklet) {
-    os << ", \"code\": " << quoted(node.code.source);
+    os << ", \"code\": " << json::escape(node.code.source);
   }
   if (node.kind == NodeKind::MapEntry) {
     os << ", \"params\": [";
     for (std::size_t i = 0; i < node.map.params.size(); ++i) {
       if (i > 0) os << ", ";
-      os << quoted(node.map.params[i]);
+      os << json::escape(node.map.params[i]);
     }
     os << "], \"ranges\": [";
     for (std::size_t i = 0; i < node.map.ranges.size(); ++i) {
       if (i > 0) os << ", ";
-      os << quoted(node.map.ranges[i].to_string());
+      os << json::escape(node.map.ranges[i].to_string());
     }
     os << ']';
   }
@@ -84,18 +56,22 @@ void write_node(std::ostringstream& os, const Node& node,
 void write_edge(std::ostringstream& os, const Edge& edge,
                 const std::string& indent) {
   os << indent << "{\"src\": " << edge.src << ", \"dst\": " << edge.dst;
-  if (!edge.src_conn.empty()) os << ", \"src_conn\": " << quoted(edge.src_conn);
-  if (!edge.dst_conn.empty()) os << ", \"dst_conn\": " << quoted(edge.dst_conn);
+  if (!edge.src_conn.empty()) {
+    os << ", \"src_conn\": " << json::escape(edge.src_conn);
+  }
+  if (!edge.dst_conn.empty()) {
+    os << ", \"dst_conn\": " << json::escape(edge.dst_conn);
+  }
   if (!edge.memlet.is_empty()) {
-    os << ", \"data\": " << quoted(edge.memlet.data) << ", \"subset\": "
-       << quoted(edge.memlet.subset.to_string()) << ", \"volume\": "
-       << quoted(edge.memlet.effective_volume().to_string());
+    os << ", \"data\": " << json::escape(edge.memlet.data) << ", \"subset\": "
+       << json::escape(edge.memlet.subset.to_string()) << ", \"volume\": "
+       << json::escape(edge.memlet.effective_volume().to_string());
     if (!edge.memlet.other_subset.ranges.empty()) {
       os << ", \"other_subset\": "
-         << quoted(edge.memlet.other_subset.to_string());
+         << json::escape(edge.memlet.other_subset.to_string());
     }
     if (edge.memlet.wcr != Wcr::None) {
-      os << ", \"wcr\": " << quoted(to_string(edge.memlet.wcr));
+      os << ", \"wcr\": " << json::escape(to_string(edge.memlet.wcr));
     }
   }
   os << '}';
@@ -105,27 +81,27 @@ void write_edge(std::ostringstream& os, const Edge& edge,
 
 std::string to_json(const Sdfg& sdfg) {
   std::ostringstream os;
-  os << "{\n  \"name\": " << quoted(sdfg.name()) << ",\n  \"symbols\": [";
+  os << "{\n  \"name\": " << json::escape(sdfg.name()) << ",\n  \"symbols\": [";
   bool first = true;
   for (const std::string& symbol : sdfg.symbols()) {
     if (!first) os << ", ";
     first = false;
-    os << quoted(symbol);
+    os << json::escape(symbol);
   }
   os << "],\n  \"containers\": [\n";
   first = true;
   for (const auto& [name, descriptor] : sdfg.arrays()) {
     if (!first) os << ",\n";
     first = false;
-    os << "    {\"name\": " << quoted(name) << ", \"shape\": [";
+    os << "    {\"name\": " << json::escape(name) << ", \"shape\": [";
     for (std::size_t d = 0; d < descriptor.shape.size(); ++d) {
       if (d > 0) os << ", ";
-      os << quoted(descriptor.shape[d].to_string());
+      os << json::escape(descriptor.shape[d].to_string());
     }
     os << "], \"strides\": [";
     for (std::size_t d = 0; d < descriptor.strides.size(); ++d) {
       if (d > 0) os << ", ";
-      os << quoted(descriptor.strides[d].to_string());
+      os << json::escape(descriptor.strides[d].to_string());
     }
     os << "], \"element_size\": " << descriptor.element_size
        << ", \"transient\": " << (descriptor.transient ? "true" : "false")
@@ -136,7 +112,8 @@ std::string to_json(const Sdfg& sdfg) {
   for (const State& state : sdfg.states()) {
     if (!first) os << ",\n";
     first = false;
-    os << "    {\"name\": " << quoted(state.name()) << ",\n     \"nodes\": [\n";
+    os << "    {\"name\": " << json::escape(state.name())
+       << ",\n     \"nodes\": [\n";
     bool first_node = true;
     for (const Node& node : state.nodes()) {
       if (!first_node) os << ",\n";
@@ -158,19 +135,19 @@ std::string to_json(const Sdfg& sdfg) {
 
 std::string to_dot(const State& state) {
   std::ostringstream os;
-  os << "digraph \"" << state.name() << "\" {\n";
+  os << "digraph " << json::escape(state.name()) << " {\n";
   for (const Node& node : state.nodes()) {
     const char* shape = "box";
     if (node.kind == NodeKind::Access) shape = "ellipse";
     if (node.kind == NodeKind::MapEntry) shape = "trapezium";
     if (node.kind == NodeKind::MapExit) shape = "invtrapezium";
-    os << "  n" << node.id << " [shape=" << shape << ", label=\""
-       << json_escape(node.label) << "\"];\n";
+    os << "  n" << node.id << " [shape=" << shape
+       << ", label=" << json::escape(node.label) << "];\n";
   }
   for (const Edge& edge : state.edges()) {
     os << "  n" << edge.src << " -> n" << edge.dst;
     if (!edge.memlet.is_empty()) {
-      os << " [label=\"" << json_escape(edge.memlet.to_string()) << "\"]";
+      os << " [label=" << json::escape(edge.memlet.to_string()) << "]";
     }
     os << ";\n";
   }

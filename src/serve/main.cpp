@@ -11,7 +11,6 @@
 //   --threads N               par::set_num_threads(N); DMV_NUM_THREADS
 //                             is the environment equivalent.
 //   --cache-mb N              shared artifact tier budget (default 256).
-//   --shards N                shared tier shard count (default 16).
 //   --cache-dir PATH          persistent warm-start tier: metric
 //                             artifacts are written to PATH and a
 //                             restarted server re-serves them without
@@ -35,8 +34,7 @@ namespace {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--port N] [--threads N] [--cache-mb N] [--shards N]"
-               " [--cache-dir PATH]\n";
+            << " [--port N] [--threads N] [--cache-mb N] [--cache-dir PATH]\n";
   return 2;
 }
 
@@ -141,9 +139,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--cache-mb") == 0 && has_value) {
       config.shared_cache.budget_bytes =
           static_cast<std::size_t>(std::atoll(argv[++i])) << 20;
-    } else if (std::strcmp(arg, "--shards") == 0 && has_value) {
-      config.shared_cache.shards =
-          static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(arg, "--cache-dir") == 0 && has_value) {
       config.shared_cache.disk_dir = argv[++i];
     } else {

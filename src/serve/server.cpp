@@ -1,11 +1,14 @@
 #include "dmv/serve/server.hpp"
 
+#include <algorithm>
+#include <array>
 #include <condition_variable>
 #include <cstdio>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -72,6 +75,13 @@ symbolic::SymbolMap parse_binding(const Value& value) {
   for (const auto& [symbol, v] : value.object) binding[symbol] = v.as_int();
   return binding;
 }
+
+/// Every param `subscribe` reads. Anything else is refused, so a
+/// misspelt or retired knob cannot silently leave its default in place.
+constexpr std::array<std::string_view, 9> kSubscribeParams = {
+    "session",        "prefetch",      "cache_budget_bytes",
+    "line_size",      "counts",        "miss_threshold_lines",
+    "keep_distances", "element_stats", "movement"};
 
 Value binding_json(const symbolic::SymbolMap& binding) {
   Value object = Value::make_object();
@@ -232,15 +242,16 @@ struct Server::Impl {
     constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
     auto client = client_for(param(params, "session").as_string());
     std::lock_guard<std::mutex> lock(client->mutex);
+    for (const auto& [name, value] : params.object) {
+      if (std::find(kSubscribeParams.begin(), kSubscribeParams.end(), name) ==
+          kSubscribeParams.end()) {
+        throw RequestError("bad_request",
+                           "unknown subscribe param '" + name + "'");
+      }
+    }
     session::SessionConfig cfg = client->session->config();
     cfg.shared_cache = shared;
-    if (params.has("streaming")) cfg.streaming = params.at("streaming").as_bool();
-    if (params.has("delta")) cfg.delta = params.at("delta").as_bool();
     if (params.has("prefetch")) cfg.prefetch = params.at("prefetch").as_bool();
-    if (params.has("prefetch_depth")) {
-      cfg.prefetch_depth = static_cast<int>(
-          ranged_int(params, "prefetch_depth", 0, kMaxPrefetchDepth));
-    }
     if (params.has("cache_budget_bytes")) {
       cfg.cache_budget_bytes = static_cast<std::size_t>(
           ranged_int(params, "cache_budget_bytes", 0, kInt64Max));
@@ -279,10 +290,7 @@ struct Server::Impl {
     client->session->set_binding(std::move(binding));
 
     Value result = Value::make_object();
-    result["streaming"] = Value::of(cfg.streaming);
-    result["delta"] = Value::of(cfg.delta);
     result["prefetch"] = Value::of(cfg.prefetch);
-    result["prefetch_depth"] = Value::of(cfg.prefetch_depth);
     result["cache_budget_bytes"] =
         Value::of(static_cast<std::int64_t>(cfg.cache_budget_bytes));
     result["line_size"] = Value::of(cfg.pipeline.line_size);

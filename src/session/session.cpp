@@ -10,6 +10,7 @@
 #include "dmv/analysis/analysis.hpp"
 #include "dmv/ir/serialize.hpp"
 #include "dmv/par/par.hpp"
+#include "dmv/util/fnv1a.hpp"
 #include "dmv/viz/render.hpp"
 
 namespace dmv::session {
@@ -21,17 +22,9 @@ using sim::PipelineResult;
 using symbolic::Expr;
 using symbolic::SymbolMap;
 
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-  hash ^= value;
-  hash *= 1099511628211ull;
-  return hash;
-}
-
-std::uint64_t hash_bytes(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : text) hash = fnv1a(hash, static_cast<unsigned char>(c));
-  return hash;
-}
+/// Speculative neighbors evaluated ahead in the drag direction after a
+/// slider move (one more goes behind, for direction reversals).
+constexpr int kPrefetchDepth = 2;
 
 /// Rough heap footprint of an expression: one node's worth per DISTINCT
 /// interned node reachable from it. Hash-consing makes subtree sharing
@@ -145,13 +138,13 @@ struct Session::Impl {
       : config(std::move(session_config)),
         program(std::move(sdfg)),
         pipeline(config.pipeline) {
-    config_hash = fnv1a(sim::fingerprint(config.pipeline),
-                        sim::fingerprint(config.simulation));
+    config_hash = util::fnv1a(sim::fingerprint(config.pipeline),
+                              sim::fingerprint(config.simulation));
     rehash_program();
   }
 
   void rehash_program() {
-    program_hash = hash_bytes(ir::to_json(program));
+    program_hash = util::fnv1a_string(ir::to_json(program));
     metric_symbols = analysis::simulation_symbols(program);
   }
 
@@ -255,17 +248,6 @@ struct Session::Impl {
 
   // --- Artifacts -----------------------------------------------------
 
-  PipelineResult evaluate(MetricPipeline& on, const SymbolMap& at,
-                          sim::DeltaOutcome* outcome = nullptr) {
-    if (config.delta) {
-      return on.run_delta(program, program_hash, at, config.simulation,
-                          outcome);
-    }
-    return config.streaming
-               ? on.run_streaming(program, at, config.simulation)
-               : on.run(program, at, config.simulation);
-  }
-
   std::shared_ptr<const PipelineResult> metrics() {
     note_step(kStepFullHit);
     const Key key = metrics_key(binding);
@@ -273,9 +255,9 @@ struct Session::Impl {
     if (std::shared_ptr<const void> cached = lookup(key)) {
       result = std::static_pointer_cast<const PipelineResult>(cached);
     } else {
-      sim::DeltaOutcome outcome;  // Defaults to kCold for the non-delta path.
-      result = std::make_shared<const PipelineResult>(
-          evaluate(pipeline, binding, &outcome));
+      sim::DeltaOutcome outcome;
+      result = std::make_shared<const PipelineResult>(pipeline.run_delta(
+          program, program_hash, binding, config.simulation, &outcome));
       switch (outcome.path) {
         case sim::DeltaOutcome::Path::kCold:
           note_step(kStepCold);
@@ -299,7 +281,7 @@ struct Session::Impl {
   }
 
   void maybe_prefetch() {
-    if (!config.prefetch || config.prefetch_depth <= 0) {
+    if (!config.prefetch) {
       stats.prefetch = "off";
       return;
     }
@@ -318,7 +300,7 @@ struct Session::Impl {
 
     const std::int64_t current = binding.at(moved_symbol);
     std::vector<std::int64_t> candidates;
-    for (int step = 1; step <= config.prefetch_depth; ++step) {
+    for (int step = 1; step <= kPrefetchDepth; ++step) {
       candidates.push_back(current + step * moved_delta);
     }
     candidates.push_back(current - moved_delta);  // Direction reversal.
@@ -349,7 +331,9 @@ struct Session::Impl {
                           speculative[moved_symbol] = candidates[i];
                           try {
                             results[i] = std::make_shared<const PipelineResult>(
-                                evaluate(*prefetch_pipelines[i], speculative));
+                                prefetch_pipelines[i]->run_delta(
+                                    program, program_hash, speculative,
+                                    config.simulation));
                           } catch (const std::exception&) {
                             results[i] = nullptr;
                           }
@@ -615,12 +599,6 @@ SessionStats Session::stats() const {
 void Session::reset_stats() {
   impl_->stats = SessionStats{};
   impl_->step_rank = -1;
-}
-
-void Session::clear_cache() {
-  impl_->lru.clear();
-  impl_->index.clear();
-  impl_->cache_bytes = 0;
 }
 
 std::uint8_t metrics_artifact_kind() { return raw(Kind::kMetrics); }

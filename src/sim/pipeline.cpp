@@ -13,6 +13,7 @@
 #include "dmv/par/par.hpp"
 #include "dmv/sim/trace_plan.hpp"
 #include "dmv/store/trace_store.hpp"
+#include "dmv/util/fnv1a.hpp"
 #include "closed_form_counts.hpp"
 #include "metric_detail.hpp"
 #include "metric_merge.hpp"
@@ -145,11 +146,8 @@ int PipelineResult::container_index(const std::string& name) const {
 
 std::uint64_t fingerprint(const PipelineConfig& config) {
   // FNV-1a over every output-relevant field.
-  std::uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
+  std::uint64_t hash = util::kFnvOffset;
+  auto mix = [&hash](std::uint64_t value) { hash = util::fnv1a(hash, value); };
   mix(static_cast<std::uint64_t>(config.line_size));
   mix(config.counts ? 1 : 0);
   mix(static_cast<std::uint64_t>(config.miss_threshold_lines));
@@ -169,14 +167,10 @@ std::uint64_t fingerprint(const SimulationOptions& options) {
   // FNV-1a over the fields that can change the simulator's output.
   // lane_width is a bit-identical execution strategy and excluded on
   // purpose.
-  std::uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(options.placement_alignment));
-  mix(options.wcr_reads ? 1 : 0);
-  return hash;
+  std::uint64_t hash = util::kFnvOffset;
+  hash = util::fnv1a(hash,
+                     static_cast<std::uint64_t>(options.placement_alignment));
+  return util::fnv1a(hash, options.wcr_reads ? 1 : 0);
 }
 
 std::size_t approx_size_bytes(const PipelineResult& result) {
@@ -290,21 +284,6 @@ PipelineResult MetricPipeline::run_streaming(const Sdfg& sdfg,
   // collapses into simulate_ms (see PhaseTimings).
   timings_ = {ms_since(start), 0.0, arena_->engine.partitions()};
   return result;
-}
-
-std::vector<PipelineResult> MetricPipeline::run_sweep(
-    const Sdfg& sdfg, const SymbolMap& base, const std::string& symbol,
-    const std::vector<std::int64_t>& values, bool streaming,
-    const SimulationOptions& options) {
-  std::vector<PipelineResult> results;
-  results.reserve(values.size());
-  SymbolMap binding = base;
-  for (const std::int64_t value : values) {
-    binding[symbol] = value;
-    results.push_back(streaming ? run_streaming(sdfg, binding, options)
-                                : run(sdfg, binding, options));
-  }
-  return results;
 }
 
 namespace {

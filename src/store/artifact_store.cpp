@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "byte_io.hpp"
+#include "dmv/util/fnv1a.hpp"
 
 namespace dmv::store {
 namespace {
@@ -54,7 +55,7 @@ std::string encode_artifact_key(const session::ArtifactKey& key) {
 
 std::uint64_t artifact_key_hash64(const session::ArtifactKey& key) {
   const std::string bytes = encode_artifact_key(key);
-  return detail::fnv1a_bytes(detail::kFnvOffset, bytes.data(), bytes.size());
+  return detail::fnv1a_bytes(util::kFnvOffset, bytes.data(), bytes.size());
 }
 
 DiskArtifactCache::DiskArtifactCache(Config config)
@@ -115,7 +116,7 @@ bool DiskArtifactCache::load(const session::ArtifactKey& key,
     const std::uint64_t stored_checksum = reader.u64();
     if (reader.remaining() != 0) reader.fail("trailing bytes");
     std::uint64_t checksum =
-        detail::fnv1a_bytes(detail::kFnvOffset, stored_key, key_size);
+        detail::fnv1a_bytes(util::kFnvOffset, stored_key, key_size);
     checksum = detail::fnv1a_bytes(checksum, payload, payload_size);
     if (checksum != stored_checksum) reader.fail("checksum mismatch");
     if (key_size != expected_key.size() ||
@@ -158,7 +159,7 @@ void DiskArtifactCache::store(const session::ArtifactKey& key,
   detail::put_u64(file, payload.size());
   file.append(payload.data(), payload.size());
   std::uint64_t checksum = detail::fnv1a_bytes(
-      detail::kFnvOffset, key_bytes.data(), key_bytes.size());
+      util::kFnvOffset, key_bytes.data(), key_bytes.size());
   checksum = detail::fnv1a_bytes(checksum, payload.data(), payload.size());
   detail::put_u64(file, checksum);
 
@@ -325,7 +326,7 @@ std::string encode_pipeline_result(const sim::PipelineResult& result) {
   // Trailing checksum over everything before it — lets the codec stand
   // alone (the disk cache file adds its own whole-file checksum on top).
   detail::put_u64(out,
-                  detail::fnv1a_bytes(detail::kFnvOffset, out.data(),
+                  detail::fnv1a_bytes(util::kFnvOffset, out.data(),
                                       out.size()));
   return out;
 }
@@ -390,7 +391,7 @@ std::shared_ptr<const sim::PipelineResult> decode_pipeline_result(
     const std::uint64_t stored_checksum = reader.u64();
     if (reader.remaining() != 0) return nullptr;
     if (stored_checksum !=
-        detail::fnv1a_bytes(detail::kFnvOffset, bytes.data(), body_size)) {
+        detail::fnv1a_bytes(util::kFnvOffset, bytes.data(), body_size)) {
       return nullptr;
     }
     return result;

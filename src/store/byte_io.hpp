@@ -21,6 +21,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "dmv/util/fnv1a.hpp"
+
 namespace dmv::store::detail {
 
 /// Byte order of an unsigned word flipped to little-endian (and back:
@@ -302,17 +304,6 @@ class ByteReader {
   const char* what_;
 };
 
-// FNV-1a 64, the repo-wide checksum idiom (symbolic interner, artifact
-// keys). Mixed per 64-bit word, not per byte, over decoded VALUES — the
-// checksum gates the decode result, not the encoded representation.
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-
-inline std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-  hash ^= value;
-  hash *= 1099511628211ull;
-  return hash;
-}
-
 /// Byte-buffer checksum, mixed per 64-bit little-endian word (the tail
 /// is zero-padded and the byte length folded in last, so buffers that
 /// differ only in trailing zero bytes still hash differently). Word
@@ -322,14 +313,15 @@ inline std::uint64_t fnv1a_bytes(std::uint64_t hash, const char* data,
                                  std::size_t size) {
   std::size_t i = 0;
   for (; i + 8 <= size; i += 8) {
-    hash = fnv1a(hash, load_le64(data + i));
+    hash = util::fnv1a(hash, load_le64(data + i));
   }
   std::uint64_t tail = 0;
   for (int b = 0; i < size; ++i, ++b) {
     tail |= static_cast<std::uint64_t>(static_cast<unsigned char>(data[i]))
             << (8 * b);
   }
-  return fnv1a(fnv1a(hash, tail), static_cast<std::uint64_t>(size));
+  hash = util::fnv1a(hash, tail);
+  return util::fnv1a(hash, static_cast<std::uint64_t>(size));
 }
 
 }  // namespace dmv::store::detail

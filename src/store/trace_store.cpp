@@ -15,6 +15,7 @@
 
 #include "byte_io.hpp"
 #include "dmv/par/par.hpp"
+#include "dmv/util/fnv1a.hpp"
 
 namespace dmv::store {
 namespace {
@@ -311,14 +312,14 @@ template <typename C, typename F, typename W, typename T, typename E,
           typename K>
 std::uint64_t columns_checksum(std::int64_t n, C container, F flat, W write,
                                T timestep, E execution, K tasklet) {
-  std::uint64_t hash = detail::kFnvOffset;
-  hash = detail::fnv1a(hash, static_cast<std::uint64_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, container(i));
-  for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, flat(i));
-  for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, write(i));
-  for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, timestep(i));
-  for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, execution(i));
-  for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, tasklet(i));
+  std::uint64_t hash = util::kFnvOffset;
+  hash = util::fnv1a(hash, static_cast<std::uint64_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) hash = util::fnv1a(hash, container(i));
+  for (std::int64_t i = 0; i < n; ++i) hash = util::fnv1a(hash, flat(i));
+  for (std::int64_t i = 0; i < n; ++i) hash = util::fnv1a(hash, write(i));
+  for (std::int64_t i = 0; i < n; ++i) hash = util::fnv1a(hash, timestep(i));
+  for (std::int64_t i = 0; i < n; ++i) hash = util::fnv1a(hash, execution(i));
+  for (std::int64_t i = 0; i < n; ++i) hash = util::fnv1a(hash, tasklet(i));
   return hash;
 }
 

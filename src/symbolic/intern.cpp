@@ -26,29 +26,21 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "dmv/util/fnv1a.hpp"
+
 namespace dmv::symbolic {
 
 namespace {
 
 using detail::InternAccess;
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+using util::kFnvOffset;
 
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-  // Mix all 8 bytes so structurally close nodes spread across shards.
+// One FNV-1a step per byte of `value`: mixing all 8 bytes separately
+// spreads structurally close nodes across shards.
+std::uint64_t fnv1a_bytewise(std::uint64_t hash, std::uint64_t value) {
   for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xff;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-std::uint64_t hash_string(std::string_view text) {
-  std::uint64_t hash = kFnvOffset;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= kFnvPrime;
+    hash = util::fnv1a(hash, (value >> (8 * i)) & 0xff);
   }
   return hash;
 }
@@ -60,7 +52,7 @@ struct SymbolTableGlobal {
   // Names live in a deque so `const std::string&` handed out by
   // symbol_name_of stays valid as the table grows.
   std::deque<std::string> names;
-  std::deque<std::uint64_t> name_hashes;  ///< hash_string(name), cached.
+  std::deque<std::uint64_t> name_hashes;  ///< util::fnv1a_string(name), cached.
   std::unordered_map<std::string_view, SymbolId> ids;  // views into names
 };
 
@@ -90,7 +82,7 @@ const std::vector<SymbolId>* intern_symbol_set(std::vector<SymbolId> set) {
   SymbolSetInterner& interner = symbol_sets();
   if (set.empty()) return &interner.empty;
   std::uint64_t hash = kFnvOffset;
-  for (const SymbolId id : set) hash = fnv1a(hash, id);
+  for (const SymbolId id : set) hash = fnv1a_bytewise(hash, id);
   std::lock_guard<std::mutex> lock(interner.mu);
   auto [begin, end] = interner.table.equal_range(hash);
   for (auto it = begin; it != end; ++it) {
@@ -130,8 +122,8 @@ struct SubstKey {
 
 struct SubstKeyHash {
   std::size_t operator()(const SubstKey& key) const {
-    std::uint64_t hash = fnv1a(kFnvOffset, key.node->hash);
-    return static_cast<std::size_t>(fnv1a(hash, key.binding->hash));
+    std::uint64_t hash = fnv1a_bytewise(kFnvOffset, key.node->hash);
+    return static_cast<std::size_t>(fnv1a_bytewise(hash, key.binding->hash));
   }
 };
 
@@ -199,7 +191,7 @@ SymbolId intern_symbol(std::string_view name) {
   if (it != table.ids.end()) return it->second;
   const SymbolId id = static_cast<SymbolId>(table.names.size());
   table.names.emplace_back(name);
-  table.name_hashes.push_back(hash_string(name));
+  table.name_hashes.push_back(util::fnv1a_string(name));
   table.ids.emplace(std::string_view(table.names.back()), id);
   return id;
 }
@@ -234,17 +226,18 @@ const ExprNode* intern_node(ExprKind kind, std::int64_t value, SymbolId sym,
                             std::vector<Expr> operands) {
   // Structural hash: deterministic across runs (symbol NAME hash, child
   // structural hashes — no ids, no addresses).
-  std::uint64_t hash = fnv1a(kFnvOffset, static_cast<std::uint64_t>(kind));
+  std::uint64_t hash =
+      fnv1a_bytewise(kFnvOffset, static_cast<std::uint64_t>(kind));
   switch (kind) {
     case ExprKind::Constant:
-      hash = fnv1a(hash, static_cast<std::uint64_t>(value));
+      hash = fnv1a_bytewise(hash, static_cast<std::uint64_t>(value));
       break;
     case ExprKind::Symbol:
-      hash = fnv1a(hash, symbol_name_hash(sym));
+      hash = fnv1a_bytewise(hash, symbol_name_hash(sym));
       break;
     default:
       for (const Expr& op : operands) {
-        hash = fnv1a(hash, InternAccess::unwrap(op)->hash);
+        hash = fnv1a_bytewise(hash, InternAccess::unwrap(op)->hash);
       }
       break;
   }
@@ -349,8 +342,8 @@ const BindingRecord* intern_binding(
     std::vector<std::pair<SymbolId, const ExprNode*>> entries) {
   std::uint64_t hash = kFnvOffset;
   for (const auto& [id, node] : entries) {
-    hash = fnv1a(hash, detail_intern::symbol_name_hash(id));
-    hash = fnv1a(hash, node->hash);
+    hash = fnv1a_bytewise(hash, detail_intern::symbol_name_hash(id));
+    hash = fnv1a_bytewise(hash, node->hash);
   }
   BindingInterner& interner = bindings();
   std::lock_guard<std::mutex> lock(interner.mu);

@@ -1,6 +1,7 @@
 #include "dmv/util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -96,6 +97,21 @@ const std::vector<Value>& Value::as_array() const {
 }
 
 namespace {
+
+/// UTF-8 encoding of a code point below 0x110000: a lead byte that
+/// counts the sequence's bytes, then six bits per continuation byte.
+void append_utf8(std::string& out, std::uint32_t code_point) {
+  if (code_point < 0x80) {
+    out += static_cast<char>(code_point);
+    return;
+  }
+  const int tail = code_point < 0x800 ? 1 : code_point < 0x10000 ? 2 : 3;
+  constexpr std::uint32_t kLead[] = {0, 0xC0, 0xE0, 0xF0};
+  out += static_cast<char>(kLead[tail] | (code_point >> (6 * tail)));
+  for (int shift = 6 * (tail - 1); shift >= 0; shift -= 6) {
+    out += static_cast<char>(0x80 | ((code_point >> shift) & 0x3F));
+  }
+}
 
 // Arrays and objects nest at most this deep. The parser recurses once
 // per level, so without a cap one request line of nested '[' would
@@ -208,34 +224,50 @@ class Parser {
       if (c == '\\') {
         if (position_ >= text_.size()) fail("unterminated escape");
         const char escape = text_[position_++];
-        switch (escape) {
-          case '"':
-            c = '"';
-            break;
-          case '\\':
-            c = '\\';
-            break;
-          case '/':
-            c = '/';
-            break;
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case 'r':
-            c = '\r';
-            break;
-          default:
-            fail(std::string("unsupported escape '\\") + escape + "'");
+        if (escape == 'u') {
+          append_utf8(value.text, parse_code_point());
+          continue;
         }
+        // JSON's two-character escapes and what each one stands for.
+        constexpr std::string_view kEscapes = "\"\\/bfnrt";
+        constexpr std::string_view kEscaped = "\"\\/\b\f\n\r\t";
+        const std::size_t at = kEscapes.find(escape);
+        if (at == std::string_view::npos) {
+          fail(std::string("unsupported escape '\\") + escape + "'");
+        }
+        c = kEscaped[at];
       }
       value.text += c;
     }
     if (position_ >= text_.size()) fail("unterminated string");
     ++position_;  // Closing quote.
     return value;
+  }
+
+  /// The four hex digits of a \u escape.
+  std::uint32_t parse_hex4() {
+    std::uint32_t unit = 0;
+    const char* digits = text_.data() + position_;
+    if (text_.size() - position_ < 4 ||
+        std::from_chars(digits, digits + 4, unit, 16).ptr != digits + 4) {
+      fail("\\u needs four hex digits");
+    }
+    position_ += 4;
+    return unit;
+  }
+
+  /// The code point of a \u escape whose `u` was just read. A high
+  /// surrogate must be followed by an escaped low one; an unpaired
+  /// surrogate has no UTF-8 encoding and is refused.
+  std::uint32_t parse_code_point() {
+    const std::uint32_t unit = parse_hex4();
+    if (unit >= 0xDC00 && unit <= 0xDFFF) fail("lone low surrogate");
+    if (unit < 0xD800 || unit > 0xDBFF) return unit;
+    if (text_.substr(position_, 2) != "\\u") fail("lone high surrogate");
+    position_ += 2;
+    const std::uint32_t low = parse_hex4();
+    if (low < 0xDC00 || low > 0xDFFF) fail("lone high surrogate");
+    return 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
   }
 
   Value parse_number() {

@@ -448,7 +448,6 @@ session::SessionConfig delta_session_config() {
   session::SessionConfig config;
   config.pipeline = full_config();
   config.prefetch = false;
-  config.delta = true;
   return config;
 }
 

@@ -144,6 +144,19 @@ TEST(JsonReader, ParsesEscapes) {
   EXPECT_EQ(restored.name(), "quote\"backslash\\");
 }
 
+TEST(JsonRoundTrip, ControlBytesInLabelsAreEscaped) {
+  Sdfg original = workloads::matmul();
+  original.states()[0].node(0).label = "carriage\rreturn\x01";
+  const std::string text = to_json(original);
+  // The only raw control byte is the writer's own line break.
+  for (const char c : text) {
+    if (static_cast<unsigned char>(c) < 0x20) EXPECT_EQ(c, '\n');
+  }
+  const Sdfg restored = from_json(text);
+  EXPECT_EQ(restored.states()[0].node(0).label, "carriage\rreturn\x01");
+  expect_structurally_equal(original, restored);
+}
+
 TEST(JsonReader, BadExpressionReportsCleanly) {
   const char* text =
       "{\"name\": \"p\", \"symbols\": [], \"containers\": [{\"name\": "
@@ -155,6 +168,31 @@ TEST(JsonReader, BadExpressionReportsCleanly) {
   } catch (const JsonError& error) {
     EXPECT_NE(std::string(error.what()).find("bad expression"),
               std::string::npos);
+  }
+}
+
+TEST(JsonTest, StringEscapesRoundTrip) {
+  std::string control;
+  for (int byte = 0x00; byte < 0x20; ++byte) {
+    control += static_cast<char>(byte);
+  }
+  const std::string dumped = json::dump(json::Value::of(control));
+  EXPECT_EQ(json::parse(dumped).as_string(), control);
+
+  // Escapes other writers emit: Python's json.dumps writes non-ASCII
+  // as \u escapes, and characters beyond the BMP as surrogate pairs.
+  EXPECT_EQ(json::parse("\"caf\\u00e9\"").as_string(), "caf\xc3\xa9");
+  EXPECT_EQ(json::parse("\"\\u20AC\"").as_string(), "\xe2\x82\xac");
+  EXPECT_EQ(json::parse("\"\\ud83d\\ude00\"").as_string(),
+            "\xf0\x9f\x98\x80");
+  EXPECT_EQ(json::parse("\"a\\bb\\fc\"").as_string(), "a\bb\fc");
+}
+
+TEST(JsonTest, MalformedUnicodeEscapesAreParseErrors) {
+  for (const char* text :
+       {"\"\\ud83d\"", "\"\\ud83dx\"", "\"\\ud83d\\u0041\"", "\"\\ude00\"",
+        "\"\\u12\"", "\"\\u12g4\""}) {
+    EXPECT_THROW(json::parse(text), json::ParseError) << text;
   }
 }
 

@@ -202,8 +202,10 @@ std::string subscribe_request(const std::string& fields) {
 
 /// `fields` is a subscription the server must refuse with bad_request
 /// before touching the session: the next step still answers with the
-/// previous subscription (misses at 8 lines, no prefetch).
-void expect_subscribe_refused(const std::string& fields) {
+/// previous subscription (misses at 8 lines, no prefetch). The error
+/// message must contain `named`.
+void expect_subscribe_refused(const std::string& fields,
+                              const std::string& named = "") {
   Server server;
   server.handle(open_request("a", "hdiff"));
   const Value kept = parse_line(server.handle(
@@ -215,6 +217,9 @@ void expect_subscribe_refused(const std::string& fields) {
                                     << dmv::json::dump(refused);
   EXPECT_EQ(refused.at("error").at("code").as_string(), "bad_request")
       << fields;
+  EXPECT_NE(refused.at("error").at("message").as_string().find(named),
+            std::string::npos)
+      << dmv::json::dump(refused);
 
   const Value stepped = parse_line(server.handle(step_request("a", "K", 6)));
   ASSERT_TRUE(stepped.has("result")) << dmv::json::dump(stepped);
@@ -244,11 +249,19 @@ TEST(ServeProtocolTest, SubscribeRefusesNegativeMissThreshold) {
 }
 
 TEST(ServeProtocolTest, SubscribeRefusesPrefetchDepthOutOfRange) {
+  // prefetch_depth is not a knob: every value is an unknown param.
   expect_subscribe_refused("\"prefetch_depth\":100000");
-  expect_subscribe_refused(
-      "\"prefetch_depth\":" +
-      std::to_string(dmv::serve::kMaxPrefetchDepth + 1));
+  expect_subscribe_refused("\"prefetch_depth\":17");
   expect_subscribe_refused("\"prefetch_depth\":-1");
+}
+
+TEST(ServeProtocolTest, SubscribeRefusesUnknownParams) {
+  // Retired knobs and typos must not silently leave defaults in place.
+  expect_subscribe_refused("\"streaming\":false", "'streaming'");
+  expect_subscribe_refused("\"delta\":false", "'delta'");
+  expect_subscribe_refused("\"prefetch_depth\":2", "'prefetch_depth'");
+  expect_subscribe_refused("\"miss_treshold_lines\":64",
+                           "'miss_treshold_lines'");
 }
 
 TEST(ServeProtocolTest, SubscribeRefusesNegativeCacheBudget) {
@@ -257,6 +270,21 @@ TEST(ServeProtocolTest, SubscribeRefusesNegativeCacheBudget) {
 
 TEST(ServeProtocolTest, SubscribeRefusesMovementWithoutThreshold) {
   expect_subscribe_refused("\"movement\":true,\"miss_threshold_lines\":0");
+}
+
+TEST(ServeProtocolTest, SessionNameMayArriveUnicodeEscaped) {
+  // Python's json.dumps escapes non-ASCII by default.
+  Server server;
+  const Value opened = parse_line(server.handle(
+      "{\"id\":1,\"method\":\"open_program\",\"params\":{\"session\":"
+      "\"caf\\u00e9\",\"workload\":\"hdiff\",\"binding\":{\"I\":8,\"J\":8,"
+      "\"K\":5}}}"));
+  ASSERT_TRUE(opened.has("result")) << dmv::json::dump(opened);
+  // The same session, named in raw UTF-8.
+  const Value stepped =
+      parse_line(server.handle(step_request("caf\xc3\xa9", "K", 6)));
+  ASSERT_TRUE(stepped.has("result")) << dmv::json::dump(stepped);
+  EXPECT_EQ(stepped.at("result").at("served_by").as_string(), "compute");
 }
 
 TEST(ServeProtocolTest, EditProgramSwitchesVariants) {
@@ -378,6 +406,58 @@ TEST(ServeDeterminismTest, ConcurrentClientsBitIdenticalSerialPool) {
 
 TEST(ServeDeterminismTest, ConcurrentClientsBitIdenticalParallelPool) {
   run_concurrent_drag(4);
+}
+
+TEST(ServeDeterminismTest, FailingFlightLeaderReleasesEveryFollower) {
+  // Every client steps onto one key whose evaluation throws (I = -10
+  // makes an extent non-positive). Whoever leads the flight fails; the
+  // followers it releases evaluate and fail on their own. Nobody may
+  // hang, and every client gets its own error.
+  dmv::par::ThreadScope scope(4);
+  ServerConfig config;
+  config.session_defaults.prefetch = false;
+  Server server(config);
+  constexpr int kClients = 6;
+  for (int c = 0; c < kClients; ++c) {
+    server.handle(open_request("client" + std::to_string(c), "hdiff"));
+  }
+  constexpr int kRounds = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> ready{0};
+    std::vector<std::string> responses(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        const std::string request =
+            "{\"id\":" + std::to_string(c) +
+            ",\"method\":\"step\",\"params\":{\"session\":\"client" +
+            std::to_string(c) +
+            "\",\"binding\":{\"I\":-10,\"J\":8,\"K\":" +
+            std::to_string(4 + round) + "}}}";
+        ready.fetch_add(1);
+        while (ready.load() < kClients) std::this_thread::yield();
+        responses[c] = server.handle(request);
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    for (int c = 0; c < kClients; ++c) {
+      const Value response = parse_line(responses[c]);
+      ASSERT_TRUE(response.has("error")) << responses[c];
+      EXPECT_EQ(response.at("id").as_int(), c);
+      EXPECT_EQ(response.at("error").at("code").as_string(), "bad_binding");
+    }
+  }
+  EXPECT_EQ(server.stats().errors, kClients * kRounds);
+
+  // The failed key left nothing behind: a valid step computes, and
+  // matches a lone session.
+  const Value good = parse_line(server.handle(
+      "{\"id\":9,\"method\":\"step\",\"params\":{\"session\":\"client0\","
+      "\"binding\":{\"I\":8,\"J\":8,\"K\":6}}}"));
+  ASSERT_TRUE(good.has("result")) << dmv::json::dump(good);
+  EXPECT_EQ(good.at("result").at("served_by").as_string(), "compute");
+  EXPECT_EQ(good.at("result").at("checksum").as_string(),
+            reference_checksums({6}).front());
 }
 
 TEST(ServeDeterminismTest, PoolBusyFallbackKeepsResultsIdentical) {

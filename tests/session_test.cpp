@@ -5,10 +5,12 @@
 // the uncached evaluation bit for bit, no matter the cache or thread
 // schedule.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -69,13 +71,12 @@ void expect_identical(const PipelineResult& a, const PipelineResult& b) {
   EXPECT_EQ(a.movement.total_bytes, b.movement.total_bytes);
 }
 
-// Uncached reference: a fresh pipeline per call, no memoization anywhere.
+// Uncached reference: a fresh pipeline per call, no memoization and no
+// delta checkpoint anywhere.
 PipelineResult uncached(const ir::Sdfg& sdfg, const SymbolMap& binding,
                         const SessionConfig& config) {
   sim::MetricPipeline pipeline(config.pipeline);
-  return config.streaming
-             ? pipeline.run_streaming(sdfg, binding, config.simulation)
-             : pipeline.run(sdfg, binding, config.simulation);
+  return pipeline.run(sdfg, binding, config.simulation);
 }
 
 TEST(SessionTest, HitMissAccounting) {
@@ -260,7 +261,6 @@ TEST(SessionTest, PrefetchVsColdBitIdentity) {
   SessionConfig cold_config = test_config();
   SessionConfig prefetch_config = test_config();
   prefetch_config.prefetch = true;
-  prefetch_config.prefetch_depth = 2;
 
   Session cold(small_hdiff(), cold_config);
   Session warm(small_hdiff(), prefetch_config);
@@ -283,7 +283,6 @@ TEST(SessionTest, PrefetchVsColdBitIdentity) {
 TEST(SessionDeterminismTest, OneVsEightThreadsBitIdentical) {
   SessionConfig config = test_config();
   config.prefetch = true;
-  config.prefetch_depth = 3;
 
   auto sweep = [&](int threads) {
     par::ThreadScope scope(threads);
@@ -363,6 +362,119 @@ TEST(SessionTest, SimulationSymbolsReachability) {
   EXPECT_FALSE(expr.depends_on("J"));
   EXPECT_TRUE(symbolic::depends_on_any(expr, {"J", "K"}));
   EXPECT_FALSE(symbolic::depends_on_any(expr, {"J", "UNUSED"}));
+}
+
+// --- The process-global shared tier ------------------------------------
+
+ArtifactKey tier_key(int id) {
+  ArtifactKey key;
+  key.program_hash = 7;
+  key.binding = {{"K", id}};
+  return key;
+}
+
+std::shared_ptr<const void> tier_value(int id) {
+  return std::make_shared<const int>(id);
+}
+
+int tier_id(const std::shared_ptr<const void>& value) {
+  return *std::static_pointer_cast<const int>(value);
+}
+
+TEST(SessionSharedCacheTest, ByteBudgetBoundsTheWholeTier) {
+  SharedArtifactCache::Config config;
+  config.budget_bytes = 16 << 10;
+  SharedArtifactCache cache(config);
+  for (int id = 0; id < 64; ++id) {
+    cache.insert(tier_key(id), tier_value(id), 2 << 10);
+  }
+  const SharedCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.bytes, std::size_t{16} << 10);
+  EXPECT_EQ(stats.entries, 8u);
+  EXPECT_EQ(stats.insertions, 64);
+  EXPECT_EQ(stats.evictions, 56);
+  // LRU order: the eight newest survive.
+  EXPECT_EQ(cache.lookup(tier_key(55)), nullptr);
+  EXPECT_EQ(tier_id(cache.lookup(tier_key(56))), 56);
+  EXPECT_EQ(tier_id(cache.lookup(tier_key(63))), 63);
+}
+
+TEST(SessionSharedCacheTest, NewestEntryStaysWhenAloneOverBudget) {
+  SharedArtifactCache::Config config;
+  config.budget_bytes = 1 << 10;
+  SharedArtifactCache cache(config);
+  cache.insert(tier_key(1), tier_value(1), 100);
+  cache.insert(tier_key(2), tier_value(2), 4 << 10);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().bytes, std::size_t{4} << 10);
+  std::size_t bytes = 0;
+  EXPECT_EQ(tier_id(cache.lookup(tier_key(2), &bytes)), 2);
+  EXPECT_EQ(bytes, std::size_t{4} << 10);
+  // The next insert evicts it like any other entry.
+  cache.insert(tier_key(3), tier_value(3), 100);
+  EXPECT_EQ(cache.lookup(tier_key(2)), nullptr);
+  EXPECT_EQ(cache.stats().bytes, 100u);
+}
+
+TEST(SessionSharedCacheTest, FirstWriterWins) {
+  SharedArtifactCache cache;
+  cache.insert(tier_key(1), tier_value(10), 64);
+  cache.insert(tier_key(1), tier_value(20), 128);
+  std::size_t bytes = 0;
+  EXPECT_EQ(tier_id(cache.lookup(tier_key(1), &bytes)), 10);
+  EXPECT_EQ(bytes, 64u);
+  EXPECT_EQ(cache.stats().insertions, 1);
+  EXPECT_EQ(cache.stats().bytes, 64u);
+}
+
+TEST(SessionSharedCacheTest, ContainsTouchesNeitherLruOrderNorCounters) {
+  SharedArtifactCache::Config config;
+  config.budget_bytes = 200;
+  SharedArtifactCache cache(config);
+  cache.insert(tier_key(1), tier_value(1), 100);
+  cache.insert(tier_key(2), tier_value(2), 100);
+  EXPECT_TRUE(cache.contains(tier_key(1)));
+  EXPECT_FALSE(cache.contains(tier_key(9)));
+  EXPECT_EQ(cache.stats().hits, 0);
+  EXPECT_EQ(cache.stats().misses, 0);
+  // Key 1 is still the least recently used, so the next insert evicts
+  // it. A lookup would have refreshed it and evicted key 2 instead.
+  cache.insert(tier_key(3), tier_value(3), 100);
+  EXPECT_FALSE(cache.contains(tier_key(1)));
+  EXPECT_TRUE(cache.contains(tier_key(2)));
+}
+
+TEST(SessionSharedCacheTest, ConcurrentLookupsAndInsertsOnOverlappingKeys) {
+  // Eight threads race lookups and inserts over 32 keys in a tier that
+  // holds 16 of them; the thread sanitizer watches the one lock.
+  SharedArtifactCache::Config config;
+  config.budget_bytes = 16 * 64;
+  SharedArtifactCache cache(config);
+  constexpr int kThreads = 8;
+  constexpr int kOps = 2000;
+  std::vector<std::thread> threads;
+  std::atomic<int> wrong{0};
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int op = 0; op < kOps; ++op) {
+        const int id = (op * 7 + t * 5) % 32;
+        if (std::shared_ptr<const void> value = cache.lookup(tier_key(id))) {
+          if (tier_id(value) != id) wrong.fetch_add(1);
+        } else {
+          cache.insert(tier_key(id), tier_value(id), 64);
+        }
+        if (op % 64 == 0) cache.stats();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  const SharedCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kOps);
+  EXPECT_LE(stats.bytes, config.budget_bytes);
+  EXPECT_EQ(stats.bytes, stats.entries * 64);
+  EXPECT_EQ(stats.insertions - stats.evictions,
+            static_cast<std::int64_t>(stats.entries));
 }
 
 }  // namespace

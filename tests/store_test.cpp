@@ -827,6 +827,28 @@ TEST(StoreDiskCacheTest, SharedTierWarmStartsFromDisk) {
   fs::remove_all(dir);
 }
 
+TEST(StoreDiskCacheTest, DiskKeysAreStableAcrossBuilds) {
+  // A cache dir outlives the binary that filled it: DMVA file names and
+  // embedded keys derive from these hashes, so each value below is
+  // pinned. Changing one costs every existing cache dir a full refill.
+  EXPECT_EQ(sim::fingerprint(sim::PipelineConfig{}), 0x46a9774f932f6798ull);
+  EXPECT_EQ(sim::fingerprint(sim::SimulationOptions{}),
+            0x9b429300c601833bull);
+  session::ArtifactKey key;
+  key.program_hash = 0x0123456789abcdefull;
+  key.config_hash = 0xfedcba9876543210ull;
+  key.binding = {{"I", 8}, {"J", 8}, {"K", 5}};
+  EXPECT_EQ(store::artifact_key_hash64(key), 0x00bbfac163dd4ac1ull);
+
+  serve::Server server;
+  const json::Value opened = json::parse(server.handle(
+      "{\"id\":1,\"method\":\"open_program\",\"params\":{\"session\":\"a\","
+      "\"workload\":\"hdiff\"}}"));
+  ASSERT_TRUE(opened.has("result")) << json::dump(opened);
+  EXPECT_EQ(opened.at("result").at("program_hash").as_string(),
+            "0x1be4c241cea8753a");
+}
+
 // ---------------------------------------------------------------------
 // Server warm restart: the end-to-end acceptance path.
 
