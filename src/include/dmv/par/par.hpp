@@ -16,7 +16,9 @@
 // gets bit-identical results at any thread count, including the serial
 // fallback. `parallel_for` gives the weaker (and cheaper) guarantee that
 // every index is visited exactly once; use it only when writes are
-// disjoint per block.
+// disjoint per block. Errors follow the same rule: when several blocks
+// or tasks throw, the caller sees the exception of the lowest-index one,
+// which is the one the serial fallback raises.
 //
 // The pool is deliberately work-stealing-free: blocks are handed out from
 // a single atomic counter. The analysis passes produce a few dozen
@@ -83,44 +85,16 @@ bool in_parallel_region();
 /// layer surfaces it in stats as a contention signal.
 std::uint64_t busy_fallbacks();
 
-/// Ordered producer/consumer pipeline over [0, n): produce(i) runs on
-/// the pool (concurrently, completing in any order), consume(i) runs on
-/// the CALLING thread in strictly ascending i order as soon as
-/// produce(i) has finished. At most `window` produced-but-unconsumed
-/// items are in flight, so `window` reusable slots (indexed i % window)
-/// are enough for producers and consumer to exchange data. consume must
-/// not issue pool work itself (the single-job pool is occupied).
-/// Serial fallback — produce(i); consume(i) alternating, same order —
-/// when the knob is 1, n == 1, or inside a pool task; outputs that only
-/// depend on the (i, data) sequence are therefore bit-identical at any
-/// thread count. The first exception from either side aborts the
-/// pipeline and is rethrown on the caller.
-void ordered_pipeline(std::size_t n, std::size_t window,
-                      const std::function<void(std::size_t)>& produce,
-                      const std::function<void(std::size_t)>& consume);
-
 namespace detail {
 
 /// Runs task(0) .. task(count - 1) on the pool (caller participates).
 /// Tasks may run in any order and concurrently; the call returns after
-/// all of them completed. The first exception thrown by a task is
-/// rethrown on the caller. Serial in-order fallback when the knob is 1
-/// or the pool is busy with another caller's job (see busy_fallbacks).
+/// all of them completed. When tasks throw, the exception of the
+/// LOWEST-INDEX failing task is rethrown on the caller — the one the
+/// serial in-order fallback raises — so which error surfaces never
+/// depends on timing. Serial in-order fallback when the knob is 1 or
+/// the pool is busy with another caller's job (see busy_fallbacks).
 void run_tasks(std::size_t count, const std::function<void(std::size_t)>& task);
-
-/// Pool entry point for ordered_pipeline: workers drain the task
-/// counter while the CALLER runs `on_caller` instead of participating.
-/// Returns true after on_caller returned AND every task completed;
-/// returns false WITHOUT running anything when the pool is busy with
-/// another caller's job (the caller owns the serial fallback — the
-/// degenerate produce-all-then-consume loop here is only safe when the
-/// caller asked for it via a serial knob). Requires num_threads() > 1
-/// and must not be called from inside a pool task; `task` and
-/// `on_caller` must not let exceptions escape (they own their error
-/// channel).
-bool run_tasks_with_caller(std::size_t count,
-                           const std::function<void(std::size_t)>& task,
-                           const std::function<void()>& on_caller);
 
 /// Contiguous block partition of [0, n): number of blocks for a grain.
 inline std::size_t block_count(std::size_t n, std::size_t grain) {
@@ -133,7 +107,8 @@ inline std::size_t block_count(std::size_t n, std::size_t grain) {
 /// Calls body(begin, end) for each block of the contiguous partition of
 /// [0, n) with the given grain, distributing blocks over the pool. The
 /// partition depends only on (n, grain). Blocks may execute in any order
-/// and concurrently — per-block writes must be disjoint.
+/// and concurrently — per-block writes must be disjoint. A throwing
+/// block rethrows on the caller as in detail::run_tasks.
 template <typename Body>
 void parallel_for(std::size_t n, std::size_t grain, Body&& body) {
   if (n == 0) return;
@@ -158,8 +133,8 @@ void parallel_for(std::size_t n, std::size_t grain, Body&& body) {
 /// the call returns after all completed; per-task writes must be
 /// disjoint. Serial in-order fallback when the knob is 1, count == 1,
 /// the pool is busy, or inside a pool task — callers whose tasks are
-/// pure functions of their index get bit-identical results at any
-/// thread count.
+/// pure functions of their index get bit-identical results, and the
+/// same exception (the lowest-index task's), at any thread count.
 template <typename Task>
 void parallel_tasks(std::size_t count, Task&& task) {
   if (count == 0) return;

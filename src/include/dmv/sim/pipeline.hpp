@@ -21,8 +21,9 @@
 //     feed a patched trace from event 0, or resume the carried state
 //     and feed only an appended suffix. Every session::Session
 //     evaluation, and so every served step, takes this entry point;
-//   * run_streaming — simulate() hands events to an EventSink that
-//     feeds bounded windows, so no event vector is ever allocated.
+//   * run_streaming — generates fine plan chunks in rounds of pool
+//     tasks and feeds each round's chunks while the next round is
+//     generated, so no trace-sized event vector is ever allocated.
 //
 // Except when no trace is needed: a config with no per-event consumer
 // (!needs_distances() && !cache) makes run(sdfg), run_streaming and
@@ -206,15 +207,19 @@ class MetricPipeline {
                            const SimulationOptions& options = {},
                            DeltaOutcome* outcome = nullptr);
 
-  /// Streaming: the simulator hands events to a sink that feeds the
-  /// engine in bounded windows; no event vector is allocated —
-  /// event_storage_bytes() stays 0.
+  /// Streaming: plans the trace at run_delta's fine granularity and
+  /// walks the chunks in rounds — each round generates the next
+  /// num_threads() - 1 chunks (at least one) while one more task feeds
+  /// the previous round's chunks to the engine in chunk order.
+  /// Event memory is two rounds of chunk buffers, never the trace:
+  /// event_storage_bytes() stays 0. The whole cost is reported as
+  /// simulate_ms, the feed as one partition.
   PipelineResult run_streaming(const Sdfg& sdfg, const SymbolMap& symbols,
                                const SimulationOptions& options = {});
 
   /// Bytes reserved by the arena's event columns: >0 after a
   /// materialized run, exactly 0 after streaming-only use — the
-  /// O(1)-event-memory contract the streaming test asserts.
+  /// bounded-event-memory contract the streaming test asserts.
   std::size_t event_storage_bytes() const;
 
   /// Out-of-core mode: after each materialized run whose arena event

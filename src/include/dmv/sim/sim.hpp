@@ -46,6 +46,7 @@
 #include <limits>
 #include <map>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -439,10 +440,19 @@ struct SimulationOptions {
 };
 
 /// Reusable buffers for parallel trace generation (plan storage and
-/// streaming chunk buffers); see sim/trace_plan.hpp. Passing one to
-/// simulate_into/simulate_stream lets a sweep pay the chunk-buffer
-/// allocations once instead of once per binding.
+/// chunk buffers); see sim/trace_plan.hpp. Passing one to simulate_into
+/// lets a sweep pay the plan allocation once instead of once per
+/// binding.
 struct TraceArena;
+
+/// Thrown by the simulator when a memlet subset reaches outside its
+/// container's extents under the binding — e.g. a fixed_capacity build
+/// stepped past its capacity symbol: the binding, not the program, is
+/// at fault.
+class OutOfBoundsAccessError : public std::out_of_range {
+ public:
+  using std::out_of_range::out_of_range;
+};
 
 /// Simulates every state of the SDFG under the given parameter binding
 /// and returns the exact access trace (§V-C "iteration space simulation").
@@ -450,14 +460,16 @@ struct TraceArena;
 /// thread is available, the call is not already inside a pool task, and
 /// the plan (sim/trace_plan.hpp) finds enough work to split; otherwise
 /// it runs serially. The trace is bit-identical either way (see
-/// docs/simulation.md).
+/// docs/simulation.md), and so is the error: an out-of-bounds access
+/// throws OutOfBoundsAccessError for the first one in serial order.
 AccessTrace simulate(const Sdfg& sdfg, const SymbolMap& symbols,
                      const SimulationOptions& options = {});
 
 /// Same, but (re)filling a caller-owned trace: containers/layouts/events
 /// are cleared and rewritten while the event columns KEEP their
-/// capacity. This is the sweep-arena entry point — one trace buffer
-/// serves every slider position instead of reallocating per binding.
+/// capacity; a spilled event list is dropped unread. This is the
+/// sweep-arena entry point — one trace buffer serves every slider
+/// position instead of reallocating per binding.
 /// `arena` (optional) additionally reuses the parallel-generation plan
 /// storage across calls.
 void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
@@ -471,32 +483,6 @@ void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
 /// generating a single event.
 void place_containers(const Sdfg& sdfg, const SymbolMap& symbols,
                       const SimulationOptions& options, AccessTrace& trace);
-
-/// Receiver for streaming simulation: events are delivered in timestep
-/// order as they are produced, and no event vector is materialized.
-class EventSink {
- public:
-  virtual ~EventSink() = default;
-  /// Called once after container placement, before any event. `header`
-  /// has containers and layouts filled and an EMPTY event list.
-  virtual void on_trace_header(const AccessTrace& header) = 0;
-  /// Called once per access, in timestep order.
-  virtual void on_event(const AccessEvent& event) = 0;
-  /// Called once after the last event.
-  virtual void on_trace_end(std::int64_t executions) = 0;
-};
-
-/// Streaming simulation (§V-C at bounded event memory): identical
-/// traversal to simulate(), but every event goes to `sink` instead of a
-/// vector. The stream of on_event calls equals simulate()'s event
-/// sequence bit for bit — including under chunked generation, where
-/// chunks are generated out of order into reusable buffers and a
-/// sequencer drains them to the sink in serial chunk order. `arena`
-/// (optional) reuses those chunk buffers across calls.
-AccessTrace simulate_stream(const Sdfg& sdfg, const SymbolMap& symbols,
-                            EventSink& sink,
-                            const SimulationOptions& options = {},
-                            TraceArena* arena = nullptr);
 
 /// One-shot materialization of per-event cache-line ids at one line
 /// size: the layout.unflatten + byte_address derivation, once per event.

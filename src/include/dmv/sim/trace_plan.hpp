@@ -14,8 +14,9 @@
 //
 // With the plan in hand, generation parallelizes without stitching or
 // locks: the EventList is sized to total_events once, and each chunk's
-// Simulator clone writes its disjoint column slice (materialized path)
-// or fills a reusable buffer drained in chunk order by a sequencer
+// Simulator clone writes its disjoint column slice (materialized path),
+// or fills a reusable buffer that MetricPipeline::run_streaming feeds to
+// its metric engine in chunk order, one round behind generation
 // (streaming path). Either way the output is bit-identical to serial at
 // any thread count. See docs/simulation.md for the full safety argument.
 //
@@ -81,24 +82,25 @@ void plan_trace_into(const Sdfg& sdfg, const SymbolMap& symbols,
 
 /// Reusable parallel-generation state, kept alongside the sweep arena so
 /// a slider sweep pays the allocations once (sim.hpp forward-declares
-/// this for the simulate_into/simulate_stream parameters).
+/// this for the simulate_into parameter).
 struct TraceArena {
   TracePlan plan;
-  /// Streaming sequencer ring: chunk c fills buffers[c % window].
+  /// run_streaming's chunk buffers: one per generating task, times two
+  /// (the round being generated and the round being fed).
   std::vector<EventList> chunk_buffers;
 };
 
 /// Generates exactly `chunk` of a plan for this (sdfg, symbols, options)
 /// triple, with absolute timestep/execution stamps. `header` supplies
-/// the placed container layouts (any trace returned by
-/// simulate/simulate_stream for the same binding and options). When
+/// the placed container layouts (place_containers, or any trace
+/// simulate() returns for the same binding and options). When
 /// `absolute`, `out` must be pre-sized to the plan's total and the
 /// chunk's events are written AT their [event_offset, event_offset +
 /// event_count) slice indices (the delta-recomputation engine's
-/// dirty-chunk writer); otherwise they are appended (the test hook that
-/// validates a plan chunk-by-chunk against serial emission). Throws
-/// std::logic_error if the chunk's generated event or execution count
-/// disagrees with the plan.
+/// dirty-chunk writer); otherwise they are appended (run_streaming's
+/// chunk buffers, and the test hook that validates a plan chunk by
+/// chunk against serial emission). Throws std::logic_error if the
+/// chunk's generated event or execution count disagrees with the plan.
 void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
                     const SimulationOptions& options,
                     const AccessTrace& header, const TraceChunk& chunk,

@@ -46,15 +46,12 @@ class Pool {
     return pool;
   }
 
-  /// `on_caller`, when set, runs on the calling thread INSTEAD of
-  /// drain() — the ordered_pipeline consumer loop. Workers handle every
-  /// task; the call still waits for all of them before returning.
-  /// Returns false WITHOUT running anything when another thread's job
-  /// holds the pool: the single-job pool never queues, so a concurrent
+  /// Runs every task on the workers and the calling thread, then returns
+  /// true; returns false WITHOUT running anything when another thread's
+  /// job holds the pool: the single-job pool never queues, so a concurrent
   /// caller degrades to its serial fallback instead of blocking for the
   /// whole foreign job (interactive p99 over throughput).
-  bool run(std::size_t count, const std::function<void(std::size_t)>& task,
-           const std::function<void()>* on_caller = nullptr) {
+  bool run(std::size_t count, const std::function<void(std::size_t)>& task) {
     std::unique_lock<std::mutex> run_lock(run_mutex_, std::try_to_lock);
     if (!run_lock.owns_lock()) {
       busy_fallback_count().fetch_add(1, std::memory_order_relaxed);
@@ -71,16 +68,7 @@ class Pool {
       ++generation_;
     }
     work_ready_.notify_all();
-    if (on_caller) {
-      try {
-        (*on_caller)();
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!error_) error_ = std::current_exception();
-      }
-    } else {
-      drain();
-    }
+    drain();
     {
       // Wait for completion AND for every worker to leave drain(): a
       // straggler from this job must not observe the next job's reset
@@ -147,8 +135,13 @@ class Pool {
       try {
         (*task_)(index);
       } catch (...) {
+        // Keep the lowest-index failure: the one the serial fallback
+        // raises, whatever order the tasks finished in.
         std::lock_guard<std::mutex> lock(mutex_);
-        if (!error_) error_ = std::current_exception();
+        if (!error_ || index < error_index_) {
+          error_ = std::current_exception();
+          error_index_ = index;
+        }
       }
       if (completed_.fetch_add(1, std::memory_order_acq_rel) + 1 == count_) {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -167,6 +160,7 @@ class Pool {
   std::atomic<std::size_t> next_{0};
   std::atomic<std::size_t> completed_{0};
   std::exception_ptr error_;
+  std::size_t error_index_ = 0;  ///< Task that threw error_.
   std::uint64_t generation_ = 0;
   int draining_ = 0;  ///< Workers currently inside drain().
   bool stop_ = false;
@@ -198,96 +192,6 @@ std::uint64_t busy_fallbacks() {
   return busy_fallback_count().load(std::memory_order_relaxed);
 }
 
-void ordered_pipeline(std::size_t n, std::size_t window,
-                      const std::function<void(std::size_t)>& produce,
-                      const std::function<void(std::size_t)>& consume) {
-  if (n == 0) return;
-  if (window == 0) window = 1;
-  if (n == 1 || num_threads() <= 1 || in_pool_task) {
-    for (std::size_t i = 0; i < n; ++i) {
-      produce(i);
-      consume(i);
-    }
-    return;
-  }
-
-  // Ring of `window` slots shared between producers (pool workers) and
-  // the consumer (this thread). Producers wait for their slot to be
-  // free, fill it, and flag it ready; the consumer drains slots in
-  // ascending item order. Slot i % window is free once `consumed > i -
-  // window`, i.e. after consume(i - window) returned — so a producer
-  // never overwrites data the consumer is still reading. The producer
-  // of item `consumed` can never be the one waiting (consumed + window >
-  // consumed always holds), which rules out deadlock. Either side's
-  // first exception flips `failed`, releasing everyone.
-  std::mutex mutex;
-  std::condition_variable ready_cv;  // Producer -> consumer: slot filled.
-  std::condition_variable free_cv;   // Consumer -> producers: slot freed.
-  std::vector<char> ready(window, 0);
-  std::size_t consumed = 0;
-  bool failed = false;
-  std::exception_ptr first_error;
-
-  const std::function<void(std::size_t)> producer = [&](std::size_t i) {
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      free_cv.wait(lock, [&] { return failed || consumed + window > i; });
-      if (failed) return;
-    }
-    try {
-      produce(i);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex);
-      failed = true;
-      if (!first_error) first_error = std::current_exception();
-      ready_cv.notify_all();
-      free_cv.notify_all();
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      ready[i % window] = 1;
-      ready_cv.notify_all();
-    }
-  };
-  const std::function<void()> consumer = [&] {
-    for (std::size_t i = 0; i < n; ++i) {
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        ready_cv.wait(lock, [&] { return failed || ready[i % window] != 0; });
-        if (failed) return;
-        ready[i % window] = 0;
-      }
-      try {
-        consume(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex);
-        failed = true;
-        if (!first_error) first_error = std::current_exception();
-        free_cv.notify_all();
-        return;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        ++consumed;
-        free_cv.notify_all();
-      }
-    }
-  };
-  if (!detail::run_tasks_with_caller(n, producer, consumer)) {
-    // Pool busy with another caller's job: nothing ran, the ring state
-    // is untouched — use the plain alternating serial loop (the ring
-    // slots cannot represent "everything produced up front" for n >
-    // window, so the degenerate fallback is not an option here).
-    for (std::size_t i = 0; i < n; ++i) {
-      produce(i);
-      consume(i);
-    }
-    return;
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 namespace detail {
 
 void run_tasks(std::size_t count,
@@ -301,20 +205,6 @@ void run_tasks(std::size_t count,
     // Pool busy: serial in-order fallback, bit-identical by contract.
     for (std::size_t i = 0; i < count; ++i) task(i);
   }
-}
-
-bool run_tasks_with_caller(std::size_t count,
-                           const std::function<void(std::size_t)>& task,
-                           const std::function<void()>& on_caller) {
-  if (num_threads() <= 1 || in_pool_task) {
-    // Degenerate fallback: produce everything, then run the caller side
-    // (which finds every slot ready). ordered_pipeline normally handles
-    // serial execution itself with the cheaper alternating loop.
-    for (std::size_t i = 0; i < count; ++i) task(i);
-    on_caller();
-    return true;
-  }
-  return Pool::instance().run(count, task, &on_caller);
 }
 
 }  // namespace detail

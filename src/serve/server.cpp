@@ -15,6 +15,7 @@
 #include "dmv/ir/json_reader.hpp"
 #include "dmv/layout/layout.hpp"
 #include "dmv/par/par.hpp"
+#include "dmv/sim/sim.hpp"
 #include "dmv/store/artifact_store.hpp"
 #include "dmv/symbolic/expr.hpp"
 #include "dmv/util/json.hpp"
@@ -550,6 +551,8 @@ std::string Server::handle(const std::string& line) {
       // So is a binding the program cannot be evaluated at.
       throw RequestError("bad_binding", error.what());
     } catch (const layout::NonPositiveExtentError& error) {
+      throw RequestError("bad_binding", error.what());
+    } catch (const sim::OutOfBoundsAccessError& error) {
       throw RequestError("bad_binding", error.what());
     }
   } catch (const RequestError& error) {

@@ -42,8 +42,8 @@ void place_containers_into(const Sdfg& sdfg, const SymbolMap& symbols,
 class Simulator {
  public:
   Simulator(const Sdfg& sdfg, const SymbolMap& symbols,
-            const SimulationOptions& options, EventSink* sink = nullptr)
-      : sdfg_(sdfg), symbols_(symbols), options_(options), sink_(sink) {}
+            const SimulationOptions& options)
+      : sdfg_(sdfg), symbols_(symbols), options_(options) {}
 
   void run_into(AccessTrace& trace) {
     // Reuse the caller's buffers: clear() keeps the event columns'
@@ -55,7 +55,6 @@ class Simulator {
     trace_ = &trace;
     place_containers_into(sdfg_, symbols_, options_, trace, &container_ids_);
     layouts_ = &trace.layouts;
-    if (sink_) sink_->on_trace_header(trace);
     for (const State& state : sdfg_.states()) {
       // Topo order + adjacency built once per state (in_edges/out_edges
       // scan all edges, which would be paid per tasklet per iteration).
@@ -64,7 +63,6 @@ class Simulator {
       execute_scope(state, ir::kNoNode);
     }
     trace.executions = execution_;
-    if (sink_) sink_->on_trace_end(execution_);
   }
 
   /// Generates exactly one plan chunk, starting mid-iteration-space with
@@ -657,8 +655,8 @@ class Simulator {
     if (!layout.in_bounds(indices)) {
       std::string text;
       for (std::int64_t i : indices) text += std::to_string(i) + ",";
-      throw std::out_of_range("simulate: access out of bounds on '" +
-                              layout.name + "' at [" + text + "]");
+      throw OutOfBoundsAccessError("simulate: access out of bounds on '" +
+                                   layout.name + "' at [" + text + "]");
     }
     AccessEvent event;
     event.container = container;
@@ -667,9 +665,7 @@ class Simulator {
     event.timestep = timestep_++;
     event.execution = execution_;
     event.tasklet = tasklet;
-    if (sink_) {
-      sink_->on_event(event);  // Streaming: nothing is materialized.
-    } else if (out_) {
+    if (out_) {
       // Chunk mode: the plan fixed this chunk's event range up front, so
       // emitting past it means the planner under-counted — fail loudly
       // instead of corrupting a neighboring slice.
@@ -690,7 +686,6 @@ class Simulator {
   const Sdfg& sdfg_;
   const SymbolMap& symbols_;
   const SimulationOptions& options_;
-  EventSink* sink_ = nullptr;
   AccessTrace* trace_ = nullptr;
   /// Placed layouts events resolve against: the owned trace's layouts in
   /// a full run, the shared header's in chunk mode.
@@ -776,6 +771,11 @@ void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
       // Size the columns once from the plan total; every chunk then
       // writes only its disjoint [event_offset, event_offset +
       // event_count) slice, so no writer ever moves another's memory.
+      // A spilled list is dropped first, as the serial path's clear()
+      // does: resizing would decode it only to overwrite it. A resident
+      // list is resized as is; clearing it first would make resize()
+      // zero-fill every column.
+      if (trace.events.spilled()) trace.events.clear();
       trace.events.resize(static_cast<std::size_t>(plan.total_events));
       par::parallel_for(plan.chunks.size(), 1,
                         [&](std::size_t begin, std::size_t end) {
@@ -791,53 +791,6 @@ void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
     }
   }
   Simulator(sdfg, symbols, options).run_into(trace);
-}
-
-AccessTrace simulate_stream(const Sdfg& sdfg, const SymbolMap& symbols,
-                            EventSink& sink, const SimulationOptions& options,
-                            TraceArena* arena) {
-  if (chunking_possible()) {
-    TracePlan local_plan;
-    TracePlan& plan = arena ? arena->plan : local_plan;
-    plan_trace_into(sdfg, symbols, options, 0, plan);
-    if (plan_is_worthwhile(plan)) {
-      AccessTrace header;
-      place_containers_into(sdfg, symbols, options, header, nullptr);
-      sink.on_trace_header(header);
-      // Ordered hand-off: producers fill per-chunk buffers out of order;
-      // the sequencer (ordered_pipeline's consumer side, this thread)
-      // drains them to the sink in chunk order. Events carry absolute
-      // timestep/execution stamps, so the sink sees simulate()'s exact
-      // serial call sequence. window = threads + 1 keeps every producer
-      // busy while the chunk being drained stays untouched.
-      const std::size_t window =
-          static_cast<std::size_t>(par::num_threads()) + 1;
-      std::vector<EventList> local_buffers;
-      std::vector<EventList>& buffers =
-          arena ? arena->chunk_buffers : local_buffers;
-      if (buffers.size() < window) buffers.resize(window);
-      par::ordered_pipeline(
-          plan.chunks.size(), window,
-          [&](std::size_t c) {
-            EventList& buffer = buffers[c % window];
-            buffer.clear();
-            Simulator chunk_sim(sdfg, symbols, options);
-            chunk_sim.run_chunk(header, plan.chunks[c], buffer,
-                                /*absolute=*/false);
-          },
-          [&](std::size_t c) {
-            const EventList& buffer = buffers[c % window];
-            const std::size_t n = buffer.size();
-            for (std::size_t i = 0; i < n; ++i) sink.on_event(buffer[i]);
-          });
-      sink.on_trace_end(plan.total_executions);
-      header.executions = plan.total_executions;
-      return header;
-    }
-  }
-  AccessTrace header;
-  Simulator(sdfg, symbols, options, &sink).run_into(header);
-  return header;
 }
 
 void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,

@@ -254,9 +254,12 @@ class LineDeriver {
 class Engine {
  public:
   /// Starts a new trace: clears all carried state. `fan_out` = false
-  /// keeps every feed on the calling thread (a caller that must not
-  /// issue pool work, such as a streaming sink on the simulator's
-  /// sequencer).
+  /// runs every feed as one partition on the calling thread.
+  /// MetricPipeline::run_streaming sets it because its feeds run beside
+  /// chunk generation in one round of pool tasks: usually inside a pool
+  /// task, where par::in_parallel_region() already keeps a feed whole,
+  /// but on the calling thread when the pool is busy with another
+  /// caller's job, where nothing else would.
   void begin(const PipelineConfig& config, const AccessTrace& header,
              bool fan_out = true);
 

@@ -1,5 +1,6 @@
 #include "dmv/sim/pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <set>
@@ -35,7 +36,7 @@ double ms_since(Clock::time_point start) {
 // and per-element tallies once instead of once per binding.
 struct ArenaState {
   AccessTrace trace;        ///< run(sdfg) materialization target.
-  TraceArena trace_arena;   ///< Chunk plan + streaming ring buffers.
+  TraceArena trace_arena;   ///< Chunk plan + streaming chunk buffers.
   merge::Engine engine;     ///< Metric state (run_delta: the checkpoint's).
 
   // --- run_delta() checkpoint -------------------------------------------
@@ -56,61 +57,23 @@ struct ArenaState {
   AccessTrace scratch_header;       ///< New-binding container placement.
 };
 
-// Feeds trace events [from, size) to the engine.
-void feed_trace(merge::Engine& engine, const AccessTrace& trace,
-                std::size_t from) {
-  engine.feed(trace.events.container_column().data() + from,
-              trace.events.flat_column().data() + from,
-              trace.events.write_column().data() + from,
-              trace.events.size() - from);
+// Delta and streaming plans use a fixed fine granularity instead of the
+// thread-derived default: with max_chunks_per_map this large, plan_trace
+// clamps the per-chunk target to kMinChunkEvents, so chunk BOUNDARIES
+// depend only on the program and the binding — never on the machine.
+// For run_delta the same outer ordinal then lands in the same chunk
+// across steps, which is what makes prefix matching against the
+// checkpointed plan meaningful; for run_streaming it bounds each chunk
+// buffer by max(kMinChunkEvents, one outer ordinal) at any thread count.
+constexpr int kDeltaMaxChunks = 1 << 20;
+
+// Feeds events [from, size) to the engine.
+void feed_events(merge::Engine& engine, const EventList& events,
+                 std::size_t from) {
+  engine.feed(events.container_column().data() + from,
+              events.flat_column().data() + from,
+              events.write_column().data() + from, events.size() - from);
 }
-
-// Streaming adapter: buffers the simulator's events into a bounded
-// window and feeds the engine one window at a time, so event memory
-// stays O(window) whatever the trace length. Feeds stay on the calling
-// thread: the parallel simulator delivers events from its sequencer,
-// which must not issue pool work.
-class WindowSink final : public EventSink {
- public:
-  WindowSink(const PipelineConfig& config, merge::Engine& engine)
-      : config_(config), engine_(engine) {}
-
-  void on_trace_header(const AccessTrace& header) override {
-    engine_.begin(config_, header, /*fan_out=*/false);
-  }
-
-  void on_event(const AccessEvent& event) override {
-    containers_.push_back(event.container);
-    flats_.push_back(event.flat);
-    writes_.push_back(event.is_write ? 1 : 0);
-    if (containers_.size() == kWindow) flush();
-  }
-
-  void on_trace_end(std::int64_t executions) override {
-    flush();
-    executions_ = executions;
-  }
-
-  std::int64_t executions() const { return executions_; }
-
- private:
-  static constexpr std::size_t kWindow = std::size_t{1} << 16;
-
-  void flush() {
-    engine_.feed(containers_.data(), flats_.data(), writes_.data(),
-                 containers_.size());
-    containers_.clear();
-    flats_.clear();
-    writes_.clear();
-  }
-
-  const PipelineConfig& config_;
-  merge::Engine& engine_;
-  std::vector<std::int32_t> containers_;
-  std::vector<std::int64_t> flats_;
-  std::vector<std::uint8_t> writes_;
-  std::int64_t executions_ = 0;
-};
 
 // A config with no per-event consumer (no distances, no exact cache)
 // asks the closed-form counter first. Returns nullptr when the counter
@@ -229,7 +192,7 @@ PipelineResult MetricPipeline::run(const AccessTrace& trace) {
   const auto start = Clock::now();
   merge::Engine& engine = arena_->engine;
   engine.begin(config_, trace);
-  feed_trace(engine, trace, 0);
+  feed_events(engine, trace.events, 0);
   PipelineResult result = engine.finish(trace.executions);
   timings_ = {0.0, ms_since(start), engine.partitions()};
   return result;
@@ -240,16 +203,15 @@ PipelineResult MetricPipeline::run(const AccessTrace& trace) {
 // un-finalized. Shared by run(sdfg) and run_delta's cold path.
 void MetricPipeline::generate(const Sdfg& sdfg, const SymbolMap& symbols,
                               const SimulationOptions& options) {
-  // A spilled previous trace is simply dropped here — simulate_into
-  // clears the buffer, and clear() releases the backing without the
-  // cost of decoding it.
+  // A spilled previous trace is simply dropped here: simulate_into
+  // releases the backing without the cost of decoding it.
   const auto start = Clock::now();
   simulate_into(sdfg, symbols, options, arena_->trace, &arena_->trace_arena);
   const double simulate_ms = ms_since(start);
   const auto metrics_start = Clock::now();
   merge::Engine& engine = arena_->engine;
   engine.begin(config_, arena_->trace);
-  feed_trace(engine, arena_->trace, 0);
+  feed_events(engine, arena_->trace.events, 0);
   timings_ = {simulate_ms, ms_since(metrics_start), engine.partitions()};
 }
 
@@ -277,24 +239,62 @@ PipelineResult MetricPipeline::run_streaming(const Sdfg& sdfg,
     return result;
   }
   const auto start = Clock::now();
-  WindowSink sink(config_, arena_->engine);
-  simulate_stream(sdfg, symbols, sink, options, &arena_->trace_arena);
-  result = arena_->engine.finish(sink.executions());
-  // Streaming interleaves generation and consumption; the breakdown
-  // collapses into simulate_ms (see PhaseTimings).
-  timings_ = {ms_since(start), 0.0, arena_->engine.partitions()};
+  merge::Engine& engine = arena_->engine;
+  TracePlan& plan = arena_->trace_arena.plan;
+  plan_trace_into(sdfg, symbols, options, kDeltaMaxChunks, plan);
+  if (!plan.parallelizable) {
+    // The planner declines only programs the simulator rejects or whose
+    // counts overflow int64, so this raises the simulator's own error.
+    const AccessTrace trace = simulate(sdfg, symbols, options);
+    engine.begin(config_, trace, /*fan_out=*/false);
+    feed_events(engine, trace.events, 0);
+    result = engine.finish(trace.executions);
+  } else {
+    AccessTrace header;
+    place_containers(sdfg, symbols, options, header);
+    // Round r generates chunks [r * width, (r + 1) * width) into one bank
+    // of buffers while one more task feeds round r - 1's chunks, from the
+    // other bank, to the engine in chunk order; round 0's extra task
+    // begins the engine. parallel_tasks returns only once every task is
+    // done, so no bank is written while it is read. The feed runs as one
+    // partition (fan_out off), in a pool task or on the serial fallback.
+    const std::size_t width =
+        static_cast<std::size_t>(std::max(1, par::num_threads() - 1));
+    std::vector<EventList>& buffers = arena_->trace_arena.chunk_buffers;
+    if (buffers.size() < 2 * width) buffers.resize(2 * width);
+    const std::size_t chunks = plan.chunks.size();
+    const std::size_t rounds = (chunks + width - 1) / width;
+    for (std::size_t round = 0; round <= rounds; ++round) {
+      const std::size_t first = round * width;
+      const std::size_t count =
+          first < chunks ? std::min(width, chunks - first) : 0;
+      EventList* generating = &buffers[(round % 2) * width];
+      const EventList* feeding = &buffers[(1 - round % 2) * width];
+      par::parallel_tasks(count + 1, [&](std::size_t t) {
+        if (t < count) {
+          generating[t].clear();
+          simulate_chunk(sdfg, symbols, options, header,
+                         plan.chunks[first + t], generating[t],
+                         /*absolute=*/false);
+        } else if (round == 0) {
+          engine.begin(config_, header, /*fan_out=*/false);
+        } else {
+          const std::size_t fed_first = first - width;
+          for (std::size_t c = fed_first; c < std::min(first, chunks); ++c) {
+            feed_events(engine, feeding[c - fed_first], 0);
+          }
+        }
+      });
+    }
+    result = engine.finish(plan.total_executions);
+  }
+  // Generation and consumption overlap; the breakdown collapses into
+  // simulate_ms (see PhaseTimings).
+  timings_ = {ms_since(start), 0.0, engine.partitions()};
   return result;
 }
 
 namespace {
-
-// Delta plans use a fixed fine granularity instead of the thread-derived
-// default: with max_chunks_per_map this large, plan_trace clamps the
-// per-chunk target to kMinChunkEvents, so chunk BOUNDARIES depend only
-// on the program and the binding — never on the machine — and the same
-// outer ordinal lands in the same chunk across steps, which is what
-// makes prefix matching against the checkpointed plan meaningful.
-constexpr int kDeltaMaxChunks = 1 << 20;
 
 struct ChunkMatch {
   bool clean = false;
@@ -520,7 +520,7 @@ bool delta_step(const PipelineConfig& config, ArenaState& arena,
       static_cast<std::int64_t>(n_new) >= n_old &&
       engine.events() == static_cast<std::size_t>(n_old);
   if (!resumed) engine.begin(config, arena.trace);
-  feed_trace(engine, arena.trace, engine.events());
+  feed_events(engine, arena.trace.events, engine.events());
   result = engine.snapshot(arena.trace.executions);
 
   outcome.path = DeltaOutcome::Path::kChunkDelta;

@@ -1,4 +1,5 @@
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -180,6 +181,10 @@ AccessTrace read_trace(std::istream& in) {
     if (event.flat < 0 ||
         event.flat >= trace.layouts[container].total_elements()) {
       fail(line_number, "element index out of range");
+    }
+    if (tasklet < std::numeric_limits<ir::NodeId>::min() ||
+        tasklet > std::numeric_limits<ir::NodeId>::max()) {
+      fail(line_number, "tasklet id out of range");
     }
     event.container = static_cast<std::int32_t>(container);
     event.is_write = mode == 'w';

@@ -773,27 +773,15 @@ void TraceStoreReader::read_chunk_into(std::size_t index,
 void TraceStoreReader::read_events(sim::EventList& out) const {
   out.clear();
   out.resize(static_cast<std::size_t>(impl_->total_events));
-  const std::size_t chunk_count = impl_->chunks.size();
   // Chunks decode into disjoint absolute slices, so blocks may run in
-  // any order. Failures are collected and the lowest-index chunk's
-  // error is rethrown, keeping the surfaced message deterministic.
-  std::vector<std::string> errors(chunk_count);
-  std::atomic<bool> failed{false};
-  par::parallel_for(chunk_count, 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      try {
-        impl_->decode_chunk(i, out);
-      } catch (const std::exception& error) {
-        errors[i] = error.what();
-        failed.store(true, std::memory_order_relaxed);
-      }
-    }
-  });
-  if (failed.load(std::memory_order_relaxed)) {
-    for (const std::string& message : errors) {
-      if (!message.empty()) throw std::runtime_error(message);
-    }
-  }
+  // any order; when several fail, the pool rethrows the lowest-index
+  // chunk's error, keeping the surfaced message deterministic.
+  par::parallel_for(impl_->chunks.size(), 1,
+                    [&](std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) {
+                        impl_->decode_chunk(i, out);
+                      }
+                    });
 }
 
 sim::AccessTrace TraceStoreReader::read_trace() const {

@@ -246,15 +246,6 @@ TEST(BatchedTrace, TailMaskCoversEveryTripCount) {
   }
 }
 
-// Records the exact emission sequence up to an exception.
-class RecordingSink : public EventSink {
- public:
-  void on_trace_header(const AccessTrace&) override {}
-  void on_event(const AccessEvent& event) override { events.push_back(event); }
-  void on_trace_end(std::int64_t) override {}
-  std::vector<AccessEvent> events;
-};
-
 TEST(BatchedTrace, FaultingLaneReplaysAtExactScalarPosition) {
   // A[i % (4 - i)] throws std::domain_error (modulo by zero) at i == 4 —
   // lane 4 of the first batch. The batched engine must emit exactly the
@@ -267,19 +258,21 @@ TEST(BatchedTrace, FaultingLaneReplaysAtExactScalarPosition) {
                          "b = a", {{"b", "B", "i"}});
   const ir::Sdfg sdfg = program.take();
 
+  // At one thread simulate_into appends to the caller's trace in serial
+  // order, so the events emitted before the exception stay readable.
   auto run = [&](int lanes) {
     SimulationOptions options;
     options.lane_width = lanes;
     par::ThreadScope serial(1);
-    RecordingSink sink;
+    AccessTrace trace;
     bool threw = false;
     try {
-      simulate_stream(sdfg, {}, sink, options);
+      simulate_into(sdfg, {}, options, trace);
     } catch (const std::domain_error&) {
       threw = true;
     }
     EXPECT_TRUE(threw) << "lanes=" << lanes;
-    return sink.events;
+    return std::vector<AccessEvent>(trace.events.begin(), trace.events.end());
   };
   const std::vector<AccessEvent> scalar = run(1);
   const std::vector<AccessEvent> batched = run(8);

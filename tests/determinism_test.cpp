@@ -142,36 +142,6 @@ TEST(Determinism, SimulateMatchesReferenceOnAccessCopies) {
   expect_matches_reference(sdfg, {{"N", 96}});
 }
 
-// Records the exact sink call sequence so streaming runs can be
-// compared call-for-call across thread counts.
-class RecordingSink : public EventSink {
- public:
-  void on_trace_header(const AccessTrace& header) override {
-    containers = header.containers;
-  }
-  void on_event(const AccessEvent& event) override {
-    events.push_back(event);
-  }
-  void on_trace_end(std::int64_t n) override { executions = n; }
-
-  std::vector<std::string> containers;
-  std::vector<AccessEvent> events;
-  std::int64_t executions = 0;
-};
-
-void expect_events_identical(const std::vector<AccessEvent>& a,
-                             const std::vector<AccessEvent>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].container, b[i].container) << "event " << i;
-    ASSERT_EQ(a[i].flat, b[i].flat) << "event " << i;
-    ASSERT_EQ(a[i].is_write, b[i].is_write) << "event " << i;
-    ASSERT_EQ(a[i].timestep, b[i].timestep) << "event " << i;
-    ASSERT_EQ(a[i].execution, b[i].execution) << "event " << i;
-    ASSERT_EQ(a[i].tasklet, b[i].tasklet) << "event " << i;
-  }
-}
-
 TEST(Determinism, ParallelTraceBitIdenticalAcrossThreadCounts) {
   // The tentpole contract: chunked parallel generation is a pure
   // performance change. 1 thread (serial) and 8 threads (chunked) must
@@ -233,30 +203,6 @@ TEST(Determinism, BatchedTraceBitIdenticalAcrossThreadsAndLanes) {
       }
     }
   }
-}
-
-TEST(Determinism, SimulateStreamSinkSequenceIdenticalAcrossThreadCounts) {
-  // simulate_stream's ordered sequencer: out-of-order chunk completion
-  // must not reorder, duplicate, or drop a single sink call.
-  const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
-  const symbolic::SymbolMap binding = workloads::hdiff_local();
-  RecordingSink serial;
-  RecordingSink parallel;
-  {
-    par::ThreadScope scope(1);
-    simulate_stream(sdfg, binding, serial);
-  }
-  {
-    par::ThreadScope scope(8);
-    simulate_stream(sdfg, binding, parallel);
-  }
-  EXPECT_EQ(serial.containers, parallel.containers);
-  EXPECT_EQ(serial.executions, parallel.executions);
-  expect_events_identical(serial.events, parallel.events);
-  // And the stream agrees with the materialized trace.
-  const AccessTrace reference = simulate(sdfg, binding);
-  ASSERT_EQ(parallel.events.size(), reference.events.size());
-  EXPECT_EQ(parallel.executions, reference.executions);
 }
 
 TEST(Determinism, FusedPipelineBitIdenticalAcrossThreadCounts) {
@@ -325,6 +271,31 @@ TEST(Determinism, RelatedAccessesBitIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(serial.reads, parallel.reads);
   EXPECT_EQ(serial.writes, parallel.writes);
+}
+
+TEST(Determinism, ParallelTasksRethrowTheLowestIndexFailure) {
+  // Which error a parallel job surfaces must not depend on timing: the
+  // pool rethrows the lowest-index failure, the one the serial fallback
+  // raises. Every task from 10 on throws its index, and the work before
+  // the throw shrinks steeply with the index, so later throwers usually
+  // fail first in time.
+  for (const int threads : {1, 8}) {
+    par::ThreadScope scope(threads);
+    for (int run = 0; run < 50; ++run) {
+      std::size_t caught = 0;
+      try {
+        par::parallel_tasks(64, [](std::size_t t) {
+          const std::size_t spins = t >= 10 ? (64 - t) * (64 - t) * 100 : 0;
+          volatile std::size_t work = 0;
+          for (std::size_t i = 0; i < spins; ++i) work = work + i;
+          if (t >= 10) throw t;
+        });
+      } catch (std::size_t index) {
+        caught = index;
+      }
+      EXPECT_EQ(caught, 10u) << "threads " << threads << " run " << run;
+    }
+  }
 }
 
 TEST(Determinism, SweepMetricMatchesScalarEvaluation) {

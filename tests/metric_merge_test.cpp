@@ -389,7 +389,7 @@ TEST(MetricMerge, PhaseTimingsReportPartitions) {
     EXPECT_GT(pipeline.last_timings().partitions, 1);
     pipeline.run_streaming(sdfg, binding);
     // Streaming interleaves generation and consumption: the whole cost
-    // collapses into simulate_ms, and windows feed on the calling thread.
+    // collapses into simulate_ms, and the feed runs as one partition.
     EXPECT_EQ(pipeline.last_timings().partitions, 1);
     EXPECT_EQ(pipeline.last_timings().metrics_ms, 0.0);
   }

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "dmv/ir/serialize.hpp"
 #include "dmv/par/par.hpp"
 #include "dmv/serve/server.hpp"
 #include "dmv/session/session.hpp"
@@ -163,6 +164,20 @@ TEST(ServeProtocolTest, StepWithInvalidBindingReportsBadBinding) {
       "{\"id\":3,\"method\":\"step\",\"params\":{\"session\":\"a\","
       "\"binding\":{\"I\":8,\"J\":8,\"K\":4}}}"));
   EXPECT_TRUE(good.has("result")) << dmv::json::dump(good);
+
+  // K dragged past KMAX on an inline fixed-capacity build: the map reads
+  // outside the arrays allocated at KMAX.
+  const std::string program = dmv::ir::to_json(dmv::workloads::fixed_capacity(
+      dmv::workloads::hdiff(dmv::workloads::HdiffVariant::Baseline),
+      {{"K", "KMAX"}}));
+  const Value opened = parse_line(server.handle(
+      "{\"id\":4,\"method\":\"open_program\",\"params\":{\"session\":"
+      "\"b\",\"sdfg\":" +
+      program + ",\"binding\":{\"I\":8,\"J\":8,\"K\":5,\"KMAX\":8}}}"));
+  ASSERT_TRUE(opened.has("result")) << dmv::json::dump(opened);
+  const Value past = parse_line(server.handle(step_request("b", "K", 9)));
+  EXPECT_EQ(past.at("error").at("code").as_string(), "bad_binding")
+      << dmv::json::dump(past);
 }
 
 TEST(ServeProtocolTest, SubscribeRebuildsSessionPreservingBinding) {

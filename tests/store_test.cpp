@@ -28,6 +28,7 @@
 #include "dmv/store/artifact_store.hpp"
 #include "dmv/util/json.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "standalone_reference.hpp"
 
 namespace dmv {
 namespace {
@@ -351,6 +352,29 @@ TEST(StoreSpillTest, PipelineBitIdenticalWithSpilling) {
               static_cast<int>(plain_outcome.path))
         << "K=" << k;
   }
+  fs::remove_all(dir);
+}
+
+TEST(StoreSpillTest, ChunkedRunDropsSpilledTraceUnread) {
+  // run(sdfg) overwrites its arena trace, so a spilled one is dropped,
+  // never decoded: with the spill file deleted, a chunk-parallel second
+  // run still succeeds and matches the oracle.
+  const fs::path dir = scratch_dir("spill_drop");
+  const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
+  const symbolic::SymbolMap binding{{"I", 16}, {"J", 16}, {"K", 6}};
+  sim::PipelineConfig config;
+  config.miss_threshold_lines = 8;
+  config.element_stats = true;
+  par::ThreadScope scope(4);
+  sim::MetricPipeline pipeline(config);
+  pipeline.set_spill(1, dir.string());
+  pipeline.run(sdfg, binding);
+  ASSERT_FALSE(fs::is_empty(dir)) << "first run did not spill";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const sim::PipelineResult result = pipeline.run(sdfg, binding);
+  sim::reference::expect_matches_standalone(
+      result, sim::simulate(sdfg, binding), config);
   fs::remove_all(dir);
 }
 

@@ -182,6 +182,12 @@ TEST(TraceIo, RejectsMalformedInput) {
                                  "container a 8 0 4 4 ; 1\n"
                                  "events\n"),
                std::runtime_error);
+  // Tasklet id outside int32 (would import as tasklet 1).
+  EXPECT_THROW(trace_from_string("dmvtrace 1\n"
+                                 "container a 8 0 4 ; 1\n"
+                                 "events\n"
+                                 "0 0 1 r 0 4294967297\n"),
+               std::runtime_error);
 }
 
 TEST(TraceIo, ErrorsCarryLineNumbers) {
