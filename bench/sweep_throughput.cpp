@@ -858,7 +858,7 @@ int main(int argc, char** argv) {
         counts_simulated.best_ms / counts_closed_form.best_ms;
 
     // Trace store: compression ratio and pack/unpack throughput over
-    // the same materialized traces (the out-of-core backing format).
+    // the same materialized traces (the DMVS trace file format).
     // Identity gate on the order-sensitive trace checksum per binding.
     std::size_t store_events = 0;
     std::size_t store_raw_bytes = 0;

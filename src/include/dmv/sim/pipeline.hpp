@@ -222,16 +222,6 @@ class MetricPipeline {
   /// bounded-event-memory contract the streaming test asserts.
   std::size_t event_storage_bytes() const;
 
-  /// Out-of-core mode: after each materialized run whose arena event
-  /// columns exceed `budget_bytes`, they are packed to a compressed
-  /// store file under `dir` (store::spill_event_list) and released; the
-  /// next access — e.g. the delta engine splicing against the
-  /// checkpoint — faults them back. budget_bytes == 0 (the default)
-  /// disables spilling. The store round trip is exact, so results are
-  /// bit-identical with spilling on or off; this knob is therefore NOT
-  /// part of fingerprint() and never enters cache keys.
-  void set_spill(std::size_t budget_bytes, std::string dir);
-
   /// Phase breakdown of the most recent run/run_streaming/run_delta
   /// call (see PhaseTimings).
   const PhaseTimings& last_timings() const { return timings_; }
@@ -240,13 +230,10 @@ class MetricPipeline {
   PipelineConfig config_;
   struct Arena;
   std::unique_ptr<Arena> arena_;
-  std::size_t spill_budget_bytes_ = 0;
-  std::string spill_dir_;
   PhaseTimings timings_;
 
   void generate(const Sdfg& sdfg, const SymbolMap& symbols,
                 const SimulationOptions& options);
-  void maybe_spill();
 };
 
 }  // namespace dmv::sim

@@ -41,7 +41,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -169,14 +168,15 @@ struct AccessEvent {
 /// neighbors into cache. The container interface mirrors
 /// std::vector<AccessEvent> — size/reserve/push_back/operator[]/range-for
 /// — so pre-SoA call sites compile unchanged; operator[] and the
-/// iterator gather an AccessEvent by value.
+/// iterator gather an AccessEvent by value. The columns are plain
+/// vectors and the const accessors only read them, so parallel workers
+/// may share one list's column spans without any setup.
 class EventList {
  public:
-  std::size_t size() const { return restore_ ? spilled_size_ : flat_.size(); }
+  std::size_t size() const { return flat_.size(); }
   bool empty() const { return size() == 0; }
 
   void reserve(std::size_t n) {
-    fault_in();
     container_.reserve(n);
     flat_.reserve(n);
     is_write_.reserve(n);
@@ -186,10 +186,6 @@ class EventList {
   }
 
   void clear() {
-    // Dropping a spilled list never decodes it: the restore hook (and
-    // with it the backing file) is released along with the columns.
-    restore_ = nullptr;
-    spilled_size_ = 0;
     container_.clear();
     flat_.clear();
     is_write_.clear();
@@ -199,7 +195,6 @@ class EventList {
   }
 
   void push_back(const AccessEvent& event) {
-    fault_in();
     container_.push_back(event.container);
     flat_.push_back(event.flat);
     is_write_.push_back(event.is_write ? 1 : 0);
@@ -213,7 +208,6 @@ class EventList {
   /// then chunks fill disjoint slices via set() — no writer ever grows
   /// the columns, so concurrent slice stores never invalidate each other.
   void resize(std::size_t n) {
-    fault_in();
     container_.resize(n);
     flat_.resize(n);
     is_write_.resize(n);
@@ -233,8 +227,6 @@ class EventList {
                     std::size_t dst_begin, std::size_t count,
                     std::int64_t timestep_delta,
                     std::int64_t execution_delta) {
-    src.fault_in();
-    fault_in();
     std::copy_n(src.container_.begin() + src_begin, count,
                 container_.begin() + dst_begin);
     std::copy_n(src.flat_.begin() + src_begin, count,
@@ -252,11 +244,8 @@ class EventList {
 
   /// Overwrites event i (must be < size()). Writing DISTINCT indices
   /// from different threads is safe: each store touches only element i
-  /// of each pre-sized column. (Pre-sizing via resize() also faulted a
-  /// spilled list back in, so parallel writers only ever see the no-op
-  /// branch of fault_in().)
+  /// of each pre-sized column.
   void set(std::size_t i, const AccessEvent& event) {
-    fault_in();
     container_[i] = event.container;
     flat_[i] = event.flat;
     is_write_[i] = event.is_write ? 1 : 0;
@@ -266,7 +255,6 @@ class EventList {
   }
 
   AccessEvent operator[](std::size_t i) const {
-    fault_in();
     AccessEvent event;
     event.container = container_[i];
     event.flat = flat_[i];
@@ -315,38 +303,17 @@ class EventList {
   const_iterator begin() const { return {this, 0}; }
   const_iterator end() const { return {this, size()}; }
 
-  /// Column views for the hot metric passes. Accessing a column faults
-  /// a spilled list back in first.
-  std::span<const std::int32_t> container_column() const {
-    fault_in();
-    return container_;
-  }
-  std::span<const std::int64_t> flat_column() const {
-    fault_in();
-    return flat_;
-  }
-  std::span<const std::uint8_t> write_column() const {
-    fault_in();
-    return is_write_;
-  }
-  std::span<const std::int64_t> timestep_column() const {
-    fault_in();
-    return timestep_;
-  }
-  std::span<const std::int64_t> execution_column() const {
-    fault_in();
-    return execution_;
-  }
-  std::span<const ir::NodeId> tasklet_column() const {
-    fault_in();
-    return tasklet_;
-  }
+  /// Column views for the hot metric passes.
+  std::span<const std::int32_t> container_column() const { return container_; }
+  std::span<const std::int64_t> flat_column() const { return flat_; }
+  std::span<const std::uint8_t> write_column() const { return is_write_; }
+  std::span<const std::int64_t> timestep_column() const { return timestep_; }
+  std::span<const std::int64_t> execution_column() const { return execution_; }
+  std::span<const ir::NodeId> tasklet_column() const { return tasklet_; }
 
   /// Bytes currently RESERVED by the columns — the quantity the
-  /// streaming pipeline keeps at zero (O(1)-memory contract). A spilled
-  /// list reports zero: nothing is resident.
+  /// streaming pipeline keeps at zero (O(1)-memory contract).
   std::size_t capacity_bytes() const {
-    if (restore_) return 0;
     return container_.capacity() * sizeof(std::int32_t) +
            flat_.capacity() * sizeof(std::int64_t) +
            is_write_.capacity() * sizeof(std::uint8_t) +
@@ -355,59 +322,13 @@ class EventList {
            tasklet_.capacity() * sizeof(ir::NodeId);
   }
 
-  /// Out-of-core backing (installed by store::spill_event_list):
-  /// releases the columns NOW and re-decodes them via `restore` on the
-  /// next access. While spilled, size()/empty() answer from
-  /// `logical_size` without faulting, capacity_bytes() reports the
-  /// resident bytes (zero), and clear() discards the backing without
-  /// decoding. Every other accessor faults the columns back in first.
-  /// Copies share the backing (each copy restores independently);
-  /// moving transfers it.
-  void spill(std::size_t logical_size,
-             std::function<void(EventList&)> restore) {
-    container_ = {};
-    flat_ = {};
-    is_write_ = {};
-    timestep_ = {};
-    execution_ = {};
-    tasklet_ = {};
-    spilled_size_ = logical_size;
-    restore_ = std::move(restore);
-  }
-
-  /// True while the columns live in the spill backing, not in RAM.
-  bool spilled() const { return static_cast<bool>(restore_); }
-
-  /// Faults a spilled list back in (no-op when resident). Call this
-  /// EXACTLY ONCE, on the calling thread, before any fan-out that hands
-  /// column spans (or set()/assign_range slices) to parallel workers:
-  /// fault-in itself is not thread-safe, and every accessor assumes a
-  /// resident list inside parallel regions. The metric pipeline and the
-  /// delta patch phase both follow this contract before dispatching
-  /// their chunk/segment workers.
-  void ensure_resident() const { fault_in(); }
-
  private:
-  /// Swaps the restore hook out before invoking it so the hook can
-  /// rebuild `this` through the public interface (resize/set) without
-  /// re-entering fault_in. Logically const: faulting in changes where
-  /// the events live, never what they are.
-  void fault_in() const {
-    if (!restore_) return;
-    std::function<void(EventList&)> restore = std::move(restore_);
-    restore_ = nullptr;
-    spilled_size_ = 0;
-    restore(const_cast<EventList&>(*this));
-  }
-
   std::vector<std::int32_t> container_;
   std::vector<std::int64_t> flat_;
   std::vector<std::uint8_t> is_write_;
   std::vector<std::int64_t> timestep_;
   std::vector<std::int64_t> execution_;
   std::vector<ir::NodeId> tasklet_;
-  mutable std::function<void(EventList&)> restore_;
-  mutable std::size_t spilled_size_ = 0;
 };
 
 /// Full simulated access pattern of a parameterized program.
@@ -467,9 +388,8 @@ AccessTrace simulate(const Sdfg& sdfg, const SymbolMap& symbols,
 
 /// Same, but (re)filling a caller-owned trace: containers/layouts/events
 /// are cleared and rewritten while the event columns KEEP their
-/// capacity; a spilled event list is dropped unread. This is the
-/// sweep-arena entry point — one trace buffer serves every slider
-/// position instead of reallocating per binding.
+/// capacity. This is the sweep-arena entry point — one trace buffer
+/// serves every slider position instead of reallocating per binding.
 /// `arena` (optional) additionally reuses the parallel-generation plan
 /// storage across calls.
 void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,

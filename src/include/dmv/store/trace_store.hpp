@@ -1,7 +1,7 @@
 #pragma once
 
-// Out-of-core columnar trace store: a compressed, memory-mappable,
-// versioned on-disk format for `EventList` columns ("DMVS" v1).
+// Columnar trace store: a compressed, memory-mappable, versioned
+// on-disk format for access traces ("DMVS" v1).
 //
 // Layout (all integers little-endian):
 //
@@ -11,13 +11,14 @@
 //
 // The container table carries the full `ConcreteLayout` of every
 // container (name, rank, shape, strides, element size, start offset,
-// base address) so a packed file is self-describing. The chunk
-// directory holds one fixed 56-byte record per chunk — event offset /
-// count and execution offset / count (the exact offsets `sim::trace_plan`
-// computes when a plan is supplied), plus the absolute payload offset,
-// payload size, and an FNV-1a checksum over the chunk's *decoded*
-// values. Random re-reads seek the directory and decode only the
-// chunks they touch; nothing before a payload needs to be scanned.
+// base address) so a packed file is self-describing, and the reader
+// checks every event against it. The chunk directory holds one fixed
+// 56-byte record per chunk — event offset / count and execution
+// offset / count (the exact offsets `sim::trace_plan` computes when a
+// plan is supplied), plus the absolute payload offset, payload size,
+// and an FNV-1a checksum over the chunk's *decoded* values. Random
+// re-reads seek the directory and decode only the chunks they touch;
+// nothing before a payload needs to be scanned.
 //
 // Per-column chunk encoding (six sections per chunk, fixed order:
 // container, flat, is_write, timestep, execution, tasklet):
@@ -82,12 +83,6 @@ std::string pack_trace(const sim::AccessTrace& trace,
                        const StoreOptions& options = {},
                        const sim::TracePlan* plan = nullptr);
 
-/// Packs just an event list (no container table) — the spill backing
-/// format. The file round-trips through the same reader with an empty
-/// container table.
-std::string pack_events(const sim::EventList& events,
-                        const StoreOptions& options = {});
-
 /// pack_trace + atomic write (temp file + rename) to `path`.
 void write_trace_file(const sim::AccessTrace& trace, const std::string& path,
                       const StoreOptions& options = {},
@@ -98,7 +93,8 @@ void write_trace_file(const sim::AccessTrace& trace, const std::string& path,
 /// mmap is unavailable); headers are validated eagerly, payloads lazily
 /// per chunk. Every malformed input — truncation, bad magic, version
 /// mismatch, implausible counts, out-of-range directory entries,
-/// checksum mismatch — raises std::runtime_error with a
+/// checksum mismatch, a negative or overflowing extent, an event
+/// outside its container — raises std::runtime_error with a
 /// "trace_store:" prefix; no input reaches undefined behavior.
 class TraceStoreReader {
  public:
@@ -144,15 +140,5 @@ class TraceStoreReader {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Spills `events` to a store file under `dir` (created if missing) and
-/// installs a restore callback: the columns are released now and
-/// decoded back on the next column access (`EventList::fault_in` via
-/// any accessor, or `ensure_resident()`). The backing file is
-/// reference-counted — it is deleted once no spilled list (or copy)
-/// refers to it. Returns the backing file path. The round trip is
-/// exact, so spilling never changes downstream results.
-std::string spill_event_list(sim::EventList& events, const std::string& dir,
-                             const StoreOptions& options = {});
 
 }  // namespace dmv::store

@@ -1,5 +1,8 @@
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,10 +17,23 @@ namespace {
 // ---------------------------------------------------------------------
 // SDFG reconstruction on top of the shared dmv::json parser. Every
 // json::ParseError (both lexical errors and schema-level type/key
-// mismatches from the checked accessors) is rethrown as ir::JsonError
-// at the from_json boundary so callers keep a single exception type.
+// mismatches from the checked accessors), and every graph-construction
+// error, is rethrown as ir::JsonError at the from_json boundary so
+// callers keep a single exception type.
 
 using json::Value;
+
+/// Every integer field goes through here: the value must be integral
+/// and inside T, since casting an out-of-range double is undefined.
+template <typename T>
+T integer(const Value& value) {
+  const std::int64_t wide = value.as_int();
+  if (wide < std::numeric_limits<T>::min() ||
+      wide > std::numeric_limits<T>::max()) {
+    throw JsonError("integer " + std::to_string(wide) + " out of range");
+  }
+  return static_cast<T>(wide);
+}
 
 symbolic::Expr parse_expr(const Value& value) {
   return symbolic::parse(value.as_string());
@@ -49,8 +65,7 @@ void read_containers(const Value& document, Sdfg& sdfg) {
     for (const Value& stride : entry.at("strides").as_array()) {
       descriptor.strides.push_back(parse_expr(stride));
     }
-    descriptor.element_size =
-        static_cast<int>(entry.at("element_size").as_number());
+    descriptor.element_size = integer<int>(entry.at("element_size"));
     descriptor.transient = entry.at("transient").as_bool();
     sdfg.add_array(std::move(descriptor));
   }
@@ -60,7 +75,7 @@ void read_state(const Value& entry, Sdfg& sdfg) {
   State& state = sdfg.add_state(entry.at("name").as_string());
   for (const Value& node_value : entry.at("nodes").as_array()) {
     Node node;
-    node.id = static_cast<NodeId>(node_value.at("id").as_number());
+    node.id = integer<NodeId>(node_value.at("id"));
     node.kind = node_kind_from(node_value.at("kind").as_string());
     node.label = node_value.at("label").as_string();
     if (node_value.has("data")) {
@@ -81,11 +96,10 @@ void read_state(const Value& entry, Sdfg& sdfg) {
       }
     }
     if (node_value.has("paired")) {
-      node.paired = static_cast<NodeId>(node_value.at("paired").as_number());
+      node.paired = integer<NodeId>(node_value.at("paired"));
     }
     if (node_value.has("scope")) {
-      node.scope_parent =
-          static_cast<NodeId>(node_value.at("scope").as_number());
+      node.scope_parent = integer<NodeId>(node_value.at("scope"));
     }
     state.add_raw(std::move(node));
   }
@@ -104,9 +118,8 @@ void read_state(const Value& entry, Sdfg& sdfg) {
       }
     }
     state.add_edge(
-        static_cast<NodeId>(edge_value.at("src").as_number()),
-        static_cast<NodeId>(edge_value.at("dst").as_number()),
-        std::move(memlet),
+        integer<NodeId>(edge_value.at("src")),
+        integer<NodeId>(edge_value.at("dst")), std::move(memlet),
         edge_value.has("src_conn") ? edge_value.at("src_conn").as_string()
                                    : "",
         edge_value.has("dst_conn") ? edge_value.at("dst_conn").as_string()
@@ -134,6 +147,11 @@ Sdfg from_json(std::string_view text) {
     throw JsonError(std::string("bad expression: ") + error.what());
   } catch (const TaskletParseError& error) {
     throw JsonError(std::string("bad tasklet code: ") + error.what());
+  } catch (const std::logic_error& error) {
+    // The graph's own checks: invalid_argument for a node id out of
+    // sequence, a duplicate container or a malformed subset range, and
+    // out_of_range for an edge endpoint that names no node.
+    throw JsonError(std::string("bad graph: ") + error.what());
   }
 }
 

@@ -12,12 +12,14 @@ void validate_state(const Sdfg& sdfg, const State& state,
   auto report = [&](std::string message) {
     issues.push_back(ValidationIssue{state.name(), std::move(message)});
   };
+  auto in_range = [&](NodeId id) {
+    return id >= 0 && id < static_cast<NodeId>(state.num_nodes());
+  };
 
   // Node payloads and scope references.
   for (const Node& node : state.nodes()) {
     if (node.scope_parent != kNoNode) {
-      if (node.scope_parent < 0 ||
-          node.scope_parent >= static_cast<NodeId>(state.num_nodes())) {
+      if (!in_range(node.scope_parent)) {
         report("node " + std::to_string(node.id) +
                " has out-of-range scope parent");
         continue;
@@ -26,6 +28,11 @@ void validate_state(const Sdfg& sdfg, const State& state,
         report("node " + std::to_string(node.id) +
                " scope parent is not a map entry");
       }
+    }
+    if (node.paired != kNoNode && !in_range(node.paired)) {
+      report("node " + std::to_string(node.id) +
+             " has out-of-range paired node");
+      continue;
     }
     switch (node.kind) {
       case NodeKind::Access:
@@ -72,8 +79,7 @@ void validate_state(const Sdfg& sdfg, const State& state,
 
   // Edges: endpoint validity, memlet data, rank consistency, scoping.
   for (const Edge& edge : state.edges()) {
-    if (edge.src < 0 || edge.src >= static_cast<NodeId>(state.num_nodes()) ||
-        edge.dst < 0 || edge.dst >= static_cast<NodeId>(state.num_nodes())) {
+    if (!in_range(edge.src) || !in_range(edge.dst)) {
       report("edge references out-of-range node id");
       continue;
     }
@@ -102,7 +108,7 @@ void validate_state(const Sdfg& sdfg, const State& state,
     const bool entry_to_inside =
         src.kind == NodeKind::MapEntry && dst.scope_parent == src.id;
     const bool exit_to_outside =
-        src.kind == NodeKind::MapExit && src.paired != kNoNode &&
+        src.kind == NodeKind::MapExit && in_range(src.paired) &&
         dst.scope_parent == state.node(src.paired).scope_parent;
     if (!(same_scope || entry_to_inside || exit_to_outside)) {
       report("edge " + std::to_string(edge.src) + "->" +

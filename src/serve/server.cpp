@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "dmv/ir/json_reader.hpp"
+#include "dmv/ir/validate.hpp"
 #include "dmv/layout/layout.hpp"
 #include "dmv/par/par.hpp"
 #include "dmv/sim/sim.hpp"
@@ -180,9 +181,11 @@ struct Server::Impl {
     if (params.has("sdfg")) {
       try {
         ir::Sdfg program = ir::from_json(json::dump(params.at("sdfg")));
+        ir::validate_or_throw(program);
         *name_out = program.name();
         return program;
-      } catch (const ir::JsonError& error) {
+      } catch (const std::runtime_error& error) {
+        // ir::JsonError, or the list of validation issues.
         throw RequestError("bad_program", error.what());
       }
     }

@@ -771,11 +771,8 @@ void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
       // Size the columns once from the plan total; every chunk then
       // writes only its disjoint [event_offset, event_offset +
       // event_count) slice, so no writer ever moves another's memory.
-      // A spilled list is dropped first, as the serial path's clear()
-      // does: resizing would decode it only to overwrite it. A resident
-      // list is resized as is; clearing it first would make resize()
-      // zero-fill every column.
-      if (trace.events.spilled()) trace.events.clear();
+      // The list is resized as is; clearing it first would make
+      // resize() zero-fill every column.
       trace.events.resize(static_cast<std::size_t>(plan.total_events));
       par::parallel_for(plan.chunks.size(), 1,
                         [&](std::size_t begin, std::size_t end) {

@@ -13,7 +13,6 @@
 
 #include "dmv/par/par.hpp"
 #include "dmv/sim/trace_plan.hpp"
-#include "dmv/store/trace_store.hpp"
 #include "dmv/util/fnv1a.hpp"
 #include "closed_form_counts.hpp"
 #include "metric_detail.hpp"
@@ -185,10 +184,6 @@ MetricPipeline& MetricPipeline::operator=(MetricPipeline&&) noexcept =
 PipelineResult MetricPipeline::run(const AccessTrace& trace) {
   // Re-beginning the engine drops the delta checkpoint's metric state.
   arena_->ckpt_valid = false;
-  // Fault a spilled trace back in on this thread, exactly once, before
-  // the engine hands column spans to parallel workers (EventList
-  // fault-in is not thread-safe).
-  trace.events.ensure_resident();
   const auto start = Clock::now();
   merge::Engine& engine = arena_->engine;
   engine.begin(config_, trace);
@@ -203,8 +198,6 @@ PipelineResult MetricPipeline::run(const AccessTrace& trace) {
 // un-finalized. Shared by run(sdfg) and run_delta's cold path.
 void MetricPipeline::generate(const Sdfg& sdfg, const SymbolMap& symbols,
                               const SimulationOptions& options) {
-  // A spilled previous trace is simply dropped here: simulate_into
-  // releases the backing without the cost of decoding it.
   const auto start = Clock::now();
   simulate_into(sdfg, symbols, options, arena_->trace, &arena_->trace_arena);
   const double simulate_ms = ms_since(start);
@@ -226,7 +219,6 @@ PipelineResult MetricPipeline::run(const Sdfg& sdfg, const SymbolMap& symbols,
   const auto finish_start = Clock::now();
   result = arena_->engine.finish(arena_->trace.executions);
   timings_.metrics_ms += ms_since(finish_start);
-  maybe_spill();
   return result;
 }
 
@@ -456,9 +448,9 @@ bool delta_step(const PipelineConfig& config, ArenaState& arena,
     }
   }
   // Both patch shapes write disjoint absolute slices (and the splice
-  // reads the already-resident checkpoint columns), so the per-chunk
-  // work fans out over the pool; chunk outputs are position-determined,
-  // keeping the patched trace bit-identical at any thread count.
+  // only reads the checkpoint columns), so the per-chunk work fans out
+  // over the pool; chunk outputs are position-determined, keeping the
+  // patched trace bit-identical at any thread count.
   if (in_place) {
     arena.trace.events.resize(n_new);  // Preserves the clean prefix.
     par::parallel_for(
@@ -566,10 +558,6 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
       bool warm = false;
       PipelineResult result;
       try {
-        // The splice below reads the checkpoint columns from parallel
-        // workers; a spilled checkpoint must fault in on this thread
-        // first.
-        arena.trace.events.ensure_resident();
         warm = delta_step(config_, arena, sdfg, symbols, options, outcome,
                           result, timings_);
       } catch (...) {
@@ -582,7 +570,6 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
         if (*declined && outcome.path == DeltaOutcome::Path::kChunkDelta) {
           outcome.reason = declined;
         }
-        maybe_spill();
         if (outcome_out) *outcome_out = outcome;
         return result;
       }
@@ -609,27 +596,12 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
     arena.ckpt_options = options_fp;
     arena.ckpt_binding = symbols;
   }
-  maybe_spill();
   if (outcome_out) *outcome_out = outcome;
   return result;
 }
 
 std::size_t MetricPipeline::event_storage_bytes() const {
   return arena_->trace.events.capacity_bytes();
-}
-
-void MetricPipeline::set_spill(std::size_t budget_bytes, std::string dir) {
-  spill_budget_bytes_ = budget_bytes;
-  spill_dir_ = std::move(dir);
-}
-
-void MetricPipeline::maybe_spill() {
-  if (spill_budget_bytes_ == 0) return;
-  EventList& events = arena_->trace.events;
-  if (events.spilled() || events.capacity_bytes() <= spill_budget_bytes_) {
-    return;
-  }
-  store::spill_event_list(events, spill_dir_);
 }
 
 }  // namespace dmv::sim

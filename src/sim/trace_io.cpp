@@ -159,6 +159,9 @@ AccessTrace read_trace(std::istream& in) {
       if (layout.element_size <= 0) {
         fail(line_number, "bad element size");
       }
+      if (!layout.checked_total_elements()) {
+        fail(line_number, "negative extent or element count overflows int64");
+      }
       trace.containers.push_back(layout.name);
       trace.layouts.push_back(std::move(layout));
       continue;

@@ -5,11 +5,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -427,71 +427,6 @@ std::vector<ChunkBound> chunk_bounds(const sim::EventList& events,
   return bounds;
 }
 
-std::string pack_core(const sim::EventList& events,
-                      const std::vector<std::string>& containers,
-                      const std::vector<layout::ConcreteLayout>& layouts,
-                      std::int64_t executions, const StoreOptions& options,
-                      const sim::TracePlan* plan) {
-  if (containers.size() != layouts.size()) {
-    throw std::invalid_argument(
-        "trace_store: container/layout tables differ in size");
-  }
-  events.ensure_resident();
-  const std::vector<ChunkBound> bounds = chunk_bounds(events, options, plan);
-
-  // Encode chunks in parallel into private buffers; assembly below is
-  // serial, so the file bytes are identical at any thread count.
-  std::vector<EncodedChunk> encoded(bounds.size());
-  par::parallel_for(bounds.size(), 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      encoded[i] = encode_chunk(events, bounds[i].event_offset,
-                                bounds[i].event_count);
-    }
-  });
-
-  std::string out;
-  out += "DMVS";
-  detail::put_u32(out, kTraceFormatVersion);
-  const std::size_t file_bytes_pos = out.size();
-  detail::put_u64(out, 0);  // patched below
-  detail::put_i64(out, static_cast<std::int64_t>(events.size()));
-  detail::put_i64(out, executions);
-  detail::put_u32(out, static_cast<std::uint32_t>(containers.size()));
-  detail::put_u32(out, static_cast<std::uint32_t>(bounds.size()));
-  for (std::size_t c = 0; c < containers.size(); ++c) {
-    const layout::ConcreteLayout& layout = layouts[c];
-    if (layout.shape.size() != layout.strides.size()) {
-      throw std::invalid_argument("trace_store: layout " + containers[c] +
-                                  " has mismatched shape/stride ranks");
-    }
-    detail::put_u32(out, static_cast<std::uint32_t>(containers[c].size()));
-    out += containers[c];
-    detail::put_u32(out, static_cast<std::uint32_t>(layout.shape.size()));
-    detail::put_i64(out, layout.element_size);
-    detail::put_i64(out, layout.start_offset);
-    detail::put_i64(out, layout.base_address);
-    for (const std::int64_t extent : layout.shape) detail::put_i64(out, extent);
-    for (const std::int64_t stride : layout.strides) {
-      detail::put_i64(out, stride);
-    }
-  }
-  std::uint64_t payload_offset =
-      out.size() + bounds.size() * kDirectoryEntryBytes;
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    detail::put_i64(out, bounds[i].event_offset);
-    detail::put_i64(out, bounds[i].event_count);
-    detail::put_i64(out, bounds[i].execution_offset);
-    detail::put_i64(out, bounds[i].execution_count);
-    detail::put_u64(out, payload_offset);
-    detail::put_u64(out, encoded[i].payload.size());
-    detail::put_u64(out, encoded[i].checksum);
-    payload_offset += encoded[i].payload.size();
-  }
-  for (const EncodedChunk& chunk : encoded) out += chunk.payload;
-  detail::patch_u64(out, file_bytes_pos, out.size());
-  return out;
-}
-
 void write_bytes_file(const std::string& bytes, const std::string& path) {
   namespace fs = std::filesystem;
   const fs::path target(path);
@@ -521,15 +456,65 @@ void write_bytes_file(const std::string& bytes, const std::string& path) {
 std::string pack_trace(const sim::AccessTrace& trace,
                        const StoreOptions& options,
                        const sim::TracePlan* plan) {
-  return pack_core(trace.events, trace.containers, trace.layouts,
-                   trace.executions, options, plan);
-}
+  const sim::EventList& events = trace.events;
+  if (trace.containers.size() != trace.layouts.size()) {
+    throw std::invalid_argument(
+        "trace_store: container/layout tables differ in size");
+  }
+  const std::vector<ChunkBound> bounds = chunk_bounds(events, options, plan);
 
-std::string pack_events(const sim::EventList& events,
-                        const StoreOptions& options) {
-  // Bare event lists (the spill backing) carry no container table and
-  // no meaningful execution total.
-  return pack_core(events, {}, {}, 0, options, nullptr);
+  // Encode chunks in parallel into private buffers; assembly below is
+  // serial, so the file bytes are identical at any thread count.
+  std::vector<EncodedChunk> encoded(bounds.size());
+  par::parallel_for(bounds.size(), 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      encoded[i] = encode_chunk(events, bounds[i].event_offset,
+                                bounds[i].event_count);
+    }
+  });
+
+  std::string out;
+  out += "DMVS";
+  detail::put_u32(out, kTraceFormatVersion);
+  const std::size_t file_bytes_pos = out.size();
+  detail::put_u64(out, 0);  // patched below
+  detail::put_i64(out, static_cast<std::int64_t>(events.size()));
+  detail::put_i64(out, trace.executions);
+  detail::put_u32(out, static_cast<std::uint32_t>(trace.containers.size()));
+  detail::put_u32(out, static_cast<std::uint32_t>(bounds.size()));
+  for (std::size_t c = 0; c < trace.containers.size(); ++c) {
+    const std::string& name = trace.containers[c];
+    const layout::ConcreteLayout& layout = trace.layouts[c];
+    if (layout.shape.size() != layout.strides.size()) {
+      throw std::invalid_argument("trace_store: layout " + name +
+                                  " has mismatched shape/stride ranks");
+    }
+    detail::put_u32(out, static_cast<std::uint32_t>(name.size()));
+    out += name;
+    detail::put_u32(out, static_cast<std::uint32_t>(layout.shape.size()));
+    detail::put_i64(out, layout.element_size);
+    detail::put_i64(out, layout.start_offset);
+    detail::put_i64(out, layout.base_address);
+    for (const std::int64_t extent : layout.shape) detail::put_i64(out, extent);
+    for (const std::int64_t stride : layout.strides) {
+      detail::put_i64(out, stride);
+    }
+  }
+  std::uint64_t payload_offset =
+      out.size() + bounds.size() * kDirectoryEntryBytes;
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    detail::put_i64(out, bounds[i].event_offset);
+    detail::put_i64(out, bounds[i].event_count);
+    detail::put_i64(out, bounds[i].execution_offset);
+    detail::put_i64(out, bounds[i].execution_count);
+    detail::put_u64(out, payload_offset);
+    detail::put_u64(out, encoded[i].payload.size());
+    detail::put_u64(out, encoded[i].checksum);
+    payload_offset += encoded[i].payload.size();
+  }
+  for (const EncodedChunk& chunk : encoded) out += chunk.payload;
+  detail::patch_u64(out, file_bytes_pos, out.size());
+  return out;
 }
 
 void write_trace_file(const sim::AccessTrace& trace, const std::string& path,
@@ -549,6 +534,7 @@ struct TraceStoreReader::Impl {
   std::int64_t executions = 0;
   std::vector<std::string> containers;
   std::vector<layout::ConcreteLayout> layouts;
+  std::vector<std::int64_t> elements;  ///< Per container, checked.
   std::vector<ChunkInfo> chunks;
   std::size_t payload_bytes = 0;
 
@@ -586,6 +572,7 @@ struct TraceStoreReader::Impl {
     }
     containers.reserve(container_count);
     layouts.reserve(container_count);
+    elements.reserve(container_count);
     for (std::uint32_t c = 0; c < container_count; ++c) {
       const std::uint32_t name_length = reader.u32();
       layout::ConcreteLayout layout;
@@ -602,6 +589,12 @@ struct TraceStoreReader::Impl {
       layout.strides.resize(rank);
       for (std::uint32_t d = 0; d < rank; ++d) layout.shape[d] = reader.i64();
       for (std::uint32_t d = 0; d < rank; ++d) layout.strides[d] = reader.i64();
+      const std::optional<std::int64_t> count = layout.checked_total_elements();
+      if (!count) {
+        reader.fail("negative extent or element count overflowing int64 "
+                    "for container " + layout.name);
+      }
+      elements.push_back(*count);
       containers.push_back(layout.name);
       layouts.push_back(std::move(layout));
     }
@@ -673,9 +666,22 @@ struct TraceStoreReader::Impl {
         reader.fail("32-bit column value out of range in chunk " +
                     std::to_string(index));
       }
+      // Every event must index its container the way the simulator's
+      // would: the metric engine trusts both columns as array indices.
+      const std::int64_t raw_flat = flat[static_cast<std::size_t>(i)];
+      if (raw_container < 0 ||
+          raw_container >= static_cast<std::int64_t>(elements.size())) {
+        reader.fail("container index out of range in chunk " +
+                    std::to_string(index));
+      }
+      if (raw_flat < 0 ||
+          raw_flat >= elements[static_cast<std::size_t>(raw_container)]) {
+        reader.fail("element index out of range in chunk " +
+                    std::to_string(index));
+      }
       sim::AccessEvent event;
       event.container = static_cast<std::int32_t>(raw_container);
-      event.flat = flat[static_cast<std::size_t>(i)];
+      event.flat = raw_flat;
       event.is_write = write[static_cast<std::size_t>(i)] != 0;
       event.timestep = timestep[static_cast<std::size_t>(i)];
       event.execution = execution[static_cast<std::size_t>(i)];
@@ -796,38 +802,6 @@ sim::AccessTrace TraceStoreReader::read_trace() const {
 void TraceStoreReader::verify() const {
   sim::EventList scratch;
   read_events(scratch);
-}
-
-std::string spill_event_list(sim::EventList& events, const std::string& dir,
-                             const StoreOptions& options) {
-  namespace fs = std::filesystem;
-  const std::string directory = dir.empty() ? std::string(".") : dir;
-  fs::create_directories(directory);
-  static std::atomic<std::uint64_t> counter{0};
-  const std::string path = directory + "/dmv-spill-" +
-                           std::to_string(::getpid()) + "-" +
-                           std::to_string(counter.fetch_add(1)) + ".dmvt";
-  const std::size_t logical_size = events.size();
-  write_bytes_file(pack_events(events, options), path);
-
-  // The backing file lives as long as any spilled list (or copy of one)
-  // still points at it; the last restore/destruction removes it.
-  struct Backing {
-    std::string path;
-    Backing(const Backing&) = delete;
-    Backing& operator=(const Backing&) = delete;
-    explicit Backing(std::string p) : path(std::move(p)) {}
-    ~Backing() {
-      std::error_code ec;
-      std::filesystem::remove(path, ec);
-    }
-  };
-  auto backing = std::make_shared<Backing>(path);
-  events.spill(logical_size, [backing](sim::EventList& self) {
-    TraceStoreReader reader(backing->path);
-    reader.read_events(self);
-  });
-  return path;
 }
 
 }  // namespace dmv::store

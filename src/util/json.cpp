@@ -78,9 +78,10 @@ double Value::as_number() const {
 }
 
 std::int64_t Value::as_int() const {
+  // Both bounds are exact doubles: -2^63 is INT64_MIN, and 2^63 is the
+  // first value past INT64_MAX (which itself parses to 2^63).
   const double value = as_number();
-  if (std::floor(value) != value || value < -9.2233720368547758e18 ||
-      value > 9.2233720368547758e18) {
+  if (std::floor(value) != value || value < -0x1p63 || value >= 0x1p63) {
     throw ParseError("expected integer");
   }
   return static_cast<std::int64_t>(value);

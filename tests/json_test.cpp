@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "dmv/analysis/analysis.hpp"
 #include "dmv/exec/interpreter.hpp"
 #include "dmv/ir/serialize.hpp"
@@ -136,6 +140,24 @@ TEST(JsonReader, RejectsWrongSchema) {
       from_json("{\"name\": \"p\", \"symbols\": [], \"containers\": "
                 "[{\"name\": \"A\"}], \"states\": []}"),
       JsonError);
+  // Integer fields must be integral and fit their type: an element size
+  // of 8.75 is malformed, and 1e300 or 1e20 fit no int.
+  const auto program = [](const std::string& element_size,
+                          const std::string& node_id) {
+    return "{\"name\": \"p\", \"symbols\": [], \"containers\": [{\"name\": "
+           "\"A\", \"shape\": [\"4\"], \"strides\": [\"1\"], "
+           "\"element_size\": " +
+           element_size +
+           ", \"transient\": false}], \"states\": [{\"name\": \"s\", "
+           "\"nodes\": [{\"id\": " +
+           node_id +
+           ", \"kind\": \"access\", \"label\": \"A\", \"data\": \"A\"}], "
+           "\"edges\": []}]}";
+  };
+  EXPECT_EQ(from_json(program("8", "0")).array("A").element_size, 8);
+  EXPECT_THROW(from_json(program("8.75", "0")), JsonError);
+  EXPECT_THROW(from_json(program("1e300", "0")), JsonError);
+  EXPECT_THROW(from_json(program("8", "1e20")), JsonError);
 }
 
 TEST(JsonReader, ParsesEscapes) {
@@ -186,6 +208,17 @@ TEST(JsonTest, StringEscapesRoundTrip) {
   EXPECT_EQ(json::parse("\"\\ud83d\\ude00\"").as_string(),
             "\xf0\x9f\x98\x80");
   EXPECT_EQ(json::parse("\"a\\bb\\fc\"").as_string(), "a\bb\fc");
+}
+
+TEST(JsonTest, AsIntRefusesValuesOutsideInt64) {
+  // 2^63 is one past INT64_MAX, and INT64_MAX's text parses to the
+  // same double; neither may wrap to INT64_MIN.
+  for (const char* text :
+       {"9223372036854775808", "9223372036854775807", "1e19", "1.5"}) {
+    EXPECT_THROW(json::parse(text).as_int(), json::ParseError) << text;
+  }
+  EXPECT_EQ(json::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(JsonTest, MalformedUnicodeEscapesAreParseErrors) {

@@ -6,14 +6,13 @@
 // feed to feed. Its contract is BIT-IDENTITY with the serial oracle of
 // standalone_reference.hpp for every PipelineResult field, at any
 // (thread, lane, partition, feed-split) combination, across the
-// materialized, generating, streaming, delta (replay and resume) and
-// spilled drives. All suites are named MetricMerge so the CI determinism /
+// materialized, generating, streaming and delta (replay and resume)
+// drives. All suites are named MetricMerge so the CI determinism /
 // sanitizer / TSan gates pick them up.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -21,7 +20,6 @@
 #include "dmv/par/par.hpp"
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/sim/sim.hpp"
-#include "dmv/store/trace_store.hpp"
 #include "dmv/workloads/workloads.hpp"
 #include "standalone_reference.hpp"
 
@@ -31,15 +29,6 @@ namespace {
 using reference::expect_matches_standalone;
 using reference::expect_results_equal;
 using reference::standalone_result;
-
-namespace fs = std::filesystem;
-
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("dmv_merge_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 /// Every consumer on.
 PipelineConfig full_config() {
@@ -194,39 +183,6 @@ TEST(MetricMerge, SetPartitionBoundaries) {
                                std::to_string(threads));
     }
   }
-}
-
-// Satellite regression: a spilled checkpoint must be faulted back in
-// EXACTLY ONCE on the caller before column spans fan out to parallel
-// metric workers — both for run(trace) on an externally spilled trace
-// and for the delta splice against a spilled checkpoint.
-TEST(MetricMerge, SpilledTraceParallelMetrics) {
-  const fs::path dir = scratch_dir("spilled_parallel");
-  const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
-  symbolic::SymbolMap binding = workloads::hdiff_local();
-  const PipelineResult expected =
-      standalone_result(simulate(sdfg, binding), full_config());
-
-  par::ThreadScope scope(8);
-  // Externally spilled trace straight into the parallel engine.
-  AccessTrace spilled = simulate(sdfg, binding);
-  store::spill_event_list(spilled.events, (dir / "ext").string());
-  ASSERT_TRUE(spilled.events.spilled());
-  MetricPipeline merged(full_config());
-  expect_results_equal(merged.run(spilled), expected, "externally spilled");
-
-  // Delta engine over a pipeline that spills its checkpoint after every
-  // run: each warm step faults the checkpoint in before the parallel
-  // patch phase.
-  MetricPipeline spilling(full_config());
-  spilling.set_spill(1, (dir / "ckpt").string());
-  for (const std::int64_t k : {5, 6, 7, 6}) {
-    binding["K"] = k;
-    expect_matches_standalone(spilling.run_delta(sdfg, 3, binding),
-                              simulate(sdfg, binding), full_config(),
-                              "spilled delta K=" + std::to_string(k));
-  }
-  fs::remove_all(dir);
 }
 
 // Hand-built traces: random layouts and event streams, including the

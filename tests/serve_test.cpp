@@ -87,12 +87,27 @@ TEST(ServeProtocolTest, OpenBindStepRoundtrip) {
             result.at("checksum").as_string());
 }
 
+/// open_program with an inline one-state SDFG over container A[4].
+std::string open_inline(const std::string& element_size,
+                        const std::string& nodes, const std::string& edges) {
+  return "{\"id\":9,\"method\":\"open_program\",\"params\":{\"session\":"
+         "\"m\",\"sdfg\":{\"name\":\"p\",\"symbols\":[],\"containers\":[{"
+         "\"name\":\"A\",\"shape\":[\"4\"],\"strides\":[\"1\"],"
+         "\"element_size\":" +
+         element_size + ",\"transient\":false}],\"states\":[{\"name\":\"s\","
+         "\"nodes\":[" + nodes + "],\"edges\":[" + edges + "]}]}}}";
+}
+
 TEST(ServeProtocolTest, MalformedRequestsGetErrorResponses) {
   Server server;
   struct Case {
-    const char* line;
+    std::string line;
     const char* code;
   };
+  const std::string access =
+      R"({"id":0,"kind":"access","label":"A","data":"A"})";
+  const std::string tasklet =
+      R"({"id":1,"kind":"tasklet","label":"t","code":"b = a"})";
   const Case cases[] = {
       {"not json at all", "parse_error"},
       {"{\"id\":1}", "bad_request"},  // No method.
@@ -105,6 +120,29 @@ TEST(ServeProtocolTest, MalformedRequestsGetErrorResponses) {
        "bad_program"},
       {"{\"id\":5,\"method\":\"open_program\",\"params\":{\"session\":\"a\"}}",
        "bad_request"},  // Neither workload nor sdfg.
+      // Inline programs the graph or the validator rejects.
+      {open_inline("8", R"({"id":5,"kind":"access","label":"A","data":"A"})",
+                   ""),
+       "bad_program"},  // Node id 5 in a one-node state.
+      {open_inline("8", access, R"({"src":0,"dst":7})"), "bad_program"},
+      {open_inline("8",
+                   R"({"id":0,"kind":"tasklet","label":"t","code":"b = 1",)"
+                   R"("scope":99})",
+                   ""),
+       "bad_program"},
+      {open_inline("8", access + "," + tasklet,
+                   R"({"src":0,"dst":1,"dst_conn":"a","data":"B",)"
+                   R"("subset":"0","volume":"1"})"),
+       "bad_program"},  // Memlet to an undeclared container.
+      {open_inline("8",
+                   R"({"id":0,"kind":"map_entry","label":"m","params":["i"],)"
+                   R"("ranges":["0:3"],"paired":99})",
+                   ""),
+       "bad_program"},
+      {open_inline("8", R"({"id":0,"kind":"access","label":"B","data":"B"})",
+                   ""),
+       "bad_program"},  // Access node to an undeclared container.
+      {open_inline("8.75", access, ""), "bad_program"},
   };
   for (const Case& c : cases) {
     const Value response = parse_line(server.handle(c.line));
@@ -116,7 +154,9 @@ TEST(ServeProtocolTest, MalformedRequestsGetErrorResponses) {
   // still works.
   const Value ok = parse_line(server.handle(open_request("a", "hdiff")));
   EXPECT_TRUE(ok.has("result"));
-  EXPECT_EQ(server.stats().errors, 6);
+  EXPECT_TRUE(parse_line(server.handle(open_inline("8", access, "")))
+                  .has("result"));
+  EXPECT_EQ(server.stats().errors, 13);
 }
 
 TEST(ServeProtocolTest, DeeplyNestedRequestGetsParseError) {

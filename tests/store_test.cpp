@@ -28,7 +28,6 @@
 #include "dmv/store/artifact_store.hpp"
 #include "dmv/util/json.hpp"
 #include "dmv/workloads/workloads.hpp"
-#include "standalone_reference.hpp"
 
 namespace dmv {
 namespace {
@@ -164,7 +163,7 @@ TEST(StoreRoundTripTest, SingleChunkRandomRead) {
   ASSERT_GT(reader.chunk_count(), 2u);
 
   // Decode ONE interior chunk into a full-size buffer and check only
-  // its slice — the random-re-read path of the out-of-core mode.
+  // its slice — the random-re-read path.
   const std::size_t target = reader.chunk_count() / 2;
   const store::ChunkInfo& chunk = reader.chunk(target);
   sim::EventList events;
@@ -281,101 +280,51 @@ TEST(StoreReaderTest, EmptyFileThrows) {
   fs::remove_all(dir);
 }
 
-// ---------------------------------------------------------------------
-// EventList spilling.
-
-TEST(StoreSpillTest, SpillReleasesMemoryAndFaultsBack) {
-  const fs::path dir = scratch_dir("spill_fault");
-  ir::Sdfg sdfg = workloads::matmul();
-  sim::AccessTrace reference = sim::simulate(sdfg, workloads::matmul_fig5());
-  sim::AccessTrace spilled = sim::simulate(sdfg, workloads::matmul_fig5());
-
-  store::spill_event_list(spilled.events, dir.string());
-  EXPECT_TRUE(spilled.events.spilled());
-  EXPECT_EQ(spilled.events.capacity_bytes(), 0u);
-  EXPECT_EQ(spilled.events.size(), reference.events.size());
-  ASSERT_FALSE(fs::is_empty(dir)) << "spill file missing";
-
-  // First element access faults the columns back in...
-  expect_events_equal(spilled.events, reference.events);
-  EXPECT_FALSE(spilled.events.spilled());
-  EXPECT_GT(spilled.events.capacity_bytes(), 0u);
-  // ...and releases the backing file with the restore hook.
-  EXPECT_TRUE(fs::is_empty(dir));
-  fs::remove_all(dir);
-}
-
-TEST(StoreSpillTest, ClearDropsBackingWithoutDecode) {
-  const fs::path dir = scratch_dir("spill_clear");
-  ir::Sdfg sdfg = workloads::matmul();
-  sim::AccessTrace trace = sim::simulate(sdfg, workloads::matmul_fig5());
-  store::spill_event_list(trace.events, dir.string());
-  ASSERT_TRUE(trace.events.spilled());
-  trace.events.clear();
-  EXPECT_EQ(trace.events.size(), 0u);
-  EXPECT_FALSE(trace.events.spilled());
-  EXPECT_TRUE(fs::is_empty(dir)) << "clear() must drop the spill file";
-  fs::remove_all(dir);
-}
-
-TEST(StoreSpillTest, PipelineBitIdenticalWithSpilling) {
-  const fs::path dir = scratch_dir("spill_pipeline");
-  ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
-  symbolic::SymbolMap binding = workloads::hdiff_local();
-
-  sim::PipelineConfig config;
-  config.miss_threshold_lines = 8;
-  config.element_stats = true;
-  config.movement = true;
-  sim::MetricPipeline plain(config);
-  sim::MetricPipeline spilling(config);
-  // A 1-byte budget spills after EVERY materialized run, so each delta
-  // step faults the checkpoint back in before splicing.
-  spilling.set_spill(1, dir.string());
-
-  const std::uint64_t version = 42;
-  for (const std::int64_t k : {5, 6, 7, 6, 5}) {
-    binding["K"] = k;
-    sim::DeltaOutcome plain_outcome, spill_outcome;
-    sim::PipelineResult expected =
-        plain.run_delta(sdfg, version, binding, {}, &plain_outcome);
-    sim::PipelineResult actual =
-        spilling.run_delta(sdfg, version, binding, {}, &spill_outcome);
-    EXPECT_EQ(serve::result_checksum(actual),
-              serve::result_checksum(expected))
-        << "K=" << k;
-    EXPECT_EQ(actual.distances.distances, expected.distances.distances);
-    EXPECT_EQ(actual.counts.reads, expected.counts.reads);
-    EXPECT_EQ(actual.movement.total_bytes, expected.movement.total_bytes);
-    // Spilling must not change HOW steps are satisfied either.
-    EXPECT_EQ(static_cast<int>(spill_outcome.path),
-              static_cast<int>(plain_outcome.path))
-        << "K=" << k;
+// The metric engine indexes per-container arrays with the container
+// and flat columns, so the reader checks every event against the
+// container table: an event the table does not cover, or a table whose
+// element count overflows, fails here instead of in the engine.
+TEST(StoreReaderTest, EventsOutsideTheirContainerThrow) {
+  const auto one_event = [](std::int32_t container, std::int64_t flat,
+                            std::vector<std::int64_t> shape) {
+    sim::AccessTrace trace;
+    sim::ConcreteLayout layout;
+    layout.name = "a";
+    layout.shape = std::move(shape);
+    layout.strides.assign(layout.shape.size(), 1);
+    trace.containers.push_back(layout.name);
+    trace.layouts.push_back(std::move(layout));
+    sim::AccessEvent event;
+    event.container = container;
+    event.flat = flat;
+    trace.events.push_back(event);
+    trace.executions = 1;
+    return store::pack_trace(trace);
+  };
+  const std::int64_t big = std::int64_t{1} << 32;
+  const struct {
+    const char* what;
+    std::string bytes;
+  } cases[] = {
+      {"container past the table", one_event(3, 0, {4})},
+      {"flat past the layout", one_event(0, 100000, {4})},
+      {"negative flat", one_event(0, -1, {4})},
+      {"overflowing shape", one_event(0, 0, {big, big})},
+  };
+  for (const auto& c : cases) {
+    try {
+      store::TraceStoreReader::from_bytes(c.bytes).read_trace();
+      ADD_FAILURE() << c.what << " was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()).rfind("trace_store:", 0), 0u)
+          << c.what << ": " << error.what();
+    }
   }
-  fs::remove_all(dir);
-}
-
-TEST(StoreSpillTest, ChunkedRunDropsSpilledTraceUnread) {
-  // run(sdfg) overwrites its arena trace, so a spilled one is dropped,
-  // never decoded: with the spill file deleted, a chunk-parallel second
-  // run still succeeds and matches the oracle.
-  const fs::path dir = scratch_dir("spill_drop");
-  const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
-  const symbolic::SymbolMap binding{{"I", 16}, {"J", 16}, {"K", 6}};
-  sim::PipelineConfig config;
-  config.miss_threshold_lines = 8;
-  config.element_stats = true;
-  par::ThreadScope scope(4);
-  sim::MetricPipeline pipeline(config);
-  pipeline.set_spill(1, dir.string());
-  pipeline.run(sdfg, binding);
-  ASSERT_FALSE(fs::is_empty(dir)) << "first run did not spill";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const sim::PipelineResult result = pipeline.run(sdfg, binding);
-  sim::reference::expect_matches_standalone(
-      result, sim::simulate(sdfg, binding), config);
-  fs::remove_all(dir);
+  EXPECT_EQ(store::TraceStoreReader::from_bytes(one_event(0, 3, {4}))
+                .read_trace()
+                .events[0]
+                .flat,
+            3);
 }
 
 // ---------------------------------------------------------------------

@@ -182,6 +182,15 @@ TEST(TraceIo, RejectsMalformedInput) {
                                  "container a 8 0 4 4 ; 1\n"
                                  "events\n"),
                std::runtime_error);
+  // Extents whose element count overflows int64, and a negative extent.
+  EXPECT_THROW(trace_from_string("dmvtrace 1\n"
+                                 "container a 8 0 4294967296 4294967296 ; 1 1\n"
+                                 "events\n"),
+               std::runtime_error);
+  EXPECT_THROW(trace_from_string("dmvtrace 1\n"
+                                 "container a 8 0 -4 ; 1\n"
+                                 "events\n"),
+               std::runtime_error);
   // Tasklet id outside int32 (would import as tasklet 1).
   EXPECT_THROW(trace_from_string("dmvtrace 1\n"
                                  "container a 8 0 4 ; 1\n"
