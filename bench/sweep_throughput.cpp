@@ -44,9 +44,8 @@
 // `--smoke`: tiny workload, no timing, no JSON — runs every identity
 // gate and exits nonzero on the first mismatch: materialized ==
 // streaming == session, 1-thread == 8-thread trace, W=4/8 == W=1 trace,
-// delta recompute == cold, trace store and artifact codec round trips,
-// metric engine at 8 threads == 1 thread, closed-form counts ==
-// simulated counts.
+// delta recompute == cold, artifact codec round trip, metric engine at
+// 8 threads == 1 thread, closed-form counts == simulated counts.
 
 #include <algorithm>
 #include <chrono>
@@ -65,7 +64,6 @@
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/sim/sim.hpp"
 #include "dmv/store/artifact_store.hpp"
-#include "dmv/store/trace_store.hpp"
 #include "dmv/workloads/workloads.hpp"
 
 namespace {
@@ -602,24 +600,11 @@ bool validate_delta_recompute(const SweepCase& sweep,
   return true;
 }
 
-// Trace-store + artifact-codec identity gate: the compressed store must
-// reproduce every binding's trace bit for bit (order-sensitive
-// checksum), and the disk-tier PipelineResult codec must round-trip a
-// real metric bundle exactly.
-bool validate_trace_store(const SweepCase& sweep,
-                          const SimulationOptions& options) {
+// Artifact-codec identity gate: the disk-tier PipelineResult codec must
+// round-trip a real metric bundle exactly.
+bool validate_artifact_codec(const SweepCase& sweep,
+                             const SimulationOptions& options) {
   dmv::par::ThreadScope scope(1);
-  for (const SymbolMap& binding : sweep.bindings) {
-    const AccessTrace trace = dmv::sim::simulate(sweep.sdfg, binding, options);
-    dmv::store::TraceStoreReader reader =
-        dmv::store::TraceStoreReader::from_bytes(
-            dmv::store::pack_trace(trace));
-    if (trace_checksum(reader.read_trace()) != trace_checksum(trace)) {
-      std::cerr << "FATAL: trace store round-trip mismatch on " << sweep.name
-                << "\n";
-      return false;
-    }
-  }
   dmv::sim::MetricPipeline pipeline(bench_config());
   const dmv::sim::PipelineResult result =
       pipeline.run(sweep.sdfg, sweep.bindings.front(), options);
@@ -643,7 +628,7 @@ int run_smoke() {
     if (!validate_chunked_trace(sweep, options)) return 1;
     if (!validate_batched_trace(sweep, options)) return 1;
     if (!validate_delta_recompute(sweep, options)) return 1;
-    if (!validate_trace_store(sweep, options)) return 1;
+    if (!validate_artifact_codec(sweep, options)) return 1;
     if (!validate_metric_merge(sweep, options)) return 1;
     if (!validate_closed_form_counts(sweep, options)) return 1;
     std::cout << "smoke " << sweep.name
@@ -651,7 +636,7 @@ int run_smoke() {
               << "serial trace == parallel trace (8 threads), "
               << "batched trace (W=4/8) == scalar, "
               << "delta recompute == cold, "
-              << "trace store round-trip == source, "
+              << "artifact codec round-trip == source, "
               << "metric engine (8 threads) == 1 thread, "
               << "closed-form counts == simulated counts\n";
   }
@@ -857,54 +842,6 @@ int main(int argc, char** argv) {
     const double closed_form_speedup =
         counts_simulated.best_ms / counts_closed_form.best_ms;
 
-    // Trace store: compression ratio and pack/unpack throughput over
-    // the same materialized traces (the DMVS trace file format).
-    // Identity gate on the order-sensitive trace checksum per binding.
-    std::size_t store_events = 0;
-    std::size_t store_raw_bytes = 0;
-    for (const AccessTrace& trace : traces) {
-      store_events += trace.events.size();
-      store_raw_bytes += trace.events.capacity_bytes();
-    }
-    std::vector<std::string> packed(traces.size());
-    const Measurement store_pack = measure(
-        [&] {
-          std::int64_t bytes = 0;
-          for (std::size_t b = 0; b < traces.size(); ++b) {
-            packed[b] = dmv::store::pack_trace(traces[b]);
-            bytes += static_cast<std::int64_t>(packed[b].size());
-          }
-          return bytes;
-        },
-        repetitions);
-    std::size_t store_packed_bytes = 0;
-    for (const std::string& bytes : packed) store_packed_bytes += bytes.size();
-    const Measurement store_unpack = measure(
-        [&] {
-          std::int64_t total = 0;
-          for (const std::string& bytes : packed) {
-            dmv::store::TraceStoreReader reader =
-                dmv::store::TraceStoreReader::from_bytes(bytes);
-            dmv::sim::EventList events;
-            reader.read_events(events);
-            total += static_cast<std::int64_t>(events.size());
-          }
-          return total;
-        },
-        repetitions);
-    for (std::size_t b = 0; b < traces.size(); ++b) {
-      dmv::store::TraceStoreReader reader =
-          dmv::store::TraceStoreReader::from_bytes(packed[b]);
-      if (trace_checksum(reader.read_trace()) != trace_checksum(traces[b])) {
-        std::cerr << "FATAL: trace store round-trip mismatch on "
-                  << sweep.name << "\n";
-        return 1;
-      }
-    }
-    const double store_ratio =
-        static_cast<double>(store_raw_bytes) /
-        static_cast<double>(std::max<std::size_t>(store_packed_bytes, 1));
-
     // Session sweep: the same drag through the memoizing session layer.
     // Cold constructs a fresh session per repetition (cache empty, no
     // speculation); warm re-drags a session that has seen every binding;
@@ -978,11 +915,6 @@ int main(int argc, char** argv) {
               << counts_simulated.best_ms << " ms, closed form "
               << counts_closed_form.best_ms << " ms ("
               << closed_form_speedup << "x, fingerprint identical)\n";
-    std::cout << "  trace store: " << store_events << " events, raw "
-              << store_raw_bytes << " B, packed " << store_packed_bytes
-              << " B (" << store_ratio << "x), pack "
-              << store_pack.best_ms << " ms, unpack "
-              << store_unpack.best_ms << " ms (round trip identical)\n";
     std::cout << "  session (" << sweep.values.size() << " positions of "
               << sweep.symbol << "): cold " << session_cold.best_ms
               << " ms, warm " << session_warm.best_ms << " ms ("
@@ -1050,15 +982,6 @@ int main(int argc, char** argv) {
     json << "        \"closed_form_ms\": " << counts_closed_form.best_ms
          << ",\n";
     json << "        \"speedup\": " << closed_form_speedup << ",\n";
-    json << "        \"checksum_identical\": true\n";
-    json << "      },\n";
-    json << "      \"trace_store\": {\n";
-    json << "        \"events\": " << store_events << ",\n";
-    json << "        \"raw_bytes\": " << store_raw_bytes << ",\n";
-    json << "        \"packed_bytes\": " << store_packed_bytes << ",\n";
-    json << "        \"compression_ratio\": " << store_ratio << ",\n";
-    json << "        \"pack_ms\": " << store_pack.best_ms << ",\n";
-    json << "        \"unpack_ms\": " << store_unpack.best_ms << ",\n";
     json << "        \"checksum_identical\": true\n";
     json << "      },\n";
     json << "      \"session\": {\n";

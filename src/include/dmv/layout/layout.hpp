@@ -43,7 +43,8 @@ struct ConcreteLayout {
   std::int64_t total_elements() const;
   /// total_elements() of an untrusted layout, such as a trace file's
   /// header: nullopt when an extent is negative or the product
-  /// overflows int64. Both trace readers check every container with it.
+  /// overflows int64. The text trace reader checks every container with
+  /// it.
   std::optional<std::int64_t> checked_total_elements() const;
   /// Buffer length in elements including stride padding.
   std::int64_t allocated_elements() const;

@@ -77,6 +77,27 @@ namespace {
                            ": " + message);
 }
 
+/// Whether the layout's last byte address, base_address +
+/// allocated_bytes() - 1, fits int64, every step checked the way
+/// checked_total_elements() checks its product. The metric engine maps
+/// a container's bytes to cache lines with that arithmetic unchecked.
+bool last_byte_fits(const ConcreteLayout& layout) {
+  std::int64_t last = layout.start_offset;
+  for (std::size_t d = 0; d < layout.shape.size(); ++d) {
+    std::int64_t reach = 0;
+    if (__builtin_mul_overflow(layout.shape[d] - 1, layout.strides[d],
+                               &reach) ||
+        __builtin_add_overflow(last, reach, &last)) {
+      return false;
+    }
+  }
+  std::int64_t bytes = 0;
+  return !__builtin_add_overflow(last, 1, &last) &&
+         !__builtin_mul_overflow(last, layout.element_size, &bytes) &&
+         !__builtin_add_overflow(layout.base_address, bytes, &last) &&
+         !__builtin_sub_overflow(last, 1, &last);
+}
+
 std::string unescape_name(const std::string& token, int line_number) {
   std::string out;
   out.reserve(token.size());
@@ -161,6 +182,17 @@ AccessTrace read_trace(std::istream& in) {
       }
       if (!layout.checked_total_elements()) {
         fail(line_number, "negative extent or element count overflows int64");
+      }
+      // The metric engine finds a byte's line by division, which rounds
+      // toward zero, and sizes a container's line range from its base
+      // address up: a byte below address 0 or below the base would
+      // share a line with another or fall outside the range.
+      if (layout.base_address < 0) fail(line_number, "negative base address");
+      for (const std::int64_t stride : layout.strides) {
+        if (stride < 0) fail(line_number, "negative stride");
+      }
+      if (!last_byte_fits(layout)) {
+        fail(line_number, "last byte address overflows int64");
       }
       trace.containers.push_back(layout.name);
       trace.layouts.push_back(std::move(layout));

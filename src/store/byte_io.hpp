@@ -1,10 +1,10 @@
 #pragma once
 
-// Little-endian byte encoding helpers shared by the store writers and
-// readers (trace_store.cpp, artifact_store.cpp). Every multi-byte
-// integer in the on-disk formats is little-endian regardless of host
-// order — scalars are assembled bytewise and bulk words go through
-// to_little_endian, so the files are portable across hosts.
+// Little-endian byte encoding helpers of the DMVA artifact writer and
+// reader (artifact_store.cpp). Every multi-byte integer on disk is
+// little-endian regardless of host order — scalars are assembled
+// bytewise and bulk words go through to_little_endian, so the files
+// are portable across hosts.
 //
 // ByteReader is the single funnel every decode path goes through:
 // need() bounds-checks before touching memory, so a truncated or
@@ -64,15 +64,6 @@ inline void put_u64(std::string& out, std::uint64_t value) {
 
 inline void put_i64(std::string& out, std::int64_t value) {
   put_u64(out, static_cast<std::uint64_t>(value));
-}
-
-/// Overwrites the 8 bytes at `offset` with `value` — for patching a
-/// placeholder (e.g. the declared file size) after the payload is built.
-inline void patch_u64(std::string& out, std::size_t offset,
-                      std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
-  }
 }
 
 // ---------------------------------------------------------------------

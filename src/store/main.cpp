@@ -1,39 +1,32 @@
-// dmv_store — offline tooling for the columnar trace store
+// dmv_store — offline tooling for the persistent artifact tier
 // (docs/storage.md).
 //
-//   dmv_store pack --workload NAME [--set S=V ...] [--chunk-events N] -o F
-//   dmv_store pack --from-text FILE [--chunk-events N] -o F
-//   dmv_store unpack FILE [-o FILE]      text (dmvtrace 1) debug export
-//   dmv_store verify FILE                decode every chunk, check sums
-//   dmv_store ls FILE                    header + chunk directory
 //   dmv_store warm --workload NAME --cache-dir DIR --sweep S=LO:HI[:STEP]
 //                  [--set S=V ...]       precompute the dmv_serve
 //                                        warm-start tier offline
 //
-// `pack --workload` simulates the named workload (the dmv_serve
-// registry) at its default binding, overridable per symbol with --set,
-// and writes the plan-aligned compressed store file. `warm` runs a
-// slider sweep through a Session wired to the same persistent disk
-// tier dmv_serve uses (--cache-dir), so a server started against that
-// directory serves the sweep without simulating anything.
+// `warm` runs a slider sweep through a Session wired to the same
+// persistent disk tier dmv_serve uses (--cache-dir), so a server
+// started against that directory serves the sweep without simulating
+// anything. The workload comes from the dmv_serve registry, at its
+// default binding overridden per symbol with --set. A command line that
+// would warm nothing a client can ask for exits 2 before any work: a
+// --sweep or --set symbol the workload does not declare, a step that is
+// not positive, or LO > HI.
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "dmv/serve/server.hpp"
 #include "dmv/session/session.hpp"
-#include "dmv/sim/trace_io.hpp"
-#include "dmv/sim/trace_plan.hpp"
 #include "dmv/store/artifact_store.hpp"
-#include "dmv/store/trace_store.hpp"
 #include "dmv/workloads/workloads.hpp"
 
 namespace {
@@ -41,17 +34,16 @@ namespace {
 using dmv::symbolic::SymbolMap;
 
 int usage() {
-  std::cerr
-      << "usage: dmv_store <command> [args]\n"
-         "  pack --workload NAME [--set S=V ...] [--chunk-events N] -o F\n"
-         "  pack --from-text FILE [--chunk-events N] -o F\n"
-         "  unpack FILE [-o FILE]\n"
-         "  verify FILE\n"
-         "  ls FILE\n"
-         "  warm --workload NAME --cache-dir DIR --sweep S=LO:HI[:STEP]"
-         " [--set S=V ...]\n";
+  std::cerr << "usage: dmv_store warm --workload NAME --cache-dir DIR"
+               " --sweep S=LO:HI[:STEP] [--set S=V ...]\n";
   return 2;
 }
+
+/// An argument that is malformed or would warm nothing; main() reports
+/// it and exits 2, as for a usage error.
+struct BadArgument : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Default binding of each registry workload — the same parameter sets
 /// the tests and docs use for that workload family.
@@ -69,7 +61,7 @@ SymbolMap default_binding(const std::string& workload) {
 void apply_set(SymbolMap& binding, const std::string& spec) {
   const std::size_t eq = spec.find('=');
   if (eq == std::string::npos || eq == 0) {
-    throw std::runtime_error("bad --set '" + spec + "' (want SYM=VALUE)");
+    throw BadArgument("bad --set '" + spec + "' (want SYM=VALUE)");
   }
   binding[spec.substr(0, eq)] = std::stoll(spec.substr(eq + 1));
 }
@@ -83,144 +75,44 @@ Sweep parse_sweep(const std::string& spec) {
   Sweep sweep;
   const std::size_t eq = spec.find('=');
   if (eq == std::string::npos || eq == 0) {
-    throw std::runtime_error("bad --sweep '" + spec +
-                             "' (want SYM=LO:HI[:STEP])");
+    throw BadArgument("bad --sweep '" + spec + "' (want SYM=LO:HI[:STEP])");
   }
   sweep.symbol = spec.substr(0, eq);
   std::string range = spec.substr(eq + 1);
   std::replace(range.begin(), range.end(), ':', ' ');
   std::istringstream fields(range);
-  if (!(fields >> sweep.lo >> sweep.hi)) {
-    throw std::runtime_error("bad --sweep range in '" + spec + "'");
+  if (!(fields >> sweep.lo >> sweep.hi) ||
+      (!fields.eof() && !(fields >> sweep.step)) ||
+      !(fields >> std::ws).eof()) {
+    throw BadArgument("bad --sweep range in '" + spec +
+                      "' (want SYM=LO:HI[:STEP])");
   }
-  fields >> sweep.step;
-  if (sweep.step <= 0) sweep.step = 1;
+  if (sweep.step <= 0) {
+    throw BadArgument("--sweep step " + std::to_string(sweep.step) +
+                      " is not positive");
+  }
+  if (sweep.lo > sweep.hi) {
+    throw BadArgument("--sweep LO " + std::to_string(sweep.lo) +
+                      " is above HI " + std::to_string(sweep.hi) +
+                      ": the sweep is empty");
+  }
   return sweep;
 }
 
-int cmd_pack(int argc, char** argv) {
-  std::string workload, from_text, output;
-  SymbolMap overrides;
-  dmv::store::StoreOptions options;
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (std::strcmp(arg, "--workload") == 0 && has_value) {
-      workload = argv[++i];
-    } else if (std::strcmp(arg, "--from-text") == 0 && has_value) {
-      from_text = argv[++i];
-    } else if (std::strcmp(arg, "--set") == 0 && has_value) {
-      apply_set(overrides, argv[++i]);
-    } else if (std::strcmp(arg, "--chunk-events") == 0 && has_value) {
-      options.chunk_events = std::atoll(argv[++i]);
-    } else if (std::strcmp(arg, "-o") == 0 && has_value) {
-      output = argv[++i];
-    } else {
-      return usage();
-    }
-  }
-  if (output.empty() || (workload.empty() == from_text.empty())) {
-    return usage();
-  }
-
-  if (!from_text.empty()) {
-    std::ifstream in(from_text);
-    if (!in) {
-      std::cerr << "dmv_store: cannot open " << from_text << "\n";
-      return 1;
-    }
-    dmv::sim::AccessTrace trace = dmv::sim::read_trace(in);
-    dmv::store::write_trace_file(trace, output, options);
-    std::cout << "packed " << trace.events.size() << " events -> " << output
-              << "\n";
-    return 0;
-  }
-
-  dmv::ir::Sdfg sdfg = dmv::serve::workload_by_name(workload);
-  SymbolMap binding = default_binding(workload);
-  for (const auto& [symbol, value] : overrides) binding[symbol] = value;
-  dmv::sim::SimulationOptions sim_options;
-  dmv::sim::AccessTrace trace = dmv::sim::simulate(sdfg, binding, sim_options);
-  // Fixed chunks-per-map (the default derives from the thread count):
-  // a packed file must be byte-identical no matter which machine ran
-  // the CLI, since store files are meant to be precomputed and shipped.
-  constexpr int kPlanChunksPerMap = 16;
-  dmv::sim::TracePlan plan =
-      dmv::sim::plan_trace(sdfg, binding, sim_options, kPlanChunksPerMap);
-  dmv::store::write_trace_file(trace, output, options,
-                               plan.parallelizable ? &plan : nullptr);
-  dmv::store::TraceStoreReader reader(output);
-  std::cout << "packed " << trace.events.size() << " events ("
-            << trace.events.capacity_bytes() << " bytes raw) -> " << output
-            << " (" << reader.file_bytes() << " bytes, "
-            << reader.chunk_count() << " chunks)\n";
-  return 0;
+/// Throws unless `sdfg` declares `symbol`. A binding of a symbol the
+/// program does not declare keys the same artifact as the binding
+/// without it, so sweeping one warms a single entry.
+void require_declared(const dmv::ir::Sdfg& sdfg, const std::string& workload,
+                      const char* flag, const std::string& symbol) {
+  if (sdfg.symbols().count(symbol) != 0) return;
+  std::string declared;
+  for (const std::string& name : sdfg.symbols()) declared += " " + name;
+  throw BadArgument(std::string(flag) + " names " + symbol + ", which " +
+                    workload + " does not declare (it declares" + declared +
+                    ")");
 }
 
-int cmd_unpack(int argc, char** argv) {
-  std::string input, output;
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (std::strcmp(arg, "-o") == 0 && has_value) {
-      output = argv[++i];
-    } else if (std::strcmp(arg, "--text") == 0) {
-      // The default (and only) export format.
-    } else if (input.empty() && arg[0] != '-') {
-      input = arg;
-    } else {
-      return usage();
-    }
-  }
-  if (input.empty()) return usage();
-  dmv::store::TraceStoreReader reader(input);
-  dmv::sim::AccessTrace trace = reader.read_trace();
-  if (output.empty()) {
-    dmv::sim::write_trace(trace, std::cout);
-  } else {
-    std::ofstream out(output);
-    if (!out) {
-      std::cerr << "dmv_store: cannot write " << output << "\n";
-      return 1;
-    }
-    dmv::sim::write_trace(trace, out);
-  }
-  return 0;
-}
-
-int cmd_verify(int argc, char** argv) {
-  if (argc != 1) return usage();
-  dmv::store::TraceStoreReader reader(argv[0]);
-  reader.verify();
-  std::cout << "ok: " << reader.total_events() << " events, "
-            << reader.chunk_count() << " chunks, checksums match\n";
-  return 0;
-}
-
-int cmd_ls(int argc, char** argv) {
-  if (argc != 1) return usage();
-  dmv::store::TraceStoreReader reader(argv[0]);
-  std::cout << "dmvs v1: " << reader.total_events() << " events, "
-            << reader.executions() << " executions, "
-            << reader.containers().size() << " containers, "
-            << reader.chunk_count() << " chunks, " << reader.file_bytes()
-            << " file bytes (" << reader.payload_bytes() << " payload)\n";
-  for (std::size_t c = 0; c < reader.containers().size(); ++c) {
-    std::cout << "  container " << c << ": " << reader.containers()[c]
-              << "\n";
-  }
-  for (std::size_t c = 0; c < reader.chunk_count(); ++c) {
-    const dmv::store::ChunkInfo& chunk = reader.chunk(c);
-    std::cout << "  chunk " << c << ": events [" << chunk.event_offset
-              << ", " << chunk.event_offset + chunk.event_count
-              << ") executions [" << chunk.execution_offset << ", "
-              << chunk.execution_offset + chunk.execution_count << ") "
-              << chunk.payload_size << " bytes\n";
-  }
-  return 0;
-}
-
-int cmd_warm(int argc, char** argv) {
+int warm(int argc, char** argv) {
   std::string workload, cache_dir, sweep_spec;
   SymbolMap overrides;
   for (int i = 0; i < argc; ++i) {
@@ -242,6 +134,11 @@ int cmd_warm(int argc, char** argv) {
     return usage();
   }
   const Sweep sweep = parse_sweep(sweep_spec);
+  dmv::ir::Sdfg sdfg = dmv::serve::workload_by_name(workload);
+  require_declared(sdfg, workload, "--sweep", sweep.symbol);
+  for (const auto& [symbol, value] : overrides) {
+    require_declared(sdfg, workload, "--set", symbol);
+  }
 
   // Same tier wiring as dmv_serve --cache-dir: artifacts this run
   // computes land in the directory a later server re-serves from.
@@ -253,8 +150,7 @@ int cmd_warm(int argc, char** argv) {
   session_config.shared_cache =
       std::make_shared<dmv::session::SharedArtifactCache>(shared_config);
 
-  dmv::session::Session session(dmv::serve::workload_by_name(workload),
-                                std::move(session_config));
+  dmv::session::Session session(std::move(sdfg), std::move(session_config));
   SymbolMap binding = default_binding(workload);
   for (const auto& [symbol, value] : overrides) binding[symbol] = value;
   session.set_binding(binding);
@@ -278,17 +174,14 @@ int cmd_warm(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
+  if (argc < 2 || std::strcmp(argv[1], "warm") != 0) return usage();
   try {
-    if (command == "pack") return cmd_pack(argc - 2, argv + 2);
-    if (command == "unpack") return cmd_unpack(argc - 2, argv + 2);
-    if (command == "verify") return cmd_verify(argc - 2, argv + 2);
-    if (command == "ls") return cmd_ls(argc - 2, argv + 2);
-    if (command == "warm") return cmd_warm(argc - 2, argv + 2);
+    return warm(argc - 2, argv + 2);
+  } catch (const BadArgument& error) {
+    std::cerr << "dmv_store: " << error.what() << "\n";
+    return 2;
   } catch (const std::exception& error) {
     std::cerr << "dmv_store: " << error.what() << "\n";
     return 1;
   }
-  return usage();
 }

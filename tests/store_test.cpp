@@ -1,13 +1,14 @@
-// Columnar trace store + persistent artifact cache tests.
+// Persistent artifact tier tests: the DMVA file framing, the metrics
+// codec, and the disk tier under the shared cache and the server.
 //
 // All suites are named Store* so the CI determinism / sanitizer / TSan
 // gates (-R '...|Store') pick them up: the store's contract is exact —
-// pack bytes and decoded events are bit-identical at any thread count
-// and lane width, and the disk artifact tier re-serves prior results
+// every codec round trip is bit-identical, every hostile artifact is
+// rejected cleanly, and the disk artifact tier re-serves prior results
 // byte for byte across process "restarts" (new cache/server objects
 // over the same directory).
 
-#include "dmv/store/trace_store.hpp"
+#include "dmv/store/artifact_store.hpp"
 
 #include <gtest/gtest.h>
 
@@ -20,12 +21,9 @@
 #include <string>
 #include <vector>
 
-#include "dmv/par/par.hpp"
 #include "dmv/serve/server.hpp"
 #include "dmv/session/session.hpp"
 #include "dmv/sim/pipeline.hpp"
-#include "dmv/sim/trace_plan.hpp"
-#include "dmv/store/artifact_store.hpp"
 #include "dmv/util/json.hpp"
 #include "dmv/workloads/workloads.hpp"
 
@@ -40,291 +38,6 @@ fs::path scratch_dir(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
-}
-
-void expect_events_equal(const sim::EventList& actual,
-                         const sim::EventList& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    const sim::AccessEvent a = actual[i];
-    const sim::AccessEvent e = expected[i];
-    ASSERT_EQ(a.container, e.container) << "event " << i;
-    ASSERT_EQ(a.flat, e.flat) << "event " << i;
-    ASSERT_EQ(a.is_write, e.is_write) << "event " << i;
-    ASSERT_EQ(a.timestep, e.timestep) << "event " << i;
-    ASSERT_EQ(a.execution, e.execution) << "event " << i;
-    ASSERT_EQ(a.tasklet, e.tasklet) << "event " << i;
-  }
-}
-
-void expect_traces_equal(const sim::AccessTrace& actual,
-                         const sim::AccessTrace& expected) {
-  EXPECT_EQ(actual.containers, expected.containers);
-  EXPECT_EQ(actual.executions, expected.executions);
-  ASSERT_EQ(actual.layouts.size(), expected.layouts.size());
-  for (std::size_t c = 0; c < expected.layouts.size(); ++c) {
-    EXPECT_EQ(actual.layouts[c].name, expected.layouts[c].name);
-    EXPECT_EQ(actual.layouts[c].element_size,
-              expected.layouts[c].element_size);
-    EXPECT_EQ(actual.layouts[c].base_address,
-              expected.layouts[c].base_address);
-    EXPECT_EQ(actual.layouts[c].start_offset,
-              expected.layouts[c].start_offset);
-    EXPECT_EQ(actual.layouts[c].shape, expected.layouts[c].shape);
-    EXPECT_EQ(actual.layouts[c].strides, expected.layouts[c].strides);
-  }
-  expect_events_equal(actual.events, expected.events);
-}
-
-// ---------------------------------------------------------------------
-// Round trip and determinism.
-
-TEST(StoreRoundTripTest, PackUnpackExact) {
-  ir::Sdfg sdfg = workloads::matmul();
-  sim::AccessTrace original = sim::simulate(sdfg, workloads::matmul_fig5());
-  const std::string bytes = store::pack_trace(original);
-  store::TraceStoreReader reader =
-      store::TraceStoreReader::from_bytes(bytes);
-  EXPECT_EQ(reader.total_events(),
-            static_cast<std::int64_t>(original.events.size()));
-  EXPECT_EQ(reader.executions(), original.executions);
-  expect_traces_equal(reader.read_trace(), original);
-  reader.verify();
-}
-
-TEST(StoreRoundTripTest, BytesIdenticalAcrossThreadsAndLanes) {
-  ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
-  const symbolic::SymbolMap binding = workloads::hdiff_local();
-
-  std::vector<std::string> packed;
-  sim::AccessTrace reference;
-  for (const int threads : {1, 8}) {
-    for (const int lanes : {1, 8}) {
-      par::ThreadScope scope(threads);
-      sim::SimulationOptions options;
-      options.lane_width = lanes;
-      sim::AccessTrace trace = sim::simulate(sdfg, binding, options);
-      packed.push_back(store::pack_trace(trace));
-      if (reference.events.empty()) reference = std::move(trace);
-    }
-  }
-  for (std::size_t i = 1; i < packed.size(); ++i) {
-    EXPECT_EQ(packed[i], packed[0]) << "combination " << i;
-  }
-
-  // Decoding is just as deterministic: both thread counts reproduce the
-  // source events exactly.
-  for (const int threads : {1, 8}) {
-    par::ThreadScope scope(threads);
-    store::TraceStoreReader reader =
-        store::TraceStoreReader::from_bytes(packed[0]);
-    sim::EventList events;
-    reader.read_events(events);
-    expect_events_equal(events, reference.events);
-  }
-}
-
-TEST(StoreRoundTripTest, PlanAlignedChunksTileTheTrace) {
-  ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
-  const symbolic::SymbolMap binding = workloads::hdiff_local();
-  sim::SimulationOptions options;
-  sim::AccessTrace trace = sim::simulate(sdfg, binding, options);
-  sim::TracePlan plan = sim::plan_trace(sdfg, binding, options);
-  ASSERT_TRUE(plan.parallelizable);
-
-  store::StoreOptions store_options;
-  store_options.chunk_events = 1 << 12;
-  const std::string bytes =
-      store::pack_trace(trace, store_options, &plan);
-  store::TraceStoreReader reader =
-      store::TraceStoreReader::from_bytes(bytes);
-  ASSERT_GT(reader.chunk_count(), 1u);
-  std::int64_t next_event = 0;
-  std::int64_t next_execution = 0;
-  for (std::size_t c = 0; c < reader.chunk_count(); ++c) {
-    const store::ChunkInfo& chunk = reader.chunk(c);
-    EXPECT_EQ(chunk.event_offset, next_event);
-    EXPECT_EQ(chunk.execution_offset, next_execution);
-    next_event += chunk.event_count;
-    next_execution += chunk.execution_count;
-  }
-  EXPECT_EQ(next_event, reader.total_events());
-  expect_traces_equal(reader.read_trace(), trace);
-}
-
-TEST(StoreRoundTripTest, SingleChunkRandomRead) {
-  ir::Sdfg sdfg = workloads::matmul();
-  sim::AccessTrace trace = sim::simulate(sdfg, workloads::matmul_fig5());
-  store::StoreOptions options;
-  options.chunk_events = 256;
-  const std::string bytes = store::pack_trace(trace, options);
-  store::TraceStoreReader reader =
-      store::TraceStoreReader::from_bytes(bytes);
-  ASSERT_GT(reader.chunk_count(), 2u);
-
-  // Decode ONE interior chunk into a full-size buffer and check only
-  // its slice — the random-re-read path.
-  const std::size_t target = reader.chunk_count() / 2;
-  const store::ChunkInfo& chunk = reader.chunk(target);
-  sim::EventList events;
-  events.resize(static_cast<std::size_t>(reader.total_events()));
-  reader.read_chunk_into(target, events);
-  for (std::int64_t i = 0; i < chunk.event_count; ++i) {
-    const std::size_t at =
-        static_cast<std::size_t>(chunk.event_offset + i);
-    const sim::AccessEvent a = events[at];
-    const sim::AccessEvent e = trace.events[at];
-    ASSERT_EQ(a.container, e.container);
-    ASSERT_EQ(a.flat, e.flat);
-    ASSERT_EQ(a.timestep, e.timestep);
-  }
-}
-
-TEST(StoreRoundTripTest, EmptyTraceRoundTrips) {
-  sim::AccessTrace trace;
-  sim::ConcreteLayout layout;
-  layout.name = "only";
-  layout.element_size = 8;
-  layout.shape = {4, 4};
-  layout.strides = {4, 1};
-  trace.containers.push_back(layout.name);
-  trace.layouts.push_back(std::move(layout));
-  trace.executions = 0;
-
-  const std::string bytes = store::pack_trace(trace);
-  store::TraceStoreReader reader =
-      store::TraceStoreReader::from_bytes(bytes);
-  EXPECT_EQ(reader.total_events(), 0);
-  EXPECT_EQ(reader.chunk_count(), 0u);
-  expect_traces_equal(reader.read_trace(), trace);
-}
-
-TEST(StoreRoundTripTest, CompressesAtLeastTwoToOne) {
-  ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
-  sim::AccessTrace trace = sim::simulate(sdfg, workloads::hdiff_local());
-  const std::string bytes = store::pack_trace(trace);
-  EXPECT_GE(trace.events.capacity_bytes(), 2 * bytes.size())
-      << "raw " << trace.events.capacity_bytes() << " vs packed "
-      << bytes.size();
-}
-
-TEST(StoreRoundTripTest, FileWriteAndMmapRead) {
-  const fs::path dir = scratch_dir("file_roundtrip");
-  ir::Sdfg sdfg = workloads::matmul();
-  sim::AccessTrace trace = sim::simulate(sdfg, workloads::matmul_fig5());
-  const std::string path = (dir / "trace.dmvt").string();
-  store::write_trace_file(trace, path);
-  store::TraceStoreReader reader(path);
-  expect_traces_equal(reader.read_trace(), trace);
-  fs::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
-// Reader robustness: every malformed input is a clean runtime_error.
-
-std::string small_store_bytes() {
-  ir::Sdfg sdfg = workloads::matmul();
-  sim::AccessTrace trace = sim::simulate(sdfg, workloads::matmul_fig5());
-  return store::pack_trace(trace);
-}
-
-TEST(StoreReaderTest, TruncatedFileThrows) {
-  const std::string bytes = small_store_bytes();
-  for (const std::size_t keep :
-       {std::size_t{3}, std::size_t{17}, bytes.size() / 2,
-        bytes.size() - 1}) {
-    EXPECT_THROW(store::TraceStoreReader::from_bytes(bytes.substr(0, keep)),
-                 std::runtime_error)
-        << "kept " << keep << " bytes";
-  }
-}
-
-TEST(StoreReaderTest, BadMagicThrows) {
-  std::string bytes = small_store_bytes();
-  bytes[0] = 'X';
-  EXPECT_THROW(store::TraceStoreReader::from_bytes(bytes),
-               std::runtime_error);
-}
-
-TEST(StoreReaderTest, VersionMismatchThrows) {
-  std::string bytes = small_store_bytes();
-  bytes[4] = 0x7f;  // u32 version field, little-endian low byte.
-  EXPECT_THROW(store::TraceStoreReader::from_bytes(bytes),
-               std::runtime_error);
-}
-
-TEST(StoreReaderTest, CorruptedChunkPayloadThrows) {
-  std::string bytes = small_store_bytes();
-  store::TraceStoreReader clean = store::TraceStoreReader::from_bytes(bytes);
-  ASSERT_GT(clean.chunk_count(), 0u);
-  // Flip one byte in the middle of the first chunk's payload: either a
-  // section decode fails or the per-chunk checksum catches it.
-  const store::ChunkInfo& chunk = clean.chunk(0);
-  bytes[chunk.payload_offset + chunk.payload_size / 2] ^= 0x40;
-  store::TraceStoreReader corrupt =
-      store::TraceStoreReader::from_bytes(bytes);
-  EXPECT_THROW(corrupt.verify(), std::runtime_error);
-  sim::EventList events;
-  EXPECT_THROW(corrupt.read_events(events), std::runtime_error);
-}
-
-TEST(StoreReaderTest, EmptyFileThrows) {
-  const fs::path dir = scratch_dir("empty_file");
-  const fs::path path = dir / "empty.dmvt";
-  std::ofstream(path).close();
-  EXPECT_THROW(store::TraceStoreReader(path.string()), std::runtime_error);
-  EXPECT_THROW(store::TraceStoreReader((dir / "missing.dmvt").string()),
-               std::runtime_error);
-  EXPECT_THROW(store::TraceStoreReader::from_bytes(std::string()),
-               std::runtime_error);
-  fs::remove_all(dir);
-}
-
-// The metric engine indexes per-container arrays with the container
-// and flat columns, so the reader checks every event against the
-// container table: an event the table does not cover, or a table whose
-// element count overflows, fails here instead of in the engine.
-TEST(StoreReaderTest, EventsOutsideTheirContainerThrow) {
-  const auto one_event = [](std::int32_t container, std::int64_t flat,
-                            std::vector<std::int64_t> shape) {
-    sim::AccessTrace trace;
-    sim::ConcreteLayout layout;
-    layout.name = "a";
-    layout.shape = std::move(shape);
-    layout.strides.assign(layout.shape.size(), 1);
-    trace.containers.push_back(layout.name);
-    trace.layouts.push_back(std::move(layout));
-    sim::AccessEvent event;
-    event.container = container;
-    event.flat = flat;
-    trace.events.push_back(event);
-    trace.executions = 1;
-    return store::pack_trace(trace);
-  };
-  const std::int64_t big = std::int64_t{1} << 32;
-  const struct {
-    const char* what;
-    std::string bytes;
-  } cases[] = {
-      {"container past the table", one_event(3, 0, {4})},
-      {"flat past the layout", one_event(0, 100000, {4})},
-      {"negative flat", one_event(0, -1, {4})},
-      {"overflowing shape", one_event(0, 0, {big, big})},
-  };
-  for (const auto& c : cases) {
-    try {
-      store::TraceStoreReader::from_bytes(c.bytes).read_trace();
-      ADD_FAILURE() << c.what << " was accepted";
-    } catch (const std::runtime_error& error) {
-      EXPECT_EQ(std::string(error.what()).rfind("trace_store:", 0), 0u)
-          << c.what << ": " << error.what();
-    }
-  }
-  EXPECT_EQ(store::TraceStoreReader::from_bytes(one_event(0, 3, {4}))
-                .read_trace()
-                .events[0]
-                .flat,
-            3);
 }
 
 // ---------------------------------------------------------------------

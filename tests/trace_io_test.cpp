@@ -197,6 +197,26 @@ TEST(TraceIo, RejectsMalformedInput) {
                                  "events\n"
                                  "0 0 1 r 0 4294967297\n"),
                std::runtime_error);
+  // Byte addresses the metric engine cannot map to lines: a last byte
+  // past INT64_MAX, through the base and through the stride, and bytes
+  // below address 0, through a negative base and a negative stride.
+  for (const char* header : {"container A 8 9223372036854775800 4 ; 1",
+                             "container A 8 0 2 ; 4611686018427387904",
+                             "container A 8 -64 16 ; 1",
+                             "container A 8 64 16 ; -1"}) {
+    try {
+      trace_from_string(std::string("dmvtrace 1\n") + header +
+                        "\nevents\n0 0 1 r 0 -1\n");
+      ADD_FAILURE() << "accepted: " << header;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("line 2:"), std::string::npos)
+          << header << ": " << error.what();
+    }
+  }
+  const AccessTrace placed = trace_from_string(
+      "dmvtrace 1\ncontainer A 8 64 16 ; 1\nevents\n0 0 9 r 0 -1\n");
+  EXPECT_EQ(placed.layouts[0].base_address, 64);
+  EXPECT_EQ(placed.events.size(), 1u);
 }
 
 TEST(TraceIo, ErrorsCarryLineNumbers) {
