@@ -5,6 +5,7 @@
 // human-diffable layout; symbolic expressions serialize to their string
 // form and parse back through dmv::symbolic::parse.
 
+#include <cstdint>
 #include <string>
 
 #include "dmv/ir/sdfg.hpp"
@@ -13,6 +14,16 @@ namespace dmv::ir {
 
 /// Serializes the whole SDFG to a JSON document.
 std::string to_json(const Sdfg& sdfg);
+
+/// FNV-1a over every field of the IR: expressions by their interned
+/// structural hash, strings by util::fnv1a_string, counts, ids and
+/// enums as words. The value depends only on the program, never on
+/// interning order or thread count, so it names artifacts on disk.
+/// Memlets hash by their effective_volume(), so a program and its
+/// from_json(to_json()) round trip hash alike. Fields the JSON form
+/// leaves out (DataDescriptor::start_offset, MapInfo::label and
+/// MapInfo::collapsed) are hashed too: editing one changes the value.
+std::uint64_t structural_hash(const Sdfg& sdfg);
 
 /// Graphviz dot export of one state, mainly for debugging graph shapes.
 std::string to_dot(const State& state);

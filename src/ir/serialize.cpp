@@ -1,7 +1,9 @@
 #include "dmv/ir/serialize.hpp"
 
 #include <sstream>
+#include <string_view>
 
+#include "dmv/util/fnv1a.hpp"
 #include "dmv/util/json.hpp"
 
 namespace dmv::ir {
@@ -77,7 +79,105 @@ void write_edge(std::ostringstream& os, const Edge& edge,
   os << '}';
 }
 
+/// structural_hash's state: one FNV-1a word step per field.
+struct Hasher {
+  std::uint64_t value = util::kFnvOffset;
+
+  void word(std::uint64_t field) { value = util::fnv1a(value, field); }
+  void number(std::int64_t field) { word(static_cast<std::uint64_t>(field)); }
+  void text(std::string_view field) { word(util::fnv1a_string(field)); }
+  void expr(const Expr& field) { word(field.structural_hash()); }
+
+  void exprs(const std::vector<Expr>& fields) {
+    word(fields.size());
+    for (const Expr& field : fields) expr(field);
+  }
+  void range(const Range& field) {
+    expr(field.begin);
+    expr(field.end);
+    expr(field.step);
+  }
+  void subset(const Subset& field) {
+    word(field.ranges.size());
+    for (const Range& dimension : field.ranges) range(dimension);
+  }
+};
+
+void hash_node(Hasher& h, const Node& node) {
+  h.number(node.id);
+  h.number(static_cast<std::int64_t>(node.kind));
+  h.text(node.label);
+  // Per kind, the payload to_json writes, plus the map's label and
+  // collapse flag, which it does not.
+  switch (node.kind) {
+    case NodeKind::Access:
+      h.text(node.data);
+      break;
+    case NodeKind::Tasklet:
+      h.text(node.code.source);
+      break;
+    case NodeKind::MapEntry:
+      h.text(node.map.label);
+      h.word(node.map.params.size());
+      for (const std::string& param : node.map.params) h.text(param);
+      h.word(node.map.ranges.size());
+      for (const Range& range : node.map.ranges) h.range(range);
+      h.word(node.map.collapsed ? 1 : 0);
+      break;
+    case NodeKind::MapExit:
+      break;
+  }
+  h.number(node.paired);
+  h.number(node.scope_parent);
+}
+
+void hash_edge(Hasher& h, const Edge& edge) {
+  h.number(edge.src);
+  h.number(edge.dst);
+  h.text(edge.src_conn);
+  h.text(edge.dst_conn);
+  const Memlet& memlet = edge.memlet;
+  h.text(memlet.data);
+  if (memlet.is_empty()) return;  // A dependency edge moves nothing.
+  h.subset(memlet.subset);
+  h.subset(memlet.other_subset);
+  // Hashes the effective volume without building it: builders leave the
+  // default 0, the reader stores the subset's element count, and both
+  // mean the same volume, so both hash as one tag.
+  const Expr& volume = memlet.volume;
+  const bool default_volume =
+      volume.is_constant(0) || volume.equals(memlet.subset.num_elements());
+  h.word(default_volume ? 0 : 1);
+  if (!default_volume) h.expr(volume);
+  h.number(static_cast<std::int64_t>(memlet.wcr));
+}
+
 }  // namespace
+
+std::uint64_t structural_hash(const Sdfg& sdfg) {
+  Hasher h;
+  h.text(sdfg.name());
+  h.word(sdfg.symbols().size());
+  for (const std::string& symbol : sdfg.symbols()) h.text(symbol);
+  h.word(sdfg.arrays().size());
+  for (const auto& [name, descriptor] : sdfg.arrays()) {
+    h.text(name);
+    h.exprs(descriptor.shape);
+    h.exprs(descriptor.strides);
+    h.number(descriptor.element_size);
+    h.expr(descriptor.start_offset);
+    h.word(descriptor.transient ? 1 : 0);
+  }
+  h.word(sdfg.states().size());
+  for (const State& state : sdfg.states()) {
+    h.text(state.name());
+    h.word(state.nodes().size());
+    for (const Node& node : state.nodes()) hash_node(h, node);
+    h.word(state.edges().size());
+    for (const Edge& edge : state.edges()) hash_edge(h, edge);
+  }
+  return h.value;
+}
 
 std::string to_json(const Sdfg& sdfg) {
   std::ostringstream os;

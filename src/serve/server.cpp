@@ -128,6 +128,11 @@ struct Server::Impl {
   mutable std::mutex sessions_mutex;
   std::map<std::string, std::shared_ptr<Client>> sessions;
 
+  /// Named workloads, each built on its first open; requests take
+  /// copies, so sessions never share a program they can edit.
+  std::mutex workloads_mutex;
+  std::map<std::string, ir::Sdfg> workloads;
+
   std::mutex flights_mutex;
   std::unordered_map<session::ArtifactKey, std::shared_ptr<Flight>,
                      session::ArtifactKeyHash>
@@ -167,11 +172,20 @@ struct Server::Impl {
 
   // --- Handlers (one per protocol method) ----------------------------
 
+  ir::Sdfg named_workload(const std::string& name) {
+    std::lock_guard<std::mutex> lock(workloads_mutex);
+    auto it = workloads.find(name);
+    if (it == workloads.end()) {
+      it = workloads.emplace(name, workload_by_name(name)).first;
+    }
+    return it->second;
+  }
+
   ir::Sdfg load_program(const Value& params, std::string* name_out) {
     if (params.has("workload")) {
       const std::string& name = params.at("workload").as_string();
       try {
-        ir::Sdfg program = workload_by_name(name);
+        ir::Sdfg program = named_workload(name);
         *name_out = name;
         return program;
       } catch (const std::invalid_argument& error) {

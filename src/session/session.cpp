@@ -144,7 +144,7 @@ struct Session::Impl {
   }
 
   void rehash_program() {
-    program_hash = util::fnv1a_string(ir::to_json(program));
+    program_hash = ir::structural_hash(program);
     metric_symbols = analysis::simulation_symbols(program);
   }
 

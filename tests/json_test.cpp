@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dmv/analysis/analysis.hpp"
 #include "dmv/exec/interpreter.hpp"
 #include "dmv/ir/serialize.hpp"
 #include "dmv/ir/validate.hpp"
+#include "dmv/par/par.hpp"
+#include "dmv/serve/server.hpp"
 #include "dmv/sim/sim.hpp"
 #include "dmv/util/json.hpp"
 #include "dmv/workloads/workloads.hpp"
@@ -113,6 +118,95 @@ TEST(JsonRoundTrip, InterpreterAgrees) {
   exec::run(original, params, buffers_a);
   exec::run(restored, params, buffers_b);
   EXPECT_EQ(buffers_a.logical("C"), buffers_b.logical("C"));
+}
+
+/// Builders of the ten named workloads and of the drag program.
+std::vector<std::function<Sdfg()>> program_builders() {
+  std::vector<std::function<Sdfg()>> builders;
+  for (const char* name :
+       {"hdiff", "hdiff_reshaped", "hdiff_reordered", "hdiff_padded", "bert",
+        "bert_fused1", "bert_fused2", "matmul", "conv2d", "outer_product"}) {
+    builders.push_back([name] { return serve::workload_by_name(name); });
+  }
+  builders.push_back([] {
+    return workloads::fixed_capacity(
+        workloads::hdiff(workloads::HdiffVariant::Reordered), {{"K", "KMAX"}});
+  });
+  return builders;
+}
+
+// The first map, tasklet and connected memlet edge of state 0.
+Node& first_node(Sdfg& sdfg, NodeKind kind) {
+  for (Node& node : sdfg.states()[0].mutable_nodes()) {
+    if (node.kind == kind) return node;
+  }
+  throw std::logic_error("no such node");
+}
+MapInfo& first_map(Sdfg& sdfg) {
+  return first_node(sdfg, NodeKind::MapEntry).map;
+}
+TaskletAst& first_tasklet(Sdfg& sdfg) {
+  return first_node(sdfg, NodeKind::Tasklet).code;
+}
+Edge& first_edge(Sdfg& sdfg) {
+  for (Edge& edge : sdfg.states()[0].mutable_edges()) {
+    if (!edge.memlet.is_empty() && !edge.dst_conn.empty()) return edge;
+  }
+  throw std::logic_error("no such edge");
+}
+
+TEST(JsonRoundTrip, StructuralHashIsStableAndSeesEveryField) {
+  // Builders leave Memlet::volume 0 and the reader stores the effective
+  // volume, so only a hash of effective_volume() survives the trip.
+  const std::vector<std::function<Sdfg()>> builders = program_builders();
+  std::vector<std::uint64_t> forward;
+  {
+    par::ThreadScope one(1);
+    for (const auto& build : builders) {
+      const Sdfg program = build();
+      forward.push_back(structural_hash(program));
+      EXPECT_EQ(structural_hash(from_json(to_json(program))), forward.back())
+          << program.name();
+    }
+  }
+  // Another build order interns symbols and nodes in another order; the
+  // hash reads names and values only, at any thread count.
+  {
+    par::ThreadScope eight(8);
+    std::vector<std::uint64_t> backward(builders.size());
+    for (std::size_t i = builders.size(); i-- > 0;) {
+      backward[i] = structural_hash(builders[i]());
+    }
+    EXPECT_EQ(backward, forward);
+  }
+
+  // One edit per hashed field, each on a fresh copy of hdiff.
+  const Sdfg base = workloads::hdiff(workloads::HdiffVariant::Baseline);
+  const std::uint64_t base_hash = structural_hash(base);
+  const std::vector<std::pair<std::string, std::function<void(Sdfg&)>>>
+      edits = {
+          {"start_offset", [](Sdfg& p) { p.array("coeff").start_offset = 3; }},
+          {"collapsed", [](Sdfg& p) { first_map(p).collapsed = true; }},
+          {"map label", [](Sdfg& p) { first_map(p).label += "'"; }},
+          {"tasklet source", [](Sdfg& p) { first_tasklet(p).source += " "; }},
+          {"connector", [](Sdfg& p) { first_edge(p).dst_conn += "'"; }},
+          {"element_size", [](Sdfg& p) { p.array("coeff").element_size = 4; }},
+          {"wcr", [](Sdfg& p) { first_edge(p).memlet.wcr = Wcr::Sum; }},
+          {"other_subset",
+           [](Sdfg& p) {
+             first_edge(p).memlet.other_subset = Subset::parse("0");
+           }},
+          {"explicit volume",
+           [](Sdfg& p) {
+             Memlet& memlet = first_edge(p).memlet;
+             memlet.volume = memlet.effective_volume() + 1;
+           }},
+      };
+  for (const auto& [field, edit] : edits) {
+    Sdfg edited = base;
+    edit(edited);
+    EXPECT_NE(structural_hash(edited), base_hash) << field;
+  }
 }
 
 TEST(JsonReader, RejectsMalformedJson) {

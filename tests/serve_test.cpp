@@ -44,6 +44,12 @@ std::string step_request(const std::string& session, const std::string& symbol,
          std::to_string(value) + "}}";
 }
 
+std::string edit_request(const std::string& session,
+                         const std::string& workload) {
+  return "{\"id\":3,\"method\":\"edit_program\",\"params\":{\"session\":\"" +
+         session + "\",\"workload\":\"" + workload + "\"}}";
+}
+
 /// Drives the drag sequence through a lone single-threaded Session —
 /// the reference the server must match bit for bit.
 std::vector<std::string> reference_checksums(
@@ -346,9 +352,8 @@ TEST(ServeProtocolTest, EditProgramSwitchesVariants) {
   Server server;
   server.handle(open_request("a", "hdiff"));
   const Value baseline = parse_line(server.handle(step_request("a", "K", 6)));
-  const Value edited = parse_line(server.handle(
-      "{\"id\":1,\"method\":\"edit_program\",\"params\":{\"session\":\"a\","
-      "\"workload\":\"hdiff_reordered\"}}"));
+  const Value edited =
+      parse_line(server.handle(edit_request("a", "hdiff_reordered")));
   ASSERT_TRUE(edited.has("result")) << dmv::json::dump(edited);
   EXPECT_EQ(edited.at("result").at("program").as_string(), "hdiff_reordered");
   const Value reordered = parse_line(server.handle(step_request("a", "K", 6)));
@@ -394,6 +399,40 @@ TEST(ServeSharedCacheTest, SecondSessionHitsSharedTier) {
                 session.at("metrics_ms").as_number(),
             0.0);
   EXPECT_GE(session.at("metric_partitions").as_int(), 1);
+}
+
+TEST(ServeSharedCacheTest, NamedAndInlineOpensShareEntries) {
+  ServerConfig config;
+  config.session_defaults.prefetch = false;
+  Server server(config);
+  const Value named = parse_line(server.handle(open_request("a", "hdiff")));
+  const Value inlined = parse_line(server.handle(
+      "{\"id\":1,\"method\":\"open_program\",\"params\":{\"session\":\"b\","
+      "\"sdfg\":" +
+      dmv::ir::to_json(
+          dmv::workloads::hdiff(dmv::workloads::HdiffVariant::Baseline)) +
+      ",\"binding\":{\"I\":8,\"J\":8,\"K\":5}}}"));
+  ASSERT_TRUE(named.has("result")) << dmv::json::dump(named);
+  ASSERT_TRUE(inlined.has("result")) << dmv::json::dump(inlined);
+  const std::string hash = named.at("result").at("program_hash").as_string();
+  EXPECT_EQ(inlined.at("result").at("program_hash").as_string(), hash);
+
+  // One program, one key: b is served what a computed.
+  const Value first = parse_line(server.handle(step_request("a", "K", 6)));
+  EXPECT_EQ(first.at("result").at("served_by").as_string(), "compute");
+  const Value second = parse_line(server.handle(step_request("b", "K", 6)));
+  EXPECT_EQ(second.at("result").at("served_by").as_string(), "shared_cache");
+  EXPECT_EQ(second.at("result").at("checksum").as_string(),
+            first.at("result").at("checksum").as_string());
+
+  // The server builds hdiff once; every later open or edit copies it.
+  const Value reopened = parse_line(server.handle(open_request("c", "hdiff")));
+  EXPECT_EQ(reopened.at("result").at("program_hash").as_string(), hash);
+  const Value away =
+      parse_line(server.handle(edit_request("a", "hdiff_reordered")));
+  EXPECT_NE(away.at("result").at("program_hash").as_string(), hash);
+  const Value back = parse_line(server.handle(edit_request("a", "hdiff")));
+  EXPECT_EQ(back.at("result").at("program_hash").as_string(), hash);
 }
 
 // ---------------------------------------------------------------------

@@ -20,6 +20,8 @@
 #include "dmv/session/session.hpp"
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/transforms/transforms.hpp"
+#include "dmv/viz/graph_layout.hpp"
+#include "dmv/viz/query.hpp"
 #include "dmv/workloads/workloads.hpp"
 
 namespace dmv::session {
@@ -69,6 +71,28 @@ void expect_identical(const PipelineResult& a, const PipelineResult& b) {
   EXPECT_EQ(a.movement.line_size, b.movement.line_size);
   EXPECT_EQ(a.movement.bytes_per_container, b.movement.bytes_per_container);
   EXPECT_EQ(a.movement.total_bytes, b.movement.total_bytes);
+}
+
+void expect_same_layout(const viz::StateLayout& a, const viz::StateLayout& b) {
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  for (std::size_t n = 0; n < a.nodes.size(); ++n) {
+    EXPECT_EQ(a.nodes[n].id, b.nodes[n].id);
+    EXPECT_EQ(a.nodes[n].x, b.nodes[n].x);
+    EXPECT_EQ(a.nodes[n].y, b.nodes[n].y);
+    EXPECT_EQ(a.nodes[n].width, b.nodes[n].width);
+    EXPECT_EQ(a.nodes[n].height, b.nodes[n].height);
+    EXPECT_EQ(a.nodes[n].collapsed, b.nodes[n].collapsed);
+  }
+  ASSERT_EQ(a.edges.size(), b.edges.size());
+  for (std::size_t e = 0; e < a.edges.size(); ++e) {
+    EXPECT_EQ(a.edges[e].edge_index, b.edges[e].edge_index);
+    EXPECT_EQ(a.edges[e].x1, b.edges[e].x1);
+    EXPECT_EQ(a.edges[e].y1, b.edges[e].y1);
+    EXPECT_EQ(a.edges[e].x2, b.edges[e].x2);
+    EXPECT_EQ(a.edges[e].y2, b.edges[e].y2);
+  }
+  EXPECT_EQ(a.width, b.width);
+  EXPECT_EQ(a.height, b.height);
 }
 
 // Uncached reference: a fresh pipeline per call, no memoization and no
@@ -235,6 +259,22 @@ TEST(SessionTest, ProgramEditChangesContentHash) {
   // Symbolic volume is recomputed for the new program version.
   EXPECT_NE(session.movement_volume().get(), baseline_volume.get());
   EXPECT_NE(baseline.get(), permuted.get());
+
+  // Fields the JSON form leaves out are part of the content key too. A
+  // shifted buffer start moves elements across cache lines...
+  session.edit_program(
+      [](ir::Sdfg& sdfg) { sdfg.array("coeff").start_offset = 3; });
+  reference.array("coeff").start_offset = 3;
+  expect_identical(*session.metrics(),
+                   uncached(reference, small_binding(3), config));
+
+  // ...and a folded map redraws the graph.
+  const std::size_t unfolded = session.layout(0)->nodes.size();
+  session.edit_program([](ir::Sdfg& sdfg) { viz::auto_collapse(sdfg, 1); });
+  const auto folded = session.layout(0);
+  EXPECT_LT(folded->nodes.size(), unfolded);
+  expect_same_layout(
+      *folded, viz::layout_state(session.program().states()[0], config.layout));
 }
 
 TEST(SessionTest, LruEvictionUnderTinyByteBudget) {

@@ -532,7 +532,7 @@ TEST(StoreDiskCacheTest, DiskKeysAreStableAcrossBuilds) {
       "\"workload\":\"hdiff\"}}"));
   ASSERT_TRUE(opened.has("result")) << json::dump(opened);
   EXPECT_EQ(opened.at("result").at("program_hash").as_string(),
-            "0x1be4c241cea8753a");
+            "0x4ef9d30b57d6738d");
 }
 
 // ---------------------------------------------------------------------
