@@ -33,7 +33,6 @@ sim::AccessTrace random_trace(std::int64_t elements, std::size_t length) {
     sim::AccessEvent event;
     event.container = 0;
     event.flat = element(rng);
-    event.timestep = static_cast<std::int64_t>(i);
     trace.events.push_back(event);
   }
   return trace;

@@ -153,8 +153,9 @@ std::int64_t run_simulate_only(const SweepCase& sweep,
 
 // Order-sensitive checksum over every event field: any reordered,
 // duplicated, dropped, or mis-stamped event under parallel generation
-// changes the value. This is the identity gate for the trace-generation
-// series — executions + events.size() would miss a permutation.
+// changes the value (the FNV chain covers each event's position). This
+// is the identity gate for the trace-generation series —
+// executions + events.size() would miss a permutation.
 std::int64_t trace_checksum(const AccessTrace& trace) {
   std::uint64_t h = 1469598103934665603ull ^
                     static_cast<std::uint64_t>(trace.executions);
@@ -163,7 +164,6 @@ std::int64_t trace_checksum(const AccessTrace& trace) {
     std::uint64_t word = static_cast<std::uint64_t>(event.flat);
     word = word * 31 + static_cast<std::uint64_t>(event.container);
     word = word * 31 + (event.is_write ? 1 : 0);
-    word = word * 31 + static_cast<std::uint64_t>(event.timestep);
     word = word * 31 + static_cast<std::uint64_t>(event.execution);
     word = word * 31 + static_cast<std::uint64_t>(event.tasklet);
     h = (h ^ word) * 1099511628211ull;
@@ -362,6 +362,10 @@ bool validate_closed_form_counts(const SweepCase& sweep,
 // expression.
 std::int64_t run_symbolic_ops(const SweepCase& sweep, int rounds) {
   using dmv::symbolic::Expr;
+  // The base may bind the slider symbol too (bert_small binds SM); it
+  // must stay free until the slider binding substitutes it.
+  SymbolMap fixed = sweep.base;
+  fixed.erase(sweep.symbol);
   std::int64_t checksum = 0;
   for (int round = 0; round < rounds; ++round) {
     // Build: re-derive the symbolic volume from the IR (exercises the
@@ -374,7 +378,7 @@ std::int64_t run_symbolic_ops(const SweepCase& sweep, int rounds) {
     checksum += simple.depends_on(sweep.symbol) ? 1 : 0;
     for (const SymbolMap& binding : sweep.bindings) {
       // Partial substitution of the fixed symbols, then the slider.
-      const Expr partial = simple.substitute(sweep.base);
+      const Expr partial = simple.substitute(fixed);
       const Expr bound = partial.substitute(binding);
       checksum += bound.is_constant() ? bound.constant_value() : -1;
       // Direct evaluation of the full expression under the binding.

@@ -13,8 +13,8 @@
 //     simulator's odometer emits at least once per dimension, and a
 //     scalar subset is one element);
 //   * a tasklet's per-execution events are the sum of its input subset
-//     sizes plus its output subset sizes (doubled for WCR outputs when
-//     wcr_reads), times the product of enclosing map trip counts;
+//     sizes plus its output subset sizes (a WCR output is one write per
+//     element), times the product of enclosing map trip counts;
 //   * a copy moves 2 * n_src events (read + write) per traversal.
 //
 // Simplification collapses outer-parameter-dependent bounds for the
@@ -55,7 +55,7 @@ Expr scope_trips(const State& state, NodeId scope) {
 
 }  // namespace
 
-ClosedFormMetrics closed_form_metrics(const Sdfg& sdfg, bool wcr_reads) {
+ClosedFormMetrics closed_form_metrics(const Sdfg& sdfg) {
   ClosedFormMetrics metrics;
   std::map<std::string, int> container_ids;
   for (const auto& [name, descriptor] : sdfg.arrays()) {
@@ -94,11 +94,6 @@ ClosedFormMetrics closed_form_metrics(const Sdfg& sdfg, bool wcr_reads) {
           metrics.writes_per_container[c] =
               metrics.writes_per_container[c] + n;
           metrics.total_events = metrics.total_events + n;
-          if (edge->memlet.wcr != ir::Wcr::None && wcr_reads) {
-            metrics.reads_per_container[c] =
-                metrics.reads_per_container[c] + n;
-            metrics.total_events = metrics.total_events + n;
-          }
         }
       } else if (node.kind == NodeKind::Access) {
         for (const ir::Edge* edge : schedule.out_adjacency[id]) {

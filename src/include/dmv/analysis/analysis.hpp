@@ -99,10 +99,8 @@ struct ClosedFormMetrics {
   /// triangular iteration spaces) — evaluation would throw.
   bool exact = true;
 };
-/// Builds the bundle. `wcr_reads` mirrors SimulationOptions::wcr_reads
-/// (a WCR output contributes read events when set).
-ClosedFormMetrics closed_form_metrics(const Sdfg& sdfg,
-                                      bool wcr_reads = false);
+/// Builds the bundle.
+ClosedFormMetrics closed_form_metrics(const Sdfg& sdfg);
 
 /// One evaluation of a ClosedFormMetrics bundle under a binding.
 struct ClosedFormValues {

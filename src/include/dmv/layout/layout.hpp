@@ -69,18 +69,17 @@ struct ConcreteLayout {
                              const symbolic::SymbolMap& symbols);
 };
 
-/// Assigns base addresses to layouts sequentially, each aligned to
-/// `alignment` bytes — the simulated equivalent of the allocator the
+/// Assigns base addresses to layouts sequentially, each aligned to 64
+/// bytes — the simulated equivalent of the allocator the
 /// compiler/runtime would use.
 class AddressSpace {
  public:
-  explicit AddressSpace(std::int64_t alignment = 64);
   /// Places the layout and returns its base address.
   std::int64_t place(ConcreteLayout& layout);
   std::int64_t bytes_used() const { return next_; }
 
  private:
-  std::int64_t alignment_;
+  static constexpr std::int64_t kAlignment = 64;
   std::int64_t next_ = 0;
 };
 

@@ -143,11 +143,11 @@ struct PhaseTimings {
 /// the metric-config component of its cache keys.
 std::uint64_t fingerprint(const PipelineConfig& config);
 
-/// Stable 64-bit fingerprint of the SimulationOptions fields that can
-/// change the simulator's output (placement_alignment, wcr_reads).
-/// lane_width is a bit-identical execution strategy and deliberately
-/// excluded, so changing it neither invalidates a run_delta checkpoint
-/// nor splits session cache keys.
+/// Stable 64-bit fingerprint of the simulator's output rules, the
+/// simulation component of session cache keys and disk keys. No
+/// SimulationOptions field changes the trace (lane_width is a
+/// bit-identical execution strategy), so every options value has the
+/// same fingerprint, 0x9b429300c601833b.
 std::uint64_t fingerprint(const SimulationOptions& options);
 
 /// Approximate heap footprint of a result's payload (vectors; the
@@ -196,8 +196,8 @@ class MetricPipeline {
   /// checkpointed trace, re-simulates only dirty chunks, and re-feeds the
   /// metric engine — resuming its carried state for append-only steps.
   /// `program_version` is the caller's fingerprint of the Sdfg structure
-  /// (the session layer passes its program hash); a mismatch, an options
-  /// change, or an unparallelizable plan falls back to the cold path.
+  /// (the session layer passes its program hash); a mismatch or an
+  /// unparallelizable plan falls back to the cold path.
   /// Interleaving run()/run_streaming() calls invalidates the
   /// checkpoint, and so does a counts-only step the closed-form counter
   /// answers (kClosedForm: no trace exists to splice). Outcome

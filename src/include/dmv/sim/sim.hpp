@@ -152,20 +152,20 @@ struct IterationSpace {
 
 /// One element-granularity access in the simulated execution. This is
 /// the VALUE type call sites iterate with; storage is columnar
-/// (EventList), so the struct only exists transiently.
+/// (EventList), so the struct only exists transiently. An event's time
+/// is its index in the trace, so no field stores it.
 struct AccessEvent {
   std::int32_t container = 0;   ///< Index into AccessTrace::layouts.
   std::int64_t flat = 0;        ///< Logical row-major element index.
   bool is_write = false;
-  std::int64_t timestep = 0;    ///< Global order of the event.
   std::int64_t execution = 0;   ///< Tasklet-execution instance id.
   ir::NodeId tasklet = ir::kNoNode;  ///< Originating tasklet (or copy).
 };
 
-/// Structure-of-arrays event storage. Metric passes touch only the
-/// columns they need (stack distance reads container+flat: 12 B/event
-/// instead of the 48 B padded AoS struct), and a column never pulls its
-/// neighbors into cache. The container interface mirrors
+/// Structure-of-arrays event storage, five columns and 25 B per event.
+/// Metric passes touch only the columns they need (stack distance reads
+/// container+flat, 12 B/event), and a column never pulls its neighbors
+/// into cache. The container interface mirrors
 /// std::vector<AccessEvent> — size/reserve/push_back/operator[]/range-for
 /// — so pre-SoA call sites compile unchanged; operator[] and the
 /// iterator gather an AccessEvent by value. The columns are plain
@@ -180,7 +180,6 @@ class EventList {
     container_.reserve(n);
     flat_.reserve(n);
     is_write_.reserve(n);
-    timestep_.reserve(n);
     execution_.reserve(n);
     tasklet_.reserve(n);
   }
@@ -189,7 +188,6 @@ class EventList {
     container_.clear();
     flat_.clear();
     is_write_.clear();
-    timestep_.clear();
     execution_.clear();
     tasklet_.clear();
   }
@@ -198,7 +196,6 @@ class EventList {
     container_.push_back(event.container);
     flat_.push_back(event.flat);
     is_write_.push_back(event.is_write ? 1 : 0);
-    timestep_.push_back(event.timestep);
     execution_.push_back(event.execution);
     tasklet_.push_back(event.tasklet);
   }
@@ -211,21 +208,19 @@ class EventList {
     container_.resize(n);
     flat_.resize(n);
     is_write_.resize(n);
-    timestep_.resize(n);
     execution_.resize(n);
     tasklet_.resize(n);
   }
 
   /// Copies `count` events from `src` (starting at `src_begin`) into
-  /// this list at `dst_begin`, adding `timestep_delta` / `execution_delta`
-  /// to the copied stamps. Both lists must already be sized; the payload
-  /// columns (container, flat, is_write, tasklet) are copied verbatim.
-  /// This is the delta engine's clean-chunk splice: a chunk whose events
-  /// are unchanged but whose position in the stream shifted is rebased
-  /// with two column-wide adds instead of re-simulation.
+  /// this list at `dst_begin`, adding `execution_delta` to the copied
+  /// execution ids. Both lists must already be sized; the other columns
+  /// (container, flat, is_write, tasklet) are copied verbatim. This is
+  /// the delta engine's clean-chunk splice: a chunk whose events are
+  /// unchanged but whose position in the stream shifted is rebased with
+  /// one column-wide add instead of re-simulation.
   void assign_range(const EventList& src, std::size_t src_begin,
                     std::size_t dst_begin, std::size_t count,
-                    std::int64_t timestep_delta,
                     std::int64_t execution_delta) {
     std::copy_n(src.container_.begin() + src_begin, count,
                 container_.begin() + dst_begin);
@@ -236,7 +231,6 @@ class EventList {
     std::copy_n(src.tasklet_.begin() + src_begin, count,
                 tasklet_.begin() + dst_begin);
     for (std::size_t i = 0; i < count; ++i) {
-      timestep_[dst_begin + i] = src.timestep_[src_begin + i] + timestep_delta;
       execution_[dst_begin + i] =
           src.execution_[src_begin + i] + execution_delta;
     }
@@ -249,7 +243,6 @@ class EventList {
     container_[i] = event.container;
     flat_[i] = event.flat;
     is_write_[i] = event.is_write ? 1 : 0;
-    timestep_[i] = event.timestep;
     execution_[i] = event.execution;
     tasklet_[i] = event.tasklet;
   }
@@ -259,7 +252,6 @@ class EventList {
     event.container = container_[i];
     event.flat = flat_[i];
     event.is_write = is_write_[i] != 0;
-    event.timestep = timestep_[i];
     event.execution = execution_[i];
     event.tasklet = tasklet_[i];
     return event;
@@ -307,7 +299,6 @@ class EventList {
   std::span<const std::int32_t> container_column() const { return container_; }
   std::span<const std::int64_t> flat_column() const { return flat_; }
   std::span<const std::uint8_t> write_column() const { return is_write_; }
-  std::span<const std::int64_t> timestep_column() const { return timestep_; }
   std::span<const std::int64_t> execution_column() const { return execution_; }
   std::span<const ir::NodeId> tasklet_column() const { return tasklet_; }
 
@@ -317,7 +308,6 @@ class EventList {
     return container_.capacity() * sizeof(std::int32_t) +
            flat_.capacity() * sizeof(std::int64_t) +
            is_write_.capacity() * sizeof(std::uint8_t) +
-           timestep_.capacity() * sizeof(std::int64_t) +
            execution_.capacity() * sizeof(std::int64_t) +
            tasklet_.capacity() * sizeof(ir::NodeId);
   }
@@ -326,7 +316,6 @@ class EventList {
   std::vector<std::int32_t> container_;
   std::vector<std::int64_t> flat_;
   std::vector<std::uint8_t> is_write_;
-  std::vector<std::int64_t> timestep_;
   std::vector<std::int64_t> execution_;
   std::vector<ir::NodeId> tasklet_;
 };
@@ -335,19 +324,18 @@ class EventList {
 struct AccessTrace {
   std::vector<std::string> containers;       ///< Names, index-aligned.
   std::vector<ConcreteLayout> layouts;       ///< Placed in address space.
-  EventList events;                          ///< Ordered by timestep.
+  EventList events;                          ///< Event i happens at time i.
   std::int64_t executions = 0;               ///< Total tasklet instances.
 
   int container_id(const std::string& name) const;
   const ConcreteLayout& layout_of(const std::string& name) const;
 };
 
+/// Simulation settings, none of which changes the trace. The trace
+/// itself is fixed by the program and binding: containers are placed
+/// 64-byte aligned, and a WCR (accumulating) update is one write event,
+/// as the paper counts it.
 struct SimulationOptions {
-  /// Base-address alignment used when placing containers (bytes).
-  std::int64_t placement_alignment = 64;
-  /// Include read events for WCR (accumulating) outputs. The paper counts
-  /// a WCR update as one access; keep false to match.
-  bool wcr_reads = false;
   /// Lane width W of the batched engine: innermost map loops whose
   /// scope is pure tasklets advance W iteration points per step and
   /// evaluate each memlet subset expression for all W lanes in one SoA
@@ -397,12 +385,12 @@ void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
                    TraceArena* arena = nullptr);
 
 /// Places every container exactly as simulate() does (deterministic
-/// sdfg.arrays() order, options.placement_alignment), APPENDING to
+/// sdfg.arrays() order, 64-byte aligned), APPENDING to
 /// trace.containers / trace.layouts — callers clear first. Builds the
 /// trace header the delta engine and the chunk writers need without
 /// generating a single event.
 void place_containers(const Sdfg& sdfg, const SymbolMap& symbols,
-                      const SimulationOptions& options, AccessTrace& trace);
+                      AccessTrace& trace);
 
 /// One-shot materialization of per-event cache-line ids at one line
 /// size: the layout.unflatten + byte_address derivation, once per event.

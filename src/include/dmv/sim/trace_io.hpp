@@ -17,8 +17,10 @@
 //   container <name> <element_size> <base_address> <shape...> ; <strides...>
 //   ...one line per container...
 //   events
-//   <timestep> <container_index> <flat_index> <r|w> <execution> <tasklet>
+//   <time> <container_index> <flat_index> <r|w> <execution> <tasklet>
 //   ...
+// An event's time must equal its index among the events (0, 1, 2, ...),
+// and its execution id must lie in [0, INT64_MAX).
 
 #include <iosfwd>
 #include <string>

@@ -9,8 +9,8 @@
 // contiguous chunks — one or more per top-level map (sliced along the
 // outermost dimension), one per top-level tasklet or copy — each with a
 // precomputed (event_offset, event_count, execution_offset,
-// execution_count). Because the simulator stamps `timestep` with the
-// global event index, event_offset doubles as the chunk's timestep base.
+// execution_count). An event's time is its index in the stream, so
+// event_offset is also the time of the chunk's first event.
 //
 // With the plan in hand, generation parallelizes without stitching or
 // locks: the EventList is sized to total_events once, and each chunk's
@@ -47,8 +47,7 @@ struct TraceChunk {
   /// (tasklet/copy) use [0, 1).
   std::int64_t outer_begin = 0;
   std::int64_t outer_count = 0;
-  /// Position of the chunk's events in the serial stream. event_offset
-  /// is also the chunk's first timestep (timestep == global event index).
+  /// Position of the chunk's events in the serial stream.
   std::int64_t event_offset = 0;
   std::int64_t event_count = 0;
   /// Position of the chunk's tasklet-execution ids.
@@ -70,15 +69,15 @@ struct TracePlan {
 /// under `symbols`. Top-level maps are split along their outermost
 /// dimension into at most `max_chunks_per_map` pieces balanced by event
 /// count (0 = derive from dmv::par::num_threads()). Never throws: any
-/// modeling failure yields parallelizable == false.
+/// modeling failure yields parallelizable == false. No simulation option
+/// changes the plan, so `options` is not read.
 TracePlan plan_trace(const Sdfg& sdfg, const SymbolMap& symbols,
                      const SimulationOptions& options,
                      int max_chunks_per_map = 0);
 
 /// Arena variant reusing `plan.chunks` capacity across sweep steps.
 void plan_trace_into(const Sdfg& sdfg, const SymbolMap& symbols,
-                     const SimulationOptions& options, int max_chunks_per_map,
-                     TracePlan& plan);
+                     int max_chunks_per_map, TracePlan& plan);
 
 /// Reusable parallel-generation state, kept alongside the sweep arena so
 /// a slider sweep pays the allocations once (sim.hpp forward-declares
@@ -90,17 +89,18 @@ struct TraceArena {
   std::vector<EventList> chunk_buffers;
 };
 
-/// Generates exactly `chunk` of a plan for this (sdfg, symbols, options)
-/// triple, with absolute timestep/execution stamps. `header` supplies
-/// the placed container layouts (place_containers, or any trace
-/// simulate() returns for the same binding and options). When
-/// `absolute`, `out` must be pre-sized to the plan's total and the
-/// chunk's events are written AT their [event_offset, event_offset +
-/// event_count) slice indices (the delta-recomputation engine's
-/// dirty-chunk writer); otherwise they are appended (run_streaming's
-/// chunk buffers, and the test hook that validates a plan chunk by
-/// chunk against serial emission). Throws std::logic_error if the
-/// chunk's generated event or execution count disagrees with the plan.
+/// Generates exactly `chunk` of a plan for this (sdfg, symbols) pair,
+/// at absolute event positions with absolute execution ids. `options`
+/// picks the lane width. `header` supplies the placed container layouts
+/// (place_containers, or any trace simulate() returns for the same
+/// binding). When `absolute`, `out` must be pre-sized to the plan's
+/// total and the chunk's events are written AT their [event_offset,
+/// event_offset + event_count) slice indices (the delta-recomputation
+/// engine's dirty-chunk writer); otherwise they are appended
+/// (run_streaming's chunk buffers, and the test hook that validates a
+/// plan chunk by chunk against serial emission). Throws std::logic_error
+/// if the chunk's generated event or execution count disagrees with the
+/// plan.
 void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
                     const SimulationOptions& options,
                     const AccessTrace& header, const TraceChunk& chunk,

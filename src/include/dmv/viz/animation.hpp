@@ -7,7 +7,7 @@
 //
 // Two substitutes for the interactive animation:
 //  * animation_frames — the frame data itself (per tasklet execution or
-//    per raw timestep), for programmatic consumption or frame-by-frame
+//    per access event), for programmatic consumption or frame-by-frame
 //    SVG dumps;
 //  * render_animated_tiles_svg — one self-playing SVG per container,
 //    using SMIL <animate> with discrete keyframes: open it in a browser
@@ -24,7 +24,7 @@ namespace dmv::viz {
 
 enum class FrameGranularity {
   PerExecution,  ///< One frame per tasklet execution (the paper's step).
-  PerTimestep,   ///< One frame per individual access event.
+  PerTimestep,   ///< One frame per access event (its time is its index).
 };
 
 struct AnimationFrame {

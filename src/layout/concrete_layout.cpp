@@ -103,14 +103,8 @@ ConcreteLayout ConcreteLayout::from(const ir::DataDescriptor& descriptor,
   return layout;
 }
 
-AddressSpace::AddressSpace(std::int64_t alignment) : alignment_(alignment) {
-  if (alignment <= 0) {
-    throw std::invalid_argument("AddressSpace: alignment must be positive");
-  }
-}
-
 std::int64_t AddressSpace::place(ConcreteLayout& layout) {
-  next_ = (next_ + alignment_ - 1) / alignment_ * alignment_;
+  next_ = (next_ + kAlignment - 1) / kAlignment * kAlignment;
   layout.base_address = next_;
   next_ += layout.allocated_bytes();
   return layout.base_address;

@@ -362,14 +362,11 @@ struct Session::Impl {
   }
 
   std::shared_ptr<const analysis::ClosedFormMetrics> closed_form_exprs() {
-    Key key = program_key(Kind::kClosedForm);
-    key.config_hash = config_hash;  // wcr_reads changes the expressions.
     return get<analysis::ClosedFormMetrics>(
-        key,
+        program_key(Kind::kClosedForm),
         [&] {
           note_step(kStepSymbolic);
-          return analysis::closed_form_metrics(program,
-                                               config.simulation.wcr_reads);
+          return analysis::closed_form_metrics(program);
         },
         +[](const analysis::ClosedFormMetrics& metrics) {
           std::size_t bytes = sizeof(analysis::ClosedFormMetrics);
@@ -399,7 +396,6 @@ struct Session::Impl {
     const std::shared_ptr<const analysis::ClosedFormMetrics> exprs =
         closed_form_exprs();
     Key key = program_key(Kind::kClosedFormValue);
-    key.config_hash = config_hash;
     key.binding = restrict_binding(binding, exprs->symbols);
     return get<analysis::ClosedFormValues>(
         key,

@@ -26,10 +26,9 @@ using symbolic::SymbolTable;
 // chunk). Iterates sdfg.arrays() — an ordered map — so the container
 // index assignment is deterministic.
 void place_containers_into(const Sdfg& sdfg, const SymbolMap& symbols,
-                           const SimulationOptions& options,
                            AccessTrace& trace,
                            std::map<std::string, int>* ids) {
-  layout::AddressSpace space(options.placement_alignment);
+  layout::AddressSpace space;
   for (const auto& [name, descriptor] : sdfg.arrays()) {
     ConcreteLayout layout = ConcreteLayout::from(descriptor, symbols);
     space.place(layout);
@@ -53,7 +52,7 @@ class Simulator {
     trace.events.clear();
     trace.executions = 0;
     trace_ = &trace;
-    place_containers_into(sdfg_, symbols_, options_, trace, &container_ids_);
+    place_containers_into(sdfg_, symbols_, trace, &container_ids_);
     layouts_ = &trace.layouts;
     for (const State& state : sdfg_.states()) {
       // Topo order + adjacency built once per state (in_edges/out_edges
@@ -65,8 +64,8 @@ class Simulator {
     trace.executions = execution_;
   }
 
-  /// Generates exactly one plan chunk, starting mid-iteration-space with
-  /// absolute timestep/execution stamps from the plan. `header` supplies
+  /// Generates exactly one plan chunk, starting mid-iteration-space at
+  /// the plan's absolute event position and execution id. `header` supplies
   /// the placed layouts; events go to `out` — written at their absolute
   /// slice indices when `absolute` (the pre-sized disjoint-slice path),
   /// appended otherwise (streaming chunk buffers, test validation).
@@ -80,7 +79,7 @@ class Simulator {
     const State& state =
         sdfg_.states().at(static_cast<std::size_t>(chunk.state));
     schedule_ = ir::StateSchedule(state);
-    timestep_ = chunk.event_offset;
+    position_ = chunk.event_offset;
     execution_ = chunk.execution_offset;
     out_ = &out;
     out_absolute_ = absolute;
@@ -100,7 +99,7 @@ class Simulator {
       case NodeKind::MapExit:
         break;
     }
-    if (timestep_ != chunk.event_offset + chunk.event_count ||
+    if (position_ != chunk.event_offset + chunk.event_count ||
         execution_ != chunk.execution_offset + chunk.execution_count) {
       throw std::logic_error(
           "simulate: trace plan chunk count mismatch (planner bug)");
@@ -163,7 +162,6 @@ class Simulator {
   struct BatchedRun {
     int container = -1;
     bool is_write = false;
-    bool wcr_read = false;
     std::vector<BatchedRangeRef> ranges;
   };
   struct BatchedTasklet {
@@ -219,8 +217,6 @@ class Simulator {
       BatchedRun run;
       run.container = container_ids_.at(edge->memlet.data);
       run.is_write = is_write;
-      run.wcr_read = is_write && edge->memlet.wcr != ir::Wcr::None &&
-                     options_.wcr_reads;
       run.ranges.reserve(edge->memlet.subset.ranges.size());
       for (const ir::Range& range : edge->memlet.subset.ranges) {
         run.ranges.push_back(
@@ -525,11 +521,11 @@ class Simulator {
           cursor[d] = bounds[d][0];
         }
         if (bounds.empty()) {
-          emit_run_element(run, cursor, tasklet.id);
+          emit(run.container, cursor, run.is_write, tasklet.id);
           continue;
         }
         for (;;) {
-          emit_run_element(run, cursor, tasklet.id);
+          emit(run.container, cursor, run.is_write, tasklet.id);
           int d = static_cast<int>(bounds.size()) - 1;
           for (; d >= 0; --d) {
             cursor[d] += bounds[d][2];
@@ -547,14 +543,6 @@ class Simulator {
     return ref.varying
                ? lane_out_[static_cast<std::size_t>(ref.index) * width + lane]
                : invariant_vals_[static_cast<std::size_t>(ref.index)];
-  }
-
-  void emit_run_element(const BatchedRun& run, const layout::Index& element,
-                        NodeId tasklet) {
-    if (run.wcr_read) {
-      emit(run.container, element, /*is_write=*/false, tasklet);
-    }
-    emit(run.container, element, run.is_write, tasklet);
   }
 
   // Evaluates a compiled subset's bounds into scratch and emits every
@@ -590,11 +578,8 @@ class Simulator {
                             bool is_write, NodeId tasklet) {
     const CompiledEdge& compiled =
         compiled_edges_[edge_index(state, edge)];
-    const bool wcr_read = is_write && edge->memlet.wcr != ir::Wcr::None &&
-                          options_.wcr_reads;
     const int container = compiled.subset.container;
     enumerate_subset(compiled.subset, [&](const layout::Index& element) {
-      if (wcr_read) emit(container, element, /*is_write=*/false, tasklet);
       emit(container, element, is_write, tasklet);
     });
   }
@@ -662,19 +647,19 @@ class Simulator {
     event.container = container;
     event.flat = layout.flat_index(indices);
     event.is_write = is_write;
-    event.timestep = timestep_++;
     event.execution = execution_;
     event.tasklet = tasklet;
+    const std::int64_t position = position_++;
     if (out_) {
       // Chunk mode: the plan fixed this chunk's event range up front, so
       // emitting past it means the planner under-counted — fail loudly
       // instead of corrupting a neighboring slice.
-      if (event.timestep >= chunk_limit_) {
+      if (position >= chunk_limit_) {
         throw std::logic_error(
             "simulate: trace plan chunk overflow (planner bug)");
       }
       if (out_absolute_) {
-        out_->set(static_cast<std::size_t>(event.timestep), event);
+        out_->set(static_cast<std::size_t>(position), event);
       } else {
         out_->push_back(event);
       }
@@ -712,7 +697,7 @@ class Simulator {
   int lane_width_ = 1;
   std::vector<std::array<std::int64_t, 3>> bounds_scratch_;
   layout::Index cursor_scratch_;
-  std::int64_t timestep_ = 0;
+  std::int64_t position_ = 0;  ///< Stream index of the next event.
   std::int64_t execution_ = 0;
 };
 
@@ -762,12 +747,12 @@ void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
   if (chunking_possible()) {
     TracePlan local_plan;
     TracePlan& plan = arena ? arena->plan : local_plan;
-    plan_trace_into(sdfg, symbols, options, 0, plan);
+    plan_trace_into(sdfg, symbols, 0, plan);
     if (plan_is_worthwhile(plan)) {
       trace.containers.clear();
       trace.layouts.clear();
       trace.executions = 0;
-      place_containers_into(sdfg, symbols, options, trace, nullptr);
+      place_containers_into(sdfg, symbols, trace, nullptr);
       // Size the columns once from the plan total; every chunk then
       // writes only its disjoint [event_offset, event_offset +
       // event_count) slice, so no writer ever moves another's memory.
@@ -799,8 +784,8 @@ void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
 }
 
 void place_containers(const Sdfg& sdfg, const SymbolMap& symbols,
-                      const SimulationOptions& options, AccessTrace& trace) {
-  place_containers_into(sdfg, symbols, options, trace, nullptr);
+                      AccessTrace& trace) {
+  place_containers_into(sdfg, symbols, trace, nullptr);
 }
 
 }  // namespace dmv::sim

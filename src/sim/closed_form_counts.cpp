@@ -75,15 +75,13 @@ struct Scope {
 
 class Counter {
  public:
-  Counter(const SymbolMap& symbols, const SimulationOptions& options,
-          bool counts, PipelineResult& result)
-      : binding_(symbols), options_(options), counts_(counts),
-        result_(result) {}
+  Counter(const SymbolMap& symbols, bool counts, PipelineResult& result)
+      : binding_(symbols), counts_(counts), result_(result) {}
 
   const char* run(const Sdfg& sdfg, const SymbolMap& symbols) {
     AccessTrace header;
     try {
-      place_containers(sdfg, symbols, options_, header);
+      place_containers(sdfg, symbols, header);
     } catch (const std::exception&) {
       return "closed form: a container layout fails under the binding";
     }
@@ -338,22 +336,18 @@ class Counter {
         return kOverflow;
       }
     }
-    const bool wcr_read =
-        is_write && memlet.wcr != ir::Wcr::None && options_.wcr_reads;
     std::int64_t events = weight;
-    if (!mul_into(events, volume) || !mul_into(events, wcr_read ? 2 : 1) ||
-        !add_into(result_.events, events)) {
+    if (!mul_into(events, volume) || !add_into(result_.events, events)) {
       return kOverflow;
     }
     if (counts_) {
       const auto c = static_cast<std::size_t>(container);
-      if (!is_write || wcr_read) {
-        scatter_box(target, result_.counts.reads[c], weight);
-        target.read_boxes = true;
-      }
       if (is_write) {
         scatter_box(target, result_.counts.writes[c], weight);
         target.write_boxes = true;
+      } else {
+        scatter_box(target, result_.counts.reads[c], weight);
+        target.read_boxes = true;
       }
     }
     return nullptr;
@@ -403,7 +397,6 @@ class Counter {
   }
 
   SymbolBinding binding_;
-  const SimulationOptions& options_;
   bool counts_;
   PipelineResult& result_;
   std::vector<Target> targets_;
@@ -415,9 +408,8 @@ class Counter {
 }  // namespace
 
 const char* closed_form_counts(const Sdfg& sdfg, const SymbolMap& symbols,
-                               const SimulationOptions& options, bool counts,
-                               PipelineResult& result) {
-  return Counter(symbols, options, counts, result).run(sdfg, symbols);
+                               bool counts, PipelineResult& result) {
+  return Counter(symbols, counts, result).run(sdfg, symbols);
 }
 
 }  // namespace dmv::sim::detail

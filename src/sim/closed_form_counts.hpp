@@ -28,7 +28,6 @@ namespace dmv::sim::detail {
 /// program the simulator rejects: unbound symbols, bad extents and
 /// out-of-bounds subsets decline, so the simulator raises its own error.
 const char* closed_form_counts(const Sdfg& sdfg, const SymbolMap& symbols,
-                               const SimulationOptions& options, bool counts,
-                               PipelineResult& result);
+                               bool counts, PipelineResult& result);
 
 }  // namespace dmv::sim::detail

@@ -41,14 +41,13 @@ struct ArenaState {
   // --- run_delta() checkpoint -------------------------------------------
   // `trace` doubles as the checkpoint's front event buffer and `engine`
   // holds its un-finalized metric state; the fields below remember which
-  // (program, options, binding) produced them and the fine-grained chunk
+  // (program, binding) produced them and the fine-grained chunk
   // plan that indexes the trace, so an append-only step can resume
   // feeding where the previous one stopped. Any public run() /
   // run_streaming() call re-begins the engine and therefore invalidates
   // the checkpoint.
   bool ckpt_valid = false;
   std::uint64_t ckpt_program = 0;   ///< Caller's SDFG-structure version.
-  std::uint64_t ckpt_options = 0;   ///< fingerprint(SimulationOptions).
   SymbolMap ckpt_binding;
   TracePlan ckpt_plan;              ///< Delta-granularity plan of `trace`.
   TracePlan scratch_plan;           ///< New-binding plan (swapped on commit).
@@ -80,13 +79,12 @@ void feed_events(merge::Engine& engine, const EventList& events,
 // time, one partition — and otherwise why it did not: the counter's
 // decline, or "" for configs it never serves.
 const char* try_closed_form(const PipelineConfig& config, const Sdfg& sdfg,
-                            const SymbolMap& symbols,
-                            const SimulationOptions& options,
-                            PipelineResult& result, PhaseTimings& timings) {
+                            const SymbolMap& symbols, PipelineResult& result,
+                            PhaseTimings& timings) {
   if (config.needs_distances() || config.cache) return "";
   const auto start = Clock::now();
   const char* reason =
-      detail::closed_form_counts(sdfg, symbols, options, config.counts, result);
+      detail::closed_form_counts(sdfg, symbols, config.counts, result);
   if (reason) {
     result = PipelineResult{};  // Frees partial counts before simulating.
   } else {
@@ -125,14 +123,11 @@ std::uint64_t fingerprint(const PipelineConfig& config) {
   return hash;
 }
 
-std::uint64_t fingerprint(const SimulationOptions& options) {
-  // FNV-1a over the fields that can change the simulator's output.
-  // lane_width is a bit-identical execution strategy and excluded on
-  // purpose.
-  std::uint64_t hash = util::kFnvOffset;
-  hash = util::fnv1a(hash,
-                     static_cast<std::uint64_t>(options.placement_alignment));
-  return util::fnv1a(hash, options.wcr_reads ? 1 : 0);
+std::uint64_t fingerprint(const SimulationOptions& /*options*/) {
+  // FNV-1a over the placement alignment (64) and the WCR rule (0: a WCR
+  // update emits no read event). Both are fixed; disk keys written by
+  // earlier builds hashed them this way, so those keys stay valid.
+  return util::fnv1a(util::fnv1a(util::kFnvOffset, 64), 0);
 }
 
 std::size_t approx_size_bytes(const PipelineResult& result) {
@@ -212,7 +207,7 @@ PipelineResult MetricPipeline::run(const Sdfg& sdfg, const SymbolMap& symbols,
                                    const SimulationOptions& options) {
   arena_->ckpt_valid = false;
   PipelineResult result;
-  if (!try_closed_form(config_, sdfg, symbols, options, result, timings_)) {
+  if (!try_closed_form(config_, sdfg, symbols, result, timings_)) {
     return result;
   }
   generate(sdfg, symbols, options);
@@ -227,13 +222,13 @@ PipelineResult MetricPipeline::run_streaming(const Sdfg& sdfg,
                                              const SimulationOptions& options) {
   arena_->ckpt_valid = false;
   PipelineResult result;
-  if (!try_closed_form(config_, sdfg, symbols, options, result, timings_)) {
+  if (!try_closed_form(config_, sdfg, symbols, result, timings_)) {
     return result;
   }
   const auto start = Clock::now();
   merge::Engine& engine = arena_->engine;
   TracePlan& plan = arena_->trace_arena.plan;
-  plan_trace_into(sdfg, symbols, options, kDeltaMaxChunks, plan);
+  plan_trace_into(sdfg, symbols, kDeltaMaxChunks, plan);
   if (!plan.parallelizable) {
     // The planner declines only programs the simulator rejects or whose
     // counts overflow int64, so this raises the simulator's own error.
@@ -243,7 +238,7 @@ PipelineResult MetricPipeline::run_streaming(const Sdfg& sdfg,
     result = engine.finish(trace.executions);
   } else {
     AccessTrace header;
-    place_containers(sdfg, symbols, options, header);
+    place_containers(sdfg, symbols, header);
     // Round r generates chunks [r * width, (r + 1) * width) into one bank
     // of buffers while one more task feeds round r - 1's chunks, from the
     // other bank, to the engine in chunk order; round 0's extra task
@@ -322,8 +317,7 @@ bool delta_step(const PipelineConfig& config, ArenaState& arena,
     return false;
   }
 
-  plan_trace_into(sdfg, symbols, options, kDeltaMaxChunks,
-                  arena.scratch_plan);
+  plan_trace_into(sdfg, symbols, kDeltaMaxChunks, arena.scratch_plan);
   const TracePlan& plan_new = arena.scratch_plan;
   const TracePlan& plan_old = arena.ckpt_plan;
   if (!plan_new.parallelizable) {
@@ -434,7 +428,7 @@ bool delta_step(const PipelineConfig& config, ArenaState& arena,
   arena.scratch_header.layouts.clear();
   arena.scratch_header.events.clear();
   arena.scratch_header.executions = 0;
-  place_containers(sdfg, symbols, options, arena.scratch_header);
+  place_containers(sdfg, symbols, arena.scratch_header);
 
   const std::size_t n_new = static_cast<std::size_t>(plan_new.total_events);
   bool in_place = true;
@@ -474,7 +468,6 @@ bool delta_step(const PipelineConfig& config, ArenaState& arena,
                   static_cast<std::size_t>(matches[idx].old_event_offset),
                   static_cast<std::size_t>(nc.event_offset),
                   static_cast<std::size_t>(nc.event_count),
-                  nc.event_offset - matches[idx].old_event_offset,
                   nc.execution_offset - matches[idx].old_execution_offset);
             } else {
               simulate_chunk(sdfg, symbols, options, arena.scratch_header, nc,
@@ -538,7 +531,7 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
   // A counts-only step that still simulates reports why the counter
   // declined instead of the delta engine's own reason.
   const char* declined =
-      try_closed_form(config_, sdfg, symbols, options, counted, timings_);
+      try_closed_form(config_, sdfg, symbols, counted, timings_);
   if (!declined) {
     // Nothing was simulated, so there is no trace to checkpoint.
     arena.ckpt_valid = false;
@@ -547,13 +540,10 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
     return counted;
   }
   outcome.reason = "no checkpoint";
-  const std::uint64_t options_fp = fingerprint(options);
 
   if (arena.ckpt_valid) {
     if (arena.ckpt_program != program_version) {
       outcome.reason = "program changed";
-    } else if (arena.ckpt_options != options_fp) {
-      outcome.reason = "options changed";
     } else {
       bool warm = false;
       PipelineResult result;
@@ -587,13 +577,12 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
   timings_.metrics_ms += ms_since(snapshot_start);
 
   const std::size_t n = arena.trace.events.size();
-  plan_trace_into(sdfg, symbols, options, kDeltaMaxChunks, arena.ckpt_plan);
+  plan_trace_into(sdfg, symbols, kDeltaMaxChunks, arena.ckpt_plan);
   if (arena.ckpt_plan.parallelizable &&
       arena.ckpt_plan.total_events == static_cast<std::int64_t>(n) &&
       arena.ckpt_plan.total_executions == arena.trace.executions) {
     arena.ckpt_valid = true;
     arena.ckpt_program = program_version;
-    arena.ckpt_options = options_fp;
     arena.ckpt_binding = symbols;
   }
   if (outcome_out) *outcome_out = outcome;

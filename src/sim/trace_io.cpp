@@ -56,10 +56,11 @@ void write_trace(const AccessTrace& trace, std::ostream& out) {
     out << '\n';
   }
   out << "events\n";
-  for (const AccessEvent& event : trace.events) {
-    out << event.timestep << ' ' << event.container << ' ' << event.flat
-        << ' ' << (event.is_write ? 'w' : 'r') << ' ' << event.execution
-        << ' ' << event.tasklet << '\n';
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const AccessEvent event = trace.events[i];
+    out << i << ' ' << event.container << ' ' << event.flat << ' '
+        << (event.is_write ? 'w' : 'r') << ' ' << event.execution << ' '
+        << event.tasklet << '\n';
   }
   if (!out) throw std::runtime_error("write_trace: stream failure");
 }
@@ -201,13 +202,20 @@ AccessTrace read_trace(std::istream& in) {
 
     std::istringstream fields(line);
     AccessEvent event;
+    std::int64_t time = 0;
     char mode = '?';
     std::int64_t container = 0;
     std::int64_t tasklet = 0;
-    fields >> event.timestep >> container >> event.flat >> mode >>
-        event.execution >> tasklet;
+    fields >> time >> container >> event.flat >> mode >> event.execution >>
+        tasklet;
     if (!fields || (mode != 'r' && mode != 'w')) {
       fail(line_number, "malformed event");
+    }
+    // A trace stores no time: an event's time is its index.
+    if (time != static_cast<std::int64_t>(trace.events.size())) {
+      fail(line_number, "event time " + std::to_string(time) +
+                            " is not its index " +
+                            std::to_string(trace.events.size()));
     }
     if (container < 0 ||
         container >= static_cast<std::int64_t>(trace.layouts.size())) {
@@ -220,6 +228,11 @@ AccessTrace read_trace(std::istream& in) {
     if (tasklet < std::numeric_limits<ir::NodeId>::min() ||
         tasklet > std::numeric_limits<ir::NodeId>::max()) {
       fail(line_number, "tasklet id out of range");
+    }
+    // executions is the largest id plus one, which must fit int64.
+    if (event.execution < 0 ||
+        event.execution == std::numeric_limits<std::int64_t>::max()) {
+      fail(line_number, "execution id out of range");
     }
     event.container = static_cast<std::int32_t>(container);
     event.is_write = mode == 'w';

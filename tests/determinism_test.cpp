@@ -35,7 +35,6 @@ void expect_traces_identical(const AccessTrace& a, const AccessTrace& b) {
     ASSERT_EQ(x.container, y.container) << "event " << i;
     ASSERT_EQ(x.flat, y.flat) << "event " << i;
     ASSERT_EQ(x.is_write, y.is_write) << "event " << i;
-    ASSERT_EQ(x.timestep, y.timestep) << "event " << i;
     ASSERT_EQ(x.execution, y.execution) << "event " << i;
     ASSERT_EQ(x.tasklet, y.tasklet) << "event " << i;
   }
@@ -52,10 +51,8 @@ void expect_stats_equal(const MissStats& a, const MissStats& b) {
 // (8192 events), so their 8-thread runs generate chunk-parallel.
 void expect_matches_reference(const ir::Sdfg& sdfg,
                               const symbolic::SymbolMap& binding,
-                              SimulationOptions options = {},
                               bool chunked = true) {
-  const AccessTrace reference =
-      reference::reference_trace(sdfg, binding, options);
+  const AccessTrace reference = reference::reference_trace(sdfg, binding);
   if (chunked) {
     ASSERT_GE(reference.events.size(), 8192u);
   }
@@ -63,6 +60,7 @@ void expect_matches_reference(const ir::Sdfg& sdfg,
     for (const int lanes : {1, 8}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " lanes=" + std::to_string(lanes));
+      SimulationOptions options;
       options.lane_width = lanes;
       par::ThreadScope scope(threads);
       expect_traces_identical(reference, simulate(sdfg, binding, options));
@@ -72,7 +70,7 @@ void expect_matches_reference(const ir::Sdfg& sdfg,
 
 TEST(Determinism, SimulateMatchesReferenceOnHdiff) {
   const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
-  expect_matches_reference(sdfg, workloads::hdiff_local(), {},
+  expect_matches_reference(sdfg, workloads::hdiff_local(),
                            /*chunked=*/false);
   expect_matches_reference(sdfg, {{"I", 16}, {"J", 16}, {"K", 8}});
 }
@@ -83,11 +81,10 @@ TEST(Determinism, SimulateMatchesReferenceOnBert) {
       workloads::bert_small());
 }
 
-TEST(Determinism, SimulateMatchesReferenceOnMatmulWithWcrReads) {
-  SimulationOptions options;
-  options.wcr_reads = true;
+TEST(Determinism, SimulateMatchesReferenceOnMatmul) {
+  // matmul accumulates C with a Sum WCR: one write event per update.
   expect_matches_reference(workloads::matmul(),
-                           {{"M", 24}, {"N", 16}, {"K", 8}}, options);
+                           {{"M", 24}, {"N", 16}, {"K", 8}});
 }
 
 TEST(Determinism, SimulateMatchesReferenceOnNestedMapReusingParameter) {

@@ -22,7 +22,6 @@ AccessTrace synthetic_trace(std::int64_t elements,
     AccessEvent event;
     event.container = 0;
     event.flat = sequence[i];
-    event.timestep = static_cast<std::int64_t>(i);
     trace.events.push_back(event);
   }
   return trace;

@@ -83,7 +83,7 @@ TEST(ConcreteLayout, FromDescriptorRejectsNonPositiveExtent) {
 }
 
 TEST(AddressSpace, AlignsAndSeparates) {
-  AddressSpace space(64);
+  AddressSpace space;
   ConcreteLayout a = simple_2d(2, 3);  // 48 bytes.
   ConcreteLayout b = simple_2d(2, 3);
   space.place(a);
@@ -91,10 +91,6 @@ TEST(AddressSpace, AlignsAndSeparates) {
   EXPECT_EQ(a.base_address, 0);
   EXPECT_EQ(b.base_address, 64);  // Next 64-byte boundary after 48.
   EXPECT_EQ(space.bytes_used(), 64 + 48);
-}
-
-TEST(AddressSpace, RejectsBadAlignment) {
-  EXPECT_THROW(AddressSpace(0), std::invalid_argument);
 }
 
 TEST(CacheLine, LineOf) {

@@ -213,7 +213,6 @@ TEST(MetricMerge, HandBuiltTraceFuzz) {
       event.flat = static_cast<std::int64_t>(
           rng() % trace.layouts[event.container].shape[0]);
       event.is_write = (rng() % 4) == 0;
-      event.timestep = static_cast<std::int64_t>(i);
       event.execution = static_cast<std::int64_t>(i);
       trace.events.push_back(event);
     }
@@ -252,7 +251,6 @@ TEST(MetricMerge, SparseLineSpanUsesHashTables) {
     event.container = static_cast<int>(rng() % 2);
     event.flat = static_cast<std::int64_t>(rng() % 512);
     event.is_write = (rng() % 3) == 0;
-    event.timestep = static_cast<std::int64_t>(i);
     event.execution = static_cast<std::int64_t>(i);
     trace.events.push_back(event);
   }

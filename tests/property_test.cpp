@@ -120,7 +120,6 @@ sim::AccessTrace random_trace(int seed, std::int64_t elements,
     sim::AccessEvent event;
     event.container = 0;
     event.flat = element(rng);
-    event.timestep = static_cast<std::int64_t>(i);
     trace.events.push_back(event);
   }
   return trace;

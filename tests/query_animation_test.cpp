@@ -137,8 +137,32 @@ TEST(Animation, MaxFramesAndTimestepGranularity) {
     for (const auto& [container, elements] : frame.highlighted) {
       total += elements.size();
     }
-    EXPECT_EQ(total, 1u);  // One event per timestep frame.
+    EXPECT_EQ(total, 1u);  // One event per frame.
   }
+}
+
+TEST(Animation, FirstFrameOpensForAnyKey) {
+  // Keys are execution ids or event indexes; a hand-built trace may
+  // start at any id, -1 included, and still opens its first frame.
+  sim::AccessTrace trace;
+  layout::ConcreteLayout layout;
+  layout.name = "A";
+  layout.shape = {4};
+  layout.strides = {1};
+  trace.containers = {"A"};
+  trace.layouts = {layout};
+  for (const std::int64_t execution : {-1, -1, 0}) {
+    sim::AccessEvent event;
+    event.flat = static_cast<std::int64_t>(trace.events.size());
+    event.execution = execution;
+    trace.events.push_back(event);
+  }
+  const std::vector<AnimationFrame> frames = animation_frames(trace);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].index, -1);
+  EXPECT_EQ(frames[0].highlighted.at(0), (std::set<std::int64_t>{0, 1}));
+  EXPECT_EQ(frames[1].index, 0);
+  EXPECT_EQ(frames[1].highlighted.at(0), (std::set<std::int64_t>{2}));
 }
 
 TEST(Animation, SmilSvgIsWellFormed) {

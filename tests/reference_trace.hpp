@@ -7,9 +7,11 @@
 // topological order; a map runs its scope once per iteration point, with
 // the point's parameters added to a copy of the enclosing scope's
 // SymbolMap; a tasklet reads every in-memlet subset, then writes every
-// out-memlet subset; an access->access copy pairs source and destination
-// elements one by one. Subsets are evaluated with Expr::evaluate and
-// walked row-major. No compilation, lane batching or chunking.
+// out-memlet subset (a WCR output is one write per element, as the paper
+// counts it); an access->access copy pairs source and destination
+// elements one by one. Containers are placed by place_containers.
+// Subsets are evaluated with Expr::evaluate and walked row-major. No
+// compilation, lane batching or chunking.
 
 #include <cstdint>
 #include <span>
@@ -44,7 +46,6 @@ inline std::vector<layout::Index> subset_elements(
 }
 
 struct Walk {
-  const SimulationOptions& options;
   AccessTrace trace;
   std::int64_t execution = 0;
 
@@ -55,9 +56,8 @@ struct Walk {
     if (!layout.in_bounds(element)) {
       throw std::out_of_range("reference: access out of bounds on " + data);
     }
-    trace.events.push_back({container, layout.flat_index(element), is_write,
-                            static_cast<std::int64_t>(trace.events.size()),
-                            execution, tasklet});
+    trace.events.push_back(
+        {container, layout.flat_index(element), is_write, execution, tasklet});
   }
 
   void scope(const ir::State& state, const ir::StateSchedule& schedule,
@@ -80,11 +80,8 @@ struct Walk {
                                                : schedule.in_adjacency[id]) {
             const ir::Memlet& memlet = edge->memlet;
             if (memlet.is_empty()) continue;
-            const bool wcr_read = is_write && options.wcr_reads &&
-                                  memlet.wcr != ir::Wcr::None;
             for (const layout::Index& element :
                  subset_elements(memlet.subset, env)) {
-              if (wcr_read) emit(memlet.data, element, false, id);
               emit(memlet.data, element, is_write, id);
             }
           }
@@ -115,10 +112,9 @@ struct Walk {
 };
 
 inline AccessTrace reference_trace(const ir::Sdfg& sdfg,
-                                   const symbolic::SymbolMap& symbols,
-                                   const SimulationOptions& options = {}) {
-  Walk walk{options, {}};
-  place_containers(sdfg, symbols, options, walk.trace);
+                                   const symbolic::SymbolMap& symbols) {
+  Walk walk;
+  place_containers(sdfg, symbols, walk.trace);
   for (const ir::State& state : sdfg.states()) {
     walk.scope(state, ir::StateSchedule(state), ir::kNoNode, symbols);
   }

@@ -173,9 +173,9 @@ TEST(SessionTest, ExecutionStrategyOptionsShareArtifacts) {
   EXPECT_EQ(second.stats().misses, 0);
   EXPECT_EQ(served.get(), computed.get());
 
-  // An output-relevant option still splits the key.
+  // An output-relevant metric setting still splits the key.
   SessionConfig third_config = first_config;
-  third_config.simulation.placement_alignment = 128;
+  third_config.pipeline.line_size = 32;
   Session third(small_hdiff(), third_config);
   third.set_binding(small_binding(3));
   third.metrics();

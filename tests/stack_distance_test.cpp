@@ -57,7 +57,6 @@ AccessTrace synthetic_trace(std::int64_t elements,
     AccessEvent event;
     event.container = 0;
     event.flat = sequence[i];
-    event.timestep = static_cast<std::int64_t>(i);
     event.execution = static_cast<std::int64_t>(i);
     trace.events.push_back(event);
   }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/workloads/workloads.hpp"
@@ -93,7 +96,6 @@ TEST(TraceIo, HostileContainerNamesRoundTrip) {
     event.container = static_cast<std::int32_t>(c);
     event.flat = static_cast<std::int64_t>(c % 4);
     event.is_write = c % 2 == 0;
-    event.timestep = static_cast<std::int64_t>(c);
     event.execution = 0;
     original.events.push_back(event);
   }
@@ -217,6 +219,33 @@ TEST(TraceIo, RejectsMalformedInput) {
       "dmvtrace 1\ncontainer A 8 64 16 ; 1\nevents\n0 0 9 r 0 -1\n");
   EXPECT_EQ(placed.layouts[0].base_address, 64);
   EXPECT_EQ(placed.events.size(), 1u);
+  // An event's time must be its index, and an execution id must lie in
+  // [0, INT64_MAX): `executions` is the largest id plus one. Events
+  // start on line 4.
+  const std::pair<const char*, int> bad_events[] = {
+      {"7 0 1 r 0 -1\n", 4},
+      {"0 0 1 r 0 -1\n0 0 2 w 0 -1\n", 5},
+      {"0 0 1 r 0 -1\n2 0 2 w 0 -1\n", 5},
+      {"0 0 1 r 9223372036854775807 -1\n", 4},
+      {"0 0 1 r -5 -1\n1 0 2 w -5 -1\n", 4},
+      {"0 0 1 r 0 -1\n1 0 2 w -1 -1\n", 5},
+  };
+  for (const auto& [events, line] : bad_events) {
+    try {
+      trace_from_string(
+          std::string("dmvtrace 1\ncontainer a 8 0 4 ; 1\nevents\n") + events);
+      ADD_FAILURE() << "accepted: " << events;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("read_trace: line " + std::to_string(line) + ":"),
+                std::string::npos)
+          << events << ": " << error.what();
+    }
+  }
+  const AccessTrace largest = trace_from_string(
+      "dmvtrace 1\ncontainer a 8 0 4 ; 1\nevents\n"
+      "0 0 1 r 9223372036854775806 -1\n");
+  EXPECT_EQ(largest.executions, std::numeric_limits<std::int64_t>::max());
 }
 
 TEST(TraceIo, ErrorsCarryLineNumbers) {

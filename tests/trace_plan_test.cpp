@@ -24,10 +24,9 @@ using builder::ProgramBuilder;
 
 // Serial ground truth: the parallel path must never be what we compare
 // against here.
-AccessTrace serial_trace(const ir::Sdfg& sdfg, const symbolic::SymbolMap& b,
-                         const SimulationOptions& options = {}) {
+AccessTrace serial_trace(const ir::Sdfg& sdfg, const symbolic::SymbolMap& b) {
   par::ThreadScope scope(1);
-  return simulate(sdfg, b, options);
+  return simulate(sdfg, b);
 }
 
 // Validates the structural invariants of a plan and its agreement with
@@ -36,11 +35,9 @@ AccessTrace serial_trace(const ir::Sdfg& sdfg, const symbolic::SymbolMap& b,
 // stream.
 void expect_plan_matches_serial(const ir::Sdfg& sdfg,
                                 const symbolic::SymbolMap& binding,
-                                const SimulationOptions& options = {},
                                 int max_chunks_per_map = 4) {
-  const AccessTrace reference = serial_trace(sdfg, binding, options);
-  const TracePlan plan = plan_trace(sdfg, binding, options,
-                                    max_chunks_per_map);
+  const AccessTrace reference = serial_trace(sdfg, binding);
+  const TracePlan plan = plan_trace(sdfg, binding, {}, max_chunks_per_map);
   ASSERT_TRUE(plan.parallelizable);
   EXPECT_EQ(plan.total_events,
             static_cast<std::int64_t>(reference.events.size()));
@@ -63,7 +60,7 @@ void expect_plan_matches_serial(const ir::Sdfg& sdfg,
   // Each chunk regenerated in isolation reproduces its serial slice.
   for (const TraceChunk& chunk : plan.chunks) {
     EventList events;
-    simulate_chunk(sdfg, binding, options, reference, chunk, events,
+    simulate_chunk(sdfg, binding, {}, reference, chunk, events,
                    /*absolute=*/false);
     ASSERT_EQ(static_cast<std::int64_t>(events.size()), chunk.event_count);
     for (std::int64_t i = 0; i < chunk.event_count; ++i) {
@@ -73,7 +70,6 @@ void expect_plan_matches_serial(const ir::Sdfg& sdfg,
       ASSERT_EQ(got.container, want.container) << "chunk event " << i;
       ASSERT_EQ(got.flat, want.flat) << "chunk event " << i;
       ASSERT_EQ(got.is_write, want.is_write) << "chunk event " << i;
-      ASSERT_EQ(got.timestep, want.timestep) << "chunk event " << i;
       ASSERT_EQ(got.execution, want.execution) << "chunk event " << i;
       ASSERT_EQ(got.tasklet, want.tasklet) << "chunk event " << i;
     }
@@ -123,20 +119,11 @@ TEST(TracePlan, OuterProductAcrossBindings) {
   expect_plan_matches_serial(sdfg, {{"M", 64}, {"N", 2}});
 }
 
-TEST(TracePlan, WcrReadsDoubleTheOutEdgeEvents) {
-  // The planner must model the wcr_reads option: each Sum-accumulating
-  // out-edge element becomes a read+write pair.
-  const ir::Sdfg sdfg = workloads::matmul();
-  SimulationOptions options;
-  options.wcr_reads = true;
-  expect_plan_matches_serial(sdfg, {{"M", 4}, {"N", 4}, {"K", 4}}, options);
-}
-
 TEST(TracePlan, ManyChunksPerMap) {
   // Oversplitting (more chunks than outer iterations available) must
   // still tile the stream exactly.
   const ir::Sdfg sdfg = workloads::outer_product();
-  expect_plan_matches_serial(sdfg, {{"M", 6}, {"N", 3}}, {},
+  expect_plan_matches_serial(sdfg, {{"M", 6}, {"N", 3}},
                              /*max_chunks_per_map=*/64);
 }
 
@@ -179,7 +166,7 @@ TEST(TracePlan, DegenerateExtentOneMap) {
   ASSERT_EQ(plan.chunks.size(), 1u);
   EXPECT_EQ(plan.chunks[0].outer_begin, 0);
   EXPECT_EQ(plan.chunks[0].outer_count, 1);
-  expect_plan_matches_serial(sdfg, binding, {}, 8);
+  expect_plan_matches_serial(sdfg, binding, 8);
 }
 
 TEST(TracePlan, ZeroTripNestedMap) {
@@ -216,7 +203,7 @@ TEST(TracePlan, TriangularInnerRangeFallsBackToEnumeration) {
                    "o = a", {{"o", "B", "i, j"}});
   const ir::Sdfg sdfg = p.take();
   const symbolic::SymbolMap binding{{"N", 9}};
-  expect_plan_matches_serial(sdfg, binding, {}, 4);
+  expect_plan_matches_serial(sdfg, binding, 4);
 }
 
 TEST(TracePlan, CopyNodesPlanAsSerialChunks) {
