@@ -14,7 +14,7 @@
 //   svg=<path>  write the movement-heatmap SVG
 //
 // Example:
-//   ./build/examples/analyze_cli jacobi.json --param N=12 \
+//   ./build/examples/analyze_cli jacobi.json --param N=12
 //       summary volume simulate svg=jacobi.svg
 //
 // (Generate inputs with ir::to_json — e.g. run

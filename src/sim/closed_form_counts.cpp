@@ -1,10 +1,12 @@
 #include "closed_form_counts.hpp"
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <vector>
 
+#include "dmv/par/par.hpp"
 #include "dmv/symbolic/expr.hpp"
 
 namespace dmv::sim::detail {
@@ -27,13 +29,18 @@ struct Loop {
   std::int64_t trips = 0;
 };
 
-// Per-container difference arrays (the result's own count vectors) with
-// the row-major strides boxes are scattered at.
+// Below this many count values in all, the count vectors are built on
+// the calling thread: a pool job's dispatch would cost more than it saves.
+constexpr std::size_t kMinParallelValues = std::size_t{1} << 15;
+
+// One container: its row-major strides, and the boxes each of its two
+// count vectors receives, in walk order. A box is `rank` lo indices,
+// `rank` hi indices and its weight.
 struct Target {
   std::vector<std::int64_t> shape;
   std::vector<std::int64_t> strides;
-  bool read_boxes = false;
-  bool write_boxes = false;
+  std::size_t elements = 0;
+  std::array<std::vector<std::int64_t>, 2> boxes;  ///< Indexed by is_write.
 };
 
 bool mul_into(std::int64_t& into, std::int64_t factor) {
@@ -91,6 +98,8 @@ class Counter {
     for (std::size_t c = 0; c < header.layouts.size(); ++c) {
       Target& target = targets_[c];
       target.shape = header.layouts[c].shape;
+      target.elements =
+          static_cast<std::size_t>(header.layouts[c].total_elements());
       target.strides.assign(target.shape.size(), 1);
       for (std::size_t d = target.shape.size(); d-- > 1;) {
         target.strides[d - 1] = target.strides[d];
@@ -99,32 +108,14 @@ class Counter {
         }
       }
     }
+    // A failed allocation declines too: the simulator then runs instead.
     try {
-      if (counts_) {
-        result_.counts.reads.resize(header.layouts.size());
-        result_.counts.writes.resize(header.layouts.size());
-        for (std::size_t c = 0; c < header.layouts.size(); ++c) {
-          const auto elements =
-              static_cast<std::size_t>(header.layouts[c].total_elements());
-          result_.counts.reads[c].assign(elements, 0);
-          result_.counts.writes[c].assign(elements, 0);
-        }
-      }
       for (const ir::State& state : sdfg.states()) {
         if (const char* reason = count_state(state)) return reason;
       }
+      if (counts_) build_counts();
     } catch (const std::exception&) {
       return "closed form: an expression does not evaluate under the binding";
-    }
-    if (counts_) {
-      for (std::size_t c = 0; c < targets_.size(); ++c) {
-        if (targets_[c].read_boxes) {
-          prefix_sum(targets_[c], result_.counts.reads[c]);
-        }
-        if (targets_[c].write_boxes) {
-          prefix_sum(targets_[c], result_.counts.writes[c]);
-        }
-      }
     }
     return nullptr;
   }
@@ -341,33 +332,68 @@ class Counter {
       return kOverflow;
     }
     if (counts_) {
-      const auto c = static_cast<std::size_t>(container);
-      if (is_write) {
-        scatter_box(target, result_.counts.writes[c], weight);
-        target.write_boxes = true;
-      } else {
-        scatter_box(target, result_.counts.reads[c], weight);
-        target.read_boxes = true;
-      }
+      std::vector<std::int64_t>& boxes = target.boxes[is_write ? 1 : 0];
+      boxes.insert(boxes.end(), lo_.begin(), lo_.end());
+      boxes.insert(boxes.end(), hi_.begin(), hi_.end());
+      boxes.push_back(weight);
     }
     return nullptr;
   }
 
-  // Adds `weight` over the box [lo_, hi_] to a difference array: +/-
-  // weight at each of the 2^rank corners (lo or hi + 1 per dimension,
-  // sign flipping per hi + 1). Corners past the end of a dimension are
+  // Reserves every count vector on this thread, so their memory comes
+  // from its allocator arena (allocating them on pool threads raised peak
+  // RSS), then builds each (container, direction) vector in one task.
+  // One task owns a vector and adds its boxes in walk order, so the split
+  // cannot change a count.
+  void build_counts() {
+    std::vector<std::vector<std::int64_t>>& reads = result_.counts.reads;
+    std::vector<std::vector<std::int64_t>>& writes = result_.counts.writes;
+    reads.resize(targets_.size());
+    writes.resize(targets_.size());
+    std::size_t values = 0;
+    for (std::size_t c = 0; c < targets_.size(); ++c) {
+      reads[c].reserve(targets_[c].elements);
+      writes[c].reserve(targets_[c].elements);
+      values += 2 * targets_[c].elements;
+    }
+    const auto build = [&](std::size_t task) {
+      const Target& target = targets_[task / 2];
+      const std::vector<std::int64_t>& boxes = target.boxes[task % 2];
+      std::vector<std::int64_t>& counts =
+          (task % 2 == 1 ? writes : reads)[task / 2];
+      counts.resize(target.elements);  // Zero-fills; fits the reservation.
+      const std::size_t stride = 2 * target.shape.size() + 1;
+      for (std::size_t at = 0; at < boxes.size(); at += stride) {
+        scatter_box(target, boxes.data() + at, counts);
+      }
+      if (!boxes.empty()) prefix_sum(target, counts);
+    };
+    if (values < kMinParallelValues) {
+      for (std::size_t task = 0; task < 2 * targets_.size(); ++task) {
+        build(task);
+      }
+    } else {
+      par::parallel_tasks(2 * targets_.size(), build);
+    }
+  }
+
+  // Adds a box's weight over [lo, hi] to a difference array: +/- weight
+  // at each of the 2^rank corners (lo or hi + 1 per dimension, sign
+  // flipping per hi + 1). Corners past the end of a dimension are
   // dropped; the prefix sums never carry them into the array.
-  void scatter_box(const Target& target, std::vector<std::int64_t>& delta,
-                   std::int64_t weight) const {
+  static void scatter_box(const Target& target, const std::int64_t* box,
+                          std::vector<std::int64_t>& delta) {
     const std::size_t rank = target.shape.size();
+    const std::int64_t* lo = box;
+    const std::int64_t* hi = box + rank;
     for (std::size_t mask = 0; mask < (std::size_t{1} << rank); ++mask) {
       std::int64_t flat = 0;
-      std::int64_t signed_weight = weight;
+      std::int64_t signed_weight = box[2 * rank];
       bool inside = true;
       for (std::size_t d = 0; d < rank && inside; ++d) {
-        std::int64_t index = lo_[d];
+        std::int64_t index = lo[d];
         if (mask & (std::size_t{1} << d)) {
-          index = hi_[d] + 1;
+          index = hi[d] + 1;
           signed_weight = -signed_weight;
           inside = index < target.shape[d];
         }

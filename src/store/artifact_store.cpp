@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "byte_io.hpp"
+#include "dmv/par/par.hpp"
 #include "dmv/util/fnv1a.hpp"
 
 namespace dmv::store {
@@ -246,12 +247,16 @@ DiskArtifactCache::Stats DiskArtifactCache::stats() const {
 
 namespace {
 
+// Below this many vector values in all, the records are packed on the
+// calling thread: a pool job's dispatch would cost more than it saves.
+constexpr std::size_t kMinParallelValues = std::size_t{1} << 15;
+
+template <class PutVector>
 void put_nested_i64(std::string& out,
-                    const std::vector<std::vector<std::int64_t>>& rows) {
+                    const std::vector<std::vector<std::int64_t>>& rows,
+                    PutVector& put_vector) {
   detail::put_u64(out, rows.size());
-  for (const std::vector<std::int64_t>& row : rows) {
-    detail::put_packed_i64s(out, row);
-  }
+  for (const std::vector<std::int64_t>& row : rows) put_vector(out, row);
 }
 
 void put_miss_stats(std::string& out, const sim::MissStats& stats) {
@@ -281,10 +286,11 @@ sim::MissStats get_miss_stats(ByteReader& reader) {
   return stats;
 }
 
-}  // namespace
-
-std::string encode_pipeline_result(const sim::PipelineResult& result) {
-  std::string out;
+// Writes a DMVR bundle up to its checksum, in the one order the decoder
+// reads; `put_vector(out, vector)` writes each packed vector record.
+template <class PutVector>
+void put_body(std::string& out, const sim::PipelineResult& result,
+              PutVector&& put_vector) {
   out += "DMVR";
   detail::put_u32(out, kArtifactFormatVersion);
   detail::put_i64(out, result.events);
@@ -294,23 +300,23 @@ std::string encode_pipeline_result(const sim::PipelineResult& result) {
     detail::put_u32(out, static_cast<std::uint32_t>(name.size()));
     out += name;
   }
-  put_nested_i64(out, result.counts.reads);
-  put_nested_i64(out, result.counts.writes);
+  put_nested_i64(out, result.counts.reads, put_vector);
+  put_nested_i64(out, result.counts.writes, put_vector);
   detail::put_i64(out, result.distances.line_size);
-  detail::put_packed_i64s(out, result.distances.distances);
+  put_vector(out, result.distances.distances);
   detail::put_i64(out, result.misses.threshold_lines);
   detail::put_u64(out, result.misses.per_container.size());
   for (const sim::MissStats& stats : result.misses.per_container) {
     put_miss_stats(out, stats);
   }
-  put_nested_i64(out, result.misses.element_misses);
+  put_nested_i64(out, result.misses.element_misses, put_vector);
   put_miss_stats(out, result.misses.total);
   detail::put_u64(out, result.element_stats.size());
   for (const sim::ElementDistanceStats& stats : result.element_stats) {
-    detail::put_packed_i64s(out, stats.min);
-    detail::put_packed_i64s(out, stats.median);
-    detail::put_packed_i64s(out, stats.max);
-    detail::put_packed_i64s(out, stats.cold_count);
+    put_vector(out, stats.min);
+    put_vector(out, stats.median);
+    put_vector(out, stats.max);
+    put_vector(out, stats.cold_count);
   }
   detail::put_i64(out, result.cache.config.line_size);
   detail::put_i64(out, result.cache.config.total_size);
@@ -321,8 +327,41 @@ std::string encode_pipeline_result(const sim::PipelineResult& result) {
   }
   put_miss_stats(out, result.cache.total);
   detail::put_i64(out, result.movement.line_size);
-  detail::put_packed_i64s(out, result.movement.bytes_per_container);
+  put_vector(out, result.movement.bytes_per_container);
   detail::put_i64(out, result.movement.total_bytes);
+}
+
+}  // namespace
+
+std::string encode_pipeline_result(const sim::PipelineResult& result) {
+  // The first pass lists the vector records; each is packed in its own
+  // task, and the second pass appends them in body order, so the bytes
+  // do not depend on the thread count.
+  std::vector<const std::vector<std::int64_t>*> vectors;
+  std::string scalars;
+  put_body(scalars, result,
+           [&](std::string&, const std::vector<std::int64_t>& values) {
+             vectors.push_back(&values);
+           });
+  std::size_t values = 0;
+  for (const auto* vector : vectors) values += vector->size();
+  std::vector<std::string> records(vectors.size());
+  const auto pack = [&](std::size_t i) {
+    detail::put_packed_i64s(records[i], *vectors[i]);
+  };
+  if (values < kMinParallelValues) {
+    for (std::size_t i = 0; i < vectors.size(); ++i) pack(i);
+  } else {
+    par::parallel_tasks(vectors.size(), pack);
+  }
+  std::size_t bytes = scalars.size() + 8;
+  for (const std::string& record : records) bytes += record.size();
+  std::string out;
+  out.reserve(bytes);
+  std::size_t next = 0;
+  put_body(out, result, [&](std::string& body, const auto&) {
+    body += records[next++];
+  });
   // Trailing checksum over everything before it — lets the codec stand
   // alone (the disk cache file adds its own whole-file checksum on top).
   detail::put_u64(out,

@@ -186,6 +186,9 @@ std::int64_t CompiledExpr::evaluate(
     const std::int64_t* values, const char* bound,
     const std::vector<std::string>* names) const {
   std::int64_t inline_stack[kInlineStack];
+  // code_ is never empty, so the loop always writes the slot `return
+  // stack[0]` reads; GCC 12 cannot see that (-Wmaybe-uninitialized).
+  inline_stack[0] = 0;
   std::vector<std::int64_t> heap_stack;
   std::int64_t* stack = inline_stack;
   if (max_stack_ > kInlineStack) {

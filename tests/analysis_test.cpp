@@ -181,8 +181,12 @@ TEST(Scaling, DetectsPolynomialDegrees) {
   auto result = scaling_exponents(metric, {{"N", 8}, {"M", 8}});
   ASSERT_EQ(result.size(), 2u);
   for (const SymbolScaling& s : result) {
-    if (s.symbol == "N") EXPECT_NEAR(s.exponent, 2.0, 1e-9);
-    if (s.symbol == "M") EXPECT_NEAR(s.exponent, 1.0, 1e-9);
+    if (s.symbol == "N") {
+      EXPECT_NEAR(s.exponent, 2.0, 1e-9);
+    }
+    if (s.symbol == "M") {
+      EXPECT_NEAR(s.exponent, 1.0, 1e-9);
+    }
   }
 }
 

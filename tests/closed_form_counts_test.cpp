@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <string>
@@ -37,12 +38,12 @@ using symbolic::SymbolMap;
 PipelineConfig counts_only() { return PipelineConfig{}; }
 
 // Every drive at threads {1, 8} against the oracle over the simulated
-// trace. `declined` == nullptr: the counter must answer every
-// drive (no trace, no simulation time); otherwise run_delta must report
-// a cold step with exactly that decline reason.
-void check(const ir::Sdfg& sdfg, const SymbolMap& binding,
-           const char* declined, const std::string& name,
-           const PipelineConfig& config = counts_only()) {
+// trace, which it returns. `declined` == nullptr: the counter must
+// answer every drive (no trace, no simulation time); otherwise run_delta
+// must report a cold step with exactly that decline reason.
+PipelineResult check(const ir::Sdfg& sdfg, const SymbolMap& binding,
+                     const char* declined, const std::string& name,
+                     const PipelineConfig& config = counts_only()) {
   const PipelineResult expected =
       standalone_result(simulate(sdfg, binding), config);
   for (const int threads : {1, 8}) {
@@ -71,6 +72,7 @@ void check(const ir::Sdfg& sdfg, const SymbolMap& binding,
       EXPECT_STREQ(outcome.reason, declined) << context;
     }
   }
+  return expected;
 }
 
 // Single-map program: B[i] = A[<read subset>] over i in `range`.
@@ -161,6 +163,46 @@ TEST(ClosedFormCounts, SubsetEndBeforeBegin) {
   // "i, 1:2:4": the step overshoots the end, so only (i, 1) is emitted.
   check(one_map("0:N-1", "i, 1:2:4", {"N", "4"}), {{"N", 6}}, nullptr,
         "step past end");
+}
+
+TEST(ClosedFormCounts, CountVectorsBuiltOnThePool) {
+  // Past 2^15 count values in all, the counter builds each count vector
+  // in its own pool task. These are revisit-disk's largest bookmark and
+  // explore-bert's largest binding; check() drives them at 1 and 8
+  // threads, and a run inside a pool task builds them inline.
+  struct Case {
+    ir::Sdfg sdfg;
+    SymbolMap binding;
+    std::size_t values;
+    std::string name;
+  };
+  const Case cases[] = {
+      {workloads::hdiff(workloads::HdiffVariant::Reordered),
+       {{"I", 64}, {"J", 64}, {"K", 40}},
+       1025280,
+       "hdiff_reordered"},
+      {workloads::bert_encoder(workloads::BertStage::Baseline),
+       {{"B", 2}, {"H", 4}, {"P", 16}, {"I", 64}, {"SM", 28}, {"emb", 64}},
+       235840,
+       "bert"},
+  };
+  for (const Case& c : cases) {
+    const PipelineResult expected = check(c.sdfg, c.binding, nullptr, c.name);
+    std::size_t values = 0;
+    for (std::size_t k = 0; k < expected.containers.size(); ++k) {
+      values += expected.counts.reads[k].size();
+      values += expected.counts.writes[k].size();
+    }
+    EXPECT_EQ(values, c.values) << c.name;
+    par::ThreadScope scope(8);
+    PipelineResult nested;
+    par::parallel_tasks(2, [&](std::size_t task) {
+      if (task == 0) {
+        nested = MetricPipeline(counts_only()).run(c.sdfg, c.binding);
+      }
+    });
+    expect_results_equal(nested, expected, c.name + " inside a pool task");
+  }
 }
 
 TEST(ClosedFormCounts, EventsAndExecutionsWithoutCounts) {

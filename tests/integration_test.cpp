@@ -66,7 +66,7 @@ TEST(BertGlobalWorkflow, HottestEdgesAreTheFusedOnes) {
   for (std::size_t i = 0; i < 20; ++i) hot_data.insert(ranked[i].data);
   // The 4-D attention intermediates dominate the logical traffic.
   bool found_attention_intermediate = false;
-  for (const std::string& name : {"S", "Ss", "D", "E", "Pattn"}) {
+  for (const char* name : {"S", "Ss", "D", "E", "Pattn"}) {
     if (hot_data.contains(name)) found_attention_intermediate = true;
   }
   EXPECT_TRUE(found_attention_intermediate);

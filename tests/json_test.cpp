@@ -266,7 +266,9 @@ TEST(JsonRoundTrip, ControlBytesInLabelsAreEscaped) {
   const std::string text = to_json(original);
   // The only raw control byte is the writer's own line break.
   for (const char c : text) {
-    if (static_cast<unsigned char>(c) < 0x20) EXPECT_EQ(c, '\n');
+    if (static_cast<unsigned char>(c) < 0x20) {
+      EXPECT_EQ(c, '\n');
+    }
   }
   const Sdfg restored = from_json(text);
   EXPECT_EQ(restored.states()[0].node(0).label, "carriage\rreturn\x01");

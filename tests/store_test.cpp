@@ -21,9 +21,11 @@
 #include <string>
 #include <vector>
 
+#include "dmv/par/par.hpp"
 #include "dmv/serve/server.hpp"
 #include "dmv/session/session.hpp"
 #include "dmv/sim/pipeline.hpp"
+#include "dmv/util/fnv1a.hpp"
 #include "dmv/util/json.hpp"
 #include "dmv/workloads/workloads.hpp"
 
@@ -533,6 +535,28 @@ TEST(StoreDiskCacheTest, DiskKeysAreStableAcrossBuilds) {
   ASSERT_TRUE(opened.has("result")) << json::dump(opened);
   EXPECT_EQ(opened.at("result").at("program_hash").as_string(),
             "0x4ef9d30b57d6738d");
+}
+
+TEST(StoreDiskCacheTest, ArtifactBytesAreStableAcrossBuilds) {
+  // Artifacts on disk outlive the build that wrote them, and past 2^15
+  // vector values the encoder packs each record in its own pool task.
+  // The bytes are pinned for the hand-built bundle (packed on the
+  // calling thread) and for the counts of revisit-disk's largest
+  // bookmark (packed on the pool), at 1 and at 8 threads.
+  for (const int threads : {1, 8}) {
+    par::ThreadScope scope(threads);
+    EXPECT_EQ(util::fnv1a_string(
+                  store::encode_pipeline_result(hand_built_result())),
+              0x1e07a74efc8c51beull)
+        << threads << " threads";
+    const sim::PipelineResult counts =
+        sim::MetricPipeline(sim::PipelineConfig{})
+            .run(workloads::hdiff(workloads::HdiffVariant::Reordered),
+                 {{"I", 64}, {"J", 64}, {"K", 40}});
+    EXPECT_EQ(util::fnv1a_string(store::encode_pipeline_result(counts)),
+              0x2ccb7f74d4428f9cull)
+        << threads << " threads";
+  }
 }
 
 // ---------------------------------------------------------------------
