@@ -65,11 +65,8 @@ std::string step_request(int client, std::int64_t value) {
 
 std::vector<std::string> reference_checksums(
     const std::vector<std::int64_t>& values) {
-  dmv::session::SessionConfig config;
-  config.prefetch = false;
   dmv::session::Session session(
-      dmv::workloads::hdiff(dmv::workloads::HdiffVariant::Baseline),
-      std::move(config));
+      dmv::workloads::hdiff(dmv::workloads::HdiffVariant::Baseline));
   session.set_binding({{"I", 16}, {"J", 16}, {"K", 5}});
   std::vector<std::string> checksums;
   for (const std::int64_t value : values) {
@@ -98,9 +95,7 @@ LoadResult run_load(int threads) {
   const std::vector<std::int64_t> values = drag_values();
   const std::vector<std::string> reference = reference_checksums(values);
 
-  dmv::serve::ServerConfig config;
-  config.session_defaults.prefetch = false;  // Exact served_by accounting.
-  dmv::serve::Server server(config);
+  dmv::serve::Server server;
   for (int c = 0; c < kClients; ++c) server.handle(open_request(c));
 
   std::mutex merge_mutex;

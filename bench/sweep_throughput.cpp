@@ -30,8 +30,7 @@
 //     answered from translated boxes without a trace, vs simulate +
 //     run(trace) over the same bindings, fingerprint-gated;
 //   * session sweep: the same slider drag through dmv::session::Session
-//     — cold (fresh cache), warm (every binding already cached), and
-//     prefetched (fresh cache, speculative neighbor evaluation on) —
+//     — cold (fresh cache) and warm (every binding already cached) —
 //     checksum-validated against the uncached pipeline.
 //
 // Results go to stdout and to BENCH_sweep.json (machine readable).
@@ -437,12 +436,10 @@ std::vector<SweepCase> build_cases(bool smoke) {
 
 // ---- session sweep ---------------------------------------------------
 
-dmv::session::SessionConfig session_config(const SimulationOptions& options,
-                                           bool prefetch) {
+dmv::session::SessionConfig session_config(const SimulationOptions& options) {
   dmv::session::SessionConfig config;
   config.pipeline = bench_config();
   config.simulation = options;
-  config.prefetch = prefetch;
   return config;
 }
 
@@ -459,10 +456,8 @@ std::int64_t run_session_pass(dmv::session::Session& session,
 }
 
 dmv::session::Session fresh_session(const SweepCase& sweep,
-                                    const SimulationOptions& options,
-                                    bool prefetch) {
-  dmv::session::Session session(sweep.sdfg,
-                                session_config(options, prefetch));
+                                    const SimulationOptions& options) {
+  dmv::session::Session session(sweep.sdfg, session_config(options));
   session.set_binding(sweep.base);
   return session;
 }
@@ -482,11 +477,10 @@ bool validate_ablation(const SweepCase& sweep,
               << streaming << "\n";
     return false;
   }
-  // Session identity: cold (prefetching) and warm passes must both
-  // reproduce the uncached checksum — cached and speculatively computed
-  // artifacts are bit-identical to direct evaluation.
-  dmv::session::Session session =
-      fresh_session(sweep, options, /*prefetch=*/true);
+  // Session identity: cold and warm passes must both reproduce the
+  // uncached checksum — cached artifacts are bit-identical to direct
+  // evaluation.
+  dmv::session::Session session = fresh_session(sweep, options);
   const std::int64_t session_cold = run_session_pass(session, sweep);
   const std::int64_t session_warm = run_session_pass(session, sweep);
   if (session_cold != materialized || session_warm != materialized) {
@@ -847,48 +841,24 @@ int main(int argc, char** argv) {
         counts_simulated.best_ms / counts_closed_form.best_ms;
 
     // Session sweep: the same drag through the memoizing session layer.
-    // Cold constructs a fresh session per repetition (cache empty, no
-    // speculation); warm re-drags a session that has seen every binding;
-    // prefetched is cold with speculative neighbor evaluation on.
+    // Cold constructs a fresh session per repetition (cache empty); warm
+    // re-drags a session that has seen every binding.
     const Measurement session_cold = measure(
         [&] {
-          dmv::session::Session session =
-              fresh_session(sweep, options, /*prefetch=*/false);
+          dmv::session::Session session = fresh_session(sweep, options);
           return run_session_pass(session, sweep);
         },
         repetitions);
-    dmv::session::Session warm_session =
-        fresh_session(sweep, options, /*prefetch=*/false);
+    dmv::session::Session warm_session = fresh_session(sweep, options);
     run_session_pass(warm_session, sweep);
     const Measurement session_warm = measure(
         [&] { return run_session_pass(warm_session, sweep); }, repetitions);
-    const Measurement session_prefetched = measure(
-        [&] {
-          dmv::session::Session session =
-              fresh_session(sweep, options, /*prefetch=*/true);
-          return run_session_pass(session, sweep);
-        },
-        repetitions);
     if (session_cold.checksum != streaming.checksum ||
-        session_warm.checksum != streaming.checksum ||
-        session_prefetched.checksum != streaming.checksum) {
+        session_warm.checksum != streaming.checksum) {
       std::cerr << "FATAL: session sweep mismatch on " << sweep.name << "\n";
       return 1;
     }
     const double warm_speedup = session_cold.best_ms / session_warm.best_ms;
-    const double prefetched_speedup =
-        session_cold.best_ms / session_prefetched.best_ms;
-    // What the prefetcher actually did under the current thread knob —
-    // on a 1-worker runner speculation is skipped, and "prefetched"
-    // above degenerates to a second cold pass. Record it so the numbers
-    // aren't misread as "prefetch doesn't help".
-    std::string prefetch_mode;
-    {
-      dmv::session::Session probe =
-          fresh_session(sweep, options, /*prefetch=*/true);
-      run_session_pass(probe, sweep);
-      prefetch_mode = probe.stats().prefetch;
-    }
 
     const double batched_speedup = sim_scalar.best_ms / sim_batched.best_ms;
     std::cout << sweep.name << ": simulate-only W=1 " << sim_scalar.best_ms
@@ -922,10 +892,7 @@ int main(int argc, char** argv) {
     std::cout << "  session (" << sweep.values.size() << " positions of "
               << sweep.symbol << "): cold " << session_cold.best_ms
               << " ms, warm " << session_warm.best_ms << " ms ("
-              << warm_speedup << "x), prefetched "
-              << session_prefetched.best_ms << " ms ("
-              << prefetched_speedup << "x, prefetch: " << prefetch_mode
-              << ")\n";
+              << warm_speedup << "x)\n";
 
     json << "    {\n      \"name\": \"" << sweep.name << "\",\n";
     json << "      \"bindings\": " << sweep.bindings.size() << ",\n";
@@ -993,11 +960,7 @@ int main(int argc, char** argv) {
     json << "        \"symbol\": \"" << sweep.symbol << "\",\n";
     json << "        \"cold_ms\": " << session_cold.best_ms << ",\n";
     json << "        \"warm_ms\": " << session_warm.best_ms << ",\n";
-    json << "        \"prefetched_ms\": " << session_prefetched.best_ms
-         << ",\n";
-    json << "        \"warm_speedup\": " << warm_speedup << ",\n";
-    json << "        \"prefetched_speedup\": " << prefetched_speedup << ",\n";
-    json << "        \"prefetch\": \"" << prefetch_mode << "\"\n";
+    json << "        \"warm_speedup\": " << warm_speedup << "\n";
     json << "      },\n";
 
     if (hardware == 1) {
@@ -1062,7 +1025,6 @@ int main(int argc, char** argv) {
     step_config.miss_threshold_lines = 512;
     dmv::session::SessionConfig cfg;
     cfg.pipeline = step_config;
-    cfg.prefetch = false;
     const std::int64_t k_cold = 36;
 
     const Measurement cold = measure(
@@ -1173,7 +1135,6 @@ int main(int argc, char** argv) {
     const SymbolMap binding{{"I", 64}, {"J", 64}, {"K", 16}};
     dmv::session::SessionConfig cfg;
     cfg.pipeline = bench_config();
-    cfg.prefetch = false;
     const auto make_shared_cache = [&] {
       dmv::session::SharedArtifactCache::Config shared;
       shared.disk_dir = dir.string();

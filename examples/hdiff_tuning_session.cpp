@@ -10,9 +10,8 @@
 //   3. see the innermost loop stride through a non-contiguous dim ->
 //      reorder the loops,
 //   4. see rows wrapping cache lines -> pad the strides,
-// then drags the K "slider" across a value range twice — first cold
-// (with the prefetcher running ahead), then warm — and prints the
-// session's hit/miss/prefetch accounting.
+// then drags the K "slider" across a value range twice — first cold,
+// then warm — and prints the session's hit/miss accounting.
 //
 // Run: ./build/examples/hdiff_tuning_session
 
@@ -61,12 +60,10 @@ void write_frame(const sim::AccessTrace& trace, std::int64_t execution,
 
 void print_stats(const char* label, const session::SessionStats& stats) {
   std::printf(
-      "%-24s hits=%3lld misses=%3lld prefetch issued=%3lld hit=%3lld "
-      "evictions=%lld cached=%zu entries (%zu KiB)\n",
+      "%-24s hits=%3lld misses=%3lld evictions=%lld cached=%zu entries "
+      "(%zu KiB)\n",
       label, static_cast<long long>(stats.hits),
       static_cast<long long>(stats.misses),
-      static_cast<long long>(stats.prefetch_issued),
-      static_cast<long long>(stats.prefetch_hits),
       static_cast<long long>(stats.evictions), stats.cache_entries,
       stats.cache_bytes / 1024);
   // How each interaction step was actually satisfied by the delta
@@ -171,10 +168,9 @@ int main() {
   }
 
   // Slider sweep on the tuned program: drag K from 3 to 10 and back.
-  // The first pass is cold at the leading edge, but the prefetcher runs
-  // ahead of the drag on the dmv::par pool; the reverse pass is pure
-  // cache hits. Cached results are bit-identical to uncached ones, so
-  // the report numbers never depend on what was or wasn't prefetched.
+  // Each forward step evaluates its own binding; the reverse pass is
+  // pure cache hits. Cached results are bit-identical to uncached ones,
+  // and every counter printed here is the same at any thread count.
   std::printf("\nDragging the K slider over [3, 10] and back:\n");
   session.reset_stats();
   for (std::int64_t k = 3; k <= 10; ++k) {

@@ -26,9 +26,9 @@
 //
 // Nesting: parallel_for/parallel_reduce called from INSIDE a pool task
 // run serially inline on that worker — no new tasks are enqueued, so
-// outer-level parallelism (e.g. the session prefetcher evaluating one
-// candidate binding per task) cannot deadlock the pool or perturb the
-// inner passes' block partitions.
+// outer-level parallelism (e.g. run_streaming simulating one plan chunk
+// per task) cannot deadlock the pool or perturb the inner passes' block
+// partitions.
 //
 // Ownership: the pool is a process-global singleton, lazily started and
 // joined at exit; callers never manage threads. The free functions are

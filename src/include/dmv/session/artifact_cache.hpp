@@ -130,10 +130,6 @@ class SharedArtifactCache {
   std::shared_ptr<const void> lookup(const ArtifactKey& key,
                                      std::size_t* bytes_out = nullptr);
 
-  /// Presence probe without touching LRU order or hit/miss counters —
-  /// for the prefetcher's "already cached somewhere?" filter.
-  bool contains(const ArtifactKey& key) const;
-
   /// Inserts unless the key is already present (first writer wins —
   /// racing producers computed identical bytes anyway). `bytes` is the
   /// caller's approx payload size, same accounting as the session LRU.

@@ -6,11 +6,10 @@
 // evaluation fast. This layer makes the interactive loop fast: a
 // `Session` wraps a program, its current parameter binding, and a
 // metric subscription set behind a byte-budgeted memoization cache, so
-// dragging a slider back over visited values — or into values the
-// prefetcher anticipated — returns in cache-lookup time instead of
-// re-simulating.
+// dragging a slider back over visited values returns in cache-lookup
+// time instead of re-simulating.
 //
-// Four mechanisms, mirroring what separates an interactive dataflow
+// Three mechanisms, mirroring what separates an interactive dataflow
 // viewer from a fast batch engine:
 //
 //   * Memoization — every artifact (metric bundle, symbolic volume,
@@ -30,22 +29,19 @@
 //     sim::MetricPipeline::run_delta against the session pipeline's
 //     checkpoint: clean trace chunks are spliced and only dirty ones
 //     re-simulated (docs/incremental.md).
-//   * Speculative prefetch — a slider drag moves one symbol with a
-//     regular stride. After each metrics() call the session evaluates
-//     the neighboring values of the last-moved symbol on the dmv::par
-//     pool (one private MetricPipeline per pool slot), so the next
-//     drag step hits warm cache.
+//
+// A getter computes at most the artifacts it returns: nothing is
+// evaluated ahead of the client, so a hit is a lookup and the session
+// holds one pipeline checkpoint.
 //
 // Determinism contract: every artifact returned by a Session is
 // bit-identical to the corresponding uncached evaluation, at any
-// thread count, with or without prefetch, and at any eviction
-// schedule. Cached values are immutable; eviction only ever causes a
-// (deterministic) recomputation; prefetch results are inserted in
-// candidate order on the calling thread.
+// thread count and at any eviction schedule, and every SessionStats
+// counter is the same at any thread count. Cached values are
+// immutable; eviction only ever causes a (deterministic) recomputation.
 //
 // Thread safety: a Session is NOT thread-safe — it is the state of one
-// interactive client. It uses the dmv::par pool internally for
-// prefetch; concurrent clients should each own a Session.
+// interactive client; concurrent clients should each own a Session.
 
 #include <cstddef>
 #include <cstdint>
@@ -66,7 +62,7 @@ namespace dmv::session {
 /// What the session computes and how much it may remember.
 struct SessionConfig {
   /// Metric subscription set: which consumers every metrics() call
-  /// (and every prefetched evaluation) drives.
+  /// drives.
   sim::PipelineConfig pipeline;
   /// Simulation engine knobs shared by all evaluations.
   sim::SimulationOptions simulation;
@@ -78,15 +74,15 @@ struct SessionConfig {
 
   /// Optional process-global second tier (artifact_cache.hpp). When
   /// set, local misses consult it before computing, and every computed
-  /// (or prefetched) artifact is also published there — so identical
+  /// artifact is also published there — so identical
   /// programs in DIFFERENT sessions share entries while this session's
   /// cache_budget_bytes still bounds its private tier. Artifacts are
   /// immutable and deterministic, so sharing never changes results.
   std::shared_ptr<SharedArtifactCache> shared_cache;
 
-  /// Speculatively evaluate neighboring values of the last-moved
-  /// symbol after each metrics() call: two ahead in the drag direction
-  /// and one behind, for direction reversals.
+  /// Read by nothing: the session no longer evaluates ahead of the
+  /// client. Kept only because bench/ledger/reference.cpp assigns it;
+  /// the ledger's next revision drops both.
   bool prefetch = true;
 
   /// Rendering knobs for graph_svg()/layout().
@@ -99,8 +95,6 @@ struct SessionConfig {
 struct SessionStats {
   std::int64_t hits = 0;            ///< Artifact requests served cached.
   std::int64_t misses = 0;          ///< Requests that recomputed.
-  std::int64_t prefetch_issued = 0; ///< Speculative evaluations run.
-  std::int64_t prefetch_hits = 0;   ///< Hits served by a prefetched entry.
   /// Hits served by the process-global tier (config.shared_cache) after
   /// a local miss — i.e. another session (or an evicted incarnation of
   /// this one) computed the artifact. Subset of `hits`; always 0 when
@@ -109,12 +103,6 @@ struct SessionStats {
   std::int64_t evictions = 0;       ///< Entries dropped by the byte budget.
   std::size_t cache_bytes = 0;      ///< Current payload bytes cached.
   std::size_t cache_entries = 0;    ///< Current entry count.
-  /// Prefetch mode actually in effect: "speculative" once a speculative
-  /// evaluation ran, "skipped (1 worker)" when the thread knob was 1 at
-  /// prefetch time (speculation would serialize in front of the next
-  /// interaction, so it is skipped), "off" when disabled by config, ""
-  /// before the first prefetch decision.
-  std::string prefetch;
 
   // --- Interaction-step classification -------------------------------
   // A STEP is the span between binding changes (set_symbol/set_binding)
@@ -129,8 +117,7 @@ struct SessionStats {
   //                  spliced, dirty ones re-simulated);
   //   cold           at least one full simulation ran.
   // The in-progress step is classified lazily: at the next binding
-  // change or at the next stats() call, whichever comes first.
-  // Speculative prefetch evaluations never count toward any step. The
+  // change or at the next stats() call, whichever comes first. The
   // metric bundle's class comes from run_delta's outcome.
   std::int64_t steps_full_hit = 0;
   std::int64_t steps_symbolic = 0;
@@ -138,10 +125,10 @@ struct SessionStats {
   std::int64_t steps_cold = 0;
 
   // --- Pipeline phase breakdown --------------------------------------
-  // Accumulated from MetricPipeline::last_timings() over every
-  // non-speculative metric evaluation this session ran (cache hits and
-  // prefetch evaluations add nothing). Observability only — never part
-  // of an artifact or cache key.
+  // Accumulated from MetricPipeline::last_timings() over every metric
+  // evaluation this session ran (cache hits add nothing). Observability
+  // only — never part of an artifact or cache key. Unlike the counters
+  // above, these depend on the run and on the thread count.
   /// Trace generation / patch phase ms (0 for closed-form steps).
   double simulate_ms = 0.0;
   /// Metric consumption + finalize ms (a closed-form step's whole cost).
@@ -177,15 +164,15 @@ class Session {
   void edit_program(const std::function<void(ir::Sdfg&)>& edit);
 
   const symbolic::SymbolMap& binding() const;
-  /// Wholesale rebinding; clears the slider (last-moved) tracking.
+  /// Wholesale rebinding.
   void set_binding(symbolic::SymbolMap binding);
-  /// Slider move: binds one symbol and records it (with its stride) as
-  /// the prefetch target.
+  /// Slider move: binds one symbol.
   void set_symbol(const std::string& symbol, std::int64_t value);
 
   /// The metric bundle for the current binding under config().pipeline.
   /// Cache key: (program, config, binding restricted to
-  /// metric_symbols()). Triggers neighbor prefetch after a slider move.
+  /// metric_symbols()). A hit is a lookup; a miss evaluates this one
+  /// bundle.
   std::shared_ptr<const sim::PipelineResult> metrics();
 
   /// Tier-1 delta recomputation: every closed-form metric (event /

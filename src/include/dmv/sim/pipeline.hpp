@@ -165,9 +165,8 @@ std::size_t approx_size_bytes(const PipelineResult& result);
 ///
 /// Thread safety: a MetricPipeline is NOT thread-safe — every run call
 /// mutates the shared arena, so give each concurrent caller its own
-/// instance (the session prefetcher keeps one per pool slot). Calls are
-/// internally serial; results are bit-identical at any
-/// dmv::par::num_threads() setting.
+/// instance (each session keeps one). Calls are internally serial;
+/// results are bit-identical at any dmv::par::num_threads() setting.
 class MetricPipeline {
  public:
   explicit MetricPipeline(PipelineConfig config = {});

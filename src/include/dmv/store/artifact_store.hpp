@@ -88,10 +88,6 @@ class DiskArtifactCache {
   /// exempt, mirroring the RAM tiers' newest-entry exemption).
   void store(const session::ArtifactKey& key, std::string_view payload);
 
-  /// Presence probe by filename only — no key verification, so a
-  /// filename-hash collision can answer true; load() is the truth.
-  bool contains(const session::ArtifactKey& key) const;
-
   Stats stats() const;
 
  private:

@@ -80,10 +80,10 @@ symbolic::SymbolMap parse_binding(const Value& value) {
 
 /// Every param `subscribe` reads. Anything else is refused, so a
 /// misspelt or retired knob cannot silently leave its default in place.
-constexpr std::array<std::string_view, 9> kSubscribeParams = {
-    "session",        "prefetch",      "cache_budget_bytes",
-    "line_size",      "counts",        "miss_threshold_lines",
-    "keep_distances", "element_stats", "movement"};
+constexpr std::array<std::string_view, 8> kSubscribeParams = {
+    "session",       "cache_budget_bytes",   "line_size",
+    "counts",        "miss_threshold_lines", "keep_distances",
+    "element_stats", "movement"};
 
 Value binding_json(const symbolic::SymbolMap& binding) {
   Value object = Value::make_object();
@@ -269,7 +269,6 @@ struct Server::Impl {
     }
     session::SessionConfig cfg = client->session->config();
     cfg.shared_cache = shared;
-    if (params.has("prefetch")) cfg.prefetch = params.at("prefetch").as_bool();
     if (params.has("cache_budget_bytes")) {
       cfg.cache_budget_bytes = static_cast<std::size_t>(
           ranged_int(params, "cache_budget_bytes", 0, kInt64Max));
@@ -308,7 +307,6 @@ struct Server::Impl {
     client->session->set_binding(std::move(binding));
 
     Value result = Value::make_object();
-    result["prefetch"] = Value::of(cfg.prefetch);
     result["cache_budget_bytes"] =
         Value::of(static_cast<std::int64_t>(cfg.cache_budget_bytes));
     result["line_size"] = Value::of(cfg.pipeline.line_size);
@@ -416,14 +414,16 @@ struct Server::Impl {
     result["hits"] = Value::of(stats.hits);
     result["misses"] = Value::of(stats.misses);
     result["shared_hits"] = Value::of(stats.shared_hits);
-    result["prefetch_issued"] = Value::of(stats.prefetch_issued);
-    result["prefetch_hits"] = Value::of(stats.prefetch_hits);
+    // Always 0: the session no longer evaluates ahead of the client.
+    // bench/ledger/serve_run.cpp reads both keys; the ledger's next
+    // revision drops them.
+    result["prefetch_issued"] = Value::of(0);
+    result["prefetch_hits"] = Value::of(0);
     result["evictions"] = Value::of(stats.evictions);
     result["cache_bytes"] =
         Value::of(static_cast<std::int64_t>(stats.cache_bytes));
     result["cache_entries"] =
         Value::of(static_cast<std::int64_t>(stats.cache_entries));
-    result["prefetch"] = Value::of(stats.prefetch);
     result["steps_full_hit"] = Value::of(stats.steps_full_hit);
     result["steps_symbolic"] = Value::of(stats.steps_symbolic);
     result["steps_chunk_delta"] = Value::of(stats.steps_chunk_delta);

@@ -75,15 +75,6 @@ std::shared_ptr<const void> SharedArtifactCache::lookup(
   return value;
 }
 
-bool SharedArtifactCache::contains(const ArtifactKey& key) const {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (index_.contains(key)) return true;
-  }
-  return disk_ != nullptr && codec_for(key.kind) != nullptr &&
-         disk_->contains(key);
-}
-
 bool SharedArtifactCache::insert_ram(const ArtifactKey& key,
                                      std::shared_ptr<const void> value,
                                      std::size_t bytes) {

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <list>
-#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "dmv/analysis/analysis.hpp"
 #include "dmv/ir/serialize.hpp"
-#include "dmv/par/par.hpp"
 #include "dmv/util/fnv1a.hpp"
 #include "dmv/viz/render.hpp"
 
@@ -21,10 +19,6 @@ using sim::MetricPipeline;
 using sim::PipelineResult;
 using symbolic::Expr;
 using symbolic::SymbolMap;
-
-/// Speculative neighbors evaluated ahead in the drag direction after a
-/// slider move (one more goes behind, for direction reversals).
-constexpr int kPrefetchDepth = 2;
 
 /// Rough heap footprint of an expression: one node's worth per DISTINCT
 /// interned node reachable from it. Hash-consing makes subtree sharing
@@ -97,21 +91,13 @@ struct Session::Impl {
   std::set<std::string> metric_symbols;
 
   SymbolMap binding;
-  /// Slider tracking for prefetch: last-moved symbol and its stride.
-  std::string moved_symbol;
-  std::int64_t moved_delta = 0;
-
   MetricPipeline pipeline;
-  /// One private pipeline per prefetch slot (MetricPipeline is not
-  /// thread-safe); arenas persist across drags.
-  std::vector<std::unique_ptr<MetricPipeline>> prefetch_pipelines;
 
   // --- LRU cache -----------------------------------------------------
   struct Entry {
     Key key;
     std::shared_ptr<const void> value;
     std::size_t bytes = 0;
-    bool prefetched = false;  ///< Inserted speculatively, not yet hit.
   };
   std::list<Entry> lru;  ///< Front = most recently used.
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
@@ -156,13 +142,8 @@ struct Session::Impl {
     auto it = index.find(key);
     if (it != index.end()) {
       ++stats.hits;
-      Entry& entry = *it->second;
-      if (entry.prefetched) {
-        ++stats.prefetch_hits;
-        entry.prefetched = false;
-      }
       lru.splice(lru.begin(), lru, it->second);
-      return entry.value;
+      return it->second->value;
     }
     if (config.shared_cache) {
       std::size_t bytes = 0;
@@ -170,7 +151,7 @@ struct Session::Impl {
               config.shared_cache->lookup(key, &bytes)) {
         ++stats.hits;
         ++stats.shared_hits;
-        insert_local(key, value, bytes, /*prefetched=*/false);
+        insert_local(key, value, bytes);
         return value;
       }
     }
@@ -178,18 +159,13 @@ struct Session::Impl {
     return nullptr;
   }
 
-  bool contains(const Key& key) const {
-    return index.contains(key) ||
-           (config.shared_cache && config.shared_cache->contains(key));
-  }
-
   /// Local-tier insert only — used directly when promoting a shared hit
   /// (publishing it back would be a no-op churn).
   void insert_local(Key key, std::shared_ptr<const void> value,
-                    std::size_t bytes, bool prefetched) {
+                    std::size_t bytes) {
     auto it = index.find(key);
-    if (it != index.end()) return;  // Lost race with an earlier insert.
-    lru.push_front(Entry{std::move(key), std::move(value), bytes, prefetched});
+    if (it != index.end()) return;  // One entry per key, charged once.
+    lru.push_front(Entry{std::move(key), std::move(value), bytes});
     index.emplace(lru.front().key, lru.begin());
     cache_bytes += bytes;
     // Byte-budgeted eviction; the freshly inserted entry is exempt so a
@@ -206,12 +182,11 @@ struct Session::Impl {
 
   /// Computed-artifact insert: local tier plus (when configured) the
   /// process-global tier, so other sessions can skip the computation.
-  void insert(Key key, std::shared_ptr<const void> value, std::size_t bytes,
-              bool prefetched) {
+  void insert(Key key, std::shared_ptr<const void> value, std::size_t bytes) {
     if (config.shared_cache) {
       config.shared_cache->insert(key, value, bytes);
     }
-    insert_local(std::move(key), std::move(value), bytes, prefetched);
+    insert_local(std::move(key), std::move(value), bytes);
   }
 
   /// Fetch-or-compute helper: all artifact getters funnel through here.
@@ -223,18 +198,18 @@ struct Session::Impl {
     }
     std::shared_ptr<const T> value =
         std::make_shared<const T>(compute());
-    insert(key, value, size_of(*value), /*prefetched=*/false);
+    insert(key, value, size_of(*value));
     return value;
   }
 
   // --- Keys ----------------------------------------------------------
 
-  Key metrics_key(const SymbolMap& at) const {
+  Key metrics_key() const {
     Key key;
     key.kind = raw(Kind::kMetrics);
     key.program_hash = program_hash;
     key.config_hash = config_hash;
-    key.binding = restrict_binding(at, metric_symbols);
+    key.binding = restrict_binding(binding, metric_symbols);
     return key;
   }
 
@@ -250,104 +225,30 @@ struct Session::Impl {
 
   std::shared_ptr<const PipelineResult> metrics() {
     note_step(kStepFullHit);
-    const Key key = metrics_key(binding);
-    std::shared_ptr<const PipelineResult> result;
+    const Key key = metrics_key();
     if (std::shared_ptr<const void> cached = lookup(key)) {
-      result = std::static_pointer_cast<const PipelineResult>(cached);
-    } else {
-      sim::DeltaOutcome outcome;
-      result = std::make_shared<const PipelineResult>(pipeline.run_delta(
-          program, program_hash, binding, config.simulation, &outcome));
-      switch (outcome.path) {
-        case sim::DeltaOutcome::Path::kCold:
-          note_step(kStepCold);
-          break;
-        case sim::DeltaOutcome::Path::kClosedForm:
-          note_step(kStepSymbolic);  // Counted without simulating.
-          break;
-        default:
-          note_step(kStepChunkDelta);
-          break;
-      }
-      const sim::PhaseTimings& timings = pipeline.last_timings();
-      stats.simulate_ms += timings.simulate_ms;
-      stats.metrics_ms += timings.metrics_ms;
-      stats.metric_partitions = timings.partitions;
-      insert(key, result, sim::approx_size_bytes(*result),
-             /*prefetched=*/false);
+      return std::static_pointer_cast<const PipelineResult>(cached);
     }
-    maybe_prefetch();
+    sim::DeltaOutcome outcome;
+    auto result = std::make_shared<const PipelineResult>(pipeline.run_delta(
+        program, program_hash, binding, config.simulation, &outcome));
+    switch (outcome.path) {
+      case sim::DeltaOutcome::Path::kCold:
+        note_step(kStepCold);
+        break;
+      case sim::DeltaOutcome::Path::kClosedForm:
+        note_step(kStepSymbolic);  // Counted without simulating.
+        break;
+      default:
+        note_step(kStepChunkDelta);
+        break;
+    }
+    const sim::PhaseTimings& timings = pipeline.last_timings();
+    stats.simulate_ms += timings.simulate_ms;
+    stats.metrics_ms += timings.metrics_ms;
+    stats.metric_partitions = timings.partitions;
+    insert(key, result, sim::approx_size_bytes(*result));
     return result;
-  }
-
-  void maybe_prefetch() {
-    if (!config.prefetch) {
-      stats.prefetch = "off";
-      return;
-    }
-    // With a single worker, speculative evaluation runs serially IN
-    // FRONT of the next interaction instead of overlapping it — pure
-    // added latency. Skip it and record why, so benchmarks and clients
-    // can tell "prefetch never helped" from "prefetch never ran".
-    if (par::num_threads() <= 1) {
-      stats.prefetch = "skipped (1 worker)";
-      return;
-    }
-    stats.prefetch = "speculative";
-    if (moved_symbol.empty() || moved_delta == 0) return;
-    // A symbol the metrics cannot reach would prefetch identical keys.
-    if (!metric_symbols.contains(moved_symbol)) return;
-
-    const std::int64_t current = binding.at(moved_symbol);
-    std::vector<std::int64_t> candidates;
-    for (int step = 1; step <= kPrefetchDepth; ++step) {
-      candidates.push_back(current + step * moved_delta);
-    }
-    candidates.push_back(current - moved_delta);  // Direction reversal.
-    std::erase_if(candidates, [&](std::int64_t value) {
-      SymbolMap speculative = binding;
-      speculative[moved_symbol] = value;
-      return contains(metrics_key(speculative));
-    });
-    if (candidates.empty()) return;
-    stats.prefetch_issued += static_cast<std::int64_t>(candidates.size());
-
-    while (prefetch_pipelines.size() < candidates.size()) {
-      prefetch_pipelines.push_back(
-          std::make_unique<MetricPipeline>(config.pipeline));
-    }
-    std::vector<std::shared_ptr<const PipelineResult>> results(
-        candidates.size());
-    // One pool task per candidate; each task owns its pipeline slot.
-    // Nested metric parallelism falls back to serial inside pool tasks,
-    // and each evaluation is deterministic, so results are bit-identical
-    // at any thread count. Speculation must not surface errors: a
-    // candidate that fails to evaluate (e.g. an empty or invalid
-    // iteration space) is simply dropped.
-    par::parallel_for(candidates.size(), 1,
-                      [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i) {
-                          SymbolMap speculative = binding;
-                          speculative[moved_symbol] = candidates[i];
-                          try {
-                            results[i] = std::make_shared<const PipelineResult>(
-                                prefetch_pipelines[i]->run_delta(
-                                    program, program_hash, speculative,
-                                    config.simulation));
-                          } catch (const std::exception&) {
-                            results[i] = nullptr;
-                          }
-                        }
-                      });
-    // Serial insertion in candidate order: the eviction schedule is
-    // independent of the thread count.
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (!results[i]) continue;
-      SymbolMap speculative = binding;
-      speculative[moved_symbol] = candidates[i];
-      insert(metrics_key(speculative), results[i],
-             sim::approx_size_bytes(*results[i]), /*prefetched=*/true);
-    }
   }
 
   std::shared_ptr<const Expr> movement_volume() {
@@ -540,17 +441,10 @@ const symbolic::SymbolMap& Session::binding() const { return impl_->binding; }
 void Session::set_binding(symbolic::SymbolMap binding) {
   impl_->finalize_step();
   impl_->binding = std::move(binding);
-  impl_->moved_symbol.clear();
-  impl_->moved_delta = 0;
 }
 
 void Session::set_symbol(const std::string& symbol, std::int64_t value) {
   impl_->finalize_step();
-  auto it = impl_->binding.find(symbol);
-  if (it != impl_->binding.end() && it->second != value) {
-    impl_->moved_symbol = symbol;
-    impl_->moved_delta = value - it->second;
-  }
   impl_->binding[symbol] = value;
 }
 
@@ -581,7 +475,7 @@ const std::set<std::string>& Session::metric_symbols() const {
 }
 
 ArtifactKey Session::metrics_cache_key() const {
-  return impl_->metrics_key(impl_->binding);
+  return impl_->metrics_key();
 }
 
 SessionStats Session::stats() const {

@@ -235,11 +235,6 @@ void DiskArtifactCache::evict_locked(const std::string& keep_path) {
   }
 }
 
-bool DiskArtifactCache::contains(const session::ArtifactKey& key) const {
-  std::error_code ec;
-  return fs::exists(path_for(key), ec) && !ec;
-}
-
 DiskArtifactCache::Stats DiskArtifactCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;

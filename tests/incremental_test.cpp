@@ -440,7 +440,6 @@ TEST(IncrementalClosedFormTest, MissingBindingThrows) {
 session::SessionConfig delta_session_config() {
   session::SessionConfig config;
   config.pipeline = full_config();
-  config.prefetch = false;
   return config;
 }
 
@@ -529,24 +528,6 @@ TEST(IncrementalSessionTest, ClosedFormMatchesMetricsAndIsCached) {
   auto moved = session.closed_form();
   EXPECT_NE(values.get(), moved.get());
   EXPECT_EQ(moved->total_events, session.metrics()->events);
-}
-
-TEST(IncrementalSessionTest, PrefetchRoutesThroughDeltaBitIdentical) {
-  // Speculative prefetch shares the delta evaluation path; with a
-  // worker pool it must stay bit-identical and keep the serial
-  // candidate-order insertion contract (every artifact equals the
-  // uncached evaluation regardless of which pool slot computed it).
-  par::ThreadScope scope(4);
-  session::SessionConfig config = delta_session_config();
-  config.prefetch = true;
-  session::Session session(fixed_cap_hdiff(), config);
-  for (std::int64_t k : {4, 5, 6, 5}) {
-    SCOPED_TRACE("K=" + std::to_string(k));
-    session.set_binding(cap_binding(k));
-    expect_identical(*session.metrics(),
-                     reference(fixed_cap_hdiff(), cap_binding(k),
-                               config.simulation));
-  }
 }
 
 }  // namespace

@@ -26,7 +26,6 @@ namespace {
 
 using dmv::json::Value;
 using dmv::serve::Server;
-using dmv::serve::ServerConfig;
 
 Value parse_line(const std::string& line) { return dmv::json::parse(line); }
 
@@ -54,11 +53,8 @@ std::string edit_request(const std::string& session,
 /// the reference the server must match bit for bit.
 std::vector<std::string> reference_checksums(
     const std::vector<std::int64_t>& values) {
-  dmv::session::SessionConfig config;
-  config.prefetch = false;
   dmv::session::Session session(
-      dmv::workloads::hdiff(dmv::workloads::HdiffVariant::Baseline),
-      std::move(config));
+      dmv::workloads::hdiff(dmv::workloads::HdiffVariant::Baseline));
   session.set_binding({{"I", 8}, {"J", 8}, {"K", 5}});
   std::vector<std::string> checksums;
   for (const std::int64_t value : values) {
@@ -232,8 +228,7 @@ TEST(ServeProtocolTest, SubscribeRebuildsSessionPreservingBinding) {
   server.handle(step_request("a", "K", 6));
   const Value subscribed = parse_line(server.handle(
       "{\"id\":1,\"method\":\"subscribe\",\"params\":{\"session\":\"a\","
-      "\"element_stats\":true,\"miss_threshold_lines\":64,\"prefetch\":"
-      "false}}"));
+      "\"element_stats\":true,\"miss_threshold_lines\":64}}"));
   ASSERT_TRUE(subscribed.has("result")) << dmv::json::dump(subscribed);
   EXPECT_TRUE(subscribed.at("result").at("element_stats").as_bool());
   EXPECT_EQ(subscribed.at("result").at("miss_threshold_lines").as_int(), 64);
@@ -244,7 +239,6 @@ TEST(ServeProtocolTest, SubscribeRebuildsSessionPreservingBinding) {
   ASSERT_TRUE(stepped.has("result")) << dmv::json::dump(stepped);
 
   dmv::session::SessionConfig config;
-  config.prefetch = false;
   config.pipeline.element_stats = true;
   config.pipeline.miss_threshold_lines = 64;
   dmv::session::Session reference(
@@ -263,14 +257,14 @@ std::string subscribe_request(const std::string& fields) {
 
 /// `fields` is a subscription the server must refuse with bad_request
 /// before touching the session: the next step still answers with the
-/// previous subscription (misses at 8 lines, no prefetch). The error
-/// message must contain `named`.
+/// previous subscription (misses at 8 lines). The error message must
+/// contain `named`.
 void expect_subscribe_refused(const std::string& fields,
                               const std::string& named = "") {
   Server server;
   server.handle(open_request("a", "hdiff"));
   const Value kept = parse_line(server.handle(
-      subscribe_request("\"miss_threshold_lines\":8,\"prefetch\":false")));
+      subscribe_request("\"miss_threshold_lines\":8")));
   ASSERT_TRUE(kept.has("result")) << dmv::json::dump(kept);
 
   const Value refused = parse_line(server.handle(subscribe_request(fields)));
@@ -285,7 +279,6 @@ void expect_subscribe_refused(const std::string& fields,
   const Value stepped = parse_line(server.handle(step_request("a", "K", 6)));
   ASSERT_TRUE(stepped.has("result")) << dmv::json::dump(stepped);
   dmv::session::SessionConfig config;
-  config.prefetch = false;
   config.pipeline.miss_threshold_lines = 8;
   dmv::session::Session reference(
       dmv::workloads::hdiff(dmv::workloads::HdiffVariant::Baseline),
@@ -321,6 +314,7 @@ TEST(ServeProtocolTest, SubscribeRefusesUnknownParams) {
   expect_subscribe_refused("\"streaming\":false", "'streaming'");
   expect_subscribe_refused("\"delta\":false", "'delta'");
   expect_subscribe_refused("\"prefetch_depth\":2", "'prefetch_depth'");
+  expect_subscribe_refused("\"prefetch\":true", "'prefetch'");
   expect_subscribe_refused("\"miss_treshold_lines\":64",
                            "'miss_treshold_lines'");
 }
@@ -369,9 +363,7 @@ TEST(ServeProtocolTest, EditProgramSwitchesVariants) {
 // Cross-session sharing.
 
 TEST(ServeSharedCacheTest, SecondSessionHitsSharedTier) {
-  ServerConfig config;
-  config.session_defaults.prefetch = false;
-  Server server(config);
+  Server server;
   server.handle(open_request("alice", "hdiff"));
   server.handle(open_request("bob", "hdiff"));
 
@@ -402,9 +394,7 @@ TEST(ServeSharedCacheTest, SecondSessionHitsSharedTier) {
 }
 
 TEST(ServeSharedCacheTest, NamedAndInlineOpensShareEntries) {
-  ServerConfig config;
-  config.session_defaults.prefetch = false;
-  Server server(config);
+  Server server;
   const Value named = parse_line(server.handle(open_request("a", "hdiff")));
   const Value inlined = parse_line(server.handle(
       "{\"id\":1,\"method\":\"open_program\",\"params\":{\"session\":\"b\","
@@ -449,9 +439,7 @@ void run_concurrent_drag(int threads_knob) {
   const std::vector<std::string> reference = reference_checksums(values);
   const std::set<std::int64_t> distinct(values.begin(), values.end());
 
-  ServerConfig config;
-  config.session_defaults.prefetch = false;  // Exact compute accounting.
-  Server server(config);
+  Server server;
   constexpr int kClients = 8;
   for (int c = 0; c < kClients; ++c) {
     const Value opened = parse_line(
@@ -508,9 +496,7 @@ TEST(ServeDeterminismTest, FailingFlightLeaderReleasesEveryFollower) {
   // followers it releases evaluate and fail on their own. Nobody may
   // hang, and every client gets its own error.
   dmv::par::ThreadScope scope(4);
-  ServerConfig config;
-  config.session_defaults.prefetch = false;
-  Server server(config);
+  Server server;
   constexpr int kClients = 6;
   for (int c = 0; c < kClients; ++c) {
     server.handle(open_request("client" + std::to_string(c), "hdiff"));

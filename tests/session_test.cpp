@@ -1,6 +1,6 @@
 // Session-layer contract tests: cache accounting, dependency-restricted
-// invalidation, byte-budgeted LRU eviction, prefetch-vs-cold
-// bit-identity, and thread-count determinism. The overarching invariant
+// invalidation, byte-budgeted LRU eviction, one evaluation per drag
+// step, and thread-count determinism. The overarching invariant
 // is that a Session is a pure performance layer — every artifact equals
 // the uncached evaluation bit for bit, no matter the cache or thread
 // schedule.
@@ -37,7 +37,6 @@ SessionConfig test_config() {
   config.pipeline.element_stats = true;
   config.pipeline.keep_distances = true;
   config.pipeline.movement = true;
-  config.prefetch = false;  // Tests opt in explicitly.
   return config;
 }
 
@@ -294,79 +293,64 @@ TEST(SessionTest, LruEvictionUnderTinyByteBudget) {
   EXPECT_EQ(stats.cache_entries, 1u);  // ...except the newest entry.
 }
 
-TEST(SessionTest, PrefetchVsColdBitIdentity) {
-  // Prefetch only runs with workers to spare (it is pure added latency
-  // at one thread), so pin a multi-worker knob for this test.
+TEST(SessionTest, DragStepEvaluatesOnlyItsOwnBundle) {
+  // A default-config session on a multi-worker pool: a slider drag pays
+  // for the bundle it asks for and nothing else. Each new K is one miss
+  // and one new cache entry; no other binding is evaluated or inserted.
   par::ThreadScope scope(4);
-  SessionConfig cold_config = test_config();
-  SessionConfig prefetch_config = test_config();
-  prefetch_config.prefetch = true;
-
-  Session cold(small_hdiff(), cold_config);
-  Session warm(small_hdiff(), prefetch_config);
-  cold.set_binding(small_binding(2));
-  warm.set_binding(small_binding(2));
-
-  // A forward slider drag: after the first move establishes the stride,
-  // the prefetcher should stay ahead of the slider.
-  for (std::int64_t k = 2; k <= 8; ++k) {
-    cold.set_symbol("K", k);
-    warm.set_symbol("K", k);
-    expect_identical(*warm.metrics(), *cold.metrics());
+  Session session(small_hdiff());
+  session.set_binding(small_binding(2));
+  session.metrics();
+  for (std::int64_t k = 3; k <= 8; ++k) {
+    const SessionStats before = session.stats();
+    session.set_symbol("K", k);
+    expect_identical(*session.metrics(),
+                     uncached(small_hdiff(), small_binding(k), SessionConfig{}));
+    const SessionStats after = session.stats();
+    EXPECT_EQ(after.misses, before.misses + 1) << "K=" << k;
+    EXPECT_EQ(after.hits, before.hits) << "K=" << k;
+    EXPECT_EQ(after.cache_entries, before.cache_entries + 1) << "K=" << k;
+    EXPECT_EQ(after.evictions, 0) << "K=" << k;
   }
-  EXPECT_GT(warm.stats().prefetch_issued, 0);
-  EXPECT_GT(warm.stats().prefetch_hits, 0);
-  // Prefetching converts misses into hits; it must never add misses.
-  EXPECT_LT(warm.stats().misses, cold.stats().misses);
+  EXPECT_EQ(session.stats().cache_entries, 7u);
 }
 
 TEST(SessionDeterminismTest, OneVsEightThreadsBitIdentical) {
-  SessionConfig config = test_config();
-  config.prefetch = true;
-
+  // A forward drag, a reversal over visited values and a jump back: the
+  // artifacts and every counter are the same at 1, 4 and 8 threads.
+  const SessionConfig config = test_config();
   auto sweep = [&](int threads) {
     par::ThreadScope scope(threads);
     Session session(small_hdiff(), config);
     session.set_binding(small_binding(2));
     std::vector<std::shared_ptr<const PipelineResult>> results;
-    for (std::int64_t k = 2; k <= 7; ++k) {
+    for (std::int64_t k : {2, 3, 4, 5, 6, 7, 6, 5, 2}) {
       session.set_symbol("K", k);
       results.push_back(session.metrics());
     }
     return std::make_pair(std::move(results), session.stats());
   };
 
-  auto [serial, serial_stats] = sweep(1);
-  auto [four, four_stats] = sweep(4);
-  auto [eight, eight_stats] = sweep(8);
-  ASSERT_EQ(serial.size(), eight.size());
-  ASSERT_EQ(four.size(), eight.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_identical(*serial[i], *four[i]);
-    expect_identical(*serial[i], *eight[i]);
+  const auto [serial, serial_stats] = sweep(1);
+  EXPECT_GT(serial_stats.hits, 0);
+  EXPECT_GT(serial_stats.misses, 0);
+  for (int threads : {4, 8}) {
+    SCOPED_TRACE(threads);
+    const auto [parallel, stats] = sweep(threads);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      expect_identical(*serial[i], *parallel[i]);
+    }
+    EXPECT_EQ(stats.hits, serial_stats.hits);
+    EXPECT_EQ(stats.misses, serial_stats.misses);
+    EXPECT_EQ(stats.evictions, serial_stats.evictions);
+    EXPECT_EQ(stats.cache_entries, serial_stats.cache_entries);
+    EXPECT_EQ(stats.cache_bytes, serial_stats.cache_bytes);
+    EXPECT_EQ(stats.steps_full_hit, serial_stats.steps_full_hit);
+    EXPECT_EQ(stats.steps_symbolic, serial_stats.steps_symbolic);
+    EXPECT_EQ(stats.steps_chunk_delta, serial_stats.steps_chunk_delta);
+    EXPECT_EQ(stats.steps_cold, serial_stats.steps_cold);
   }
-  // At one thread speculation is skipped entirely (it would serialize in
-  // front of the next interaction) and the stats say so.
-  EXPECT_EQ(serial_stats.prefetch, "skipped (1 worker)");
-  EXPECT_EQ(serial_stats.prefetch_issued, 0);
-  EXPECT_EQ(serial_stats.prefetch_hits, 0);
-  // Across multi-worker thread counts the cache schedule (hits, misses,
-  // insertions, evictions) is thread-count independent: prefetch results
-  // are inserted serially in candidate order.
-  EXPECT_EQ(four_stats.prefetch, "speculative");
-  EXPECT_EQ(eight_stats.prefetch, "speculative");
-  EXPECT_GT(eight_stats.prefetch_issued, 0);
-  EXPECT_EQ(four_stats.hits, eight_stats.hits);
-  EXPECT_EQ(four_stats.misses, eight_stats.misses);
-  EXPECT_EQ(four_stats.prefetch_issued, eight_stats.prefetch_issued);
-  EXPECT_EQ(four_stats.prefetch_hits, eight_stats.prefetch_hits);
-  EXPECT_EQ(four_stats.evictions, eight_stats.evictions);
-  EXPECT_EQ(four_stats.cache_entries, eight_stats.cache_entries);
-  EXPECT_EQ(four_stats.cache_bytes, eight_stats.cache_bytes);
-  // Prefetch-skip only changes WHEN work happens, never the artifacts:
-  // the serial sweep recomputes what the parallel sweeps prefetched.
-  EXPECT_EQ(serial_stats.hits + serial_stats.misses,
-            eight_stats.hits + eight_stats.misses);
 }
 
 TEST(SessionTest, GraphSvgReusesLayoutAcrossBindings) {
@@ -465,23 +449,6 @@ TEST(SessionSharedCacheTest, FirstWriterWins) {
   EXPECT_EQ(bytes, 64u);
   EXPECT_EQ(cache.stats().insertions, 1);
   EXPECT_EQ(cache.stats().bytes, 64u);
-}
-
-TEST(SessionSharedCacheTest, ContainsTouchesNeitherLruOrderNorCounters) {
-  SharedArtifactCache::Config config;
-  config.budget_bytes = 200;
-  SharedArtifactCache cache(config);
-  cache.insert(tier_key(1), tier_value(1), 100);
-  cache.insert(tier_key(2), tier_value(2), 100);
-  EXPECT_TRUE(cache.contains(tier_key(1)));
-  EXPECT_FALSE(cache.contains(tier_key(9)));
-  EXPECT_EQ(cache.stats().hits, 0);
-  EXPECT_EQ(cache.stats().misses, 0);
-  // Key 1 is still the least recently used, so the next insert evicts
-  // it. A lookup would have refreshed it and evicted key 2 instead.
-  cache.insert(tier_key(3), tier_value(3), 100);
-  EXPECT_FALSE(cache.contains(tier_key(1)));
-  EXPECT_TRUE(cache.contains(tier_key(2)));
 }
 
 TEST(SessionSharedCacheTest, ConcurrentLookupsAndInsertsOnOverlappingKeys) {

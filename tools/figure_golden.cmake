@@ -2,13 +2,12 @@
 # prints and writes, byte for byte, with the goldens in dmv_renders/.
 #
 #   cmake -DEXE=<program> -DNAME=<bench> -DGOLDENS=<repo>/dmv_renders
-#         -DWORK=<scratch dir> -DPREFIX=<file prefix> [-DFILES_ONLY=1]
+#         -DWORK=<scratch dir> -DPREFIX=<file prefix>
 #         -P tools/figure_golden.cmake
 #
 # Checks:
 #   * the program exits 0;
-#   * stdout equals GOLDENS/NAME.stdout and stderr is empty, unless
-#     FILES_ONLY (a program whose stdout depends on the worker count);
+#   * stdout equals GOLDENS/NAME.stdout and stderr is empty;
 #   * the files it writes under dmv_renders/ are exactly the goldens
 #     whose names start with PREFIX (none when PREFIX is empty), each
 #     equal to its golden. A written file without a golden fails, and
@@ -45,13 +44,11 @@ endmacro()
 if(NOT status EQUAL 0)
   list(APPEND failures "${NAME} exited with '${status}'")
 endif()
-if(NOT FILES_ONLY)
-  expect_same("${WORK}/stdout" "${GOLDENS}/${NAME}.stdout")
-  file(SIZE "${WORK}/stderr" stderr_bytes)
-  if(NOT stderr_bytes EQUAL 0)
-    file(READ "${WORK}/stderr" stderr_text)
-    list(APPEND failures "stderr is not empty:\n${stderr_text}")
-  endif()
+expect_same("${WORK}/stdout" "${GOLDENS}/${NAME}.stdout")
+file(SIZE "${WORK}/stderr" stderr_bytes)
+if(NOT stderr_bytes EQUAL 0)
+  file(READ "${WORK}/stderr" stderr_text)
+  list(APPEND failures "stderr is not empty:\n${stderr_text}")
 endif()
 
 file(GLOB written RELATIVE "${WORK}/dmv_renders" "${WORK}/dmv_renders/*")

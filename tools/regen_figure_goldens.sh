@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Rewrites the figure goldens in dmv_renders/ from a built tree: each
-# figure bench's stdout as dmv_renders/<bench>.stdout, and every file
-# the benches and examples/hdiff_tuning_session write under
+# Rewrites the figure goldens in dmv_renders/ from a built tree: the
+# stdout of each figure bench and of examples/hdiff_tuning_session as
+# dmv_renders/<program>.stdout, and every file they write under
 # dmv_renders/. The FigureGolden.* ctests compare against these files.
 #
 # Run from the repository root after building:
@@ -42,7 +42,5 @@ run() {  # run <program> <stdout file>
 for bench in $benches; do
   run "$build/bench/$bench" "$goldens/$bench.stdout"
 done
-# Its stdout prints prefetch counters that depend on the worker count,
-# so only its files are goldens.
-run "$build/examples/hdiff_tuning_session" /dev/null
+run "$build/examples/hdiff_tuning_session" "$goldens/hdiff_tuning_session.stdout"
 echo "regenerated $(find "$goldens" -maxdepth 1 -type f | wc -l) goldens in dmv_renders/"

@@ -13,8 +13,13 @@ record the step checksums, then run again with --expect-disk-warm to
 assert the second server serves the same checksums from disk without
 re-simulating (docs/storage.md covers the cache-dir lifecycle).
 
+--stats-file writes the session's counters (hits, misses, shared_hits,
+evictions and the steps_* classes; no timings) as JSON, so two runs at
+different DMV_NUM_THREADS settings can be compared byte for byte.
+
 Usage: serve_smoke.py [path/to/dmv_serve] [--cache-dir DIR]
                       [--checksum-file PATH] [--expect-disk-warm]
+                      [--stats-file PATH]
 """
 
 import argparse
@@ -23,6 +28,9 @@ import subprocess
 import sys
 
 DRAG = [6, 7, 8, 9, 8, 7]
+# The session counters that must not depend on the worker count.
+COUNTERS = ["hits", "misses", "shared_hits", "evictions", "steps_full_hit",
+            "steps_symbolic", "steps_chunk_delta", "steps_cold"]
 
 
 def fail(message):
@@ -77,6 +85,10 @@ def main():
         action="store_true",
         help="require the cold drag to be served from the disk tier "
         "(a restarted server re-serving a prior run's artifacts)",
+    )
+    parser.add_argument(
+        "--stats-file",
+        help="write the session's counters (no timings) here as JSON",
     )
     args = parser.parse_args()
 
@@ -134,6 +146,14 @@ def main():
             f"the server re-simulated instead of warm-starting from "
             f"{args.cache_dir}"
         )
+    if args.stats_file:
+        missing = [name for name in COUNTERS if name not in session]
+        if missing:
+            fail(f"session stats lack {missing}: {session}")
+        with open(args.stats_file, "w") as handle:
+            json.dump({name: session[name] for name in COUNTERS}, handle,
+                      indent=1)
+            handle.write("\n")
 
     stopping = client.call("shutdown")
     if stopping.get("stopping") is not True:
