@@ -1,8 +1,8 @@
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "dmv/exec/interpreter.hpp"
-#include "dmv/sim/sim.hpp"
 
 namespace dmv::exec {
 
@@ -58,10 +58,9 @@ class Interpreter {
       const Node& node = state_->node(id);
       if (node.scope_parent != scope) continue;
       switch (node.kind) {
-        case NodeKind::MapEntry: {
-          sim_space(node, env);
+        case NodeKind::MapEntry:
+          execute_map(node, env);
           break;
-        }
         case NodeKind::Tasklet:
           execute_tasklet(node, env, wires);
           break;
@@ -74,19 +73,44 @@ class Interpreter {
     }
   }
 
-  void sim_space(const Node& entry, const SymbolMap& env) {
-    // Bounds evaluate per nesting level (sim::IterationSpace), so tiled
-    // maps whose inner ranges reference outer parameters execute
-    // correctly.
-    sim::IterationSpace space = sim::IterationSpace::from(entry.map, env);
+  // Runs the map's scope once per point, outer parameter slowest, with
+  // the point's parameters bound in a copy of the enclosing scope's
+  // binding.
+  void execute_map(const Node& entry, const SymbolMap& env) {
+    if (entry.map.params.size() != entry.map.ranges.size()) {
+      throw std::invalid_argument("interpreter: malformed map '" +
+                                  entry.map.label + "'");
+    }
     SymbolMap inner = env;
-    space.for_each([&](std::span<const std::int64_t> values) {
-      for (std::size_t p = 0; p < space.params.size(); ++p) {
-        inner[space.params[p]] = values[p];
-      }
+    iterate_map(entry, 0, inner);
+  }
+
+  // Dimension `dim`'s bounds are evaluated after the parameters of
+  // dimensions >= dim are erased from `env`, so an inner range may read
+  // an outer parameter (tiled maps) but never its own or a later one,
+  // not even through an enclosing binding of the same name.
+  void iterate_map(const Node& entry, std::size_t dim, SymbolMap& env) {
+    const ir::MapInfo& map = entry.map;
+    if (dim == map.params.size()) {
       Wires wires;
-      execute_scope(entry.id, inner, wires);
-    });
+      execute_scope(entry.id, env, wires);
+      return;
+    }
+    for (std::size_t d = dim; d < map.params.size(); ++d) {
+      env.erase(map.params[d]);
+    }
+    const ir::Range& range = map.ranges[dim];
+    const std::int64_t begin = range.begin.evaluate(env);
+    const std::int64_t end = range.end.evaluate(env);
+    const std::int64_t step = range.step.evaluate(env);
+    if (step <= 0) {
+      throw std::invalid_argument("interpreter: non-positive step in map '" +
+                                  map.label + "'");
+    }
+    for (std::int64_t v = begin; v <= end; v += step) {
+      env[map.params[dim]] = v;
+      iterate_map(entry, dim + 1, env);
+    }
   }
 
   void execute_tasklet(const Node& node, const SymbolMap& env, Wires& wires) {

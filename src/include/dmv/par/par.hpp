@@ -50,8 +50,12 @@ namespace dmv::par {
 /// Number of hardware threads (>= 1; hardware_concurrency with fallback).
 int hardware_threads();
 
-/// Current global thread-count knob. Defaults to DMV_NUM_THREADS if set
-/// to a positive integer, otherwise to hardware_threads().
+/// Largest thread count DMV_NUM_THREADS and `dmv_serve --threads` accept.
+inline constexpr int kMaxThreads = 1024;
+
+/// Current global thread-count knob. Defaults to DMV_NUM_THREADS if it
+/// is a whole decimal integer in [1, kMaxThreads], otherwise to
+/// hardware_threads().
 int num_threads();
 
 /// Sets the global thread count. Values < 1 select hardware_threads().

@@ -107,7 +107,6 @@ class Server {
 
   ServerStats stats() const;
   session::SharedCacheStats shared_cache_stats() const;
-  const std::shared_ptr<session::SharedArtifactCache>& shared_cache() const;
 
  private:
   struct Impl;

@@ -55,7 +55,6 @@
 #include "dmv/session/artifact_cache.hpp"
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/viz/graph_layout.hpp"
-#include "dmv/viz/heatmap.hpp"
 
 namespace dmv::session {
 
@@ -84,11 +83,6 @@ struct SessionConfig {
   /// client. Kept only because bench/ledger/reference.cpp assigns it;
   /// the ledger's next revision drops both.
   bool prefetch = true;
-
-  /// Rendering knobs for graph_svg()/layout().
-  viz::ColorScheme scheme = viz::ColorScheme::GreenYellowRed;
-  viz::ScalingPolicy scaling = viz::ScalingPolicy::MeanCentered;
-  viz::LayoutOptions layout;
 };
 
 /// Cache accounting, cumulative since construction / reset_stats().
@@ -116,8 +110,9 @@ struct SessionStats {
   //   chunk-delta    the pipeline patched its checkpoint (clean chunks
   //                  spliced, dirty ones re-simulated);
   //   cold           at least one full simulation ran.
-  // The in-progress step is classified lazily: at the next binding
-  // change or at the next stats() call, whichever comes first. The
+  // A step closes at the next binding change. stats() is a pure read:
+  // the copy it returns counts the in-progress step by its class so
+  // far without closing it, so reading stats never splits a step. The
   // metric bundle's class comes from run_delta's outcome.
   std::int64_t steps_full_hit = 0;
   std::int64_t steps_symbolic = 0;

@@ -51,7 +51,6 @@
 
 #include "dmv/ir/sdfg.hpp"
 #include "dmv/layout/layout.hpp"
-#include "dmv/symbolic/compiled.hpp"
 
 namespace dmv::sim {
 
@@ -59,96 +58,6 @@ using ir::Sdfg;
 using ir::State;
 using layout::ConcreteLayout;
 using symbolic::SymbolMap;
-
-struct IterationSpace;
-
-namespace detail {
-
-/// Bounds of an IterationSpace compiled to slot-addressed form
-/// (symbolic::CompiledExpr) so iteration evaluates them without map
-/// lookups. Bounds independent of the space's own parameters are
-/// evaluated once on first use and cached — the loop-invariant hoisting
-/// that keeps tiled inner maps from re-evaluating outer-constant bounds
-/// at every outer point.
-class CompiledSpaceBounds {
- public:
-  explicit CompiledSpaceBounds(const IterationSpace& space);
-
-  struct Triple {
-    std::int64_t begin = 0;
-    std::int64_t end = 0;
-    std::int64_t step = 1;
-  };
-  /// Evaluates dimension `dim`'s bounds under the currently bound outer
-  /// parameters. Throws UnboundSymbolError / std::domain_error exactly
-  /// where the symbolic evaluation would.
-  Triple eval(std::size_t dim);
-  /// Binds the dim's parameter for inner dimensions.
-  void set_param(std::size_t dim, std::int64_t value);
-
- private:
-  struct Dim {
-    symbolic::CompiledExpr begin, end, step;
-    bool invariant = false;  ///< Independent of the space's own params.
-    bool cached = false;
-    Triple cache;
-  };
-  symbolic::SymbolTable table_;
-  std::vector<std::int64_t> values_;
-  std::vector<char> bound_;
-  std::vector<int> param_slots_;
-  std::vector<Dim> dims_;
-};
-
-}  // namespace detail
-
-/// Concrete iteration space of a map under a symbol binding. Bounds are
-/// kept symbolic and evaluated per nesting level DURING iteration, with
-/// outer parameters already bound — this is what lets inner ranges
-/// depend on outer parameters, as tiled maps produce (e.g. the inner
-/// range [i_tile*8 : i_tile*8 + 7] of transforms::tile_map). Iteration
-/// compiles the bounds once (slot-addressed evaluation, invariant
-/// hoisting) instead of re-evaluating Expr trees per point.
-struct IterationSpace {
-  std::vector<std::string> params;
-  std::vector<ir::Range> ranges;  ///< Symbolic, inclusive ends.
-  SymbolMap base;                 ///< The binding iteration starts from.
-
-  /// Number of points. Computed arithmetically from the evaluated bounds
-  /// when no range depends on the space's own parameters; falls back to
-  /// enumeration for dependent (e.g. triangular or tiled) ranges.
-  std::int64_t size() const;
-  /// Calls fn(std::span<const int64_t> values) for every point, outer
-  /// parameter slowest (lexicographic order).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    detail::CompiledSpaceBounds bounds(*this);
-    std::vector<std::int64_t> values(params.size());
-    iterate(0, values, bounds, fn);
-  }
-
-  static IterationSpace from(const ir::MapInfo& info,
-                             const SymbolMap& symbols);
-
- private:
-  template <typename Fn>
-  void iterate(std::size_t dim, std::vector<std::int64_t>& values,
-               detail::CompiledSpaceBounds& bounds, Fn&& fn) const {
-    if (dim == params.size()) {
-      fn(std::span<const std::int64_t>(values));
-      return;
-    }
-    const auto [begin, end, step] = bounds.eval(dim);
-    if (step <= 0) {
-      throw std::invalid_argument("IterationSpace: non-positive step");
-    }
-    for (std::int64_t v = begin; v <= end; v += step) {
-      values[dim] = v;
-      bounds.set_param(dim, v);
-      iterate(dim + 1, values, bounds, fn);
-    }
-  }
-};
 
 /// One element-granularity access in the simulated execution. This is
 /// the VALUE type call sites iterate with; storage is columnar

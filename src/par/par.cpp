@@ -1,8 +1,10 @@
 #include "dmv/par/par.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -18,8 +20,13 @@ thread_local bool in_pool_task = false;
 
 int env_default_threads() {
   if (const char* env = std::getenv("DMV_NUM_THREADS")) {
-    const int value = std::atoi(env);
-    if (value > 0) return value;
+    const char* end = env + std::strlen(env);
+    int value = 0;
+    const auto [last, error] = std::from_chars(env, end, value);
+    if (error == std::errc() && last == end && value >= 1 &&
+        value <= kMaxThreads) {
+      return value;
+    }
   }
   return hardware_threads();
 }

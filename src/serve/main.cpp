@@ -8,22 +8,32 @@
 //                             `shutdown` from any client.
 //
 // Knobs:
-//   --threads N               par::set_num_threads(N); DMV_NUM_THREADS
-//                             is the environment equivalent.
+//   --threads N               par::set_num_threads(N), N in [1, 1024];
+//                             DMV_NUM_THREADS is the environment
+//                             equivalent.
 //   --cache-mb N              shared artifact tier budget (default 256).
 //   --cache-dir PATH          persistent warm-start tier: metric
 //                             artifacts are written to PATH and a
 //                             restarted server re-serves them without
 //                             re-simulating (docs/storage.md).
+// A value that is not a whole decimal integer in range (--port in
+// [0, 65535], --cache-mb whose byte count fits size_t) exits 2 with the
+// usage line. --port 0 binds an ephemeral port; the listening line
+// names the bound one.
 
-#include <cstdlib>
+#include <algorithm>
+#include <atomic>
+#include <charconv>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <limits>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -38,6 +48,19 @@ int usage(const char* argv0) {
   return 2;
 }
 
+// Parses all of `text` as a decimal integer in [lo, hi].
+template <typename T>
+bool parse_whole(const char* text, T lo, T hi, T& out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [last, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || last != end || value < lo || value > hi) {
+    return false;
+  }
+  out = value;
+  return true;
+}
+
 void run_stdio(dmv::serve::Server& server) {
   std::string line;
   while (!server.shutting_down() && std::getline(std::cin, line)) {
@@ -50,17 +73,21 @@ void run_stdio(dmv::serve::Server& server) {
 // Reads newline-delimited requests from one accepted connection and
 // writes one response line per request. Short writes are looped;
 // failure just ends the connection (the session state stays — the
-// client may reconnect).
+// client may reconnect). The caller closes `fd` once this returned.
 void serve_connection(dmv::serve::Server& server, int fd) {
   std::string buffer;
   char chunk[4096];
   for (;;) {
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n <= 0) break;
+    // What the buffer held before this read has no newline: scan only
+    // the new bytes, so a long line costs linear time, not quadratic.
+    const std::size_t scanned = buffer.size();
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
     for (;;) {
-      const std::size_t newline = buffer.find('\n', start);
+      const std::size_t newline =
+          buffer.find('\n', std::max(start, scanned));
       if (newline == std::string::npos) break;
       std::string line = buffer.substr(start, newline - start);
       start = newline + 1;
@@ -71,17 +98,13 @@ void serve_connection(dmv::serve::Server& server, int fd) {
       while (written < response.size()) {
         const ssize_t w = ::write(fd, response.data() + written,
                                   response.size() - written);
-        if (w <= 0) {
-          ::close(fd);
-          return;
-        }
+        if (w <= 0) return;
         written += static_cast<std::size_t>(w);
       }
     }
     buffer.erase(0, start);
     if (server.shutting_down()) break;
   }
-  ::close(fd);
 }
 
 int run_tcp(dmv::serve::Server& server, int port) {
@@ -96,31 +119,64 @@ int run_tcp(dmv::serve::Server& server, int port) {
   address.sin_family = AF_INET;
   address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   address.sin_port = htons(static_cast<std::uint16_t>(port));
+  socklen_t length = sizeof(address);
   if (::bind(listener, reinterpret_cast<sockaddr*>(&address),
              sizeof(address)) < 0 ||
-      ::listen(listener, 64) < 0) {
+      ::listen(listener, 64) < 0 ||
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&address),
+                    &length) < 0) {
     std::cerr << "dmv_serve: cannot listen on 127.0.0.1:" << port << "\n";
     ::close(listener);
     return 1;
   }
-  std::cout << "dmv_serve: listening on 127.0.0.1:" << port << "\n"
+  std::cout << "dmv_serve: listening on 127.0.0.1:"
+            << ntohs(address.sin_port) << "\n"
             << std::flush;
-  std::vector<std::thread> connections;
+  // One thread per connection. A finished connection's thread is joined
+  // and its socket closed on the next pass of the accept loop, so its
+  // stack does not outlive it.
+  struct Connection {
+    int fd = -1;
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> connections;
+  auto join = [&connections](bool unfinished_too) {
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (unfinished_too || it->done) {
+        it->thread.join();
+        ::close(it->fd);
+        it = connections.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  };
   while (!server.shutting_down()) {
-    // Poll accept with a timeout so `shutdown` from one connection
-    // stops the accept loop promptly.
-    timeval tv{};
-    tv.tv_sec = 0;
-    tv.tv_usec = 200 * 1000;
-    ::setsockopt(listener, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    const int fd = ::accept(listener, nullptr, nullptr);
+    // Poll with a timeout so `shutdown` from one connection stops the
+    // loop promptly. (A receive timeout on the listener would be
+    // inherited by every accepted socket and drop idle clients.)
+    pollfd listening{listener, POLLIN, 0};
+    const int fd = ::poll(&listening, 1, 200) > 0
+                       ? ::accept(listener, nullptr, nullptr)
+                       : -1;
+    join(false);
     if (fd < 0) continue;
-    connections.emplace_back(
-        [&server, fd] { serve_connection(server, fd); });
+    Connection& connection = connections.emplace_back();
+    connection.fd = fd;
+    connection.thread = std::thread([&server, &connection] {
+      serve_connection(server, connection.fd);
+      connection.done = true;
+    });
   }
   ::close(listener);
   server.shutdown();
-  for (std::thread& connection : connections) connection.join();
+  // End the reads of clients still connected; a response being written
+  // is not cut short.
+  for (Connection& connection : connections) {
+    ::shutdown(connection.fd, SHUT_RD);
+  }
+  join(true);
   return 0;
 }
 
@@ -133,12 +189,21 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     const bool has_value = i + 1 < argc;
     if (std::strcmp(arg, "--port") == 0 && has_value) {
-      port = std::atoi(argv[++i]);
+      if (!parse_whole(argv[++i], 0, 65535, port)) return usage(argv[0]);
     } else if (std::strcmp(arg, "--threads") == 0 && has_value) {
-      dmv::par::set_num_threads(std::atoi(argv[++i]));
+      int threads = 0;
+      if (!parse_whole(argv[++i], 1, dmv::par::kMaxThreads, threads)) {
+        return usage(argv[0]);
+      }
+      dmv::par::set_num_threads(threads);
     } else if (std::strcmp(arg, "--cache-mb") == 0 && has_value) {
-      config.shared_cache.budget_bytes =
-          static_cast<std::size_t>(std::atoll(argv[++i])) << 20;
+      std::size_t megabytes = 0;
+      if (!parse_whole(argv[++i], std::size_t{0},
+                       std::numeric_limits<std::size_t>::max() >> 20,
+                       megabytes)) {
+        return usage(argv[0]);
+      }
+      config.shared_cache.budget_bytes = megabytes << 20;
     } else if (std::strcmp(arg, "--cache-dir") == 0 && has_value) {
       config.shared_cache.disk_dir = argv[++i];
     } else {

@@ -621,11 +621,6 @@ session::SharedCacheStats Server::shared_cache_stats() const {
   return impl_->shared->stats();
 }
 
-const std::shared_ptr<session::SharedArtifactCache>& Server::shared_cache()
-    const {
-  return impl_->shared;
-}
-
 std::int64_t result_checksum(const sim::PipelineResult& result) {
   std::int64_t checksum = result.misses.total.misses() + result.executions;
   for (std::size_t c = 0; c < result.element_stats.size(); ++c) {

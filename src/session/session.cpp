@@ -109,14 +109,18 @@ struct Session::Impl {
 
   void note_step(int rank) { step_rank = std::max(step_rank, rank); }
 
-  void finalize_step() {
-    switch (step_rank) {
-      case kStepFullHit: ++stats.steps_full_hit; break;
-      case kStepSymbolic: ++stats.steps_symbolic; break;
-      case kStepChunkDelta: ++stats.steps_chunk_delta; break;
-      case kStepCold: ++stats.steps_cold; break;
+  static void count_step(SessionStats& counters, int rank) {
+    switch (rank) {
+      case kStepFullHit: ++counters.steps_full_hit; break;
+      case kStepSymbolic: ++counters.steps_symbolic; break;
+      case kStepChunkDelta: ++counters.steps_chunk_delta; break;
+      case kStepCold: ++counters.steps_cold; break;
       default: break;  // -1: idle step, not counted.
     }
+  }
+
+  void finalize_step() {
+    count_step(stats, step_rank);
     step_rank = -1;
   }
 
@@ -371,8 +375,7 @@ struct Session::Impl {
         [&] {
           note_step(kStepSymbolic);
           return viz::layout_state(
-              program.states().at(static_cast<std::size_t>(state_index)),
-              config.layout);
+              program.states().at(static_cast<std::size_t>(state_index)));
         },
         +[](const viz::StateLayout& layout) {
           return sizeof(viz::StateLayout) +
@@ -399,11 +402,11 @@ struct Session::Impl {
             values.push_back(
                 static_cast<double>(expr.evaluate(binding)));
           }
-          const viz::HeatmapScale scale =
-              viz::HeatmapScale::fit(values, config.scaling);
+          const viz::HeatmapScale scale = viz::HeatmapScale::fit(
+              values, viz::ScalingPolicy::MeanCentered);
+          // Default scheme (GreenYellowRed) and default LayoutOptions,
+          // the same ones layout() draws with.
           viz::GraphRenderOptions options;
-          options.scheme = config.scheme;
-          options.layout = config.layout;
           for (std::size_t v = 0; v < values.size(); ++v) {
             options.edge_heat[volumes->bytes_per_edge[v].first] =
                 scale.normalize(values[v]);
@@ -479,8 +482,9 @@ ArtifactKey Session::metrics_cache_key() const {
 }
 
 SessionStats Session::stats() const {
-  impl_->finalize_step();  // Classify the in-progress step (header doc).
   SessionStats stats = impl_->stats;
+  // Counted, not closed: the step goes on until the next binding change.
+  Impl::count_step(stats, impl_->step_rank);
   stats.cache_bytes = impl_->cache_bytes;
   stats.cache_entries = impl_->lru.size();
   return stats;

@@ -6,6 +6,7 @@
 #include "dmv/sim/sim.hpp"
 #include "dmv/sim/trace_plan.hpp"
 #include "dmv/symbolic/batched.hpp"
+#include "dmv/symbolic/compiled.hpp"
 
 namespace dmv::sim {
 
@@ -368,7 +369,8 @@ class Simulator {
       const std::int64_t begin = eval(map.bounds[0].begin);
       const std::int64_t step = eval(map.bounds[0].step);
       if (step <= 0) {
-        throw std::invalid_argument("IterationSpace: non-positive step");
+        throw std::invalid_argument("simulate: non-positive step in map '" +
+                                    node.map.label + "'");
       }
       const int slot = map.param_slots[0];
       const BatchedScope& scope = batched_scopes_[node.id];
@@ -407,7 +409,8 @@ class Simulator {
     const std::int64_t end = eval(map.bounds[dim].end);
     const std::int64_t step = eval(map.bounds[dim].step);
     if (step <= 0) {
-      throw std::invalid_argument("IterationSpace: non-positive step");
+      throw std::invalid_argument("simulate: non-positive step in map '" +
+                                  node.map.label + "'");
     }
     const int slot = map.param_slots[dim];
     const BatchedScope& scope = batched_scopes_[node.id];

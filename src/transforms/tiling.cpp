@@ -49,7 +49,8 @@ void tile_map(State& state, NodeId map_entry, const std::string& param,
   entry.map.ranges.insert(entry.map.ranges.begin(), tile_range);
 
   // The original parameter now walks one tile window; its bounds depend
-  // on the tile counter, which IterationSpace evaluates level by level.
+  // on the tile counter, which every map walker binds before it
+  // evaluates the inner dimension's bounds.
   const symbolic::Expr window_base =
       range.begin + symbolic::Expr::symbol(tile_param) * tile_size;
   ir::Range& inner = entry.map.ranges[position + 1];

@@ -5,12 +5,30 @@
 #include <cmath>
 
 #include "dmv/builder/program_builder.hpp"
+#include "dmv/symbolic/expr.hpp"
 #include "dmv/workloads/workloads.hpp"
 
 namespace dmv::exec {
 namespace {
 
 using builder::ProgramBuilder;
+
+// A map over `ranges` whose tasklet adds 1 to count[0], so the count
+// after run() is the number of points the map visited.
+ir::Sdfg counting_map(const std::vector<builder::MapRange>& ranges) {
+  ProgramBuilder p("prog");
+  p.array("count", {"1"});
+  p.state("s");
+  p.mapped_tasklet("tick", ranges, {}, "o = 1",
+                   {{"o", "count", "0", ir::Wcr::Sum}});
+  return p.take();
+}
+
+double run_count(const ir::Sdfg& sdfg, const symbolic::SymbolMap& env) {
+  Buffers buffers(sdfg, env);
+  run(sdfg, env, buffers);
+  return buffers.logical("count")[0];
+}
 
 TEST(Buffers, AllocationAndAccess) {
   ProgramBuilder p("prog");
@@ -213,6 +231,50 @@ TEST(Interpreter, MissingConnectorThrows) {
   ir::Sdfg sdfg = p.take();
   Buffers buffers(sdfg, {{"N", 3}});
   EXPECT_THROW(run(sdfg, {{"N", 3}}, buffers), std::logic_error);
+}
+
+TEST(Interpreter, StridedRangeRunsEveryStep) {
+  const ir::Sdfg sdfg = counting_map({{"i", "0:N-1"}, {"j", "0:9:2"}});
+  EXPECT_EQ(run_count(sdfg, {{"N", 4}}), 4 * 5);
+}
+
+TEST(Interpreter, TriangularMapRunsEveryPoint) {
+  // j in [0, i]: the inner bound reads the outer parameter.
+  const ir::Sdfg sdfg = counting_map({{"i", "0:3"}, {"j", "0:i"}});
+  EXPECT_EQ(run_count(sdfg, {}), 1 + 2 + 3 + 4);
+}
+
+TEST(Interpreter, EmptyRangeRunsNothing) {
+  EXPECT_EQ(run_count(counting_map({{"i", "0:-1"}}), {}), 0);
+}
+
+TEST(Interpreter, RejectsZeroStep) {
+  EXPECT_THROW(run_count(counting_map({{"i", "0:4:0"}}), {}),
+               std::invalid_argument);
+}
+
+TEST(Interpreter, BoundCannotReadItsOwnOrAnInnerParameter) {
+  // The map owns its parameter names: an enclosing binding of the same
+  // name is not visible to the map's own bounds.
+  EXPECT_THROW(run_count(counting_map({{"i", "0:i"}}), {{"i", 3}}),
+               symbolic::UnboundSymbolError);
+  EXPECT_THROW(
+      run_count(counting_map({{"i", "0:j"}, {"j", "0:3"}}), {{"j", 2}}),
+      symbolic::UnboundSymbolError);
+}
+
+TEST(Interpreter, LastWriteWinsInLexicographicOrder) {
+  // Every point of a 2x3 map overwrites out[0]; the last point visited,
+  // outer parameter slowest, is (1, 2).
+  ProgramBuilder p("prog");
+  p.array("out", {"1"});
+  p.state("s");
+  p.mapped_tasklet("last", {{"i", "0:1"}, {"j", "0:2"}}, {},
+                   "o = i * 10 + j", {{"o", "out", "0"}});
+  const ir::Sdfg sdfg = p.take();
+  Buffers buffers(sdfg, {});
+  run(sdfg, {}, buffers);
+  EXPECT_EQ(buffers.logical("out")[0], 12);
 }
 
 TEST(Interpreter, HdiffMatchesNativeKernel) {

@@ -4,17 +4,18 @@
 //
 // A direct reading of the SDFG execution model (Ben-Nun et al., "Stateful
 // Dataflow Multigraphs"): states run in order and each scope's nodes in
-// topological order; a map runs its scope once per iteration point, with
-// the point's parameters added to a copy of the enclosing scope's
-// SymbolMap; a tasklet reads every in-memlet subset, then writes every
-// out-memlet subset (a WCR output is one write per element, as the paper
-// counts it); an access->access copy pairs source and destination
-// elements one by one. Containers are placed by place_containers.
-// Subsets are evaluated with Expr::evaluate and walked row-major. No
-// compilation, lane batching or chunking.
+// topological order; a map runs its scope once per iteration point, in
+// lexicographic order, with the point's parameters added to a copy of
+// the enclosing scope's SymbolMap (dimension d's bounds are evaluated
+// with the parameters of dimensions >= d erased, so an inner range may
+// read an outer parameter); a tasklet reads every in-memlet subset, then
+// writes every out-memlet subset (a WCR output is one write per element,
+// as the paper counts it); an access->access copy pairs source and
+// destination elements one by one. Containers are placed by
+// place_containers. Bounds and subsets are evaluated with Expr::evaluate
+// and walked row-major. No compilation, lane batching or chunking.
 
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -60,20 +61,42 @@ struct Walk {
         {container, layout.flat_index(element), is_write, execution, tasklet});
   }
 
+  // Dimension `dim` of a map: its bounds are evaluated with the
+  // parameters of dimensions >= dim erased, then each value is bound in
+  // order; past the last dimension the map's scope runs.
+  void map_dim(const ir::State& state, const ir::StateSchedule& schedule,
+               const ir::Node& entry, std::size_t dim,
+               symbolic::SymbolMap& env) {
+    const ir::MapInfo& info = entry.map;
+    if (dim == info.params.size()) {
+      scope(state, schedule, entry.id, env);
+      return;
+    }
+    for (std::size_t d = dim; d < info.params.size(); ++d) {
+      env.erase(info.params[d]);
+    }
+    const ir::Range& range = info.ranges[dim];
+    const std::int64_t begin = range.begin.evaluate(env);
+    const std::int64_t end = range.end.evaluate(env);
+    const std::int64_t step = range.step.evaluate(env);
+    if (step <= 0) throw std::invalid_argument("reference: non-positive step");
+    for (std::int64_t v = begin; v <= end; v += step) {
+      env[info.params[dim]] = v;
+      map_dim(state, schedule, entry, dim + 1, env);
+    }
+  }
+
   void scope(const ir::State& state, const ir::StateSchedule& schedule,
              ir::NodeId parent, const symbolic::SymbolMap& env) {
     for (const ir::NodeId id : schedule.order) {
       const ir::Node& node = state.node(id);
       if (node.scope_parent != parent) continue;
       if (node.kind == ir::NodeKind::MapEntry) {
-        const IterationSpace space = IterationSpace::from(node.map, env);
-        space.for_each([&](std::span<const std::int64_t> point) {
-          symbolic::SymbolMap inner = env;
-          for (std::size_t p = 0; p < point.size(); ++p) {
-            inner[space.params[p]] = point[p];
-          }
-          scope(state, schedule, id, inner);
-        });
+        if (node.map.params.size() != node.map.ranges.size()) {
+          throw std::invalid_argument("reference: malformed map");
+        }
+        symbolic::SymbolMap inner = env;
+        map_dim(state, schedule, node, 0, inner);
       } else if (node.kind == ir::NodeKind::Tasklet) {
         for (const bool is_write : {false, true}) {
           for (const ir::Edge* edge : is_write ? schedule.out_adjacency[id]

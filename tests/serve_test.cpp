@@ -89,6 +89,32 @@ TEST(ServeProtocolTest, OpenBindStepRoundtrip) {
             result.at("checksum").as_string());
 }
 
+std::int64_t session_steps(Server& server, const std::string& session) {
+  const Value stats = parse_line(server.handle(
+      "{\"id\":4,\"method\":\"stats\",\"params\":{\"session\":\"" +
+      session + "\"}}"));
+  const Value& counters = stats.at("result").at("session");
+  return counters.at("steps_full_hit").as_int() +
+         counters.at("steps_symbolic").as_int() +
+         counters.at("steps_chunk_delta").as_int() +
+         counters.at("steps_cold").as_int();
+}
+
+TEST(ServeProtocolTest, EachStepRequestCountsAsOneStep) {
+  // A step reads the session's stats to pick served_by and then asks
+  // for movement_bytes; neither may open a second step.
+  Server server;
+  ASSERT_TRUE(parse_line(server.handle(open_request("a", "hdiff"))).has(
+      "result"));
+  const std::vector<std::int64_t> drag = {6, 7, 6, 8, 7};
+  for (std::size_t n = 0; n < drag.size(); ++n) {
+    const Value stepped =
+        parse_line(server.handle(step_request("a", "K", drag[n])));
+    ASSERT_TRUE(stepped.has("result")) << dmv::json::dump(stepped);
+    EXPECT_EQ(session_steps(server, "a"), static_cast<std::int64_t>(n + 1));
+  }
+}
+
 /// open_program with an inline one-state SDFG over container A[4].
 std::string open_inline(const std::string& element_size,
                         const std::string& nodes, const std::string& edges) {

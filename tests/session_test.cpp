@@ -273,7 +273,7 @@ TEST(SessionTest, ProgramEditChangesContentHash) {
   const auto folded = session.layout(0);
   EXPECT_LT(folded->nodes.size(), unfolded);
   expect_same_layout(
-      *folded, viz::layout_state(session.program().states()[0], config.layout));
+      *folded, viz::layout_state(session.program().states()[0]));
 }
 
 TEST(SessionTest, LruEvictionUnderTinyByteBudget) {
@@ -313,6 +313,34 @@ TEST(SessionTest, DragStepEvaluatesOnlyItsOwnBundle) {
     EXPECT_EQ(after.evictions, 0) << "K=" << k;
   }
   EXPECT_EQ(session.stats().cache_entries, 7u);
+}
+
+std::int64_t steps(const SessionStats& stats) {
+  return stats.steps_full_hit + stats.steps_symbolic +
+         stats.steps_chunk_delta + stats.steps_cold;
+}
+
+TEST(SessionTest, ReadingStatsDoesNotSplitAStep) {
+  // A server step reads stats() between its getters; the step still
+  // counts once, by the most expensive work it needed.
+  Session session(small_hdiff(), test_config());
+  session.set_binding(small_binding(2));
+  session.set_symbol("K", 3);
+  session.metrics();
+  const SessionStats during = session.stats();
+  EXPECT_EQ(steps(during), 1);
+  EXPECT_EQ(during.steps_cold, 1);
+  session.movement_bytes();
+  session.set_symbol("K", 4);
+  const SessionStats after = session.stats();
+  EXPECT_EQ(steps(after), 1);
+  EXPECT_EQ(after.steps_cold, 1);
+
+  // reset_stats() drops the in-progress step.
+  session.metrics();
+  session.reset_stats();
+  session.set_symbol("K", 5);
+  EXPECT_EQ(steps(session.stats()), 0);
 }
 
 TEST(SessionDeterminismTest, OneVsEightThreadsBitIdentical) {

@@ -14,55 +14,6 @@ namespace {
 
 using builder::ProgramBuilder;
 
-TEST(IterationSpace, Size) {
-  ir::MapInfo info;
-  info.params = {"i", "j"};
-  info.ranges = {ir::Range{0, symbolic::parse("N-1"), 1},
-                 ir::Range{0, 9, 2}};
-  IterationSpace space = IterationSpace::from(info, {{"N", 4}});
-  EXPECT_EQ(space.size(), 4 * 5);
-}
-
-TEST(IterationSpace, LexicographicOrder) {
-  ir::MapInfo info;
-  info.params = {"i", "j"};
-  info.ranges = {ir::Range{0, 1, 1}, ir::Range{0, 2, 1}};
-  IterationSpace space = IterationSpace::from(info, {});
-  std::vector<std::pair<std::int64_t, std::int64_t>> seen;
-  space.for_each([&](std::span<const std::int64_t> values) {
-    seen.emplace_back(values[0], values[1]);
-  });
-  ASSERT_EQ(seen.size(), 6u);
-  EXPECT_EQ(seen.front(), (std::pair<std::int64_t, std::int64_t>{0, 0}));
-  EXPECT_EQ(seen[1], (std::pair<std::int64_t, std::int64_t>{0, 1}));
-  EXPECT_EQ(seen.back(), (std::pair<std::int64_t, std::int64_t>{1, 2}));
-}
-
-TEST(IterationSpace, EmptyRange) {
-  ir::MapInfo info;
-  info.params = {"i"};
-  info.ranges = {ir::Range{0, -1, 1}};
-  EXPECT_EQ(IterationSpace::from(info, {}).size(), 0);
-}
-
-TEST(IterationSpace, RejectsNonPositiveStep) {
-  ir::MapInfo info;
-  info.params = {"i"};
-  info.ranges = {ir::Range{0, 4, 0}};
-  EXPECT_THROW(IterationSpace::from(info, {}).size(),
-               std::invalid_argument);
-}
-
-TEST(IterationSpace, InnerRangeMayDependOnOuterParam) {
-  // Triangular space: j in [0, i].
-  ir::MapInfo info;
-  info.params = {"i", "j"};
-  info.ranges = {ir::Range{0, 3, 1},
-                 ir::Range{0, symbolic::Expr::symbol("i"), 1}};
-  IterationSpace space = IterationSpace::from(info, {});
-  EXPECT_EQ(space.size(), 1 + 2 + 3 + 4);
-}
-
 TEST(Simulate, OuterProductCounts) {
   // Fig 3/4c ground truth: A[i] read N times, B[j] read M times, C[i,j]
   // written exactly once.

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Scripted smoke client for dmv_serve (stdio transport).
+"""Scripted smoke client for dmv_serve (stdio or TCP transport).
 
 Drives the documented protocol end to end — open hdiff, drag the K
 slider, re-drag the same values, check stats, shut down — and exits
@@ -15,22 +15,50 @@ re-simulating (docs/storage.md covers the cache-dir lifecycle).
 
 --stats-file writes the session's counters (hits, misses, shared_hits,
 evictions and the steps_* classes; no timings) as JSON, so two runs at
-different DMV_NUM_THREADS settings can be compared byte for byte.
+different DMV_NUM_THREADS settings can be compared byte for byte. It
+also requires the steps_* classes to sum to the step requests sent: one
+request is one step.
+
+--tcp starts `dmv_serve --port 0`, reads the bound port from its
+listening line and runs the same session over a loopback connection,
+which must survive a half-second pause and answer a 64 MiB request
+line within 10 s. It then opens and closes one
+warm-up and 20 more connections and fails if the server's VmSize
+(/proc/<pid>/status) grew by a thread stack per connection over the
+20: a finished connection's thread must be joined, not kept until
+shutdown. Last, it sends `shutdown` over a new connection while the
+session's connection stays open and idle; the server must exit anyway.
 
 Usage: serve_smoke.py [path/to/dmv_serve] [--cache-dir DIR]
                       [--checksum-file PATH] [--expect-disk-warm]
-                      [--stats-file PATH]
+                      [--stats-file PATH] [--tcp]
 """
 
 import argparse
 import json
+import re
+import resource
+import socket
 import subprocess
 import sys
+import time
 
 DRAG = [6, 7, 8, 9, 8, 7]
 # The session counters that must not depend on the worker count.
 COUNTERS = ["hits", "misses", "shared_hits", "evictions", "steps_full_hit",
             "steps_symbolic", "steps_chunk_delta", "steps_cold"]
+# Connections the TCP mode opens and closes after the scripted session.
+EXTRA_CONNECTIONS = 20
+# The TCP mode's long request line, and how long its reply may take (a
+# linear scan answers in well under a second; one that rescans the line
+# on every 4 KiB read took 8 s for half this size).
+LONG_LINE_BYTES = 64 << 20
+LONG_LINE_SECONDS = 10
+
+
+# The dmv_serve process under test. The smoke stops it however it ends,
+# since a TCP server would otherwise outlive it.
+server = None
 
 
 def fail(message):
@@ -39,23 +67,21 @@ def fail(message):
 
 
 class Client:
-    def __init__(self, argv):
-        self.proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-        )
+    """One line-protocol conversation over a writer and a reader."""
+
+    def __init__(self, writer, reader):
+        self.writer = writer
+        self.reader = reader
         self.next_id = 0
 
     def call(self, method, **params):
         self.next_id += 1
         request = {"id": self.next_id, "method": method, "params": params}
-        self.proc.stdin.write(json.dumps(request) + "\n")
-        self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
+        self.writer.write(json.dumps(request) + "\n")
+        self.writer.flush()
+        line = self.reader.readline()
         if not line:
-            fail(f"server closed stdout while handling {method}")
+            fail(f"server closed the stream while handling {method}")
         try:
             response = json.loads(line)
         except json.JSONDecodeError as error:
@@ -67,6 +93,76 @@ class Client:
         if "result" not in response:
             fail(f"{method} -> response without result: {response}")
         return response["result"]
+
+
+def connect(port):
+    """A Client over a new loopback connection, and its stream: closing
+    the stream closes the connection."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=60)
+    stream = sock.makefile("rw", encoding="utf-8", newline="\n")
+    sock.close()  # The stream holds the connection open.
+    return Client(stream, stream), stream
+
+
+def vm_size_kb(pid):
+    with open(f"/proc/{pid}/status") as handle:
+        match = re.search(r"^VmSize:\s+(\d+) kB", handle.read(), re.M)
+    if not match:
+        fail(f"no VmSize in /proc/{pid}/status")
+    return int(match.group(1))
+
+
+def stack_kb():
+    """The stack a new thread maps: RLIMIT_STACK, or glibc's 8 MiB."""
+    soft, _ = resource.getrlimit(resource.RLIMIT_STACK)
+    if soft == resource.RLIM_INFINITY or soft <= 0:
+        return 8 * 1024
+    return soft // 1024
+
+
+def open_and_close(port):
+    """One short connection: a stats request, then close."""
+    client, stream = connect(port)
+    client.call("stats")
+    stream.close()
+    # Let the server see EOF before the next connection arrives.
+    time.sleep(0.05)
+
+
+def check_long_line(stream):
+    """Sends one 64 MiB request line; its parse_error reply must come
+    in well under the time a rescan of the whole line per read takes."""
+    started = time.monotonic()
+    stream.write("x" * LONG_LINE_BYTES + "\n")
+    stream.flush()
+    line = stream.readline()
+    elapsed = time.monotonic() - started
+    if not line or json.loads(line).get("error", {}).get("code") != "parse_error":
+        fail(f"a {LONG_LINE_BYTES >> 20} MiB line got {line[:200]!r}")
+    if elapsed > LONG_LINE_SECONDS:
+        fail(f"a {LONG_LINE_BYTES >> 20} MiB line took {elapsed:.1f} s "
+             f"(limit {LONG_LINE_SECONDS} s)")
+
+
+def check_connection_threads(pid, port):
+    """Opens and closes EXTRA_CONNECTIONS connections, one at a time,
+    and fails if the server kept a thread stack mapped for each."""
+    # The first connection thread may map a stack and a malloc arena
+    # that later ones reuse, so VmSize is read after one warm-up.
+    open_and_close(port)
+    time.sleep(0.5)
+    before = vm_size_kb(pid)
+    for _ in range(EXTRA_CONNECTIONS):
+        open_and_close(port)
+    time.sleep(0.5)
+    grown = vm_size_kb(pid) - before
+    limit = EXTRA_CONNECTIONS * stack_kb() // 2
+    if grown >= limit:
+        fail(
+            f"VmSize grew {grown} kB over {EXTRA_CONNECTIONS} finished "
+            f"connections (limit {limit} kB): their threads were not joined"
+        )
+    return grown
 
 
 def main():
@@ -90,12 +186,36 @@ def main():
         "--stats-file",
         help="write the session's counters (no timings) here as JSON",
     )
+    parser.add_argument(
+        "--tcp",
+        action="store_true",
+        help="serve over a loopback TCP connection (dmv_serve --port 0) "
+        "and check that finished connections release their threads",
+    )
     args = parser.parse_args()
 
     argv = [args.binary]
     if args.cache_dir:
         argv += ["--cache-dir", args.cache_dir]
-    client = Client(argv)
+    if args.tcp:
+        argv += ["--port", "0"]
+    global server
+    server = subprocess.Popen(
+        argv,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    if args.tcp:
+        listening = server.stdout.readline()
+        match = re.match(r"dmv_serve: listening on 127\.0\.0\.1:(\d+)$",
+                         listening.strip())
+        if not match or int(match.group(1)) == 0:
+            fail(f"unexpected listening line {listening!r}")
+        port = int(match.group(1))
+        client, stream = connect(port)
+    else:
+        client = Client(server.stdin, server.stdout)
 
     opened = client.call(
         "open_program",
@@ -150,16 +270,37 @@ def main():
         missing = [name for name in COUNTERS if name not in session]
         if missing:
             fail(f"session stats lack {missing}: {session}")
+        steps = sum(session[name] for name in COUNTERS
+                    if name.startswith("steps_"))
+        if steps != 2 * len(DRAG):
+            fail(f"{2 * len(DRAG)} step requests counted as {steps} steps: "
+                 f"{session}")
         with open(args.stats_file, "w") as handle:
             json.dump({name: session[name] for name in COUNTERS}, handle,
                       indent=1)
             handle.write("\n")
 
+    grown = None
+    if args.tcp:
+        # A client that pauses keeps its connection.
+        time.sleep(0.5)
+        client.call("stats", session="smoke")
+        check_long_line(stream)
+        grown = check_connection_threads(server.pid, port)
+        # Shut down from a second connection; the first stays open.
+        idle = stream
+        client, stream = connect(port)
     stopping = client.call("shutdown")
     if stopping.get("stopping") is not True:
         fail(f"shutdown did not acknowledge: {stopping}")
-    client.proc.stdin.close()
-    code = client.proc.wait(timeout=30)
+    server.stdin.close()
+    try:
+        code = server.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        fail("dmv_serve did not exit within 30 s of shutdown")
+    if args.tcp:
+        stream.close()
+        idle.close()
     if code != 0:
         fail(f"dmv_serve exited with code {code}")
 
@@ -179,11 +320,19 @@ def main():
                 json.dump(first, handle)
 
     mode = "disk-warm" if args.expect_disk_warm else "cold"
+    transport = "stdio" if grown is None else (
+        f"tcp, VmSize +{grown} kB over {EXTRA_CONNECTIONS} more connections")
     print(
         f"serve_smoke: OK ({len(DRAG)} {mode} + {len(DRAG)} warm steps, "
-        f"{session.get('hits')} hits, {disk_hits} disk hits, clean shutdown)"
+        f"{session.get('hits')} hits, {disk_hits} disk hits, {transport}, "
+        f"clean shutdown)"
     )
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    finally:
+        if server is not None and server.poll() is None:
+            server.kill()
+            server.wait()
