@@ -68,8 +68,6 @@ class SymbolTable {
   /// in `symbols` without a slot are ignored (they were never needed).
   void bind(const SymbolMap& symbols, std::vector<std::int64_t>& values,
             std::vector<char>& bound) const;
-  void bind(const SymbolBinding& symbols, std::vector<std::int64_t>& values,
-            std::vector<char>& bound) const;
 
  private:
   friend class CompiledExpr;

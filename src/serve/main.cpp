@@ -20,6 +20,10 @@
 // [0, 65535], --cache-mb whose byte count fits size_t) exits 2 with the
 // usage line. --port 0 binds an ephemeral port; the listening line
 // names the bound one.
+//
+// A request line longer than kMaxLineBytes gets one `request_too_large`
+// error; the rest of it is read through its newline without being kept,
+// and the stream goes on serving.
 
 #include <algorithm>
 #include <atomic>
@@ -39,8 +43,14 @@
 
 #include "dmv/par/par.hpp"
 #include "dmv/serve/server.hpp"
+#include "dmv/util/json.hpp"
 
 namespace {
+
+// The longest request line, newline excluded, that is buffered and
+// handled: a client that never sends a newline cannot grow the server's
+// buffer past it.
+constexpr std::size_t kMaxLineBytes = std::size_t{64} << 20;
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -61,50 +71,78 @@ bool parse_whole(const char* text, T lo, T hi, T& out) {
   return true;
 }
 
-void run_stdio(dmv::serve::Server& server) {
-  std::string line;
-  while (!server.shutting_down() && std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    std::cout << server.handle(line) << "\n" << std::flush;
+// Writes all of `text` to `fd`, looping over short writes.
+bool write_all(int fd, const std::string& text) {
+  std::size_t written = 0;
+  while (written < text.size()) {
+    const ssize_t w = ::write(fd, text.data() + written, text.size() - written);
+    if (w <= 0) return false;
+    written += static_cast<std::size_t>(w);
   }
-  server.shutdown();
+  return true;
 }
 
-// Reads newline-delimited requests from one accepted connection and
-// writes one response line per request. Short writes are looped;
-// failure just ends the connection (the session state stays — the
-// client may reconnect). The caller closes `fd` once this returned.
-void serve_connection(dmv::serve::Server& server, int fd) {
-  std::string buffer;
+std::string too_large_response() {
+  using dmv::json::Value;
+  Value error = Value::make_object();
+  error["code"] = Value::of("request_too_large");
+  error["message"] = Value::of("request line exceeds " +
+                               std::to_string(kMaxLineBytes) + " bytes");
+  Value response = Value::make_object();
+  response["id"] = Value::null();
+  response["error"] = std::move(error);
+  return dmv::json::dump(response) + "\n";
+}
+
+// Reads newline-delimited requests from `in` and writes one response
+// line per request to `out`, until end of input, a failed write or
+// `shutdown`; a last line without a newline is handled too. A failure
+// just ends the stream (sessions stay, and a TCP client may reconnect);
+// the caller closes the descriptors. Each byte is scanned once, so a
+// long line costs linear time. Only the current line is buffered: one
+// past kMaxLineBytes is answered with `request_too_large` as soon as it
+// is that long, and its remaining bytes are dropped.
+void serve_stream(dmv::serve::Server& server, int in, int out) {
+  std::string line;
+  bool discarding = false;  // Inside a line already answered as too large.
+  auto handle_line = [&] {
+    const bool ok = line.empty() || write_all(out, server.handle(line) + "\n");
+    line.clear();
+    return ok && !server.shutting_down();
+  };
   char chunk[4096];
   for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    const ssize_t n = ::read(in, chunk, sizeof(chunk));
     if (n <= 0) break;
-    // What the buffer held before this read has no newline: scan only
-    // the new bytes, so a long line costs linear time, not quadratic.
-    const std::size_t scanned = buffer.size();
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t newline =
-          buffer.find('\n', std::max(start, scanned));
-      if (newline == std::string::npos) break;
-      std::string line = buffer.substr(start, newline - start);
-      start = newline + 1;
-      if (line.empty()) continue;
-      std::string response = server.handle(line);
-      response += '\n';
-      std::size_t written = 0;
-      while (written < response.size()) {
-        const ssize_t w = ::write(fd, response.data() + written,
-                                  response.size() - written);
-        if (w <= 0) return;
-        written += static_cast<std::size_t>(w);
+    const char* data = chunk;
+    std::size_t size = static_cast<std::size_t>(n);
+    while (size > 0) {
+      const char* newline =
+          static_cast<const char*>(std::memchr(data, '\n', size));
+      const std::size_t length =
+          newline ? static_cast<std::size_t>(newline - data) : size;
+      if (!discarding && line.size() + length > kMaxLineBytes) {
+        discarding = true;
+        std::string().swap(line);
+        if (!write_all(out, too_large_response())) return;
+      }
+      if (!discarding) line.append(data, length);
+      if (!newline) break;
+      data = newline + 1;
+      size -= length + 1;
+      if (discarding) {
+        discarding = false;
+      } else if (!handle_line()) {
+        return;
       }
     }
-    buffer.erase(0, start);
-    if (server.shutting_down()) break;
   }
+  if (!discarding) handle_line();
+}
+
+void run_stdio(dmv::serve::Server& server) {
+  serve_stream(server, STDIN_FILENO, STDOUT_FILENO);
+  server.shutdown();
 }
 
 int run_tcp(dmv::serve::Server& server, int port) {
@@ -165,7 +203,7 @@ int run_tcp(dmv::serve::Server& server, int port) {
     Connection& connection = connections.emplace_back();
     connection.fd = fd;
     connection.thread = std::thread([&server, &connection] {
-      serve_connection(server, connection.fd);
+      serve_stream(server, connection.fd, connection.fd);
       connection.done = true;
     });
   }

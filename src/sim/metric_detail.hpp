@@ -119,6 +119,10 @@ inline void line_range_of(const std::vector<layout::ConcreteLayout>& layouts,
 /// O(elements + pairs) memory, per-element order identical to the
 /// serial scan. cold_count must already be filled by the caller.
 /// `offsets` and `sorted` are caller-owned scratch (arena-reusable).
+/// Nothing here allocates when the caller has reserved `elements`
+/// values in each of stats' min, median and max and in `offsets`, and
+/// pairs.size() in `sorted`, so the metric engine runs one call per
+/// container as a pool task on memory from its own thread's arena.
 inline void finalize_element_stats(std::int64_t elements,
                                    const std::vector<std::pair<
                                        std::int64_t, std::int64_t>>& pairs,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <type_traits>
 
 #include "dmv/par/par.hpp"
 
@@ -39,6 +38,10 @@ constexpr std::int64_t kLocalDenseEntries = std::int64_t{1} << 25;
 constexpr std::int64_t kSmallWays = 64;
 // Line derivation block size.
 constexpr std::size_t kDeriveGrain = std::size_t{1} << 14;
+// Below this many values in all, a result's vectors are filled and a
+// tally's arrays zeroed on the calling thread: a pool job's dispatch
+// would cost more than it saves (docs/simulation.md).
+constexpr std::size_t kMinParallelValues = std::size_t{1} << 15;
 
 std::size_t threads() {
   return static_cast<std::size_t>(std::max(1, par::num_threads()));
@@ -52,15 +55,34 @@ void add_stats(MissStats& into, const MissStats& from) {
   into.hits += from.hits;
 }
 
+// Runs task(0) .. task(count - 1), which write `values` values in all:
+// on the pool, or on the calling thread below kMinParallelValues.
+template <typename Task>
+void fill_tasks(std::size_t count, std::size_t values, Task&& task) {
+  if (values < kMinParallelValues) {
+    for (std::size_t t = 0; t < count; ++t) task(t);
+  } else {
+    par::parallel_tasks(count, task);
+  }
+}
+
 // Zeroed per-element arrays for every enabled consumer (finite pairs
-// cleared, capacity kept).
+// cleared, capacity kept). The calling thread reserves every array, so
+// its memory comes from this thread's malloc arena, and one task zeroes
+// each array, so fresh pages are first touched across the pool.
 void reset_tally(const PipelineConfig& config,
                  const std::vector<std::int64_t>& elements, Tally& tally) {
   const std::size_t num_containers = elements.size();
-  auto zero = [&](std::vector<std::vector<std::int64_t>>& arrays) {
-    arrays.resize(num_containers);
+  std::vector<std::pair<std::vector<std::int64_t>*, std::size_t>> arrays;
+  std::size_t values = 0;
+  auto zero = [&](std::vector<std::vector<std::int64_t>>& per_container) {
+    per_container.resize(num_containers);
     for (std::size_t c = 0; c < num_containers; ++c) {
-      arrays[c].assign(static_cast<std::size_t>(elements[c]), 0);
+      const std::size_t size = static_cast<std::size_t>(elements[c]);
+      per_container[c].clear();  // A reallocating reserve copies nothing.
+      per_container[c].reserve(size);
+      arrays.emplace_back(&per_container[c], size);
+      values += size;
     }
   };
   if (config.counts) {
@@ -76,6 +98,9 @@ void reset_tally(const PipelineConfig& config,
     tally.finite.resize(num_containers);
     for (auto& pairs : tally.finite) pairs.clear();
   }
+  fill_tasks(arrays.size(), values, [&](std::size_t t) {
+    arrays[t].first->assign(arrays[t].second, 0);
+  });
 }
 
 // One consumer segment: tight fissioned loops per enabled consumer over
@@ -725,38 +750,82 @@ void Engine::feed(const std::int32_t* containers, const std::int64_t* flats,
 }
 
 PipelineResult Engine::collect(std::int64_t executions, bool move) {
-  auto take = [move](auto& value) {
-    return move ? std::move(value) : std::decay_t<decltype(value)>(value);
-  };
+  using Values = std::vector<std::int64_t>;
   const std::size_t num_containers = layouts_.size();
   PipelineResult result;
   result.events = static_cast<std::int64_t>(events_);
   result.executions = executions;
   result.containers = containers_;
+  // The calling thread moves each carried vector out (finish()) or
+  // reserves its copy (snapshot()), so the copy's memory comes from this
+  // thread's malloc arena; a pool task then fills each copy.
+  std::vector<std::pair<const Values*, Values*>> copies;
+  std::size_t values = 0;
+  auto take = [&](Values& from, Values& into) {
+    if (move) {
+      into = std::move(from);
+      return;
+    }
+    into.reserve(from.size());
+    copies.emplace_back(&from, &into);
+    values += from.size();
+  };
+  auto take_all = [&](std::vector<Values>& from, std::vector<Values>& into) {
+    into.resize(from.size());
+    for (std::size_t c = 0; c < from.size(); ++c) take(from[c], into[c]);
+  };
   if (config_.counts) {
-    result.counts.reads = take(tally_.reads);
-    result.counts.writes = take(tally_.writes);
+    take_all(tally_.reads, result.counts.reads);
+    take_all(tally_.writes, result.counts.writes);
   }
   if (config_.keep_distances) {
     result.distances.line_size = config_.line_size;
-    result.distances.distances = take(kept_distances_);
+    take(kept_distances_, result.distances.distances);
   }
   if (config_.miss_threshold_lines > 0) {
     result.misses.threshold_lines = config_.miss_threshold_lines;
     result.misses.per_container = tally_.misses;
-    result.misses.element_misses = take(tally_.element_misses);
+    take_all(tally_.element_misses, result.misses.element_misses);
     for (const MissStats& stats : result.misses.per_container) {
       add_stats(result.misses.total, stats);
     }
   }
+  // One task finalizes each container's element stats, into vectors and
+  // scratch this thread reserved. Scratch only grows, by doubling, so a
+  // drag rarely reallocates it.
+  const std::size_t finalized = config_.element_stats ? num_containers : 0;
   if (config_.element_stats) {
-    result.element_stats.assign(num_containers, {});
+    result.element_stats.resize(num_containers);
+    offsets_.resize(num_containers);
+    sorted_.resize(num_containers);
+    auto reserve_scratch = [](Values& scratch, std::size_t size) {
+      if (scratch.capacity() >= size) return;
+      scratch.clear();  // Dead values: reallocating copies nothing.
+      scratch.reserve(std::max(size, 2 * scratch.capacity()));
+    };
     for (std::size_t c = 0; c < num_containers; ++c) {
-      result.element_stats[c].cold_count = take(tally_.cold[c]);
-      detail::finalize_element_stats(elements_[c], tally_.finite[c], offsets_,
-                                     sorted_, result.element_stats[c]);
+      ElementDistanceStats& stats = result.element_stats[c];
+      take(tally_.cold[c], stats.cold_count);
+      const std::size_t elements = static_cast<std::size_t>(elements_[c]);
+      stats.min.reserve(elements);
+      stats.median.reserve(elements);
+      stats.max.reserve(elements);
+      reserve_scratch(offsets_[c], elements);
+      reserve_scratch(sorted_[c], tally_.finite[c].size());
+      values += 3 * elements;
     }
   }
+  // Finalizations, the longest tasks, are handed out first.
+  fill_tasks(finalized + copies.size(), values, [&](std::size_t t) {
+    if (t < finalized) {
+      detail::finalize_element_stats(elements_[t], tally_.finite[t],
+                                     offsets_[t], sorted_[t],
+                                     result.element_stats[t]);
+    } else {
+      const auto& [from, into] = copies[t - finalized];
+      into->assign(from->begin(), from->end());
+    }
+  });
   if (config_.cache) {
     result.cache.config = *config_.cache;
     result.cache.per_container.assign(num_containers, {});

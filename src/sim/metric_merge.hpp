@@ -334,8 +334,9 @@ class Engine {
   std::vector<std::vector<Boundary>> boundaries_;  // Per slot.
   std::vector<Fenwick32> fenwicks_;  // Per extra distance segment.
   std::vector<Tally> partials_;      // Per extra consumer segment.
-  std::vector<std::int64_t> offsets_;  ///< Element-stat counting sort.
-  std::vector<std::int64_t> sorted_;
+  /// Element-stat counting sort, per container.
+  std::vector<std::vector<std::int64_t>> offsets_;
+  std::vector<std::vector<std::int64_t>> sorted_;
 };
 
 }  // namespace dmv::sim::merge

@@ -37,19 +37,6 @@ void SymbolTable::bind(const SymbolMap& symbols,
   }
 }
 
-void SymbolTable::bind(const SymbolBinding& symbols,
-                       std::vector<std::int64_t>& values,
-                       std::vector<char>& bound) const {
-  values.assign(names_.size(), 0);
-  bound.assign(names_.size(), 0);
-  for (const auto& [id, value] : symbols.entries()) {
-    const int slot = lookup(id);
-    if (slot < 0) continue;
-    values[slot] = value;
-    bound[slot] = 1;
-  }
-}
-
 CompiledExpr::CompiledExpr() {
   code_.push_back({Op::PushConst, 0});
 }

@@ -7,14 +7,15 @@
 // standalone_reference.hpp for every PipelineResult field, at any
 // (thread, lane, partition, feed-split) combination, across the
 // materialized, generating, streaming and delta (replay and resume)
-// drives. All suites are named MetricMerge so the CI determinism /
-// sanitizer / TSan gates pick them up.
+// drives.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dmv/par/par.hpp"
@@ -316,6 +317,112 @@ TEST(MetricMerge, DeltaResumesOnSegmentedState) {
     EXPECT_TRUE(outcome.resumed) << "K=" << k;
     expect_matches_standalone(step, simulate(sdfg, binding(k)), full_config(),
                               "resumed K=" + std::to_string(k));
+  }
+}
+
+// A snapshot's and a finish()'s per-element vectors are reserved on the
+// calling thread and filled on the pool, one task per vector, and each
+// container's element stats are finalized in a task of their own. The
+// drag program at I=J=32, KMAX=40 (about 936,000 values per result) and
+// bert_encoder with SM under a capacity of 20 (40 containers, about
+// 89,000 values) are above the engine's cutoff for building a result on
+// the calling thread. Every step of a run_delta chain (cold, two
+// resumed, a replay that lowers the slider, no change) and one
+// run(sdfg), which takes finish(), must equal the oracle at 1 and 8
+// threads and inside a pool task.
+TEST(MetricMerge, SnapshotVectorsBuiltOnThePool) {
+  PipelineConfig config;  // Counts on by default.
+  config.miss_threshold_lines = 512;
+  config.element_stats = true;
+  struct Chain {
+    std::string name;
+    ir::Sdfg sdfg;
+    std::vector<symbolic::SymbolMap> steps;  // The last one also run().
+    /// Each step's expected path and `resumed` (unchecked when empty).
+    std::vector<std::pair<DeltaOutcome::Path, bool>> outcomes;
+    std::vector<PipelineResult> expected;
+  };
+  auto drag = [](std::int64_t k) {
+    return symbolic::SymbolMap{{"I", 32}, {"J", 32}, {"K", k}, {"KMAX", 40}};
+  };
+  auto bert = [](std::int64_t sm) {
+    symbolic::SymbolMap binding = workloads::bert_small();
+    binding["SM"] = sm;
+    binding["SMAX"] = 20;
+    return binding;
+  };
+  using Path = DeltaOutcome::Path;
+  std::vector<Chain> chains = {
+      {"drag",
+       workloads::fixed_capacity(
+           workloads::hdiff(workloads::HdiffVariant::Reordered),
+           {{"K", "KMAX"}}),
+       {drag(5), drag(6), drag(7), drag(4), drag(4)},
+       {{Path::kCold, false},
+        {Path::kChunkDelta, true},
+        {Path::kChunkDelta, true},
+        {Path::kChunkDelta, false},
+        {Path::kNoChange, false}},
+       {}},
+      {"bert",
+       workloads::fixed_capacity(
+           workloads::bert_encoder(workloads::BertStage::Baseline),
+           {{"SM", "SMAX"}}),
+       {bert(12), bert(16), bert(20), bert(14), bert(14)},
+       {},
+       {}},
+  };
+  for (Chain& chain : chains) {
+    for (const symbolic::SymbolMap& binding : chain.steps) {
+      chain.expected.push_back(
+          standalone_result(simulate(chain.sdfg, binding), config));
+    }
+  }
+  struct Run {
+    std::vector<PipelineResult> results;  // Each step, then run().
+    std::vector<DeltaOutcome> outcomes;
+  };
+  auto run_chain = [&](const Chain& chain) {
+    Run run;
+    MetricPipeline pipeline(config);
+    for (const symbolic::SymbolMap& binding : chain.steps) {
+      DeltaOutcome outcome;
+      run.results.push_back(
+          pipeline.run_delta(chain.sdfg, 1, binding, {}, &outcome));
+      run.outcomes.push_back(outcome);
+    }
+    run.results.push_back(pipeline.run(chain.sdfg, chain.steps.back()));
+    return run;
+  };
+  auto check = [&](const Chain& chain, const Run& run,
+                   const std::string& where) {
+    ASSERT_EQ(run.results.size(), chain.steps.size() + 1) << where;
+    for (std::size_t s = 0; s <= chain.steps.size(); ++s) {
+      const std::size_t step = std::min(s, chain.steps.size() - 1);
+      const std::string context =
+          chain.name + " " + where +
+          (s < chain.steps.size() ? " step " + std::to_string(s) : " run");
+      expect_results_equal(run.results[s], chain.expected[step], context);
+      if (s < chain.outcomes.size()) {
+        EXPECT_EQ(run.outcomes[s].path, chain.outcomes[s].first) << context;
+        EXPECT_EQ(run.outcomes[s].resumed, chain.outcomes[s].second)
+            << context;
+      }
+    }
+  };
+  for (const int threads : {1, 8}) {
+    par::ThreadScope scope(threads);
+    for (const Chain& chain : chains) {
+      check(chain, run_chain(chain), "threads " + std::to_string(threads));
+    }
+  }
+  par::ThreadScope scope(8);
+  std::vector<Run> nested(chains.size());
+  par::parallel_tasks(chains.size(), [&](std::size_t c) {
+    nested[c] = run_chain(chains[c]);
+  });
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    check(chains[c], nested[c], "in a pool task");
   }
 }
 

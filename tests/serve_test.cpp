@@ -1,10 +1,9 @@
 // Serving-layer tests: protocol behavior, cross-session cache sharing,
 // request coalescing, and the determinism contract under concurrency.
 //
-// All suites are named Serve* so the CI determinism and TSan gates
-// (-R '...|Serve') pick them up: the concurrency tests here are the
-// only place multiple client threads drive one process, which is
-// exactly the surface those gates exist for.
+// The concurrency tests here are the only place multiple client threads
+// drive one process, which is the surface the CI determinism and TSan
+// jobs exist for.
 
 #include <gtest/gtest.h>
 

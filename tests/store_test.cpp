@@ -1,24 +1,25 @@
 // Persistent artifact tier tests: the DMVA file framing, the metrics
 // codec, and the disk tier under the shared cache and the server.
 //
-// All suites are named Store* so the CI determinism / sanitizer / TSan
-// gates (-R '...|Store') pick them up: the store's contract is exact —
-// every codec round trip is bit-identical, every hostile artifact is
-// rejected cleanly, and the disk artifact tier re-serves prior results
-// byte for byte across process "restarts" (new cache/server objects
-// over the same directory).
+// The store's contract is exact: every codec round trip is
+// bit-identical, every hostile artifact is rejected cleanly, and the
+// disk artifact tier re-serves prior results byte for byte across
+// process "restarts" (new cache/server objects over the same
+// directory).
 
 #include "dmv/store/artifact_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dmv/par/par.hpp"
@@ -278,6 +279,86 @@ TEST(StoreDiskCacheTest, ArtifactSurvivesCacheRestart) {
   EXPECT_FALSE(reopened.load(test_key(9, 6), loaded));
   EXPECT_EQ(reopened.stats().hits, 1);
   EXPECT_EQ(reopened.stats().misses, 1);
+  fs::remove_all(dir);
+}
+
+// Artifact files in `dir` as (count, bytes): what stats() must report.
+std::pair<std::size_t, std::size_t> directory_totals(const fs::path& dir) {
+  std::size_t files = 0;
+  std::size_t bytes = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".dmva") continue;
+    ++files;
+    bytes += static_cast<std::size_t>(entry.file_size());
+  }
+  return {files, bytes};
+}
+
+// The byte budget evicts by last write time, oldest first, until the
+// directory fits, and never the file just written. Each file's time is
+// set explicitly, in an order that is neither write order nor name
+// order, so the test does not depend on the clock.
+TEST(StoreDiskCacheTest, EvictsOldestFilesBeyondBudget) {
+  const fs::path dir = scratch_dir("disk_evict");
+  const std::string payload(1000, 'p');
+  std::size_t artifact = 0;  // Every key below encodes to the same size.
+  {
+    store::DiskArtifactCache unbounded({dir.string()});
+    for (std::int64_t k = 1; k <= 4; ++k) {
+      unbounded.store(test_key(9, k), payload);
+    }
+    artifact = unbounded.stats().bytes / 4;
+  }
+  ASSERT_EQ(directory_totals(dir),
+            std::make_pair(std::size_t{4}, 4 * artifact));
+  // Oldest to newest: k = 3, 1, 4, 2.
+  const auto base = fs::file_time_type::clock::now() - std::chrono::hours(24);
+  const std::int64_t age_order[] = {3, 1, 4, 2};
+  for (int rank = 0; rank < 4; ++rank) {
+    char stem[17];
+    std::snprintf(stem, sizeof stem, "%016llx",
+                  static_cast<unsigned long long>(store::artifact_key_hash64(
+                      test_key(9, age_order[rank]))));
+    fs::last_write_time(dir / (std::string(stem) + ".dmva"),
+                        base + std::chrono::minutes(rank));
+  }
+
+  // About two artifacts: storing a fifth evicts the three oldest.
+  const std::size_t budget = 2 * artifact + artifact / 2;
+  store::DiskArtifactCache cache({dir.string(), budget});
+  EXPECT_EQ(cache.stats().files, 4u) << "opening evicts nothing";
+  cache.store(test_key(9, 5), payload);
+  std::string loaded;
+  for (const std::int64_t gone : {3, 1, 4}) {
+    EXPECT_FALSE(cache.load(test_key(9, gone), loaded)) << "k=" << gone;
+  }
+  for (const std::int64_t kept : {2, 5}) {
+    ASSERT_TRUE(cache.load(test_key(9, kept), loaded)) << "k=" << kept;
+    EXPECT_EQ(loaded, payload);
+  }
+  auto expect_stats_match = [&](const store::DiskArtifactCache& disk,
+                                const std::string& where) {
+    const auto [files, bytes] = directory_totals(dir);
+    EXPECT_EQ(disk.stats().files, files) << where;
+    EXPECT_EQ(disk.stats().bytes, bytes) << where;
+  };
+  expect_stats_match(cache, "after the first eviction");
+  EXPECT_EQ(cache.stats().files, 2u);
+
+  // A file larger than the whole budget evicts every other file and
+  // survives alone.
+  const std::string large(3 * budget, 'L');
+  cache.store(test_key(9, 6), large);
+  EXPECT_EQ(directory_totals(dir).first, 1u);
+  ASSERT_TRUE(cache.load(test_key(9, 6), loaded));
+  EXPECT_EQ(loaded, large);
+  EXPECT_GT(cache.stats().bytes, budget);
+  expect_stats_match(cache, "after the oversized write");
+
+  store::DiskArtifactCache reopened({dir.string(), budget});
+  expect_stats_match(reopened, "reopened");
+  EXPECT_EQ(reopened.stats().files, cache.stats().files);
+  EXPECT_EQ(reopened.stats().bytes, cache.stats().bytes);
   fs::remove_all(dir);
 }
 

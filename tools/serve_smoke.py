@@ -19,6 +19,10 @@ different DMV_NUM_THREADS settings can be compared byte for byte. It
 also requires the steps_* classes to sum to the step requests sent: one
 request is one step.
 
+Both transports then get a request line one byte over the server's
+64 MiB cap: it must be answered with a `request_too_large` error, and a
+`stats` request on the same stream must still answer.
+
 --tcp starts `dmv_serve --port 0`, reads the bound port from its
 listening line and runs the same session over a loopback connection,
 which must survive a half-second pause and answer a 64 MiB request
@@ -49,9 +53,10 @@ COUNTERS = ["hits", "misses", "shared_hits", "evictions", "steps_full_hit",
             "steps_symbolic", "steps_chunk_delta", "steps_cold"]
 # Connections the TCP mode opens and closes after the scripted session.
 EXTRA_CONNECTIONS = 20
-# The TCP mode's long request line, and how long its reply may take (a
-# linear scan answers in well under a second; one that rescans the line
-# on every 4 KiB read took 8 s for half this size).
+# The TCP mode's long request line, which is also the server's request
+# line cap, and how long its reply may take (a linear scan answers in
+# well under a second; one that rescans the line on every 4 KiB read
+# took 8 s for half this size).
 LONG_LINE_BYTES = 64 << 20
 LONG_LINE_SECONDS = 10
 
@@ -142,6 +147,17 @@ def check_long_line(stream):
     if elapsed > LONG_LINE_SECONDS:
         fail(f"a {LONG_LINE_BYTES >> 20} MiB line took {elapsed:.1f} s "
              f"(limit {LONG_LINE_SECONDS} s)")
+
+
+def check_over_cap_line(client):
+    """Sends one request line a byte over the cap; it must get one
+    request_too_large error, and the stream must keep serving."""
+    client.writer.write("x" * (LONG_LINE_BYTES + 1) + "\n")
+    client.writer.flush()
+    line = client.reader.readline()
+    if not line or json.loads(line).get("error", {}).get("code") != "request_too_large":
+        fail(f"a line over the {LONG_LINE_BYTES >> 20} MiB cap got {line[:200]!r}")
+    client.call("stats", session="smoke")
 
 
 def check_connection_threads(pid, port):
@@ -286,6 +302,8 @@ def main():
         time.sleep(0.5)
         client.call("stats", session="smoke")
         check_long_line(stream)
+    check_over_cap_line(client)
+    if args.tcp:
         grown = check_connection_threads(server.pid, port)
         # Shut down from a second connection; the first stays open.
         idle = stream
