@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "dmv/par/par.hpp"
-#include "dmv/symbolic/compiled.hpp"
 
 namespace dmv::analysis {
 
@@ -56,41 +55,6 @@ std::vector<SymbolScaling> movement_scaling(const Sdfg& sdfg,
                                             const SymbolMap& base,
                                             std::int64_t factor) {
   return scaling_exponents(total_movement_bytes(sdfg), base, factor);
-}
-
-std::vector<SweepPoint> sweep_metric(const Expr& metric, const SymbolMap& base,
-                                     const std::string& symbol,
-                                     const std::vector<std::int64_t>& values) {
-  for (const std::string& name : metric.free_symbols()) {
-    if (name != symbol && !base.contains(name)) {
-      throw std::invalid_argument(
-          "sweep_metric: base binding misses symbol '" + name + "'");
-    }
-  }
-  // Compile once; every binding evaluation is then an array-indexed pass.
-  symbolic::SymbolTable table;
-  const symbolic::CompiledExpr compiled =
-      symbolic::CompiledExpr::compile(metric, table);
-  std::vector<std::int64_t> env;
-  std::vector<char> bound;
-  table.bind(base, env, bound);
-  const int slot = table.lookup(symbol);
-  if (slot >= 0) bound[slot] = 1;
-
-  std::vector<SweepPoint> series(values.size());
-  par::parallel_for(values.size(), 16, [&](std::size_t begin,
-                                           std::size_t end) {
-    // Per-block copy of the environment: blocks write disjoint slots of
-    // the series, and each binding differs only in the swept slot.
-    std::vector<std::int64_t> local = env;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (slot >= 0) local[slot] = values[i];
-      series[i].value = values[i];
-      series[i].metric = static_cast<double>(
-          compiled.evaluate(local.data(), bound.data(), &table.names()));
-    }
-  });
-  return series;
 }
 
 }  // namespace dmv::analysis

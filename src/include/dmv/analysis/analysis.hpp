@@ -183,22 +183,6 @@ std::vector<SymbolScaling> movement_scaling(const Sdfg& sdfg,
                                             const SymbolMap& base,
                                             std::int64_t factor = 2);
 
-/// One point of a parameter-slider series (§IV-D).
-struct SweepPoint {
-  std::int64_t value = 0;  ///< The swept symbol's value.
-  double metric = 0;       ///< The metric evaluated at that binding.
-};
-
-/// Slider-series generation: evaluates `metric` at every binding formed
-/// by setting `symbol` to each entry of `values` on top of `base`. The
-/// metric is compiled once (symbolic::CompiledExpr) and the bindings are
-/// evaluated in parallel; result order mirrors `values`. Throws
-/// std::invalid_argument if `base` plus `symbol` does not cover the
-/// metric's free symbols.
-std::vector<SweepPoint> sweep_metric(const Expr& metric, const SymbolMap& base,
-                                     const std::string& symbol,
-                                     const std::vector<std::int64_t>& values);
-
 /// Before/after comparison of two program versions (the Fig 6 panels
 /// side by side): per-container logical movement in each version and the
 /// delta. Containers present in only one version (e.g. transients that

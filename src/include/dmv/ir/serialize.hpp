@@ -25,7 +25,4 @@ std::string to_json(const Sdfg& sdfg);
 /// MapInfo::collapsed) are hashed too: editing one changes the value.
 std::uint64_t structural_hash(const Sdfg& sdfg);
 
-/// Graphviz dot export of one state, mainly for debugging graph shapes.
-std::string to_dot(const State& state);
-
 }  // namespace dmv::ir

@@ -49,6 +49,7 @@
 // per-session mutex; requests for different sessions proceed in
 // parallel.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -57,6 +58,10 @@
 #include "dmv/session/session.hpp"
 
 namespace dmv::serve {
+
+/// The longest request line, newline excluded, that a transport buffers
+/// and passes to Server::handle(). A constant, not a setting.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{64} << 20;
 
 struct ServerConfig {
   /// Process-global artifact tier shared by every session.
@@ -94,6 +99,11 @@ class Server {
   /// returns the response line. Never throws: every failure becomes an
   /// `error` response. Safe to call from any thread.
   std::string handle(const std::string& line);
+
+  /// Answers a request line longer than kMaxRequestLineBytes, which the
+  /// transport drops instead of buffering: a `request_too_large` error
+  /// with a null id, counted in `requests` and `errors`.
+  std::string handle_oversized_line();
 
   /// Stops admitting requests (subsequent handle() calls return a
   /// `shutting_down` error) and blocks until every in-flight handle()

@@ -1,20 +1,21 @@
 #pragma once
 
-// Process-global shared artifact cache tier.
+// Byte-budgeted artifact cache: one class, two tiers.
 //
-// A Session's memoization (session.hpp) is private: one client, one
-// LRU. The serving layer (serve/) multiplexes MANY clients onto one
-// process, and their artifacts are highly redundant — every client
-// dragging the hdiff `size` slider recomputes the same keyed results.
-// This module lifts the cache key — (artifact kind, program content
-// hash, pipeline-config hash, binding restricted to the artifact's
-// reachable symbols) — into a process-wide tier that sessions consult
-// between their local LRU and a real computation:
+// Every Session (session.hpp) memoizes its artifacts in a private,
+// RAM-only instance of this class: one client, one LRU. The serving
+// layer (serve/) multiplexes MANY clients onto one process, and their
+// artifacts are highly redundant — every client dragging the hdiff
+// `size` slider recomputes the same keyed results. So it also builds
+// one process-wide instance, keyed the same way — (artifact kind,
+// program content hash, pipeline-config hash, binding restricted to
+// the artifact's reachable symbols) — that sessions consult between
+// their private tier and a real computation:
 //
-//   local LRU hit   -> return (counts as hit)
-//   shared tier hit -> copy the shared_ptr into the local LRU, return
-//                      (counts as hit + shared_hit)
-//   miss            -> compute, insert into BOTH tiers
+//   private tier hit -> return (counts as hit)
+//   shared tier hit  -> insert the shared_ptr into the private tier,
+//                       return (counts as hit + shared_hit)
+//   miss             -> compute, insert into BOTH tiers
 //
 // One mutex guards one LRU under one byte budget. Under the lock a
 // request does one hash lookup and one list splice; disk I/O runs
@@ -43,13 +44,13 @@ class DiskArtifactCache;
 
 namespace dmv::session {
 
-/// The one cache key shared by the per-session LRU and the shared tier.
+/// The one cache key of the private and the shared tier.
 /// `binding` must be RESTRICTED to the artifact's reachable symbols and
 /// sorted by symbol name — restriction is the invalidation story
 /// (session.hpp); sorting makes equal bindings compare equal.
 struct ArtifactKey {
   std::uint8_t kind = 0;  ///< session-internal Kind discriminator.
-  int aux = -1;           ///< State index for per-state artifacts.
+  int aux = -1;           ///< Unused (-1); disk keys still encode it.
   std::uint64_t program_hash = 0;
   std::uint64_t config_hash = 0;
   std::vector<std::pair<std::string, std::int64_t>> binding;
@@ -96,7 +97,9 @@ struct SharedCacheStats {
 
 /// Byte-budgeted LRU of immutable artifacts, keyed by ArtifactKey,
 /// holding type-erased shared ownership (the key's `kind` field
-/// discriminates the payload type, exactly as in the session LRU).
+/// discriminates the payload type). One class serves as each session's
+/// private tier (RAM only, SessionConfig::cache_budget_bytes) and as
+/// the process-wide tier the server shares among its sessions.
 class SharedArtifactCache {
  public:
   struct Config {
@@ -126,13 +129,13 @@ class SharedArtifactCache {
   /// nullptr on miss. On a hit, `*bytes_out` (when non-null) receives
   /// the entry's charge — the size passed to insert(), or for a
   /// promoted disk hit the codec's in-memory bytes() — which sessions
-  /// use to account the entry when promoting it into their local LRU.
+  /// use to charge the entry when promoting it into their private tier.
   std::shared_ptr<const void> lookup(const ArtifactKey& key,
                                      std::size_t* bytes_out = nullptr);
 
   /// Inserts unless the key is already present (first writer wins —
   /// racing producers computed identical bytes anyway). `bytes` is the
-  /// caller's approx payload size, same accounting as the session LRU.
+  /// caller's approx payload size, the same charge in either tier.
   void insert(const ArtifactKey& key, std::shared_ptr<const void> value,
               std::size_t bytes);
 

@@ -12,19 +12,19 @@
 // Three mechanisms, mirroring what separates an interactive dataflow
 // viewer from a fast batch engine:
 //
-//   * Memoization — every artifact (metric bundle, symbolic volume,
-//     evaluated volume, graph layout, heat-overlay SVG) is cached in
-//     one LRU keyed by (program content hash, metric-config hash, and
-//     the binding RESTRICTED to the symbols the artifact can reach).
+//   * Memoization — every artifact (metric bundle, closed-form
+//     metrics, symbolic volume, evaluated volume) is cached in one
+//     LRU, a private SharedArtifactCache (artifact_cache.hpp), keyed
+//     by (program content hash, metric-config hash, and the binding
+//     RESTRICTED to the symbols the artifact can reach).
 //   * Dependency-restricted keys — the reachability analysis
 //     (analysis::simulation_symbols, Expr::depends_on) determines
 //     which symbols each artifact actually depends on; symbols outside
 //     that set never enter the key. Changing an unused symbol is
 //     therefore a cache HIT, not an invalidation, and symbolic-only
-//     artifacts (volume expressions, graph layout, SVG structure)
-//     survive any amount of re-simulation. Program edits change the
-//     content hash; stale entries simply become unreachable and age
-//     out of the LRU.
+//     artifacts (volume and closed-form expressions) survive any
+//     amount of re-simulation. Program edits change the content hash;
+//     stale entries simply become unreachable and age out of the LRU.
 //   * Delta recomputation — a metrics() miss runs
 //     sim::MetricPipeline::run_delta against the session pipeline's
 //     checkpoint: clean trace chunks are spliced and only dirty ones
@@ -54,7 +54,6 @@
 #include "dmv/ir/sdfg.hpp"
 #include "dmv/session/artifact_cache.hpp"
 #include "dmv/sim/pipeline.hpp"
-#include "dmv/viz/graph_layout.hpp"
 
 namespace dmv::session {
 
@@ -184,14 +183,6 @@ class Session {
   /// movement_volume() evaluated at the current binding; keyed only by
   /// the symbols the volume expression reaches.
   std::int64_t movement_bytes();
-
-  /// Graph layout of one state — depends on graph structure only.
-  std::shared_ptr<const viz::StateLayout> layout(int state_index = 0);
-  /// Volume-heat SVG of one state. The layout is a separate cached
-  /// artifact, so a binding change re-renders at most the heat overlay;
-  /// the SVG itself is keyed by the symbols the state's edge volumes
-  /// reach.
-  std::shared_ptr<const std::string> graph_svg(int state_index = 0);
 
   /// Symbols that can reach any simulated metric for the current
   /// program (analysis::simulation_symbols).

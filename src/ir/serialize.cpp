@@ -233,26 +233,4 @@ std::string to_json(const Sdfg& sdfg) {
   return os.str();
 }
 
-std::string to_dot(const State& state) {
-  std::ostringstream os;
-  os << "digraph " << json::escape(state.name()) << " {\n";
-  for (const Node& node : state.nodes()) {
-    const char* shape = "box";
-    if (node.kind == NodeKind::Access) shape = "ellipse";
-    if (node.kind == NodeKind::MapEntry) shape = "trapezium";
-    if (node.kind == NodeKind::MapExit) shape = "invtrapezium";
-    os << "  n" << node.id << " [shape=" << shape
-       << ", label=" << json::escape(node.label) << "];\n";
-  }
-  for (const Edge& edge : state.edges()) {
-    os << "  n" << edge.src << " -> n" << edge.dst;
-    if (!edge.memlet.is_empty()) {
-      os << " [label=" << json::escape(edge.memlet.to_string()) << "]";
-    }
-    os << ";\n";
-  }
-  os << "}\n";
-  return os.str();
-}
-
 }  // namespace dmv::ir

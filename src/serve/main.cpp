@@ -21,9 +21,10 @@
 // usage line. --port 0 binds an ephemeral port; the listening line
 // names the bound one.
 //
-// A request line longer than kMaxLineBytes gets one `request_too_large`
-// error; the rest of it is read through its newline without being kept,
-// and the stream goes on serving.
+// A request line longer than serve::kMaxRequestLineBytes gets one
+// `request_too_large` error (Server::handle_oversized_line); the rest of
+// it is read through its newline without being kept, and the stream
+// goes on serving.
 
 #include <algorithm>
 #include <atomic>
@@ -43,14 +44,8 @@
 
 #include "dmv/par/par.hpp"
 #include "dmv/serve/server.hpp"
-#include "dmv/util/json.hpp"
 
 namespace {
-
-// The longest request line, newline excluded, that is buffered and
-// handled: a client that never sends a newline cannot grow the server's
-// buffer past it.
-constexpr std::size_t kMaxLineBytes = std::size_t{64} << 20;
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -82,26 +77,16 @@ bool write_all(int fd, const std::string& text) {
   return true;
 }
 
-std::string too_large_response() {
-  using dmv::json::Value;
-  Value error = Value::make_object();
-  error["code"] = Value::of("request_too_large");
-  error["message"] = Value::of("request line exceeds " +
-                               std::to_string(kMaxLineBytes) + " bytes");
-  Value response = Value::make_object();
-  response["id"] = Value::null();
-  response["error"] = std::move(error);
-  return dmv::json::dump(response) + "\n";
-}
-
 // Reads newline-delimited requests from `in` and writes one response
 // line per request to `out`, until end of input, a failed write or
 // `shutdown`; a last line without a newline is handled too. A failure
 // just ends the stream (sessions stay, and a TCP client may reconnect);
 // the caller closes the descriptors. Each byte is scanned once, so a
-// long line costs linear time. Only the current line is buffered: one
-// past kMaxLineBytes is answered with `request_too_large` as soon as it
-// is that long, and its remaining bytes are dropped.
+// long line costs linear time. Only the current line is buffered, so a
+// client that never sends a newline cannot grow it past
+// serve::kMaxRequestLineBytes: a longer line is answered with
+// `request_too_large` as soon as it is that long, and its remaining
+// bytes are dropped.
 void serve_stream(dmv::serve::Server& server, int in, int out) {
   std::string line;
   bool discarding = false;  // Inside a line already answered as too large.
@@ -121,10 +106,11 @@ void serve_stream(dmv::serve::Server& server, int in, int out) {
           static_cast<const char*>(std::memchr(data, '\n', size));
       const std::size_t length =
           newline ? static_cast<std::size_t>(newline - data) : size;
-      if (!discarding && line.size() + length > kMaxLineBytes) {
+      if (!discarding &&
+          line.size() + length > dmv::serve::kMaxRequestLineBytes) {
         discarding = true;
         std::string().swap(line);
-        if (!write_all(out, too_large_response())) return;
+        if (!write_all(out, server.handle_oversized_line() + "\n")) return;
       }
       if (!discarding) line.append(data, length);
       if (!newline) break;

@@ -589,6 +589,17 @@ std::string Server::handle(const std::string& line) {
   return respond_error(id, code, message);
 }
 
+std::string Server::handle_oversized_line() {
+  {
+    std::lock_guard<std::mutex> lock(impl_->state_mutex);
+    ++impl_->requests;
+    ++impl_->errors;
+  }
+  return respond_error(Value::null(), "request_too_large",
+                       "request line exceeds " +
+                           std::to_string(kMaxRequestLineBytes) + " bytes");
+}
+
 void Server::shutdown() {
   std::unique_lock<std::mutex> lock(impl_->state_mutex);
   impl_->accepting = false;

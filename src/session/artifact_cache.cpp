@@ -84,8 +84,8 @@ bool SharedArtifactCache::insert_ram(const ArtifactKey& key,
   index_.emplace(lru_.front().key, lru_.begin());
   bytes_ += bytes;
   ++insertions_;
-  // Same exemption as the session LRU: the freshly inserted entry stays
-  // even when it alone blows the budget.
+  // The freshly inserted entry stays even when it alone blows the
+  // budget (a cache that cannot hold one result would just thrash).
   while (bytes_ > config_.budget_bytes && lru_.size() > 1) {
     const Entry& victim = lru_.back();
     bytes_ -= victim.bytes;

@@ -1,15 +1,12 @@
 #include "dmv/session/session.hpp"
 
 #include <algorithm>
-#include <list>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "dmv/analysis/analysis.hpp"
 #include "dmv/ir/serialize.hpp"
 #include "dmv/util/fnv1a.hpp"
-#include "dmv/viz/render.hpp"
 
 namespace dmv::session {
 
@@ -31,14 +28,12 @@ std::size_t expr_bytes(const Expr& e) {
 }
 
 /// Artifact discriminator; part of every cache key, so one LRU holds
-/// heterogeneous payloads without type confusion.
+/// heterogeneous payloads without type confusion. kMetrics stays 0: the
+/// disk tier's file names hash the key, kind included.
 enum class Kind : std::uint8_t {
-  kMetrics,
+  kMetrics = 0,
   kMovementVolume,
   kMovementValue,
-  kStateVolumes,
-  kLayout,
-  kGraphSvg,
   kClosedForm,       ///< Closed-form metric EXPRESSIONS (program-keyed).
   kClosedFormValue,  ///< Those expressions evaluated at a binding.
 };
@@ -51,13 +46,12 @@ constexpr int kStepChunkDelta = 2;
 constexpr int kStepCold = 3;
 
 /// The session's cache key is the public ArtifactKey
-/// (artifact_cache.hpp) so the same key addresses both the local LRU
+/// (artifact_cache.hpp) so the same key addresses both the private tier
 /// and the process-global shared tier. The binding component is
 /// RESTRICTED to the artifact's reachable symbols before key
 /// construction — that restriction is the whole invalidation story
 /// (see session.hpp).
 using Key = ArtifactKey;
-using KeyHash = ArtifactKeyHash;
 
 constexpr std::uint8_t raw(Kind kind) {
   return static_cast<std::uint8_t>(kind);
@@ -73,12 +67,13 @@ std::vector<std::pair<std::string, std::int64_t>> restrict_binding(
   return restricted;
 }
 
-/// Binding-independent edge-volume expressions of one state, plus the
-/// program symbols they reach — the dependency set of the heat overlay.
-struct StateVolumes {
-  std::vector<std::pair<std::size_t, Expr>> bytes_per_edge;
-  std::set<std::string> symbols;
-};
+/// The private tier: a RAM-only SharedArtifactCache under the session's
+/// byte budget.
+SharedArtifactCache::Config local_tier(std::size_t budget_bytes) {
+  SharedArtifactCache::Config config;
+  config.budget_bytes = budget_bytes;
+  return config;
+}
 
 }  // namespace
 
@@ -93,15 +88,11 @@ struct Session::Impl {
   SymbolMap binding;
   MetricPipeline pipeline;
 
-  // --- LRU cache -----------------------------------------------------
-  struct Entry {
-    Key key;
-    std::shared_ptr<const void> value;
-    std::size_t bytes = 0;
-  };
-  std::list<Entry> lru;  ///< Front = most recently used.
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
-  std::size_t cache_bytes = 0;
+  /// Private tier, looked up before config.shared_cache. Its stats()
+  /// supply cache_bytes, cache_entries and evictions.
+  SharedArtifactCache local;
+  /// local.stats().evictions at the last reset_stats().
+  std::int64_t evictions_at_reset = 0;
   SessionStats stats;
   /// Max rank of the work the current step needed; -1 = no artifact
   /// requested since the last binding change (nothing to classify).
@@ -127,7 +118,8 @@ struct Session::Impl {
   explicit Impl(ir::Sdfg sdfg, SessionConfig session_config)
       : config(std::move(session_config)),
         program(std::move(sdfg)),
-        pipeline(config.pipeline) {
+        pipeline(config.pipeline),
+        local(local_tier(config.cache_budget_bytes)) {
     config_hash = util::fnv1a(sim::fingerprint(config.pipeline),
                               sim::fingerprint(config.simulation));
     rehash_program();
@@ -138,16 +130,13 @@ struct Session::Impl {
     metric_symbols = analysis::simulation_symbols(program);
   }
 
-  // Two-tier lookup with LRU touch and full stats accounting: local
-  // LRU first, then the optional process-global tier (a shared hit is
-  // promoted into the local LRU so repeats stay lock-free). Returns
-  // nullptr on miss in both tiers.
+  // Two-tier lookup: the private tier first, then the optional
+  // process-global tier (a shared hit is promoted into the private tier
+  // so repeats skip the shared lock). Returns nullptr on miss in both.
   std::shared_ptr<const void> lookup(const Key& key) {
-    auto it = index.find(key);
-    if (it != index.end()) {
+    if (std::shared_ptr<const void> value = local.lookup(key)) {
       ++stats.hits;
-      lru.splice(lru.begin(), lru, it->second);
-      return it->second->value;
+      return value;
     }
     if (config.shared_cache) {
       std::size_t bytes = 0;
@@ -155,7 +144,7 @@ struct Session::Impl {
               config.shared_cache->lookup(key, &bytes)) {
         ++stats.hits;
         ++stats.shared_hits;
-        insert_local(key, value, bytes);
+        local.insert(key, value, bytes);
         return value;
       }
     }
@@ -163,34 +152,12 @@ struct Session::Impl {
     return nullptr;
   }
 
-  /// Local-tier insert only — used directly when promoting a shared hit
-  /// (publishing it back would be a no-op churn).
-  void insert_local(Key key, std::shared_ptr<const void> value,
-                    std::size_t bytes) {
-    auto it = index.find(key);
-    if (it != index.end()) return;  // One entry per key, charged once.
-    lru.push_front(Entry{std::move(key), std::move(value), bytes});
-    index.emplace(lru.front().key, lru.begin());
-    cache_bytes += bytes;
-    // Byte-budgeted eviction; the freshly inserted entry is exempt so a
-    // single oversized artifact still caches (and recomputing it would
-    // be deterministic anyway — eviction never changes results).
-    while (cache_bytes > config.cache_budget_bytes && lru.size() > 1) {
-      const Entry& victim = lru.back();
-      cache_bytes -= victim.bytes;
-      index.erase(victim.key);
-      lru.pop_back();
-      ++stats.evictions;
-    }
-  }
-
-  /// Computed-artifact insert: local tier plus (when configured) the
-  /// process-global tier, so other sessions can skip the computation.
-  void insert(Key key, std::shared_ptr<const void> value, std::size_t bytes) {
-    if (config.shared_cache) {
-      config.shared_cache->insert(key, value, bytes);
-    }
-    insert_local(std::move(key), std::move(value), bytes);
+  /// Computed-artifact insert: both tiers, so other sessions can skip
+  /// the computation.
+  void insert(const Key& key, std::shared_ptr<const void> value,
+              std::size_t bytes) {
+    if (config.shared_cache) config.shared_cache->insert(key, value, bytes);
+    local.insert(key, std::move(value), bytes);
   }
 
   /// Fetch-or-compute helper: all artifact getters funnel through here.
@@ -217,10 +184,9 @@ struct Session::Impl {
     return key;
   }
 
-  Key program_key(Kind kind, int aux = -1) const {
+  Key program_key(Kind kind) const {
     Key key;
     key.kind = raw(kind);
-    key.aux = aux;
     key.program_hash = program_hash;
     return key;
   }
@@ -319,39 +285,6 @@ struct Session::Impl {
         });
   }
 
-  std::shared_ptr<const StateVolumes> state_volumes(int state_index) {
-    return get<StateVolumes>(
-        program_key(Kind::kStateVolumes, state_index),
-        [&] {
-          note_step(kStepSymbolic);
-          const ir::State& state = program.states().at(
-              static_cast<std::size_t>(state_index));
-          StateVolumes volumes;
-          std::set<std::string> reached;
-          for (std::size_t e = 0; e < state.edges().size(); ++e) {
-            const ir::Edge& edge = state.edges()[e];
-            if (edge.memlet.is_empty()) continue;
-            Expr bytes = analysis::total_edge_bytes(program, state, edge);
-            bytes.collect_free_symbols(reached);
-            volumes.bytes_per_edge.emplace_back(e, std::move(bytes));
-          }
-          for (const std::string& symbol : program.symbols()) {
-            if (reached.contains(symbol)) volumes.symbols.insert(symbol);
-          }
-          return volumes;
-        },
-        +[](const StateVolumes& volumes) {
-          std::size_t bytes = sizeof(StateVolumes);
-          for (const auto& [edge, expr] : volumes.bytes_per_edge) {
-            bytes += sizeof(edge) + expr_bytes(expr);
-          }
-          for (const std::string& symbol : volumes.symbols) {
-            bytes += symbol.size() + 32;
-          }
-          return bytes;
-        });
-  }
-
   std::int64_t movement_bytes() {
     note_step(kStepFullHit);
     const std::shared_ptr<const Expr> volume = movement_volume();
@@ -366,57 +299,6 @@ struct Session::Impl {
           return volume->evaluate(binding);
         },
         +[](const std::int64_t&) { return sizeof(std::int64_t); });
-  }
-
-  std::shared_ptr<const viz::StateLayout> layout(int state_index) {
-    note_step(kStepFullHit);
-    return get<viz::StateLayout>(
-        program_key(Kind::kLayout, state_index),
-        [&] {
-          note_step(kStepSymbolic);
-          return viz::layout_state(
-              program.states().at(static_cast<std::size_t>(state_index)));
-        },
-        +[](const viz::StateLayout& layout) {
-          return sizeof(viz::StateLayout) +
-                 layout.nodes.size() * sizeof(viz::NodeBox) +
-                 layout.edges.size() * sizeof(viz::EdgePath);
-        });
-  }
-
-  std::shared_ptr<const std::string> graph_svg(int state_index) {
-    note_step(kStepFullHit);
-    const std::shared_ptr<const StateVolumes> volumes =
-        state_volumes(state_index);
-    Key key = program_key(Kind::kGraphSvg, state_index);
-    key.binding = restrict_binding(binding, volumes->symbols);
-    return get<std::string>(
-        key,
-        [&] {
-          note_step(kStepSymbolic);
-          const ir::State& state = program.states().at(
-              static_cast<std::size_t>(state_index));
-          std::vector<double> values;
-          values.reserve(volumes->bytes_per_edge.size());
-          for (const auto& [edge, expr] : volumes->bytes_per_edge) {
-            values.push_back(
-                static_cast<double>(expr.evaluate(binding)));
-          }
-          const viz::HeatmapScale scale = viz::HeatmapScale::fit(
-              values, viz::ScalingPolicy::MeanCentered);
-          // Default scheme (GreenYellowRed) and default LayoutOptions,
-          // the same ones layout() draws with.
-          viz::GraphRenderOptions options;
-          for (std::size_t v = 0; v < values.size(); ++v) {
-            options.edge_heat[volumes->bytes_per_edge[v].first] =
-                scale.normalize(values[v]);
-          }
-          // The Sugiyama layout is the expensive half of a render; it
-          // is binding-independent and comes from its own cache slot.
-          return viz::render_state_svg(state, *layout(state_index),
-                                       options);
-        },
-        +[](const std::string& svg) { return svg.size() + 32; });
   }
 };
 
@@ -465,14 +347,6 @@ std::shared_ptr<const symbolic::Expr> Session::movement_volume() {
 
 std::int64_t Session::movement_bytes() { return impl_->movement_bytes(); }
 
-std::shared_ptr<const viz::StateLayout> Session::layout(int state_index) {
-  return impl_->layout(state_index);
-}
-
-std::shared_ptr<const std::string> Session::graph_svg(int state_index) {
-  return impl_->graph_svg(state_index);
-}
-
 const std::set<std::string>& Session::metric_symbols() const {
   return impl_->metric_symbols;
 }
@@ -485,14 +359,17 @@ SessionStats Session::stats() const {
   SessionStats stats = impl_->stats;
   // Counted, not closed: the step goes on until the next binding change.
   Impl::count_step(stats, impl_->step_rank);
-  stats.cache_bytes = impl_->cache_bytes;
-  stats.cache_entries = impl_->lru.size();
+  const SharedCacheStats local = impl_->local.stats();
+  stats.evictions = local.evictions - impl_->evictions_at_reset;
+  stats.cache_bytes = local.bytes;
+  stats.cache_entries = local.entries;
   return stats;
 }
 
 void Session::reset_stats() {
   impl_->stats = SessionStats{};
   impl_->step_rank = -1;
+  impl_->evictions_at_reset = impl_->local.stats().evictions;
 }
 
 std::uint8_t metrics_artifact_kind() { return raw(Kind::kMetrics); }

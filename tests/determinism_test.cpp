@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "dmv/analysis/analysis.hpp"
 #include "dmv/builder/program_builder.hpp"
 #include "dmv/par/par.hpp"
 #include "dmv/sim/pipeline.hpp"
@@ -292,24 +291,6 @@ TEST(Determinism, ParallelTasksRethrowTheLowestIndexFailure) {
       }
       EXPECT_EQ(caught, 10u) << "threads " << threads << " run " << run;
     }
-  }
-}
-
-TEST(Determinism, SweepMetricMatchesScalarEvaluation) {
-  const ir::Sdfg sdfg =
-      workloads::hdiff(workloads::HdiffVariant::Baseline);
-  const symbolic::Expr metric = analysis::total_movement_bytes(sdfg);
-  const symbolic::SymbolMap base{{"I", 16}, {"J", 16}, {"K", 4}};
-  const std::vector<std::int64_t> values{2, 4, 8, 16, 32};
-  par::ThreadScope scope(8);
-  const auto series = analysis::sweep_metric(metric, base, "K", values);
-  ASSERT_EQ(series.size(), values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    symbolic::SymbolMap binding = base;
-    binding["K"] = values[i];
-    EXPECT_EQ(series[i].value, values[i]);
-    EXPECT_EQ(series[i].metric,
-              static_cast<double>(metric.evaluate(binding)));
   }
 }
 

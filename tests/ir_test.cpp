@@ -282,13 +282,5 @@ TEST(Serialize, JsonEscapesQuotes) {
   EXPECT_NE(to_json(sdfg).find("has\\\"quote"), std::string::npos);
 }
 
-TEST(Serialize, DotContainsShapes) {
-  Sdfg sdfg = valid_sdfg();
-  std::string dot = to_dot(sdfg.states()[0]);
-  EXPECT_NE(dot.find("trapezium"), std::string::npos);
-  EXPECT_NE(dot.find("ellipse"), std::string::npos);
-  EXPECT_NE(dot.find("->"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace dmv::ir

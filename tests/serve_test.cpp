@@ -186,6 +186,25 @@ TEST(ServeProtocolTest, MalformedRequestsGetErrorResponses) {
   EXPECT_EQ(server.stats().errors, 13);
 }
 
+TEST(ServeProtocolTest, OversizedLineCountsAsARequestAndAnError) {
+  // The transport does not buffer a line past the cap; the server still
+  // answers it and counts it like any other failed line.
+  Server server;
+  ASSERT_TRUE(parse_line(server.handle("not json")).has("error"));
+  const Value response = parse_line(server.handle_oversized_line());
+  EXPECT_EQ(response.at("id").type, Value::Type::Null);
+  EXPECT_EQ(response.at("error").at("code").as_string(), "request_too_large");
+  EXPECT_EQ(response.at("error").at("message").as_string(),
+            "request line exceeds " +
+                std::to_string(dmv::serve::kMaxRequestLineBytes) + " bytes");
+  EXPECT_EQ(server.stats().requests, 2);
+  EXPECT_EQ(server.stats().errors, 2);
+  EXPECT_TRUE(parse_line(server.handle(open_request("a", "hdiff")))
+                  .has("result"));
+  EXPECT_EQ(server.stats().requests, 3);
+  EXPECT_EQ(server.stats().errors, 2);
+}
+
 TEST(ServeProtocolTest, DeeplyNestedRequestGetsParseError) {
   Server server;
   const std::string line =

@@ -1,9 +1,9 @@
 // Session-layer contract tests: cache accounting, dependency-restricted
-// invalidation, byte-budgeted LRU eviction, one evaluation per drag
-// step, and thread-count determinism. The overarching invariant
-// is that a Session is a pure performance layer — every artifact equals
-// the uncached evaluation bit for bit, no matter the cache or thread
-// schedule.
+// invalidation, byte-budgeted LRU eviction (a promoted shared hit
+// included), one evaluation per drag step, and thread-count
+// determinism. The overarching invariant is that a Session is a pure
+// performance layer — every artifact equals the uncached evaluation bit
+// for bit, no matter the cache or thread schedule.
 
 #include <atomic>
 #include <cstdint>
@@ -20,7 +20,6 @@
 #include "dmv/session/session.hpp"
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/transforms/transforms.hpp"
-#include "dmv/viz/graph_layout.hpp"
 #include "dmv/viz/query.hpp"
 #include "dmv/workloads/workloads.hpp"
 
@@ -70,28 +69,6 @@ void expect_identical(const PipelineResult& a, const PipelineResult& b) {
   EXPECT_EQ(a.movement.line_size, b.movement.line_size);
   EXPECT_EQ(a.movement.bytes_per_container, b.movement.bytes_per_container);
   EXPECT_EQ(a.movement.total_bytes, b.movement.total_bytes);
-}
-
-void expect_same_layout(const viz::StateLayout& a, const viz::StateLayout& b) {
-  ASSERT_EQ(a.nodes.size(), b.nodes.size());
-  for (std::size_t n = 0; n < a.nodes.size(); ++n) {
-    EXPECT_EQ(a.nodes[n].id, b.nodes[n].id);
-    EXPECT_EQ(a.nodes[n].x, b.nodes[n].x);
-    EXPECT_EQ(a.nodes[n].y, b.nodes[n].y);
-    EXPECT_EQ(a.nodes[n].width, b.nodes[n].width);
-    EXPECT_EQ(a.nodes[n].height, b.nodes[n].height);
-    EXPECT_EQ(a.nodes[n].collapsed, b.nodes[n].collapsed);
-  }
-  ASSERT_EQ(a.edges.size(), b.edges.size());
-  for (std::size_t e = 0; e < a.edges.size(); ++e) {
-    EXPECT_EQ(a.edges[e].edge_index, b.edges[e].edge_index);
-    EXPECT_EQ(a.edges[e].x1, b.edges[e].x1);
-    EXPECT_EQ(a.edges[e].y1, b.edges[e].y1);
-    EXPECT_EQ(a.edges[e].x2, b.edges[e].x2);
-    EXPECT_EQ(a.edges[e].y2, b.edges[e].y2);
-  }
-  EXPECT_EQ(a.width, b.width);
-  EXPECT_EQ(a.height, b.height);
 }
 
 // Uncached reference: a fresh pipeline per call, no memoization and no
@@ -195,17 +172,14 @@ TEST(SessionTest, UnusedSymbolDoesNotInvalidate) {
   binding["UNUSED"] = 1;
   session.set_binding(binding);
   auto metrics = session.metrics();
-  auto svg = session.graph_svg(0);
   const SessionStats cold = session.stats();
 
-  // ...so moving it must hit every cached artifact: no eviction, no
+  // ...so moving it must hit the cached bundle: no eviction, no
   // recomputation — the restricted key did not change.
   session.set_symbol("UNUSED", 99);
   auto metrics_again = session.metrics();
-  auto svg_again = session.graph_svg(0);
   EXPECT_EQ(session.stats().misses, cold.misses);
   EXPECT_EQ(metrics.get(), metrics_again.get());
-  EXPECT_EQ(svg.get(), svg_again.get());
 
   // A reached symbol does invalidate the metrics...
   session.set_symbol("K", 4);
@@ -217,14 +191,12 @@ TEST(SessionTest, SymbolicArtifactsSurviveResimulation) {
   Session session(small_hdiff(), test_config());
   session.set_binding(small_binding(3));
   auto volume = session.movement_volume();
-  auto layout = session.layout(0);
 
   for (std::int64_t k : {4, 5, 6}) {
     session.set_symbol("K", k);
     session.metrics();
-    // Binding-independent artifacts: same shared object, no recompute.
+    // Binding-independent artifact: same shared object, no recompute.
     EXPECT_EQ(session.movement_volume().get(), volume.get());
-    EXPECT_EQ(session.layout(0).get(), layout.get());
   }
 
   // movement_bytes is keyed by the symbols the volume reaches.
@@ -267,13 +239,13 @@ TEST(SessionTest, ProgramEditChangesContentHash) {
   expect_identical(*session.metrics(),
                    uncached(reference, small_binding(3), config));
 
-  // ...and a folded map redraws the graph.
-  const std::size_t unfolded = session.layout(0)->nodes.size();
-  session.edit_program([](ir::Sdfg& sdfg) { viz::auto_collapse(sdfg, 1); });
-  const auto folded = session.layout(0);
-  EXPECT_LT(folded->nodes.size(), unfolded);
-  expect_same_layout(
-      *folded, viz::layout_state(session.program().states()[0]));
+  // ...and so is a folded map.
+  const std::uint64_t unfolded = session.metrics_cache_key().program_hash;
+  int folded = 0;
+  session.edit_program(
+      [&](ir::Sdfg& sdfg) { folded = viz::auto_collapse(sdfg, 1); });
+  EXPECT_GT(folded, 0);
+  EXPECT_NE(session.metrics_cache_key().program_hash, unfolded);
 }
 
 TEST(SessionTest, LruEvictionUnderTinyByteBudget) {
@@ -379,25 +351,6 @@ TEST(SessionDeterminismTest, OneVsEightThreadsBitIdentical) {
     EXPECT_EQ(stats.steps_chunk_delta, serial_stats.steps_chunk_delta);
     EXPECT_EQ(stats.steps_cold, serial_stats.steps_cold);
   }
-}
-
-TEST(SessionTest, GraphSvgReusesLayoutAcrossBindings) {
-  Session session(small_hdiff(), test_config());
-  session.set_binding(small_binding(3));
-  auto svg3 = session.graph_svg(0);
-  EXPECT_EQ(session.graph_svg(0).get(), svg3.get());  // Same binding: hit.
-  session.set_symbol("K", 4);
-  auto svg4 = session.graph_svg(0);
-  // K reaches the hdiff volumes, so the render is keyed separately (a
-  // distinct cache entry even though hdiff's fit-normalized heat happens
-  // to produce identical bytes — every volume shares the factor K-1).
-  EXPECT_NE(svg3.get(), svg4.get());
-  const SessionStats stats = session.stats();
-  session.layout(0);
-  EXPECT_EQ(session.graph_svg(0).get(), svg4.get());
-  // Layout is binding-independent: re-rendering at K=4 reused the cached
-  // layout, and asking for it directly adds no miss.
-  EXPECT_EQ(session.stats().misses, stats.misses);
 }
 
 TEST(SessionTest, SimulationSymbolsReachability) {
@@ -510,6 +463,51 @@ TEST(SessionSharedCacheTest, ConcurrentLookupsAndInsertsOnOverlappingKeys) {
   EXPECT_EQ(stats.bytes, stats.entries * 64);
   EXPECT_EQ(stats.insertions - stats.evictions,
             static_cast<std::int64_t>(stats.entries));
+}
+
+TEST(SessionSharedCacheTest, PromotedHitsObeyTheLocalBudget) {
+  // Session A fills the shared tier; session B, whose private tier
+  // holds one entry, is served every K from it. Each promotion evicts
+  // the previous one from B's tier, never from the shared one.
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    par::ThreadScope scope(threads);
+    const auto shared = std::make_shared<SharedArtifactCache>();
+    SessionConfig config = test_config();
+    config.shared_cache = shared;
+    Session a(small_hdiff(), config);
+    for (std::int64_t k = 2; k <= 5; ++k) {
+      a.set_binding(small_binding(k));
+      a.metrics();
+    }
+    config.cache_budget_bytes = 1;
+    Session b(small_hdiff(), config);
+    for (std::int64_t k = 2; k <= 5; ++k) {
+      b.set_binding(small_binding(k));
+      expect_identical(*b.metrics(),
+                       uncached(small_hdiff(), small_binding(k), config));
+    }
+    SessionStats stats = b.stats();
+    EXPECT_EQ(stats.shared_hits, 4);
+    EXPECT_EQ(stats.hits, 4);
+    EXPECT_EQ(stats.misses, 0);
+    EXPECT_EQ(stats.evictions, 3);
+    EXPECT_EQ(stats.cache_entries, 1u);
+    EXPECT_EQ(shared->stats().entries, 4u);
+
+    // The survivor is K=5: a revisit is a private-tier hit.
+    b.set_binding(small_binding(5));
+    b.metrics();
+    stats = b.stats();
+    EXPECT_EQ(stats.hits, 5);
+    EXPECT_EQ(stats.shared_hits, 4);
+
+    b.reset_stats();
+    stats = b.stats();
+    EXPECT_EQ(stats.evictions, 0);
+    EXPECT_EQ(stats.hits, 0);
+    EXPECT_EQ(stats.cache_entries, 1u);
+  }
 }
 
 }  // namespace

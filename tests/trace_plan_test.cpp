@@ -206,6 +206,33 @@ TEST(TracePlan, TriangularInnerRangeFallsBackToEnumeration) {
   expect_plan_matches_serial(sdfg, binding, 4);
 }
 
+TEST(TracePlan, NestedTriangularScopesEnumerate) {
+  // The nested map's extent depends on the enclosing map's parameter,
+  // and its tasklet reads a range of that length: the planner counts the
+  // outer map's scope by enumeration (scope_counts over the nested
+  // MapEntry, tasklet_counts per point), 210 events in 45 executions at
+  // N=9, on one worker and on eight.
+  ProgramBuilder p("nested_triangle");
+  p.symbols({"N"});
+  p.array("A", {"N", "N"});
+  p.array("B", {"N", "N"});
+  p.state("s");
+  p.begin_map("outer", {{"i", "0:N-1"}});
+  p.mapped_tasklet("t", {{"j", "0:i"}}, {{"a", "A", "i, 0:j"}}, "o = a",
+                   {{"o", "B", "i, j"}});
+  p.end_map();
+  const ir::Sdfg sdfg = p.take();
+  const symbolic::SymbolMap binding{{"N", 9}};
+  const TracePlan plan = plan_trace(sdfg, binding, {});
+  EXPECT_EQ(plan.total_events, 210);
+  EXPECT_EQ(plan.total_executions, 45);
+  expect_plan_matches_serial(sdfg, binding);
+  {
+    par::ThreadScope scope(8);
+    expect_plan_matches_serial(sdfg, binding);
+  }
+}
+
 TEST(TracePlan, CopyNodesPlanAsSerialChunks) {
   ProgramBuilder p("copy_chunks");
   p.symbols({"N"});

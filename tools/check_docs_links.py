@@ -12,10 +12,12 @@ must match one in the target markdown file.
 
 C++ code fences in the docs are also checked at grep level: every
 qualified identifier (``dmv::serve::Server``, ``Kind::kMetrics``) must
-have all of its segments present somewhere in ``src/include/`` — this
-flags snippets that still reference renamed or deleted API.
-Identifiers rooted in ``std`` (and other toolchain namespaces) are
-exempt, as are fences not tagged ``cpp``/``c++``.
+have all of its segments present somewhere in ``src/include/``, and so
+must the name of every member call (``session.metrics(``,
+``result->container_index(``) — this flags snippets that still
+reference renamed or deleted API. Identifiers rooted in ``std`` (and
+other toolchain namespaces) are exempt from the first check, and
+fences not tagged ``cpp``/``c++`` from both.
 
 Run from anywhere:  python3 tools/check_docs_links.py
 Exit code 0 when everything resolves, 1 otherwise (problems are listed
@@ -35,6 +37,7 @@ EXTERNAL = ("http://", "https://", "mailto:")
 FENCE_RE = re.compile(r"```(\w*)[^\n]*\n(.*?)```", re.DOTALL)
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$", re.MULTILINE)
 QUALIFIED_RE = re.compile(r"\b[A-Za-z_]\w*(?:::[A-Za-z_~]\w*)+")
+MEMBER_CALL_RE = re.compile(r"(?:\.|->)\s*([A-Za-z_]\w*)\s*\(")
 
 # Namespaces whose members are not expected in src/include/.
 FOREIGN_ROOTS = {"std", "testing", "benchmark", "chrono"}
@@ -155,6 +158,19 @@ class DocChecker:
                         f"'{missing[0]}' does not appear anywhere in "
                         f"src/include/ (renamed or removed API?)",
                     )
+            reported = set()
+            for call in MEMBER_CALL_RE.finditer(code):
+                name = call.group(1)
+                if name in self.known_tokens or name in reported:
+                    continue
+                reported.add(name)
+                line = line_base + code[: call.start()].count("\n")
+                self.report(
+                    path,
+                    f"line {line}: code fence calls member '{name}' but "
+                    f"it does not appear anywhere in src/include/ "
+                    f"(renamed or removed API?)",
+                )
 
     def run(self) -> int:
         checked = 0
@@ -169,7 +185,7 @@ class DocChecker:
             return 1
         print(
             f"checked {checked} markdown files: links, anchors, and "
-            f"C++ fence identifiers all resolve"
+            f"C++ fence identifiers and member calls all resolve"
         )
         return 0
 

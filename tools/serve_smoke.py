@@ -20,8 +20,9 @@ also requires the steps_* classes to sum to the step requests sent: one
 request is one step.
 
 Both transports then get a request line one byte over the server's
-64 MiB cap: it must be answered with a `request_too_large` error, and a
-`stats` request on the same stream must still answer.
+64 MiB cap: it must be answered with a `request_too_large` error, a
+`stats` request on the same stream must still answer, and the server's
+counters must count the line as one more request and one more error.
 
 --tcp starts `dmv_serve --port 0`, reads the bound port from its
 listening line and runs the same session over a loopback connection,
@@ -151,13 +152,20 @@ def check_long_line(stream):
 
 def check_over_cap_line(client):
     """Sends one request line a byte over the cap; it must get one
-    request_too_large error, and the stream must keep serving."""
+    request_too_large error, the stream must keep serving, and
+    stats.server must count the line as a request and an error."""
+    before = client.call("stats", session="smoke")["server"]
     client.writer.write("x" * (LONG_LINE_BYTES + 1) + "\n")
     client.writer.flush()
     line = client.reader.readline()
     if not line or json.loads(line).get("error", {}).get("code") != "request_too_large":
         fail(f"a line over the {LONG_LINE_BYTES >> 20} MiB cap got {line[:200]!r}")
-    client.call("stats", session="smoke")
+    after = client.call("stats", session="smoke")["server"]
+    # The second stats request counts itself too.
+    if (after["requests"] != before["requests"] + 2
+            or after["errors"] != before["errors"] + 1):
+        fail(f"the over-cap line was not counted as one request and one "
+             f"error: stats.server {before} -> {after}")
 
 
 def check_connection_threads(pid, port):
