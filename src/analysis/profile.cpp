@@ -31,41 +31,4 @@ std::vector<MapProfile> roofline_profile(const Sdfg& sdfg,
   return profiles;
 }
 
-double roofline_total_seconds(const Sdfg& sdfg, const SymbolMap& symbols,
-                              const MachineModel& machine) {
-  double total = 0;
-  for (const MapProfile& profile :
-       roofline_profile(sdfg, symbols, machine)) {
-    total += profile.seconds;
-  }
-  return total;
-}
-
-MetricOverlay::Heat MetricOverlay::to_heat(viz::ScalingPolicy policy) const {
-  std::vector<double> values;
-  values.reserve(node_values.size() + edge_values.size());
-  for (const auto& [node, value] : node_values) values.push_back(value);
-  for (const auto& [edge, value] : edge_values) values.push_back(value);
-  viz::HeatmapScale scale = viz::HeatmapScale::fit(values, policy);
-  Heat heat;
-  for (const auto& [node, value] : node_values) {
-    heat.node_heat[node] = scale.normalize(value);
-  }
-  for (const auto& [edge, value] : edge_values) {
-    heat.edge_heat[edge] = scale.normalize(value);
-  }
-  return heat;
-}
-
-MetricOverlay overlay_from_roofline(const std::vector<MapProfile>& profile,
-                                    int state_index) {
-  MetricOverlay overlay;
-  overlay.name = "roofline time [s]";
-  for (const MapProfile& map : profile) {
-    if (map.ref.state_index != state_index) continue;
-    overlay.node_values[map.ref.node] = map.seconds;
-  }
-  return overlay;
-}
-
 }  // namespace dmv::analysis

@@ -1,29 +1,19 @@
 #pragma once
 
-// Orthogonal metric sources for the heatmap overlays (paper §IV-B:
+// An orthogonal metric source for the heatmap overlays (paper §IV-B:
 // "Profiling data could orthogonally be used as metrics, which would be
 // crucial for bottleneck analysis of data-dependent programs").
 //
-// Two sources are provided:
-//
-//  * RooflineProfile — an analytic per-map time model in the spirit of
-//    Kerncraft (which the paper cites as a back-end candidate): each map
-//    is classified compute- or memory-bound from its operation count and
-//    boundary traffic under a simple machine model, and gets a predicted
-//    time. These times feed the same HeatmapScale/renderer pipeline as
-//    the static volumes.
-//
-//  * MetricOverlay — a generic container for externally measured values
-//    (hardware counters, timers) keyed by node/edge, with the helper
-//    that turns any overlay into normalized heat for the renderer. This
-//    is how real profiles would be displayed in-situ.
+// roofline_profile is an analytic per-map time model in the spirit of
+// Kerncraft (which the paper cites as a back-end candidate): each map is
+// classified compute- or memory-bound from its operation count and
+// boundary traffic under a simple machine model, and gets a predicted
+// time.
 
-#include <map>
 #include <string>
 #include <vector>
 
 #include "dmv/analysis/analysis.hpp"
-#include "dmv/viz/heatmap.hpp"
 
 namespace dmv::analysis {
 
@@ -50,30 +40,5 @@ struct MapProfile {
 std::vector<MapProfile> roofline_profile(const Sdfg& sdfg,
                                          const SymbolMap& symbols,
                                          const MachineModel& machine = {});
-
-/// Predicted whole-program time (sum of map estimates).
-double roofline_total_seconds(const Sdfg& sdfg, const SymbolMap& symbols,
-                              const MachineModel& machine = {});
-
-/// Externally supplied measurements, attachable to nodes and edges of
-/// one state. Values are free-form (seconds, cache misses, joules, ...).
-struct MetricOverlay {
-  std::string name;                       ///< e.g. "measured time [s]".
-  std::map<ir::NodeId, double> node_values;
-  std::map<std::size_t, double> edge_values;  ///< Keyed by edge index.
-
-  /// Normalizes all attached values with the chosen policy and returns
-  /// render-ready heat maps (the bridge into GraphRenderOptions).
-  struct Heat {
-    std::map<ir::NodeId, double> node_heat;
-    std::map<std::size_t, double> edge_heat;
-  };
-  Heat to_heat(viz::ScalingPolicy policy) const;
-};
-
-/// Builds a MetricOverlay from a roofline profile of one state, so
-/// model-predicted times render exactly like measured ones.
-MetricOverlay overlay_from_roofline(const std::vector<MapProfile>& profile,
-                                    int state_index);
 
 }  // namespace dmv::analysis

@@ -11,7 +11,6 @@
 // stack-distance and cache simulators.
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -41,11 +40,6 @@ struct ConcreteLayout {
   int rank() const { return static_cast<int>(shape.size()); }
   /// Number of logical elements (shape product).
   std::int64_t total_elements() const;
-  /// total_elements() of an untrusted layout, such as a trace file's
-  /// header: nullopt when an extent is negative or the product
-  /// overflows int64. The text trace reader checks every container with
-  /// it.
-  std::optional<std::int64_t> checked_total_elements() const;
   /// Buffer length in elements including stride padding.
   std::int64_t allocated_elements() const;
   std::int64_t allocated_bytes() const;

@@ -50,7 +50,6 @@ namespace dmv::session {
 /// (session.hpp); sorting makes equal bindings compare equal.
 struct ArtifactKey {
   std::uint8_t kind = 0;  ///< session-internal Kind discriminator.
-  int aux = -1;           ///< Unused (-1); disk keys still encode it.
   std::uint64_t program_hash = 0;
   std::uint64_t config_hash = 0;
   std::vector<std::pair<std::string, std::int64_t>> binding;

@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -421,15 +420,5 @@ struct MovementEstimate {
   std::vector<std::int64_t> bytes_per_container;
   std::int64_t total_bytes = 0;
 };
-
-/// Per-edge refinement of the GLOBAL view's movement overlay (§V-F:
-/// "The resulting value can be used to refine the heatmap on the data
-/// movement overlay", Fig 5c): each non-empty edge gets the physical
-/// byte estimate of its container, apportioned by the edge's share of
-/// that container's logical traffic. Keyed by edge index, ready for
-/// GraphRenderOptions::edge_heat after normalization.
-std::map<std::size_t, std::int64_t> physical_edge_bytes(
-    const State& state, const AccessTrace& trace, const MissReport& report,
-    const SymbolMap& symbols, int line_size);
 
 }  // namespace dmv::sim

@@ -47,10 +47,10 @@ namespace dmv::store {
 
 inline constexpr std::uint32_t kArtifactFormatVersion = 2;
 
-/// Canonical byte encoding of an ArtifactKey (kind, aux, program hash,
-/// config hash, sorted binding). Stable across processes and hosts —
-/// both the disk filename hash and the embedded key-equality check are
-/// computed over these bytes.
+/// Canonical byte encoding of an ArtifactKey (kind, a constant -1,
+/// program hash, config hash, sorted binding). Stable across processes
+/// and hosts — both the disk filename hash and the embedded
+/// key-equality check are computed over these bytes.
 std::string encode_artifact_key(const session::ArtifactKey& key);
 
 /// FNV-1a 64 over encode_artifact_key(key) — the disk filename stem.

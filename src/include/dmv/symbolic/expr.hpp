@@ -332,14 +332,4 @@ std::int64_t pow_i64(std::int64_t base, std::int64_t exponent);
 std::optional<std::int64_t> checked_pow_i64(std::int64_t base,
                                             std::int64_t exponent);
 
-/// Interner observability (tests, benchmarks, capacity planning).
-struct InternerStats {
-  std::size_t nodes = 0;         ///< Live interned expression nodes.
-  std::size_t symbols = 0;       ///< Interned symbol names.
-  std::size_t symbol_sets = 0;   ///< Distinct free-symbol sets.
-  std::size_t simplify_memo = 0; ///< Entries across simplify memo shards.
-  std::size_t subst_memo = 0;    ///< Entries across substitute memo shards.
-};
-InternerStats interner_stats();
-
 }  // namespace dmv::symbolic

@@ -36,11 +36,4 @@ std::vector<SearchResult> search(const ir::Sdfg& sdfg,
 std::string details_panel(const ir::Sdfg& sdfg, int state_index,
                           ir::NodeId node);
 
-/// §IV-A legibility at a distance: folds map scopes until each state's
-/// VISIBLE node count drops to `max_visible_nodes`, outermost largest
-/// scopes first — the library-side equivalent of the zoom-dependent
-/// detail hiding. Returns the number of maps collapsed. Expanding back
-/// is clearing MapInfo::collapsed.
-int auto_collapse(ir::Sdfg& sdfg, std::size_t max_visible_nodes);
-
 }  // namespace dmv::viz

@@ -98,28 +98,6 @@ struct TileRenderOptions {
 std::string render_tiles_svg(const layout::ConcreteLayout& layout,
                              const TileRenderOptions& options = {});
 
-/// Aggregated full-size view (paper §VIII-c: analyzing full-sized
-/// parameters "would require aggregating multiple data elements in one
-/// visual tile"). Renders a 2-D slice of the container with each visual
-/// tile covering a block of elements; per-element metric values reduce
-/// into the tile with the chosen operator.
-enum class TileAggregation { Sum, Max, Mean };
-
-struct AggregatedTileOptions {
-  /// Maximum visual tiles per axis; block extents are chosen to fit.
-  int max_tiles_per_axis = 32;
-  TileAggregation aggregation = TileAggregation::Mean;
-  /// Fix leading dimensions for rank > 2 (like ascii_heatmap).
-  std::vector<std::int64_t> prefix;
-  double tile_size = 14;
-  ColorScheme scheme = ColorScheme::GreenYellowRed;
-  ScalingPolicy scaling = ScalingPolicy::MedianCentered;
-};
-
-std::string render_aggregated_tiles_svg(
-    const layout::ConcreteLayout& layout, const std::vector<double>& values,
-    const AggregatedTileOptions& options = {});
-
 // ---------------------------------------------------------------------
 // Histogram (details panel).
 

@@ -11,16 +11,6 @@ std::int64_t ConcreteLayout::total_elements() const {
   return total;
 }
 
-std::optional<std::int64_t> ConcreteLayout::checked_total_elements() const {
-  std::int64_t total = 1;
-  for (const std::int64_t extent : shape) {
-    if (extent < 0 || __builtin_mul_overflow(total, extent, &total)) {
-      return std::nullopt;
-    }
-  }
-  return total;
-}
-
 std::int64_t ConcreteLayout::allocated_elements() const {
   std::int64_t last = start_offset;
   for (std::size_t d = 0; d < shape.size(); ++d) {

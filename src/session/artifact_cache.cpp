@@ -9,8 +9,6 @@ std::size_t ArtifactKeyHash::operator()(const ArtifactKey& key) const {
   using util::fnv1a;
   std::uint64_t hash = util::kFnvOffset;
   hash = fnv1a(hash, key.kind);
-  hash = fnv1a(hash,
-               static_cast<std::uint64_t>(static_cast<std::int64_t>(key.aux)));
   hash = fnv1a(hash, key.program_hash);
   hash = fnv1a(hash, key.config_hash);
   for (const auto& [name, value] : key.binding) {

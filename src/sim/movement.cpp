@@ -1,37 +1,9 @@
 #include <map>
 #include <set>
 
-#include "dmv/analysis/analysis.hpp"
 #include "dmv/sim/sim.hpp"
 
 namespace dmv::sim {
-
-std::map<std::size_t, std::int64_t> physical_edge_bytes(
-    const State& state, const AccessTrace& trace, const MissReport& report,
-    const SymbolMap& symbols, int line_size) {
-  // Logical traffic per container over this state, used to apportion the
-  // container's physical bytes across its edges.
-  std::map<std::string, std::int64_t> logical_total;
-  std::vector<std::int64_t> edge_logical(state.edges().size(), 0);
-  for (std::size_t e = 0; e < state.edges().size(); ++e) {
-    const ir::Edge& edge = state.edges()[e];
-    if (edge.memlet.is_empty()) continue;
-    edge_logical[e] =
-        analysis::total_edge_elements(state, edge).evaluate(symbols);
-    logical_total[edge.memlet.data] += edge_logical[e];
-  }
-  std::map<std::size_t, std::int64_t> result;
-  for (std::size_t e = 0; e < state.edges().size(); ++e) {
-    const ir::Edge& edge = state.edges()[e];
-    if (edge.memlet.is_empty()) continue;
-    const int container = trace.container_id(edge.memlet.data);
-    const std::int64_t physical =
-        report.per_container[container].misses() * line_size;
-    const std::int64_t total = logical_total[edge.memlet.data];
-    result[e] = total == 0 ? 0 : physical * edge_logical[e] / total;
-  }
-  return result;
-}
 
 IterationLineStats iteration_line_stats(const AccessTrace& trace,
                                         int container, int line_size) {

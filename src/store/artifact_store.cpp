@@ -42,7 +42,9 @@ bool is_artifact_file(const fs::directory_entry& entry) {
 std::string encode_artifact_key(const session::ArtifactKey& key) {
   std::string out;
   detail::put_u8(out, key.kind);
-  detail::put_i64(out, key.aux);
+  // Earlier builds encoded an always -1 key field here; writing the
+  // same eight bytes keeps the disk keys they wrote valid.
+  detail::put_i64(out, -1);
   detail::put_u64(out, key.program_hash);
   detail::put_u64(out, key.config_hash);
   detail::put_u32(out, static_cast<std::uint32_t>(key.binding.size()));

@@ -9,10 +9,10 @@
 //
 // Lifetime: the interner is a leaked singleton — nodes live until process
 // exit, which is what lets `Expr` be a bare pointer with free copies.
-// This is the classic hash-consing tradeoff; interner_stats() exposes the
-// population for capacity monitoring. Memo tables (simplify, substitute)
-// are bounded: a shard whose substitute memo exceeds its cap is cleared
-// wholesale (results are recomputable; clearing never changes them).
+// This is the classic hash-consing tradeoff. Memo tables (simplify,
+// substitute) are bounded: a shard whose substitute memo exceeds its cap
+// is cleared wholesale (results are recomputable; clearing never changes
+// them).
 //
 // Determinism: structural hashes mix kinds, constant values, and symbol
 // NAME hashes (never SymbolId values or addresses), so `ExprNode::hash`
@@ -374,26 +374,5 @@ void store_subst_memo(const ExprNode* node, const BindingRecord* binding,
 }
 
 }  // namespace detail_intern
-
-InternerStats interner_stats() {
-  InternerStats stats;
-  for (Shard& shard : interner().shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    stats.nodes += shard.arena.size();
-    stats.simplify_memo += shard.simplify_memo.size();
-    stats.subst_memo += shard.subst_memo.size();
-  }
-  {
-    SymbolTableGlobal& table = symbols();
-    std::lock_guard<std::mutex> lock(table.mu);
-    stats.symbols = table.names.size();
-  }
-  {
-    SymbolSetInterner& sets = symbol_sets();
-    std::lock_guard<std::mutex> lock(sets.mu);
-    stats.symbol_sets = sets.arena.size();
-  }
-  return stats;
-}
 
 }  // namespace dmv::symbolic

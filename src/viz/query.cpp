@@ -107,58 +107,4 @@ std::string details_panel(const ir::Sdfg& sdfg, int state_index,
   return out.str();
 }
 
-int auto_collapse(ir::Sdfg& sdfg, std::size_t max_visible_nodes) {
-  int collapsed = 0;
-  for (ir::State& state : sdfg.states()) {
-    // Count visible nodes under current collapse flags.
-    auto visible_count = [&]() {
-      std::size_t count = 0;
-      for (const ir::Node& node : state.nodes()) {
-        bool hidden = false;
-        for (ir::NodeId scope : state.scope_chain(node.id)) {
-          if (state.node(scope).map.collapsed) hidden = true;
-        }
-        // A collapsed map's exit folds onto its entry.
-        if (node.kind == ir::NodeKind::MapExit &&
-            node.paired != ir::kNoNode &&
-            state.node(node.paired).map.collapsed) {
-          hidden = true;
-        }
-        if (!hidden) ++count;
-      }
-      return count;
-    };
-
-    // Candidate scopes, biggest body first, outermost before nested.
-    std::vector<std::pair<std::size_t, ir::NodeId>> candidates;
-    for (const ir::Node& node : state.nodes()) {
-      if (node.kind != ir::NodeKind::MapEntry || node.map.collapsed) {
-        continue;
-      }
-      std::size_t body = 0;
-      for (const ir::Node& other : state.nodes()) {
-        for (ir::NodeId scope : state.scope_chain(other.id)) {
-          if (scope == node.id) ++body;
-        }
-      }
-      candidates.emplace_back(body, node.id);
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-
-    for (const auto& [body, entry] : candidates) {
-      if (visible_count() <= max_visible_nodes) break;
-      // Skip scopes already hidden by a collapsed ancestor.
-      bool already_hidden = false;
-      for (ir::NodeId scope : state.scope_chain(entry)) {
-        if (state.node(scope).map.collapsed) already_hidden = true;
-      }
-      if (already_hidden) continue;
-      state.node(entry).map.collapsed = true;
-      ++collapsed;
-    }
-  }
-  return collapsed;
-}
-
 }  // namespace dmv::viz

@@ -190,34 +190,6 @@ TEST(Movement, PerContainerAttribution) {
   EXPECT_GT(estimate.total_bytes, 0);
 }
 
-TEST(Movement, PerEdgeRefinementApportionsByTraffic) {
-  // Fig 5c semantics: each edge's physical estimate is its container's
-  // miss bytes, apportioned by the edge's logical share; summing the
-  // per-edge values over a container recovers the container total.
-  ir::Sdfg sdfg = workloads::matmul();
-  const symbolic::SymbolMap params = workloads::matmul_fig5();
-  AccessTrace trace = simulate(sdfg, params);
-  MissReport report = misses(trace, 64, 8);
-  const ir::State& state = sdfg.states()[0];
-  std::map<std::size_t, std::int64_t> per_edge =
-      physical_edge_bytes(state, trace, report, params, 64);
-  ASSERT_FALSE(per_edge.empty());
-
-  std::map<std::string, std::int64_t> per_container;
-  for (const auto& [edge_index, bytes] : per_edge) {
-    per_container[state.edges()[edge_index].memlet.data] += bytes;
-    EXPECT_GE(bytes, 0);
-  }
-  for (const auto& [name, bytes] : per_container) {
-    const int container = trace.container_id(name);
-    const std::int64_t expected =
-        report.per_container[container].misses() * 64;
-    // Integer apportioning may round down slightly per edge.
-    EXPECT_LE(bytes, expected);
-    EXPECT_GE(bytes, expected - 8);
-  }
-}
-
 TEST(CacheSim, ThresholdSensitivityMonotone) {
   // Higher capacity threshold can only reduce predicted misses — the
   // knob the paper's UI exposes (§V-F b).

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "dmv/par/par.hpp"
@@ -182,30 +181,6 @@ TEST(LineTable, MatchesPerEventAddressDerivation) {
         layout.byte_address(layout.unflatten(event.flat)) / line_size;
     ASSERT_EQ(table.lines[i], expected) << "event " << i;
   }
-}
-
-TEST(Pipeline, MissReportFeedsEdgeRefinementLikeStandalonePasses) {
-  // The Fig 5c per-edge overlay consumes a MissReport; the pipeline's
-  // report must refine the overlay exactly as the oracle's does.
-  const ir::Sdfg sdfg = workloads::matmul();
-  const symbolic::SymbolMap binding = workloads::matmul_fig5();
-  const AccessTrace trace = simulate(sdfg, binding);
-
-  PipelineConfig config;
-  config.miss_threshold_lines = 8;
-  MetricPipeline pipeline(config);
-  const PipelineResult result = pipeline.run(trace);
-
-  const MissReport expected = reference::classify_misses(
-      trace, reference::stack_distances(trace, 64), 8);
-
-  const ir::State& state = sdfg.states()[0];
-  const std::map<std::size_t, std::int64_t> from_pipeline =
-      physical_edge_bytes(state, trace, result.misses, binding, 64);
-  const std::map<std::size_t, std::int64_t> from_passes =
-      physical_edge_bytes(state, trace, expected, binding, 64);
-  ASSERT_FALSE(from_pipeline.empty());
-  EXPECT_EQ(from_pipeline, from_passes);
 }
 
 TEST(Pipeline, ArenaReuseAcrossDifferentWorkloads) {

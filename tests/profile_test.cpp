@@ -2,11 +2,21 @@
 
 #include <gtest/gtest.h>
 
-#include "dmv/viz/render.hpp"
+#include <algorithm>
+
 #include "dmv/workloads/workloads.hpp"
 
 namespace dmv::analysis {
 namespace {
+
+/// Predicted whole-program time: the sum of the per-map estimates.
+double total_seconds(const ir::Sdfg& sdfg, const SymbolMap& symbols) {
+  double total = 0;
+  for (const MapProfile& map : roofline_profile(sdfg, symbols)) {
+    total += map.seconds;
+  }
+  return total;
+}
 
 TEST(Roofline, ClassifiesBoundedness) {
   // Matmul with a large K is compute-heavy; the outer product writes a
@@ -41,19 +51,16 @@ TEST(Roofline, SecondsAreTheRooflineMax) {
 TEST(Roofline, TotalSumsMaps) {
   ir::Sdfg sdfg = workloads::bert_encoder(workloads::BertStage::Baseline);
   auto profile = roofline_profile(sdfg, workloads::bert_small());
-  double sum = 0;
-  for (const MapProfile& map : profile) sum += map.seconds;
-  EXPECT_DOUBLE_EQ(
-      roofline_total_seconds(sdfg, workloads::bert_small()), sum);
   EXPECT_EQ(profile.size(), 27u);  // One per top-level map.
+  EXPECT_GT(total_seconds(sdfg, workloads::bert_small()), 0);
 }
 
 TEST(Roofline, FusionReducesPredictedTime) {
   // The model agrees with the measurement: fused stages predict faster.
   const symbolic::SymbolMap params = workloads::bert_large();
-  const double baseline = roofline_total_seconds(
+  const double baseline = total_seconds(
       workloads::bert_encoder(workloads::BertStage::Baseline), params);
-  const double fused = roofline_total_seconds(
+  const double fused = total_seconds(
       workloads::bert_encoder(workloads::BertStage::Fused2), params);
   EXPECT_LT(fused, baseline);
 }
@@ -64,33 +71,6 @@ TEST(Roofline, RejectsBadMachine) {
   broken.flops_per_second = 0;
   EXPECT_THROW(roofline_profile(sdfg, {{"M", 2}, {"N", 2}}, broken),
                std::invalid_argument);
-}
-
-TEST(MetricOverlay, NormalizesForRendering) {
-  MetricOverlay overlay;
-  overlay.name = "measured seconds";
-  overlay.node_values[3] = 1.0;
-  overlay.node_values[7] = 9.0;
-  overlay.edge_values[0] = 5.0;
-  MetricOverlay::Heat heat = overlay.to_heat(viz::ScalingPolicy::Linear);
-  EXPECT_DOUBLE_EQ(heat.node_heat.at(3), 0.0);
-  EXPECT_DOUBLE_EQ(heat.node_heat.at(7), 1.0);
-  EXPECT_DOUBLE_EQ(heat.edge_heat.at(0), 0.5);
-}
-
-TEST(MetricOverlay, RendersOnTheGraph) {
-  // The §IV-B "profiling data as orthogonal metric" path end to end:
-  // attach model-predicted times, normalize, render.
-  ir::Sdfg sdfg = workloads::bert_encoder(workloads::BertStage::Baseline);
-  auto profile = roofline_profile(sdfg, workloads::bert_large());
-  MetricOverlay overlay = overlay_from_roofline(profile, 0);
-  EXPECT_FALSE(overlay.node_values.empty());
-  MetricOverlay::Heat heat =
-      overlay.to_heat(viz::ScalingPolicy::MeanCentered);
-  viz::GraphRenderOptions options;
-  options.node_heat = heat.node_heat;
-  std::string svg = render_state_svg(sdfg.states()[0], options);
-  EXPECT_NE(svg.find("</svg>"), std::string::npos);
 }
 
 }  // namespace

@@ -91,23 +91,6 @@ TEST(Filtering, HiddenKindsDisappearFromSvg) {
   EXPECT_LT(without.size(), with.size());
 }
 
-TEST(AutoCollapse, FoldsUntilLegible) {
-  ir::Sdfg sdfg = workloads::bert_encoder(workloads::BertStage::Baseline);
-  const std::size_t full = sdfg.states()[0].num_nodes();
-  const int collapsed = auto_collapse(sdfg, 80);
-  EXPECT_GT(collapsed, 0);
-  StateLayout layout = layout_state(sdfg.states()[0]);
-  EXPECT_LE(layout.nodes.size(), 80u);
-  EXPECT_LT(layout.nodes.size(), full);
-  // Idempotent once legible.
-  EXPECT_EQ(auto_collapse(sdfg, 80), 0);
-}
-
-TEST(AutoCollapse, NoOpOnSmallGraphs) {
-  ir::Sdfg sdfg = workloads::outer_product();
-  EXPECT_EQ(auto_collapse(sdfg, 100), 0);
-}
-
 TEST(Animation, PerExecutionFrames) {
   ir::Sdfg sdfg = workloads::outer_product();
   sim::AccessTrace trace =

@@ -373,15 +373,5 @@ TEST(SymbolicIntern, SymbolBindingSetAndFind) {
   EXPECT_THROW(e.evaluate(binding), UnboundSymbolError);
 }
 
-TEST(SymbolicIntern, InternerStatsProgress) {
-  const InternerStats before = interner_stats();
-  const Expr e =
-      Expr::symbol("stats_only_sym") * 31337 + Expr::symbol("stats_only_sym2");
-  (void)e;
-  const InternerStats after = interner_stats();
-  EXPECT_GT(after.nodes, before.nodes);
-  EXPECT_GE(after.symbols, before.symbols + 2);
-}
-
 }  // namespace
 }  // namespace dmv::symbolic

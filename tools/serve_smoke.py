@@ -1,23 +1,37 @@
 #!/usr/bin/env python3
 """Scripted smoke client for dmv_serve (stdio or TCP transport).
 
-Drives the documented protocol end to end — open hdiff, drag the K
-slider, re-drag the same values, check stats, shut down — and exits
+Drives every verb of the documented protocol end to end and exits
 nonzero on any protocol error, checksum instability, or unexpected
 server exit code. CI runs this against a freshly built binary
-(docs/serving.md describes the protocol being exercised).
+(docs/serving.md describes the protocol being exercised). The session:
+  * open hdiff, drag the K slider counts-only, re-drag the same values
+    (every revisit cached, checksums bit-identical), check stats;
+  * subscribe to miss classification (8 lines) and element stats,
+    drag again, re-drag from cache, then bind the drag's first binding;
+  * edit the program to hdiff_reordered, step once, edit it back: the
+    program hash must return to its first value, and re-dragging must
+    serve the subscribed checksums without computing;
+  * in a second session, drag conv2d's Cout with the same subscription:
+    at least one step must be a chunk-delta step (the subscribed hdiff
+    steps are cold, since K sizes every container).
 
 The persistence flags turn it into the restart gate: run once with
 --cache-dir and --checksum-file to populate a warm-start directory and
-record the step checksums, then run again with --expect-disk-warm to
-assert the second server serves the same checksums from disk without
-re-simulating (docs/storage.md covers the cache-dir lifecycle).
+record the step checksums of both drags, then run again with
+--expect-disk-warm to assert the second server serves the counts-only
+drag from disk without re-simulating, and both drags with the recorded
+checksums (docs/storage.md covers the cache-dir lifecycle). The
+no-compute check covers only the counts-only drag, the one
+`dmv_store warm --sweep K=5:9 --set I=8 --set J=8` fills ahead.
 
---stats-file writes the session's counters (hits, misses, shared_hits,
+--stats-file writes the sessions' counters (hits, misses, shared_hits,
 evictions and the steps_* classes; no timings) as JSON, so two runs at
-different DMV_NUM_THREADS settings can be compared byte for byte. It
-also requires the steps_* classes to sum to the step requests sent: one
-request is one step.
+different DMV_NUM_THREADS settings can be compared byte for byte: one
+set after the counts-only drag, one at the end of the hdiff session
+(`subscribe` restarts its counters) and one for the conv2d session.
+Each set's steps_* classes must sum to the step requests sent to it:
+one request is one step.
 
 Both transports then get a request line one byte over the server's
 64 MiB cap: it must be answered with a `request_too_large` error, a
@@ -49,6 +63,15 @@ import sys
 import time
 
 DRAG = [6, 7, 8, 9, 8, 7]
+# The subscription of the second drag.
+SUBSCRIPTION = {"miss_threshold_lines": 8, "element_stats": True}
+# A drag the delta engine answers chunk by chunk. A K move on hdiff
+# resizes every container, so each subscribed hdiff step runs cold.
+# conv2d's one map runs its output channel outermost and the engine
+# splits the trace along it, so growing Cout keeps the chunks of the
+# channels already there.
+CONV2D = {"Cin": 3, "Cout": 2, "Hh": 9, "W": 9, "Ky": 4, "Kx": 4}
+COUT_DRAG = [3, 4, 3]
 # The session counters that must not depend on the worker count.
 COUNTERS = ["hits", "misses", "shared_hits", "evictions", "steps_full_hit",
             "steps_symbolic", "steps_chunk_delta", "steps_cold"]
@@ -133,6 +156,42 @@ def open_and_close(port):
     stream.close()
     # Let the server see EOF before the next connection arrives.
     time.sleep(0.05)
+
+
+def drag(client, values, revisit=None, computed_ok=True, session="smoke",
+         symbol="K"):
+    """Steps `symbol` through `values` and returns the checksums. With
+    `revisit`, each step must return that step's checksum there, and
+    no step may compute."""
+    checksums = []
+    for index, value in enumerate(values):
+        result = client.call("step", session=session, symbol=symbol,
+                             value=value)
+        for field in ("checksum", "executions", "served_by", "movement_bytes"):
+            if field not in result:
+                fail(f"step response missing {field}: {result}")
+        if revisit is not None and result["checksum"] != revisit[index]:
+            fail(f"checksum changed on revisit of {symbol}={value}: "
+                 f"{result['checksum']} != {revisit[index]}")
+        if result["served_by"] == "compute" and not computed_ok:
+            what = "first visit" if revisit is None else "revisit"
+            fail(f"{what} of {symbol}={value} was computed, not served "
+                 f"from cache")
+        checksums.append(result["checksum"])
+    return checksums
+
+
+def session_counters(stats, steps_sent):
+    """The session's worker-count-independent counters, after checking
+    that its step classes count `steps_sent` steps."""
+    session = stats.get("session", {})
+    missing = [name for name in COUNTERS if name not in session]
+    if missing:
+        fail(f"session stats lack {missing}: {session}")
+    steps = sum(session[name] for name in COUNTERS if name.startswith("steps_"))
+    if steps != steps_sent:
+        fail(f"{steps_sent} step requests counted as {steps} steps: {session}")
+    return {name: session[name] for name in COUNTERS}
 
 
 def check_long_line(stream):
@@ -252,30 +311,11 @@ def main():
     if sorted(opened.get("symbols", [])) != ["I", "J", "K"]:
         fail(f"unexpected symbols {opened.get('symbols')}")
 
-    first = []
-    for value in DRAG:
-        result = client.call("step", session="smoke", symbol="K", value=value)
-        for field in ("checksum", "executions", "served_by", "movement_bytes"):
-            if field not in result:
-                fail(f"step response missing {field}: {result}")
-        if args.expect_disk_warm and result["served_by"] == "compute":
-            fail(
-                f"first visit of K={value} was computed, not served from "
-                f"the warm cache dir (served_by={result['served_by']!r})"
-            )
-        first.append(result["checksum"])
-
-    # Re-dragging the same values must return bit-identical checksums,
-    # all served from cache (the memoization contract over the wire).
-    for value, expected in zip(DRAG, first):
-        result = client.call("step", session="smoke", symbol="K", value=value)
-        if result["checksum"] != expected:
-            fail(
-                f"checksum changed on revisit of K={value}: "
-                f"{result['checksum']} != {expected}"
-            )
-        if result["served_by"] == "compute":
-            fail(f"revisit of K={value} recomputed instead of hitting cache")
+    # Counts-only drag. Re-dragging the same values must return
+    # bit-identical checksums, all served from cache (the memoization
+    # contract over the wire).
+    first = drag(client, DRAG, computed_ok=not args.expect_disk_warm)
+    drag(client, DRAG, revisit=first, computed_ok=False)
 
     stats = client.call("stats", session="smoke")
     session = stats.get("session", {})
@@ -290,18 +330,58 @@ def main():
             f"the server re-simulated instead of warm-starting from "
             f"{args.cache_dir}"
         )
+    counters = {"counts_only": session_counters(stats, 2 * len(DRAG))}
+
+    # Subscribed drag: misses and element stats, so a moved K runs the
+    # chunk-delta engine instead of the closed-form counter.
+    subscribed = client.call("subscribe", session="smoke", **SUBSCRIPTION)
+    for knob, value in SUBSCRIPTION.items():
+        if subscribed.get(knob) != value:
+            fail(f"subscribe echoed {knob}={subscribed.get(knob)!r}, "
+                 f"want {value!r}")
+    second = drag(client, DRAG)
+    if second == first:
+        fail(f"the subscribed drag has the counts-only checksums {first}")
+    drag(client, DRAG, revisit=second, computed_ok=False)
+    binding = {"I": 8, "J": 8, "K": DRAG[0]}
+    bound = client.call("bind", session="smoke", binding=binding)
+    if bound.get("binding") != binding:
+        fail(f"bind echoed {bound.get('binding')}, want {binding}")
+
+    # A program edit and its undo: the old version's artifacts stay
+    # cached under its content hash.
+    edited = client.call("edit_program", session="smoke",
+                         workload="hdiff_reordered")
+    if (edited.get("program") != "hdiff_reordered"
+            or edited.get("program_hash") == opened["program_hash"]):
+        fail(f"edit_program to hdiff_reordered answered {edited}")
+    drag(client, DRAG[:1])
+    restored = client.call("edit_program", session="smoke", workload="hdiff")
+    if restored.get("program_hash") != opened["program_hash"]:
+        fail(f"program_hash after editing back is "
+             f"{restored.get('program_hash')}, first "
+             f"{opened['program_hash']}")
+    drag(client, DRAG, revisit=second, computed_ok=False)
+    stats = client.call("stats", session="smoke")
+    if stats.get("server", {}).get("errors", 1) != 0:
+        fail(f"server counted errors during smoke: {stats.get('server')}")
+    counters["subscribed"] = session_counters(stats, 3 * len(DRAG) + 1)
+
+    client.call("open_program", session="delta", workload="conv2d",
+                binding=CONV2D)
+    client.call("subscribe", session="delta", **SUBSCRIPTION)
+    deltas = drag(client, COUT_DRAG, session="delta", symbol="Cout")
+    drag(client, COUT_DRAG, revisit=deltas, computed_ok=False,
+         session="delta", symbol="Cout")
+    stats = client.call("stats", session="delta")
+    counters["chunk_delta"] = session_counters(stats, 2 * len(COUT_DRAG))
+    # A warm cache dir serves this drag from disk instead.
+    if (counters["chunk_delta"]["steps_chunk_delta"] <= 0
+            and not args.expect_disk_warm):
+        fail(f"the Cout drag ran no chunk-delta step: {stats['session']}")
     if args.stats_file:
-        missing = [name for name in COUNTERS if name not in session]
-        if missing:
-            fail(f"session stats lack {missing}: {session}")
-        steps = sum(session[name] for name in COUNTERS
-                    if name.startswith("steps_"))
-        if steps != 2 * len(DRAG):
-            fail(f"{2 * len(DRAG)} step requests counted as {steps} steps: "
-                 f"{session}")
         with open(args.stats_file, "w") as handle:
-            json.dump({name: session[name] for name in COUNTERS}, handle,
-                      indent=1)
+            json.dump(counters, handle, indent=1)
             handle.write("\n")
 
     grown = None
@@ -333,25 +413,28 @@ def main():
     # Cross-run checksum comparison: the disk-warm run must serve bytes
     # bit-identical to the run that populated the cache directory.
     if args.checksum_file:
+        checksums = {"counts_only": first, "subscribed": second}
         if args.expect_disk_warm:
             with open(args.checksum_file) as handle:
                 recorded = json.load(handle)
-            if recorded != first:
+            if recorded != checksums:
                 fail(
                     f"disk-warm checksums diverge from the recording in "
-                    f"{args.checksum_file}: {first} != {recorded}"
+                    f"{args.checksum_file}: {checksums} != {recorded}"
                 )
         else:
             with open(args.checksum_file, "w") as handle:
-                json.dump(first, handle)
+                json.dump(checksums, handle)
 
     mode = "disk-warm" if args.expect_disk_warm else "cold"
     transport = "stdio" if grown is None else (
         f"tcp, VmSize +{grown} kB over {EXTRA_CONNECTIONS} more connections")
     print(
-        f"serve_smoke: OK ({len(DRAG)} {mode} + {len(DRAG)} warm steps, "
-        f"{session.get('hits')} hits, {disk_hits} disk hits, {transport}, "
-        f"clean shutdown)"
+        f"serve_smoke: OK ({len(DRAG)} {mode} + {len(DRAG)} warm "
+        f"counts-only steps, {session.get('hits')} hits, {disk_hits} disk "
+        f"hits; {3 * len(DRAG) + 1} subscribed and edited steps; "
+        f"{counters['chunk_delta']['steps_chunk_delta']} chunk-delta steps; "
+        f"{transport}, clean shutdown)"
     )
 
 
