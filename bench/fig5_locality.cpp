@@ -155,7 +155,7 @@ int main() {
 
   // Overlay: per-element predicted misses on the input container.
   const int input = conv_trace.container_id("input");
-  std::vector<std::int64_t> misses = report.element_misses[input];
+  std::vector<std::int64_t> misses = report.element_misses[input].values();
   std::vector<double> values(misses.begin(), misses.end());
   viz::HeatmapScale scale =
       viz::HeatmapScale::fit(values, viz::ScalingPolicy::Histogram);

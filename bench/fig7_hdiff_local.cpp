@@ -73,7 +73,7 @@ int main() {
 
     // The in-situ overlay of the figure: per-element predicted misses on
     // in_field.
-    std::vector<std::int64_t> misses = report.element_misses[in_field];
+    std::vector<std::int64_t> misses = report.element_misses[in_field].values();
     std::vector<double> values(misses.begin(), misses.end());
     dmv::viz::HeatmapScale scale = dmv::viz::HeatmapScale::fit(
         values, dmv::viz::ScalingPolicy::MedianCentered);

@@ -113,10 +113,8 @@ dmv::sim::PipelineConfig bench_config() {
 std::int64_t pipeline_checksum(const dmv::sim::PipelineResult& result) {
   std::int64_t checksum = result.misses.total.misses() + result.executions;
   for (std::size_t c = 0; c < result.element_stats.size(); ++c) {
-    for (std::int64_t cold : result.element_stats[c].cold_count) {
-      checksum += cold;
-    }
-    for (std::int64_t count : result.counts.reads[c]) checksum += count;
+    checksum += result.element_stats[c].cold_count.sum();
+    checksum += result.counts.reads[c].sum();
   }
   return checksum;
 }

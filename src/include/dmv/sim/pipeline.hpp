@@ -150,9 +150,10 @@ std::uint64_t fingerprint(const PipelineConfig& config);
 /// same fingerprint, 0x9b429300c601833b.
 std::uint64_t fingerprint(const SimulationOptions& options);
 
-/// Approximate heap footprint of a result's payload (vectors; the
-/// struct itself excluded). Used for cache byte budgeting — an estimate,
-/// not an allocator-exact measurement.
+/// Approximate heap footprint of a result's payload (vectors, and count
+/// columns at their stored width; the struct itself excluded). Used for
+/// cache byte budgeting — an estimate, not an allocator-exact
+/// measurement.
 std::size_t approx_size_bytes(const PipelineResult& result);
 
 /// Drives every enabled metric through one metric engine over a trace.

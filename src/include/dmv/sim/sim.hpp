@@ -27,7 +27,9 @@
 //
 // Ownership: every result type here (AccessTrace, StackDistanceResult,
 // MissReport, ...) is a self-contained value — it owns its vectors and
-// never aliases the inputs it was computed from.
+// never aliases the inputs it was computed from. Per-element counts
+// (access, miss and cold counts) are CountColumns, stored at the
+// narrowest width their values need.
 //
 // Thread safety & determinism: the functions are pure — concurrent
 // calls on distinct traces are safe; concurrent calls on the SAME trace
@@ -41,11 +43,14 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <iterator>
 #include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "dmv/ir/sdfg.hpp"
@@ -309,11 +314,190 @@ struct LineTable {
 
 LineTable build_line_table(const AccessTrace& trace, int line_size);
 
+/// An immutable column of per-element integers (one container's access,
+/// miss or cold counts), stored at the narrowest width its values
+/// need: each value v is kept as v - base(), where base() is the
+/// minimum, in the narrowest of 1, 2, 4 or 8 bytes that holds
+/// max - min (taken in wrapping uint64, so every int64 range is exact).
+/// Every producer narrows by this one rule, so equal values always make
+/// the same column: the same base, width and words, and so the same
+/// approx_size_bytes charge. It is the DMVR packed record's frame of
+/// reference (docs/storage.md): a record of 8 bits or more holds the
+/// column's words in little-endian order. hdiff and BERT counts fit in
+/// one byte, an eighth of an int64 vector.
+///
+/// Readers see values only: operator[], iteration, sum(), values(), or
+/// visit() for a loop over the stored words.
+class CountColumn {
+ public:
+  /// Empty: base 0, one byte per value.
+  CountColumn() = default;
+
+  /// Narrows `values`.
+  explicit CountColumn(std::span<const std::int64_t> values) {
+    std::int64_t lo = values.empty() ? 0 : values[0];
+    std::int64_t hi = lo;
+    for (const std::int64_t value : values) {
+      lo = value < lo ? value : lo;
+      hi = value > hi ? value : hi;
+    }
+    base_ = lo;
+    switch (width_for(static_cast<std::uint64_t>(hi) -
+                      static_cast<std::uint64_t>(lo))) {
+      case 1: narrow<std::uint8_t>(values); break;
+      case 2: narrow<std::uint16_t>(values); break;
+      case 4: narrow<std::uint32_t>(values); break;
+      default: narrow<std::uint64_t>(values); break;
+    }
+  }
+
+  CountColumn(std::initializer_list<std::int64_t> values)
+      : CountColumn(std::span(values.begin(), values.size())) {}
+
+  /// Adopts words already narrowed by the rule, as a decoder reads
+  /// them. Throws std::invalid_argument when they are not: a non-empty
+  /// column whose smallest word is not 0, whose largest word fits a
+  /// narrower width or whose largest value passes INT64_MAX; an empty
+  /// one with a nonzero base or words wider than a byte.
+  template <class Word>
+  static CountColumn from_words(std::int64_t base, std::vector<Word> words) {
+    Word lo = std::numeric_limits<Word>::max();
+    Word hi = 0;
+    for (const Word word : words) {
+      lo = word < lo ? word : lo;
+      hi = word > hi ? word : hi;
+    }
+    const bool narrowed =
+        words.empty()
+            ? base == 0 && sizeof(Word) == 1
+            : lo == 0 && width_for(hi) == sizeof(Word) &&
+                  hi <= static_cast<std::uint64_t>(
+                            std::numeric_limits<std::int64_t>::max()) -
+                            static_cast<std::uint64_t>(base);
+    if (!narrowed) {
+      throw std::invalid_argument("CountColumn: words are not narrowed");
+    }
+    CountColumn column;
+    column.base_ = base;
+    column.words_ = std::move(words);
+    return column;
+  }
+
+  /// Bytes per stored value for values whose max - min is `range`.
+  static constexpr std::size_t width_for(std::uint64_t range) {
+    if (range <= 0xff) return 1;
+    if (range <= 0xffff) return 2;
+    return range <= 0xffffffff ? 4 : 8;
+  }
+
+  std::size_t size() const {
+    return std::visit([](const auto& words) { return words.size(); }, words_);
+  }
+  bool empty() const { return size() == 0; }
+  /// The minimum value (0 when empty).
+  std::int64_t base() const { return base_; }
+  /// Bytes per stored value: 1, 2, 4 or 8.
+  std::size_t byte_width() const {
+    return std::size_t{1} << words_.index();
+  }
+
+  std::int64_t operator[](std::size_t i) const {
+    return std::visit(
+        [&](const auto& words) { return value_of(words[i]); }, words_);
+  }
+
+  /// Calls f(std::span<const Word>) on the stored words, where value i
+  /// is base() + words[i] — the one loop a bulk reader writes.
+  template <class F>
+  decltype(auto) visit(F&& f) const {
+    return std::visit(
+        [&](const auto& words) -> decltype(auto) {
+          return f(std::span(words.data(), words.size()));
+        },
+        words_);
+  }
+
+  /// Sum of the values in wrapping int64 arithmetic.
+  std::int64_t sum() const {
+    return visit([&](auto words) {
+      std::uint64_t total = static_cast<std::uint64_t>(base_) * words.size();
+      for (const auto word : words) total += word;
+      return static_cast<std::int64_t>(total);
+    });
+  }
+
+  /// The values, widened.
+  std::vector<std::int64_t> values() const {
+    return visit([&](auto words) {
+      std::vector<std::int64_t> out(words.size());
+      for (std::size_t i = 0; i < words.size(); ++i) {
+        out[i] = value_of(words[i]);
+      }
+      return out;
+    });
+  }
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = std::int64_t;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = std::int64_t;
+
+    const_iterator() = default;
+    const_iterator(const CountColumn* column, std::size_t index)
+        : column_(column), index_(index) {}
+    std::int64_t operator*() const { return (*column_)[index_]; }
+    const_iterator& operator++() { ++index_; return *this; }
+    const_iterator operator++(int) { return {column_, index_++}; }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.index_ == b.index_;
+    }
+
+   private:
+    const CountColumn* column_ = nullptr;
+    std::size_t index_ = 0;
+  };
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size()}; }
+
+  /// Equal values. Columns are canonical, so this compares base and
+  /// words.
+  friend bool operator==(const CountColumn& a, const CountColumn& b) {
+    return a.base_ == b.base_ && a.words_ == b.words_;
+  }
+
+ private:
+  std::int64_t value_of(std::uint64_t word) const {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(base_) +
+                                     word);
+  }
+
+  template <class Word>
+  void narrow(std::span<const std::int64_t> values) {
+    std::vector<Word> words(values.size());
+    const std::uint64_t base = static_cast<std::uint64_t>(base_);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      words[i] =
+          static_cast<Word>(static_cast<std::uint64_t>(values[i]) - base);
+    }
+    words_ = std::move(words);
+  }
+
+  std::int64_t base_ = 0;
+  /// Indexed by log2 of the width.
+  std::variant<std::vector<std::uint8_t>, std::vector<std::uint16_t>,
+               std::vector<std::uint32_t>, std::vector<std::uint64_t>>
+      words_;
+};
+
 /// Per-element access counts per container; the flattened-time heatmap.
 struct AccessCounts {
-  /// [container][flat logical index] -> count.
-  std::vector<std::vector<std::int64_t>> reads;
-  std::vector<std::vector<std::int64_t>> writes;
+  /// [container] -> count per flat logical index.
+  std::vector<CountColumn> reads;
+  std::vector<CountColumn> writes;
+  /// Reads plus writes per element of `container`.
   std::vector<std::int64_t> total(int container) const;
 };
 
@@ -348,7 +532,7 @@ struct ElementDistanceStats {
   std::vector<std::int64_t> min;
   std::vector<std::int64_t> median;
   std::vector<std::int64_t> max;
-  std::vector<std::int64_t> cold_count;  ///< Infinite-distance accesses.
+  CountColumn cold_count;  ///< Infinite-distance accesses.
 };
 
 /// All finite distances + cold count for one element or a whole
@@ -377,8 +561,8 @@ struct MissStats {
 struct MissReport {
   std::int64_t threshold_lines = 0;
   std::vector<MissStats> per_container;
-  /// [container][flat] -> predicted misses for that element's accesses.
-  std::vector<std::vector<std::int64_t>> element_misses;
+  /// [container] -> predicted misses per element's accesses.
+  std::vector<CountColumn> element_misses;
   MissStats total;
 };
 

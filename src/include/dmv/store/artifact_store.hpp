@@ -25,7 +25,9 @@
 // vector frame-of-reference bit packed — u64 count | u8 width | i64 base
 // | packed bytes, with base = min and width the smallest power of two
 // in 1..64 bits holding max - min — so a count vector costs 1 to 4 bits
-// per element instead of 64. A file of another version (v1 wrote raw
+// per element instead of 64. A sim::CountColumn is stored in the same
+// frame, so a count record of 8 bits or more is the column's words,
+// copied little-endian both ways. A file of another version (v1 wrote raw
 // int64 vectors) fails the version check and takes the corrupt-file
 // path: deleted, counted in dropped_corrupt, recomputed.
 //
@@ -100,14 +102,17 @@ class DiskArtifactCache {
 };
 
 /// Exact binary round trip for the metrics bundle: every field of
-/// PipelineResult is integral and every vector is packed losslessly, so
-/// decode(encode(r)) == r bit for bit and serve-layer checksums are
-/// stable across a disk round trip.
+/// PipelineResult is integral and every vector and column is packed
+/// losslessly, so decode(encode(r)) == r bit for bit (each column at
+/// its width) and serve-layer checksums are stable across a disk round
+/// trip.
 std::string encode_pipeline_result(const sim::PipelineResult& result);
 
 /// Null when `bytes` is not a valid encoding (wrong magic/version,
 /// truncation, a packed width that is not a power of two in 1..64, a
-/// count the remaining bytes cannot hold, checksum mismatch).
+/// count the remaining bytes cannot hold, a count record that is not
+/// narrowed — its base not the minimum, or its values fitting a
+/// narrower column (sim::CountColumn::from_words) — checksum mismatch).
 std::shared_ptr<const sim::PipelineResult> decode_pipeline_result(
     const std::string& bytes);
 

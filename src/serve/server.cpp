@@ -635,13 +635,11 @@ session::SharedCacheStats Server::shared_cache_stats() const {
 std::int64_t result_checksum(const sim::PipelineResult& result) {
   std::int64_t checksum = result.misses.total.misses() + result.executions;
   for (std::size_t c = 0; c < result.element_stats.size(); ++c) {
-    for (std::int64_t cold : result.element_stats[c].cold_count) {
-      checksum += cold;
-    }
+    checksum += result.element_stats[c].cold_count.sum();
     // Guarded: the sweep benchmark always enables counts alongside
     // element_stats; a serve subscription may not.
     if (c < result.counts.reads.size()) {
-      for (std::int64_t count : result.counts.reads[c]) checksum += count;
+      checksum += result.counts.reads[c].sum();
     }
   }
   return checksum;

@@ -8,6 +8,7 @@
 
 #include "dmv/par/par.hpp"
 #include "dmv/symbolic/expr.hpp"
+#include "metric_detail.hpp"
 
 namespace dmv::sim::detail {
 
@@ -82,8 +83,11 @@ struct Scope {
 
 class Counter {
  public:
-  Counter(const SymbolMap& symbols, bool counts, PipelineResult& result)
-      : binding_(symbols), counts_(counts), result_(result) {}
+  Counter(const SymbolMap& symbols, bool counts,
+          std::vector<std::vector<std::int64_t>>& scratch,
+          PipelineResult& result)
+      : binding_(symbols), counts_(counts), scratch_(scratch),
+        result_(result) {}
 
   const char* run(const Sdfg& sdfg, const SymbolMap& symbols) {
     AccessTrace header;
@@ -340,40 +344,41 @@ class Counter {
     return nullptr;
   }
 
-  // Reserves every count vector on this thread, so their memory comes
-  // from its allocator arena (allocating them on pool threads raised peak
-  // RSS), then builds each (container, direction) vector in one task.
-  // One task owns a vector and adds its boxes in walk order, so the split
-  // cannot change a count.
+  // Builds each (container, direction) count vector in its own task: in
+  // the caller's int64 scratch (zero-filled, its boxes added in walk
+  // order, prefix sums), then narrowed into the result's column. One
+  // task owns a vector, so the split cannot change a count. Scratch is
+  // grown on this thread, so its memory comes from this thread's
+  // allocator arena, and is reused across steps, so a step of sizes
+  // already seen faults no fresh pages for it.
   void build_counts() {
-    std::vector<std::vector<std::int64_t>>& reads = result_.counts.reads;
-    std::vector<std::vector<std::int64_t>>& writes = result_.counts.writes;
+    const std::size_t tasks = 2 * targets_.size();
+    if (scratch_.size() < tasks) scratch_.resize(tasks);
+    std::vector<CountColumn>& reads = result_.counts.reads;
+    std::vector<CountColumn>& writes = result_.counts.writes;
     reads.resize(targets_.size());
     writes.resize(targets_.size());
     std::size_t values = 0;
-    for (std::size_t c = 0; c < targets_.size(); ++c) {
-      reads[c].reserve(targets_[c].elements);
-      writes[c].reserve(targets_[c].elements);
-      values += 2 * targets_[c].elements;
+    for (std::size_t task = 0; task < tasks; ++task) {
+      reserve_scratch(scratch_[task], targets_[task / 2].elements);
+      values += targets_[task / 2].elements;
     }
     const auto build = [&](std::size_t task) {
       const Target& target = targets_[task / 2];
       const std::vector<std::int64_t>& boxes = target.boxes[task % 2];
-      std::vector<std::int64_t>& counts =
-          (task % 2 == 1 ? writes : reads)[task / 2];
-      counts.resize(target.elements);  // Zero-fills; fits the reservation.
+      std::vector<std::int64_t>& counts = scratch_[task];
+      counts.assign(target.elements, 0);  // Fits the reservation.
       const std::size_t stride = 2 * target.shape.size() + 1;
       for (std::size_t at = 0; at < boxes.size(); at += stride) {
         scatter_box(target, boxes.data() + at, counts);
       }
       if (!boxes.empty()) prefix_sum(target, counts);
+      (task % 2 == 1 ? writes : reads)[task / 2] = CountColumn(counts);
     };
     if (values < kMinParallelValues) {
-      for (std::size_t task = 0; task < 2 * targets_.size(); ++task) {
-        build(task);
-      }
+      for (std::size_t task = 0; task < tasks; ++task) build(task);
     } else {
-      par::parallel_tasks(2 * targets_.size(), build);
+      par::parallel_tasks(tasks, build);
     }
   }
 
@@ -424,6 +429,7 @@ class Counter {
 
   SymbolBinding binding_;
   bool counts_;
+  std::vector<std::vector<std::int64_t>>& scratch_;
   PipelineResult& result_;
   std::vector<Target> targets_;
   ir::StateSchedule schedule_;
@@ -434,8 +440,10 @@ class Counter {
 }  // namespace
 
 const char* closed_form_counts(const Sdfg& sdfg, const SymbolMap& symbols,
-                               bool counts, PipelineResult& result) {
-  return Counter(symbols, counts, result).run(sdfg, symbols);
+                               bool counts,
+                               std::vector<std::vector<std::int64_t>>& scratch,
+                               PipelineResult& result) {
+  return Counter(symbols, counts, scratch, result).run(sdfg, symbols);
 }
 
 }  // namespace dmv::sim::detail

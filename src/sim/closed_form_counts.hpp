@@ -14,6 +14,9 @@
 // docs/simulation.md, "Closed-form counts", for the rule and every
 // decline reason.
 
+#include <cstdint>
+#include <vector>
+
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/sim/sim.hpp"
 
@@ -22,12 +25,18 @@ namespace dmv::sim::detail {
 /// Fills `result`'s events, executions, containers and — when `counts`
 /// — per-element read/write counts, exactly as a counts-only
 /// MetricPipeline run over simulate()'s trace would, without
-/// simulating. Returns nullptr when it answered; otherwise a static
-/// string naming the first condition the program or binding failed
-/// ("closed form: ..."), with `result` unspecified. Never throws for a
-/// program the simulator rejects: unbound symbols, bad extents and
-/// out-of-bounds subsets decline, so the simulator raises its own error.
+/// simulating. Each count vector is built in int64 in `scratch` (one
+/// vector per container and direction, kept by the caller across calls
+/// and grown as needed), then narrowed into its result column, so the
+/// result never aliases the scratch. Returns nullptr when it answered;
+/// otherwise a static string naming the first condition the program or
+/// binding failed ("closed form: ..."), with `result` unspecified.
+/// Never throws for a program the simulator rejects: unbound symbols,
+/// bad extents and out-of-bounds subsets decline, so the simulator
+/// raises its own error; a failed allocation declines too.
 const char* closed_form_counts(const Sdfg& sdfg, const SymbolMap& symbols,
-                               bool counts, PipelineResult& result);
+                               bool counts,
+                               std::vector<std::vector<std::int64_t>>& scratch,
+                               PipelineResult& result);
 
 }  // namespace dmv::sim::detail

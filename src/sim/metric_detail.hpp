@@ -114,10 +114,20 @@ inline void line_range_of(const std::vector<layout::ConcreteLayout>& layouts,
   span = any ? last - first : 0;
 }
 
+/// Grows arena-kept scratch to hold `size` values: by at least doubling,
+/// so a drag or sweep of growing sizes rarely reallocates it. Its values
+/// are dead, so a reallocation copies nothing.
+inline void reserve_scratch(std::vector<std::int64_t>& scratch,
+                            std::size_t size) {
+  if (scratch.capacity() >= size) return;
+  scratch.clear();
+  scratch.reserve(std::max(size, 2 * scratch.capacity()));
+}
+
 /// Finalizes per-element distance statistics from the (flat, distance)
 /// pairs of ONE container, collected in event order, via counting sort:
 /// O(elements + pairs) memory, per-element order identical to the
-/// serial scan. cold_count must already be filled by the caller.
+/// serial scan. Leaves cold_count to the caller.
 /// `offsets` and `sorted` are caller-owned scratch (arena-reusable).
 /// Nothing here allocates when the caller has reserved `elements`
 /// values in each of stats' min, median and max and in `offsets`, and

@@ -756,76 +756,80 @@ PipelineResult Engine::collect(std::int64_t executions, bool move) {
   result.events = static_cast<std::int64_t>(events_);
   result.executions = executions;
   result.containers = containers_;
-  // The calling thread moves each carried vector out (finish()) or
-  // reserves its copy (snapshot()), so the copy's memory comes from this
-  // thread's malloc arena; a pool task then fills each copy.
+  // Carried per-element tallies stay in the engine (begin() reuses them)
+  // and are narrowed into the result's columns, one pool task each. The
+  // kept distances are moved out (finish()) or copied into a vector this
+  // thread reserves (snapshot()), so the copy's memory comes from this
+  // thread's malloc arena.
+  std::vector<std::pair<const Values*, CountColumn*>> narrows;
   std::vector<std::pair<const Values*, Values*>> copies;
   std::size_t values = 0;
-  auto take = [&](Values& from, Values& into) {
-    if (move) {
-      into = std::move(from);
-      return;
-    }
-    into.reserve(from.size());
-    copies.emplace_back(&from, &into);
+  auto narrow = [&](const Values& from, CountColumn& into) {
+    narrows.emplace_back(&from, &into);
     values += from.size();
   };
-  auto take_all = [&](std::vector<Values>& from, std::vector<Values>& into) {
+  auto narrow_all = [&](const std::vector<Values>& from,
+                        std::vector<CountColumn>& into) {
     into.resize(from.size());
-    for (std::size_t c = 0; c < from.size(); ++c) take(from[c], into[c]);
+    for (std::size_t c = 0; c < from.size(); ++c) narrow(from[c], into[c]);
   };
   if (config_.counts) {
-    take_all(tally_.reads, result.counts.reads);
-    take_all(tally_.writes, result.counts.writes);
+    narrow_all(tally_.reads, result.counts.reads);
+    narrow_all(tally_.writes, result.counts.writes);
   }
   if (config_.keep_distances) {
     result.distances.line_size = config_.line_size;
-    take(kept_distances_, result.distances.distances);
+    if (move) {
+      result.distances.distances = std::move(kept_distances_);
+    } else {
+      result.distances.distances.reserve(kept_distances_.size());
+      copies.emplace_back(&kept_distances_, &result.distances.distances);
+      values += kept_distances_.size();
+    }
   }
   if (config_.miss_threshold_lines > 0) {
     result.misses.threshold_lines = config_.miss_threshold_lines;
     result.misses.per_container = tally_.misses;
-    take_all(tally_.element_misses, result.misses.element_misses);
+    narrow_all(tally_.element_misses, result.misses.element_misses);
     for (const MissStats& stats : result.misses.per_container) {
       add_stats(result.misses.total, stats);
     }
   }
   // One task finalizes each container's element stats, into vectors and
-  // scratch this thread reserved. Scratch only grows, by doubling, so a
-  // drag rarely reallocates it.
+  // scratch this thread reserved.
   const std::size_t finalized = config_.element_stats ? num_containers : 0;
   if (config_.element_stats) {
     result.element_stats.resize(num_containers);
     offsets_.resize(num_containers);
     sorted_.resize(num_containers);
-    auto reserve_scratch = [](Values& scratch, std::size_t size) {
-      if (scratch.capacity() >= size) return;
-      scratch.clear();  // Dead values: reallocating copies nothing.
-      scratch.reserve(std::max(size, 2 * scratch.capacity()));
-    };
     for (std::size_t c = 0; c < num_containers; ++c) {
       ElementDistanceStats& stats = result.element_stats[c];
-      take(tally_.cold[c], stats.cold_count);
+      narrow(tally_.cold[c], stats.cold_count);
       const std::size_t elements = static_cast<std::size_t>(elements_[c]);
       stats.min.reserve(elements);
       stats.median.reserve(elements);
       stats.max.reserve(elements);
-      reserve_scratch(offsets_[c], elements);
-      reserve_scratch(sorted_[c], tally_.finite[c].size());
+      detail::reserve_scratch(offsets_[c], elements);
+      detail::reserve_scratch(sorted_[c], tally_.finite[c].size());
       values += 3 * elements;
     }
   }
   // Finalizations, the longest tasks, are handed out first.
-  fill_tasks(finalized + copies.size(), values, [&](std::size_t t) {
-    if (t < finalized) {
-      detail::finalize_element_stats(elements_[t], tally_.finite[t],
-                                     offsets_[t], sorted_[t],
-                                     result.element_stats[t]);
-    } else {
-      const auto& [from, into] = copies[t - finalized];
-      into->assign(from->begin(), from->end());
-    }
-  });
+  fill_tasks(finalized + copies.size() + narrows.size(), values,
+             [&](std::size_t t) {
+               if (t < finalized) {
+                 detail::finalize_element_stats(
+                     elements_[t], tally_.finite[t], offsets_[t], sorted_[t],
+                     result.element_stats[t]);
+               } else if (t < finalized + copies.size()) {
+                 const auto& [from, into] = copies[t - finalized];
+                 into->assign(from->begin(), from->end());
+               } else {
+                 const auto& [from, into] =
+                     narrows[t - finalized - copies.size()];
+                 *into = CountColumn(*from);
+               }
+             });
   if (config_.cache) {
     result.cache.config = *config_.cache;
     result.cache.per_container.assign(num_containers, {});

@@ -37,6 +37,9 @@ struct ArenaState {
   AccessTrace trace;        ///< run(sdfg) materialization target.
   TraceArena trace_arena;   ///< Chunk plan + streaming chunk buffers.
   merge::Engine engine;     ///< Metric state (run_delta: the checkpoint's).
+  /// The closed-form counter's int64 count vectors, one per (container,
+  /// direction); each step narrows them into its result's columns.
+  std::vector<std::vector<std::int64_t>> count_scratch;
 
   // --- run_delta() checkpoint -------------------------------------------
   // `trace` doubles as the checkpoint's front event buffer and `engine`
@@ -74,17 +77,18 @@ void feed_events(merge::Engine& engine, const EventList& events,
 }
 
 // A config with no per-event consumer (no distances, no exact cache)
-// asks the closed-form counter first. Returns nullptr when the counter
-// answered into `result` — no simulation, the counter's time as metric
-// time, one partition — and otherwise why it did not: the counter's
-// decline, or "" for configs it never serves.
-const char* try_closed_form(const PipelineConfig& config, const Sdfg& sdfg,
-                            const SymbolMap& symbols, PipelineResult& result,
-                            PhaseTimings& timings) {
+// asks the closed-form counter first, building its counts in the
+// arena's scratch. Returns nullptr when the counter answered into
+// `result` — no simulation, the counter's time as metric time, one
+// partition — and otherwise why it did not: the counter's decline, or
+// "" for configs it never serves.
+const char* try_closed_form(const PipelineConfig& config, ArenaState& arena,
+                            const Sdfg& sdfg, const SymbolMap& symbols,
+                            PipelineResult& result, PhaseTimings& timings) {
   if (config.needs_distances() || config.cache) return "";
   const auto start = Clock::now();
-  const char* reason =
-      detail::closed_form_counts(sdfg, symbols, config.counts, result);
+  const char* reason = detail::closed_form_counts(
+      sdfg, symbols, config.counts, arena.count_scratch, result);
   if (reason) {
     result = PipelineResult{};  // Frees partial counts before simulating.
   } else {
@@ -135,19 +139,22 @@ std::size_t approx_size_bytes(const PipelineResult& result) {
   for (const std::string& name : result.containers) {
     bytes += name.size() + sizeof(std::string);
   }
-  auto nested = [&bytes](const std::vector<std::vector<std::int64_t>>& v) {
-    bytes += v.size() * sizeof(std::vector<std::int64_t>);
-    for (const auto& inner : v) bytes += inner.size() * sizeof(std::int64_t);
+  auto column_bytes = [](const CountColumn& column) {
+    return column.size() * column.byte_width();
   };
-  nested(result.counts.reads);
-  nested(result.counts.writes);
+  auto columns = [&](const std::vector<CountColumn>& v) {
+    bytes += v.size() * sizeof(CountColumn);
+    for (const CountColumn& column : v) bytes += column_bytes(column);
+  };
+  columns(result.counts.reads);
+  columns(result.counts.writes);
   bytes += result.distances.distances.size() * sizeof(std::int64_t);
   bytes += result.misses.per_container.size() * sizeof(MissStats);
-  nested(result.misses.element_misses);
+  columns(result.misses.element_misses);
   for (const ElementDistanceStats& stats : result.element_stats) {
-    bytes += (stats.min.size() + stats.median.size() + stats.max.size() +
-              stats.cold_count.size()) *
-             sizeof(std::int64_t);
+    bytes += (stats.min.size() + stats.median.size() + stats.max.size()) *
+                 sizeof(std::int64_t) +
+             column_bytes(stats.cold_count);
   }
   bytes += result.element_stats.size() * sizeof(ElementDistanceStats);
   bytes += result.cache.per_container.size() * sizeof(MissStats);
@@ -207,7 +214,7 @@ PipelineResult MetricPipeline::run(const Sdfg& sdfg, const SymbolMap& symbols,
                                    const SimulationOptions& options) {
   arena_->ckpt_valid = false;
   PipelineResult result;
-  if (!try_closed_form(config_, sdfg, symbols, result, timings_)) {
+  if (!try_closed_form(config_, *arena_, sdfg, symbols, result, timings_)) {
     return result;
   }
   generate(sdfg, symbols, options);
@@ -222,7 +229,7 @@ PipelineResult MetricPipeline::run_streaming(const Sdfg& sdfg,
                                              const SimulationOptions& options) {
   arena_->ckpt_valid = false;
   PipelineResult result;
-  if (!try_closed_form(config_, sdfg, symbols, result, timings_)) {
+  if (!try_closed_form(config_, *arena_, sdfg, symbols, result, timings_)) {
     return result;
   }
   const auto start = Clock::now();
@@ -531,7 +538,7 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
   // A counts-only step that still simulates reports why the counter
   // declined instead of the delta engine's own reason.
   const char* declined =
-      try_closed_form(config_, sdfg, symbols, counted, timings_);
+      try_closed_form(config_, arena, sdfg, symbols, counted, timings_);
   if (!declined) {
     // Nothing was simulated, so there is no trace to checkpoint.
     arena.ckpt_valid = false;

@@ -7,26 +7,32 @@
 namespace dmv::sim {
 
 std::vector<std::int64_t> AccessCounts::total(int container) const {
-  std::vector<std::int64_t> sum = reads.at(container);
-  const std::vector<std::int64_t>& w = writes.at(container);
+  std::vector<std::int64_t> sum = reads.at(container).values();
+  const CountColumn& w = writes.at(container);
   for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += w[i];
   return sum;
 }
 
 namespace {
 
-AccessCounts zero_counts(const AccessTrace& trace) {
-  AccessCounts counts;
-  counts.reads.reserve(trace.layouts.size());
-  counts.writes.reserve(trace.layouts.size());
+// Int64 per-element tallies of one block; narrowed once at the end.
+struct Tallies {
+  std::vector<std::vector<std::int64_t>> reads;
+  std::vector<std::vector<std::int64_t>> writes;
+};
+
+Tallies zero_tallies(const AccessTrace& trace) {
+  Tallies tallies;
+  tallies.reads.reserve(trace.layouts.size());
+  tallies.writes.reserve(trace.layouts.size());
   for (const ConcreteLayout& layout : trace.layouts) {
-    counts.reads.emplace_back(layout.total_elements(), 0);
-    counts.writes.emplace_back(layout.total_elements(), 0);
+    tallies.reads.emplace_back(layout.total_elements(), 0);
+    tallies.writes.emplace_back(layout.total_elements(), 0);
   }
-  return counts;
+  return tallies;
 }
 
-void add_counts(AccessCounts& into, const AccessCounts& from) {
+void add_tallies(Tallies& into, const Tallies& from) {
   for (std::size_t c = 0; c < into.reads.size(); ++c) {
     for (std::size_t i = 0; i < into.reads[c].size(); ++i) {
       into.reads[c][i] += from.reads[c][i];
@@ -49,18 +55,22 @@ AccessCounts sharded_counts(const AccessTrace& trace, PerEvent&& per_event) {
   const std::size_t grain =
       par::grain_for(n, static_cast<std::size_t>(par::num_threads()),
                      std::size_t{1} << 15);
-  return par::parallel_reduce(
-      n, grain, zero_counts(trace),
+  const Tallies tallies = par::parallel_reduce(
+      n, grain, zero_tallies(trace),
       [&](std::size_t begin, std::size_t end) {
-        AccessCounts local = zero_counts(trace);
+        Tallies local = zero_tallies(trace);
         for (std::size_t i = begin; i < end; ++i) {
           per_event(trace.events[i], local);
         }
         return local;
       },
-      [](AccessCounts& acc, AccessCounts&& block) {
-        add_counts(acc, block);
-      });
+      [](Tallies& acc, Tallies&& block) { add_tallies(acc, block); });
+  AccessCounts counts;
+  for (std::size_t c = 0; c < tallies.reads.size(); ++c) {
+    counts.reads.emplace_back(tallies.reads[c]);
+    counts.writes.emplace_back(tallies.writes[c]);
+  }
+  return counts;
 }
 
 }  // namespace
@@ -99,7 +109,7 @@ AccessCounts related_accesses(const AccessTrace& trace,
       });
   // Pass 2: accumulate all accesses of those executions.
   return sharded_counts(
-      trace, [&](const AccessEvent& event, AccessCounts& counts) {
+      trace, [&](const AccessEvent& event, Tallies& counts) {
         auto it = execution_weight.find(event.execution);
         if (it == execution_weight.end()) return;
         if (event.is_write) {

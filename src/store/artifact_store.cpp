@@ -248,12 +248,28 @@ namespace {
 // calling thread: a pool job's dispatch would cost more than it saves.
 constexpr std::size_t kMinParallelValues = std::size_t{1} << 15;
 
-template <class PutVector>
-void put_nested_i64(std::string& out,
-                    const std::vector<std::vector<std::int64_t>>& rows,
-                    PutVector& put_vector) {
+// One packed record of the body: an int64 vector or a count column.
+struct Record {
+  const std::vector<std::int64_t>* vector = nullptr;
+  const sim::CountColumn* column = nullptr;
+
+  std::size_t size() const { return vector ? vector->size() : column->size(); }
+  void put(std::string& out) const {
+    if (vector) {
+      detail::put_packed_i64s(out, *vector);
+    } else {
+      detail::put_packed_column(out, *column);
+    }
+  }
+};
+
+template <class PutRecord>
+void put_columns(std::string& out, const std::vector<sim::CountColumn>& rows,
+                 PutRecord& put_record) {
   detail::put_u64(out, rows.size());
-  for (const std::vector<std::int64_t>& row : rows) put_vector(out, row);
+  for (const sim::CountColumn& row : rows) {
+    put_record(out, Record{nullptr, &row});
+  }
 }
 
 void put_miss_stats(std::string& out, const sim::MissStats& stats) {
@@ -263,15 +279,13 @@ void put_miss_stats(std::string& out, const sim::MissStats& stats) {
 }
 
 // Nested sizes are sanity-bounded against the remaining input (and
-// packed vectors by ByteReader::packed_i64s) so a corrupt length cannot
+// packed records by ByteReader::packed_column) so a corrupt length cannot
 // trigger a pathological allocation before the truncation check fires.
-std::vector<std::vector<std::int64_t>> get_nested_i64(ByteReader& reader) {
+std::vector<sim::CountColumn> get_columns(ByteReader& reader) {
   const std::uint64_t count = reader.u64();
   if (count > reader.remaining()) reader.fail("nested vector overruns input");
-  std::vector<std::vector<std::int64_t>> rows(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    rows[static_cast<std::size_t>(i)] = reader.packed_i64s();
-  }
+  std::vector<sim::CountColumn> rows(static_cast<std::size_t>(count));
+  for (sim::CountColumn& row : rows) row = reader.packed_column();
   return rows;
 }
 
@@ -284,10 +298,13 @@ sim::MissStats get_miss_stats(ByteReader& reader) {
 }
 
 // Writes a DMVR bundle up to its checksum, in the one order the decoder
-// reads; `put_vector(out, vector)` writes each packed vector record.
-template <class PutVector>
+// reads; `put_record(out, record)` writes each packed record.
+template <class PutRecord>
 void put_body(std::string& out, const sim::PipelineResult& result,
-              PutVector&& put_vector) {
+              PutRecord&& put_record) {
+  const auto put_vector = [&](const std::vector<std::int64_t>& values) {
+    put_record(out, Record{&values, nullptr});
+  };
   out += "DMVR";
   detail::put_u32(out, kArtifactFormatVersion);
   detail::put_i64(out, result.events);
@@ -297,23 +314,23 @@ void put_body(std::string& out, const sim::PipelineResult& result,
     detail::put_u32(out, static_cast<std::uint32_t>(name.size()));
     out += name;
   }
-  put_nested_i64(out, result.counts.reads, put_vector);
-  put_nested_i64(out, result.counts.writes, put_vector);
+  put_columns(out, result.counts.reads, put_record);
+  put_columns(out, result.counts.writes, put_record);
   detail::put_i64(out, result.distances.line_size);
-  put_vector(out, result.distances.distances);
+  put_vector(result.distances.distances);
   detail::put_i64(out, result.misses.threshold_lines);
   detail::put_u64(out, result.misses.per_container.size());
   for (const sim::MissStats& stats : result.misses.per_container) {
     put_miss_stats(out, stats);
   }
-  put_nested_i64(out, result.misses.element_misses, put_vector);
+  put_columns(out, result.misses.element_misses, put_record);
   put_miss_stats(out, result.misses.total);
   detail::put_u64(out, result.element_stats.size());
   for (const sim::ElementDistanceStats& stats : result.element_stats) {
-    put_vector(out, stats.min);
-    put_vector(out, stats.median);
-    put_vector(out, stats.max);
-    put_vector(out, stats.cold_count);
+    put_vector(stats.min);
+    put_vector(stats.median);
+    put_vector(stats.max);
+    put_record(out, Record{nullptr, &stats.cold_count});
   }
   detail::put_i64(out, result.cache.config.line_size);
   detail::put_i64(out, result.cache.config.total_size);
@@ -324,39 +341,36 @@ void put_body(std::string& out, const sim::PipelineResult& result,
   }
   put_miss_stats(out, result.cache.total);
   detail::put_i64(out, result.movement.line_size);
-  put_vector(out, result.movement.bytes_per_container);
+  put_vector(result.movement.bytes_per_container);
   detail::put_i64(out, result.movement.total_bytes);
 }
 
 }  // namespace
 
 std::string encode_pipeline_result(const sim::PipelineResult& result) {
-  // The first pass lists the vector records; each is packed in its own
+  // The first pass lists the packed records; each is packed in its own
   // task, and the second pass appends them in body order, so the bytes
   // do not depend on the thread count.
-  std::vector<const std::vector<std::int64_t>*> vectors;
+  std::vector<Record> listed;
   std::string scalars;
-  put_body(scalars, result,
-           [&](std::string&, const std::vector<std::int64_t>& values) {
-             vectors.push_back(&values);
-           });
+  put_body(scalars, result, [&](std::string&, const Record& record) {
+    listed.push_back(record);
+  });
   std::size_t values = 0;
-  for (const auto* vector : vectors) values += vector->size();
-  std::vector<std::string> records(vectors.size());
-  const auto pack = [&](std::size_t i) {
-    detail::put_packed_i64s(records[i], *vectors[i]);
-  };
+  for (const Record& record : listed) values += record.size();
+  std::vector<std::string> records(listed.size());
+  const auto pack = [&](std::size_t i) { listed[i].put(records[i]); };
   if (values < kMinParallelValues) {
-    for (std::size_t i = 0; i < vectors.size(); ++i) pack(i);
+    for (std::size_t i = 0; i < listed.size(); ++i) pack(i);
   } else {
-    par::parallel_tasks(vectors.size(), pack);
+    par::parallel_tasks(listed.size(), pack);
   }
   std::size_t bytes = scalars.size() + 8;
   for (const std::string& record : records) bytes += record.size();
   std::string out;
   out.reserve(bytes);
   std::size_t next = 0;
-  put_body(out, result, [&](std::string& body, const auto&) {
+  put_body(out, result, [&](std::string& body, const Record&) {
     body += records[next++];
   });
   // Trailing checksum over everything before it — lets the codec stand
@@ -385,8 +399,8 @@ std::shared_ptr<const sim::PipelineResult> decode_pipeline_result(
       const std::uint32_t length = reader.u32();
       result->containers.push_back(reader.str(length));
     }
-    result->counts.reads = get_nested_i64(reader);
-    result->counts.writes = get_nested_i64(reader);
+    result->counts.reads = get_columns(reader);
+    result->counts.writes = get_columns(reader);
     result->distances.line_size = static_cast<int>(reader.i64());
     result->distances.distances = reader.packed_i64s();
     result->misses.threshold_lines = reader.i64();
@@ -397,7 +411,7 @@ std::shared_ptr<const sim::PipelineResult> decode_pipeline_result(
     for (auto& stats : result->misses.per_container) {
       stats = get_miss_stats(reader);
     }
-    result->misses.element_misses = get_nested_i64(reader);
+    result->misses.element_misses = get_columns(reader);
     result->misses.total = get_miss_stats(reader);
     const std::uint64_t element_stat_count = reader.u64();
     if (element_stat_count > reader.remaining()) return nullptr;
@@ -407,7 +421,7 @@ std::shared_ptr<const sim::PipelineResult> decode_pipeline_result(
       stats.min = reader.packed_i64s();
       stats.median = reader.packed_i64s();
       stats.max = reader.packed_i64s();
-      stats.cold_count = reader.packed_i64s();
+      stats.cold_count = reader.packed_column();
     }
     result->cache.config.line_size = static_cast<int>(reader.i64());
     result->cache.config.total_size = reader.i64();

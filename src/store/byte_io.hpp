@@ -21,6 +21,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "dmv/sim/sim.hpp"
 #include "dmv/util/fnv1a.hpp"
 
 namespace dmv::store::detail {
@@ -118,8 +119,8 @@ using PackedWord = std::conditional_t<
                                           std::uint64_t>>>;
 
 /// One byte holding `n` (<= 8 / Width) consecutive sub-byte values.
-template <unsigned Width>
-inline unsigned char pack_byte(const std::int64_t* values, std::size_t n,
+template <unsigned Width, class Value>
+inline unsigned char pack_byte(const Value* values, std::size_t n,
                                std::uint64_t base) {
   unsigned byte = 0;
   for (std::size_t k = 0; k < n; ++k) {
@@ -130,18 +131,19 @@ inline unsigned char pack_byte(const std::int64_t* values, std::size_t n,
   return static_cast<unsigned char>(byte);
 }
 
-template <unsigned Width>
-inline void unpack_byte(unsigned byte, std::uint64_t base,
-                        std::int64_t* dest, std::size_t n) {
+template <unsigned Width, class Value>
+inline void unpack_byte(unsigned byte, std::uint64_t base, Value* dest,
+                        std::size_t n) {
   constexpr unsigned kMask = (1u << Width) - 1;
   for (std::size_t k = 0; k < n; ++k) {
-    dest[k] =
-        static_cast<std::int64_t>(base + ((byte >> (k * Width)) & kMask));
+    dest[k] = static_cast<Value>(base + ((byte >> (k * Width)) & kMask));
   }
 }
 
-template <unsigned Width>
-void pack_bits(const std::int64_t* __restrict values, std::size_t count,
+// The kernels read or write int64 values (base subtracted or added) or,
+// with base 0, a CountColumn's one-byte words.
+template <unsigned Width, class Value>
+void pack_bits(const Value* __restrict values, std::size_t count,
                std::uint64_t base, unsigned char* __restrict dest) {
   if constexpr (Width < 8) {
     constexpr std::size_t kPerByte = 8 / Width;
@@ -163,9 +165,9 @@ void pack_bits(const std::int64_t* __restrict values, std::size_t count,
   }
 }
 
-template <unsigned Width>
+template <unsigned Width, class Value>
 void unpack_bits(const unsigned char* __restrict src, std::size_t count,
-                 std::uint64_t base, std::int64_t* __restrict dest) {
+                 std::uint64_t base, Value* __restrict dest) {
   if constexpr (Width < 8) {
     constexpr std::size_t kPerByte = 8 / Width;
     const std::size_t full = count / kPerByte;
@@ -182,7 +184,7 @@ void unpack_bits(const unsigned char* __restrict src, std::size_t count,
     for (std::size_t i = 0; i < count; ++i) {
       Word word;
       std::memcpy(&word, src + i * sizeof(Word), sizeof(Word));
-      dest[i] = static_cast<std::int64_t>(base + to_little_endian(word));
+      dest[i] = static_cast<Value>(base + to_little_endian(word));
     }
   }
 }
@@ -221,6 +223,37 @@ inline void put_packed_i64s(std::string& out,
   auto* dest = reinterpret_cast<unsigned char*>(out.data() + offset);
   with_packed_width(width, [&](auto w) {
     pack_bits<decltype(w)::value>(values.data(), values.size(), base, dest);
+  });
+}
+
+/// Appends one packed record of a column: the bytes put_packed_i64s
+/// writes for its values. A column is already in the record's frame of
+/// reference — its base is the minimum and its largest word is
+/// max - min — so a record of 8 bits or more is the column's words,
+/// copied little-endian, and a narrower one packs its one-byte words.
+inline void put_packed_column(std::string& out,
+                              const sim::CountColumn& column) {
+  column.visit([&](auto words) {
+    using Word = typename decltype(words)::value_type;
+    Word hi = 0;
+    for (const Word word : words) hi = word > hi ? word : hi;
+    const unsigned width = packed_width(hi);
+    put_u64(out, words.size());
+    put_u8(out, static_cast<std::uint8_t>(width));
+    put_i64(out, column.base());
+    const std::size_t offset = out.size();
+    out.resize(offset + packed_bytes(words.size(), width));
+    auto* dest = reinterpret_cast<unsigned char*>(out.data() + offset);
+    if (width >= 8) {
+      // A narrowed column's word is the narrowest holding max - min.
+      pack_bits<8 * sizeof(Word)>(words.data(), words.size(), 0, dest);
+    } else {
+      with_packed_width(width, [&](auto w) {
+        if constexpr (decltype(w)::value < 8) {
+          pack_bits<decltype(w)::value>(words.data(), words.size(), 0, dest);
+        }
+      });
+    }
   });
 }
 
@@ -277,6 +310,40 @@ class ByteReader {
                                       values.data());
     });
     return values;
+  }
+
+  /// Reads one packed record (put_packed_column) into a column: a
+  /// record of 8 bits or more copies its little-endian words, a
+  /// narrower one unpacks into one-byte words. Checked like
+  /// packed_i64s, and the column must come out narrowed, as every
+  /// encoder writes it: its base the minimum, its values fitting no
+  /// narrower column (sim::CountColumn::from_words).
+  sim::CountColumn packed_column() {
+    const std::uint64_t count = u64();
+    const unsigned width = u8();
+    const std::int64_t base = i64();
+    if (width == 0 || width > 64 || (width & (width - 1)) != 0) {
+      fail("bad packed width");
+    }
+    if (!packed_fits(count, width, remaining())) {
+      fail("packed vector overruns input");
+    }
+    const std::size_t size = static_cast<std::size_t>(count);
+    const auto* src = reinterpret_cast<const unsigned char*>(
+        need(packed_bytes(size, width)));
+    sim::CountColumn column;
+    try {
+      with_packed_width(width, [&](auto w) {
+        constexpr unsigned kWidth = decltype(w)::value;
+        using Word = PackedWord<kWidth < 8 ? 8 : kWidth>;
+        std::vector<Word> words(size);
+        unpack_bits<kWidth>(src, size, 0, words.data());
+        column = sim::CountColumn::from_words(base, std::move(words));
+      });
+    } catch (const std::invalid_argument&) {
+      fail("packed column is not narrowed");
+    }
+    return column;
   }
 
   std::string str(std::size_t n) {

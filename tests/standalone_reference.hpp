@@ -32,17 +32,29 @@ inline std::int64_t line_of(const AccessTrace& trace, std::size_t event,
          line_size;
 }
 
-inline AccessCounts count_accesses(const AccessTrace& trace) {
-  AccessCounts counts;
+/// One int64 vector per container, zeroed: the oracle counts in int64
+/// and narrows only the finished vectors into result columns.
+inline std::vector<std::vector<std::int64_t>> zero_tallies(
+    const AccessTrace& trace) {
+  std::vector<std::vector<std::int64_t>> tallies;
   for (const ConcreteLayout& layout : trace.layouts) {
-    counts.reads.emplace_back(layout.total_elements(), 0);
-    counts.writes.emplace_back(layout.total_elements(), 0);
+    tallies.emplace_back(layout.total_elements(), 0);
   }
+  return tallies;
+}
+
+inline std::vector<CountColumn> columns_of(
+    const std::vector<std::vector<std::int64_t>>& tallies) {
+  return {tallies.begin(), tallies.end()};
+}
+
+inline AccessCounts count_accesses(const AccessTrace& trace) {
+  std::vector<std::vector<std::int64_t>> reads = zero_tallies(trace);
+  std::vector<std::vector<std::int64_t>> writes = zero_tallies(trace);
   for (const AccessEvent& event : trace.events) {
-    (event.is_write ? counts.writes : counts.reads)[event.container]
-                                                   [event.flat]++;
+    (event.is_write ? writes : reads)[event.container][event.flat]++;
   }
-  return counts;
+  return {columns_of(reads), columns_of(writes)};
 }
 
 /// Olken's algorithm: a mark at position p means "some line was last
@@ -98,17 +110,18 @@ inline ElementDistanceStats element_distance_stats(
   const std::size_t elements =
       static_cast<std::size_t>(trace.layouts[container].total_elements());
   std::vector<std::vector<std::int64_t>> finite(elements);
-  ElementDistanceStats stats;
-  stats.cold_count.assign(elements, 0);
+  std::vector<std::int64_t> cold(elements, 0);
   for (std::size_t i = 0; i < trace.events.size(); ++i) {
     const AccessEvent event = trace.events[i];
     if (event.container != container) continue;
     if (result.distances[i] == kInfiniteDistance) {
-      ++stats.cold_count[event.flat];
+      ++cold[event.flat];
     } else {
       finite[event.flat].push_back(result.distances[i]);
     }
   }
+  ElementDistanceStats stats;
+  stats.cold_count = CountColumn(cold);
   for (std::vector<std::int64_t>& distances : finite) {
     std::sort(distances.begin(), distances.end());
     const bool none = distances.empty();
@@ -139,17 +152,16 @@ inline MissReport classify_misses(const AccessTrace& trace,
   MissReport report;
   report.threshold_lines = threshold_lines;
   report.per_container.resize(trace.layouts.size());
-  for (const ConcreteLayout& layout : trace.layouts) {
-    report.element_misses.emplace_back(layout.total_elements(), 0);
-  }
+  std::vector<std::vector<std::int64_t>> element_misses = zero_tallies(trace);
   for (std::size_t i = 0; i < trace.events.size(); ++i) {
     const AccessEvent event = trace.events[i];
     const std::int64_t distance = distances.distances[i];
     const bool hit = distance < threshold_lines;
     add_access(report.per_container[event.container],
                distance == kInfiniteDistance, hit);
-    if (!hit) ++report.element_misses[event.container][event.flat];
+    if (!hit) ++element_misses[event.container][event.flat];
   }
+  report.element_misses = columns_of(element_misses);
   sum_total(report.per_container, report.total);
   return report;
 }

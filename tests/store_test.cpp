@@ -169,13 +169,13 @@ sim::PipelineResult hand_built_result() {
   for (std::size_t c = 0; c < n; ++c) {
     const auto i = static_cast<std::int64_t>(c);
     result.containers.push_back("c" + std::to_string(c));
-    result.counts.reads.push_back(vectors[c]);
-    result.counts.writes.push_back(vectors[n - 1 - c]);
+    result.counts.reads.emplace_back(vectors[c]);
+    result.counts.writes.emplace_back(vectors[n - 1 - c]);
     result.misses.per_container.push_back({i, 2 * i, -3 * i});
-    result.misses.element_misses.push_back(vectors[(c + 1) % n]);
+    result.misses.element_misses.emplace_back(vectors[(c + 1) % n]);
     result.element_stats.push_back({vectors[(c + 2) % n], vectors[(c + 3) % n],
                                     vectors[(c + 4) % n],
-                                    vectors[(c + 5) % n]});
+                                    sim::CountColumn(vectors[(c + 5) % n])});
     result.cache.per_container.push_back({-i, i * i, 7});
     result.movement.bytes_per_container.push_back(i * 64 - 5);
     result.distances.distances.insert(result.distances.distances.end(),
@@ -259,7 +259,7 @@ std::size_t packed_payload_bytes(const std::vector<std::int64_t>& values) {
   result.counts.writes = {{}};
   result.counts.reads = {{}};
   const std::size_t empty = store::encode_pipeline_result(result).size();
-  result.counts.reads = {values};
+  result.counts.reads = {sim::CountColumn(values)};
   return store::encode_pipeline_result(result).size() - empty;
 }
 
@@ -479,6 +479,16 @@ TEST(StoreReaderTest, ArtifactDecodeRejectsCountBeyondInput) {
     EXPECT_EQ(store::decode_pipeline_result(reseal(damaged)), nullptr)
         << "count " << count;
   }
+}
+
+TEST(StoreReaderTest, ArtifactDecodeRejectsUnnarrowedCountRecord) {
+  // counts.reads[0] is a 64-bit record whose first word is 0, the
+  // minimum's. With that word 1 the base is no longer the minimum.
+  const std::string bytes = store::encode_pipeline_result(small_result());
+  ASSERT_EQ(bytes.substr(kFirstPayloadAt, 8), le_bytes(0, 8));
+  std::string damaged = bytes;
+  damaged[kFirstPayloadAt] = 1;
+  EXPECT_EQ(store::decode_pipeline_result(reseal(damaged)), nullptr);
 }
 
 /// Writes one artifact file in the DMVA framing with a valid checksum.
