@@ -342,17 +342,47 @@ class CountColumn {
       hi = value > hi ? value : hi;
     }
     base_ = lo;
-    switch (width_for(static_cast<std::uint64_t>(hi) -
-                      static_cast<std::uint64_t>(lo))) {
-      case 1: narrow<std::uint8_t>(values); break;
-      case 2: narrow<std::uint16_t>(values); break;
-      case 4: narrow<std::uint32_t>(values); break;
-      default: narrow<std::uint64_t>(values); break;
-    }
+    narrow(width_for(static_cast<std::uint64_t>(hi) -
+                     static_cast<std::uint64_t>(lo)),
+           values);
   }
 
   CountColumn(std::initializer_list<std::int64_t> values)
       : CountColumn(std::span(values.begin(), values.size())) {}
+
+  /// Narrows non-negative values a producer already holds in unsigned
+  /// words (value i is values[i]) by the same rule. The vector itself
+  /// becomes the column when no narrower word holds max - min: as is
+  /// when its minimum is 0, else with the minimum subtracted in place.
+  /// Otherwise the values are narrowed into a new vector. Throws
+  /// std::invalid_argument when a value passes INT64_MAX.
+  template <class Word>
+  static CountColumn from_values(std::vector<Word> values) {
+    Word lo = values.empty() ? 0 : values[0];
+    Word hi = lo;
+    for (const Word value : values) {
+      lo = value < lo ? value : lo;
+      hi = value > hi ? value : hi;
+    }
+    if constexpr (sizeof(Word) == 8) {
+      if (hi > static_cast<std::uint64_t>(
+                   std::numeric_limits<std::int64_t>::max())) {
+        throw std::invalid_argument("CountColumn: a value passes INT64_MAX");
+      }
+    }
+    CountColumn column;
+    column.base_ = static_cast<std::int64_t>(lo);
+    const std::size_t width = width_for(hi - lo);
+    if (width != sizeof(Word)) {
+      column.narrow(width, std::span<const Word>(values));
+      return column;
+    }
+    if (lo != 0) {
+      for (Word& value : values) value = static_cast<Word>(value - lo);
+    }
+    column.words_ = std::move(values);
+    return column;
+  }
 
   /// Adopts words already narrowed by the rule, as a decoder reads
   /// them. Throws std::invalid_argument when they are not: a non-empty
@@ -474,15 +504,26 @@ class CountColumn {
                                      word);
   }
 
-  template <class Word>
-  void narrow(std::span<const std::int64_t> values) {
+  // Stores values[i] - base_ in words `width` bytes wide.
+  template <class Value>
+  void narrow(std::size_t width, std::span<const Value> values) {
+    switch (width) {
+      case 1: words_ = rebased<std::uint8_t>(values); break;
+      case 2: words_ = rebased<std::uint16_t>(values); break;
+      case 4: words_ = rebased<std::uint32_t>(values); break;
+      default: words_ = rebased<std::uint64_t>(values); break;
+    }
+  }
+
+  template <class Word, class Value>
+  std::vector<Word> rebased(std::span<const Value> values) const {
     std::vector<Word> words(values.size());
     const std::uint64_t base = static_cast<std::uint64_t>(base_);
     for (std::size_t i = 0; i < values.size(); ++i) {
       words[i] =
           static_cast<Word>(static_cast<std::uint64_t>(values[i]) - base);
     }
-    words_ = std::move(words);
+    return words;
   }
 
   std::int64_t base_ = 0;

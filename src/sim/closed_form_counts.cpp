@@ -1,14 +1,13 @@
 #include "closed_form_counts.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <vector>
 
-#include "dmv/par/par.hpp"
 #include "dmv/symbolic/expr.hpp"
-#include "metric_detail.hpp"
 
 namespace dmv::sim::detail {
 
@@ -30,10 +29,6 @@ struct Loop {
   std::int64_t trips = 0;
 };
 
-// Below this many count values in all, the count vectors are built on
-// the calling thread: a pool job's dispatch would cost more than it saves.
-constexpr std::size_t kMinParallelValues = std::size_t{1} << 15;
-
 // One container: its row-major strides, and the boxes each of its two
 // count vectors receives, in walk order. A box is `rank` lo indices,
 // `rank` hi indices and its weight.
@@ -42,6 +37,13 @@ struct Target {
   std::vector<std::int64_t> strides;
   std::size_t elements = 0;
   std::array<std::vector<std::int64_t>, 2> boxes;  ///< Indexed by is_write.
+};
+
+// One corner of a box's difference array. The weight wraps, as the
+// words of the sweep do.
+struct Corner {
+  std::size_t flat = 0;
+  std::uint64_t weight = 0;
 };
 
 bool mul_into(std::int64_t& into, std::int64_t factor) {
@@ -83,11 +85,8 @@ struct Scope {
 
 class Counter {
  public:
-  Counter(const SymbolMap& symbols, bool counts,
-          std::vector<std::vector<std::int64_t>>& scratch,
-          PipelineResult& result)
-      : binding_(symbols), counts_(counts), scratch_(scratch),
-        result_(result) {}
+  Counter(const SymbolMap& symbols, bool counts, PipelineResult& result)
+      : binding_(symbols), counts_(counts), result_(result) {}
 
   const char* run(const Sdfg& sdfg, const SymbolMap& symbols) {
     AccessTrace header;
@@ -344,94 +343,187 @@ class Counter {
     return nullptr;
   }
 
-  // Builds each (container, direction) count vector in its own task: in
-  // the caller's int64 scratch (zero-filled, its boxes added in walk
-  // order, prefix sums), then narrowed into the result's column. One
-  // task owns a vector, so the split cannot change a count. Scratch is
-  // grown on this thread, so its memory comes from this thread's
-  // allocator arena, and is reused across steps, so a step of sizes
-  // already seen faults no fresh pages for it.
+  // Builds each (container, direction) column on the calling thread, so
+  // its memory comes from this thread's malloc arena.
   void build_counts() {
-    const std::size_t tasks = 2 * targets_.size();
-    if (scratch_.size() < tasks) scratch_.resize(tasks);
     std::vector<CountColumn>& reads = result_.counts.reads;
     std::vector<CountColumn>& writes = result_.counts.writes;
     reads.resize(targets_.size());
     writes.resize(targets_.size());
-    std::size_t values = 0;
-    for (std::size_t task = 0; task < tasks; ++task) {
-      reserve_scratch(scratch_[task], targets_[task / 2].elements);
-      values += targets_[task / 2].elements;
-    }
-    const auto build = [&](std::size_t task) {
-      const Target& target = targets_[task / 2];
-      const std::vector<std::int64_t>& boxes = target.boxes[task % 2];
-      std::vector<std::int64_t>& counts = scratch_[task];
-      counts.assign(target.elements, 0);  // Fits the reservation.
-      const std::size_t stride = 2 * target.shape.size() + 1;
-      for (std::size_t at = 0; at < boxes.size(); at += stride) {
-        scatter_box(target, boxes.data() + at, counts);
-      }
-      if (!boxes.empty()) prefix_sum(target, counts);
-      (task % 2 == 1 ? writes : reads)[task / 2] = CountColumn(counts);
-    };
-    if (values < kMinParallelValues) {
-      for (std::size_t task = 0; task < tasks; ++task) build(task);
-    } else {
-      par::parallel_tasks(tasks, build);
+    for (std::size_t c = 0; c < targets_.size(); ++c) {
+      reads[c] = build_column(targets_[c], targets_[c].boxes[0]);
+      writes[c] = build_column(targets_[c], targets_[c].boxes[1]);
     }
   }
 
-  // Adds a box's weight over [lo, hi] to a difference array: +/- weight
-  // at each of the 2^rank corners (lo or hi + 1 per dimension, sign
-  // flipping per hi + 1). Corners past the end of a dimension are
-  // dropped; the prefix sums never carry them into the array.
-  static void scatter_box(const Target& target, const std::int64_t* box,
-                          std::vector<std::int64_t>& delta) {
+  // A direction with no boxes is a column of zero bytes. Otherwise the
+  // counts are swept in words as wide as the sum of the box weights
+  // needs: every count lies in [0, that sum], and sums taken modulo
+  // 2^bits are exact for results in that range, however the partial
+  // sums wrap. CountColumn::from_values then rewrites the words only
+  // when their minimum is above 0 or a narrower width holds their range.
+  CountColumn build_column(const Target& target,
+                           const std::vector<std::int64_t>& boxes) {
+    if (boxes.empty()) {
+      return CountColumn::from_values(
+          std::vector<std::uint8_t>(target.elements));
+    }
+    switch (CountColumn::width_for(list_corners(target, boxes))) {
+      case 1: return CountColumn::from_values(sweep<std::uint8_t>(target));
+      case 2: return CountColumn::from_values(sweep<std::uint16_t>(target));
+      case 4: return CountColumn::from_values(sweep<std::uint32_t>(target));
+      default: return CountColumn::from_values(sweep<std::uint64_t>(target));
+    }
+  }
+
+  // Lists in corners_, sorted by flat index, the corners of each box's
+  // difference array: +/- weight at each of the 2^rank corners (lo or
+  // hi + 1 per dimension, the sign flipping per hi + 1). Corners past
+  // the end of a dimension are dropped: no count sums them. Returns the
+  // sum of the box weights.
+  std::uint64_t list_corners(const Target& target,
+                             const std::vector<std::int64_t>& boxes) {
     const std::size_t rank = target.shape.size();
-    const std::int64_t* lo = box;
-    const std::int64_t* hi = box + rank;
-    for (std::size_t mask = 0; mask < (std::size_t{1} << rank); ++mask) {
-      std::int64_t flat = 0;
-      std::int64_t signed_weight = box[2 * rank];
-      bool inside = true;
-      for (std::size_t d = 0; d < rank && inside; ++d) {
-        std::int64_t index = lo[d];
-        if (mask & (std::size_t{1} << d)) {
-          index = hi[d] + 1;
-          signed_weight = -signed_weight;
-          inside = index < target.shape[d];
+    corners_.clear();
+    std::uint64_t weights = 0;
+    for (std::size_t at = 0; at < boxes.size(); at += 2 * rank + 1) {
+      const std::int64_t* lo = boxes.data() + at;
+      const std::int64_t* hi = lo + rank;
+      const auto weight = static_cast<std::uint64_t>(hi[rank]);
+      weights += weight;
+      for (std::size_t mask = 0; mask < (std::size_t{1} << rank); ++mask) {
+        std::int64_t flat = 0;
+        std::uint64_t signed_weight = weight;
+        bool inside = true;
+        for (std::size_t d = 0; d < rank && inside; ++d) {
+          std::int64_t index = lo[d];
+          if (mask & (std::size_t{1} << d)) {
+            index = hi[d] + 1;
+            signed_weight = -signed_weight;
+            inside = index < target.shape[d];
+          }
+          flat += index * target.strides[d];
         }
-        flat += index * target.strides[d];
+        if (inside) {
+          corners_.push_back({static_cast<std::size_t>(flat), signed_weight});
+        }
       }
-      if (inside) delta[static_cast<std::size_t>(flat)] += signed_weight;
     }
+    std::sort(corners_.begin(), corners_.end(),
+              [](const Corner& a, const Corner& b) { return a.flat < b.flat; });
+    return weights;
   }
 
-  // One inclusive prefix-sum pass per dimension turns the difference
-  // array into per-element counts.
-  static void prefix_sum(const Target& target,
-                         std::vector<std::int64_t>& counts) {
-    const std::size_t total = counts.size();
-    for (std::size_t d = 0; d < target.shape.size(); ++d) {
-      const auto inner = static_cast<std::size_t>(target.strides[d]);
-      const std::size_t extent = static_cast<std::size_t>(target.shape[d]);
-      const std::size_t block = inner * extent;
-      for (std::size_t base = 0; base < total; base += block) {
-        for (std::size_t k = 1; k < extent; ++k) {
-          std::int64_t* row = counts.data() + base + k * inner;
-          const std::int64_t* previous = row - inner;
-          for (std::size_t t = 0; t < inner; ++t) row[t] += previous[t];
+  // The counts of `target` from corners_, in one pass over the rows
+  // along the innermost dimension, in flat order. A row is first the
+  // running sum of its corners. Then each outer dimension d, innermost
+  // first, turns it into the prefix sum over dimensions d and inward:
+  // the same row at d's previous index plus the row from the dimension
+  // inside, or that row alone at index 0. Dimension d > 0 keeps its
+  // prefix rows in a rolling buffer of strides[d] words; dimension 0's
+  // previous index is the output itself. A row without corners is
+  // neither computed nor added.
+  template <class Word>
+  std::vector<Word> sweep(const Target& target) const {
+    const std::size_t rank = target.shape.size();
+    std::vector<Word> out(target.elements);
+    auto corner = corners_.cbegin();
+    if (rank <= 1) {
+      running_sum(corner, 0, out.data(), out.size());
+      return out;
+    }
+    const std::size_t width = static_cast<std::size_t>(target.shape[rank - 1]);
+    const std::size_t block = static_cast<std::size_t>(target.strides[0]);
+    std::vector<Word> running(width);
+    std::vector<std::vector<Word>> prefix(rank - 1);
+    for (std::size_t d = 1; d + 1 < rank; ++d) {
+      prefix[d].resize(static_cast<std::size_t>(target.strides[d]));
+    }
+    std::vector<std::int64_t> index(rank - 1, 0);  ///< The row's outer indices.
+    for (std::size_t flat = 0; flat < target.elements;) {
+      if (flat % block == 0 &&
+          (corner == corners_.cend() || corner->flat >= flat + block)) {
+        // A block along dimension 0 without corners: every prefix
+        // restarts at its first row and no row adds to it, so it repeats
+        // the previous block, or stays zero.
+        if (flat > 0) {
+          std::copy(out.data() + flat - block, out.data() + flat,
+                    out.data() + flat);
         }
+        flat += block;
+        ++index[0];
+        continue;
       }
+      const Word* in = running.data();
+      bool in_zero = !running_sum(corner, flat, running.data(), width);
+      for (std::size_t d = rank - 1; d-- > 1;) {
+        const std::size_t at =
+            flat % static_cast<std::size_t>(target.strides[d]);
+        Word* into = prefix[d].data() + at;
+        if (index[d] == 0 && in_zero) {
+          std::fill(into, into + width, Word{0});
+        } else if (index[d] == 0) {
+          std::copy(in, in + width, into);
+        } else if (!in_zero) {
+          add_rows(into, in, into, width);
+        }
+        in = into;
+        in_zero = false;
+      }
+      Word* into = out.data() + flat;
+      if (index[0] > 0) {
+        if (in_zero) {
+          std::copy(into - block, into - block + width, into);
+        } else {
+          add_rows(into - block, in, into, width);
+        }
+      } else if (!in_zero) {
+        std::copy(in, in + width, into);
+      }
+      flat += width;
+      for (std::size_t d = index.size(); d-- > 0;) {
+        if (++index[d] < target.shape[d]) break;
+        index[d] = 0;
+      }
+    }
+    return out;
+  }
+
+  // Writes the running sum of the corners in [flat, flat + width) into
+  // row[0, width) and moves `corner` past them. Returns false, writing
+  // nothing, when there are none.
+  template <class Word>
+  bool running_sum(std::vector<Corner>::const_iterator& corner,
+                   std::size_t flat, Word* row, std::size_t width) const {
+    if (corner == corners_.cend() || corner->flat >= flat + width) {
+      return false;
+    }
+    Word sum = 0;
+    std::size_t filled = 0;
+    for (; corner != corners_.cend() && corner->flat < flat + width;
+         ++corner) {
+      const std::size_t at = corner->flat - flat;
+      std::fill(row + filled, row + at, sum);
+      filled = at;
+      sum = static_cast<Word>(sum + corner->weight);
+    }
+    std::fill(row + filled, row + width, sum);
+    return true;
+  }
+
+  template <class Word>
+  static void add_rows(const Word* a, const Word* b, Word* into,
+                       std::size_t width) {
+    for (std::size_t t = 0; t < width; ++t) {
+      into[t] = static_cast<Word>(a[t] + b[t]);
     }
   }
 
   SymbolBinding binding_;
   bool counts_;
-  std::vector<std::vector<std::int64_t>>& scratch_;
   PipelineResult& result_;
   std::vector<Target> targets_;
+  std::vector<Corner> corners_;
   ir::StateSchedule schedule_;
   std::vector<std::int64_t> lo_;
   std::vector<std::int64_t> hi_;
@@ -440,10 +532,8 @@ class Counter {
 }  // namespace
 
 const char* closed_form_counts(const Sdfg& sdfg, const SymbolMap& symbols,
-                               bool counts,
-                               std::vector<std::vector<std::int64_t>>& scratch,
-                               PipelineResult& result) {
-  return Counter(symbols, counts, scratch, result).run(sdfg, symbols);
+                               bool counts, PipelineResult& result) {
+  return Counter(symbols, counts, result).run(sdfg, symbols);
 }
 
 }  // namespace dmv::sim::detail

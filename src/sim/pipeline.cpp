@@ -37,9 +37,6 @@ struct ArenaState {
   AccessTrace trace;        ///< run(sdfg) materialization target.
   TraceArena trace_arena;   ///< Chunk plan + streaming chunk buffers.
   merge::Engine engine;     ///< Metric state (run_delta: the checkpoint's).
-  /// The closed-form counter's int64 count vectors, one per (container,
-  /// direction); each step narrows them into its result's columns.
-  std::vector<std::vector<std::int64_t>> count_scratch;
 
   // --- run_delta() checkpoint -------------------------------------------
   // `trace` doubles as the checkpoint's front event buffer and `engine`
@@ -77,18 +74,17 @@ void feed_events(merge::Engine& engine, const EventList& events,
 }
 
 // A config with no per-event consumer (no distances, no exact cache)
-// asks the closed-form counter first, building its counts in the
-// arena's scratch. Returns nullptr when the counter answered into
-// `result` — no simulation, the counter's time as metric time, one
-// partition — and otherwise why it did not: the counter's decline, or
-// "" for configs it never serves.
-const char* try_closed_form(const PipelineConfig& config, ArenaState& arena,
-                            const Sdfg& sdfg, const SymbolMap& symbols,
-                            PipelineResult& result, PhaseTimings& timings) {
+// asks the closed-form counter first. Returns nullptr when the counter
+// answered into `result` — no simulation, the counter's time as metric
+// time, one partition — and otherwise why it did not: the counter's
+// decline, or "" for configs it never serves.
+const char* try_closed_form(const PipelineConfig& config, const Sdfg& sdfg,
+                            const SymbolMap& symbols, PipelineResult& result,
+                            PhaseTimings& timings) {
   if (config.needs_distances() || config.cache) return "";
   const auto start = Clock::now();
-  const char* reason = detail::closed_form_counts(
-      sdfg, symbols, config.counts, arena.count_scratch, result);
+  const char* reason =
+      detail::closed_form_counts(sdfg, symbols, config.counts, result);
   if (reason) {
     result = PipelineResult{};  // Frees partial counts before simulating.
   } else {
@@ -214,7 +210,7 @@ PipelineResult MetricPipeline::run(const Sdfg& sdfg, const SymbolMap& symbols,
                                    const SimulationOptions& options) {
   arena_->ckpt_valid = false;
   PipelineResult result;
-  if (!try_closed_form(config_, *arena_, sdfg, symbols, result, timings_)) {
+  if (!try_closed_form(config_, sdfg, symbols, result, timings_)) {
     return result;
   }
   generate(sdfg, symbols, options);
@@ -229,7 +225,7 @@ PipelineResult MetricPipeline::run_streaming(const Sdfg& sdfg,
                                              const SimulationOptions& options) {
   arena_->ckpt_valid = false;
   PipelineResult result;
-  if (!try_closed_form(config_, *arena_, sdfg, symbols, result, timings_)) {
+  if (!try_closed_form(config_, sdfg, symbols, result, timings_)) {
     return result;
   }
   const auto start = Clock::now();
@@ -538,7 +534,7 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
   // A counts-only step that still simulates reports why the counter
   // declined instead of the delta engine's own reason.
   const char* declined =
-      try_closed_form(config_, arena, sdfg, symbols, counted, timings_);
+      try_closed_form(config_, sdfg, symbols, counted, timings_);
   if (!declined) {
     // Nothing was simulated, so there is no trace to checkpoint.
     arena.ckpt_valid = false;

@@ -165,11 +165,10 @@ TEST(ClosedFormCounts, SubsetEndBeforeBegin) {
         "step past end");
 }
 
-TEST(ClosedFormCounts, CountVectorsBuiltOnThePool) {
-  // Past 2^15 count values in all, the counter builds each count vector
-  // in its own pool task. These are revisit-disk's largest bookmark and
-  // explore-bert's largest binding; check() drives them at 1 and 8
-  // threads, and a run inside a pool task builds them inline.
+TEST(ClosedFormCounts, LargestLedgerBindings) {
+  // revisit-disk's largest bookmark and explore-bert's largest binding:
+  // check() drives them at 1 and 8 threads, and a run from inside a pool
+  // task must build the same columns.
   struct Case {
     ir::Sdfg sdfg;
     SymbolMap binding;
@@ -202,6 +201,116 @@ TEST(ClosedFormCounts, CountVectorsBuiltOnThePool) {
       }
     });
     expect_results_equal(nested, expected, c.name + " inside a pool task");
+  }
+}
+
+// --- Column widths and canonical form ---------------------------------
+//
+// The counter sweeps each column in words as wide as the sum of its box
+// weights needs, then narrows the words to the canonical column: the
+// minimum as base, in the narrowest width that holds max - min.
+
+// Reads `container`[`element`] inside a map of `trips` trips, into S[0]
+// through a Sum WCR.
+void read_into_s(builder::ProgramBuilder& p, const std::string& label,
+                 const std::string& trips, const std::string& container,
+                 const std::string& element) {
+  p.mapped_tasklet(label, {{"i", "0:" + trips + "-1"}},
+                   {{"a", container, element}}, "s = a",
+                   {{"s", "S", "0", ir::Wcr::Sum}});
+}
+
+TEST(ClosedFormCounts, TwoAndFourByteColumns) {
+  // A[1] is read 200 + 100 times and C[2] 40,000 + 30,000 times, beside
+  // elements nothing reads: each sum needs a wider word than either of
+  // its weights, and its two boxes share both corners.
+  builder::ProgramBuilder p("wide_counts");
+  p.array("A", {"4"});
+  p.array("C", {"4"});
+  p.array("S", {"1"});
+  p.state("s");
+  read_into_s(p, "a200", "200", "A", "1");
+  read_into_s(p, "a100", "100", "A", "1");
+  read_into_s(p, "c40k", "40000", "C", "2");
+  read_into_s(p, "c30k", "30000", "C", "2");
+  const AccessCounts counts = check(p.take(), {}, nullptr, "wide").counts;
+  EXPECT_EQ(counts.reads[0], (CountColumn{0, 300, 0, 0}));
+  EXPECT_EQ(counts.reads[0].byte_width(), 2u);
+  EXPECT_EQ(counts.reads[1], (CountColumn{0, 0, 70000, 0}));
+  EXPECT_EQ(counts.reads[1].byte_width(), 4u);
+  // Every tasklet writes S[0]: one value, stored as base 70,300 plus a
+  // one-byte 0.
+  EXPECT_EQ(counts.writes[2].base(), 70300);
+  EXPECT_EQ(counts.writes[2].byte_width(), 1u);
+}
+
+TEST(ClosedFormCounts, MinimumAboveZero) {
+  // Two maps write half of B each, so every element is written once,
+  // and their boxes meet at one flat index. Both read all of A.
+  builder::ProgramBuilder p("written_once");
+  p.symbols({"N"});
+  p.array("A", {"N"});
+  p.array("B", {"2*N"});
+  p.state("s");
+  p.mapped_tasklet("low", {{"i", "0:N-1"}}, {{"a", "A", "i"}}, "b = a",
+                   {{"b", "B", "i"}});
+  p.mapped_tasklet("high", {{"i", "0:N-1"}}, {{"a", "A", "i"}}, "b = a",
+                   {{"b", "B", "i + N"}});
+  const AccessCounts counts =
+      check(p.take(), {{"N", 300}}, nullptr, "written once").counts;
+  EXPECT_EQ(counts.writes[1].base(), 1);
+  EXPECT_EQ(counts.writes[1].byte_width(), 1u);
+  EXPECT_EQ(counts.writes[1].sum(), 600);
+  EXPECT_EQ(counts.reads[0].base(), 2);
+}
+
+TEST(ClosedFormCounts, WeightSumWiderThanTheCounts) {
+  // Two disjoint boxes of weight 200 that meet at one flat index: the
+  // weights sum to 400, which needs two bytes, but no count passes 200.
+  builder::ProgramBuilder p("disjoint_boxes");
+  p.array("A", {"4"});
+  p.array("S", {"1"});
+  p.state("s");
+  read_into_s(p, "first", "200", "A", "1");
+  read_into_s(p, "second", "200", "A", "2");
+  const AccessCounts counts = check(p.take(), {}, nullptr, "disjoint").counts;
+  EXPECT_EQ(counts.reads[0], (CountColumn{0, 200, 200, 0}));
+  EXPECT_EQ(counts.reads[0].byte_width(), 1u);
+}
+
+TEST(ClosedFormCounts, CountsAboveTwoToThe32) {
+  // A[1] is read once per point of a 70,000 x 70,000 map: 4.9e9 reads,
+  // far too many to simulate, so the columns are written out by hand.
+  constexpr std::int64_t kReads = std::int64_t{70000} * 70000;
+  builder::ProgramBuilder p("huge_map");
+  p.array("A", {"2"});
+  p.array("S", {"1"});
+  p.state("s");
+  p.mapped_tasklet("t", {{"i", "0:69999"}, {"j", "0:69999"}},
+                   {{"a", "A", "1"}}, "s = a",
+                   {{"s", "S", "0", ir::Wcr::Sum}});
+  const ir::Sdfg sdfg = p.take();
+  PipelineResult expected;
+  expected.containers = {"A", "S"};
+  expected.events = 2 * kReads;
+  expected.executions = kReads;
+  expected.counts.reads = {CountColumn{0, kReads}, CountColumn{0}};
+  expected.counts.writes = {CountColumn{0, 0}, CountColumn{kReads}};
+  EXPECT_EQ(expected.counts.reads[0].byte_width(), 8u);
+  EXPECT_EQ(expected.counts.writes[1].byte_width(), 1u);
+  for (const int threads : {1, 8}) {
+    par::ThreadScope scope(threads);
+    const std::string context = "threads " + std::to_string(threads);
+    MetricPipeline delta(counts_only());
+    DeltaOutcome outcome;
+    const PipelineResult counted = delta.run_delta(sdfg, 1, {}, {}, &outcome);
+    // Any other path would simulate 9.8e9 events.
+    ASSERT_EQ(outcome.path, DeltaOutcome::Path::kClosedForm) << context;
+    expect_results_equal(counted, expected, context + " run_delta");
+    expect_results_equal(MetricPipeline(counts_only()).run(sdfg, {}),
+                         expected, context + " run(sdfg)");
+    expect_results_equal(MetricPipeline(counts_only()).run_streaming(sdfg, {}),
+                         expected, context + " run_streaming");
   }
 }
 

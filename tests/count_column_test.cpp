@@ -2,6 +2,7 @@
 //
 // A column stores v - min in the narrowest of 1, 2, 4 or 8 bytes that
 // holds max - min. The suite pins that width rule at every boundary,
+// for the int64 constructor and for from_values over every word type,
 // the value interface readers use, the DMVR round trip (values and
 // width survive, a promoted disk artifact is charged as the computed
 // one), and that a MetricPipeline's reused int64 scratch never leaks
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
@@ -171,6 +173,74 @@ TEST(CountColumn, FromWordsTakesOnlyNarrowedWords) {
                std::invalid_argument);
 }
 
+// from_values over Word, against the int64 constructor: every width
+// case that fits Word and INT64_MAX, from minimum 0 and from minimum 3.
+template <class Word>
+void expect_from_values_narrows_by_the_rule() {
+  const std::uint64_t top = std::min<std::uint64_t>(
+      std::numeric_limits<Word>::max(), static_cast<std::uint64_t>(kMax));
+  for (const WidthCase& c : kWidthCases) {
+    for (const std::uint64_t base : {std::uint64_t{0}, std::uint64_t{3}}) {
+      if (c.range > top - base) continue;
+      const std::vector<std::int64_t> values =
+          spanning(static_cast<std::int64_t>(base), c.range);
+      const CountColumn column =
+          CountColumn::from_values(std::vector<Word>(values.begin(),
+                                                     values.end()));
+      const std::string context = std::to_string(sizeof(Word)) +
+                                  "-byte words, range " +
+                                  std::to_string(c.range) + " from " +
+                                  std::to_string(base);
+      EXPECT_EQ(column, CountColumn(values)) << context;
+      EXPECT_EQ(column.byte_width(), c.width) << context;
+      EXPECT_EQ(column.base(), static_cast<std::int64_t>(base)) << context;
+    }
+  }
+  EXPECT_EQ(CountColumn::from_values(std::vector<Word>{}), CountColumn());
+}
+
+TEST(CountColumn, FromValuesNarrowsByTheRule) {
+  expect_from_values_narrows_by_the_rule<std::uint8_t>();
+  expect_from_values_narrows_by_the_rule<std::uint16_t>();
+  expect_from_values_narrows_by_the_rule<std::uint32_t>();
+  expect_from_values_narrows_by_the_rule<std::uint64_t>();
+  const auto top = static_cast<std::uint64_t>(kMax);
+  EXPECT_EQ(CountColumn::from_values(std::vector<std::uint64_t>{0, top}),
+            (CountColumn{0, kMax}));
+  EXPECT_THROW(
+      CountColumn::from_values(std::vector<std::uint64_t>{0, top + 1}),
+      std::invalid_argument);
+}
+
+// A vector of Word that holds `wide`, which needs every byte of Word,
+// becomes the column without a copy: as is from minimum 0, and rebased
+// in place from minimum 5.
+template <class Word>
+void expect_from_values_keeps_storage(Word wide) {
+  for (const Word base : {Word{0}, Word{5}}) {
+    std::vector<Word> values = {base, wide, static_cast<Word>(base + 7)};
+    const CountColumn expected{static_cast<std::int64_t>(base),
+                               static_cast<std::int64_t>(wide),
+                               static_cast<std::int64_t>(base + 7)};
+    const void* storage = values.data();
+    const CountColumn column = CountColumn::from_values(std::move(values));
+    const std::string context = std::to_string(sizeof(Word)) +
+                                "-byte words from " + std::to_string(base);
+    EXPECT_EQ(column, expected) << context;
+    EXPECT_EQ(column.byte_width(), sizeof(Word)) << context;
+    column.visit([&](auto words) {
+      EXPECT_EQ(static_cast<const void*>(words.data()), storage) << context;
+    });
+  }
+}
+
+TEST(CountColumn, FromValuesKeepsTheStorageOfAFittingVector) {
+  expect_from_values_keeps_storage<std::uint8_t>(200);
+  expect_from_values_keeps_storage<std::uint16_t>(300);
+  expect_from_values_keeps_storage<std::uint32_t>(70000);
+  expect_from_values_keeps_storage<std::uint64_t>(std::uint64_t{1} << 33);
+}
+
 TEST(CountColumn, CodecRoundTripKeepsValuesAndWidth) {
   // One column per width case, plus sub-byte records (ranges 1 and 15).
   std::vector<CountColumn> columns;
@@ -312,9 +382,9 @@ std::vector<PipelineResult> oracle(const PipelineConfig& config,
 }
 
 TEST(CountColumn, ReusedScratchNeverLeaksIntoHeldResults) {
-  // Counts-only: the closed-form counter answers every step from the
-  // arena's int64 scratch, which grows and shrinks with the bindings
-  // (revisit-disk's hdiff_reordered space) and with one BERT version.
+  // Counts-only: the closed-form counter answers every step, over
+  // bindings that grow and shrink (revisit-disk's hdiff_reordered space)
+  // and one BERT version.
   const ir::Sdfg hdiff = workloads::hdiff(workloads::HdiffVariant::Reordered);
   const ir::Sdfg bert = workloads::bert_encoder(workloads::BertStage::Baseline);
   const std::vector<Step> counts_steps = {
