@@ -20,9 +20,10 @@ std::string to_json(const Sdfg& sdfg);
 /// enums as words. The value depends only on the program, never on
 /// interning order or thread count, so it names artifacts on disk.
 /// Memlets hash by their effective_volume(), so a program and its
-/// from_json(to_json()) round trip hash alike. Fields the JSON form
-/// leaves out (DataDescriptor::start_offset, MapInfo::label and
-/// MapInfo::collapsed) are hashed too: editing one changes the value.
+/// from_json(to_json()) round trip hash alike: the JSON form carries
+/// every hashed field, writing DataDescriptor::start_offset,
+/// MapInfo::label and MapInfo::collapsed only when they differ from
+/// their defaults (0, the node's label, false).
 std::uint64_t structural_hash(const Sdfg& sdfg);
 
 }  // namespace dmv::ir

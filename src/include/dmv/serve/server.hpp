@@ -124,9 +124,8 @@ class Server {
 };
 
 /// Order-insensitive checksum of a metric bundle: total cache misses +
-/// executions + per-element cold counts + per-element read counts. The
-/// same formula as the sweep benchmark's ablation gate; `step`
-/// responses carry it (as a decimal string — JSON numbers lose
+/// executions + per-element cold counts + per-element read counts.
+/// `step` responses carry it (as a decimal string — JSON numbers lose
 /// precision past 2^53) so clients and tests can assert bit-identity
 /// against a local Session.
 std::int64_t result_checksum(const sim::PipelineResult& result);

@@ -12,19 +12,19 @@
 // Three mechanisms, mirroring what separates an interactive dataflow
 // viewer from a fast batch engine:
 //
-//   * Memoization — every artifact (metric bundle, closed-form
-//     metrics, symbolic volume, evaluated volume) is cached in one
-//     LRU, a private SharedArtifactCache (artifact_cache.hpp), keyed
-//     by (program content hash, metric-config hash, and the binding
-//     RESTRICTED to the symbols the artifact can reach).
+//   * Memoization — every artifact (metric bundle, symbolic volume,
+//     evaluated volume) is cached in one LRU, a private
+//     SharedArtifactCache (artifact_cache.hpp), keyed by (program
+//     content hash, metric-config hash, and the binding RESTRICTED to
+//     the symbols the artifact can reach).
 //   * Dependency-restricted keys — the reachability analysis
 //     (analysis::simulation_symbols, Expr::depends_on) determines
 //     which symbols each artifact actually depends on; symbols outside
 //     that set never enter the key. Changing an unused symbol is
-//     therefore a cache HIT, not an invalidation, and symbolic-only
-//     artifacts (volume and closed-form expressions) survive any
-//     amount of re-simulation. Program edits change the content hash;
-//     stale entries simply become unreachable and age out of the LRU.
+//     therefore a cache HIT, not an invalidation, and the symbolic
+//     volume survives any amount of re-simulation. Program edits
+//     change the content hash; stale entries simply become
+//     unreachable and age out of the LRU.
 //   * Delta recomputation — a metrics() miss runs
 //     sim::MetricPipeline::run_delta against the session pipeline's
 //     checkpoint: clean trace chunks are spliced and only dirty ones
@@ -50,7 +50,6 @@
 #include <set>
 #include <string>
 
-#include "dmv/analysis/analysis.hpp"
 #include "dmv/ir/sdfg.hpp"
 #include "dmv/session/artifact_cache.hpp"
 #include "dmv/sim/pipeline.hpp"
@@ -102,7 +101,7 @@ struct SessionStats {
   // in which at least one artifact was requested. Each step is
   // classified by the most expensive mechanism it needed:
   //   full-hit       every request served from cache;
-  //   symbolic-delta a closed-form/symbolic artifact was (re)evaluated,
+  //   symbolic-delta the symbolic volume or its value was (re)evaluated,
   //                  but nothing was simulated — including a
   //                  counts-only metric bundle the closed-form counter
   //                  answered (DeltaOutcome::Path::kClosedForm);
@@ -142,8 +141,6 @@ class Session {
  public:
   explicit Session(ir::Sdfg program, SessionConfig config = {});
   ~Session();
-  Session(Session&&) noexcept;
-  Session& operator=(Session&&) noexcept;
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
@@ -169,19 +166,9 @@ class Session {
   /// bundle.
   std::shared_ptr<const sim::PipelineResult> metrics();
 
-  /// Tier-1 delta recomputation: every closed-form metric (event /
-  /// execution / flop counts, movement volume, footprint, arithmetic
-  /// intensity, per-container access counts) evaluated at the current
-  /// binding by plugging values into cached interned expressions — no
-  /// simulation at any point. The expression bundle is program-keyed;
-  /// the value bundle is keyed by the symbols the expressions reach.
-  std::shared_ptr<const analysis::ClosedFormValues> closed_form();
-
-  /// Symbolic total-movement volume — binding-independent; survives
-  /// any re-simulation.
-  std::shared_ptr<const symbolic::Expr> movement_volume();
-  /// movement_volume() evaluated at the current binding; keyed only by
-  /// the symbols the volume expression reaches.
+  /// The symbolic total-movement volume evaluated at the current
+  /// binding. The volume expression is program-keyed and survives any
+  /// re-simulation; the value is keyed only by the symbols it reaches.
   std::int64_t movement_bytes();
 
   /// Symbols that can reach any simulated metric for the current

@@ -65,6 +65,9 @@ void read_containers(const Value& document, Sdfg& sdfg) {
     for (const Value& stride : entry.at("strides").as_array()) {
       descriptor.strides.push_back(parse_expr(stride));
     }
+    if (entry.has("start_offset")) {
+      descriptor.start_offset = parse_expr(entry.at("start_offset"));
+    }
     descriptor.element_size = integer<int>(entry.at("element_size"));
     descriptor.transient = entry.at("transient").as_bool();
     sdfg.add_array(std::move(descriptor));
@@ -93,6 +96,12 @@ void read_state(const Value& entry, Sdfg& sdfg) {
         Subset parsed = Subset::parse(range.as_string());
         if (parsed.rank() != 1) throw JsonError("bad map range");
         node.map.ranges.push_back(parsed.ranges[0]);
+      }
+      if (node_value.has("map_label")) {
+        node.map.label = node_value.at("map_label").as_string();
+      }
+      if (node_value.has("collapsed")) {
+        node.map.collapsed = node_value.at("collapsed").as_bool();
       }
     }
     if (node_value.has("paired")) {

@@ -47,6 +47,11 @@ void write_node(std::ostringstream& os, const Node& node,
       os << json::escape(node.map.ranges[i].to_string());
     }
     os << ']';
+    // Written only when set, so documents without them stay unchanged.
+    if (node.map.label != node.label) {
+      os << ", \"map_label\": " << json::escape(node.map.label);
+    }
+    if (node.map.collapsed) os << ", \"collapsed\": true";
   }
   if (node.paired != kNoNode) os << ", \"paired\": " << node.paired;
   if (node.scope_parent != kNoNode) {
@@ -107,8 +112,7 @@ void hash_node(Hasher& h, const Node& node) {
   h.number(node.id);
   h.number(static_cast<std::int64_t>(node.kind));
   h.text(node.label);
-  // Per kind, the payload to_json writes, plus the map's label and
-  // collapse flag, which it does not.
+  // Per kind, the payload to_json writes.
   switch (node.kind) {
     case NodeKind::Access:
       h.text(node.data);
@@ -203,7 +207,12 @@ std::string to_json(const Sdfg& sdfg) {
       if (d > 0) os << ", ";
       os << json::escape(descriptor.strides[d].to_string());
     }
-    os << "], \"element_size\": " << descriptor.element_size
+    os << ']';
+    if (!descriptor.start_offset.is_constant(0)) {
+      os << ", \"start_offset\": "
+         << json::escape(descriptor.start_offset.to_string());
+    }
+    os << ", \"element_size\": " << descriptor.element_size
        << ", \"transient\": " << (descriptor.transient ? "true" : "false")
        << '}';
   }

@@ -636,8 +636,8 @@ std::int64_t result_checksum(const sim::PipelineResult& result) {
   std::int64_t checksum = result.misses.total.misses() + result.executions;
   for (std::size_t c = 0; c < result.element_stats.size(); ++c) {
     checksum += result.element_stats[c].cold_count.sum();
-    // Guarded: the sweep benchmark always enables counts alongside
-    // element_stats; a serve subscription may not.
+    // Guarded: a serve subscription may enable element_stats without
+    // counts.
     if (c < result.counts.reads.size()) {
       checksum += result.counts.reads[c].sum();
     }

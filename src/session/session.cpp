@@ -34,8 +34,6 @@ enum class Kind : std::uint8_t {
   kMetrics = 0,
   kMovementVolume,
   kMovementValue,
-  kClosedForm,       ///< Closed-form metric EXPRESSIONS (program-keyed).
-  kClosedFormValue,  ///< Those expressions evaluated at a binding.
 };
 
 // Step-classification ranks, ordered by cost; a step's class is the max
@@ -232,59 +230,6 @@ struct Session::Impl {
         &expr_bytes);
   }
 
-  std::shared_ptr<const analysis::ClosedFormMetrics> closed_form_exprs() {
-    return get<analysis::ClosedFormMetrics>(
-        program_key(Kind::kClosedForm),
-        [&] {
-          note_step(kStepSymbolic);
-          return analysis::closed_form_metrics(program);
-        },
-        +[](const analysis::ClosedFormMetrics& metrics) {
-          std::size_t bytes = sizeof(analysis::ClosedFormMetrics);
-          bytes += expr_bytes(metrics.total_events) +
-                   expr_bytes(metrics.total_executions) +
-                   expr_bytes(metrics.flops) +
-                   expr_bytes(metrics.movement_bytes) +
-                   expr_bytes(metrics.footprint_bytes);
-          for (const Expr& e : metrics.reads_per_container) {
-            bytes += expr_bytes(e);
-          }
-          for (const Expr& e : metrics.writes_per_container) {
-            bytes += expr_bytes(e);
-          }
-          for (const std::string& name : metrics.containers) {
-            bytes += name.size() + 32;
-          }
-          for (const std::string& name : metrics.symbols) {
-            bytes += name.size() + 32;
-          }
-          return bytes;
-        });
-  }
-
-  std::shared_ptr<const analysis::ClosedFormValues> closed_form() {
-    note_step(kStepFullHit);
-    const std::shared_ptr<const analysis::ClosedFormMetrics> exprs =
-        closed_form_exprs();
-    Key key = program_key(Kind::kClosedFormValue);
-    key.binding = restrict_binding(binding, exprs->symbols);
-    return get<analysis::ClosedFormValues>(
-        key,
-        [&] {
-          note_step(kStepSymbolic);
-          return analysis::evaluate_closed_form(*exprs, binding);
-        },
-        +[](const analysis::ClosedFormValues& values) {
-          std::size_t bytes = sizeof(analysis::ClosedFormValues);
-          bytes += (values.reads.size() + values.writes.size()) *
-                   sizeof(std::int64_t);
-          for (const std::string& name : values.containers) {
-            bytes += name.size() + 32;
-          }
-          return bytes;
-        });
-  }
-
   std::int64_t movement_bytes() {
     note_step(kStepFullHit);
     const std::shared_ptr<const Expr> volume = movement_volume();
@@ -305,8 +250,6 @@ struct Session::Impl {
 Session::Session(ir::Sdfg program, SessionConfig config)
     : impl_(std::make_unique<Impl>(std::move(program), std::move(config))) {}
 Session::~Session() = default;
-Session::Session(Session&&) noexcept = default;
-Session& Session::operator=(Session&&) noexcept = default;
 
 const SessionConfig& Session::config() const { return impl_->config; }
 const ir::Sdfg& Session::program() const { return impl_->program; }
@@ -335,14 +278,6 @@ void Session::set_symbol(const std::string& symbol, std::int64_t value) {
 
 std::shared_ptr<const sim::PipelineResult> Session::metrics() {
   return impl_->metrics();
-}
-
-std::shared_ptr<const analysis::ClosedFormValues> Session::closed_form() {
-  return impl_->closed_form();
-}
-
-std::shared_ptr<const symbolic::Expr> Session::movement_volume() {
-  return impl_->movement_volume();
 }
 
 std::int64_t Session::movement_bytes() { return impl_->movement_bytes(); }

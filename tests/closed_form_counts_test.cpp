@@ -25,6 +25,7 @@
 #include "dmv/transforms/transforms.hpp"
 #include "dmv/workloads/workloads.hpp"
 #include "standalone_reference.hpp"
+#include "sweep_cases.hpp"
 
 namespace dmv::sim {
 namespace {
@@ -100,6 +101,10 @@ TEST(ClosedFormCounts, HdiffVariants) {
     check(sdfg, {{"I", 8}, {"J", 8}, {"K", 4}}, nullptr, name);
     check(sdfg, {{"I", 12}, {"J", 10}, {"K", 3}}, nullptr, name + " wide");
   }
+  const sweep_cases::Sweep sweep = sweep_cases::hdiff_sweep();
+  for (const SymbolMap& binding : sweep.bindings) {
+    check(sweep.sdfg, binding, nullptr, "hdiff sweep");
+  }
 }
 
 TEST(ClosedFormCounts, BertStages) {
@@ -108,6 +113,10 @@ TEST(ClosedFormCounts, BertStages) {
                            workloads::BertStage::Fused2}) {
     check(workloads::bert_encoder(stage), workloads::bert_small(), nullptr,
           "bert stage " + std::to_string(static_cast<int>(stage)));
+  }
+  const sweep_cases::Sweep sweep = sweep_cases::bert_sweep();
+  for (const SymbolMap& binding : sweep.bindings) {
+    check(sweep.sdfg, binding, nullptr, "bert sweep");
   }
 }
 

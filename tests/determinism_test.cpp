@@ -11,6 +11,7 @@
 #include "dmv/transforms/transforms.hpp"
 #include "dmv/workloads/workloads.hpp"
 #include "reference_trace.hpp"
+#include "sweep_cases.hpp"
 
 // Determinism contract of the parallel engine: the simulator must be
 // BIT-IDENTICAL to the reference walk of the SDFG (reference_trace.hpp)
@@ -138,21 +139,29 @@ TEST(Determinism, SimulateMatchesReferenceOnAccessCopies) {
   expect_matches_reference(sdfg, {{"N", 96}});
 }
 
+/// The programs the trace identity tests generate: hdiff, matmul, BERT
+/// and every binding of the interactive slider sweeps.
+std::vector<std::pair<ir::Sdfg, symbolic::SymbolMap>> trace_cases() {
+  std::vector<std::pair<ir::Sdfg, symbolic::SymbolMap>> cases;
+  cases.emplace_back(workloads::hdiff(workloads::HdiffVariant::Baseline),
+                     workloads::hdiff_local());
+  cases.emplace_back(workloads::matmul(),
+                     symbolic::SymbolMap{{"M", 12}, {"N", 10}, {"K", 8}});
+  cases.emplace_back(workloads::bert_encoder(workloads::BertStage::Fused1),
+                     workloads::bert_small());
+  for (const sweep_cases::Sweep& sweep : sweep_cases::sweeps()) {
+    for (const symbolic::SymbolMap& binding : sweep.bindings) {
+      cases.emplace_back(sweep.sdfg, binding);
+    }
+  }
+  return cases;
+}
+
 TEST(Determinism, ParallelTraceBitIdenticalAcrossThreadCounts) {
   // The tentpole contract: chunked parallel generation is a pure
   // performance change. 1 thread (serial) and 8 threads (chunked) must
   // produce byte-identical traces.
-  const std::vector<std::pair<ir::Sdfg, symbolic::SymbolMap>> cases = [] {
-    std::vector<std::pair<ir::Sdfg, symbolic::SymbolMap>> list;
-    list.emplace_back(workloads::hdiff(workloads::HdiffVariant::Baseline),
-                      workloads::hdiff_local());
-    list.emplace_back(workloads::matmul(),
-                      symbolic::SymbolMap{{"M", 12}, {"N", 10}, {"K", 8}});
-    list.emplace_back(workloads::bert_encoder(workloads::BertStage::Fused1),
-                      workloads::bert_small());
-    return list;
-  }();
-  for (const auto& [sdfg, binding] : cases) {
+  for (const auto& [sdfg, binding] : trace_cases()) {
     AccessTrace one;
     AccessTrace eight;
     {
@@ -171,17 +180,7 @@ TEST(Determinism, BatchedTraceBitIdenticalAcrossThreadsAndLanes) {
   // Lane batching is a pure latency knob on top of chunk parallelism:
   // every (thread count, lane width) combination must reproduce the
   // scalar serial trace byte for byte, full EventList column equality.
-  const std::vector<std::pair<ir::Sdfg, symbolic::SymbolMap>> cases = [] {
-    std::vector<std::pair<ir::Sdfg, symbolic::SymbolMap>> list;
-    list.emplace_back(workloads::hdiff(workloads::HdiffVariant::Baseline),
-                      workloads::hdiff_local());
-    list.emplace_back(workloads::matmul(),
-                      symbolic::SymbolMap{{"M", 12}, {"N", 10}, {"K", 8}});
-    list.emplace_back(workloads::bert_encoder(workloads::BertStage::Fused1),
-                      workloads::bert_small());
-    return list;
-  }();
-  for (const auto& [sdfg, binding] : cases) {
+  for (const auto& [sdfg, binding] : trace_cases()) {
     SimulationOptions reference_options;
     reference_options.lane_width = 1;
     AccessTrace reference;
@@ -190,7 +189,7 @@ TEST(Determinism, BatchedTraceBitIdenticalAcrossThreadsAndLanes) {
       reference = simulate(sdfg, binding, reference_options);
     }
     for (const int threads : {1, 8}) {
-      for (const int lanes : {1, 8}) {
+      for (const int lanes : {1, 4, 8}) {
         SimulationOptions options;
         options.lane_width = lanes;
         par::ThreadScope scope(threads);

@@ -22,12 +22,14 @@
 #include <gtest/gtest.h>
 
 #include "dmv/analysis/analysis.hpp"
+#include "dmv/builder/program_builder.hpp"
 #include "dmv/par/par.hpp"
 #include "dmv/session/session.hpp"
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/sim/trace_plan.hpp"
 #include "dmv/symbolic/expr.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "sweep_cases.hpp"
 
 namespace dmv::sim {
 namespace {
@@ -91,8 +93,9 @@ void expect_identical(const PipelineResult& a, const PipelineResult& b) {
 
 // Cold reference: a fresh pipeline per call, no checkpoint anywhere.
 PipelineResult reference(const ir::Sdfg& sdfg, const SymbolMap& binding,
-                         const SimulationOptions& options) {
-  MetricPipeline pipeline(full_config());
+                         const SimulationOptions& options,
+                         const PipelineConfig& config = full_config()) {
+  MetricPipeline pipeline(config);
   return pipeline.run(sdfg, binding, options);
 }
 
@@ -113,9 +116,10 @@ SymbolMap cap_binding(std::int64_t k, std::int64_t kmax = 16) {
 }
 
 struct WorkloadCase {
-  const char* name;
+  std::string name;
   ir::Sdfg sdfg;
   std::vector<SymbolMap> bindings;
+  PipelineConfig config = full_config();
 };
 
 std::vector<WorkloadCase> identity_cases() {
@@ -182,6 +186,32 @@ std::vector<WorkloadCase> identity_cases() {
     c.bindings.push_back(base);
     cases.push_back(std::move(c));
   }
+  {
+    // Two maps, and S shifts only the second one's reads: an S move
+    // keeps every chunk's shape and the layouts, so the step splices
+    // the first map's chunks and must re-simulate the second's.
+    builder::ProgramBuilder p("shifted_read");
+    p.symbols({"N", "S"});
+    p.array("A", {"N + 8"});
+    p.array("B", {"N"});
+    p.array("C", {"N"});
+    p.state("s");
+    p.mapped_tasklet("copy", {{"i", "0:N-1"}}, {{"a", "A", "i"}}, "b = a",
+                     {{"b", "B", "i"}});
+    p.mapped_tasklet("shift", {{"i", "0:N-1"}}, {{"a", "A", "i + S"}},
+                     "c = a", {{"c", "C", "i"}});
+    WorkloadCase c{"shifted-read", p.take(), {}};
+    for (const std::int64_t shift : {0, 1, 5, 1}) {
+      c.bindings.push_back({{"N", 64}, {"S", shift}});
+    }
+    cases.push_back(std::move(c));
+  }
+  // The interactive slider sweeps, under their own metric set.
+  for (sweep_cases::Sweep& sweep : sweep_cases::sweeps()) {
+    cases.push_back({std::move(sweep.name), std::move(sweep.sdfg),
+                     std::move(sweep.bindings),
+                     sweep_cases::sweep_config()});
+  }
   return cases;
 }
 
@@ -194,9 +224,9 @@ TEST(IncrementalDeltaTest, MatchesColdRecomputeAcrossWorkloadsThreadsLanes) {
       for (int lanes : {1, 8}) {
         SimulationOptions options;
         options.lane_width = lanes;
-        MetricPipeline delta(full_config());  // Persistent across steps.
+        MetricPipeline delta(wc.config);  // Persistent across steps.
         for (std::size_t step = 0; step < wc.bindings.size(); ++step) {
-          SCOPED_TRACE(std::string(wc.name) + " threads=" +
+          SCOPED_TRACE(wc.name + " threads=" +
                        std::to_string(threads) + " lanes=" +
                        std::to_string(lanes) + " step=" +
                        std::to_string(step));
@@ -205,7 +235,7 @@ TEST(IncrementalDeltaTest, MatchesColdRecomputeAcrossWorkloadsThreadsLanes) {
               delta.run_delta(wc.sdfg, 1, wc.bindings[step], options,
                               &outcome);
           expect_identical(got, reference(wc.sdfg, wc.bindings[step],
-                                          options));
+                                          options, wc.config));
         }
       }
     }
@@ -274,6 +304,18 @@ TEST(IncrementalDeltaTest, OutcomeClassification) {
   EXPECT_EQ(outcome.path, DeltaOutcome::Path::kCold);
   EXPECT_STREQ(outcome.reason, "binding delta dirties every chunk");
   expect_identical(cold, reference(sdfg, moved, options));
+
+  // The same append at KMAX = 8 under the interactive sweep's metric
+  // set (sweep_cases.hpp) resumes too.
+  const PipelineConfig sweep_config = sweep_cases::sweep_config();
+  MetricPipeline sweep(sweep_config);
+  sweep.run_delta(sdfg, 1, cap_binding(4, 8), options);
+  PipelineResult resumed =
+      sweep.run_delta(sdfg, 1, cap_binding(5, 8), options, &outcome);
+  EXPECT_EQ(outcome.path, DeltaOutcome::Path::kChunkDelta);
+  EXPECT_TRUE(outcome.resumed);
+  expect_identical(resumed,
+                   reference(sdfg, cap_binding(5, 8), options, sweep_config));
 }
 
 TEST(IncrementalDeltaTest, ProgramOrOptionsChangeInvalidatesCheckpoint) {
@@ -471,7 +513,7 @@ TEST(IncrementalSessionTest, StepClassificationCounters) {
   session.metrics();  // Seen before: served from the artifact cache.
 
   session.set_symbol("K", 9);
-  session.closed_form();  // Only Tier-1 closed-form metrics touched.
+  session.movement_bytes();  // Only the symbolic movement volume touched.
 
   const session::SessionStats stats = session.stats();
   EXPECT_EQ(stats.steps_cold, 1);
@@ -512,22 +554,6 @@ TEST(IncrementalSessionTest, StepClassificationCounters) {
   EXPECT_EQ(outcome.path, DeltaOutcome::Path::kCold);
   EXPECT_STREQ(outcome.reason,
                "closed form: subset dimension is not param + constant");
-}
-
-TEST(IncrementalSessionTest, ClosedFormMatchesMetricsAndIsCached) {
-  session::Session session(fixed_cap_hdiff(), delta_session_config());
-  session.set_binding(cap_binding(4));
-  auto values = session.closed_form();
-  auto metrics = session.metrics();
-  EXPECT_EQ(values->total_events, metrics->events);
-  EXPECT_EQ(values->total_executions, metrics->executions);
-  // Cached artifact: shared, not recomputed.
-  EXPECT_EQ(values.get(), session.closed_form().get());
-  // A slider move re-evaluates (new values), same totals contract.
-  session.set_symbol("K", 6);
-  auto moved = session.closed_form();
-  EXPECT_NE(values.get(), moved.get());
-  EXPECT_EQ(moved->total_events, session.metrics()->events);
 }
 
 }  // namespace

@@ -180,7 +180,8 @@ TEST(JsonRoundTrip, StructuralHashIsStableAndSeesEveryField) {
     EXPECT_EQ(backward, forward);
   }
 
-  // One edit per hashed field, each on a fresh copy of hdiff.
+  // One edit per hashed field, each on a fresh copy of hdiff. Each
+  // changes the hash and survives the JSON round trip.
   const Sdfg base = workloads::hdiff(workloads::HdiffVariant::Baseline);
   const std::uint64_t base_hash = structural_hash(base);
   const std::vector<std::pair<std::string, std::function<void(Sdfg&)>>>
@@ -206,6 +207,9 @@ TEST(JsonRoundTrip, StructuralHashIsStableAndSeesEveryField) {
     Sdfg edited = base;
     edit(edited);
     EXPECT_NE(structural_hash(edited), base_hash) << field;
+    EXPECT_EQ(structural_hash(from_json(to_json(edited))),
+              structural_hash(edited))
+        << field;
   }
 }
 
@@ -252,6 +256,25 @@ TEST(JsonReader, RejectsWrongSchema) {
   EXPECT_THROW(from_json(program("8.75", "0")), JsonError);
   EXPECT_THROW(from_json(program("1e300", "0")), JsonError);
   EXPECT_THROW(from_json(program("8", "1e20")), JsonError);
+
+  // The optional fields are checked like the others.
+  Sdfg edited = workloads::hdiff(workloads::HdiffVariant::Baseline);
+  edited.array("coeff").start_offset = 3;
+  first_map(edited).collapsed = true;
+  first_map(edited).label += "'";
+  const std::string text = to_json(edited);
+  for (const auto& [field, malformed] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"start_offset\": \"3\"", "\"start_offset\": 3"},
+           {"\"start_offset\": \"3\"", "\"start_offset\": \"3 +\""},
+           {"\"collapsed\": true", "\"collapsed\": 1"},
+           {"\"map_label\": ", "\"map_label\": 7, \"x\": "}}) {
+    const std::size_t at = text.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    std::string damaged = text;
+    damaged.replace(at, field.size(), malformed);
+    EXPECT_THROW(from_json(damaged), JsonError) << malformed;
+  }
 }
 
 TEST(JsonReader, ParsesEscapes) {

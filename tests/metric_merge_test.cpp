@@ -23,6 +23,7 @@
 #include "dmv/sim/sim.hpp"
 #include "dmv/workloads/workloads.hpp"
 #include "standalone_reference.hpp"
+#include "sweep_cases.hpp"
 
 namespace dmv::sim {
 namespace {
@@ -49,20 +50,21 @@ PipelineConfig full_config() {
 /// delta drives.
 void check_bit_identity(const ir::Sdfg& sdfg,
                         const std::vector<symbolic::SymbolMap>& bindings,
-                        const std::string& name) {
+                        const std::string& name,
+                        const PipelineConfig& config = full_config()) {
   for (std::size_t b = 0; b < bindings.size(); ++b) {
     const symbolic::SymbolMap& binding = bindings[b];
     for (const int lanes : {1, 8}) {
       SimulationOptions options;
       options.lane_width = lanes;
       const AccessTrace trace = simulate(sdfg, binding, options);
-      const PipelineResult expected = standalone_result(trace, full_config());
+      const PipelineResult expected = standalone_result(trace, config);
       for (const int threads : {1, 2, 4, 8}) {
         par::ThreadScope scope(threads);
         const std::string context = name + " binding " + std::to_string(b) +
                                     " lanes " + std::to_string(lanes) +
                                     " threads " + std::to_string(threads);
-        MetricPipeline merged(full_config());
+        MetricPipeline merged(config);
         expect_results_equal(merged.run(trace), expected,
                              context + " run(trace)");
         expect_results_equal(merged.run(sdfg, binding, options), expected,
@@ -77,6 +79,20 @@ void check_bit_identity(const ir::Sdfg& sdfg,
   }
 }
 
+/// An interactive slider sweep (sweep_cases.hpp) under its metric set
+/// plus the exact cache and movement, and under the cache alone.
+void check_sweep(const sweep_cases::Sweep& sweep) {
+  PipelineConfig with_cache = sweep_cases::sweep_config();
+  with_cache.cache = CacheConfig{};
+  with_cache.movement = true;
+  PipelineConfig cache_only;
+  cache_only.counts = false;
+  cache_only.cache = CacheConfig{};
+  for (const PipelineConfig& config : {with_cache, cache_only}) {
+    check_bit_identity(sweep.sdfg, sweep.bindings, sweep.name, config);
+  }
+}
+
 TEST(MetricMerge, SerialVsWorkersBitIdentityHdiff) {
   const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
   check_bit_identity(
@@ -85,6 +101,7 @@ TEST(MetricMerge, SerialVsWorkersBitIdentityHdiff) {
        symbolic::SymbolMap{{"I", 12}, {"J", 10}, {"K", 6}},
        symbolic::SymbolMap{{"I", 16}, {"J", 16}, {"K", 3}}},
       "hdiff");
+  check_sweep(sweep_cases::hdiff_sweep());
 }
 
 TEST(MetricMerge, SerialVsWorkersBitIdentityBert) {
@@ -95,6 +112,7 @@ TEST(MetricMerge, SerialVsWorkersBitIdentityBert) {
   symbolic::SymbolMap deeper = small;
   deeper["H"] = small.at("H") + 2;
   check_bit_identity(sdfg, {small, wider, deeper}, "bert");
+  check_sweep(sweep_cases::bert_sweep());
 }
 
 TEST(MetricMerge, SerialVsWorkersBitIdentityMatmul) {

@@ -8,13 +8,15 @@
 #include "dmv/sim/sim.hpp"
 #include "dmv/workloads/workloads.hpp"
 #include "standalone_reference.hpp"
+#include "sweep_cases.hpp"
 
 // MetricPipeline contract: every drive (materialized and streaming)
 // is bit-identical to the serial oracle of standalone_reference.hpp —
 // fusion and arena reuse are pure performance changes. These tests
 // drive hdiff and bert across several symbol bindings and require
 // exact equality on every enabled consumer, plus the
-// O(1)-event-storage property of streaming.
+// O(1)-event-storage property of streaming. Each workload test also
+// runs its interactive slider sweep (sweep_cases.hpp).
 
 namespace dmv::sim {
 namespace {
@@ -35,8 +37,9 @@ PipelineConfig full_config() {
 }
 
 void check_workload(const ir::Sdfg& sdfg,
-                    const std::vector<symbolic::SymbolMap>& bindings) {
-  MetricPipeline pipeline(full_config());
+                    const std::vector<symbolic::SymbolMap>& bindings,
+                    const PipelineConfig& config = full_config()) {
+  MetricPipeline pipeline(config);
   for (const symbolic::SymbolMap& binding : bindings) {
     const AccessTrace trace = simulate(sdfg, binding);
     ASSERT_GT(trace.events.size(), 0u);
@@ -54,6 +57,8 @@ TEST(Pipeline, FusedAndStreamingMatchStandalonePassesOnHdiff) {
   check_workload(sdfg, {symbolic::SymbolMap{{"I", 8}, {"J", 8}, {"K", 4}},
                         symbolic::SymbolMap{{"I", 12}, {"J", 10}, {"K", 6}},
                         symbolic::SymbolMap{{"I", 16}, {"J", 16}, {"K", 3}}});
+  const sweep_cases::Sweep sweep = sweep_cases::hdiff_sweep();
+  check_workload(sweep.sdfg, sweep.bindings, sweep_cases::sweep_config());
 }
 
 TEST(Pipeline, FusedAndStreamingMatchStandalonePassesOnBert) {
@@ -65,6 +70,8 @@ TEST(Pipeline, FusedAndStreamingMatchStandalonePassesOnBert) {
   taller["H"] = 4;
   taller["emb"] = 16;
   check_workload(sdfg, {small, wider, taller});
+  const sweep_cases::Sweep sweep = sweep_cases::bert_sweep();
+  check_workload(sweep.sdfg, sweep.bindings, sweep_cases::sweep_config());
 }
 
 TEST(Pipeline, StreamingNeverMaterializesTheEventVector) {

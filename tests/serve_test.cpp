@@ -29,10 +29,12 @@ using dmv::serve::Server;
 Value parse_line(const std::string& line) { return dmv::json::parse(line); }
 
 std::string open_request(const std::string& session,
-                         const std::string& workload) {
+                         const std::string& workload, std::int64_t ij = 8) {
+  const std::string extent = std::to_string(ij);
   return "{\"id\":1,\"method\":\"open_program\",\"params\":{\"session\":\"" +
          session + "\",\"workload\":\"" + workload +
-         "\",\"binding\":{\"I\":8,\"J\":8,\"K\":5}}}";
+         "\",\"binding\":{\"I\":" + extent + ",\"J\":" + extent +
+         ",\"K\":5}}}";
 }
 
 std::string step_request(const std::string& session, const std::string& symbol,
@@ -51,10 +53,10 @@ std::string edit_request(const std::string& session,
 /// Drives the drag sequence through a lone single-threaded Session —
 /// the reference the server must match bit for bit.
 std::vector<std::string> reference_checksums(
-    const std::vector<std::int64_t>& values) {
+    const std::vector<std::int64_t>& values, std::int64_t ij = 8) {
   dmv::session::Session session(
       dmv::workloads::hdiff(dmv::workloads::HdiffVariant::Baseline));
-  session.set_binding({{"I", 8}, {"J", 8}, {"K", 5}});
+  session.set_binding({{"I", ij}, {"J", ij}, {"K", 5}});
   std::vector<std::string> checksums;
   for (const std::int64_t value : values) {
     session.set_symbol("K", value);
@@ -472,27 +474,42 @@ TEST(ServeSharedCacheTest, NamedAndInlineOpensShareEntries) {
 // ---------------------------------------------------------------------
 // Concurrency: bit-identity, coalescing, graceful shutdown.
 
+/// A K drag on hdiff opened at I = J = `ij`, K = 5.
+struct Drag {
+  std::int64_t ij;
+  std::vector<std::int64_t> values;
+};
+
+/// A short drag with revisits, and a longer one at I = J = 16 that goes
+/// up, partly back and further up.
+std::vector<Drag> drags() {
+  return {{8, {6, 7, 8, 9, 6, 8}},
+          {16, {6, 7, 8, 9, 10, 9, 8, 11, 12, 10, 7, 13}}};
+}
+
 /// N client threads, each with its own session, drag the same slider
 /// sequence with interleaved steps. Every response checksum must equal
 /// the serial single-session reference, the coalescing invariant must
 /// hold (exactly one "compute" per distinct binding, process-wide), and
-/// the shared tier must show cross-session hits.
-void run_concurrent_drag(int threads_knob) {
+/// the shared tier must serve steps across sessions.
+void run_concurrent_drag(int threads_knob, const Drag& drag) {
   dmv::par::ThreadScope scope(threads_knob);
-  const std::vector<std::int64_t> values = {6, 7, 8, 9, 6, 8};
-  const std::vector<std::string> reference = reference_checksums(values);
+  const std::vector<std::int64_t>& values = drag.values;
+  const std::vector<std::string> reference =
+      reference_checksums(values, drag.ij);
   const std::set<std::int64_t> distinct(values.begin(), values.end());
 
   Server server;
   constexpr int kClients = 8;
   for (int c = 0; c < kClients; ++c) {
-    const Value opened = parse_line(
-        server.handle(open_request("client" + std::to_string(c), "hdiff")));
+    const Value opened = parse_line(server.handle(
+        open_request("client" + std::to_string(c), "hdiff", drag.ij)));
     ASSERT_TRUE(opened.has("result"));
   }
 
   std::vector<std::vector<std::string>> checksums(kClients);
   std::atomic<int> computes{0};
+  std::atomic<int> shared_steps{0};
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
@@ -504,8 +521,13 @@ void run_concurrent_drag(int threads_knob) {
         ASSERT_TRUE(response.has("result")) << dmv::json::dump(response);
         checksums[c].push_back(
             response.at("result").at("checksum").as_string());
-        if (response.at("result").at("served_by").as_string() == "compute") {
+        const std::string& served_by =
+            response.at("result").at("served_by").as_string();
+        if (served_by == "compute") {
           computes.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (served_by == "shared_cache") {
+          shared_steps.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
@@ -524,14 +546,15 @@ void run_concurrent_drag(int threads_knob) {
   EXPECT_EQ(stats.steps, static_cast<std::int64_t>(kClients * values.size()));
   EXPECT_LT(stats.coalesced, stats.steps);
   EXPECT_GT(server.shared_cache_stats().hits, 0);
+  EXPECT_GT(shared_steps.load(), 0);
 }
 
 TEST(ServeDeterminismTest, ConcurrentClientsBitIdenticalSerialPool) {
-  run_concurrent_drag(1);
+  for (const Drag& drag : drags()) run_concurrent_drag(1, drag);
 }
 
 TEST(ServeDeterminismTest, ConcurrentClientsBitIdenticalParallelPool) {
-  run_concurrent_drag(4);
+  for (const Drag& drag : drags()) run_concurrent_drag(4, drag);
 }
 
 TEST(ServeDeterminismTest, FailingFlightLeaderReleasesEveryFollower) {

@@ -21,6 +21,7 @@
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/transforms/transforms.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "sweep_cases.hpp"
 
 namespace dmv::session {
 namespace {
@@ -124,6 +125,23 @@ TEST(SessionTest, ResultsMatchUncachedEvaluation) {
     expect_identical(*session.metrics(),
                      uncached(small_hdiff(), small_binding(k), config));
   }
+  // The interactive slider sweeps: a cold pass computes every binding
+  // and a warm pass serves each from the cache, both bit-identical.
+  for (const sweep_cases::Sweep& sweep : sweep_cases::sweeps()) {
+    SessionConfig sweep_config;
+    sweep_config.pipeline = sweep_cases::sweep_config();
+    Session drag(sweep.sdfg, sweep_config);
+    for (const bool warm : {false, true}) {
+      for (const SymbolMap& binding : sweep.bindings) {
+        SCOPED_TRACE(sweep.name + (warm ? " warm" : " cold"));
+        drag.set_binding(binding);
+        expect_identical(*drag.metrics(),
+                         uncached(sweep.sdfg, binding, sweep_config));
+      }
+    }
+    EXPECT_EQ(drag.stats().misses,
+              static_cast<std::int64_t>(sweep.bindings.size()));
+  }
 }
 
 // lane_width is a bit-identical execution strategy, so it stays out of
@@ -189,13 +207,18 @@ TEST(SessionTest, UnusedSymbolDoesNotInvalidate) {
 TEST(SessionTest, SymbolicArtifactsSurviveResimulation) {
   Session session(small_hdiff(), test_config());
   session.set_binding(small_binding(3));
-  auto volume = session.movement_volume();
+  session.movement_bytes();  // Computes the volume and its value.
+  EXPECT_EQ(session.stats().misses, 2);
 
   for (std::int64_t k : {4, 5, 6}) {
     session.set_symbol("K", k);
     session.metrics();
-    // Binding-independent artifact: same shared object, no recompute.
-    EXPECT_EQ(session.movement_volume().get(), volume.get());
+    // The binding-independent volume is a hit; only its value at the
+    // new K is computed.
+    const SessionStats before = session.stats();
+    session.movement_bytes();
+    EXPECT_EQ(session.stats().hits, before.hits + 1);
+    EXPECT_EQ(session.stats().misses, before.misses + 1);
   }
 
   // movement_bytes is keyed by the symbols the volume reaches.
@@ -203,8 +226,8 @@ TEST(SessionTest, SymbolicArtifactsSurviveResimulation) {
   const SessionStats before = session.stats();
   EXPECT_EQ(session.movement_bytes(), at6);  // Hit.
   EXPECT_EQ(session.stats().misses, before.misses);
-  SymbolMap expected_binding = small_binding(6);
-  EXPECT_EQ(at6, volume->evaluate(expected_binding));
+  EXPECT_EQ(at6, analysis::total_movement_bytes(small_hdiff())
+                     .evaluate(small_binding(6)));
 }
 
 TEST(SessionTest, ProgramEditChangesContentHash) {
@@ -212,26 +235,31 @@ TEST(SessionTest, ProgramEditChangesContentHash) {
   Session session(small_hdiff(), config);
   session.set_binding(small_binding(3));
   auto baseline = session.metrics();
-  auto baseline_volume = session.movement_volume();
+  session.movement_bytes();
 
   session.edit_program([](ir::Sdfg& sdfg) {
     transforms::permute_dimensions(sdfg, "in_field", {2, 0, 1});
   });
   auto permuted = session.metrics();
-  // metrics + movement_volume before the edit, metrics after: the edited
-  // program hashes to a new content key, so the third call cannot hit.
-  EXPECT_EQ(session.stats().misses, 3);
+  // metrics, the movement volume and its value before the edit, metrics
+  // after: the edited program hashes to a new content key, so the
+  // fourth lookup cannot hit.
+  EXPECT_EQ(session.stats().misses, 4);
   EXPECT_EQ(session.stats().hits, 0);
   // The permuted layout changes physical reuse, hence the metrics.
   ir::Sdfg reference = small_hdiff();
   transforms::permute_dimensions(reference, "in_field", {2, 0, 1});
   expect_identical(*permuted, uncached(reference, small_binding(3), config));
-  // Symbolic volume is recomputed for the new program version.
-  EXPECT_NE(session.movement_volume().get(), baseline_volume.get());
+  // The symbolic volume and its value are recomputed for the new
+  // program version.
+  session.movement_bytes();
+  EXPECT_EQ(session.stats().misses, 6);
+  EXPECT_EQ(session.stats().hits, 0);
   EXPECT_NE(baseline.get(), permuted.get());
 
-  // Fields the JSON form leaves out are part of the content key too. A
-  // shifted buffer start moves elements across cache lines...
+  // Fields the JSON form writes only when set are part of the content
+  // key too. A shifted buffer start moves elements across cache
+  // lines...
   session.edit_program(
       [](ir::Sdfg& sdfg) { sdfg.array("coeff").start_offset = 3; });
   reference.array("coeff").start_offset = 3;

@@ -29,6 +29,7 @@
 #include "dmv/util/fnv1a.hpp"
 #include "dmv/util/json.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "sweep_cases.hpp"
 
 namespace dmv {
 namespace {
@@ -406,6 +407,17 @@ TEST(StoreDiskCacheTest, PipelineResultCodecIsExact) {
   expect_results_equal(restored, original);
   EXPECT_EQ(serve::result_checksum(restored),
             serve::result_checksum(original));
+  // The first result of each interactive slider sweep.
+  for (const sweep_cases::Sweep& sweep : sweep_cases::sweeps()) {
+    sim::MetricPipeline sweep_pipeline(sweep_cases::sweep_config());
+    const sim::PipelineResult result =
+        sweep_pipeline.run(sweep.sdfg, sweep.bindings.front());
+    const std::shared_ptr<const void> round =
+        codec.decode(codec.encode(&result));
+    ASSERT_NE(round, nullptr) << sweep.name;
+    expect_results_equal(*static_cast<const sim::PipelineResult*>(round.get()),
+                         result);
+  }
 
   // Any bit flip makes decode() report malformation, not garbage.
   for (const std::size_t at : {std::size_t{6}, bytes.size() / 2}) {
