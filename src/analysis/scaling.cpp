@@ -26,18 +26,14 @@ std::vector<SymbolScaling> scaling_exponents(const Expr& metric,
   }
   const std::vector<std::string> symbols(free.begin(), free.end());
   std::vector<SymbolScaling> result(symbols.size());
-  // Flat (SymbolId, value) binding: probe evaluations copy a contiguous
-  // vector and binary-search it instead of copying a string-keyed map.
-  const symbolic::SymbolBinding base_binding(base);
-  const double base_value =
-      static_cast<double>(metric.evaluate(base_binding));
+  const double base_value = static_cast<double>(metric.evaluate(base));
   // Each symbol's probe evaluation is independent; entries land in
   // symbol order regardless of scheduling.
   par::parallel_for(symbols.size(), 1, [&](std::size_t begin,
                                            std::size_t end) {
     for (std::size_t s = begin; s < end; ++s) {
-      symbolic::SymbolBinding scaled = base_binding;
-      scaled.set(symbols[s], base.at(symbols[s]) * factor);
+      SymbolMap scaled = base;
+      scaled[symbols[s]] = base.at(symbols[s]) * factor;
       SymbolScaling& entry = result[s];
       entry.symbol = symbols[s];
       entry.base_value = base_value;

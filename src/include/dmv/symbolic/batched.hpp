@@ -15,15 +15,15 @@
 // Exception contract: batched evaluation NEVER throws. Every per-lane
 // arithmetic is computed with the exact formulas of the scalar helpers
 // (`floor_div_i64` & co.), and each condition that would make the
-// scalar engine throw (`std::domain_error` on division/modulo by zero
-// or a negative Pow exponent, `UnboundSymbolError` on an unbound slot)
-// instead sets that lane's bit in the returned fault mask; the lane's
-// value becomes 0 and evaluation continues. A caller that needs
-// scalar-identical failure semantics replays the faulting batch through
-// the scalar engine, which throws the original exception at the exact
-// point serial order reaches first — lanes that do not fault produce
-// bit-identical values to scalar evaluation, so only faulting batches
-// ever pay the replay.
+// scalar engine throw (`std::domain_error` on division/modulo by zero, a
+// quotient that does not fit in int64 or a negative Pow exponent,
+// `UnboundSymbolError` on an unbound slot) instead sets that lane's bit
+// in the returned fault mask; the lane's value becomes 0 and evaluation
+// continues. A caller that needs scalar-identical failure semantics
+// replays the faulting batch through the scalar engine, which throws the
+// original exception at the exact point serial order reaches first —
+// lanes that do not fault produce bit-identical values to scalar
+// evaluation, so only faulting batches ever pay the replay.
 
 #include <cstdint>
 #include <span>
@@ -52,9 +52,6 @@ class LaneEnv {
   /// Overwrites `slot` with per-lane values (size must be width()) and
   /// marks it bound.
   void set_lanes(int slot, std::span<const std::int64_t> lane_values);
-
-  /// Overwrites `slot` with `value` in every lane and marks it bound.
-  void broadcast(int slot, std::int64_t value);
 
   int width() const { return width_; }
   const std::int64_t* lanes(int slot) const {

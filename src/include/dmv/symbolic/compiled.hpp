@@ -46,9 +46,8 @@ class CompiledExpr;
 class SymbolTable {
  public:
   /// Compile-memo capacity. When an insert would exceed it the memo is
-  /// cleared wholesale — the same capped-eviction discipline as the
-  /// interner's substitution memo: recompiling is cheap, an unbounded
-  /// map on a long-lived table is not.
+  /// cleared wholesale: recompiling is cheap, an unbounded map on a
+  /// long-lived table is not.
   static constexpr std::size_t kCompileMemoCap = std::size_t{1} << 14;
 
   /// Slot of `name`, interning it if new.
@@ -88,24 +87,14 @@ class CompiledExpr {
   static CompiledExpr compile(const Expr& expr, SymbolTable& table);
 
   /// Evaluates against a slot-indexed environment (values for at least
-  /// `table.size()` slots at compile time). The caller guarantees every
-  /// slot this expression references is bound; use the `bound`-mask
-  /// overload when that is not statically known.
-  std::int64_t evaluate(const std::int64_t* values) const;
-  std::int64_t evaluate(const std::vector<std::int64_t>& values) const {
-    return evaluate(values.data());
-  }
-
-  /// Like evaluate, but throws UnboundSymbolError (matching
-  /// Expr::evaluate) if a referenced slot is not marked bound. Pass the
-  /// table's names() to report the symbol by name.
-  std::int64_t evaluate(const std::int64_t* values, const char* bound,
+  /// `table.size()` slots at compile time). With a `bound` mask, throws
+  /// UnboundSymbolError (matching Expr::evaluate) if a referenced slot is
+  /// not marked bound; pass the table's names() to report the symbol by
+  /// name. Without one, the caller guarantees every referenced slot is
+  /// bound.
+  std::int64_t evaluate(const std::int64_t* values,
+                        const char* bound = nullptr,
                         const std::vector<std::string>* names = nullptr) const;
-
-  /// True if the expression is a single constant.
-  bool is_constant() const;
-  /// Precondition: is_constant().
-  std::int64_t constant_value() const;
 
   /// Slots this expression reads (deduplicated, ascending). The basis of
   /// loop-invariant hoisting: an expression is invariant w.r.t. a set of

@@ -11,19 +11,17 @@
 //   * structurally identical subtrees are ONE node — an `Expr` is a single
 //     pointer, copying is free, and structural equality is pointer
 //     comparison;
-//   * per-node analysis metadata (free-symbol set, structural hash, tree
-//     size) is computed once at intern time, turning `depends_on` /
+//   * per-node analysis metadata (free-symbol set, structural hash) is
+//     computed once at intern time, turning `depends_on` /
 //     `collect_free_symbols` from tree walks into O(1)-to-O(set) lookups
 //     even on heavily shared DAGs;
-//   * memo tables keyed by node pointer let `simplified`, `substitute`,
-//     and `CompiledExpr::compile` reuse work across repeated analyses of
-//     the same program.
+//   * memo tables keyed by node pointer let `simplified` and
+//     `CompiledExpr::compile` reuse work across repeated analyses of the
+//     same program.
 //
 // Symbol names are interned to dense `SymbolId` integers (side table for
-// the names), so hot paths can carry flat sorted `(SymbolId, i64)` vectors
-// (`SymbolBinding`) instead of `std::map<std::string, i64>`. The classic
-// string-keyed `SymbolMap` remains accepted everywhere and is converted at
-// the boundary.
+// the names), so metadata queries compare integers, not strings.
+// Bindings stay string-keyed `SymbolMap`s.
 //
 // Determinism contract: interned node addresses and SymbolId values depend
 // on interning order and may differ between runs — they never leak into
@@ -33,13 +31,13 @@
 // are bit-identical at any thread count. See docs/symbolic.md.
 //
 // Expressions support partial substitution (bind some symbols, keep the
-// rest symbolic) and full evaluation under a `SymbolMap`/`SymbolBinding`,
-// which is what powers the paper's parametric scaling analysis (SC22
-// paper, section IV-D): the same symbolic volume is re-evaluated as the
-// user moves an input-parameter slider.
+// rest symbolic) and full evaluation under a `SymbolMap`, which is what
+// powers the paper's parametric scaling analysis (SC22 paper, section
+// IV-D): the same symbolic volume is re-evaluated as the user moves an
+// input-parameter slider.
 
-#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -47,7 +45,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 namespace dmv::symbolic {
@@ -105,35 +102,6 @@ class UnboundSymbolError : public std::runtime_error {
   std::string symbol_;
 };
 
-/// Flat sorted `(SymbolId, value)` binding — the hot-path replacement for
-/// `SymbolMap`. Lookup is a binary search over a contiguous vector (no
-/// hashing, no string compares, no per-node allocation); copying is one
-/// vector copy. Entry order is by SymbolId and is internal only.
-class SymbolBinding {
- public:
-  SymbolBinding() = default;
-  explicit SymbolBinding(const SymbolMap& symbols) { assign(symbols); }
-
-  /// Rebuilds from a name-keyed map (interning any new names).
-  void assign(const SymbolMap& symbols);
-  /// Inserts or overwrites one entry, keeping the vector sorted.
-  void set(SymbolId id, std::int64_t value);
-  void set(std::string_view name, std::int64_t value) {
-    set(intern_symbol(name), value);
-  }
-  /// Pointer to the value of `id`, or nullptr if unbound.
-  const std::int64_t* find(SymbolId id) const;
-
-  std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-  std::span<const std::pair<SymbolId, std::int64_t>> entries() const {
-    return entries_;
-  }
-
- private:
-  std::vector<std::pair<SymbolId, std::int64_t>> entries_;  // sorted by id
-};
-
 /// Immutable symbolic integer expression (value type; one interned
 /// pointer, so copying is free and equality of canonical forms is pointer
 /// identity).
@@ -145,7 +113,6 @@ class Expr {
   Expr(std::int64_t value);  // NOLINT(google-explicit-constructor)
   Expr(int value) : Expr(static_cast<std::int64_t>(value)) {}  // NOLINT
 
-  static Expr constant(std::int64_t value);
   static Expr symbol(std::string name);
   static Expr symbol(SymbolId id);
   /// Builds an n-ary/binary node of `kind` over `operands` and simplifies.
@@ -167,24 +134,10 @@ class Expr {
   std::span<const Expr> operands() const;
 
   /// Fully evaluates; throws UnboundSymbolError on a missing symbol and
-  /// std::domain_error on division/modulo by zero.
+  /// std::domain_error where an integer helper below does.
   std::int64_t evaluate(const SymbolMap& symbols) const;
   /// Like evaluate but returns nullopt instead of throwing.
   std::optional<std::int64_t> try_evaluate(const SymbolMap& symbols) const;
-
-  // SymbolBinding fast paths. Constrained templates (not plain
-  // overloads) so braced-init-list calls like `evaluate({{"N", 4}})`
-  // keep binding to the SymbolMap overloads unambiguously.
-  template <typename B>
-    requires std::same_as<std::remove_cvref_t<B>, SymbolBinding>
-  std::int64_t evaluate(const B& symbols) const {
-    return evaluate_binding(symbols);
-  }
-  template <typename B>
-    requires std::same_as<std::remove_cvref_t<B>, SymbolBinding>
-  std::optional<std::int64_t> try_evaluate(const B& symbols) const {
-    return try_evaluate_binding(symbols);
-  }
 
   /// Replaces bound symbols with constants and re-simplifies. Symbols not
   /// present in the map stay symbolic (partial binding). Shared subtrees
@@ -193,19 +146,9 @@ class Expr {
   Expr substitute(const SymbolMap& symbols) const;
   /// General substitution of symbols by arbitrary expressions.
   Expr substitute(const std::map<std::string, Expr>& replacements) const;
-  template <typename B>
-    requires std::same_as<std::remove_cvref_t<B>, SymbolBinding>
-  Expr substitute(const B& symbols) const {
-    return substitute_binding(symbols);
-  }
 
   void collect_free_symbols(std::set<std::string>& out) const;
   std::set<std::string> free_symbols() const;
-  /// The interned free-symbol set of this node: sorted by SymbolId,
-  /// deduplicated, computed once at intern time. O(1); the reference is
-  /// stable for the process lifetime. Internal ordering only — map to
-  /// names (and re-sort) before anything user-visible.
-  const std::vector<SymbolId>& free_symbol_ids() const;
 
   /// Reachability query: true iff `symbol` occurs anywhere in the
   /// expression. O(log |free set|) via intern-time metadata; allocates
@@ -228,9 +171,6 @@ class Expr {
   /// runs (built from kinds, values, and symbol NAMES, not ids).
   std::uint64_t structural_hash() const;
 
-  /// Number of nodes of the expression *tree* (shared nodes counted per
-  /// reference), saturating at uint32 max. O(1).
-  std::uint32_t tree_size() const;
   /// Number of distinct interned nodes reachable from this expression —
   /// the DAG footprint. Walks each unique node once.
   std::size_t dag_size() const;
@@ -248,10 +188,6 @@ class Expr {
 
  private:
   explicit Expr(const ExprNode* node) : node_(node) {}
-  std::int64_t evaluate_binding(const SymbolBinding& symbols) const;
-  std::optional<std::int64_t> try_evaluate_binding(
-      const SymbolBinding& symbols) const;
-  Expr substitute_binding(const SymbolBinding& symbols) const;
   const ExprNode* node_;  ///< Interned; owned by the process-lifetime arena.
   friend struct detail::InternAccess;
 };
@@ -279,7 +215,6 @@ struct ExprNode {
   /// Interned sorted free-symbol id set (never null; empty set for
   /// constant subtrees). Shared between nodes with equal sets.
   const std::vector<SymbolId>* free_syms = nullptr;
-  std::uint32_t tree_size = 1;  ///< Tree node count, saturating.
 };
 
 Expr operator+(const Expr& a, const Expr& b);
@@ -298,8 +233,6 @@ Expr pow(const Expr& base, const Expr& exponent);
 /// True iff any symbol of `symbols` occurs in `e` — the multi-symbol
 /// form of Expr::depends_on, same no-allocation contract.
 bool depends_on_any(const Expr& e, const std::set<std::string>& symbols);
-/// Id-based form; `symbols` must be sorted ascending.
-bool depends_on_any(const Expr& e, std::span<const SymbolId> symbols);
 
 /// Binding delta: every symbol bound in only one of the two maps or
 /// bound to different values — the invalidation query of the delta
@@ -320,8 +253,18 @@ Expr simplified(const Expr& e);
 /// display keeps the compact factored form.
 Expr expanded(const Expr& e);
 
-/// Integer helpers shared by the simplifier and the evaluator so that
-/// symbolic and concrete arithmetic can never disagree.
+/// True iff `a / b` has an int64 quotient: `b` is not 0, and the pair is
+/// not INT64_MIN / -1, whose quotient 2^63 does not fit.
+constexpr bool quotient_fits_i64(std::int64_t a, std::int64_t b) {
+  return b != 0 && !(b == -1 && a == std::numeric_limits<std::int64_t>::min());
+}
+
+/// Integer helpers shared by the simplifier and the evaluators so that
+/// symbolic and concrete arithmetic can never disagree. The two
+/// divisions throw std::domain_error unless quotient_fits_i64(a, b);
+/// mod_i64 throws only on a zero divisor (any value mod -1 is 0);
+/// pow_i64 throws on a negative exponent and otherwise wraps modulo
+/// 2^64, in O(log exponent) multiplications.
 std::int64_t floor_div_i64(std::int64_t a, std::int64_t b);
 std::int64_t ceil_div_i64(std::int64_t a, std::int64_t b);
 std::int64_t mod_i64(std::int64_t a, std::int64_t b);

@@ -571,6 +571,10 @@ std::string Server::handle(const std::string& line) {
       throw RequestError("bad_binding", error.what());
     } catch (const sim::OutOfBoundsAccessError& error) {
       throw RequestError("bad_binding", error.what());
+    } catch (const std::domain_error& error) {
+      // An integer helper's domain: a zero divisor, a quotient past
+      // int64, or a negative exponent.
+      throw RequestError("bad_binding", error.what());
     }
   } catch (const RequestError& error) {
     code = error.code();

@@ -19,7 +19,6 @@ using ir::NodeId;
 using ir::NodeKind;
 using symbolic::Expr;
 using symbolic::ExprKind;
-using symbolic::SymbolBinding;
 using symbolic::SymbolId;
 
 // One evaluated map dimension.
@@ -86,12 +85,12 @@ struct Scope {
 class Counter {
  public:
   Counter(const SymbolMap& symbols, bool counts, PipelineResult& result)
-      : binding_(symbols), counts_(counts), result_(result) {}
+      : symbols_(symbols), counts_(counts), result_(result) {}
 
-  const char* run(const Sdfg& sdfg, const SymbolMap& symbols) {
+  const char* run(const Sdfg& sdfg) {
     AccessTrace header;
     try {
-      place_containers(sdfg, symbols, header);
+      place_containers(sdfg, symbols_, header);
     } catch (const std::exception&) {
       return "closed form: a container layout fails under the binding";
     }
@@ -124,7 +123,7 @@ class Counter {
   }
 
  private:
-  std::int64_t eval(const Expr& e) const { return e.evaluate(binding_); }
+  std::int64_t eval(const Expr& e) const { return e.evaluate(symbols_); }
 
   const char* count_state(const ir::State& state) {
     // Throws where the simulator's schedule does (a dataflow cycle).
@@ -519,7 +518,7 @@ class Counter {
     }
   }
 
-  SymbolBinding binding_;
+  const SymbolMap& symbols_;
   bool counts_;
   PipelineResult& result_;
   std::vector<Target> targets_;
@@ -533,7 +532,7 @@ class Counter {
 
 const char* closed_form_counts(const Sdfg& sdfg, const SymbolMap& symbols,
                                bool counts, PipelineResult& result) {
-  return Counter(symbols, counts, result).run(sdfg, symbols);
+  return Counter(symbols, counts, result).run(sdfg);
 }
 
 }  // namespace dmv::sim::detail

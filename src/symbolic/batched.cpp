@@ -31,12 +31,6 @@ void LaneEnv::set_lanes(int slot, std::span<const std::int64_t> lane_values) {
   bound_[slot] = 1;
 }
 
-void LaneEnv::broadcast(int slot, std::int64_t value) {
-  std::int64_t* row = values_.data() + static_cast<std::size_t>(slot) * width_;
-  for (int l = 0; l < width_; ++l) row[l] = value;
-  bound_[slot] = 1;
-}
-
 namespace {
 
 // Matches the scalar evaluator's inline capacity; programs deeper than
@@ -48,10 +42,10 @@ constexpr int kInlineDepth = 32;
 // One template instantiation per common width keeps the lane trip count
 // a compile-time constant so the per-lane bodies unroll/vectorize; kW=0
 // is the generic runtime-width fallback. Arithmetic per lane replicates
-// floor_div_i64 / ceil_div_i64 / mod_i64 / pow_i64 exactly, except that
-// throwing conditions set the lane's fault bit (value 0) instead — a
-// faulted lane's garbage feeds later instructions harmlessly because
-// every division/modulo re-checks its own operands.
+// floor_div_i64 / ceil_div_i64 / mod_i64 exactly and calls pow_i64,
+// except that throwing conditions set the lane's fault bit (value 0)
+// instead — a faulted lane's garbage feeds later instructions harmlessly
+// because every division/modulo re-checks its own operands.
 template <int kW>
 std::uint32_t BatchedCompiledExpr::run_lanes(const LaneEnv& env,
                                              std::int64_t* out,
@@ -115,7 +109,7 @@ std::uint32_t BatchedCompiledExpr::run_lanes(const LaneEnv& env,
         const std::int64_t* b = stack + (top - 1) * W;
         std::int64_t* a = stack + (top - 2) * W;
         for (int l = 0; l < W; ++l) {
-          if (b[l] == 0) {
+          if (!quotient_fits_i64(a[l], b[l])) {
             fault |= std::uint32_t{1} << l;
             a[l] = 0;
           } else {
@@ -128,35 +122,34 @@ std::uint32_t BatchedCompiledExpr::run_lanes(const LaneEnv& env,
         break;
       }
       case CompiledExpr::Op::CeilDiv: {
-        // Scalar: -floor_div_i64(-a, b).
         const std::int64_t* b = stack + (top - 1) * W;
         std::int64_t* a = stack + (top - 2) * W;
         for (int l = 0; l < W; ++l) {
-          if (b[l] == 0) {
+          if (!quotient_fits_i64(a[l], b[l])) {
             fault |= std::uint32_t{1} << l;
             a[l] = 0;
           } else {
-            const std::int64_t na = -a[l];
-            std::int64_t q = na / b[l];
-            if ((na % b[l] != 0) && ((na < 0) != (b[l] < 0))) --q;
-            a[l] = -q;
+            std::int64_t q = a[l] / b[l];
+            if ((a[l] % b[l] != 0) && ((a[l] < 0) == (b[l] < 0))) ++q;
+            a[l] = q;
           }
         }
         --top;
         break;
       }
       case CompiledExpr::Op::Mod: {
-        // Scalar: a - floor_div_i64(a, b) * b.
         const std::int64_t* b = stack + (top - 1) * W;
         std::int64_t* a = stack + (top - 2) * W;
         for (int l = 0; l < W; ++l) {
           if (b[l] == 0) {
             fault |= std::uint32_t{1} << l;
             a[l] = 0;
+          } else if (b[l] == -1) {
+            a[l] = 0;
           } else {
-            std::int64_t q = a[l] / b[l];
-            if ((a[l] % b[l] != 0) && ((a[l] < 0) != (b[l] < 0))) --q;
-            a[l] = a[l] - q * b[l];
+            std::int64_t r = a[l] % b[l];
+            if (r != 0 && ((r < 0) != (b[l] < 0))) r += b[l];
+            a[l] = r;
           }
         }
         --top;
@@ -184,9 +177,7 @@ std::uint32_t BatchedCompiledExpr::run_lanes(const LaneEnv& env,
             fault |= std::uint32_t{1} << l;
             a[l] = 0;
           } else {
-            std::int64_t result = 1;
-            for (std::int64_t i = 0; i < b[l]; ++i) result *= a[l];
-            a[l] = result;
+            a[l] = pow_i64(a[l], b[l]);
           }
         }
         --top;

@@ -144,12 +144,6 @@ CompiledExpr CompiledExpr::compile(const Expr& expr, SymbolTable& table) {
   return compiled;
 }
 
-bool CompiledExpr::is_constant() const {
-  return code_.size() == 1 && code_[0].op == Op::PushConst;
-}
-
-std::int64_t CompiledExpr::constant_value() const { return code_[0].arg; }
-
 bool CompiledExpr::reads_any(const std::vector<int>& query) const {
   for (int slot : slots_) {
     if (std::find(query.begin(), query.end(), slot) != query.end()) {
@@ -164,10 +158,6 @@ namespace {
 constexpr int kInlineStack = 32;
 
 }  // namespace
-
-std::int64_t CompiledExpr::evaluate(const std::int64_t* values) const {
-  return evaluate(values, nullptr, nullptr);
-}
 
 std::int64_t CompiledExpr::evaluate(
     const std::int64_t* values, const char* bound,

@@ -45,8 +45,6 @@ Expr::Expr() : node_(small_constant(0)) {}
 
 Expr::Expr(std::int64_t value) : node_(constant_node(value)) {}
 
-Expr Expr::constant(std::int64_t value) { return Expr(value); }
-
 Expr Expr::symbol(std::string name) {
   assert(!name.empty());
   return symbol(intern_symbol(name));
@@ -91,8 +89,6 @@ std::span<const Expr> Expr::operands() const { return node_->operands; }
 
 std::uint64_t Expr::structural_hash() const { return node_->hash; }
 
-std::uint32_t Expr::tree_size() const { return node_->tree_size; }
-
 std::size_t Expr::dag_size() const {
   std::unordered_set<const ExprNode*> seen;
   std::vector<const ExprNode*> stack{node_};
@@ -107,59 +103,53 @@ std::size_t Expr::dag_size() const {
   return seen.size();
 }
 
-// --- SymbolBinding ----------------------------------------------------
-
-void SymbolBinding::assign(const SymbolMap& symbols) {
-  entries_.clear();
-  entries_.reserve(symbols.size());
-  for (const auto& [name, value] : symbols) {
-    entries_.emplace_back(intern_symbol(name), value);
-  }
-  std::sort(entries_.begin(), entries_.end());
-}
-
-void SymbolBinding::set(SymbolId id, std::int64_t value) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), id,
-      [](const auto& entry, SymbolId key) { return entry.first < key; });
-  if (it != entries_.end() && it->first == id) {
-    it->second = value;
-  } else {
-    entries_.insert(it, {id, value});
-  }
-}
-
-const std::int64_t* SymbolBinding::find(SymbolId id) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), id,
-      [](const auto& entry, SymbolId key) { return entry.first < key; });
-  return it != entries_.end() && it->first == id ? &it->second : nullptr;
-}
-
 // --- integer helpers --------------------------------------------------
 
-std::int64_t floor_div_i64(std::int64_t a, std::int64_t b) {
+namespace {
+
+void check_quotient(std::int64_t a, std::int64_t b) {
   if (b == 0) throw std::domain_error("symbolic: division by zero");
+  if (!quotient_fits_i64(a, b)) {
+    throw std::domain_error("symbolic: quotient overflows int64");
+  }
+}
+
+}  // namespace
+
+std::int64_t floor_div_i64(std::int64_t a, std::int64_t b) {
+  check_quotient(a, b);
   std::int64_t q = a / b;
   if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
   return q;
 }
 
 std::int64_t ceil_div_i64(std::int64_t a, std::int64_t b) {
-  return -floor_div_i64(-a, b);
+  check_quotient(a, b);
+  std::int64_t q = a / b;
+  if ((a % b != 0) && ((a < 0) == (b < 0))) ++q;
+  return q;
 }
 
 std::int64_t mod_i64(std::int64_t a, std::int64_t b) {
   if (b == 0) throw std::domain_error("symbolic: modulo by zero");
-  std::int64_t r = a - floor_div_i64(a, b) * b;
+  if (b == -1) return 0;  // INT64_MIN % -1 would trap.
+  std::int64_t r = a % b;
+  if (r != 0 && ((r < 0) != (b < 0))) r += b;
   return r;
 }
 
 std::int64_t pow_i64(std::int64_t base, std::int64_t exponent) {
   if (exponent < 0) throw std::domain_error("symbolic: negative exponent");
-  std::int64_t result = 1;
-  for (std::int64_t i = 0; i < exponent; ++i) result *= base;
-  return result;
+  // Square-and-multiply in uint64: the product modulo 2^64 of `exponent`
+  // factors of `base`, as repeated wrapping multiplication gives it.
+  std::uint64_t result = 1;
+  std::uint64_t square = static_cast<std::uint64_t>(base);
+  for (std::uint64_t e = static_cast<std::uint64_t>(exponent); e != 0;
+       e >>= 1) {
+    if (e & 1) result *= square;
+    square *= square;
+  }
+  return static_cast<std::int64_t>(result);
 }
 
 std::optional<std::int64_t> checked_pow_i64(std::int64_t base,
@@ -183,48 +173,49 @@ std::optional<std::int64_t> checked_pow_i64(std::int64_t base,
 
 namespace {
 
-// One tree-walk evaluator over any symbol lookup policy; SymbolMap and
-// SymbolBinding evaluation share every arithmetic case so they can never
-// disagree.
-template <typename Lookup>
-std::int64_t evaluate_node(const ExprNode& node, const Lookup& lookup) {
+// Recursive tree walk; every division and power goes through the
+// integer helpers above.
+std::int64_t evaluate_node(const ExprNode& node, const SymbolMap& symbols) {
   switch (node.kind) {
     case ExprKind::Constant:
       return node.value;
-    case ExprKind::Symbol:
-      return lookup(node);
+    case ExprKind::Symbol: {
+      auto it = symbols.find(*node.name);
+      if (it == symbols.end()) throw UnboundSymbolError(*node.name);
+      return it->second;
+    }
     case ExprKind::Add: {
       std::int64_t acc = 0;
       for (const Expr& op : node.operands) {
-        acc += evaluate_node(op.node(), lookup);
+        acc += evaluate_node(op.node(), symbols);
       }
       return acc;
     }
     case ExprKind::Mul: {
       std::int64_t acc = 1;
       for (const Expr& op : node.operands) {
-        acc *= evaluate_node(op.node(), lookup);
+        acc *= evaluate_node(op.node(), symbols);
       }
       return acc;
     }
     case ExprKind::FloorDiv:
-      return floor_div_i64(evaluate_node(node.operands[0].node(), lookup),
-                           evaluate_node(node.operands[1].node(), lookup));
+      return floor_div_i64(evaluate_node(node.operands[0].node(), symbols),
+                           evaluate_node(node.operands[1].node(), symbols));
     case ExprKind::CeilDiv:
-      return ceil_div_i64(evaluate_node(node.operands[0].node(), lookup),
-                          evaluate_node(node.operands[1].node(), lookup));
+      return ceil_div_i64(evaluate_node(node.operands[0].node(), symbols),
+                          evaluate_node(node.operands[1].node(), symbols));
     case ExprKind::Mod:
-      return mod_i64(evaluate_node(node.operands[0].node(), lookup),
-                     evaluate_node(node.operands[1].node(), lookup));
+      return mod_i64(evaluate_node(node.operands[0].node(), symbols),
+                     evaluate_node(node.operands[1].node(), symbols));
     case ExprKind::Min:
-      return std::min(evaluate_node(node.operands[0].node(), lookup),
-                      evaluate_node(node.operands[1].node(), lookup));
+      return std::min(evaluate_node(node.operands[0].node(), symbols),
+                      evaluate_node(node.operands[1].node(), symbols));
     case ExprKind::Max:
-      return std::max(evaluate_node(node.operands[0].node(), lookup),
-                      evaluate_node(node.operands[1].node(), lookup));
+      return std::max(evaluate_node(node.operands[0].node(), symbols),
+                      evaluate_node(node.operands[1].node(), symbols));
     case ExprKind::Pow:
-      return pow_i64(evaluate_node(node.operands[0].node(), lookup),
-                     evaluate_node(node.operands[1].node(), lookup));
+      return pow_i64(evaluate_node(node.operands[0].node(), symbols),
+                     evaluate_node(node.operands[1].node(), symbols));
   }
   assert(false && "unreachable");
   return 0;
@@ -233,35 +224,12 @@ std::int64_t evaluate_node(const ExprNode& node, const Lookup& lookup) {
 }  // namespace
 
 std::int64_t Expr::evaluate(const SymbolMap& symbols) const {
-  return evaluate_node(*node_, [&symbols](const ExprNode& node) {
-    auto it = symbols.find(*node.name);
-    if (it == symbols.end()) throw UnboundSymbolError(*node.name);
-    return it->second;
-  });
-}
-
-std::int64_t Expr::evaluate_binding(const SymbolBinding& symbols) const {
-  return evaluate_node(*node_, [&symbols](const ExprNode& node) {
-    const std::int64_t* value = symbols.find(node.sym);
-    if (value == nullptr) throw UnboundSymbolError(*node.name);
-    return *value;
-  });
+  return evaluate_node(*node_, symbols);
 }
 
 std::optional<std::int64_t> Expr::try_evaluate(const SymbolMap& symbols) const {
   try {
     return evaluate(symbols);
-  } catch (const UnboundSymbolError&) {
-    return std::nullopt;
-  } catch (const std::domain_error&) {
-    return std::nullopt;
-  }
-}
-
-std::optional<std::int64_t> Expr::try_evaluate_binding(
-    const SymbolBinding& symbols) const {
-  try {
-    return evaluate_binding(symbols);
   } catch (const UnboundSymbolError&) {
     return std::nullopt;
   } catch (const std::domain_error&) {
@@ -339,51 +307,30 @@ Expr substitute_rec(const Expr& e, const std::vector<SubstEntry>& entries,
   }
 }
 
-// Shared top level of every substitute overload. `entries` must be sorted
-// by id and deduplicated.
-Expr substitute_entries(const Expr& e, const std::vector<SubstEntry>& entries) {
-  if (entries.empty()) return e;
-  const ExprNode* node = InternAccess::unwrap(e);
+// Shared top level of both substitute overloads. Sorts `entries` by id;
+// names are unique, so the ids are too.
+Expr substitute_entries(const Expr& e, std::vector<SubstEntry> entries) {
+  std::sort(entries.begin(), entries.end(),
+            [](const SubstEntry& a, const SubstEntry& b) {
+              return a.id < b.id;
+            });
   std::uint64_t entry_mask = 0;
   for (const SubstEntry& entry : entries) {
     entry_mask |= std::uint64_t{1} << (entry.id % 64);
   }
-  if (!reaches_any(node, entries, entry_mask)) return e;
-  // Cross-call memo: the binding is interned, so the key is exact.
-  std::vector<std::pair<SymbolId, const ExprNode*>> key;
-  key.reserve(entries.size());
-  for (const SubstEntry& entry : entries) {
-    key.emplace_back(entry.id, InternAccess::unwrap(entry.replacement));
-  }
-  const detail_intern::BindingRecord* record =
-      detail_intern::intern_binding(std::move(key));
-  if (const ExprNode* hit = detail_intern::lookup_subst_memo(node, record)) {
-    return InternAccess::wrap(hit);
-  }
   std::unordered_map<const ExprNode*, Expr> memo;
-  Expr result = substitute_rec(e, entries, entry_mask, memo);
-  detail_intern::store_subst_memo(node, record,
-                                  InternAccess::unwrap(result));
-  return result;
-}
-
-std::vector<SubstEntry> entries_from_binding(const SymbolBinding& symbols) {
-  std::vector<SubstEntry> entries;
-  entries.reserve(symbols.size());
-  for (const auto& [id, value] : symbols.entries()) {
-    entries.push_back({id, Expr(value)});
-  }
-  return entries;  // SymbolBinding is already sorted by id.
+  return substitute_rec(e, entries, entry_mask, memo);
 }
 
 }  // namespace
 
 Expr Expr::substitute(const SymbolMap& symbols) const {
-  return substitute_binding(SymbolBinding(symbols));
-}
-
-Expr Expr::substitute_binding(const SymbolBinding& symbols) const {
-  return substitute_entries(*this, entries_from_binding(symbols));
+  std::vector<SubstEntry> entries;
+  entries.reserve(symbols.size());
+  for (const auto& [name, value] : symbols) {
+    entries.push_back({intern_symbol(name), Expr(value)});
+  }
+  return substitute_entries(*this, std::move(entries));
 }
 
 Expr Expr::substitute(const std::map<std::string, Expr>& replacements) const {
@@ -392,18 +339,10 @@ Expr Expr::substitute(const std::map<std::string, Expr>& replacements) const {
   for (const auto& [name, replacement] : replacements) {
     entries.push_back({intern_symbol(name), replacement});
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const SubstEntry& a, const SubstEntry& b) {
-              return a.id < b.id;
-            });
-  return substitute_entries(*this, entries);
+  return substitute_entries(*this, std::move(entries));
 }
 
 // --- free-symbol queries ----------------------------------------------
-
-const std::vector<SymbolId>& Expr::free_symbol_ids() const {
-  return *node_->free_syms;
-}
 
 void Expr::collect_free_symbols(std::set<std::string>& out) const {
   for (const SymbolId id : *node_->free_syms) {
@@ -445,22 +384,6 @@ bool depends_on_any(const Expr& e, const std::set<std::string>& symbols) {
   if (symbols.empty()) return false;
   for (const std::string& symbol : symbols) {
     if (e.depends_on(std::string_view(symbol))) return true;
-  }
-  return false;
-}
-
-bool depends_on_any(const Expr& e, std::span<const SymbolId> symbols) {
-  const ExprNode* node = InternAccess::unwrap(e);
-  const std::vector<SymbolId>& free = *node->free_syms;
-  std::size_t a = 0, b = 0;
-  while (a < free.size() && b < symbols.size()) {
-    if (free[a] < symbols[b]) {
-      ++a;
-    } else if (symbols[b] < free[a]) {
-      ++b;
-    } else {
-      return true;
-    }
   }
   return false;
 }

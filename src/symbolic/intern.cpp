@@ -9,10 +9,8 @@
 //
 // Lifetime: the interner is a leaked singleton — nodes live until process
 // exit, which is what lets `Expr` be a bare pointer with free copies.
-// This is the classic hash-consing tradeoff. Memo tables (simplify,
-// substitute) are bounded: a shard whose substitute memo exceeds its cap
-// is cleared wholesale (results are recomputable; clearing never changes
-// them).
+// This is the classic hash-consing tradeoff. The simplify memo grows
+// with the node population: each entry maps one interned node to another.
 //
 // Determinism: structural hashes mix kinds, constant values, and symbol
 // NAME hashes (never SymbolId values or addresses), so `ExprNode::hash`
@@ -94,44 +92,9 @@ const std::vector<SymbolId>* intern_symbol_set(std::vector<SymbolId> set) {
   return interned;
 }
 
-// --- binding interner -------------------------------------------------
-
-// Canonicalized substitution bindings (detail_intern::BindingRecord), so
-// the cross-call substitute memo can key on (node*, binding*) with EXACT
-// pointer equality — no reliance on hash uniqueness for correctness.
-using detail_intern::BindingRecord;
-
-struct BindingInterner {
-  std::mutex mu;
-  std::deque<BindingRecord> arena;
-  std::unordered_multimap<std::uint64_t, const BindingRecord*> table;
-};
-
-BindingInterner& bindings() {
-  static BindingInterner* interner = new BindingInterner();
-  return *interner;
-}
-
 // --- node shards ------------------------------------------------------
 
-struct SubstKey {
-  const ExprNode* node;
-  const BindingRecord* binding;
-  bool operator==(const SubstKey&) const = default;
-};
-
-struct SubstKeyHash {
-  std::size_t operator()(const SubstKey& key) const {
-    std::uint64_t hash = fnv1a_bytewise(kFnvOffset, key.node->hash);
-    return static_cast<std::size_t>(fnv1a_bytewise(hash, key.binding->hash));
-  }
-};
-
 constexpr std::size_t kShardCount = 16;
-// Cap on one shard's substitute memo before it is cleared wholesale.
-// 1<<16 entries/shard ≈ 1M cached rewrites process-wide — plenty for a
-// slider session, bounded for a long-lived server.
-constexpr std::size_t kSubstMemoCap = std::size_t{1} << 16;
 
 struct Shard {
   std::mutex mu;
@@ -139,8 +102,6 @@ struct Shard {
   std::unordered_multimap<std::uint64_t, const ExprNode*> table;
   /// raw node -> canonical simplified node.
   std::unordered_map<const ExprNode*, const ExprNode*> simplify_memo;
-  /// (node, interned binding) -> substituted node.
-  std::unordered_map<SubstKey, const ExprNode*, SubstKeyHash> subst_memo;
 };
 
 struct Interner {
@@ -258,7 +219,6 @@ const ExprNode* intern_node(ExprKind kind, std::int64_t value, SymbolId sym,
   // thread interning the same node computes identical metadata; the
   // re-check under the lock keeps the table canonical.
   std::uint64_t mask = 0;
-  std::uint32_t tree = 1;
   const std::vector<SymbolId>* free_set = nullptr;
   switch (kind) {
     case ExprKind::Constant:
@@ -273,10 +233,6 @@ const ExprNode* intern_node(ExprKind kind, std::int64_t value, SymbolId sym,
       for (const Expr& op : operands) {
         const ExprNode* child = InternAccess::unwrap(op);
         mask |= child->symbol_mask;
-        const std::uint64_t sum =
-            static_cast<std::uint64_t>(tree) + child->tree_size;
-        tree = sum > 0xffffffffull ? 0xffffffffu
-                                   : static_cast<std::uint32_t>(sum);
         // Sorted-merge union of the children's interned sets.
         const std::vector<SymbolId>& theirs = *child->free_syms;
         std::vector<SymbolId> next;
@@ -318,7 +274,6 @@ const ExprNode* intern_node(ExprKind kind, std::int64_t value, SymbolId sym,
   node.hash = hash;
   node.symbol_mask = mask;
   node.free_syms = free_set;
-  node.tree_size = tree;
   shard.table.emplace(hash, &node);
   return &node;
 }
@@ -334,43 +289,6 @@ void store_simplify_memo(const ExprNode* raw, const ExprNode* canonical) {
   Shard& shard = interner().shard_for(raw->hash);
   std::lock_guard<std::mutex> lock(shard.mu);
   shard.simplify_memo.emplace(raw, canonical);
-}
-
-// Canonicalizes a substitution for the cross-call memo. Entries must be
-// sorted by SymbolId and deduplicated.
-const BindingRecord* intern_binding(
-    std::vector<std::pair<SymbolId, const ExprNode*>> entries) {
-  std::uint64_t hash = kFnvOffset;
-  for (const auto& [id, node] : entries) {
-    hash = fnv1a_bytewise(hash, detail_intern::symbol_name_hash(id));
-    hash = fnv1a_bytewise(hash, node->hash);
-  }
-  BindingInterner& interner = bindings();
-  std::lock_guard<std::mutex> lock(interner.mu);
-  auto [begin, end] = interner.table.equal_range(hash);
-  for (auto it = begin; it != end; ++it) {
-    if (it->second->entries == entries) return it->second;
-  }
-  interner.arena.push_back(BindingRecord{std::move(entries), hash});
-  const BindingRecord* record = &interner.arena.back();
-  interner.table.emplace(hash, record);
-  return record;
-}
-
-const ExprNode* lookup_subst_memo(const ExprNode* node,
-                                  const BindingRecord* binding) {
-  Shard& shard = interner().shard_for(node->hash);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.subst_memo.find(SubstKey{node, binding});
-  return it == shard.subst_memo.end() ? nullptr : it->second;
-}
-
-void store_subst_memo(const ExprNode* node, const BindingRecord* binding,
-                      const ExprNode* result) {
-  Shard& shard = interner().shard_for(node->hash);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.subst_memo.size() >= kSubstMemoCap) shard.subst_memo.clear();
-  shard.subst_memo.emplace(SubstKey{node, binding}, result);
 }
 
 }  // namespace detail_intern

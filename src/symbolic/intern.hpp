@@ -5,7 +5,6 @@
 // src/symbolic may include this.
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "dmv/symbolic/expr.hpp"
@@ -23,13 +22,6 @@ struct InternAccess {
 
 namespace detail_intern {
 
-/// Canonicalized (interned) substitution binding: sorted by SymbolId,
-/// deduplicated. Pointer identity ⇔ equal bindings.
-struct BindingRecord {
-  std::vector<std::pair<SymbolId, const ExprNode*>> entries;
-  std::uint64_t hash = 0;
-};
-
 /// Cached hash of a symbol's NAME (run-deterministic, unlike its id).
 std::uint64_t symbol_name_hash(SymbolId id);
 
@@ -42,15 +34,6 @@ const ExprNode* intern_node(ExprKind kind, std::int64_t value, SymbolId sym,
 /// miss.
 const ExprNode* lookup_simplify_memo(const ExprNode* raw);
 void store_simplify_memo(const ExprNode* raw, const ExprNode* canonical);
-
-/// Substitution binding interning + cross-call memo keyed by
-/// (node, binding) with exact pointer equality.
-const BindingRecord* intern_binding(
-    std::vector<std::pair<SymbolId, const ExprNode*>> entries);
-const ExprNode* lookup_subst_memo(const ExprNode* node,
-                                  const BindingRecord* binding);
-void store_subst_memo(const ExprNode* node, const BindingRecord* binding,
-                      const ExprNode* result);
 
 }  // namespace detail_intern
 

@@ -212,7 +212,9 @@ std::optional<Expr> divide_out(const Expr& product, const Expr& factor) {
   if (!removed) {
     // Constant factor dividing a constant leading coefficient.
     if (factor.is_constant() && !product.operands().empty() &&
-        product.operands()[0].is_constant() && factor.constant_value() != 0 &&
+        product.operands()[0].is_constant() &&
+        quotient_fits_i64(product.operands()[0].constant_value(),
+                          factor.constant_value()) &&
         product.operands()[0].constant_value() % factor.constant_value() ==
             0) {
       rest.assign(product.operands().begin() + 1, product.operands().end());
@@ -256,7 +258,10 @@ Expr simplified_impl(const Expr& e) {
       const Expr& b = e.operands()[1];
       if (a.is_constant(0)) return Expr(0);
       if (b.is_constant(1)) return a;
-      if (a.is_constant() && b.is_constant() && b.constant_value() != 0) {
+      // Folds only a quotient the helpers can compute; the rest stays
+      // symbolic, and evaluating it raises their domain error.
+      if (a.is_constant() && b.is_constant() &&
+          quotient_fits_i64(a.constant_value(), b.constant_value())) {
         return Expr(e.kind() == ExprKind::FloorDiv
                         ? floor_div_i64(a.constant_value(), b.constant_value())
                         : ceil_div_i64(a.constant_value(),

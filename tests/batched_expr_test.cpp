@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -19,10 +21,11 @@
 // result equals scalar evaluation of the same program against lane L's
 // environment — including WHICH inputs fault. A fault bit must be set
 // exactly when the scalar engine throws (std::domain_error for division
-// or modulo by zero and negative Pow exponents; UnboundSymbolError for
-// an unbound slot, which faults all lanes); non-faulting lanes must be
-// bit-identical. The simulator-level tests then pin the tail-mask and
-// fault-ordering behavior of the batched innermost loop.
+// or modulo by zero, a quotient past int64 and negative Pow exponents;
+// UnboundSymbolError for an unbound slot, which faults all lanes);
+// non-faulting lanes must be bit-identical. The simulator-level tests
+// then pin the tail-mask and fault-ordering behavior of the batched
+// innermost loop.
 
 namespace dmv::symbolic {
 namespace {
@@ -36,7 +39,7 @@ Expr random_expr(std::mt19937& rng, int depth) {
   std::uniform_int_distribution<std::int64_t> constant(-5, 5);
   std::uniform_int_distribution<std::size_t> symbol(0, kSymbols.size() - 1);
   if (depth <= 0 || std::uniform_int_distribution<int>(0, 3)(rng) == 0) {
-    return leaf_pick(rng) == 0 ? Expr::constant(constant(rng))
+    return leaf_pick(rng) == 0 ? Expr(constant(rng))
                                : Expr::symbol(kSymbols[symbol(rng)]);
   }
   std::uniform_int_distribution<int> kind_pick(0, 7);
@@ -164,7 +167,7 @@ TEST(BatchedExpr, UnboundSlotFaultsEveryLane) {
   std::int64_t out[8];
   EXPECT_EQ(batched.evaluate(env, out), 0xffu);
   // Binding the slot clears the fault and matches scalar.
-  env.broadcast(table.lookup("M"), 4);
+  env.set_lanes(table.lookup("M"), std::vector<std::int64_t>(8, 4));
   EXPECT_EQ(batched.evaluate(env, out), 0u);
   for (int l = 0; l < 8; ++l) EXPECT_EQ(out[l], 7);
 }
@@ -179,6 +182,78 @@ TEST(BatchedExpr, DeepExpressionUsesHeapStack) {
     lane_envs.push_back({40 + static_cast<std::int64_t>(l)});
   }
   check_against_scalar(expr, lane_envs);
+}
+
+// The integer helpers at int64's limits, through every engine: the tree
+// walk, the compiled program, the batched lanes at widths 1 and 8, and
+// the simplifier's folding of the same operation on constants. A
+// quotient past int64 is a domain error (a lane fault), INT64_MIN % -1
+// is 0, ceil_div rounds INT64_MIN / 2 exactly, and a power with a huge
+// exponent wraps modulo 2^64 without one multiplication per unit.
+TEST(IntegerHelpers, EveryEngineAgreesAtInt64Limits) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const struct {
+    ExprKind kind;
+    std::int64_t a;
+    std::int64_t b;
+    std::optional<std::int64_t> expected;  ///< nullopt: a domain error.
+    bool folds;  ///< The simplifier folds the constant operation.
+  } cases[] = {
+      {ExprKind::FloorDiv, kMin, -1, std::nullopt, false},
+      {ExprKind::CeilDiv, kMin, -1, std::nullopt, false},
+      {ExprKind::Mod, kMin, -1, 0, true},
+      {ExprKind::CeilDiv, kMin, 2, -(std::int64_t{1} << 62), true},
+      // Python: pow(3, 2**40, 2**64), read as int64. The simplifier
+      // folds only powers that fit, so this one stays symbolic.
+      {ExprKind::Pow, 3, std::int64_t{1} << 40, -7860764868738023423, false},
+  };
+  const Expr a = Expr::symbol("a");
+  const Expr b = Expr::symbol("b");
+  for (const auto& c : cases) {
+    const Expr expr = Expr::make(c.kind, {a, b});
+    const std::string context = expr.to_string() + " at a=" +
+                                std::to_string(c.a) +
+                                ", b=" + std::to_string(c.b);
+    const auto start = std::chrono::steady_clock::now();
+    const SymbolMap env{{"a", c.a}, {"b", c.b}};
+    EXPECT_EQ(expr.try_evaluate(env), c.expected) << context;
+
+    SymbolTable table;
+    const CompiledExpr compiled = CompiledExpr::compile(expr, table);
+    std::vector<std::int64_t> values;
+    std::vector<char> bound;
+    table.bind(env, values, bound);
+    EXPECT_EQ(guarded_scalar(compiled, values, bound), c.expected) << context;
+
+    const BatchedCompiledExpr batched(compiled);
+    for (const int width : {1, 8}) {
+      LaneEnv lanes;
+      lanes.reset(values, bound, width);
+      std::vector<std::int64_t> out(static_cast<std::size_t>(width));
+      const std::uint32_t faults = batched.evaluate(lanes, out.data());
+      if (c.expected) {
+        EXPECT_EQ(faults, 0u) << context << " width " << width;
+        for (const std::int64_t value : out) {
+          EXPECT_EQ(value, *c.expected) << context << " width " << width;
+        }
+      } else {
+        EXPECT_EQ(faults, (std::uint32_t{1} << width) - 1)
+            << context << " width " << width;
+      }
+    }
+
+    const Expr folded = Expr::make(c.kind, {Expr(c.a), Expr(c.b)});
+    EXPECT_EQ(folded.is_constant(), c.folds) << context;
+    EXPECT_EQ(folded.try_evaluate({}), c.expected) << context;
+    const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+    EXPECT_LT(elapsed_ms, 100.0) << context;
+  }
+  // A constant coefficient divided out of a product obeys the same rule.
+  const Expr product = Expr(kMin) * a / Expr(-1);
+  EXPECT_FALSE(product.is_constant());
+  EXPECT_THROW(product.evaluate({{"a", 1}}), std::domain_error);
 }
 
 }  // namespace

@@ -122,7 +122,11 @@ TEST(MetricMerge, SerialVsWorkersBitIdentityMatmul) {
   narrow["N"] = 6;
   symbolic::SymbolMap tall = fig5;
   tall["M"] = fig5.at("M") + 9;
-  check_bit_identity(sdfg, {fig5, narrow, tall}, "matmul");
+  // 24^3: 41,472 events over 1,728 elements, so the consumer pass splits
+  // into 2 segments at 2 threads and 3 at 4 and 8 (the matmul program
+  // tiling_ablation and cache_model_validation run).
+  const symbolic::SymbolMap cube{{"M", 24}, {"K", 24}, {"N", 24}};
+  check_bit_identity(sdfg, {fig5, narrow, tall, cube}, "matmul");
 }
 
 // Consumer subsets through every drive: configs without distances skip

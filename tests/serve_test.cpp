@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "dmv/builder/program_builder.hpp"
 #include "dmv/ir/serialize.hpp"
 #include "dmv/par/par.hpp"
 #include "dmv/serve/server.hpp"
@@ -266,6 +268,87 @@ TEST(ServeProtocolTest, StepWithInvalidBindingReportsBadBinding) {
   const Value past = parse_line(server.handle(step_request("b", "K", 9)));
   EXPECT_EQ(past.at("error").at("code").as_string(), "bad_binding")
       << dmv::json::dump(past);
+}
+
+/// The jacobi2d program of examples/custom_kernel_analysis plus one
+/// container of shape `shape` over the extra symbols `extra`, as an
+/// inline SDFG. The shape text goes to the server unparsed.
+std::string jacobi_with_container(const std::string& shape,
+                                  const std::vector<std::string>& extra) {
+  dmv::builder::ProgramBuilder program("jacobi2d");
+  program.symbols({"N"});
+  program.array("grid", {"N + 2", "N + 2"});
+  program.array("next", {"N", "N"});
+  program.state("sweep");
+  program.mapped_tasklet(
+      "stencil", {{"i", "0:N-1"}, {"j", "0:N-1"}},
+      {{"c", "grid", "i + 1, j + 1"},
+       {"n", "grid", "i, j + 1"},
+       {"s", "grid", "i + 2, j + 1"},
+       {"w", "grid", "i + 1, j"},
+       {"e", "grid", "i + 1, j + 2"}},
+      "o = 0.2 * (c + n + s + w + e)", {{"o", "next", "i, j"}});
+  Value sdfg = dmv::json::parse(dmv::ir::to_json(program.take()));
+  for (const std::string& symbol : extra) {
+    sdfg["symbols"].push(Value::of(symbol));
+  }
+  Value container = Value::make_object();
+  container["name"] = Value::of("hostile");
+  container["shape"] = Value::make_array();
+  container["shape"].push(Value::of(shape));
+  container["strides"] = Value::make_array();
+  container["strides"].push(Value::of("1"));
+  container["element_size"] = Value::of(8);
+  container["transient"] = Value::of(false);
+  sdfg["containers"].push(std::move(container));
+  return dmv::json::dump(sdfg);
+}
+
+TEST(ServeProtocolTest, HostileIntegerArithmeticGetsAnAnswer) {
+  // Each program's shape meets an integer helper's limit: a constant
+  // quotient past int64, a symbolic one, and a power whose exponent a
+  // loop would take minutes over. Every request must get a result or a
+  // bad_binding error within a second, and the server must keep serving.
+  const struct {
+    const char* shape;
+    std::vector<std::string> extra;
+    const char* open_binding;
+    const char* step_binding;
+  } cases[] = {
+      {"N + (-9223372036854775807 - 1) / -1", {}, "{\"N\":4}", "{\"N\":5}"},
+      {"P / Q", {"P", "Q"}, "{\"N\":4,\"P\":1,\"Q\":1}",
+       "{\"N\":4,\"P\":-9223372036854775808,\"Q\":-1}"},
+      {"2**P", {"P"}, "{\"N\":4,\"P\":3}", "{\"N\":4,\"P\":40000000000}"},
+  };
+  Server server;
+  for (const auto& c : cases) {
+    const std::string requests[] = {
+        "{\"id\":1,\"method\":\"open_program\",\"params\":{\"session\":"
+        "\"h\",\"sdfg\":" +
+            jacobi_with_container(c.shape, c.extra) +
+            ",\"binding\":" + c.open_binding + "}}",
+        "{\"id\":2,\"method\":\"step\",\"params\":{\"session\":\"h\","
+        "\"binding\":" +
+            std::string(c.step_binding) + "}}"};
+    for (const std::string& request : requests) {
+      const auto start = std::chrono::steady_clock::now();
+      const Value response = parse_line(server.handle(request));
+      const double seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+      EXPECT_LT(seconds, 1.0) << c.shape;
+      if (response.has("error")) {
+        EXPECT_EQ(response.at("error").at("code").as_string(), "bad_binding")
+            << c.shape << ": " << dmv::json::dump(response);
+      } else {
+        EXPECT_TRUE(response.has("result"))
+            << c.shape << ": " << dmv::json::dump(response);
+      }
+    }
+  }
+  const Value stats = parse_line(server.handle(
+      "{\"id\":3,\"method\":\"stats\",\"params\":{\"session\":\"h\"}}"));
+  EXPECT_TRUE(stats.has("result")) << dmv::json::dump(stats);
 }
 
 TEST(ServeProtocolTest, SubscribeRebuildsSessionPreservingBinding) {

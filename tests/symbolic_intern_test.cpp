@@ -43,7 +43,7 @@ TEST(SymbolicIntern, EqualsMatchesExpandedPointerIdentity) {
 
 TEST(SymbolicIntern, ConstantsAndSymbolsIntern) {
   EXPECT_TRUE(Expr(0).same_node(Expr()));
-  EXPECT_TRUE(Expr(12345).same_node(Expr::constant(12345)));
+  EXPECT_TRUE(Expr(12345).same_node(Expr(12340) + 5));
   EXPECT_TRUE(Expr::symbol("ZZZ_intern").same_node(Expr::symbol("ZZZ_intern")));
   const SymbolId id = intern_symbol("ZZZ_intern");
   EXPECT_EQ(Expr::symbol("ZZZ_intern").symbol_id(), id);
@@ -69,8 +69,7 @@ TEST(SymbolicIntern, SharedDagAnalysesAreMetadataLookups) {
   for (int level = 0; level < 40; ++level) {
     e = e * e + e;  // doubles the tree at every level, shares the DAG
   }
-  ASSERT_GE(e.tree_size(), 0xffffffffu);  // tree count saturated
-  ASSERT_LE(e.dag_size(), 200u);          // DAG stays tiny
+  ASSERT_LE(e.dag_size(), 200u);  // DAG stays tiny
 
   const auto start = std::chrono::steady_clock::now();
   EXPECT_TRUE(e.depends_on("x"));
@@ -92,29 +91,6 @@ TEST(SymbolicIntern, SharedDagAnalysesAreMetadataLookups) {
           .count();
   EXPECT_LT(elapsed_ms, 250.0)
       << "shared-DAG analyses must be metadata lookups, not tree walks";
-}
-
-TEST(SymbolicIntern, FreeSymbolIdsMatchNames) {
-  const Expr e = Expr::symbol("B") * Expr::symbol("A") + 7;
-  std::set<std::string> names;
-  for (const SymbolId id : e.free_symbol_ids()) {
-    names.insert(symbol_name_of(id));
-  }
-  EXPECT_EQ(names, e.free_symbols());
-  EXPECT_EQ(e.free_symbol_ids().size(), 2u);
-  // The interned set is shared: same set object for equal symbol sets.
-  const Expr f = Expr::symbol("A") + Expr::symbol("B");
-  EXPECT_EQ(&e.free_symbol_ids(), &f.free_symbol_ids());
-}
-
-TEST(SymbolicIntern, DependsOnAnyIdSpan) {
-  const Expr e = Expr::symbol("I") + Expr::symbol("K");
-  std::vector<SymbolId> query{intern_symbol("I"), intern_symbol("J")};
-  std::sort(query.begin(), query.end());
-  EXPECT_TRUE(depends_on_any(e, std::span<const SymbolId>(query)));
-  std::vector<SymbolId> miss{intern_symbol("J"), intern_symbol("Q")};
-  std::sort(miss.begin(), miss.end());
-  EXPECT_FALSE(depends_on_any(e, std::span<const SymbolId>(miss)));
 }
 
 // --- Pow constant-folding guards --------------------------------------
@@ -250,7 +226,6 @@ std::optional<std::int64_t> reference_try_eval(const Expr& e,
 TEST(SymbolicIntern, FuzzEvaluationMatchesReferenceAndBinding) {
   std::mt19937 rng(20260806);
   const SymbolMap env{{"pfA", 3}, {"pfB", -2}, {"pfC", 2}};
-  const SymbolBinding binding(env);
   SymbolTable table;
   for (int round = 0; round < 300; ++round) {
     const Expr e = random_expr(rng, 4);
@@ -259,7 +234,6 @@ TEST(SymbolicIntern, FuzzEvaluationMatchesReferenceAndBinding) {
     // canonical form must agree with the reference walk of that SAME
     // canonical form, across every evaluation engine.
     EXPECT_EQ(e.try_evaluate(env), expected) << e.to_string();
-    EXPECT_EQ(e.try_evaluate(binding), expected) << e.to_string();
     if (expected.has_value()) {
       const CompiledExpr compiled = CompiledExpr::compile(e, table);
       std::vector<std::int64_t> values;
@@ -333,12 +307,13 @@ TEST(SymbolicIntern, FuzzMemoizedAndLegacyPathsAgree) {
   }
 }
 
-TEST(SymbolicIntern, SubstituteMemoHitsAreIdentical) {
+TEST(SymbolicIntern, RepeatedSubstitutionsShareOneNode) {
   const Expr volume =
       (Expr::symbol("I") + 2) * (Expr::symbol("J") + 2) * Expr::symbol("K") * 8;
   const SymbolMap binding{{"I", 16}, {"J", 16}, {"K", 4}};
   const Expr first = volume.substitute(binding);
-  const Expr second = volume.substitute(binding);  // cross-call memo hit
+  // A second call rewrites again, and its result interns to the same node.
+  const Expr second = volume.substitute(binding);
   EXPECT_TRUE(first.same_node(second));
   ASSERT_TRUE(first.is_constant());
   EXPECT_EQ(first.constant_value(), 18 * 18 * 4 * 8);
@@ -355,22 +330,8 @@ TEST(SymbolicIntern, CompileMemoReturnsIdenticalCode) {
   std::vector<std::int64_t> values;
   std::vector<char> bound;
   table.bind(SymbolMap{{"I", 6}, {"J", 7}}, values, bound);
-  EXPECT_EQ(first.evaluate(values), 45);
-  EXPECT_EQ(second.evaluate(values), 45);
-}
-
-TEST(SymbolicIntern, SymbolBindingSetAndFind) {
-  SymbolBinding binding;
-  binding.set("b1", 10);
-  binding.set("b2", 20);
-  binding.set("b1", 11);  // overwrite keeps the vector sorted and unique
-  EXPECT_EQ(binding.size(), 2u);
-  ASSERT_NE(binding.find(intern_symbol("b1")), nullptr);
-  EXPECT_EQ(*binding.find(intern_symbol("b1")), 11);
-  EXPECT_EQ(binding.find(intern_symbol("b_absent")), nullptr);
-  // Unbound symbol surfaces the same error type/name as the map path.
-  const Expr e = Expr::symbol("b_missing") + 1;
-  EXPECT_THROW(e.evaluate(binding), UnboundSymbolError);
+  EXPECT_EQ(first.evaluate(values.data(), bound.data()), 45);
+  EXPECT_EQ(second.evaluate(values.data(), bound.data()), 45);
 }
 
 }  // namespace

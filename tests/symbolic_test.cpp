@@ -18,7 +18,7 @@ TEST(Expr, DefaultIsZero) {
 TEST(Expr, ConstantRoundTrip) {
   EXPECT_EQ(Expr(42).constant_value(), 42);
   EXPECT_EQ(Expr(-7).constant_value(), -7);
-  EXPECT_EQ(Expr::constant(1 << 20).evaluate({}), 1 << 20);
+  EXPECT_EQ(Expr(1 << 20).evaluate({}), 1 << 20);
 }
 
 TEST(Expr, SymbolEvaluation) {

@@ -33,6 +33,14 @@ set after the counts-only drag, one at the end of the hdiff session
 Each set's steps_* classes must sum to the step requests sent to it:
 one request is one step.
 
+Then, in a third session, it opens three copies of jacobi.json with
+one more container each, whose shape meets an integer helper's limit
+(a quotient past int64, constant or symbolic, and a power with a huge
+exponent; docs/symbolic.md), and steps each to the binding that
+evaluates it. Every open must answer with a result and every step with
+a `bad_binding` error, each within HOSTILE_SECONDS, and the server must
+still answer a `stats` request afterwards.
+
 Both transports then get a request line one byte over the server's
 64 MiB cap: it must be answered with a `request_too_large` error, a
 `stats` request on the same stream must still answer, and the server's
@@ -54,7 +62,9 @@ Usage: serve_smoke.py [path/to/dmv_serve] [--cache-dir DIR]
 """
 
 import argparse
+import copy
 import json
+import os
 import re
 import resource
 import socket
@@ -85,6 +95,21 @@ LONG_LINE_BYTES = 64 << 20
 LONG_LINE_SECONDS = 10
 
 
+# Inline programs whose one extra container's shape meets an integer
+# helper's limit: the shape, its extra symbols, the open binding and the
+# step binding, which must get a bad_binding error. A pow that looped
+# once per unit of the exponent would spend minutes on the last one.
+JACOBI = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "jacobi.json")
+HOSTILE = [
+    ("N + (-9223372036854775807 - 1) / -1", [], {"N": 4}, {"N": 5}),
+    ("P / Q", ["P", "Q"], {"N": 4, "P": 1, "Q": 1},
+     {"N": 4, "P": -2**63, "Q": -1}),
+    ("2**P", ["P"], {"N": 4, "P": 3}, {"N": 4, "P": 4 * 10**10}),
+]
+HOSTILE_SECONDS = 5
+
+
 # The dmv_serve process under test. The smoke stops it however it ends,
 # since a TCP server would otherwise outlive it.
 server = None
@@ -103,7 +128,8 @@ class Client:
         self.reader = reader
         self.next_id = 0
 
-    def call(self, method, **params):
+    def request(self, method, **params):
+        """Sends one request and returns its response, error or not."""
         self.next_id += 1
         request = {"id": self.next_id, "method": method, "params": params}
         self.writer.write(json.dumps(request) + "\n")
@@ -117,6 +143,10 @@ class Client:
             fail(f"unparseable response line {line!r}: {error}")
         if response.get("id") != self.next_id:
             fail(f"response id {response.get('id')} != request id {self.next_id}")
+        return response
+
+    def call(self, method, **params):
+        response = self.request(method, **params)
         if "error" in response:
             fail(f"{method} -> error {response['error']}")
         if "result" not in response:
@@ -207,6 +237,33 @@ def check_long_line(stream):
     if elapsed > LONG_LINE_SECONDS:
         fail(f"a {LONG_LINE_BYTES >> 20} MiB line took {elapsed:.1f} s "
              f"(limit {LONG_LINE_SECONDS} s)")
+
+
+def check_hostile(client):
+    """Opens and steps each HOSTILE program; returns the error count."""
+    with open(JACOBI) as handle:
+        jacobi = json.load(handle)
+    for shape, symbols, opened, stepped in HOSTILE:
+        sdfg = copy.deepcopy(jacobi)
+        sdfg["symbols"] += symbols
+        sdfg["containers"].append({"name": "hostile", "shape": [shape],
+                                   "strides": ["1"], "element_size": 8,
+                                   "transient": False})
+        for method, params, want in (
+                ("open_program", {"sdfg": sdfg, "binding": opened}, None),
+                ("step", {"binding": stepped}, "bad_binding")):
+            started = time.monotonic()
+            response = client.request(method, session="hostile", **params)
+            elapsed = time.monotonic() - started
+            code = response.get("error", {}).get("code")
+            if code != want or (want is None and "result" not in response):
+                fail(f"{method} with a container of shape {shape!r} got "
+                     f"{response}, want {want or 'a result'}")
+            if elapsed > HOSTILE_SECONDS:
+                fail(f"{method} with a container of shape {shape!r} took "
+                     f"{elapsed:.1f} s (limit {HOSTILE_SECONDS} s)")
+    client.call("stats", session="hostile")
+    return len(HOSTILE)
 
 
 def check_over_cap_line(client):
@@ -384,6 +441,8 @@ def main():
             json.dump(counters, handle, indent=1)
             handle.write("\n")
 
+    hostile_errors = check_hostile(client)
+
     grown = None
     if args.tcp:
         # A client that pauses keeps its connection.
@@ -434,7 +493,8 @@ def main():
         f"counts-only steps, {session.get('hits')} hits, {disk_hits} disk "
         f"hits; {3 * len(DRAG) + 1} subscribed and edited steps; "
         f"{counters['chunk_delta']['steps_chunk_delta']} chunk-delta steps; "
-        f"{transport}, clean shutdown)"
+        f"{hostile_errors} hostile steps refused; {transport}, clean "
+        f"shutdown)"
     )
 
 
