@@ -1,7 +1,5 @@
 #include "dmv/analysis/analysis.hpp"
 
-#include <stdexcept>
-
 namespace dmv::analysis {
 
 using ir::Node;
@@ -43,20 +41,6 @@ Expr scope_boundary_bytes(const Sdfg& sdfg, const State& state,
 }
 
 }  // namespace
-
-double map_arithmetic_intensity(const Sdfg& sdfg, const State& state,
-                                NodeId map_entry, const SymbolMap& symbols) {
-  if (state.node(map_entry).kind != NodeKind::MapEntry) {
-    throw std::invalid_argument(
-        "map_arithmetic_intensity: node is not a map entry");
-  }
-  const double operations = static_cast<double>(
-      scope_operations(state, map_entry).evaluate(symbols));
-  const double bytes = static_cast<double>(
-      scope_boundary_bytes(sdfg, state, map_entry).evaluate(symbols));
-  if (bytes == 0) return 0;
-  return operations / bytes;
-}
 
 std::vector<MapIntensity> map_intensities(const Sdfg& sdfg,
                                           const SymbolMap& symbols) {

@@ -136,13 +136,10 @@ std::vector<NodeOps> tasklet_operation_counts(const Sdfg& sdfg);
 /// Whole-program operation total.
 Expr total_operations(const Sdfg& sdfg);
 
-/// Arithmetic intensity of a map scope: operations executed inside the
-/// scope divided by bytes crossing its entry/exit boundary (§IV-B). Needs
-/// a binding because the ratio is generally not a polynomial.
-double map_arithmetic_intensity(const Sdfg& sdfg, const State& state,
-                                NodeId map_entry, const SymbolMap& symbols);
-
-/// Per-map intensity across the program, for the intensity heatmap.
+/// Arithmetic intensity of every top-level map scope, for the intensity
+/// heatmap: operations executed inside the scope divided by bytes
+/// crossing its entry/exit boundary (§IV-B). Needs a binding because the
+/// ratio is generally not a polynomial.
 struct MapIntensity {
   NodeRef ref;
   std::string label;

@@ -20,14 +20,14 @@
 // (streaming path). Either way the output is bit-identical to serial at
 // any thread count. See docs/simulation.md for the full safety argument.
 //
-// Planning is exact, not estimated: an analytic fast path multiplies
-// iteration-count products by per-iteration event counts when extents
-// are invariant in the map's own parameters, and falls back to
-// enumerating dependent (triangular/tiled) dimensions. Anything the
-// planner cannot model exactly — non-positive steps, unbound symbols,
-// copy size mismatches — marks the plan non-parallelizable and the
-// caller runs the serial engine, which surfaces the identical error
-// behavior.
+// Planning is exact, not estimated. One recursion counts every scope:
+// it multiplies iteration-count products by per-iteration event counts
+// where the extents are invariant in the map's own parameters, and
+// binds a dependent (triangular/tiled) dimension value by value where
+// they are not. Anything the planner cannot model exactly — non-positive
+// steps, symbols a count reads but the binding lacks, copy size
+// mismatches — marks the plan non-parallelizable and the caller runs
+// the serial engine, which surfaces the identical error behavior.
 
 #include <cstdint>
 #include <set>

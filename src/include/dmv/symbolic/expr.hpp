@@ -259,6 +259,18 @@ constexpr bool quotient_fits_i64(std::int64_t a, std::int64_t b) {
   return b != 0 && !(b == -1 && a == std::numeric_limits<std::int64_t>::min());
 }
 
+/// a + b and a * b modulo 2^64, as folding and every evaluator add and
+/// multiply: computed in uint64, so an overflowing sum or product wraps
+/// instead of being undefined behaviour.
+constexpr std::int64_t wrapping_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+constexpr std::int64_t wrapping_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+
 /// Integer helpers shared by the simplifier and the evaluators so that
 /// symbolic and concrete arithmetic can never disagree. The two
 /// divisions throw std::domain_error unless quotient_fits_i64(a, b);

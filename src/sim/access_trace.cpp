@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "dmv/par/par.hpp"
@@ -39,6 +41,15 @@ void place_containers_into(const Sdfg& sdfg, const SymbolMap& symbols,
   }
 }
 
+// Trips of [begin : end : step] for a positive step, from the extent
+// end - begin taken modulo 2^64, as the chunk planner counts them.
+std::int64_t range_trips(std::int64_t begin, std::int64_t end,
+                         std::int64_t step) {
+  const auto extent = static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(end) - static_cast<std::uint64_t>(begin));
+  return extent >= 0 ? extent / step + 1 : 0;
+}
+
 class Simulator {
  public:
   Simulator(const Sdfg& sdfg, const SymbolMap& symbols,
@@ -52,9 +63,11 @@ class Simulator {
     trace.layouts.clear();
     trace.events.clear();
     trace.executions = 0;
-    trace_ = &trace;
     place_containers_into(sdfg_, symbols_, trace, &container_ids_);
     layouts_ = &trace.layouts;
+    out_ = &trace.events;
+    out_absolute_ = false;
+    chunk_limit_ = std::numeric_limits<std::int64_t>::max();
     for (const State& state : sdfg_.states()) {
       // Topo order + adjacency built once per state (in_edges/out_edges
       // scan all edges, which would be paid per tasklet per iteration).
@@ -85,21 +98,9 @@ class Simulator {
     out_ = &out;
     out_absolute_ = absolute;
     chunk_limit_ = chunk.event_offset + chunk.event_count;
-    const Node& node = state.node(chunk.node);
     compile_state(state);
-    switch (node.kind) {
-      case NodeKind::MapEntry:
-        execute_map(state, node, chunk.outer_begin, chunk.outer_count);
-        break;
-      case NodeKind::Tasklet:
-        execute_tasklet(state, node);
-        break;
-      case NodeKind::Access:
-        execute_copies(state, node);
-        break;
-      case NodeKind::MapExit:
-        break;
-    }
+    execute_node(state, state.node(chunk.node), chunk.outer_begin,
+                 chunk.outer_count);
     if (position_ != chunk.event_offset + chunk.event_count ||
         execution_ != chunk.execution_offset + chunk.execution_count) {
       throw std::logic_error(
@@ -120,14 +121,16 @@ class Simulator {
   struct CompiledRange {
     CompiledExpr begin, end, step;
   };
+  /// One event-generating subset: a tasklet's read or write, or one side
+  /// of a copy.
   struct CompiledSubset {
+    const Subset* source = nullptr;  ///< Its expressions (lane analysis).
     std::vector<CompiledRange> ranges;
     int container = -1;
+    bool is_write = false;
   };
-  struct CompiledEdge {
-    CompiledSubset subset;
-    CompiledSubset other;  ///< other_subset; used by copy edges.
-    bool has_other = false;
+  struct CompiledCopy {
+    CompiledSubset from, to;
   };
   struct CompiledMap {
     std::vector<int> param_slots;
@@ -159,15 +162,10 @@ class Simulator {
   struct BatchedRangeRef {
     BatchedRef begin, end, step;
   };
-  /// One memlet of one tasklet, in emission order.
-  struct BatchedRun {
-    int container = -1;
-    bool is_write = false;
-    std::vector<BatchedRangeRef> ranges;
-  };
+  /// One tasklet's bound references, index-aligned with its memlets_.
   struct BatchedTasklet {
     NodeId id = ir::kNoNode;
-    std::vector<BatchedRun> runs;
+    std::vector<std::vector<BatchedRangeRef>> memlets;
   };
   struct BatchedScope {
     bool enabled = false;
@@ -185,12 +183,6 @@ class Simulator {
     const CompiledMap& map = compiled_maps_[node.id];
     if (map.bounds.empty()) return;
     BatchedScope& scope = batched_scopes_[node.id];
-    for (NodeId id : schedule_.order) {
-      const Node& child = state.node(id);
-      if (child.scope_parent != node.id) continue;
-      if (child.kind == NodeKind::MapExit) continue;
-      if (child.kind != NodeKind::Tasklet) return;
-    }
     const int lane_slot = map.param_slots.back();
     // Dedup by interned node: one evaluation per distinct expression,
     // shared by every memlet bound that names it.
@@ -213,38 +205,26 @@ class Simulator {
       seen.emplace(key, ref);
       return ref;
     };
-    auto add_run = [&](BatchedTasklet& tasklet, const Edge* edge,
-                       bool is_write) {
-      BatchedRun run;
-      run.container = container_ids_.at(edge->memlet.data);
-      run.is_write = is_write;
-      run.ranges.reserve(edge->memlet.subset.ranges.size());
-      for (const ir::Range& range : edge->memlet.subset.ranges) {
-        run.ranges.push_back(
-            {ref_of(range.begin), ref_of(range.end), ref_of(range.step)});
-      }
-      tasklet.runs.push_back(std::move(run));
-    };
-    // Tasklets in schedule order, each memlet in execute_tasklet
-    // order (in-edges then out-edges, empty memlets skipped) — the drain
-    // replays this list verbatim.
+    // Tasklets in schedule order, each with its memlets in emission
+    // order — the drain replays this list verbatim.
     for (NodeId id : schedule_.order) {
       const Node& child = state.node(id);
-      if (child.scope_parent != node.id ||
-          child.kind != NodeKind::Tasklet) {
+      if (child.scope_parent != node.id || child.kind == NodeKind::MapExit) {
         continue;
       }
-      BatchedTasklet tasklet;
+      if (child.kind != NodeKind::Tasklet) {
+        scope = BatchedScope{};
+        return;
+      }
+      BatchedTasklet& tasklet = scope.tasklets.emplace_back();
       tasklet.id = id;
-      for (const Edge* edge : schedule_.in_adjacency[id]) {
-        if (edge->memlet.is_empty()) continue;
-        add_run(tasklet, edge, /*is_write=*/false);
+      for (const CompiledSubset& memlet : memlets_[id]) {
+        std::vector<BatchedRangeRef>& refs = tasklet.memlets.emplace_back();
+        for (const ir::Range& range : memlet.source->ranges) {
+          refs.push_back(
+              {ref_of(range.begin), ref_of(range.end), ref_of(range.step)});
+        }
       }
-      for (const Edge* edge : schedule_.out_adjacency[id]) {
-        if (edge->memlet.is_empty()) continue;
-        add_run(tasklet, edge, /*is_write=*/true);
-      }
-      scope.tasklets.push_back(std::move(tasklet));
     }
     scope.lane_slot = lane_slot;
     scope.enabled = true;
@@ -258,44 +238,61 @@ class Simulator {
     return compiled;
   }
 
-  CompiledSubset compile_subset(const Subset& subset,
-                                const std::string& data) {
+  CompiledSubset compile_subset(const Subset& subset, const std::string& data,
+                                bool is_write) {
     CompiledSubset compiled;
+    compiled.source = &subset;
     compiled.ranges.reserve(subset.ranges.size());
     for (const ir::Range& range : subset.ranges) {
       compiled.ranges.push_back(compile_range(range));
     }
     compiled.container = container_ids_.at(data);
+    compiled.is_write = is_write;
     return compiled;
   }
 
   void compile_state(const State& state) {
     table_ = SymbolTable();
     compiled_maps_.assign(state.num_nodes(), {});
-    compiled_edges_.assign(state.edges().size(), {});
-    for (const Node& node : state.nodes()) {
-      if (node.kind != NodeKind::MapEntry) continue;
-      CompiledMap& map = compiled_maps_[node.id];
-      map.param_slots.reserve(node.map.params.size());
-      for (const std::string& param : node.map.params) {
-        map.param_slots.push_back(table_.intern(param));
-      }
-      map.bounds.reserve(node.map.ranges.size());
-      for (const ir::Range& range : node.map.ranges) {
-        map.bounds.push_back(compile_range(range));
-      }
+    memlets_.assign(state.num_nodes(), {});
+    copies_.assign(state.num_nodes(), {});
+    // Every non-empty memlet names a placed container, routing memlets
+    // included: an unknown one fails here, before the state emits.
+    for (const Edge& edge : state.edges()) {
+      if (!edge.memlet.is_empty()) container_ids_.at(edge.memlet.data);
     }
-    for (std::size_t e = 0; e < state.edges().size(); ++e) {
-      const Edge& edge = state.edges()[e];
-      if (edge.memlet.is_empty()) continue;
-      CompiledEdge& compiled = compiled_edges_[e];
-      compiled.subset = compile_subset(edge.memlet.subset, edge.memlet.data);
-      const Node& dst = state.node(edge.dst);
-      if (!edge.memlet.other_subset.ranges.empty() &&
-          dst.kind == NodeKind::Access) {
-        compiled.other =
-            compile_subset(edge.memlet.other_subset, dst.data);
-        compiled.has_other = true;
+    for (const Node& node : state.nodes()) {
+      if (node.kind == NodeKind::MapEntry) {
+        CompiledMap& map = compiled_maps_[node.id];
+        for (const std::string& param : node.map.params) {
+          map.param_slots.push_back(table_.intern(param));
+        }
+        for (const ir::Range& range : node.map.ranges) {
+          map.bounds.push_back(compile_range(range));
+        }
+      } else if (node.kind == NodeKind::Tasklet) {
+        // Emission order: in-edges (reads), then out-edges (writes).
+        for (const bool is_write : {false, true}) {
+          for (const Edge* edge : is_write ? schedule_.out_adjacency[node.id]
+                                           : schedule_.in_adjacency[node.id]) {
+            if (edge->memlet.is_empty()) continue;
+            memlets_[node.id].push_back(compile_subset(
+                edge->memlet.subset, edge->memlet.data, is_write));
+          }
+        }
+      } else if (node.kind == NodeKind::Access) {
+        for (const Edge* edge : schedule_.out_adjacency[node.id]) {
+          const Node& dst = state.node(edge->dst);
+          if (edge->memlet.is_empty() || dst.kind != NodeKind::Access) {
+            continue;
+          }
+          const Subset& to = edge->memlet.other_subset.ranges.empty()
+                                 ? edge->memlet.subset
+                                 : edge->memlet.other_subset;
+          copies_[node.id].push_back(
+              {compile_subset(edge->memlet.subset, edge->memlet.data, false),
+               compile_subset(to, dst.data, true)});
+        }
       }
     }
     lane_width_ = std::clamp(options_.lane_width, 1, symbolic::kMaxLaneWidth);
@@ -309,10 +306,6 @@ class Simulator {
     table_.bind(symbols_, env_values_, env_bound_);
   }
 
-  std::size_t edge_index(const State& state, const Edge* edge) const {
-    return static_cast<std::size_t>(edge - state.edges().data());
-  }
-
   std::int64_t eval(const CompiledExpr& expr) {
     return expr.evaluate(env_values_.data(), env_bound_.data(),
                          &table_.names());
@@ -321,31 +314,34 @@ class Simulator {
   void execute_scope(const State& state, NodeId scope) {
     for (NodeId id : schedule_.order) {
       const Node& node = state.node(id);
-      if (node.scope_parent != scope) continue;
-      switch (node.kind) {
-        case NodeKind::MapEntry:
-          execute_map(state, node);
-          break;
-        case NodeKind::Tasklet:
-          execute_tasklet(state, node);
-          break;
-        case NodeKind::Access:
-          execute_copies(state, node);
-          break;
-        case NodeKind::MapExit:
-          break;  // Writes are emitted at the producing tasklet.
-      }
+      if (node.scope_parent == scope) execute_node(state, node);
     }
   }
 
-  /// `outer_count` < 0 runs the full map; otherwise only the outermost
-  /// dimension's ordinals [outer_begin, outer_begin + outer_count) run —
-  /// the chunked writers' mid-iteration-space entry. The full run over
-  /// ordinal slices partitioning [0, trips) visits the identical point
-  /// sequence, which is what makes chunked output bit-identical.
+  /// Runs one node of a scope; `first` and `count` slice a map (see
+  /// execute_map).
+  void execute_node(const State& state, const Node& node,
+                    std::int64_t first = 0, std::int64_t count = -1) {
+    switch (node.kind) {
+      case NodeKind::MapEntry:
+        execute_map(state, node, first, count);
+        break;
+      case NodeKind::Tasklet:
+        execute_tasklet(node.id);
+        break;
+      case NodeKind::Access:
+        execute_copies(node.id);
+        break;
+      case NodeKind::MapExit:
+        break;  // Writes are emitted at the producing tasklet.
+    }
+  }
+
+  /// Runs `node`'s map in full, or only the outermost dimension's
+  /// ordinals [first, first + count) when `count` >= 0 — the chunked
+  /// writers' mid-iteration-space entry.
   void execute_map(const State& state, const Node& node,
-                            std::int64_t outer_begin = 0,
-                            std::int64_t outer_count = -1) {
+                   std::int64_t first = 0, std::int64_t count = -1) {
     const CompiledMap& map = compiled_maps_[node.id];
     // Save the parameter slots' outer bindings: a nested map may reuse a
     // parameter name, and the outer value must survive the inner scope
@@ -355,47 +351,22 @@ class Simulator {
     for (int slot : map.param_slots) {
       saved.emplace_back(env_values_[slot], env_bound_[slot]);
     }
-    if (outer_count < 0) {
-      iterate_map(state, node, map, 0);
-    } else if (map.bounds.empty()) {
-      // Zero-dimensional map: the planner models it as one outer ordinal.
-      if (outer_begin == 0 && outer_count > 0) {
-        execute_scope(state, node.id);
-      }
-    } else {
-      for (std::size_t q = 0; q < map.param_slots.size(); ++q) {
-        env_bound_[map.param_slots[q]] = 0;
-      }
-      const std::int64_t begin = eval(map.bounds[0].begin);
-      const std::int64_t step = eval(map.bounds[0].step);
-      if (step <= 0) {
-        throw std::invalid_argument("simulate: non-positive step in map '" +
-                                    node.map.label + "'");
-      }
-      const int slot = map.param_slots[0];
-      const BatchedScope& scope = batched_scopes_[node.id];
-      if (map.bounds.size() == 1 && scope.enabled) {
-        // A 1-D chunk's outer-ordinal slice IS an innermost slice.
-        execute_innermost_batched(state, node, scope,
-                                  begin + outer_begin * step, outer_count,
-                                  step);
-      } else {
-        for (std::int64_t o = outer_begin; o < outer_begin + outer_count;
-             ++o) {
-          env_values_[slot] = begin + o * step;
-          env_bound_[slot] = 1;
-          iterate_map(state, node, map, 1);
-        }
-      }
-    }
+    iterate_map(state, node, map, 0, first, count);
     for (std::size_t p = 0; p < map.param_slots.size(); ++p) {
       env_values_[map.param_slots[p]] = saved[p].first;
       env_bound_[map.param_slots[p]] = saved[p].second;
     }
   }
 
+  /// Runs dimensions [dim, n) of the map, then its scope per point.
+  /// Dimension `dim` runs in full when `count` < 0; otherwise only its
+  /// ordinals [first, first + count), which the plan fixed, so its end
+  /// bound is not read. Ordinal slices partitioning [0, trips) visit the
+  /// full run's points in the same order, which is what makes chunked
+  /// output bit-identical.
   void iterate_map(const State& state, const Node& node,
-                            const CompiledMap& map, std::size_t dim) {
+                   const CompiledMap& map, std::size_t dim,
+                   std::int64_t first = 0, std::int64_t count = -1) {
     if (dim == map.bounds.size()) {
       execute_scope(state, node.id);
       return;
@@ -405,42 +376,38 @@ class Simulator {
     for (std::size_t q = dim; q < map.param_slots.size(); ++q) {
       env_bound_[map.param_slots[q]] = 0;
     }
-    const std::int64_t begin = eval(map.bounds[dim].begin);
-    const std::int64_t end = eval(map.bounds[dim].end);
-    const std::int64_t step = eval(map.bounds[dim].step);
+    const CompiledRange& range = map.bounds[dim];
+    const std::int64_t begin = eval(range.begin);
+    const std::int64_t end = count < 0 ? eval(range.end) : 0;
+    const std::int64_t step = eval(range.step);
     if (step <= 0) {
       throw std::invalid_argument("simulate: non-positive step in map '" +
                                   node.map.label + "'");
     }
-    const int slot = map.param_slots[dim];
-    const BatchedScope& scope = batched_scopes_[node.id];
-    if (dim + 1 == map.bounds.size() && scope.enabled) {
-      const std::int64_t trips =
-          end >= begin ? (end - begin) / step + 1 : 0;
-      execute_innermost_batched(state, node, scope, begin, trips, step);
-      return;
+    if (count < 0) count = range_trips(begin, end, step);
+    const std::int64_t start = begin + first * step;
+    if (dim + 1 == map.bounds.size() && batched_scopes_[node.id].enabled) {
+      execute_innermost_batched(state, node, start, count, step);
+    } else {
+      run_points(state, node, map, dim, start, count, step);
     }
-    for (std::int64_t v = begin; v <= end; v += step) {
-      env_values_[slot] = v;
+  }
+
+  /// The scalar loop over `count` points of dimension `dim` from
+  /// `start`: every dimension's loop, and the replay target when a lane
+  /// batch would throw.
+  void run_points(const State& state, const Node& node,
+                  const CompiledMap& map, std::size_t dim,
+                  std::int64_t start, std::int64_t count, std::int64_t step) {
+    const int slot = map.param_slots[dim];
+    for (std::int64_t i = 0; i < count; ++i) {
+      env_values_[slot] = start + i * step;
       env_bound_[slot] = 1;
       iterate_map(state, node, map, dim + 1);
     }
   }
 
-  /// The scalar innermost loop over `count` points starting at `first`:
-  /// the replay target when a batch would throw, and the exact loop the
-  /// batched path must match byte for byte.
-  void run_innermost_scalar(const State& state, const Node& node, int slot,
-                            std::int64_t first, std::int64_t count,
-                            std::int64_t step) {
-    for (std::int64_t i = 0; i < count; ++i) {
-      env_values_[slot] = first + i * step;
-      env_bound_[slot] = 1;
-      execute_scope(state, node.id);
-    }
-  }
-
-  /// Runs `count` innermost iteration points (values first, first+step,
+  /// Runs `count` innermost iteration points (values begin, begin+step,
   /// ...) of a batchable scope, `lane_width_` lanes at a time. Bounds
   /// invariant in the lane parameter are evaluated once per entry (the
   /// scalar loop recomputes them per point against an identical
@@ -450,10 +417,12 @@ class Simulator {
   /// tail batch pads inactive lanes with the last active point's value —
   /// never out of the loop's domain — and ignores their faults.
   void execute_innermost_batched(const State& state, const Node& node,
-                                 const BatchedScope& scope,
                                  std::int64_t begin, std::int64_t count,
                                  std::int64_t step) {
     if (count <= 0) return;
+    const CompiledMap& map = compiled_maps_[node.id];
+    const std::size_t dim = map.bounds.size() - 1;
+    const BatchedScope& scope = batched_scopes_[node.id];
     const int W = lane_width_;
     const int slot = scope.lane_slot;
     invariant_vals_.resize(scope.invariant.size());
@@ -464,7 +433,7 @@ class Simulator {
     } catch (...) {
       // An invariant bound throws on every point; the scalar loop
       // throws it at the first point, after zero events.
-      run_innermost_scalar(state, node, slot, begin, count, step);
+      run_points(state, node, map, dim, begin, count, step);
       return;
     }
     lane_env_.reset(env_values_, env_bound_, W);
@@ -491,8 +460,7 @@ class Simulator {
         // Some active lane would throw: replay the batch scalar so the
         // exception fires at the exact point — after the exact events —
         // serial order produces.
-        run_innermost_scalar(state, node, slot, begin + base * step, active,
-                             step);
+        run_points(state, node, map, dim, begin + base * step, active, step);
         continue;
       }
       for (int l = 0; l < active; ++l) {
@@ -505,38 +473,22 @@ class Simulator {
     env_bound_[slot] = 1;
   }
 
-  /// Emits one lane's events: every tasklet's memlet runs in order,
-  /// bounds read from the batched results, elements walked by the same
-  /// odometer as enumerate_subset.
+  /// Emits one lane's events: every tasklet's memlets in order, bounds
+  /// read from the batched results.
   void drain_lane(const BatchedScope& scope, int lane, int width) {
     for (const BatchedTasklet& tasklet : scope.tasklets) {
-      for (const BatchedRun& run : tasklet.runs) {
-        auto& bounds = bounds_scratch_;
-        bounds.clear();
-        for (const BatchedRangeRef& range : run.ranges) {
-          bounds.push_back({lane_value(range.begin, lane, width),
-                            lane_value(range.end, lane, width),
-                            lane_value(range.step, lane, width)});
+      const std::vector<CompiledSubset>& memlets = memlets_[tasklet.id];
+      for (std::size_t m = 0; m < memlets.size(); ++m) {
+        bounds_scratch_.clear();
+        for (const BatchedRangeRef& range : tasklet.memlets[m]) {
+          bounds_scratch_.push_back({lane_value(range.begin, lane, width),
+                                     lane_value(range.end, lane, width),
+                                     lane_value(range.step, lane, width)});
         }
-        layout::Index& cursor = cursor_scratch_;
-        cursor.assign(bounds.size(), 0);
-        for (std::size_t d = 0; d < bounds.size(); ++d) {
-          cursor[d] = bounds[d][0];
-        }
-        if (bounds.empty()) {
-          emit(run.container, cursor, run.is_write, tasklet.id);
-          continue;
-        }
-        for (;;) {
-          emit(run.container, cursor, run.is_write, tasklet.id);
-          int d = static_cast<int>(bounds.size()) - 1;
-          for (; d >= 0; --d) {
-            cursor[d] += bounds[d][2];
-            if (cursor[d] <= bounds[d][1]) break;
-            cursor[d] = bounds[d][0];
-          }
-          if (d < 0) break;
-        }
+        const CompiledSubset& memlet = memlets[m];
+        walk_bounds([&](const layout::Index& element) {
+          emit(memlet.container, element, memlet.is_write, tasklet.id);
+        });
       }
       ++execution_;
     }
@@ -548,25 +500,28 @@ class Simulator {
                : invariant_vals_[static_cast<std::size_t>(ref.index)];
   }
 
-  // Evaluates a compiled subset's bounds into scratch and emits every
-  // element in row-major order, without allocating.
-  template <typename PerElement>
-  void enumerate_subset(const CompiledSubset& subset, PerElement&& emit_at) {
-    auto& bounds = bounds_scratch_;
-    bounds.clear();
+  /// The scalar path's bounds: evaluates `subset`'s ranges into
+  /// bounds_scratch_.
+  void evaluate_bounds(const CompiledSubset& subset) {
+    bounds_scratch_.clear();
     for (const CompiledRange& range : subset.ranges) {
-      bounds.push_back(
+      bounds_scratch_.push_back(
           {eval(range.begin), eval(range.end), eval(range.step)});
     }
+  }
+
+  /// The odometer: calls at(element) for every element of the box in
+  /// bounds_scratch_, row-major, without allocating. A dimension whose
+  /// end precedes its begin still yields its begin, and an empty box is
+  /// one scalar element.
+  template <typename PerElement>
+  void walk_bounds(PerElement&& at) {
+    const auto& bounds = bounds_scratch_;
     layout::Index& cursor = cursor_scratch_;
-    cursor.assign(bounds.size(), 0);
+    cursor.resize(bounds.size());
     for (std::size_t d = 0; d < bounds.size(); ++d) cursor[d] = bounds[d][0];
-    if (bounds.empty()) {
-      emit_at(cursor);
-      return;
-    }
     for (;;) {
-      emit_at(cursor);
+      at(cursor);
       int d = static_cast<int>(bounds.size()) - 1;
       for (; d >= 0; --d) {
         cursor[d] += bounds[d][2];
@@ -577,59 +532,37 @@ class Simulator {
     }
   }
 
-  void emit_subset(const State& state, const Edge* edge,
-                            bool is_write, NodeId tasklet) {
-    const CompiledEdge& compiled =
-        compiled_edges_[edge_index(state, edge)];
-    const int container = compiled.subset.container;
-    enumerate_subset(compiled.subset, [&](const layout::Index& element) {
-      emit(container, element, is_write, tasklet);
-    });
-  }
-
-  void execute_tasklet(const State& state, const Node& node) {
-    for (const Edge* edge : schedule_.in_adjacency[node.id]) {
-      if (edge->memlet.is_empty()) continue;
-      emit_subset(state, edge, /*is_write=*/false, node.id);
-    }
-    for (const Edge* edge : schedule_.out_adjacency[node.id]) {
-      if (edge->memlet.is_empty()) continue;
-      emit_subset(state, edge, /*is_write=*/true, node.id);
+  void execute_tasklet(NodeId id) {
+    for (const CompiledSubset& memlet : memlets_[id]) {
+      evaluate_bounds(memlet);
+      walk_bounds([&](const layout::Index& element) {
+        emit(memlet.container, element, memlet.is_write, id);
+      });
     }
     ++execution_;
   }
 
-  void execute_copies(const State& state, const Node& node) {
-    for (const Edge* edge : schedule_.out_adjacency[node.id]) {
-      if (edge->memlet.is_empty()) continue;
-      const Node& dst = state.node(edge->dst);
-      if (dst.kind != NodeKind::Access) continue;
-      const CompiledEdge& compiled =
-          compiled_edges_[edge_index(state, edge)];
-      const CompiledSubset& src_subset = compiled.subset;
-      const CompiledSubset& dst_subset =
-          compiled.has_other ? compiled.other : compiled.subset;
-      const int dst_container = compiled.has_other
-                                    ? compiled.other.container
-                                    : container_ids_.at(dst.data);
-      // Enumerate both sides (copies are rare and top-level; the
-      // simplicity of materializing them beats a dual odometer).
-      std::vector<layout::Index> sources;
-      enumerate_subset(src_subset, [&](const layout::Index& element) {
-        sources.push_back(element);
-      });
-      std::vector<layout::Index> destinations;
-      enumerate_subset(dst_subset, [&](const layout::Index& element) {
-        destinations.push_back(element);
-      });
+  void execute_copies(NodeId id) {
+    // Enumerate both sides (copies are rare and top-level; the
+    // simplicity of materializing them beats a dual odometer).
+    auto elements = [&](const CompiledSubset& subset) {
+      std::vector<layout::Index> out;
+      evaluate_bounds(subset);
+      walk_bounds([&](const layout::Index& index) { out.push_back(index); });
+      return out;
+    };
+    for (const CompiledCopy& copy : copies_[id]) {
+      const std::vector<layout::Index> sources = elements(copy.from);
+      const std::vector<layout::Index> destinations = elements(copy.to);
       if (sources.size() != destinations.size()) {
         throw std::logic_error("simulate: copy subset size mismatch on '" +
-                               edge->memlet.data + "'");
+                               (*layouts_)[copy.from.container].name + "'");
       }
       for (std::size_t i = 0; i < sources.size(); ++i) {
-        emit(src_subset.container, sources[i], /*is_write=*/false,
+        emit(copy.from.container, sources[i], /*is_write=*/false,
              ir::kNoNode);
-        emit(dst_container, destinations[i], /*is_write=*/true, ir::kNoNode);
+        emit(copy.to.container, destinations[i], /*is_write=*/true,
+             ir::kNoNode);
         ++execution_;
       }
     }
@@ -653,33 +586,28 @@ class Simulator {
     event.execution = execution_;
     event.tasklet = tasklet;
     const std::int64_t position = position_++;
-    if (out_) {
-      // Chunk mode: the plan fixed this chunk's event range up front, so
-      // emitting past it means the planner under-counted — fail loudly
-      // instead of corrupting a neighboring slice.
-      if (position >= chunk_limit_) {
-        throw std::logic_error(
-            "simulate: trace plan chunk overflow (planner bug)");
-      }
-      if (out_absolute_) {
-        out_->set(static_cast<std::size_t>(position), event);
-      } else {
-        out_->push_back(event);
-      }
+    // A chunk's plan fixed its event range up front, so emitting past it
+    // means the planner under-counted — fail loudly instead of
+    // corrupting a neighboring slice. A full run has no limit.
+    if (position >= chunk_limit_) {
+      throw std::logic_error(
+          "simulate: trace plan chunk overflow (planner bug)");
+    }
+    if (out_absolute_) {
+      out_->set(static_cast<std::size_t>(position), event);
     } else {
-      trace_->events.push_back(event);
+      out_->push_back(event);
     }
   }
 
   const Sdfg& sdfg_;
   const SymbolMap& symbols_;
   const SimulationOptions& options_;
-  AccessTrace* trace_ = nullptr;
   /// Placed layouts events resolve against: the owned trace's layouts in
   /// a full run, the shared header's in chunk mode.
   const std::vector<ConcreteLayout>* layouts_ = nullptr;
-  /// Chunk mode only: target list, write discipline, and the absolute
-  /// event index one past the chunk's slice.
+  /// Target list, write discipline, and the absolute event index one
+  /// past the chunk's slice (a full run appends without a limit).
   EventList* out_ = nullptr;
   bool out_absolute_ = false;
   std::int64_t chunk_limit_ = 0;
@@ -689,7 +617,10 @@ class Simulator {
   std::vector<std::int64_t> env_values_;
   std::vector<char> env_bound_;
   std::vector<CompiledMap> compiled_maps_;
-  std::vector<CompiledEdge> compiled_edges_;
+  /// Per node id: a tasklet's non-empty memlets in emission order, and an
+  /// access node's copies.
+  std::vector<std::vector<CompiledSubset>> memlets_;
+  std::vector<std::vector<CompiledCopy>> copies_;
   /// Lane batching (indexed by node id; disabled entries fall back to
   /// the scalar loop). Scratch buffers are reused across loop entries.
   std::vector<BatchedScope> batched_scopes_;

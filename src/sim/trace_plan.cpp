@@ -1,6 +1,7 @@
 #include "dmv/sim/trace_plan.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -43,25 +44,13 @@ struct Counts {
   }
 };
 
+// Trips of [begin : end : step] for a positive step, from the extent
+// end - begin taken modulo 2^64, as the simulator's map loop counts them.
 std::int64_t range_trips(std::int64_t begin, std::int64_t end,
                          std::int64_t step) {
-  return end >= begin ? (end - begin) / step + 1 : 0;
-}
-
-// Elements enumerate_subset visits. The simulator's odometer always
-// emits at least once per dimension (a degenerate dimension contributes
-// its begin value), and an empty range list is one scalar element —
-// hence max(1, trips) per dimension, not trips.
-std::int64_t subset_size(const Subset& subset, const SymbolMap& env) {
-  std::int64_t n = 1;
-  for (const ir::Range& range : subset.ranges) {
-    const std::int64_t begin = range.begin.evaluate(env);
-    const std::int64_t end = range.end.evaluate(env);
-    const std::int64_t step = range.step.evaluate(env);
-    if (step <= 0) throw PlanFailure("non-positive subset step");
-    n *= std::max<std::int64_t>(1, range_trips(begin, end, step));
-  }
-  return n;
+  const auto extent = static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(end) - static_cast<std::uint64_t>(begin));
+  return extent >= 0 ? extent / step + 1 : 0;
 }
 
 class Planner {
@@ -82,12 +71,10 @@ class Planner {
             plan_map(static_cast<int>(s), state, node, max_chunks, plan);
             break;
           case NodeKind::Tasklet:
-            add_chunk(static_cast<int>(s), id, 0, 1,
-                      tasklet_counts(node, symbols_), plan);
-            break;
           case NodeKind::Access:
             add_chunk(static_cast<int>(s), id, 0, 1,
-                      copy_counts(state, node, symbols_), plan);
+                      bound_counts(node_counts(state, node, symbols_, {})),
+                      plan);
             break;
           case NodeKind::MapExit:
             break;
@@ -119,67 +106,37 @@ class Planner {
 
   void plan_map(int state_index, const State& state, const Node& node,
                 int max_chunks, TracePlan& plan) {
-    const ir::MapInfo& map = node.map;
     SymbolMap env = symbols_;
-    if (map.ranges.empty()) {
+    if (node.map.ranges.empty()) {
       // A zero-dimensional map runs its body once; one chunk covering
       // the single synthetic outer ordinal.
-      add_chunk(state_index, node.id, 0, 1, scope_counts(state, node.id, env),
+      add_chunk(state_index, node.id, 0, 1, map_counts(state, node, 0, env),
                 plan);
       return;
     }
-    // Outer bounds referencing the map's own parameters would be unbound
-    // in the simulator too; punt so the serial engine surfaces it.
-    const std::set<std::string> own(map.params.begin(), map.params.end());
-    const ir::Range& outer = map.ranges[0];
-    if (symbolic::depends_on_any(outer.begin, own) ||
-        symbolic::depends_on_any(outer.end, own) ||
-        symbolic::depends_on_any(outer.step, own)) {
-      throw PlanFailure("outer bounds reference map parameters");
-    }
-    const std::int64_t begin = outer.begin.evaluate(env);
-    const std::int64_t end = outer.end.evaluate(env);
-    const std::int64_t step = outer.step.evaluate(env);
-    if (step <= 0) throw PlanFailure("non-positive outer step");
-    const std::int64_t n0 = range_trips(begin, end, step);
+    const Dimension outer = dimension(node.map, 0, env);
+    const std::int64_t n0 = outer.trips;
     if (n0 == 0) return;  // Zero-trip map: nothing emitted.
 
     // Per-outer-ordinal counts: one analytic product when the remaining
-    // extents are invariant in the map's own parameters, otherwise an
-    // exact enumeration per ordinal (triangular/tiled outer bounds).
+    // extents are invariant in the map's own parameters, otherwise
+    // map_counts per ordinal (triangular/tiled inner bounds).
     Counts uniform;
-    bool is_uniform = false;
     std::vector<Counts> per;
-    {
-      std::set<std::string> unbound(map.params.begin(), map.params.end());
-      if (std::optional<Counts> whole =
-              analytic_map_counts(state, node, 0, env, unbound)) {
-        // The analytic product is n0 * (inner trips) * (body counts), so
-        // the division is exact.
-        uniform.events = whole->events / n0;
-        uniform.executions = whole->executions / n0;
-        is_uniform = true;
-      }
-    }
-    if (!is_uniform) {
+    if (const std::optional<Counts> whole =
+            product_counts(state, node, 0, env, {})) {
+      // The analytic product is n0 * (inner trips) * (body counts), so
+      // the division is exact.
+      uniform.events = whole->events / n0;
+      uniform.executions = whole->executions / n0;
+    } else {
       per.resize(static_cast<std::size_t>(n0));
-      const std::string& param = map.params[0];
-      const auto shadowed = env.find(param);
-      const bool had = shadowed != env.end();
-      const std::int64_t previous = had ? shadowed->second : 0;
-      for (std::int64_t o = 0; o < n0; ++o) {
-        env[param] = begin + o * step;
-        per[static_cast<std::size_t>(o)] =
-            map_counts_from_dim(state, node, 1, env);
-      }
-      if (had) {
-        env[param] = previous;
-      } else {
-        env.erase(param);
-      }
+      bind_each(env, node.map.params[0], outer, [&](std::int64_t o) {
+        per[static_cast<std::size_t>(o)] = map_counts(state, node, 1, env);
+      });
     }
     auto at = [&](std::int64_t o) -> const Counts& {
-      return is_uniform ? uniform : per[static_cast<std::size_t>(o)];
+      return per.empty() ? uniform : per[static_cast<std::size_t>(o)];
     };
     std::int64_t map_events = 0;
     for (std::int64_t o = 0; o < n0; ++o) map_events += at(o).events;
@@ -199,221 +156,209 @@ class Planner {
     }
   }
 
-  // -- Exact counting (enumerating fallback) --------------------------
-
-  Counts tasklet_counts(const Node& node, const SymbolMap& env) const {
-    Counts counts;
-    for (const Edge* edge : schedule_.in_adjacency[node.id]) {
-      if (edge->memlet.is_empty()) continue;
-      counts.events += subset_size(edge->memlet.subset, env);
-    }
-    for (const Edge* edge : schedule_.out_adjacency[node.id]) {
-      if (edge->memlet.is_empty()) continue;
-      counts.events += subset_size(edge->memlet.subset, env);
-    }
-    counts.executions = 1;
-    return counts;
-  }
-
-  Counts copy_counts(const State& state, const Node& node,
-                     const SymbolMap& env) const {
-    Counts counts;
-    for (const Edge* edge : schedule_.out_adjacency[node.id]) {
-      if (edge->memlet.is_empty()) continue;
-      if (state.node(edge->dst).kind != NodeKind::Access) continue;
-      const std::int64_t n_src = subset_size(edge->memlet.subset, env);
-      const Subset& dst_subset = edge->memlet.other_subset.ranges.empty()
-                                     ? edge->memlet.subset
-                                     : edge->memlet.other_subset;
-      const std::int64_t n_dst = subset_size(dst_subset, env);
-      if (n_src != n_dst) throw PlanFailure("copy subset size mismatch");
-      counts.events += 2 * n_src;
-      counts.executions += n_src;
-    }
-    return counts;
-  }
-
-  Counts scope_counts(const State& state, NodeId scope, SymbolMap& env) const {
-    Counts total;
-    for (NodeId id : schedule_.order) {
-      const Node& node = state.node(id);
-      if (node.scope_parent != scope) continue;
-      switch (node.kind) {
-        case NodeKind::MapEntry:
-          total += map_counts_from_dim(state, node, 0, env);
-          break;
-        case NodeKind::Tasklet:
-          total += tasklet_counts(node, env);
-          break;
-        case NodeKind::Access:
-          total += copy_counts(state, node, env);
-          break;
-        case NodeKind::MapExit:
-          break;
-      }
-    }
-    return total;
-  }
-
-  /// Counts of the map with dims [0, dim) already bound in env. Tries
-  /// the analytic product for the remaining dims first; otherwise binds
-  /// this dim's parameter value by value and recurses.
-  Counts map_counts_from_dim(const State& state, const Node& node,
-                             std::size_t dim, SymbolMap& env) const {
-    const ir::MapInfo& map = node.map;
-    if (dim == map.ranges.size()) return scope_counts(state, node.id, env);
-    {
-      std::set<std::string> unbound(map.params.begin() + dim,
-                                    map.params.end());
-      if (std::optional<Counts> analytic =
-              analytic_map_counts(state, node, dim, env, unbound)) {
-        return *analytic;
-      }
-    }
-    const ir::Range& range = map.ranges[dim];
-    const std::set<std::string> remaining(map.params.begin() + dim,
-                                          map.params.end());
-    if (symbolic::depends_on_any(range.begin, remaining) ||
-        symbolic::depends_on_any(range.end, remaining) ||
-        symbolic::depends_on_any(range.step, remaining)) {
-      throw PlanFailure("bounds reference own or inner map parameters");
-    }
-    const std::int64_t begin = range.begin.evaluate(env);
-    const std::int64_t end = range.end.evaluate(env);
-    const std::int64_t step = range.step.evaluate(env);
-    if (step <= 0) throw PlanFailure("non-positive map step");
-    Counts total;
-    const std::string& param = map.params[dim];
-    const auto shadowed = env.find(param);
-    const bool had = shadowed != env.end();
-    const std::int64_t previous = had ? shadowed->second : 0;
-    for (std::int64_t v = begin; v <= end; v += step) {
-      env[param] = v;
-      total += map_counts_from_dim(state, node, dim + 1, env);
-    }
-    if (had) {
-      env[param] = previous;
-    } else {
-      env.erase(param);
-    }
-    return total;
-  }
-
-  // -- Analytic counting ----------------------------------------------
+  // -- Counting -------------------------------------------------------
   //
-  // A count is analytic when it does not depend on the parameters in
-  // `unbound` (the enclosing maps' still-unbound parameters): the trip
-  // count of [begin : end : step] is derived from extent = end - begin,
-  // which SIMPLIFIES the parameters away for the ubiquitous
-  // A[i, j:j+2]-style subsets even though begin/end individually depend
-  // on them. Everything else falls back to enumeration.
+  // Every count is exact. One scope walk serves two purposes: with
+  // `unbound` holding the enclosing maps' still-unbound parameters it is
+  // the analytic attempt, which succeeds when no count depends on them
+  // (a range's trip count comes from extent = end - begin, which
+  // SIMPLIFIES the parameters away for the ubiquitous A[i, j:j+2]-style
+  // subsets even though begin/end individually depend on them); with
+  // `unbound` empty every enclosing parameter is bound, and map_counts
+  // enumerates whatever dimension the analytic product cannot count.
 
-  static std::optional<std::int64_t> analytic_trips(
+  /// Trip count of one range from its simplified extent; nullopt when
+  /// the step or the extent depends on `unbound` or reads a symbol env
+  /// lacks. A non-positive step gives nullopt for a map dimension, whose
+  /// points the enumeration may never reach, and fails the plan for a
+  /// memlet subset.
+  static std::optional<std::int64_t> extent_trips(
       const ir::Range& range, const SymbolMap& env,
-      const std::set<std::string>& unbound) {
+      const std::set<std::string>& unbound, bool is_subset) {
     if (symbolic::depends_on_any(range.step, unbound)) return std::nullopt;
     const symbolic::Expr extent = symbolic::simplified(range.end - range.begin);
     if (symbolic::depends_on_any(extent, unbound)) return std::nullopt;
     const auto e = extent.try_evaluate(env);
     const auto s = range.step.try_evaluate(env);
     if (!e || !s) return std::nullopt;
-    if (*s <= 0) return std::nullopt;
+    if (*s <= 0) {
+      if (is_subset) throw PlanFailure("non-positive subset step");
+      return std::nullopt;
+    }
     return *e >= 0 ? *e / *s + 1 : 0;
   }
 
-  static std::optional<std::int64_t> analytic_subset_size(
+  /// Elements the simulator's odometer visits: it emits at least once
+  /// per dimension (a degenerate dimension contributes its begin value),
+  /// and an empty range list is one scalar element, hence max(1, trips)
+  /// per dimension.
+  static std::optional<std::int64_t> subset_count(
       const Subset& subset, const SymbolMap& env,
       const std::set<std::string>& unbound) {
     std::int64_t n = 1;
     for (const ir::Range& range : subset.ranges) {
-      if (symbolic::depends_on_any(range.step, unbound)) return std::nullopt;
-      const symbolic::Expr extent =
-          symbolic::simplified(range.end - range.begin);
-      if (symbolic::depends_on_any(extent, unbound)) return std::nullopt;
-      const auto e = extent.try_evaluate(env);
-      const auto s = range.step.try_evaluate(env);
-      if (!e || !s) return std::nullopt;
-      if (*s <= 0) throw PlanFailure("non-positive subset step");
-      n *= std::max<std::int64_t>(1, *e >= 0 ? *e / *s + 1 : 0);
+      const auto t = extent_trips(range, env, unbound, /*is_subset=*/true);
+      if (!t) return std::nullopt;
+      n *= std::max<std::int64_t>(1, *t);
     }
     return n;
   }
 
-  std::optional<Counts> analytic_scope_counts(
-      const State& state, NodeId scope, const SymbolMap& env,
-      const std::set<std::string>& unbound) const {
+  /// Events and executions of one tasklet, or of one access node's
+  /// copies, per execution of its scope.
+  std::optional<Counts> node_counts(const State& state, const Node& node,
+                                    const SymbolMap& env,
+                                    const std::set<std::string>& unbound)
+      const {
+    Counts counts;
+    if (node.kind == NodeKind::Tasklet) {
+      for (const auto* edges : {&schedule_.in_adjacency[node.id],
+                                &schedule_.out_adjacency[node.id]}) {
+        for (const Edge* edge : *edges) {
+          if (edge->memlet.is_empty()) continue;
+          const auto n = subset_count(edge->memlet.subset, env, unbound);
+          if (!n) return std::nullopt;
+          counts.events += *n;
+        }
+      }
+      counts.executions = 1;
+      return counts;
+    }
+    for (const Edge* edge : schedule_.out_adjacency[node.id]) {
+      if (edge->memlet.is_empty()) continue;
+      if (state.node(edge->dst).kind != NodeKind::Access) continue;
+      const Subset& dst_subset = edge->memlet.other_subset.ranges.empty()
+                                     ? edge->memlet.subset
+                                     : edge->memlet.other_subset;
+      const auto n_src = subset_count(edge->memlet.subset, env, unbound);
+      const auto n_dst = subset_count(dst_subset, env, unbound);
+      if (!n_src || !n_dst) return std::nullopt;
+      if (*n_src != *n_dst) throw PlanFailure("copy subset size mismatch");
+      counts.events += 2 * *n_src;
+      counts.executions += *n_src;
+    }
+    return counts;
+  }
+
+  /// Counts of one execution of `scope`'s body. A nested map is an
+  /// analytic product while `unbound` is non-empty, and goes through
+  /// map_counts once every enclosing parameter is bound.
+  std::optional<Counts> body_counts(const State& state, NodeId scope,
+                                    SymbolMap& env,
+                                    const std::set<std::string>& unbound)
+      const {
     Counts total;
     for (NodeId id : schedule_.order) {
       const Node& node = state.node(id);
-      if (node.scope_parent != scope) continue;
-      switch (node.kind) {
-        case NodeKind::MapEntry: {
-          std::set<std::string> inner = unbound;
-          inner.insert(node.map.params.begin(), node.map.params.end());
-          std::optional<Counts> nested =
-              analytic_map_counts(state, node, 0, env, inner);
-          if (!nested) return std::nullopt;
-          total += *nested;
-          break;
-        }
-        case NodeKind::Tasklet: {
-          for (const Edge* edge : schedule_.in_adjacency[id]) {
-            if (edge->memlet.is_empty()) continue;
-            const auto n = analytic_subset_size(edge->memlet.subset, env,
-                                                unbound);
-            if (!n) return std::nullopt;
-            total.events += *n;
-          }
-          for (const Edge* edge : schedule_.out_adjacency[id]) {
-            if (edge->memlet.is_empty()) continue;
-            const auto n = analytic_subset_size(edge->memlet.subset, env,
-                                                unbound);
-            if (!n) return std::nullopt;
-            total.events += *n;
-          }
-          total.executions += 1;
-          break;
-        }
-        case NodeKind::Access: {
-          for (const Edge* edge : schedule_.out_adjacency[id]) {
-            if (edge->memlet.is_empty()) continue;
-            if (state.node(edge->dst).kind != NodeKind::Access) continue;
-            const auto n_src = analytic_subset_size(edge->memlet.subset, env,
-                                                    unbound);
-            const Subset& dst_subset =
-                edge->memlet.other_subset.ranges.empty()
-                    ? edge->memlet.subset
-                    : edge->memlet.other_subset;
-            const auto n_dst = analytic_subset_size(dst_subset, env, unbound);
-            if (!n_src || !n_dst) return std::nullopt;
-            if (*n_src != *n_dst) {
-              throw PlanFailure("copy subset size mismatch");
-            }
-            total.events += 2 * *n_src;
-            total.executions += *n_src;
-          }
-          break;
-        }
-        case NodeKind::MapExit:
-          break;
+      if (node.scope_parent != scope || node.kind == NodeKind::MapExit) {
+        continue;
       }
+      std::optional<Counts> counts;
+      if (node.kind != NodeKind::MapEntry) {
+        counts = node_counts(state, node, env, unbound);
+      } else if (unbound.empty()) {
+        counts = map_counts(state, node, 0, env);
+      } else {
+        counts = product_counts(state, node, 0, env, unbound);
+      }
+      if (!counts) return std::nullopt;
+      total += *counts;
     }
     return total;
   }
 
-  std::optional<Counts> analytic_map_counts(
-      const State& state, const Node& node, std::size_t dim,
-      const SymbolMap& env, const std::set<std::string>& unbound) const {
-    std::int64_t trips = 1;
-    for (std::size_t d = dim; d < node.map.ranges.size(); ++d) {
-      const auto t = analytic_trips(node.map.ranges[d], env, unbound);
+  /// The analytic product of dimensions [dim, n) of `node`'s map and its
+  /// body, with those dimensions' parameters added to `unbound`.
+  std::optional<Counts> product_counts(const State& state, const Node& node,
+                                       std::size_t dim, SymbolMap& env,
+                                       std::set<std::string> unbound) const {
+    const ir::MapInfo& map = node.map;
+    unbound.insert(map.params.begin() + static_cast<std::ptrdiff_t>(dim),
+                   map.params.end());
+    std::int64_t product = 1;
+    for (std::size_t d = dim; d < map.ranges.size(); ++d) {
+      const auto t = extent_trips(map.ranges[d], env, unbound,
+                                  /*is_subset=*/false);
       if (!t) return std::nullopt;
-      trips *= *t;
+      product *= *t;
     }
     const std::optional<Counts> body =
-        analytic_scope_counts(state, node.id, env, unbound);
+        body_counts(state, node.id, env, unbound);
     if (!body) return std::nullopt;
-    return Counts{trips * body->events, trips * body->executions};
+    return Counts{product * body->events, product * body->executions};
+  }
+
+  /// Counts of dimensions [dim, n) of `node`'s map and its body, with
+  /// dimensions [0, dim) and every enclosing parameter bound in env: the
+  /// analytic product where the extents allow it, otherwise dimension
+  /// `dim` bound value by value. At dim == n this counts the body.
+  Counts map_counts(const State& state, const Node& node, std::size_t dim,
+                    SymbolMap& env) const {
+    const std::optional<Counts> product =
+        product_counts(state, node, dim, env, {});
+    if (product || dim == node.map.ranges.size()) return bound_counts(product);
+    Counts total;
+    bind_each(env, node.map.params[dim], dimension(node.map, dim, env),
+              [&](std::int64_t) {
+                total += map_counts(state, node, dim + 1, env);
+              });
+    return total;
+  }
+
+  /// With every enclosing parameter bound, a count fails only where a
+  /// memlet subset reads a symbol the binding lacks.
+  static Counts bound_counts(const std::optional<Counts>& counts) {
+    if (!counts) throw PlanFailure("memlet subset reads an unbound symbol");
+    return *counts;
+  }
+
+  struct Dimension {
+    std::int64_t begin = 0;
+    std::int64_t step = 1;
+    std::int64_t trips = 0;
+  };
+
+  /// Dimension `dim` of `map` evaluated for enumeration. Its bounds may
+  /// read enclosing parameters and dimensions [0, dim), which env binds;
+  /// its own or an inner parameter would be unbound in the simulator
+  /// too, so the serial engine is left to surface that.
+  static Dimension dimension(const ir::MapInfo& map, std::size_t dim,
+                             const SymbolMap& env) {
+    const ir::Range& range = map.ranges[dim];
+    const std::set<std::string> own(
+        map.params.begin() + static_cast<std::ptrdiff_t>(dim),
+        map.params.end());
+    if (symbolic::depends_on_any(range.begin, own) ||
+        symbolic::depends_on_any(range.end, own) ||
+        symbolic::depends_on_any(range.step, own)) {
+      throw PlanFailure("bounds reference own or inner map parameters");
+    }
+    const std::int64_t begin = range.begin.evaluate(env);
+    const std::int64_t end = range.end.evaluate(env);
+    const std::int64_t step = range.step.evaluate(env);
+    if (step <= 0) throw PlanFailure("non-positive map step");
+    return {begin, step, range_trips(begin, end, step)};
+  }
+
+  /// Binds `param` to each value of `dimension` in turn and calls
+  /// body(ordinal), then restores the binding `param` shadowed: a nested
+  /// map may reuse an enclosing parameter's or a symbol's name.
+  template <typename Body>
+  static void bind_each(SymbolMap& env, const std::string& param,
+                        const Dimension& dimension, Body&& body) {
+    const auto shadowed = env.find(param);
+    const std::optional<std::int64_t> previous =
+        shadowed == env.end() ? std::nullopt
+                              : std::optional<std::int64_t>(shadowed->second);
+    for (std::int64_t o = 0; o < dimension.trips; ++o) {
+      env[param] = dimension.begin + o * dimension.step;
+      body(o);
+    }
+    if (previous) {
+      env[param] = *previous;
+    } else {
+      env.erase(param);
+    }
   }
 
   const Sdfg& sdfg_;

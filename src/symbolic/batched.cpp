@@ -90,7 +90,7 @@ std::uint32_t BatchedCompiledExpr::run_lanes(const LaneEnv& env,
         std::int64_t* acc = stack + (top - n) * W;
         for (std::size_t i = 1; i < n; ++i) {
           const std::int64_t* row = stack + (top - n + i) * W;
-          for (int l = 0; l < W; ++l) acc[l] += row[l];
+          for (int l = 0; l < W; ++l) acc[l] = wrapping_add(acc[l], row[l]);
         }
         top -= n - 1;
         break;
@@ -100,7 +100,7 @@ std::uint32_t BatchedCompiledExpr::run_lanes(const LaneEnv& env,
         std::int64_t* acc = stack + (top - n) * W;
         for (std::size_t i = 1; i < n; ++i) {
           const std::int64_t* row = stack + (top - n + i) * W;
-          for (int l = 0; l < W; ++l) acc[l] *= row[l];
+          for (int l = 0; l < W; ++l) acc[l] = wrapping_mul(acc[l], row[l]);
         }
         top -= n - 1;
         break;

@@ -191,7 +191,9 @@ std::int64_t CompiledExpr::evaluate(
       case Op::Add: {
         const std::size_t n = static_cast<std::size_t>(inst.arg);
         std::int64_t acc = 0;
-        for (std::size_t i = top - n; i < top; ++i) acc += stack[i];
+        for (std::size_t i = top - n; i < top; ++i) {
+          acc = wrapping_add(acc, stack[i]);
+        }
         top -= n;
         stack[top++] = acc;
         break;
@@ -199,7 +201,9 @@ std::int64_t CompiledExpr::evaluate(
       case Op::Mul: {
         const std::size_t n = static_cast<std::size_t>(inst.arg);
         std::int64_t acc = 1;
-        for (std::size_t i = top - n; i < top; ++i) acc *= stack[i];
+        for (std::size_t i = top - n; i < top; ++i) {
+          acc = wrapping_mul(acc, stack[i]);
+        }
         top -= n;
         stack[top++] = acc;
         break;

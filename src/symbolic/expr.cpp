@@ -187,14 +187,14 @@ std::int64_t evaluate_node(const ExprNode& node, const SymbolMap& symbols) {
     case ExprKind::Add: {
       std::int64_t acc = 0;
       for (const Expr& op : node.operands) {
-        acc += evaluate_node(op.node(), symbols);
+        acc = wrapping_add(acc, evaluate_node(op.node(), symbols));
       }
       return acc;
     }
     case ExprKind::Mul: {
       std::int64_t acc = 1;
       for (const Expr& op : node.operands) {
-        acc *= evaluate_node(op.node(), symbols);
+        acc = wrapping_mul(acc, evaluate_node(op.node(), symbols));
       }
       return acc;
     }
@@ -458,6 +458,12 @@ void print_expr(const Expr& e, std::ostream& os, int parent_precedence) {
     case ExprKind::Add: {
       // Render `+ (-1)*x` as `- x`, and order positive terms before
       // negative ones so bounds read as "B - 1" rather than "-1 + B".
+      // INT64_MIN has no positive counterpart, so it is never negated: it
+      // prints as a positive term, "N + -9223372036854775808".
+      auto negated = [](const Expr& c) {
+        return c.is_constant() && c.constant_value() < 0 &&
+               c.constant_value() != std::numeric_limits<std::int64_t>::min();
+      };
       struct Term {
         bool negative;
         Expr body;
@@ -465,8 +471,7 @@ void print_expr(const Expr& e, std::ostream& os, int parent_precedence) {
       std::vector<Term> terms;
       for (const Expr& op : e.operands()) {
         if (op.kind() == ExprKind::Mul && !op.operands().empty() &&
-            op.operands()[0].is_constant() &&
-            op.operands()[0].constant_value() < 0) {
+            negated(op.operands()[0])) {
           std::vector<Expr> rest(op.operands().begin(), op.operands().end());
           rest[0] = Expr(-rest[0].constant_value());
           Expr body = rest[0].is_constant(1) && rest.size() > 1
@@ -475,7 +480,7 @@ void print_expr(const Expr& e, std::ostream& os, int parent_precedence) {
                                                          rest.end()))
                           : Expr::make(ExprKind::Mul, std::move(rest));
           terms.push_back(Term{true, std::move(body)});
-        } else if (op.is_constant() && op.constant_value() < 0) {
+        } else if (negated(op)) {
           terms.push_back(Term{true, Expr(-op.constant_value())});
         } else {
           terms.push_back(Term{false, op});

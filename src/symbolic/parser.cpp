@@ -1,6 +1,9 @@
 #include "dmv/symbolic/parser.hpp"
 
 #include <cctype>
+#include <cstdint>
+#include <limits>
+#include <string_view>
 #include <vector>
 
 namespace dmv::symbolic {
@@ -89,8 +92,22 @@ class Parser {
   }
 
   Expr parse_unary() {
-    if (consume('-')) return -parse_unary();
-    return parse_power();
+    if (!consume('-')) return parse_power();
+    // 2^63 is a literal only as unary minus's direct operand, where it
+    // reads as INT64_MIN: the form the printer writes for that constant.
+    constexpr std::string_view kMinMagnitude = "9223372036854775808";
+    skip_whitespace();
+    const std::size_t start = pos_;
+    if (text_.substr(pos_, kMinMagnitude.size()) == kMinMagnitude) {
+      pos_ += kMinMagnitude.size();
+      if ((pos_ == text_.size() ||
+           !std::isdigit(static_cast<unsigned char>(text_[pos_]))) &&
+          !consume_pow()) {
+        return Expr(std::numeric_limits<std::int64_t>::min());
+      }
+      pos_ = start;
+    }
+    return -parse_unary();
   }
 
   Expr parse_power() {
@@ -125,7 +142,11 @@ class Parser {
     std::size_t start = pos_;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      value = value * 10 + (text_[pos_] - '0');
+      const int digit = text_[pos_] - '0';
+      if (value > (std::numeric_limits<std::int64_t>::max() - digit) / 10) {
+        throw ParseError("integer literal exceeds int64", start);
+      }
+      value = value * 10 + digit;
       ++pos_;
     }
     if (pos_ == start) throw ParseError("expected integer", pos_);

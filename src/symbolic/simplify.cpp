@@ -59,7 +59,7 @@ void flatten_summand(const Expr& op, std::vector<Expr>& flat,
     return;
   }
   if (op.is_constant()) {
-    constant += op.constant_value();
+    constant = wrapping_add(constant, op.constant_value());
     return;
   }
   if (op.kind() == ExprKind::Mul && op.operands().size() == 2 &&
@@ -89,7 +89,7 @@ Expr simplify_add(const Expr& e) {
     bool merged = false;
     for (auto& entry : collected) {
       if (Expr::compare(entry.first, residual) == 0) {
-        entry.second += coefficient;
+        entry.second = wrapping_add(entry.second, coefficient);
         merged = true;
         break;
       }
@@ -115,12 +115,12 @@ Expr simplify_mul(const Expr& e) {
     if (op.kind() == ExprKind::Mul) {
       for (const Expr& inner : op.operands()) {
         if (inner.is_constant())
-          constant *= inner.constant_value();
+          constant = wrapping_mul(constant, inner.constant_value());
         else
           flat.push_back(inner);
       }
     } else if (op.is_constant()) {
-      constant *= op.constant_value();
+      constant = wrapping_mul(constant, op.constant_value());
     } else {
       flat.push_back(op);
     }

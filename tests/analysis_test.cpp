@@ -103,31 +103,14 @@ TEST(Intensity, ElementwiseIsLow) {
 }
 
 TEST(Intensity, MatmulGrowsWithK) {
-  ir::Sdfg small = workloads::matmul();
-  const ir::State& state = small.states()[0];
-  ir::NodeId entry = ir::kNoNode;
-  for (const ir::Node& node : state.nodes()) {
-    if (node.kind == ir::NodeKind::MapEntry) entry = node.id;
-  }
-  ASSERT_NE(entry, ir::kNoNode);
-  const double at_small = map_arithmetic_intensity(
-      small, state, entry, {{"M", 8}, {"N", 8}, {"K", 8}});
-  const double at_large = map_arithmetic_intensity(
-      small, state, entry, {{"M", 8}, {"N", 8}, {"K", 64}});
-  EXPECT_GT(at_large, at_small);
-}
-
-TEST(Intensity, RejectsNonMapNode) {
-  ir::Sdfg sdfg = elementwise();
-  const ir::State& state = sdfg.states()[0];
-  ir::NodeId tasklet = ir::kNoNode;
-  for (const ir::Node& node : state.nodes()) {
-    if (node.kind == ir::NodeKind::Tasklet) tasklet = node.id;
-  }
-  ASSERT_NE(tasklet, ir::kNoNode);
-  EXPECT_THROW(
-      map_arithmetic_intensity(sdfg, state, tasklet, {{"N", 4}}),
-      std::invalid_argument);
+  const ir::Sdfg sdfg = workloads::matmul();
+  const std::vector<MapIntensity> at_small =
+      map_intensities(sdfg, {{"M", 8}, {"N", 8}, {"K", 8}});
+  const std::vector<MapIntensity> at_large =
+      map_intensities(sdfg, {{"M", 8}, {"N", 8}, {"K", 64}});
+  ASSERT_EQ(at_small.size(), 1u);
+  ASSERT_EQ(at_large.size(), 1u);
+  EXPECT_GT(at_large[0].intensity, at_small[0].intensity);
 }
 
 TEST(RankedEdges, SortedDescending) {

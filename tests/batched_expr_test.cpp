@@ -192,6 +192,13 @@ TEST(BatchedExpr, DeepExpressionUsesHeapStack) {
 // exponent wraps modulo 2^64 without one multiplication per unit.
 TEST(IntegerHelpers, EveryEngineAgreesAtInt64Limits) {
   constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t k2To62 = std::int64_t{1} << 62;
+  // `+` and `*` wrap modulo 2^64: the expected values are uint64 results.
+  auto u = [](std::int64_t value) { return static_cast<std::uint64_t>(value); };
+  auto as_int64 = [](std::uint64_t value) {
+    return static_cast<std::int64_t>(value);
+  };
   const struct {
     ExprKind kind;
     std::int64_t a;
@@ -206,24 +213,25 @@ TEST(IntegerHelpers, EveryEngineAgreesAtInt64Limits) {
       // Python: pow(3, 2**40, 2**64), read as int64. The simplifier
       // folds only powers that fit, so this one stays symbolic.
       {ExprKind::Pow, 3, std::int64_t{1} << 40, -7860764868738023423, false},
+      {ExprKind::Add, kMax, 1, as_int64(u(kMax) + u(1)), true},
+      {ExprKind::Mul, k2To62, 4, as_int64(u(k2To62) * u(4)), true},
+      {ExprKind::Mul, kMin, -1, as_int64(u(kMin) * u(-1)), true},
   };
   const Expr a = Expr::symbol("a");
   const Expr b = Expr::symbol("b");
-  for (const auto& c : cases) {
-    const Expr expr = Expr::make(c.kind, {a, b});
-    const std::string context = expr.to_string() + " at a=" +
-                                std::to_string(c.a) +
-                                ", b=" + std::to_string(c.b);
-    const auto start = std::chrono::steady_clock::now();
-    const SymbolMap env{{"a", c.a}, {"b", c.b}};
-    EXPECT_EQ(expr.try_evaluate(env), c.expected) << context;
+  // The tree walk, CompiledExpr and BatchedCompiledExpr at widths 1
+  // and 8 must each give `expected` (nullopt: a domain error) at env.
+  auto expect_engines = [](const Expr& expr, const SymbolMap& env,
+                           std::optional<std::int64_t> expected,
+                           const std::string& context) {
+    EXPECT_EQ(expr.try_evaluate(env), expected) << context;
 
     SymbolTable table;
     const CompiledExpr compiled = CompiledExpr::compile(expr, table);
     std::vector<std::int64_t> values;
     std::vector<char> bound;
     table.bind(env, values, bound);
-    EXPECT_EQ(guarded_scalar(compiled, values, bound), c.expected) << context;
+    EXPECT_EQ(guarded_scalar(compiled, values, bound), expected) << context;
 
     const BatchedCompiledExpr batched(compiled);
     for (const int width : {1, 8}) {
@@ -231,16 +239,24 @@ TEST(IntegerHelpers, EveryEngineAgreesAtInt64Limits) {
       lanes.reset(values, bound, width);
       std::vector<std::int64_t> out(static_cast<std::size_t>(width));
       const std::uint32_t faults = batched.evaluate(lanes, out.data());
-      if (c.expected) {
+      if (expected) {
         EXPECT_EQ(faults, 0u) << context << " width " << width;
         for (const std::int64_t value : out) {
-          EXPECT_EQ(value, *c.expected) << context << " width " << width;
+          EXPECT_EQ(value, *expected) << context << " width " << width;
         }
       } else {
         EXPECT_EQ(faults, (std::uint32_t{1} << width) - 1)
             << context << " width " << width;
       }
     }
+  };
+  for (const auto& c : cases) {
+    const Expr expr = Expr::make(c.kind, {a, b});
+    const std::string context = expr.to_string() + " at a=" +
+                                std::to_string(c.a) +
+                                ", b=" + std::to_string(c.b);
+    const auto start = std::chrono::steady_clock::now();
+    expect_engines(expr, {{"a", c.a}, {"b", c.b}}, c.expected, context);
 
     const Expr folded = Expr::make(c.kind, {Expr(c.a), Expr(c.b)});
     EXPECT_EQ(folded.is_constant(), c.folds) << context;
@@ -250,6 +266,15 @@ TEST(IntegerHelpers, EveryEngineAgreesAtInt64Limits) {
                                   .count();
     EXPECT_LT(elapsed_ms, 100.0) << context;
   }
+  // Merging like terms adds their coefficients modulo 2^64 too:
+  // 2^62*N + 2^62*N folds to a coefficient of 2^63, which is INT64_MIN.
+  const Expr n = Expr::symbol("N");
+  const Expr merged = Expr(k2To62) * n + Expr(k2To62) * n;
+  const std::int64_t doubled = as_int64(u(k2To62) + u(k2To62));
+  EXPECT_EQ(Expr::compare(merged, Expr(doubled) * n), 0) << merged.to_string();
+  expect_engines(merged, {{"N", 1}}, doubled, merged.to_string());
+  EXPECT_EQ((Expr(k2To62) * Expr(1) + Expr(k2To62) * Expr(1)).try_evaluate({}),
+            doubled);
   // A constant coefficient divided out of a product obeys the same rule.
   const Expr product = Expr(kMin) * a / Expr(-1);
   EXPECT_FALSE(product.is_constant());

@@ -306,19 +306,22 @@ std::string jacobi_with_container(const std::string& shape,
 
 TEST(ServeProtocolTest, HostileIntegerArithmeticGetsAnAnswer) {
   // Each program's shape meets an integer helper's limit: a constant
-  // quotient past int64, a symbolic one, and a power whose exponent a
-  // loop would take minutes over. Every request must get a result or a
-  // bad_binding error within a second, and the server must keep serving.
+  // quotient past int64, a symbolic one, a power whose exponent a loop
+  // would take minutes over, and a product that wraps modulo 2^64 to a
+  // zero extent. Every request must get a result or a bad_binding error
+  // within a second, and the server must keep serving.
   const struct {
     const char* shape;
     std::vector<std::string> extra;
     const char* open_binding;
     const char* step_binding;
+    bool step_fails = false;
   } cases[] = {
       {"N + (-9223372036854775807 - 1) / -1", {}, "{\"N\":4}", "{\"N\":5}"},
       {"P / Q", {"P", "Q"}, "{\"N\":4,\"P\":1,\"Q\":1}",
        "{\"N\":4,\"P\":-9223372036854775808,\"Q\":-1}"},
       {"2**P", {"P"}, "{\"N\":4,\"P\":3}", "{\"N\":4,\"P\":40000000000}"},
+      {"N * 4611686018427387904", {}, "{\"N\":1}", "{\"N\":4}", true},
   };
   Server server;
   for (const auto& c : cases) {
@@ -337,6 +340,9 @@ TEST(ServeProtocolTest, HostileIntegerArithmeticGetsAnAnswer) {
                                  std::chrono::steady_clock::now() - start)
                                  .count();
       EXPECT_LT(seconds, 1.0) << c.shape;
+      if (c.step_fails && &request == &requests[1]) {
+        EXPECT_TRUE(response.has("error")) << c.shape;
+      }
       if (response.has("error")) {
         EXPECT_EQ(response.at("error").at("code").as_string(), "bad_binding")
             << c.shape << ": " << dmv::json::dump(response);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <random>
 
 #include "dmv/symbolic/parser.hpp"
@@ -201,6 +203,22 @@ TEST(Parser, Errors) {
   EXPECT_THROW(parse("foo(1)"), ParseError);
   EXPECT_THROW(parse("min(1)"), ParseError);
   EXPECT_THROW(parse("$"), ParseError);
+}
+
+TEST(Parser, Int64LimitsRoundTrip) {
+  // INT64_MIN prints as -9223372036854775808, never negated, and that
+  // magnitude is a literal only as unary minus's direct operand.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const Expr n = Expr::symbol("N");
+  for (const Expr& e : {Expr(kMin), n + Expr(kMin), Expr(kMin) - n,
+                        Expr(kMin) * n}) {
+    EXPECT_EQ(Expr::compare(parse(e.to_string()), e), 0) << e.to_string();
+  }
+  EXPECT_EQ(parse("9223372036854775807").constant_value(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_THROW(parse("9223372036854775808"), ParseError);
+  EXPECT_THROW(parse("99999999999999999999"), ParseError);
+  EXPECT_THROW(parse("-9223372036854775809"), ParseError);
 }
 
 TEST(Parser, ErrorCarriesPosition) {

@@ -208,10 +208,11 @@ TEST(TracePlan, TriangularInnerRangeFallsBackToEnumeration) {
 
 TEST(TracePlan, NestedTriangularScopesEnumerate) {
   // The nested map's extent depends on the enclosing map's parameter,
-  // and its tasklet reads a range of that length: the planner counts the
-  // outer map's scope by enumeration (scope_counts over the nested
-  // MapEntry, tasklet_counts per point), 210 events in 45 executions at
-  // N=9, on one worker and on eight.
+  // and its tasklet reads a range of that length: no analytic product
+  // counts the outer map, so the planner binds i value by value and, at
+  // each i, binds the nested map's j value by value too, counting the
+  // tasklet at every point: 210 events in 45 executions at N=9, on one
+  // worker and on eight.
   ProgramBuilder p("nested_triangle");
   p.symbols({"N"});
   p.array("A", {"N", "N"});
@@ -231,6 +232,44 @@ TEST(TracePlan, NestedTriangularScopesEnumerate) {
     par::ThreadScope scope(8);
     expect_plan_matches_serial(sdfg, binding);
   }
+}
+
+TEST(TracePlan, ShadowingMapParameterIsRestored) {
+  // The nested map's parameter is named K, like the program symbol, and
+  // its extent depends on i, so the planner binds K value by value. The
+  // sibling map after it reads the program's K again: the planner must
+  // restore that binding, as the simulator restores its slot.
+  ProgramBuilder p("shadowed_symbol");
+  p.symbols({"N", "K"});
+  p.array("A", {"N", "N"});
+  p.array("B", {"N", "N"});
+  p.array("C", {"N", "N"});
+  p.state("s");
+  p.begin_map("outer", {{"i", "0:N-1"}});
+  p.begin_map("shadow", {{"K", "0:i"}});
+  p.mapped_tasklet("t", {{"j", "0:K"}}, {{"a", "A", "i, j"}}, "o = a",
+                   {{"o", "B", "K, j"}});
+  p.end_map();
+  p.mapped_tasklet("u", {{"j", "0:K-1"}}, {{"a", "A", "i, j"}}, "o = a",
+                   {{"o", "C", "i, j"}});
+  p.end_map();
+  expect_plan_matches_serial(p.take(), {{"N", 6}, {"K", 3}});
+}
+
+TEST(TracePlan, StridedOuterSliceStartsAtItsOrdinal) {
+  // A 1-D map with a non-unit step, split into several chunks: each
+  // chunk's first point is begin + outer_begin * step.
+  ProgramBuilder p("strided_slices");
+  p.symbols({"N"});
+  p.array("A", {"N"});
+  p.array("B", {"N"});
+  p.state("s");
+  p.mapped_tasklet("t", {{"i", "1:N-1:3"}}, {{"a", "A", "i"}}, "o = a",
+                   {{"o", "B", "i"}});
+  const ir::Sdfg sdfg = p.take();
+  const symbolic::SymbolMap binding{{"N", 30000}};
+  EXPECT_GT(plan_trace(sdfg, binding, {}, 4).chunks.size(), 1u);
+  expect_plan_matches_serial(sdfg, binding, 4);
 }
 
 TEST(TracePlan, CopyNodesPlanAsSerialChunks) {

@@ -16,7 +16,9 @@ paper:
   * the examples in examples/, with every analyze_cli command run on
     the jacobi.json that custom_kernel_analysis writes;
   * every tools/serve_smoke.py run that CI's serve-smoke job makes;
-  * `dmv_store warm`, and the sweeps it must refuse.
+  * `dmv_store warm`, and the sweeps it must refuse;
+  * `dmv_serve` with an unknown flag and `dmv_store` with no command,
+    each of which must print its usage and exit 2.
 
 The interaction ledger (bench/ledger/) is left out. Its traced probes
 call library code directly that no served path runs, so counting them
@@ -130,6 +132,10 @@ def run_product_set(build_dir, examples, scratch):
     for sweep in REFUSED_SWEEPS:
         run([store, "warm", "--workload", "hdiff", "--cache-dir",
              os.path.join(scratch, "refused"), "--sweep", sweep], expect=2)
+    # A flag neither program knows, and no command at all: each prints
+    # its usage and exits 2.
+    run([serve, "--no-such-flag"], expect=2)
+    run([store], expect=2)
 
 
 # Operator names whose punctuation would confuse the bracket matching

@@ -41,6 +41,13 @@ evaluates it. Every open must answer with a result and every step with
 a `bad_binding` error, each within HOSTILE_SECONDS, and the server must
 still answer a `stats` request afterwards.
 
+A fourth session's name holds one character of the Basic Multilingual
+Plane and one beyond it. It is opened with the name sent as `\\u`
+escapes (the second one a surrogate pair), and a `stats` request that
+names it in raw UTF-8 must get its stats. A line whose string holds a
+lone high surrogate must get a `parse_error`, and the stream must keep
+answering.
+
 Both transports then get a request line one byte over the server's
 64 MiB cap: it must be answered with a `request_too_large` error, a
 `stats` request on the same stream must still answer, and the server's
@@ -108,6 +115,9 @@ HOSTILE = [
     ("2**P", ["P"], {"N": 4, "P": 3}, {"N": 4, "P": 4 * 10**10}),
 ]
 HOSTILE_SECONDS = 5
+# A session name with one BMP character and one that JSON escapes as a
+# surrogate pair.
+ESCAPED_SESSION = "smoke-\u00e9-\U0001f600"
 
 
 # The dmv_serve process under test. The smoke stops it however it ends,
@@ -266,6 +276,38 @@ def check_hostile(client):
     return len(HOSTILE)
 
 
+def send_raw(client, line):
+    """Sends one request line as written and returns its response."""
+    client.writer.write(line + "\n")
+    client.writer.flush()
+    reply = client.reader.readline()
+    if not reply:
+        fail(f"server closed the stream after {line!r}")
+    return json.loads(reply)
+
+
+def check_escaped_names(client):
+    """Opens ESCAPED_SESSION with its name sent as \\u escapes, then
+    asks for its stats by the raw UTF-8 name; a lone high surrogate must
+    get a parse_error, and the stream must keep serving."""
+    # json.dumps escapes every non-ASCII character by default.
+    client.call("open_program", session=ESCAPED_SESSION, workload="hdiff",
+                binding={"I": 8, "J": 8, "K": 5})
+    request = {"id": 0, "method": "stats",
+               "params": {"session": ESCAPED_SESSION}}
+    raw = json.dumps(request, ensure_ascii=False)
+    if "\\u" in raw:
+        fail(f"the raw UTF-8 request still holds escapes: {raw!r}")
+    stats = send_raw(client, raw)
+    if "session" not in stats.get("result", {}):
+        fail(f"stats for the session named in raw UTF-8 got {stats}")
+    lone = send_raw(client, '{"id": 0, "method": "stats", "params": '
+                            '{"session": "\\ud83d"}}')
+    if lone.get("error", {}).get("code") != "parse_error":
+        fail(f"a lone high surrogate got {lone}, want a parse_error")
+    client.call("stats", session=ESCAPED_SESSION)
+
+
 def check_over_cap_line(client):
     """Sends one request line a byte over the cap; it must get one
     request_too_large error, the stream must keep serving, and
@@ -344,7 +386,7 @@ def main():
         argv,
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
-        text=True,
+        encoding="utf-8",
     )
     if args.tcp:
         listening = server.stdout.readline()
@@ -442,6 +484,7 @@ def main():
             handle.write("\n")
 
     hostile_errors = check_hostile(client)
+    check_escaped_names(client)
 
     grown = None
     if args.tcp:
