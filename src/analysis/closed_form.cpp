@@ -7,8 +7,9 @@
 // The counting rules mirror sim/trace_plan.cpp symbolically:
 //
 //   * trip count of an inclusive range [begin : end : step] is
-//     max(0, floor((end - begin) / step) + 1) — identical to the
-//     planner's range_trips for positive steps;
+//     max(0, floor((end - begin) / step) + 1) — identical to
+//     symbolic::range_trips for positive steps wherever end - begin
+//     fits in int64;
 //   * a memlet subset visits max(1, trips) elements per dimension (the
 //     simulator's odometer emits at least once per dimension, and a
 //     scalar subset is one element);

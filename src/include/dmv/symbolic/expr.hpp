@@ -286,5 +286,12 @@ std::int64_t pow_i64(std::int64_t base, std::int64_t exponent);
 /// through this, keeping overflowing powers symbolic.
 std::optional<std::int64_t> checked_pow_i64(std::int64_t base,
                                             std::int64_t exponent);
+/// Trips of the inclusive range [begin : end : step] for a positive
+/// step: 0 when end < begin, otherwise (end - begin) / step + 1 with the
+/// extent taken in uint64, so no span overflows. Throws
+/// std::domain_error when the count exceeds INT64_MAX. The simulator's
+/// map loop and the chunk planner both count with it.
+std::int64_t range_trips(std::int64_t begin, std::int64_t end,
+                         std::int64_t step);
 
 }  // namespace dmv::symbolic

@@ -41,15 +41,6 @@ void place_containers_into(const Sdfg& sdfg, const SymbolMap& symbols,
   }
 }
 
-// Trips of [begin : end : step] for a positive step, from the extent
-// end - begin taken modulo 2^64, as the chunk planner counts them.
-std::int64_t range_trips(std::int64_t begin, std::int64_t end,
-                         std::int64_t step) {
-  const auto extent = static_cast<std::int64_t>(
-      static_cast<std::uint64_t>(end) - static_cast<std::uint64_t>(begin));
-  return extent >= 0 ? extent / step + 1 : 0;
-}
-
 class Simulator {
  public:
   Simulator(const Sdfg& sdfg, const SymbolMap& symbols,
@@ -193,12 +184,11 @@ class Simulator {
       if (it != seen.end()) return it->second;
       CompiledExpr compiled = CompiledExpr::compile(expr, table_);
       BatchedRef ref;
-      if (compiled.reads_any({lane_slot})) {
-        ref.varying = true;
+      ref.varying = compiled.reads_any({lane_slot});
+      if (ref.varying) {
         ref.index = static_cast<std::int32_t>(scope.varying.size());
         scope.varying.emplace_back(std::move(compiled));
       } else {
-        ref.varying = false;
         ref.index = static_cast<std::int32_t>(scope.invariant.size());
         scope.invariant.push_back(std::move(compiled));
       }
@@ -384,13 +374,20 @@ class Simulator {
       throw std::invalid_argument("simulate: non-positive step in map '" +
                                   node.map.label + "'");
     }
-    if (count < 0) count = range_trips(begin, end, step);
-    const std::int64_t start = begin + first * step;
+    if (count < 0) count = symbolic::range_trips(begin, end, step);
+    const std::int64_t start = point(begin, first, step);
     if (dim + 1 == map.bounds.size() && batched_scopes_[node.id].enabled) {
       execute_innermost_batched(state, node, start, count, step);
     } else {
       run_points(state, node, map, dim, start, count, step);
     }
+  }
+
+  /// The ordinal-th value from `start`: within a range's trips it lies
+  /// between begin and end, though ordinal * step may pass INT64_MAX.
+  static std::int64_t point(std::int64_t start, std::int64_t ordinal,
+                            std::int64_t step) {
+    return symbolic::wrapping_add(start, symbolic::wrapping_mul(ordinal, step));
   }
 
   /// The scalar loop over `count` points of dimension `dim` from
@@ -401,7 +398,7 @@ class Simulator {
                   std::int64_t start, std::int64_t count, std::int64_t step) {
     const int slot = map.param_slots[dim];
     for (std::int64_t i = 0; i < count; ++i) {
-      env_values_[slot] = start + i * step;
+      env_values_[slot] = point(start, i, step);
       env_bound_[slot] = 1;
       iterate_map(state, node, map, dim + 1);
     }
@@ -445,7 +442,7 @@ class Simulator {
       for (int l = 0; l < W; ++l) {
         const std::int64_t o =
             base + std::min<std::int64_t>(l, active - 1);
-        lane_param_[static_cast<std::size_t>(l)] = begin + o * step;
+        lane_param_[static_cast<std::size_t>(l)] = point(begin, o, step);
       }
       lane_env_.set_lanes(slot, lane_param_);
       std::uint32_t faults = 0;
@@ -460,7 +457,8 @@ class Simulator {
         // Some active lane would throw: replay the batch scalar so the
         // exception fires at the exact point — after the exact events —
         // serial order produces.
-        run_points(state, node, map, dim, begin + base * step, active, step);
+        run_points(state, node, map, dim, point(begin, base, step), active,
+                   step);
         continue;
       }
       for (int l = 0; l < active; ++l) {
@@ -469,7 +467,7 @@ class Simulator {
     }
     // Leave the parameter as the scalar loop does: bound to the last
     // point (re-unbound by the next bounds evaluation anyway).
-    env_values_[slot] = begin + (count - 1) * step;
+    env_values_[slot] = point(begin, count - 1, step);
     env_bound_[slot] = 1;
   }
 

@@ -44,15 +44,6 @@ struct Counts {
   }
 };
 
-// Trips of [begin : end : step] for a positive step, from the extent
-// end - begin taken modulo 2^64, as the simulator's map loop counts them.
-std::int64_t range_trips(std::int64_t begin, std::int64_t end,
-                         std::int64_t step) {
-  const auto extent = static_cast<std::int64_t>(
-      static_cast<std::uint64_t>(end) - static_cast<std::uint64_t>(begin));
-  return extent >= 0 ? extent / step + 1 : 0;
-}
-
 class Planner {
  public:
   Planner(const Sdfg& sdfg, const SymbolMap& symbols)
@@ -121,22 +112,17 @@ class Planner {
     // Per-outer-ordinal counts: one analytic product when the remaining
     // extents are invariant in the map's own parameters, otherwise
     // map_counts per ordinal (triangular/tiled inner bounds).
-    Counts uniform;
+    const std::optional<Counts> uniform =
+        product_counts(state, node, 1, env, {node.map.params[0]});
     std::vector<Counts> per;
-    if (const std::optional<Counts> whole =
-            product_counts(state, node, 0, env, {})) {
-      // The analytic product is n0 * (inner trips) * (body counts), so
-      // the division is exact.
-      uniform.events = whole->events / n0;
-      uniform.executions = whole->executions / n0;
-    } else {
+    if (!uniform) {
       per.resize(static_cast<std::size_t>(n0));
       bind_each(env, node.map.params[0], outer, [&](std::int64_t o) {
         per[static_cast<std::size_t>(o)] = map_counts(state, node, 1, env);
       });
     }
     auto at = [&](std::int64_t o) -> const Counts& {
-      return per.empty() ? uniform : per[static_cast<std::size_t>(o)];
+      return uniform ? *uniform : per[static_cast<std::size_t>(o)];
     };
     std::int64_t map_events = 0;
     for (std::int64_t o = 0; o < n0; ++o) map_events += at(o).events;
@@ -161,31 +147,44 @@ class Planner {
   // Every count is exact. One scope walk serves two purposes: with
   // `unbound` holding the enclosing maps' still-unbound parameters it is
   // the analytic attempt, which succeeds when no count depends on them
-  // (a range's trip count comes from extent = end - begin, which
-  // SIMPLIFIES the parameters away for the ubiquitous A[i, j:j+2]-style
-  // subsets even though begin/end individually depend on them); with
+  // (a range whose bounds read them counts from extent = end - begin,
+  // which SIMPLIFIES the parameters away for the ubiquitous
+  // A[i, j:j+2]-style subsets even though begin/end depend on them); with
   // `unbound` empty every enclosing parameter is bound, and map_counts
   // enumerates whatever dimension the analytic product cannot count.
 
-  /// Trip count of one range from its simplified extent; nullopt when
-  /// the step or the extent depends on `unbound` or reads a symbol env
-  /// lacks. A non-positive step gives nullopt for a map dimension, whose
-  /// points the enumeration may never reach, and fails the plan for a
-  /// memlet subset.
+  /// Trip count of one range; nullopt when the step or the extent
+  /// depends on `unbound` or reads a symbol env lacks. Bounds free of
+  /// `unbound` (every bound at the enumeration's leaf) count from their
+  /// values, as the simulator does; others from the simplified extent
+  /// end - begin. A non-positive step gives nullopt for a map dimension,
+  /// whose points the enumeration may never reach, and fails the plan for
+  /// a memlet subset.
   static std::optional<std::int64_t> extent_trips(
       const ir::Range& range, const SymbolMap& env,
       const std::set<std::string>& unbound, bool is_subset) {
     if (symbolic::depends_on_any(range.step, unbound)) return std::nullopt;
-    const symbolic::Expr extent = symbolic::simplified(range.end - range.begin);
-    if (symbolic::depends_on_any(extent, unbound)) return std::nullopt;
-    const auto e = extent.try_evaluate(env);
-    const auto s = range.step.try_evaluate(env);
-    if (!e || !s) return std::nullopt;
-    if (*s <= 0) {
+    std::optional<std::int64_t> begin;
+    std::optional<std::int64_t> end;
+    if (unbound.empty() || (!symbolic::depends_on_any(range.begin, unbound) &&
+                            !symbolic::depends_on_any(range.end, unbound))) {
+      begin = range.begin.try_evaluate(env);
+      end = range.end.try_evaluate(env);
+    }
+    if (!begin || !end) {
+      const symbolic::Expr extent =
+          symbolic::simplified(range.end - range.begin);
+      if (symbolic::depends_on_any(extent, unbound)) return std::nullopt;
+      begin = 0;
+      end = extent.try_evaluate(env);
+    }
+    const auto step = range.step.try_evaluate(env);
+    if (!end || !step) return std::nullopt;
+    if (*step <= 0) {
       if (is_subset) throw PlanFailure("non-positive subset step");
       return std::nullopt;
     }
-    return *e >= 0 ? *e / *s + 1 : 0;
+    return symbolic::range_trips(*begin, *end, *step);
   }
 
   /// Elements the simulator's odometer visits: it emits at least once
@@ -313,9 +312,7 @@ class Planner {
   }
 
   struct Dimension {
-    std::int64_t begin = 0;
-    std::int64_t step = 1;
-    std::int64_t trips = 0;
+    std::int64_t begin, step, trips;
   };
 
   /// Dimension `dim` of `map` evaluated for enumeration. Its bounds may
@@ -337,7 +334,7 @@ class Planner {
     const std::int64_t end = range.end.evaluate(env);
     const std::int64_t step = range.step.evaluate(env);
     if (step <= 0) throw PlanFailure("non-positive map step");
-    return {begin, step, range_trips(begin, end, step)};
+    return {begin, step, symbolic::range_trips(begin, end, step)};
   }
 
   /// Binds `param` to each value of `dimension` in turn and calls
@@ -346,12 +343,11 @@ class Planner {
   template <typename Body>
   static void bind_each(SymbolMap& env, const std::string& param,
                         const Dimension& dimension, Body&& body) {
-    const auto shadowed = env.find(param);
-    const std::optional<std::int64_t> previous =
-        shadowed == env.end() ? std::nullopt
-                              : std::optional<std::int64_t>(shadowed->second);
+    std::optional<std::int64_t> previous;
+    if (const auto it = env.find(param); it != env.end()) previous = it->second;
     for (std::int64_t o = 0; o < dimension.trips; ++o) {
-      env[param] = dimension.begin + o * dimension.step;
+      env[param] = symbolic::wrapping_add(
+          dimension.begin, symbolic::wrapping_mul(o, dimension.step));
       body(o);
     }
     if (previous) {
@@ -401,18 +397,19 @@ TracePlan plan_trace(const Sdfg& sdfg, const SymbolMap& symbols,
 namespace {
 
 /// Dependency set of one top-level node's scope (see the header for the
-/// inclusion rules). `outer_chunked` marks map nodes whose outermost
-/// dimension is the plan's chunking axis (its END bound is excluded).
+/// inclusion rules). A top-level map's outermost dimension is the plan's
+/// chunking axis, so its END bound is excluded.
 std::set<std::string> scope_dependencies(const Sdfg& sdfg, const State& state,
-                                         NodeId top, bool outer_chunked) {
+                                         NodeId top) {
   std::set<std::string> reached;
   auto visit = [&reached](const symbolic::Expr& e) {
     e.collect_free_symbols(reached);
   };
-  auto visit_ranges = [&visit](const std::vector<ir::Range>& ranges) {
+  auto visit_ranges = [&visit](const std::vector<ir::Range>& ranges,
+                               bool chunked) {
     for (const ir::Range& range : ranges) {
       visit(range.begin);
-      visit(range.end);
+      if (!chunked || &range != &ranges.front()) visit(range.end);
       visit(range.step);
     }
   };
@@ -427,20 +424,8 @@ std::set<std::string> scope_dependencies(const Sdfg& sdfg, const State& state,
   };
   std::set<std::string> containers;
   for (const Node& node : state.nodes()) {
-    if (!in_scope(node.id)) continue;
-    if (node.kind == NodeKind::MapEntry) {
-      if (node.id == top && outer_chunked && !node.map.ranges.empty()) {
-        const ir::Range& outer = node.map.ranges[0];
-        visit(outer.begin);
-        visit(outer.step);
-        for (std::size_t d = 1; d < node.map.ranges.size(); ++d) {
-          visit(node.map.ranges[d].begin);
-          visit(node.map.ranges[d].end);
-          visit(node.map.ranges[d].step);
-        }
-      } else {
-        visit_ranges(node.map.ranges);
-      }
+    if (node.kind == NodeKind::MapEntry && in_scope(node.id)) {
+      visit_ranges(node.map.ranges, node.id == top);
     }
   }
   for (const Edge& edge : state.edges()) {
@@ -459,8 +444,8 @@ std::set<std::string> scope_dependencies(const Sdfg& sdfg, const State& state,
     const bool copy_edge =
         src.kind == NodeKind::Access && dst.kind == NodeKind::Access;
     if (!tasklet_edge && !copy_edge) continue;
-    visit_ranges(edge.memlet.subset.ranges);
-    visit_ranges(edge.memlet.other_subset.ranges);
+    visit_ranges(edge.memlet.subset.ranges, false);
+    visit_ranges(edge.memlet.other_subset.ranges, false);
     containers.insert(edge.memlet.data);
     if (dst.kind == NodeKind::Access && !dst.data.empty()) {
       containers.insert(dst.data);
@@ -500,11 +485,7 @@ std::vector<std::set<std::string>> chunk_dependencies(const Sdfg& sdfg,
     if (it == cache.end()) {
       const State& state =
           sdfg.states().at(static_cast<std::size_t>(chunk.state));
-      const Node& node = state.node(chunk.node);
-      const bool outer_chunked = node.kind == NodeKind::MapEntry;
-      it = cache
-               .emplace(key, scope_dependencies(sdfg, state, chunk.node,
-                                                outer_chunked))
+      it = cache.emplace(key, scope_dependencies(sdfg, state, chunk.node))
                .first;
     }
     deps.push_back(it->second);

@@ -281,6 +281,26 @@ TEST(IntegerHelpers, EveryEngineAgreesAtInt64Limits) {
   EXPECT_THROW(product.evaluate({{"a", 1}}), std::domain_error);
 }
 
+// Trips of an inclusive range whose bounds may lie more than 2^63
+// apart: end below begin is empty however far, the span is taken in
+// uint64, and a count past INT64_MAX is a domain error.
+TEST(IntegerHelpers, RangeTripsAtInt64Limits) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kFar = 5'000'000'000'000'000'000;
+  EXPECT_EQ(range_trips(0, 9, 1), 10);
+  EXPECT_EQ(range_trips(1, 29'999, 3), 10'000);
+  EXPECT_EQ(range_trips(5, 4, 1), 0);
+  EXPECT_EQ(range_trips(kFar, -kFar, 1), 0);
+  EXPECT_EQ(range_trips(kMax, kMin, 1), 0);
+  EXPECT_EQ(range_trips(-kFar, kFar, 2), kFar + 1);
+  EXPECT_EQ(range_trips(kMin, kMax, 3), 6'148'914'691'236'517'206);
+  EXPECT_EQ(range_trips(0, kMax - 1, 1), kMax);
+  EXPECT_THROW(range_trips(0, kMax, 1), std::domain_error);
+  EXPECT_THROW(range_trips(-kFar, kFar, 1), std::domain_error);
+  EXPECT_THROW(range_trips(kMin, kMax, 2), std::domain_error);
+}
+
 }  // namespace
 }  // namespace dmv::symbolic
 

@@ -270,18 +270,20 @@ TEST(ServeProtocolTest, StepWithInvalidBindingReportsBadBinding) {
       << dmv::json::dump(past);
 }
 
-/// The jacobi2d program of examples/custom_kernel_analysis plus one
-/// container of shape `shape` over the extra symbols `extra`, as an
-/// inline SDFG. The shape text goes to the server unparsed.
+/// The jacobi2d program of examples/custom_kernel_analysis, its rows
+/// running over `rows`, plus one container of shape `shape` over the
+/// extra symbols `extra`, as an inline SDFG. The shape text goes to the
+/// server unparsed.
 std::string jacobi_with_container(const std::string& shape,
-                                  const std::vector<std::string>& extra) {
+                                  const std::vector<std::string>& extra,
+                                  const std::string& rows = "0:N-1") {
   dmv::builder::ProgramBuilder program("jacobi2d");
   program.symbols({"N"});
   program.array("grid", {"N + 2", "N + 2"});
   program.array("next", {"N", "N"});
   program.state("sweep");
   program.mapped_tasklet(
-      "stencil", {{"i", "0:N-1"}, {"j", "0:N-1"}},
+      "stencil", {{"i", rows}, {"j", "0:N-1"}},
       {{"c", "grid", "i + 1, j + 1"},
        {"n", "grid", "i, j + 1"},
        {"s", "grid", "i + 2, j + 1"},
@@ -308,31 +310,48 @@ TEST(ServeProtocolTest, HostileIntegerArithmeticGetsAnAnswer) {
   // Each program's shape meets an integer helper's limit: a constant
   // quotient past int64, a symbolic one, a power whose exponent a loop
   // would take minutes over, and a product that wraps modulo 2^64 to a
-  // zero extent. Every request must get a result or a bad_binding error
-  // within a second, and the server must keep serving.
+  // zero extent. The last two run their rows over P:Q with the bounds
+  // more than 2^63 apart, and subscribe to misses so that the simulator
+  // runs the map: end below begin is an empty map, and end above begin
+  // has more trips than int64 holds. Every request must get a result or
+  // a bad_binding error within a second, and the server must keep
+  // serving.
   const struct {
     const char* shape;
     std::vector<std::string> extra;
     const char* open_binding;
     const char* step_binding;
     bool step_fails = false;
+    const char* rows = nullptr;
   } cases[] = {
       {"N + (-9223372036854775807 - 1) / -1", {}, "{\"N\":4}", "{\"N\":5}"},
       {"P / Q", {"P", "Q"}, "{\"N\":4,\"P\":1,\"Q\":1}",
        "{\"N\":4,\"P\":-9223372036854775808,\"Q\":-1}"},
       {"2**P", {"P"}, "{\"N\":4,\"P\":3}", "{\"N\":4,\"P\":40000000000}"},
       {"N * 4611686018427387904", {}, "{\"N\":1}", "{\"N\":4}", true},
+      {"N", {"P", "Q"}, "{\"N\":4,\"P\":0,\"Q\":3}",
+       "{\"N\":4,\"P\":5000000000000000000,\"Q\":-5000000000000000000}",
+       false, "P:Q"},
+      {"N", {"P", "Q"}, "{\"N\":4,\"P\":0,\"Q\":3}",
+       "{\"N\":4,\"P\":-5000000000000000000,\"Q\":5000000000000000000}",
+       true, "P:Q"},
   };
   Server server;
   for (const auto& c : cases) {
-    const std::string requests[] = {
+    std::vector<std::string> requests = {
         "{\"id\":1,\"method\":\"open_program\",\"params\":{\"session\":"
         "\"h\",\"sdfg\":" +
-            jacobi_with_container(c.shape, c.extra) +
-            ",\"binding\":" + c.open_binding + "}}",
-        "{\"id\":2,\"method\":\"step\",\"params\":{\"session\":\"h\","
+        jacobi_with_container(c.shape, c.extra, c.rows ? c.rows : "0:N-1") +
+        ",\"binding\":" + c.open_binding + "}}"};
+    if (c.rows) {
+      requests.push_back(
+          "{\"id\":2,\"method\":\"subscribe\",\"params\":{\"session\":"
+          "\"h\",\"miss_threshold_lines\":8}}");
+    }
+    requests.push_back(
+        "{\"id\":3,\"method\":\"step\",\"params\":{\"session\":\"h\","
         "\"binding\":" +
-            std::string(c.step_binding) + "}}"};
+        std::string(c.step_binding) + "}}");
     for (const std::string& request : requests) {
       const auto start = std::chrono::steady_clock::now();
       const Value response = parse_line(server.handle(request));
@@ -340,7 +359,7 @@ TEST(ServeProtocolTest, HostileIntegerArithmeticGetsAnAnswer) {
                                  std::chrono::steady_clock::now() - start)
                                  .count();
       EXPECT_LT(seconds, 1.0) << c.shape;
-      if (c.step_fails && &request == &requests[1]) {
+      if (c.step_fails && &request == &requests.back()) {
         EXPECT_TRUE(response.has("error")) << c.shape;
       }
       if (response.has("error")) {
@@ -353,7 +372,7 @@ TEST(ServeProtocolTest, HostileIntegerArithmeticGetsAnAnswer) {
     }
   }
   const Value stats = parse_line(server.handle(
-      "{\"id\":3,\"method\":\"stats\",\"params\":{\"session\":\"h\"}}"));
+      "{\"id\":4,\"method\":\"stats\",\"params\":{\"session\":\"h\"}}"));
   EXPECT_TRUE(stats.has("result")) << dmv::json::dump(stats);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "dmv/builder/program_builder.hpp"
@@ -270,6 +271,30 @@ TEST(TracePlan, StridedOuterSliceStartsAtItsOrdinal) {
   const symbolic::SymbolMap binding{{"N", 30000}};
   EXPECT_GT(plan_trace(sdfg, binding, {}, 4).chunks.size(), 1u);
   expect_plan_matches_serial(sdfg, binding, 4);
+}
+
+TEST(TracePlan, BoundsFarApartCountAsTheSimulatorRuns) {
+  // The inner dimension runs P:Q with its bounds more than 2^63 apart.
+  // End above begin has more trips than int64 holds: the planner
+  // declines and the simulator reports a domain error. End below begin
+  // is an empty dimension however far: nothing is planned or emitted.
+  // Taking end - begin modulo 2^64 counts the first as no trips and the
+  // second as about 8.4e18.
+  ProgramBuilder p("far_apart");
+  p.symbols({"N", "P", "Q"});
+  p.array("A", {"N"});
+  p.array("B", {"N"});
+  p.state("s");
+  p.mapped_tasklet("t", {{"i", "0:N-1"}, {"j", "P:Q"}}, {{"a", "A", "i"}},
+                   "o = a", {{"o", "B", "i"}});
+  const ir::Sdfg sdfg = p.take();
+  constexpr std::int64_t kFar = 5'000'000'000'000'000'000;
+  const symbolic::SymbolMap wide{{"N", 4}, {"P", -kFar}, {"Q", kFar}};
+  EXPECT_FALSE(plan_trace(sdfg, wide, {}).parallelizable);
+  EXPECT_THROW(serial_trace(sdfg, wide), std::domain_error);
+  const symbolic::SymbolMap empty{{"N", 4}, {"P", kFar}, {"Q", -kFar}};
+  EXPECT_EQ(plan_trace(sdfg, empty, {}).total_events, 0);
+  expect_plan_matches_serial(sdfg, empty);
 }
 
 TEST(TracePlan, CopyNodesPlanAsSerialChunks) {

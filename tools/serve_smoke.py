@@ -33,12 +33,15 @@ set after the counts-only drag, one at the end of the hdiff session
 Each set's steps_* classes must sum to the step requests sent to it:
 one request is one step.
 
-Then, in a third session, it opens three copies of jacobi.json with
-one more container each, whose shape meets an integer helper's limit
-(a quotient past int64, constant or symbolic, and a power with a huge
-exponent; docs/symbolic.md), and steps each to the binding that
-evaluates it. Every open must answer with a result and every step with
-a `bad_binding` error, each within HOSTILE_SECONDS, and the server must
+Then, in a third session, it opens copies of jacobi.json with one more
+container each, whose shape or whose rows' range meets an integer
+helper's limit (a quotient past int64, constant or symbolic, a power
+with a huge exponent, and rows over P:Q with the bounds more than 2^63
+apart; docs/symbolic.md), and steps each to the binding that evaluates
+it, a P:Q program after subscribing to misses so that the simulator
+runs its map. Every open must answer with a result, and every step
+with a `bad_binding` error, except the empty P:Q map's, which must
+answer with a result, each within HOSTILE_SECONDS. The server must
 still answer a `stats` request afterwards.
 
 A fourth session's name holds one character of the Basic Multilingual
@@ -102,17 +105,27 @@ LONG_LINE_BYTES = 64 << 20
 LONG_LINE_SECONDS = 10
 
 
-# Inline programs whose one extra container's shape meets an integer
-# helper's limit: the shape, its extra symbols, the open binding and the
-# step binding, which must get a bad_binding error. A pow that looped
-# once per unit of the exponent would spend minutes on the last one.
+# Inline programs whose one extra container's shape, or whose rows'
+# range (jacobi.json's first map dimension; None keeps it), meets an
+# integer helper's limit: the shape, its extra symbols, the rows' range,
+# the open binding, the step binding and the step's error code (None
+# wants a result). A pow that looped once per unit of the exponent would
+# spend minutes on the third; rows whose end lies more than 2^63 below
+# their begin run no point, and more than 2^63 above it, more points
+# than int64 counts.
 JACOBI = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "jacobi.json")
 HOSTILE = [
-    ("N + (-9223372036854775807 - 1) / -1", [], {"N": 4}, {"N": 5}),
-    ("P / Q", ["P", "Q"], {"N": 4, "P": 1, "Q": 1},
-     {"N": 4, "P": -2**63, "Q": -1}),
-    ("2**P", ["P"], {"N": 4, "P": 3}, {"N": 4, "P": 4 * 10**10}),
+    ("N + (-9223372036854775807 - 1) / -1", [], None, {"N": 4}, {"N": 5},
+     "bad_binding"),
+    ("P / Q", ["P", "Q"], None, {"N": 4, "P": 1, "Q": 1},
+     {"N": 4, "P": -2**63, "Q": -1}, "bad_binding"),
+    ("2**P", ["P"], None, {"N": 4, "P": 3}, {"N": 4, "P": 4 * 10**10},
+     "bad_binding"),
+    ("N", ["P", "Q"], "P:Q", {"N": 4, "P": 0, "Q": 3},
+     {"N": 4, "P": 5 * 10**18, "Q": -5 * 10**18}, None),
+    ("N", ["P", "Q"], "P:Q", {"N": 4, "P": 0, "Q": 3},
+     {"N": 4, "P": -5 * 10**18, "Q": 5 * 10**18}, "bad_binding"),
 ]
 HOSTILE_SECONDS = 5
 # A session name with one BMP character and one that JSON escapes as a
@@ -253,27 +266,33 @@ def check_hostile(client):
     """Opens and steps each HOSTILE program; returns the error count."""
     with open(JACOBI) as handle:
         jacobi = json.load(handle)
-    for shape, symbols, opened, stepped in HOSTILE:
+    for shape, symbols, rows, opened, stepped, step_error in HOSTILE:
         sdfg = copy.deepcopy(jacobi)
         sdfg["symbols"] += symbols
+        if rows:
+            sdfg["states"][0]["nodes"][0]["ranges"][0] = rows
         sdfg["containers"].append({"name": "hostile", "shape": [shape],
                                    "strides": ["1"], "element_size": 8,
                                    "transient": False})
-        for method, params, want in (
-                ("open_program", {"sdfg": sdfg, "binding": opened}, None),
-                ("step", {"binding": stepped}, "bad_binding")):
+        requests = [("open_program", {"sdfg": sdfg, "binding": opened}, None)]
+        if rows:
+            requests.append(("subscribe", SUBSCRIPTION, None))
+        requests.append(("step", {"binding": stepped}, step_error))
+        for method, params, want in requests:
             started = time.monotonic()
             response = client.request(method, session="hostile", **params)
             elapsed = time.monotonic() - started
             code = response.get("error", {}).get("code")
             if code != want or (want is None and "result" not in response):
-                fail(f"{method} with a container of shape {shape!r} got "
-                     f"{response}, want {want or 'a result'}")
+                fail(f"{method} with rows {rows!r} and a container of "
+                     f"shape {shape!r} got {response}, "
+                     f"want {want or 'a result'}")
             if elapsed > HOSTILE_SECONDS:
-                fail(f"{method} with a container of shape {shape!r} took "
-                     f"{elapsed:.1f} s (limit {HOSTILE_SECONDS} s)")
+                fail(f"{method} with rows {rows!r} and a container of "
+                     f"shape {shape!r} took {elapsed:.1f} s "
+                     f"(limit {HOSTILE_SECONDS} s)")
     client.call("stats", session="hostile")
-    return len(HOSTILE)
+    return sum(1 for *_, step_error in HOSTILE if step_error)
 
 
 def send_raw(client, line):
