@@ -279,13 +279,14 @@ TEST(TracePlan, BoundsFarApartCountAsTheSimulatorRuns) {
   // declines and the simulator reports a domain error. End below begin
   // is an empty dimension however far: nothing is planned or emitted.
   // Taking end - begin modulo 2^64 counts the first as no trips and the
-  // second as about 8.4e18.
+  // second as about 8.4e18. The tasklet reads A[j], so a simulator that
+  // runs any point of either fails at once on an out-of-bounds access.
   ProgramBuilder p("far_apart");
   p.symbols({"N", "P", "Q"});
   p.array("A", {"N"});
   p.array("B", {"N"});
   p.state("s");
-  p.mapped_tasklet("t", {{"i", "0:N-1"}, {"j", "P:Q"}}, {{"a", "A", "i"}},
+  p.mapped_tasklet("t", {{"i", "0:N-1"}, {"j", "P:Q"}}, {{"a", "A", "j"}},
                    "o = a", {{"o", "B", "i"}});
   const ir::Sdfg sdfg = p.take();
   constexpr std::int64_t kFar = 5'000'000'000'000'000'000;
