@@ -154,32 +154,40 @@ class Planner {
   // enumerates whatever dimension the analytic product cannot count.
 
   /// Trip count of one range; nullopt when the step or the extent
-  /// depends on `unbound` or reads a symbol env lacks. Bounds free of
-  /// `unbound` (every bound at the enumeration's leaf) count from their
-  /// values, as the simulator does; others from the simplified extent
-  /// end - begin. A non-positive step gives nullopt for a map dimension,
-  /// whose points the enumeration may never reach, and fails the plan for
-  /// a memlet subset.
+  /// depends on `unbound` or reads a symbol env lacks. With `unbound`
+  /// empty (the enumeration's leaf) the bounds are evaluated as the
+  /// simulator evaluates them, and a symbol env lacks fails the plan.
+  /// Otherwise bounds free of `unbound` count from their values, others
+  /// from the simplified extent end - begin. A non-positive step gives
+  /// nullopt for a map dimension, whose points the enumeration may never
+  /// reach, and fails the plan for a memlet subset.
   static std::optional<std::int64_t> extent_trips(
       const ir::Range& range, const SymbolMap& env,
       const std::set<std::string>& unbound, bool is_subset) {
-    if (symbolic::depends_on_any(range.step, unbound)) return std::nullopt;
     std::optional<std::int64_t> begin;
     std::optional<std::int64_t> end;
-    if (unbound.empty() || (!symbolic::depends_on_any(range.begin, unbound) &&
-                            !symbolic::depends_on_any(range.end, unbound))) {
-      begin = range.begin.try_evaluate(env);
-      end = range.end.try_evaluate(env);
+    std::optional<std::int64_t> step;
+    if (unbound.empty()) {
+      begin = range.begin.evaluate(env);
+      end = range.end.evaluate(env);
+      step = range.step.evaluate(env);
+    } else {
+      if (symbolic::depends_on_any(range.step, unbound)) return std::nullopt;
+      if (!symbolic::depends_on_any(range.begin, unbound) &&
+          !symbolic::depends_on_any(range.end, unbound)) {
+        begin = range.begin.try_evaluate(env);
+        end = range.end.try_evaluate(env);
+      }
+      if (!begin || !end) {
+        const symbolic::Expr extent =
+            symbolic::simplified(range.end - range.begin);
+        if (symbolic::depends_on_any(extent, unbound)) return std::nullopt;
+        begin = 0;
+        end = extent.try_evaluate(env);
+      }
+      step = range.step.try_evaluate(env);
+      if (!end || !step) return std::nullopt;
     }
-    if (!begin || !end) {
-      const symbolic::Expr extent =
-          symbolic::simplified(range.end - range.begin);
-      if (symbolic::depends_on_any(extent, unbound)) return std::nullopt;
-      begin = 0;
-      end = extent.try_evaluate(env);
-    }
-    const auto step = range.step.try_evaluate(env);
-    if (!end || !step) return std::nullopt;
     if (*step <= 0) {
       if (is_subset) throw PlanFailure("non-positive subset step");
       return std::nullopt;
@@ -293,9 +301,13 @@ class Planner {
   /// `dim` bound value by value. At dim == n this counts the body.
   Counts map_counts(const State& state, const Node& node, std::size_t dim,
                     SymbolMap& env) const {
-    const std::optional<Counts> product =
-        product_counts(state, node, dim, env, {});
-    if (product || dim == node.map.ranges.size()) return bound_counts(product);
+    if (dim == node.map.ranges.size()) {
+      return bound_counts(body_counts(state, node.id, env, {}));
+    }
+    if (const std::optional<Counts> product =
+            product_counts(state, node, dim, env, {})) {
+      return *product;
+    }
     Counts total;
     bind_each(env, node.map.params[dim], dimension(node.map, dim, env),
               [&](std::int64_t) {
