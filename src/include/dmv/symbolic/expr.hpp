@@ -291,7 +291,17 @@ std::optional<std::int64_t> checked_pow_i64(std::int64_t base,
 /// extent taken in uint64, so no span overflows. Throws
 /// std::domain_error when the count exceeds INT64_MAX. The simulator's
 /// map loop and the chunk planner both count with it.
-std::int64_t range_trips(std::int64_t begin, std::int64_t end,
-                         std::int64_t step);
+inline std::int64_t range_trips(std::int64_t begin, std::int64_t end,
+                                std::int64_t step) {
+  if (end < begin) return 0;
+  const std::uint64_t gaps =
+      (static_cast<std::uint64_t>(end) - static_cast<std::uint64_t>(begin)) /
+      static_cast<std::uint64_t>(step);
+  if (gaps >= static_cast<std::uint64_t>(
+                  std::numeric_limits<std::int64_t>::max())) {
+    throw std::domain_error("symbolic: range trip count overflows int64");
+  }
+  return static_cast<std::int64_t>(gaps) + 1;
+}
 
 }  // namespace dmv::symbolic

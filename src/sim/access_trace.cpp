@@ -24,23 +24,6 @@ using symbolic::CompiledExpr;
 using symbolic::LaneEnv;
 using symbolic::SymbolTable;
 
-// Container placement shared by the serial simulator and the parallel
-// drivers (which place once up front and hand the layouts to every
-// chunk). Iterates sdfg.arrays() — an ordered map — so the container
-// index assignment is deterministic.
-void place_containers_into(const Sdfg& sdfg, const SymbolMap& symbols,
-                           AccessTrace& trace,
-                           std::map<std::string, int>* ids) {
-  layout::AddressSpace space;
-  for (const auto& [name, descriptor] : sdfg.arrays()) {
-    ConcreteLayout layout = ConcreteLayout::from(descriptor, symbols);
-    space.place(layout);
-    if (ids) ids->emplace(name, static_cast<int>(trace.layouts.size()));
-    trace.containers.push_back(name);
-    trace.layouts.push_back(std::move(layout));
-  }
-}
-
 class Simulator {
  public:
   Simulator(const Sdfg& sdfg, const SymbolMap& symbols,
@@ -54,8 +37,8 @@ class Simulator {
     trace.layouts.clear();
     trace.events.clear();
     trace.executions = 0;
-    place_containers_into(sdfg_, symbols_, trace, &container_ids_);
-    layouts_ = &trace.layouts;
+    place_containers(sdfg_, symbols_, trace);
+    use_layouts(trace);
     out_ = &trace.events;
     out_absolute_ = false;
     chunk_limit_ = std::numeric_limits<std::int64_t>::max();
@@ -76,11 +59,7 @@ class Simulator {
   /// appended otherwise (streaming chunk buffers, test validation).
   void run_chunk(const AccessTrace& header, const TraceChunk& chunk,
                  EventList& out, bool absolute) {
-    layouts_ = &header.layouts;
-    container_ids_.clear();
-    for (std::size_t i = 0; i < header.containers.size(); ++i) {
-      container_ids_.emplace(header.containers[i], static_cast<int>(i));
-    }
+    use_layouts(header);
     const State& state =
         sdfg_.states().at(static_cast<std::size_t>(chunk.state));
     schedule_ = ir::StateSchedule(state);
@@ -100,6 +79,15 @@ class Simulator {
   }
 
  private:
+  /// Resolves events against `header`'s placed containers, by name.
+  void use_layouts(const AccessTrace& header) {
+    layouts_ = &header.layouts;
+    container_ids_.clear();
+    for (std::size_t i = 0; i < header.containers.size(); ++i) {
+      container_ids_.emplace(header.containers[i], static_cast<int>(i));
+    }
+  }
+
   // -- Execution engine ----------------------------------------------
   //
   // All map bounds and memlet subsets of a state are flattened ONCE to
@@ -684,7 +672,7 @@ void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
       trace.containers.clear();
       trace.layouts.clear();
       trace.executions = 0;
-      place_containers_into(sdfg, symbols, trace, nullptr);
+      place_containers(sdfg, symbols, trace);
       // Size the columns once from the plan total; every chunk then
       // writes only its disjoint [event_offset, event_offset +
       // event_count) slice, so no writer ever moves another's memory.
@@ -715,9 +703,18 @@ void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
   chunk_sim.run_chunk(header, chunk, out, absolute);
 }
 
+// Iterates sdfg.arrays(), an ordered map, so the container index
+// assignment is deterministic: a full run and every chunk writer of a
+// parallel run resolve containers to the same indices.
 void place_containers(const Sdfg& sdfg, const SymbolMap& symbols,
                       AccessTrace& trace) {
-  place_containers_into(sdfg, symbols, trace, nullptr);
+  layout::AddressSpace space;
+  for (const auto& [name, descriptor] : sdfg.arrays()) {
+    ConcreteLayout layout = ConcreteLayout::from(descriptor, symbols);
+    space.place(layout);
+    trace.containers.push_back(name);
+    trace.layouts.push_back(std::move(layout));
+  }
 }
 
 }  // namespace dmv::sim

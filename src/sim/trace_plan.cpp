@@ -64,8 +64,7 @@ class Planner {
           case NodeKind::Tasklet:
           case NodeKind::Access:
             add_chunk(static_cast<int>(s), id, 0, 1,
-                      bound_counts(node_counts(state, node, symbols_, {})),
-                      plan);
+                      node_counts(state, node, symbols_, {}).value(), plan);
             break;
           case NodeKind::MapExit:
             break;
@@ -150,8 +149,9 @@ class Planner {
   // (a range whose bounds read them counts from extent = end - begin,
   // which SIMPLIFIES the parameters away for the ubiquitous
   // A[i, j:j+2]-style subsets even though begin/end depend on them); with
-  // `unbound` empty every enclosing parameter is bound, and map_counts
-  // enumerates whatever dimension the analytic product cannot count.
+  // `unbound` empty every enclosing parameter is bound, no count comes
+  // back empty (a failure throws), and map_counts enumerates whatever
+  // dimension the analytic product cannot count.
 
   /// Trip count of one range; nullopt when the step or the extent
   /// depends on `unbound` or reads a symbol env lacks. With `unbound`
@@ -302,7 +302,7 @@ class Planner {
   Counts map_counts(const State& state, const Node& node, std::size_t dim,
                     SymbolMap& env) const {
     if (dim == node.map.ranges.size()) {
-      return bound_counts(body_counts(state, node.id, env, {}));
+      return body_counts(state, node.id, env, {}).value();
     }
     if (const std::optional<Counts> product =
             product_counts(state, node, dim, env, {})) {
@@ -314,13 +314,6 @@ class Planner {
                 total += map_counts(state, node, dim + 1, env);
               });
     return total;
-  }
-
-  /// With every enclosing parameter bound, a count fails only where a
-  /// memlet subset reads a symbol the binding lacks.
-  static Counts bound_counts(const std::optional<Counts>& counts) {
-    if (!counts) throw PlanFailure("memlet subset reads an unbound symbol");
-    return *counts;
   }
 
   struct Dimension {

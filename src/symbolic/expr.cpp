@@ -169,19 +169,6 @@ std::optional<std::int64_t> checked_pow_i64(std::int64_t base,
   return result;
 }
 
-std::int64_t range_trips(std::int64_t begin, std::int64_t end,
-                         std::int64_t step) {
-  if (end < begin) return 0;
-  const std::uint64_t gaps =
-      (static_cast<std::uint64_t>(end) - static_cast<std::uint64_t>(begin)) /
-      static_cast<std::uint64_t>(step);
-  if (gaps >= static_cast<std::uint64_t>(
-                  std::numeric_limits<std::int64_t>::max())) {
-    throw std::domain_error("symbolic: range trip count overflows int64");
-  }
-  return static_cast<std::int64_t>(gaps) + 1;
-}
-
 // --- evaluation -------------------------------------------------------
 
 namespace {
