@@ -381,7 +381,8 @@ bool Expr::depends_on(std::string_view symbol) const {
 }
 
 bool depends_on_any(const Expr& e, const std::set<std::string>& symbols) {
-  if (symbols.empty()) return false;
+  // A closed expression (most steps and many bounds) needs no lookup.
+  if (symbols.empty() || e.node().symbol_mask == 0) return false;
   for (const std::string& symbol : symbols) {
     if (e.depends_on(std::string_view(symbol))) return true;
   }
